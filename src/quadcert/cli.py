@@ -55,6 +55,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a zero or negative count would make a run
+    vacuous (no samples) or report a search that never ran (no tries)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _certificate(command: str, inputs: dict, ctx, payload: dict, checks) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -373,7 +385,7 @@ def build_parser() -> _Parser:
     p_sample.add_argument("n", type=int)
     p_sample.add_argument("--field", required=True, metavar="P^K", help="field spec, e.g. 11 or 3^4")
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--max-tries", type=int, default=None)
+    p_sample.add_argument("--max-tries", type=_positive_int, default=None)
     add_json(p_sample)
     p_sample.set_defaults(func=_cmd_sample)
 
@@ -383,7 +395,7 @@ def build_parser() -> _Parser:
     p_borel.add_argument("n", type=int)
     p_borel.add_argument("--field", required=True, metavar="P^K")
     p_borel.add_argument("--seed", type=int, default=0)
-    p_borel.add_argument("--samples", type=int, default=20)
+    p_borel.add_argument("--samples", type=_positive_int, default=20)
     add_json(p_borel)
     p_borel.set_defaults(func=_cmd_borel_check)
 
@@ -393,9 +405,9 @@ def build_parser() -> _Parser:
     p_certify.add_argument("n", type=int)
     p_certify.add_argument("p", type=int)
     p_certify.add_argument("--field-degree", type=int, default=1)
-    p_certify.add_argument("--samples", type=int, default=20)
+    p_certify.add_argument("--samples", type=_positive_int, default=20)
     p_certify.add_argument("--seed", type=int, default=0)
-    p_certify.add_argument("--max-tries", type=int, default=None)
+    p_certify.add_argument("--max-tries", type=_positive_int, default=None)
     p_certify.add_argument(
         "--control",
         action="store_true",

@@ -131,13 +131,22 @@ def sample_quadric_point(
     Each try draws x_3, ..., x_n uniformly (SplitMix64, canonical element
     order), completes the pair (x_1, x_2), and retries on a nonsquare
     discriminant or any coordinate collision. Raises NoPointFoundError after
-    max_tries; over small fields the locus can be genuinely empty, so the
-    message suggests retrying over an extension.
+    max_tries, or at once when n exceeds the field size (n pairwise distinct
+    coordinates need n elements); over small fields the locus can be
+    genuinely empty, so the message suggests retrying over an extension.
     """
     if n < 5:
         raise ValueError("sampling needs n >= 5")
     if max_tries is None:
         max_tries = default_max_tries(ctx)
+    elif max_tries < 1:
+        raise ValueError(f"max_tries must be positive, got {max_tries}")
+    if n > ctx.size:
+        raise NoPointFoundError(
+            f"no distinct-coordinate point exists for n={n} over {ctx!r}: "
+            f"{n} pairwise distinct coordinates need at least {n} field elements "
+            f"and the field has {ctx.size}; retry over an extension field (larger k)"
+        )
     rng = SplitMix64(seed)
     size = ctx.size
     for _ in range(max_tries):

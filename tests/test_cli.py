@@ -178,6 +178,35 @@ def test_semantic_usage_errors(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "15", "31", "--samples", "0"],
+        ["certify", "15", "31", "--samples", "-2"],
+        ["certify", "15", "31", "--max-tries", "0"],
+        ["borel-check", "5", "--field", "11", "--samples", "0"],
+        ["sample", "5", "--field", "11", "--max-tries", "0"],
+        ["sample", "5", "--field", "11", "--max-tries", "-1"],
+        ["sample", "5", "--field", "11", "--max-tries", "many"],
+    ],
+)
+def test_count_validation(argv, capsys):
+    # zero or negative counts are usage errors, caught by the parser before
+    # any work: not a vacuous pass, not a "no point found"
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 4
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_sample_more_coordinates_than_elements(tmp_path):
+    # 9 distinct coordinates cannot exist in GF(7): exit 2 with the reason
+    code, doc = run_json(tmp_path, ["sample", "9", "--field", "7", "--seed", "1"])
+    assert code == 2
+    assert doc["payload"]["error"] == "NoPointFound"
+    assert "the field has 7" in doc["payload"]["message"]
+
+
 def test_stdout_matches_file(tmp_path, capsys):
     code = main(["sample", "5", "--field", "11", "--seed", "7"])
     assert code == 0

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from quadcert.errors import NotOnQuadricError, OnDiscriminantError
 from quadcert.gf import field_make
-from quadcert.linalg import matvec
+from quadcert.linalg import matvec, rank, restricted_rank
 from quadcert.quadric import AmbientPoint, sample_quadric_point, tangent_basis
 from quadcert.actions import AffineMap, affine_act, permute, random_affine, random_permutation
 from quadcert.compression import (
@@ -13,6 +13,7 @@ from quadcert.compression import (
     compress,
     compression_jacobian,
     faithfulness_witness,
+    generator_jacobian,
     ordered_triples,
     permute_image,
     rank_certificate,
@@ -188,3 +189,45 @@ def test_certificate_to_json():
         "bound": 2,
         "satisfied": True,
     }
+
+
+# (p, k, n): prime, table (GF(3^4)) and object (GF(5^4)) fields, each with a
+# divisible (p | n) and a control case
+ORACLE_CASES = (
+    (7, 1, 7),
+    (11, 1, 11),
+    (31, 1, 15),
+    (3, 4, 9),
+    (3, 4, 15),
+    (3, 4, 10),
+    (5, 4, 10),
+    (5, 4, 7),
+)
+
+
+@pytest.mark.parametrize("p, k, n", ORACLE_CASES)
+def test_generator_rows_against_full_jacobian(p, k, n):
+    ctx = field_make(p, k)
+    for seed in range(2):
+        a = sample_quadric_point(n, ctx, seed=1000 * n + seed)
+        full = compression_jacobian(a)
+        gen = generator_jacobian(a)
+        pos = triple_positions(n)
+        assert (gen.rows, gen.cols) == (n - 2, n)
+        for i in range(3, n + 1):
+            assert gen.row(i - 3) == full.row(pos[(1, i, 2)])
+        tangent = tangent_basis(a)
+        ambient, restricted = rank(full), restricted_rank(full, tangent)
+        assert rank(gen) == ambient
+        assert restricted_rank(gen, tangent) == restricted
+        cert = rank_certificate(a)
+        assert (cert.ambient_rank, cert.restricted_rank) == (ambient, restricted)
+        assert cert.characteristic_divides_n == (n % p == 0)
+
+
+def test_generator_jacobian_pin():
+    gen = generator_jacobian(BASE)
+    assert (gen.rows, gen.cols) == (3, 5)
+    # row of (1, 3, 2) at x = (9, 5, 1, 3, 4) over GF(11), 1/(x_1 - x_2) = 3:
+    # (x_3 - x_2) 3^2 = 8, (x_1 - x_3) 3^2 = 6, -3 = 8
+    assert [e.coeffs[0] for e in gen.row(0)] == [8, 6, 8, 0, 0]

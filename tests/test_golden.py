@@ -1,0 +1,64 @@
+"""Golden certificates: every case below must reproduce its file byte for byte.
+
+The files under tests/golden/ pin the exact output of every command, on
+divisible and control certify runs over a prime field (GF(31)), a table
+field (GF(81)) and a field above the table limit (GF(625)), and on a
+no-point sample. A refactor or speed-up must leave them unchanged. To
+regenerate them after a deliberate change of output, run
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and review the diff.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from quadcert.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (file stem, argv, exit code)
+CASES = (
+    ("check_15_3", ["check", "15", "3"], 0),
+    ("check_16_3", ["check", "16", "3"], 2),
+    ("solve_15_3", ["solve", "15", "3"], 0),
+    ("construct_15_3", ["construct", "15", "3"], 0),
+    ("construct_12_3", ["construct", "12", "3"], 2),
+    ("sample_15_gf81", ["sample", "15", "--field", "3^4", "--seed", "2"], 0),
+    ("sample_5_gf7_no_point", ["sample", "5", "--field", "7", "--seed", "1"], 2),
+    ("borel_10_gf25", ["borel-check", "10", "--field", "5^2", "--seed", "3", "--samples", "3"], 0),
+    ("certify_15_gf81", ["certify", "15", "3", "--field-degree", "4", "--samples", "2", "--seed", "1"], 0),
+    ("certify_30_gf81", ["certify", "30", "3", "--field-degree", "4", "--samples", "1", "--seed", "5"], 0),
+    ("certify_15_gf31_control", ["certify", "15", "31", "--samples", "2", "--seed", "1", "--control"], 0),
+    ("certify_10_gf625", ["certify", "10", "5", "--field-degree", "4", "--samples", "1", "--seed", "1"], 0),
+    ("certify_7_gf625_control", ["certify", "7", "5", "--field-degree", "4", "--samples", "1", "--seed", "1", "--control"], 0),
+    ("certify_5_gf7_no_point", ["certify", "5", "7", "--samples", "2"], 2),
+)
+
+
+def _run(argv, path: Path) -> int:
+    return main(list(argv) + ["--json", str(path)])
+
+
+@pytest.mark.parametrize("stem, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_golden_certificate(tmp_path, stem, argv, code):
+    out = tmp_path / f"{stem}.json"
+    assert _run(argv, out) == code
+    assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+def test_golden_set_is_complete():
+    commands = {argv[0] for _, argv, _ in CASES}
+    assert commands == {"check", "solve", "construct", "sample", "borel-check", "certify"}
+    stems = {stem for stem, _, _ in CASES}
+    assert {p.stem for p in GOLDEN.glob("*.json")} == stems
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for stem, argv, code in CASES:
+        got = _run(argv, GOLDEN / f"{stem}.json")
+        if got != code:
+            raise SystemExit(f"{stem}: exit {got}, expected {code}")

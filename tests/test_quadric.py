@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import quadcert.quadric as quadric_module
 from quadcert.errors import NoPointFoundError, NotOnQuadricError
 from quadcert.gf import field_make
 from quadcert.linalg import matvec
@@ -122,6 +123,24 @@ def test_sampler_reports_empty_locus():
     with pytest.raises(NoPointFoundError) as info:
         sample_quadric_point(5, f7, seed=1)
     assert "extension" in str(info.value)
+
+
+def test_sampler_fails_at_once_when_n_exceeds_field(monkeypatch):
+    # pigeonhole: no distinct-coordinate point, so no try may be made
+    def no_rng(seed):
+        raise AssertionError("the sampler drew a try")
+
+    monkeypatch.setattr(quadric_module, "SplitMix64", no_rng)
+    with pytest.raises(NoPointFoundError) as info:
+        sample_quadric_point(8, field_make(7), seed=1)
+    assert "n=8" in str(info.value) and "the field has 7" in str(info.value)
+    assert "extension" in str(info.value)
+
+
+def test_sampler_rejects_nonpositive_budget():
+    for tries in (0, -5):
+        with pytest.raises(ValueError):
+            sample_quadric_point(5, F11, seed=0, max_tries=tries)
 
 
 def test_empty_locus_n6_gf9():
