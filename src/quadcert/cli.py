@@ -16,6 +16,7 @@ invalid profiles), 3 a verification check failed, 4 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -174,7 +175,7 @@ def _cmd_construct(args) -> tuple[dict, int]:
     lift = lift_block_solution(sol.profile, sol)
     s1, s2 = power_sums(lift)
     checks = checks + [
-        ("lift_on_quadric", on_quadric(lift)),
+        ("lift_on_quadric", s1.is_zero() and s2.is_zero()),
         ("lift_off_small_diagonal", not in_small_diagonal(lift)),
     ]
     payload["lift"] = _point_json(lift)
@@ -218,7 +219,7 @@ def _cmd_sample(args) -> tuple[dict, int]:
     s1, s2 = power_sums(point)
     checks = [
         ("point_found", True),
-        ("on_quadric", on_quadric(point)),
+        ("on_quadric", s1.is_zero() and s2.is_zero()),
         ("off_discriminant", not in_discriminant(point)),
     ]
     payload = {
@@ -420,9 +421,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # Building the parser costs more than most requests; parse_args keeps no
+    # state between calls, so one parser serves every call in the process.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         doc, code = args.func(args)
     except (EvenCharacteristicError, NotPrimeError, ValueError) as exc:

@@ -248,7 +248,9 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.coeffs == other.coeffs and self.ctx == other.ctx
+            return self.coeffs == other.coeffs and (
+                self.ctx is other.ctx or self.ctx == other.ctx
+            )
         if isinstance(other, int):
             return self == self.ctx.el(other)
         return NotImplemented
@@ -359,15 +361,22 @@ class FieldCtx:
         for i, ai in enumerate(ac):
             if ai:
                 for j, bj in enumerate(bc):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = prod[:k]
-        for d in range(k, 2 * k - 1):
-            c = prod[d]
+                    prod[i + j] += ai * bj
+        return self._reduce(prod)
+
+    def _reduce(self, prod) -> FieldElement:
+        """The element of an unreduced integer polynomial given as a list of
+        k to 2k - 1 coefficients (any integers), low degree first: each
+        coefficient mod p, then the degrees >= k folded through `_reductions`."""
+        p, k = self.p, self.k
+        out = list(prod[:k])
+        for d in range(k, len(prod)):
+            c = prod[d] % p
             if c:
                 red = self._reductions[d - k]
                 for i in range(k):
-                    out[i] = (out[i] + c * red[i]) % p
-        return FieldElement(self, tuple(out))
+                    out[i] += c * red[i]
+        return FieldElement(self, tuple(c % p for c in out))
 
     def _inverse(self, a: FieldElement) -> FieldElement:
         p, k = self.p, self.k

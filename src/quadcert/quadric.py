@@ -5,10 +5,21 @@ sum both vanish (odd characteristic makes this equivalent to the vanishing of
 the first two elementary symmetric functions). The discriminant locus is
 where two coordinates collide; the small diagonal is the constant vectors,
 and it is exactly where the quadric is singular.
+
+Both power sums come from one integer kernel (`_sums`): it counts how often
+each coordinate occurs, adds the coordinates' coefficient vectors times their
+multiplicities as plain integers for the first sum, and accumulates the
+products m * x * x as an unreduced integer polynomial of degree below 2k - 1
+for the second. Nothing is reduced until the end, when one `FieldCtx._reduce`
+per sum takes the coefficients mod p and folds the high degrees through the
+modulus. A lifted point with thousands of coordinates but a dozen distinct
+values therefore costs a dozen small convolutions, not thousands of field
+operations.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NoPointFoundError, NotOnQuadricError
@@ -28,7 +39,7 @@ class AmbientPoint:
             raise ValueError("a point needs at least 2 coordinates")
         ctx = self.coords[0].ctx
         for x in self.coords[1:]:
-            if x.ctx != ctx:
+            if x.ctx is not ctx and x.ctx != ctx:
                 raise ValueError("coordinates from different fields")
 
     @property
@@ -43,14 +54,26 @@ class AmbientPoint:
         return [x.to_json() for x in self.coords]
 
 
+def _sums(coords) -> tuple[FieldElement, FieldElement]:
+    """(sum, square sum) of a nonempty sequence of elements of one field,
+    accumulated in plain integers and reduced once (see the module docstring)."""
+    ctx = coords[0].ctx
+    k = ctx.k
+    s1 = [0] * k
+    s2 = [0] * (2 * k - 1)
+    for c, m in Counter(x.coeffs for x in coords).items():
+        for i, ci in enumerate(c):
+            if ci:
+                mci = m * ci
+                s1[i] += mci
+                for j, cj in enumerate(c):
+                    s2[i + j] += mci * cj
+    return ctx._reduce(s1), ctx._reduce(s2)
+
+
 def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:
     """(sum of coordinates, sum of squared coordinates), exactly."""
-    s1 = a.ctx.zero
-    s2 = a.ctx.zero
-    for x in a.coords:
-        s1 = s1 + x
-        s2 = s2 + x * x
-    return s1, s2
+    return _sums(a.coords)
 
 
 def on_quadric(a: AmbientPoint) -> bool:
@@ -104,16 +127,12 @@ def complete_quadric_pair(tail) -> tuple[FieldElement, FieldElement] | None:
     """
     tail = tuple(tail)
     ctx = tail[0].ctx
-    s = ctx.zero
-    q = ctx.zero
-    for x in tail:
-        s = s + x
-        q = q + x * x
+    s, q = _sums(tail)
     disc = -(s * s) - q - q
     root = disc.sqrt()
     if root is None:
         return None
-    half = ctx.el(2).inverse()
+    half = ctx.el((ctx.p + 1) // 2)  # 1/2 lies in the prime subfield
     x1 = (-s + root) * half
     x2 = (-s - root) * half
     return x1, x2
@@ -130,10 +149,13 @@ def sample_quadric_point(
 
     Each try draws x_3, ..., x_n uniformly (SplitMix64, canonical element
     order), completes the pair (x_1, x_2), and retries on a nonsquare
-    discriminant or any coordinate collision. Raises NoPointFoundError after
-    max_tries, or at once when n exceeds the field size (n pairwise distinct
-    coordinates need n elements); over small fields the locus can be
-    genuinely empty, so the message suggests retrying over an extension.
+    discriminant or any coordinate collision. A try always draws all n - 2
+    indices, so the seed fixes the stream of tries; a tail whose indices
+    collide is rejected before any index is decoded to an element. Raises
+    NoPointFoundError after max_tries, or at once when n exceeds the field
+    size (n pairwise distinct coordinates need n elements); over small fields
+    the locus can be genuinely empty, so the message suggests retrying over
+    an extension.
     """
     if n < 5:
         raise ValueError("sampling needs n >= 5")
@@ -150,9 +172,10 @@ def sample_quadric_point(
     rng = SplitMix64(seed)
     size = ctx.size
     for _ in range(max_tries):
-        tail = tuple(ctx.element_at(rng.below(size)) for _ in range(n - 2))
-        if len(set(tail)) < n - 2:
+        indices = [rng.below(size) for _ in range(n - 2)]
+        if len(set(indices)) < n - 2:
             continue
+        tail = tuple(map(ctx.element_at, indices))
         pair = complete_quadric_pair(tail)
         if pair is None:
             continue

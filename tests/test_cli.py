@@ -2,11 +2,12 @@
 
 import importlib.resources
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from quadcert.cli import main
+from quadcert.cli import build_parser, main
 
 
 SCHEMA = json.loads(
@@ -234,3 +235,25 @@ def test_envelope_shape(tmp_path):
     assert doc["inputs"] == {"n": 15, "p": 3, "degree": 1}
     raw = (tmp_path / "out.json").read_text()
     assert raw == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, capsys):
+    # main parses with one parser per process: an option given to one call
+    # must not carry into the next, and a usage error must leave the parser
+    # as it was
+    argv = ["sample", "15", "--field", "3^4", "--seed", "2"]
+    _, doc = run_json(tmp_path, argv + ["--max-tries", "5"], "limited.json")
+    assert doc["inputs"]["max_tries"] == 5
+    _, doc = run_json(tmp_path, argv, "default.json")
+    assert doc["inputs"]["max_tries"] is None
+
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--max-tries", "0"])
+    assert info.value.code == 4
+    capsys.readouterr()
+    out = tmp_path / "after_error.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    golden = Path(__file__).parent / "golden" / "sample_15_gf81.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+    assert build_parser() is not build_parser()

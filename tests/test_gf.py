@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadcert.errors import EvenCharacteristicError, NotPrimeError
-from quadcert.gf import field_make
+from quadcert.gf import _poly_divmod_rem, field_make
+from quadcert.rng import SplitMix64
 
 
 # Moduli frozen after cross-checking against an independent
@@ -194,6 +195,29 @@ def test_sqrt_exists_iff_square(p, k):
             assert r is not None and r * r == a
         else:
             assert r is None
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 4), (5, 4), (3, 12)])
+def test_reduce_and_mul_match_polynomial_division(p, k):
+    # the one reduction routine, on unreduced integer coefficient lists of
+    # every length from k to 2k - 1 (negative and above-p coefficients
+    # included), and the product that folds through it, against the
+    # construction-time polynomial remainder
+    ctx = field_make(p, k)
+    f = list(ctx.modulus)
+    rng = SplitMix64(p * 100 + k)
+    for _ in range(40):
+        length = k + rng.below(k)
+        prod = [rng.below(50 * p * p) - 25 * p * p for _ in range(length)]
+        expected = _poly_divmod_rem([c % p for c in prod], f, p)
+        assert ctx._reduce(prod).coeffs == tuple(expected)
+        a = ctx.element_at(rng.below(ctx.size))
+        b = ctx.element_at(rng.below(ctx.size))
+        full = [0] * (2 * k - 1)
+        for i, ai in enumerate(a.coeffs):
+            for j, bj in enumerate(b.coeffs):
+                full[i + j] += ai * bj
+        assert (a * b).coeffs == tuple(_poly_divmod_rem([c % p for c in full], f, p))
 
 
 def test_int_coercion():

@@ -9,6 +9,7 @@ import quadcert.quadric as quadric_module
 from quadcert.errors import NoPointFoundError, NotOnQuadricError
 from quadcert.gf import field_make
 from quadcert.linalg import matvec
+from quadcert.rng import SplitMix64
 from quadcert.quadric import (
     AmbientPoint,
     complete_quadric_pair,
@@ -179,3 +180,128 @@ def test_point_validation():
 
 def test_point_to_json():
     assert pt(F11, (9, 5, 1, 3, 4)).to_json() == [[9], [5], [1], [3], [4]]
+
+
+# --- the integer kernel against the per-coordinate FieldElement loops -------
+#
+# The oracles below are the loops the package used before its sums were
+# accumulated in plain integers: one field addition and one field product per
+# coordinate, and a sampler that decodes every drawn index to an element
+# before it looks for collisions.
+
+
+def _power_sums_oracle(coords):
+    ctx = coords[0].ctx
+    s1 = ctx.zero
+    s2 = ctx.zero
+    for x in coords:
+        s1 = s1 + x
+        s2 = s2 + x * x
+    return s1, s2
+
+
+def _complete_pair_oracle(tail):
+    ctx = tail[0].ctx
+    s, q = _power_sums_oracle(tail)
+    disc = -(s * s) - q - q
+    root = disc.sqrt()
+    if root is None:
+        return None
+    half = ctx.el(2).inverse()
+    return (-s + root) * half, (-s - root) * half
+
+
+def _sample_oracle(n, ctx, seed, max_tries):
+    """(point coordinates or None, number of completion calls)."""
+    rng = SplitMix64(seed)
+    completions = 0
+    for _ in range(max_tries):
+        tail = tuple(ctx.element_at(rng.below(ctx.size)) for _ in range(n - 2))
+        if len(set(tail)) < n - 2:
+            continue
+        completions += 1
+        pair = _complete_pair_oracle(tail)
+        if pair is None:
+            continue
+        x1, x2 = pair
+        if x1 == x2 or x1 in tail or x2 in tail:
+            continue
+        return (x1, x2) + tail, completions
+    return None, completions
+
+
+KERNEL_FIELDS = [(7, 1), (3, 4), (5, 4), (3, 12)]
+
+
+def _distinct_elements(ctx, count, rng):
+    seen = {}
+    while len(seen) < count:
+        j = rng.below(ctx.size)
+        seen.setdefault(j, ctx.element_at(j))
+    return tuple(seen.values())
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_sums_match_oracle_on_distinct_coordinates(p, k):
+    ctx = field_make(p, k)
+    rng = SplitMix64(1000 * p + k)
+    for count in (2, 3, 5, min(7, ctx.size), min(40, ctx.size)):
+        for _ in range(5):
+            coords = _distinct_elements(ctx, count, rng)
+            assert power_sums(AmbientPoint(coords)) == _power_sums_oracle(coords)
+            tail = coords[: max(1, count - 2)]
+            assert complete_quadric_pair(tail) == _complete_pair_oracle(tail)
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_sums_match_oracle_on_block_lifts(p, k):
+    # repeated blocks as `construct` lifts them, with multiplicities below,
+    # at and above p (8 copies over GF(3) is the construct 15 3 block): a
+    # kernel that dropped or misreduced the multiplicity would differ
+    ctx = field_make(p, k)
+    rng = SplitMix64(2000 * p + k)
+    for _ in range(10):
+        values = _distinct_elements(ctx, 4, rng)
+        sizes = (8, p, p + 1, 1 + rng.below(3 * p))
+        coords = tuple(v for v, m in zip(values, sizes) for _ in range(m))
+        assert power_sums(AmbientPoint(coords)) == _power_sums_oracle(coords)
+        assert complete_quadric_pair(coords) == _complete_pair_oracle(coords)
+
+
+def test_sums_match_oracle_on_the_construct_15_3_lift():
+    f3 = field_make(3)
+    lift = pt(f3, [1] * 8 + [1] * 4 + [0] * 2 + [0])
+    assert power_sums(lift) == _power_sums_oracle(lift.coords) == (f3.zero, f3.zero)
+    lift8 = pt(f3, [1] * 8)  # 8 = 2 mod 3: sums 2 and 2, not 8 and 8 unreduced
+    assert power_sums(lift8) == _power_sums_oracle(lift8.coords) == (f3.el(2), f3.el(2))
+
+
+SAMPLER_CASES = [
+    (n, p, 1) for p in (7, 11) for n in (5, 6, 7)
+] + [(15, 3, 4), (15, 5, 4)]
+
+
+@pytest.mark.parametrize("n,p,k", SAMPLER_CASES)
+def test_sampler_stream_matches_tail_first_oracle(n, p, k, monkeypatch):
+    # the sampler rejects colliding index draws before decoding them; the
+    # stream of tries, the completions made and the points found must be
+    # those of the loop that decoded every tail first, at the default budget
+    # and at a budget of 3 tries
+    ctx = field_make(p, k)
+    calls = []
+
+    def counted(tail):
+        calls.append(None)
+        return complete_quadric_pair(tail)
+
+    monkeypatch.setattr(quadric_module, "complete_quadric_pair", counted)
+    for seed in range(50):
+        for budget in (default_max_tries(ctx), 3):
+            expected, completions = _sample_oracle(n, ctx, seed, budget)
+            calls.clear()
+            if expected is None:
+                with pytest.raises(NoPointFoundError):
+                    sample_quadric_point(n, ctx, seed, budget)
+            else:
+                assert sample_quadric_point(n, ctx, seed, budget).coords == expected
+            assert len(calls) == completions
