@@ -1,13 +1,22 @@
-"""Command-line front end emitting reproducible JSON certificates.
+r"""Command-line front end emitting reproducible JSON certificates.
 
 Every command produces one certificate document:
 
     {schema_version, command, inputs, field, payload, checks}
 
-serialized with sorted keys, two-space indent, and a trailing newline, and
-containing only integers, strings, booleans, nulls, arrays, and objects.
-Field elements appear as coefficient vectors, low degree first. Identical
-inputs therefore reproduce identical bytes.
+containing only integers, strings, booleans, nulls, arrays (lists) and
+objects (dicts with string keys). Field elements appear as coefficient
+vectors, low degree first.
+
+The bytes are exactly those of `json.dumps(doc, sort_keys=True, indent=2)
++ "\n"`: keys sorted, each item of a non-empty array or object on its own
+line indented two spaces per level (empty ones as [] and {}), separators
+"," and ": ", strings with ASCII escapes (non-ASCII text as \uXXXX), and a
+trailing newline. `canonical_json` writes them in one pass and raises
+TypeError on any other value, such as a float (it may be NaN or infinite,
+which JSON cannot express), a non-string key (it would be rewritten as a
+string without notice) or a tuple. Identical inputs therefore reproduce
+identical bytes.
 
 Exit codes: 0 success, 2 hypotheses not met (includes no-point-found and
 invalid profiles), 3 a verification check failed, 4 usage error.
@@ -17,8 +26,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .actions import random_affine, invariance_report
 from .compression import faithfulness_witness, rank_certificate
@@ -27,6 +37,7 @@ from .errors import (
     InvalidProfileError,
     NoPointFoundError,
     NotPrimeError,
+    UsageError,
 )
 from .gf import field_make
 from .profile import binary_profile, check_hypotheses
@@ -79,8 +90,80 @@ def _certificate(command: str, inputs: dict, ctx, payload: dict, checks) -> dict
     }
 
 
+def _block(open_: str, parts, close: str, depth: int) -> str:
+    """A non-empty array or object at nesting depth `depth`, one part a line."""
+    inner = "\n" + "  " * (depth + 1)
+    return open_ + inner + ("," + inner).join(parts) + "\n" + "  " * depth + close
+
+
+class _IntLists(dict):
+    """Rendered int lists at one depth, keyed by their contents as a tuple.
+
+    Most certificate bytes are coefficient vectors, and a point or a lift
+    repeats few distinct ones, so each is rendered once per document. Keys
+    must come from lists already checked to hold exact ints only: True == 1
+    and 1.0 == 1, so a list holding those would find an int list's text.
+    """
+
+    def __init__(self, depth: int):
+        super().__init__()
+        self.depth = depth
+
+    def __missing__(self, key: tuple) -> str:
+        text = self[key] = _block("[", map(int.__repr__, key), "]", self.depth) if key else "[]"
+        return text
+
+
+class _ByDepth(dict):
+    """depth -> _IntLists, made on first use; one per document."""
+
+    def __missing__(self, depth: int) -> _IntLists:
+        memo = self[depth] = _IntLists(depth)
+        return memo
+
+
+def _encode(value, depth: int, memo: _ByDepth) -> str:
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        # a vector, a list of vectors (a point or a lift: every entry is
+        # type-checked in one pass before any memo lookup), or anything else
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            return memo[depth][tuple(value)]
+        if kinds == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
+            parts = map(memo[depth + 1].__getitem__, map(tuple, value))
+        else:
+            parts = [_encode(item, depth + 1, memo) for item in value]
+        return _block("[", parts, "]", depth)
+    if kind is dict:
+        if not value:
+            return "{}"
+        # a key that is not a string raises TypeError in sorted() or _quote()
+        parts = [
+            _quote(key) + ": " + _encode(item, depth + 1, memo)
+            for key, item in sorted(value.items())
+        ]
+        return _block("{", parts, "}", depth)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(
+        f"certificate values are int, str, bool, None, list or dict, not {kind.__name__}"
+    )
+
+
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The certificate text of `doc` (format in the module docstring)."""
+    return _encode(doc, 0, _ByDepth()) + "\n"
 
 
 def _emit(doc: dict, json_path: str | None) -> None:
@@ -93,14 +176,12 @@ def _emit(doc: dict, json_path: str | None) -> None:
 
 
 def _parse_field_spec(spec: str):
-    """'p' or 'p^k' -> FieldCtx; raises ValueError on malformed input."""
+    """'p' or 'p^k' -> FieldCtx; raises UsageError on malformed input."""
     parts = spec.split("^")
-    if len(parts) == 1:
-        p, k = int(parts[0]), 1
-    elif len(parts) == 2:
-        p, k = int(parts[0]), int(parts[1])
-    else:
-        raise ValueError(f"malformed field spec {spec!r}; expected p or p^k")
+    try:
+        p, k = map(int, parts) if len(parts) == 2 else (int(spec), 1)
+    except ValueError:
+        raise UsageError(f"malformed field spec {spec!r}; expected integers p or p^k") from None
     return field_make(p, k)
 
 
@@ -208,8 +289,6 @@ def _cmd_sample(args) -> tuple[dict, int]:
         "seed": args.seed,
         "max_tries": args.max_tries,
     }
-    if args.n < 5:
-        raise ValueError("sampling needs n >= 5")
     try:
         point = sample_quadric_point(args.n, ctx, args.seed, args.max_tries)
     except NoPointFoundError as exc:
@@ -432,7 +511,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         doc, code = args.func(args)
-    except (EvenCharacteristicError, NotPrimeError, ValueError) as exc:
+    except (EvenCharacteristicError, NotPrimeError, UsageError) as exc:
         sys.stderr.write(f"quadcert {args.command}: error: {exc}\n")
         return EXIT_USAGE
     _emit(doc, args.json)

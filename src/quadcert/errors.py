@@ -13,6 +13,13 @@ class NotPrimeError(QuadcertError):
     """A composite number was offered as a field characteristic."""
 
 
+class UsageError(QuadcertError, ValueError):
+    """An input is outside what a command accepts: a malformed field spec, a
+    field beyond the size limit, n too small, or a search over budget. The
+    CLI reports it with exit code 4; a plain ValueError is an internal fault
+    and is not caught there."""
+
+
 class DimensionMismatchError(QuadcertError):
     """Matrix or vector dimensions do not line up."""
 

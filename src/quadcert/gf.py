@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .errors import EvenCharacteristicError, NotPrimeError
+from .errors import EvenCharacteristicError, NotPrimeError, UsageError
 
 SIZE_LIMIT = 1 << 20  # refuse fields larger than this; nothing here needs more
 _TABLE_LIMIT = 256  # index tables are cached for fields up to this size
@@ -508,7 +508,7 @@ def field_make(p: int, k: int = 1) -> FieldCtx:
     if p < 2 or not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if k < 1:
-        raise ValueError("extension degree must be at least 1")
+        raise UsageError("extension degree must be at least 1")
     if p**k > SIZE_LIMIT:
-        raise ValueError(f"field size {p}^{k} exceeds the limit {SIZE_LIMIT}")
+        raise UsageError(f"field size {p}^{k} exceeds the limit {SIZE_LIMIT}")
     return FieldCtx(p, k, _smallest_irreducible(p, k))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EvenCharacteristicError, NotPrimeError
+from .errors import EvenCharacteristicError, NotPrimeError, UsageError
 from .gf import _is_prime
 
 # Structured reason codes carried by HypothesisDecision.reasons.
@@ -62,7 +62,7 @@ class HypothesisDecision:
 def binary_profile(n: int) -> BinaryProfile:
     """The unique presentation n = sum of distinct powers of two."""
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise UsageError("n must be a positive integer")
     exponents = tuple(m for m in range(n.bit_length() - 1, -1, -1) if (n >> m) & 1)
     return BinaryProfile(n, exponents)
 
@@ -81,7 +81,7 @@ def check_hypotheses(n: int, p: int, available_degree: int = 1) -> HypothesisDec
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if available_degree < 1:
-        raise ValueError("available_degree must be at least 1")
+        raise UsageError("available_degree must be at least 1")
     prof = binary_profile(n)
     r = prof.r
     applies = n % p == 0 and r >= 4

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import NoPointFoundError, NotOnQuadricError
+from .errors import NoPointFoundError, NotOnQuadricError, UsageError
 from .gf import FieldCtx, FieldElement
 from .linalg import Matrix, kernel_basis, rank
 from .rng import SplitMix64
@@ -155,10 +155,10 @@ def sample_quadric_point(
     NoPointFoundError after max_tries, or at once when n exceeds the field
     size (n pairwise distinct coordinates need n elements); over small fields
     the locus can be genuinely empty, so the message suggests retrying over
-    an extension.
+    an extension. Raises UsageError when n < 5.
     """
     if n < 5:
-        raise ValueError("sampling needs n >= 5")
+        raise UsageError("sampling needs n >= 5")
     if max_tries is None:
         max_tries = default_max_tries(ctx)
     elif max_tries < 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidProfileError
+from .errors import InvalidProfileError, UsageError
 from .gf import FieldCtx, FieldElement, field_make
 from .profile import BinaryProfile
 from .quadric import AmbientPoint
@@ -76,7 +76,7 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     nfree = r - 2  # c_2 .. c_{r-1}; c_r is pinned to 0
     total = q**nfree
     if total > _CANDIDATE_LIMIT:
-        raise ValueError(
+        raise UsageError(
             f"search space {q}^{nfree} exceeds the supported budget {_CANDIDATE_LIMIT}"
         )
     if ctx.k == 1:
@@ -143,10 +143,10 @@ def solve_block_system(profile: BinaryProfile, p: int) -> BlockSolution:
         raise InvalidProfileError(
             f"binary presentation of {n} has r = {r} < 4 terms; no construction applies"
         )
+    base = field_make(p, 1)  # rejects p that is not an odd prime, 0 included
     if n % p != 0:
         raise InvalidProfileError(f"{p} does not divide {n}; the block weights cannot balance")
     weights = weights_mod_p(profile, p)
-    base = field_make(p, 1)
     c = _solve_over(base, weights)
     if c is not None:
         return BlockSolution(profile, p, weights, c, base)

@@ -1,0 +1,132 @@
+"""The certificate encoder against its oracle, json.dumps(indent=2).
+
+`cli.canonical_json` must write exactly the bytes of
+`json.dumps(doc, sort_keys=True, indent=2) + "\\n"` for every document of
+the allowed types, and refuse every other value with TypeError.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from quadcert import cli
+from quadcert.cli import canonical_json
+
+
+def oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    # reports the first difference: pytest's own diff of two certificates
+    # of 100k lines would take minutes
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        lo = max(at - 60, 0)
+        pytest.fail(
+            f"texts differ at offset {at} (lengths {len(got)} and {len(want)}): "
+            f"{got[lo:at + 60]!r} != {want[lo:at + 60]!r}"
+        )
+
+
+ints = st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
+# the whole code-point range: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates
+strings = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()))
+scalars = st.none() | st.booleans() | ints | strings
+# coefficient vectors that repeat, as in points and lifts, booleans mixed in
+int_lists = st.lists(st.integers(min_value=-3, max_value=3), max_size=3)
+vectors = st.lists(int_lists | st.lists(ints | st.booleans(), max_size=3), max_size=12)
+documents = st.recursive(
+    scalars | int_lists | vectors,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(strings, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(documents)
+@example({"a": [[1, 2]], "b": [[[1, 2]]], "c": [1, 2]})  # one int list at three depths
+@example({"a": [[1]], "b": [[True]], "c": [True, 1], "d": [[], [0]]})
+@example({"kéy\n\"\\": ["\x00\x1f\x7f \U0001f600\ud800", -(2**70), 2**70]})
+def test_matches_json_dumps(doc):
+    assert_same_text(canonical_json(doc), oracle(doc))
+
+
+# (argv, exit code): one of each command; construct 77 11 solves over
+# GF(121), so its coefficient vectors have length 2; construct 4095 3 lifts
+# to 4095 coordinates with few distinct values.
+REAL = (
+    (["check", "15", "3"], 0),
+    (["solve", "15", "3"], 0),
+    (["construct", "15", "3"], 0),
+    (["construct", "12", "3"], 2),
+    (["sample", "15", "--field", "3^4", "--seed", "2"], 0),
+    (["sample", "5", "--field", "7", "--seed", "1"], 2),
+    (["borel-check", "10", "--field", "5^2", "--seed", "3", "--samples", "3"], 0),
+    (["certify", "15", "3", "--field-degree", "4", "--samples", "2", "--seed", "1"], 0),
+    (["certify", "7", "5", "--field-degree", "4", "--samples", "1", "--control"], 0),
+    (["construct", "77", "11"], 0),
+    (["construct", "4095", "3"], 0),
+)
+
+
+@pytest.mark.parametrize("argv, code", REAL, ids=[" ".join(a) for a, _ in REAL])
+def test_real_documents_match_json_dumps(argv, code, monkeypatch, capsys):
+    # main must emit through the module-level canonical_json, so the spy
+    # sees every document
+    seen = []
+    encode = cli.canonical_json
+
+    def spy(doc):
+        seen.append(doc)
+        return encode(doc)
+
+    monkeypatch.setattr(cli, "canonical_json", spy)
+    assert cli.main(argv) == code
+    (doc,) = seen
+    text = capsys.readouterr().out
+    assert_same_text(text, oracle(doc))
+    if argv[:2] == ["construct", "77"]:
+        assert doc["field"]["k"] == 2 and len(doc["payload"]["lift"][0]) == 2
+    if argv[:2] == ["construct", "4095"]:
+        lift = doc["payload"]["lift"]
+        assert len(lift) == 4095 and len({tuple(c) for c in lift}) < 20
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        1.5,
+        math.nan,
+        math.inf,
+        -math.inf,
+        {"x": [1, 2.0]},
+        [[1], [1.0]],  # 1.0 == 1: must not reuse the rendering of [1]
+        {1: "a"},
+        {"a": 1, 2: "b"},
+        {None: 0},
+        (1, 2),
+        [(1, 2)],
+        {1, 2},
+        b"bytes",
+        object(),
+        {"point": [[1], [2], [3 + 0j]]},
+    ],
+    ids=repr,
+)
+def test_rejects_values_outside_the_contract(doc):
+    with pytest.raises(TypeError):
+        canonical_json(doc)
+
+
+def test_int_subclasses_are_not_ints():
+    class Coefficient(int):
+        pass
+
+    with pytest.raises(TypeError):
+        canonical_json([Coefficient(1)])
+    with pytest.raises(TypeError):
+        canonical_json({"lift": [[1], [Coefficient(1)]]})

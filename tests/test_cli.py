@@ -180,6 +180,44 @@ def test_semantic_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "5", "--field", "3^x"], "malformed field spec"),
+        (["sample", "5", "--field", "x"], "malformed field spec"),
+        (["sample", "5", "--field", "3^2^1"], "malformed field spec"),
+        (["sample", "5", "--field", "3^0"], "extension degree"),
+        (["sample", "5", "--field", "3^13"], "exceeds the limit"),
+        (["check", "15", "3", "--degree", "0"], "available_degree"),
+        (["check", "0", "3"], "positive integer"),
+        (["solve", "0", "3"], "positive integer"),
+        (["borel-check", "4", "--field", "11"], "n >= 5"),
+        (["certify", "4", "3"], "n >= 5"),
+        (["solve", "4095", "13"], "exceeds the supported budget"),
+        (["solve", "15", "0"], "not prime"),
+        (["construct", "15", "0"], "not prime"),
+    ],
+)
+def test_usage_error_sites(argv, message, capsys):
+    # every input a command rejects exits 4 with the reason on stderr and
+    # no certificate on stdout
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # only UsageError (and the field errors) mean bad input; a plain
+    # ValueError from inside a command is a fault and must surface
+
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("quadcert.cli.check_hypotheses", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["check", "15", "3"])
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["certify", "15", "31", "--samples", "0"],

@@ -11,13 +11,21 @@ regenerate them after a deliberate change of output, run
 and review the diff.
 """
 
+import importlib.resources
+import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from quadcert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SCHEMA = json.loads(
+    importlib.resources.files("quadcert")
+    .joinpath("schema/certificate.schema.json")
+    .read_text()
+)
 
 # (file stem, argv, exit code)
 CASES = (
@@ -47,6 +55,18 @@ def test_golden_certificate(tmp_path, stem, argv, code):
     out = tmp_path / f"{stem}.json"
     assert _run(argv, out) == code
     assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_golden_file_is_strict_schema_valid_json(path):
+    # a golden file is checked as a file, not only through a fresh run:
+    # ASCII, strict JSON (no NaN or Infinity) that the shipped schema accepts
+
+    def reject(constant):
+        raise ValueError(f"{path.name} contains {constant}, which is not JSON")
+
+    doc = json.loads(path.read_text(encoding="ascii"), parse_constant=reject)
+    jsonschema.validate(doc, SCHEMA)
 
 
 def test_golden_set_is_complete():
