@@ -15,13 +15,21 @@ one order.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
 
 SIZE_LIMIT = 1 << 20  # refuse fields larger than this; nothing here needs more
-_TABLE_LIMIT = 256  # index tables are cached for fields up to this size
+
+
+def _check_characteristic_size(p: int) -> None:
+    """Refuse p above SIZE_LIMIT before any primality test: trial division
+    on a p near 10^18 would run for minutes."""
+    if p > SIZE_LIMIT:
+        raise UsageError(f"characteristic {p} exceeds the limit {SIZE_LIMIT}")
 
 
 def _is_prime(n: int) -> bool:
@@ -89,15 +97,7 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         inv_lead = pow(b[-1], p - 2, p)
         monic_b = [(c * inv_lead) % p for c in b]
-        deg_b = len(monic_b) - 1
-        r = a[:]
-        for d in range(len(r) - 1, deg_b - 1, -1):
-            c = r[d]
-            if c:
-                r[d] = 0
-                for i in range(deg_b):
-                    r[d - deg_b + i] = (r[d - deg_b + i] - c * monic_b[i]) % p
-        a, b = b, _poly_trim(r[:deg_b] if deg_b else [])
+        a, b = b, _poly_trim(_poly_divmod_rem(a, monic_b, p))
     return a
 
 
@@ -234,9 +234,13 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
+        """Fermat inversion: a^(q-2), the inverse of a nonzero a."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return self.ctx._inverse(self)
+        ctx = self.ctx
+        if ctx.k == 1:
+            return FieldElement(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
+        return self ** (ctx.size - 2)
 
     def sqrt(self) -> Optional["FieldElement"]:
         """Square root with a deterministic choice between the two roots, or
@@ -378,41 +382,6 @@ class FieldCtx:
                     out[i] += c * red[i]
         return FieldElement(self, tuple(c % p for c in out))
 
-    def _inverse(self, a: FieldElement) -> FieldElement:
-        p, k = self.p, self.k
-        if k == 1:
-            return FieldElement(self, (pow(a.coeffs[0], p - 2, p),))
-        # extended Euclid in F_p[x] against the (irreducible) modulus
-        r0, r1 = list(self.modulus), _poly_trim(list(a.coeffs))
-        t0, t1 = [], [1]
-        while len(r1) > 1:
-            inv_lead = pow(r1[-1], p - 2, p)
-            q = [0] * (len(r0) - len(r1) + 1)
-            rem = r0[:]
-            for d in range(len(rem) - 1, len(r1) - 2, -1):
-                c = (rem[d] * inv_lead) % p
-                if c:
-                    q[d - len(r1) + 1] = c
-                    for i, ri in enumerate(r1):
-                        rem[d - len(r1) + 1 + i] = (rem[d - len(r1) + 1 + i] - c * ri) % p
-            rem = _poly_trim(rem)
-            qt1 = [0] * (len(q) + len(t1) - 1) if q and t1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        qt1[i + j] = (qt1[i + j] + qi * tj) % p
-            new_t = [
-                ((t0[i] if i < len(t0) else 0) - (qt1[i] if i < len(qt1) else 0)) % p
-                for i in range(max(len(t0), len(qt1), 1))
-            ]
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_trim(new_t)
-        if not r1:
-            raise ZeroDivisionError("inverse of zero")
-        scale = pow(r1[0], p - 2, p)
-        coeffs = [(c * scale) % p for c in t1]
-        return self.el(coeffs)
-
     def _sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         if a.is_zero():
             return self.zero
@@ -458,22 +427,57 @@ class FieldCtx:
                 raise RuntimeError("no nonresidue found; field of size 1?")
         return self._nonresidue
 
-    # --- index tables for the linear-algebra fast path ---
+    # --- log tables for elimination ---
 
     def tables(self):
-        """(add, mul, neg, inv) tables over canonical indices, or None when
-        the field is too large to cache. inv[0] is -1."""
-        if self.size > _TABLE_LIMIT:
-            return None
+        """(exp, log, zech) over canonical indices, built on first use: for
+        a generator g, exp[e] is the index of g^e (0 <= e < q - 1), log[i]
+        the log of the element with index i (log[0] = -1), and zech[d] the
+        log of 1 + g^d (-1 where that is zero, d = (q - 1)/2)."""
         if self._tables is None:
-            els = list(self.elements())
-            idx = self.element_index
-            add = [[idx(a + b) for b in els] for a in els]
-            mul = [[idx(a * b) for b in els] for a in els]
-            neg = [idx(-a) for a in els]
-            inv = [-1] + [idx(a.inverse()) for a in els[1:]]
-            self._tables = (add, mul, neg, inv)
+            self._tables = self._build_tables()
         return self._tables
+
+    def _generator(self) -> FieldElement:
+        """The first element of order q - 1: x + c for c = 0..p-1 (k > 1),
+        then the canonical order. `_build_tables` steps by g with one Horner
+        pass per degree of g, so a linear generator is the cheapest."""
+        m = self.size - 1
+        cofactors = [m // ell for ell in _prime_factors(m)]
+        linear = (self.el([c, 1]) for c in range(self.p)) if self.k > 1 else ()
+        for g in chain(linear, map(self.element_at, range(1, self.size))):
+            if all(g**e != self.one for e in cofactors):
+                return g
+        raise RuntimeError(f"no generator of {self!r}")
+
+    def _build_tables(self):
+        p, k, m = self.p, self.k, self.size - 1
+        g = list(self._generator().coeffs)
+        while len(g) > 1 and not g[-1]:
+            g.pop()
+        lead, low = g.pop(), g[::-1]
+        x_k = self._reductions[0] if k > 1 else ()  # x^k mod the modulus
+        # 32-bit arrays: a quarter of the memory of int lists near q = 2^20
+        exp = array("i", bytes(4 * m))
+        log = array("i", [-1]) * (m + 1)
+        cur = [1] + [0] * (k - 1)
+        for e in range(m):
+            idx = 0
+            for c in cur:
+                idx = idx * p + c
+            exp[e] = idx
+            log[idx] = e
+            # cur <- cur * g by Horner over g's coefficients: acc <- x acc + g_i cur
+            acc = cur if lead == 1 else [(lead * c) % p for c in cur]
+            for gi in low:
+                top = acc[-1]
+                acc = [(a + gi * c + top * r) % p for a, c, r in zip([0] + acc, cur, x_k)]
+            cur = acc
+        # 1 + g^d adds 1 to the constant coefficient, the leading index digit
+        unit = p ** (k - 1)
+        top = (p - 1) * unit
+        zech = array("i", (log[i - top] if i >= top else log[i + unit] for i in exp))
+        return exp, log, zech
 
     # --- identity plumbing ---
 
@@ -499,16 +503,18 @@ def field_make(p: int, k: int = 1) -> FieldCtx:
     """The deterministic context for GF(p^k).
 
     p must be an odd prime and p^k at most 2^20 (documented implementation
-    limit; the search spaces used here stay far below it).
+    limit; the search spaces used here stay far below it). Both are checked
+    before the primality test and p^k, whose cost grows with p and k.
     """
     if not isinstance(p, int) or not isinstance(k, int):
         raise TypeError("p and k must be integers")
     if p == 2:
         raise EvenCharacteristicError("characteristic 2 is not supported")
+    _check_characteristic_size(p)
     if p < 2 or not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if k < 1:
         raise UsageError("extension degree must be at least 1")
-    if p**k > SIZE_LIMIT:
+    if k > SIZE_LIMIT.bit_length() or p**k > SIZE_LIMIT:
         raise UsageError(f"field size {p}^{k} exceeds the limit {SIZE_LIMIT}")
     return FieldCtx(p, k, _smallest_irreducible(p, k))

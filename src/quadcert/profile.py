@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
-from .gf import _is_prime
+from .gf import _check_characteristic_size, _is_prime
 
 # Structured reason codes carried by HypothesisDecision.reasons.
 OK = "Ok"
@@ -78,6 +78,7 @@ def check_hypotheses(n: int, p: int, available_degree: int = 1) -> HypothesisDec
     """
     if p == 2:
         raise EvenCharacteristicError("characteristic 2 is not supported")
+    _check_characteristic_size(p)
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if available_degree < 1:

@@ -195,6 +195,12 @@ def test_semantic_usage_errors(capsys):
         (["solve", "4095", "13"], "exceeds the supported budget"),
         (["solve", "15", "0"], "not prime"),
         (["construct", "15", "0"], "not prime"),
+        # refused at the limit before p^k or a primality test is computed
+        (["check", "15", "3", "--degree", "20000000"], "exceeds the limit"),
+        (["certify", "15", "3", "--field-degree", "200000000"], "exceeds the limit"),
+        (["check", "15", "1000000000000000003"], "exceeds the limit"),
+        (["solve", "15", "1000000000000000003"], "exceeds the limit"),
+        (["sample", "5", "--field", "1000000000000000003"], "exceeds the limit"),
     ],
 )
 def test_usage_error_sites(argv, message, capsys):

@@ -191,8 +191,9 @@ def test_certificate_to_json():
     }
 
 
-# (p, k, n): prime, table (GF(3^4)) and object (GF(5^4)) fields, each with a
-# divisible (p | n) and a control case
+# (p, k, n): prime fields (residue kernel) and GF(3^4), GF(5^4) (log kernel,
+# below and above 256 elements), each with a divisible (p | n) and a control
+# case
 ORACLE_CASES = (
     (7, 1, 7),
     (11, 1, 11),

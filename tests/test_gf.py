@@ -19,9 +19,19 @@ FROZEN_MODULI = {
     (7, 1): (0, 1),
     (11, 1): (0, 1),
 }
+# the larger fields of the golden files and the log-table tests; composite
+# k runs the gcd step of the irreducibility test
+FROZEN_LARGER_MODULI = {
+    (5, 4): (1, 0, 1, 1, 1),  # x^4 + x^3 + x^2 + 1
+    (13, 2): (1, 3, 1),     # x^2 + 3x + 1
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),  # x^6 + x^5 + x^4 + 1
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),  # x^12 + x^11 + x^8 + 1
+}
 
 
-@pytest.mark.parametrize("key,expected", sorted(FROZEN_MODULI.items()))
+@pytest.mark.parametrize(
+    "key,expected", sorted(FROZEN_MODULI.items()) + sorted(FROZEN_LARGER_MODULI.items())
+)
 def test_modulus_frozen(key, expected):
     p, k = key
     assert field_make(p, k).modulus == expected
@@ -218,6 +228,54 @@ def test_reduce_and_mul_match_polynomial_division(p, k):
             for j, bj in enumerate(b.coeffs):
                 full[i + j] += ai * bj
         assert (a * b).coeffs == tuple(_poly_divmod_rem([c % p for c in full], f, p))
+
+
+# the log tables behind elimination, below and above 256 elements, k = 2, 4, 6
+TABLE_FIELDS = [(3, 4), (5, 4), (13, 2), (3, 6)]
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_exp_and_log_are_inverse_bijections(p, k):
+    ctx = field_make(p, k)
+    exp, log, zech = ctx.tables()
+    m = ctx.size - 1
+    assert len(exp) == m and len(log) == ctx.size and len(zech) == m
+    assert sorted(exp) == list(range(1, ctx.size))  # g generates every unit
+    assert all(log[exp[e]] == e for e in range(m))
+    assert log[0] == -1
+    g = ctx.element_at(exp[1])
+    power = ctx.one
+    for e in range(m):  # exp[e] is g ** e
+        assert exp[e] == ctx.element_index(power)
+        power = power * g
+    assert power == ctx.one
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_table_products_match_field_products(p, k):
+    ctx = field_make(p, k)
+    exp, log, _ = ctx.tables()
+    m = ctx.size - 1
+    rng = SplitMix64(p * 1000 + k)
+    for _ in range(400):
+        a = ctx.element_at(1 + rng.below(m))
+        b = ctx.element_at(1 + rng.below(m))
+        la, lb = log[ctx.element_index(a)], log[ctx.element_index(b)]
+        assert ctx.element_at(exp[(la + lb) % m]) == a * b
+        assert ctx.element_at(exp[-la % m]) == a.inverse()
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_every_zech_entry_matches_field_addition(p, k):
+    ctx = field_make(p, k)
+    exp, _, zech = ctx.tables()
+    m = ctx.size - 1
+    for d, z in enumerate(zech):
+        total = ctx.one + ctx.element_at(exp[d])
+        if d == m // 2:  # g^(m/2) = -1
+            assert z == -1 and total.is_zero()
+        else:
+            assert z >= 0 and ctx.element_at(exp[z]) == total
 
 
 def test_int_coercion():

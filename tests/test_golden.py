@@ -1,9 +1,8 @@
 """Golden certificates: every case below must reproduce its file byte for byte.
 
 The files under tests/golden/ pin the exact output of every command, on
-divisible and control certify runs over a prime field (GF(31)), a table
-field (GF(81)) and a field above the table limit (GF(625)), and on a
-no-point sample. A refactor or speed-up must leave them unchanged. To
+divisible and control certify runs over a prime field (GF(31)) and two
+extension fields (GF(81), GF(625)), and on a no-point sample. A refactor or speed-up must leave them unchanged. To
 regenerate them after a deliberate change of output, run
 
     PYTHONPATH=src python3 tests/test_golden.py

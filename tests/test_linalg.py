@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from quadcert.errors import DimensionMismatchError
 from quadcert.gf import field_make
 from quadcert.linalg import Matrix, kernel_basis, matvec, rank, restricted_rank, rref
+from tests import _gaussref as ref
 
 
 def mk(ctx, rows):
@@ -56,7 +57,15 @@ def test_matvec():
     assert matvec(m, v) == (f7.el(3), f7.el(4))  # (17 mod 7, 39 mod 7)
 
 
-FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2)]
+# prime fields (residue kernel) and extension fields (log kernel), two of
+# them above 256 elements
+FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (5, 4), (3, 6)]
+
+
+def _vectors(draw, ctx, count, length):
+    # mostly zeros and ones, so that ranks below full are common
+    index = st.one_of(st.integers(0, 1), st.integers(0, ctx.size - 1))
+    return [[ctx.element_at(draw(index)) for _ in range(length)] for _ in range(count)]
 
 
 @st.composite
@@ -65,14 +74,14 @@ def matrices(draw, max_dim=5):
     ctx = field_make(p, k)
     nrows = draw(st.integers(min_value=1, max_value=max_dim))
     ncols = draw(st.integers(min_value=1, max_value=max_dim))
-    entries = [
-        [
-            ctx.element_at(draw(st.integers(min_value=0, max_value=ctx.size - 1)))
-            for _ in range(ncols)
-        ]
-        for _ in range(nrows)
-    ]
-    return Matrix.from_rows(entries)
+    return Matrix.from_rows(_vectors(draw, ctx, nrows, ncols))
+
+
+@st.composite
+def matrices_with_basis(draw):
+    m = draw(matrices())
+    count = draw(st.integers(min_value=0, max_value=m.cols))
+    return m, [tuple(v) for v in _vectors(draw, m.ctx, count, m.cols)]
 
 
 @given(matrices())
@@ -100,12 +109,15 @@ def test_kernel_vectors_independent(m):
         assert rank(stacked) == len(basis)
 
 
-@given(matrices())
-def test_fast_paths_agree_with_generic(m):
-    # the prime field and lookup table eliminations must match the
-    # element-object route exactly
-    assert rank(m) == rank(m, force_generic=True)
-    assert kernel_basis(m) == kernel_basis(m, force_generic=True)
+@given(matrices_with_basis())
+def test_fast_paths_agree_with_generic(case):
+    # the residue and log kernels must match a Gauss-Jordan on the element
+    # objects exactly: same pivots, same echelon form, same kernel basis
+    m, basis = case
+    assert rank(m) == ref.rank(m)
+    assert rref(m) == ref.rref(m)
+    assert kernel_basis(m) == ref.kernel_basis(m)
+    assert restricted_rank(m, basis) == ref.restricted_rank(m, basis)
 
 
 @given(matrices())
@@ -133,10 +145,8 @@ def test_restricted_rank_bounds(m):
 
 
 def test_object_path_beyond_table_limit():
-    # GF(3^6) has 729 elements, past the lookup table cutoff, so this
-    # exercises the element-object elimination
+    # GF(3^6) has 729 elements; the log kernel runs at every field size
     ctx = field_make(3, 6)
-    assert ctx.tables() is None
     x = ctx.el([0, 1])
     m = Matrix.from_rows([[ctx.one, x], [x, x * x]])
     assert rank(m) == 1

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from quadcert.errors import EvenCharacteristicError, NotPrimeError
+from quadcert.errors import EvenCharacteristicError, NotPrimeError, UsageError
 from quadcert.profile import (
     OK,
     NEEDS_QUADRATIC_EXTENSION,
@@ -79,6 +79,9 @@ def test_check_validates_characteristic():
         check_hypotheses(15, 2)
     with pytest.raises(NotPrimeError):
         check_hypotheses(15, 9)
+    # refused at the field-size limit before trial division could spin
+    with pytest.raises(UsageError, match="exceeds the limit"):
+        check_hypotheses(15, 1_000_000_000_000_000_003)
 
 
 @given(
