@@ -25,11 +25,16 @@ from .errors import EvenCharacteristicError, NotPrimeError, UsageError
 SIZE_LIMIT = 1 << 20  # refuse fields larger than this; nothing here needs more
 
 
-def _check_characteristic_size(p: int) -> None:
-    """Refuse p above SIZE_LIMIT before any primality test: trial division
-    on a p near 10^18 would run for minutes."""
+def check_characteristic(p: int) -> None:
+    """Refuse p unless it is an odd prime, checking 2 first, then the size
+    (above SIZE_LIMIT, before any primality test: trial division on a p
+    near 10^18 would run for minutes), then primality."""
+    if p == 2:
+        raise EvenCharacteristicError("characteristic 2 is not supported")
     if p > SIZE_LIMIT:
         raise UsageError(f"characteristic {p} exceeds the limit {SIZE_LIMIT}")
+    if not _is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
 
 
 def _is_prime(n: int) -> bool:
@@ -301,19 +306,10 @@ class FieldCtx:
         self.zero = FieldElement(self, (0,) * k)
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
         # x^(k+j) mod modulus for j in [0, k-1), used to fold products back
-        reds = []
-        if k > 1:
-            cur = [(-c) % p for c in modulus[:k]]  # x^k mod f
-            reds.append(tuple(cur))
-            for _ in range(k - 2):
-                shifted = [0] + cur[:-1]
-                top = cur[-1]
-                if top:
-                    for i in range(k):
-                        shifted[i] = (shifted[i] - top * modulus[i]) % p
-                cur = shifted
-                reds.append(tuple(cur))
-        self._reductions = tuple(reds)
+        self._reductions = tuple(
+            tuple(_poly_divmod_rem([0] * (k + j) + [1], list(modulus), p))
+            for j in range(k - 1)
+        )
         self._nonresidue = None
         self._tables = None
 
@@ -508,11 +504,7 @@ def field_make(p: int, k: int = 1) -> FieldCtx:
     """
     if not isinstance(p, int) or not isinstance(k, int):
         raise TypeError("p and k must be integers")
-    if p == 2:
-        raise EvenCharacteristicError("characteristic 2 is not supported")
-    _check_characteristic_size(p)
-    if p < 2 or not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    check_characteristic(p)
     if k < 1:
         raise UsageError("extension degree must be at least 1")
     if k > SIZE_LIMIT.bit_length() or p**k > SIZE_LIMIT:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EvenCharacteristicError, NotPrimeError, UsageError
-from .gf import _check_characteristic_size, _is_prime
+from .errors import UsageError
+from .gf import check_characteristic
 
 # Structured reason codes carried by HypothesisDecision.reasons.
 OK = "Ok"
@@ -76,11 +76,7 @@ def check_hypotheses(n: int, p: int, available_degree: int = 1) -> HypothesisDec
     NeedsQuadraticExtension when r = 4 and the available degree is odd.
     Failures collect every code that applies, never just the first.
     """
-    if p == 2:
-        raise EvenCharacteristicError("characteristic 2 is not supported")
-    _check_characteristic_size(p)
-    if not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    check_characteristic(p)
     if available_degree < 1:
         raise UsageError("available_degree must be at least 1")
     prof = binary_profile(n)

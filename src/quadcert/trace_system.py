@@ -10,23 +10,35 @@ A solution found over GF(p) is preferred; only r = 4 can force the quadratic
 extension GF(p^2). Repeating each c_i across a block of 2^(m_i) coordinates
 lifts a solution to a length-n point whose coordinate sum and square sum both
 vanish, since each block contributes 2^(m_i) copies of c_i.
+
+When r >= 5 the search is short. With c_5 = ... = c_r = 0 the system is a
+form of degree 1 and one of degree 2 in the four variables c_1, ..., c_4;
+their degrees sum to 3 < 4, so by Chevalley-Warning (Serre, A Course in
+Arithmetic, ch. I, section 2) the number of common zeros over any finite
+field of characteristic p is divisible by p, and there is one besides zero.
+Its (c_2, c_3, c_4) is not zero, because the linear equation fixes c_1 from
+the rest. Scanning suffixes (c_2, ..., c_{r-1}) by increasing index with c_2
+the least significant digit, the first solution therefore has index below
+q^3: only (c_2, c_3, c_4) need scanning, with the rest zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
+from operator import add, getitem
 
 from .errors import InvalidProfileError, UsageError
-from .gf import FieldCtx, FieldElement, field_make
+from .gf import FieldCtx, FieldElement, check_characteristic, field_make
 from .profile import BinaryProfile
 from .quadric import AmbientPoint
 
-_CANDIDATE_LIMIT = 10**7  # documented search budget; inputs here stay tiny
+_CANDIDATE_LIMIT = 10**7  # documented search budget, charged on the scanned suffixes
 
 
 def weights_mod_p(profile: BinaryProfile, p: int) -> tuple[int, ...]:
     """Residues 2^(m_i) mod p in profile order. Never zero for odd p."""
-    field_make(p, 1)  # validates p odd prime
+    check_characteristic(p)
     return tuple(pow(2, m, p) for m in profile.exponents)
 
 
@@ -62,71 +74,54 @@ def evaluate_system(sol: BlockSolution) -> tuple[FieldElement, FieldElement]:
     return lin, quad
 
 
+def _square(v) -> list[int]:
+    """The unreduced integer square of a coefficient vector: length 2k - 1."""
+    out = [0] * (2 * len(v) - 1)
+    for i, a in enumerate(v):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
 def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
-    """First solution with c_1 derived from the linear equation.
+    """First solution over ctx in the order of the full scan, or None.
 
     Candidates are ordered by increasing integer index with c_1 as the least
-    significant base-q digit. Eliminating c_1 (every weight is invertible)
-    and enumerating the suffix (c_2, ..., c_{r-1}) in the same order returns
-    exactly the first solution of the full scan: a candidate's index is
-    c_1 + q * M for suffix index M, strictly monotone in M.
+    significant base-q digit (canonical element indices). Eliminating c_1
+    (every weight is invertible) and enumerating the suffix (c_2, ..., c_{r-1})
+    in the same order returns exactly the first solution of the full scan: a
+    candidate's index is c_1 + q * M for suffix index M, strictly monotone in
+    M. The linear equation fixes c_1 = -L/w_1 with L = sum_{j>=2} w_j c_j;
+    times w_1, the quadratic one reads L^2 + w_1 Q = 0 with
+    Q = sum_{j>=2} w_j c_j^2, tested on integer coefficient vectors with one
+    reduction per candidate. For r >= 5 the first solution has M < q^3
+    (Chevalley-Warning, see the module docstring), so only (c_2, c_3, c_4)
+    are scanned and the budget is charged q^min(r - 2, 3).
     """
     r = len(weights)
     q = ctx.size
-    nfree = r - 2  # c_2 .. c_{r-1}; c_r is pinned to 0
-    total = q**nfree
-    if total > _CANDIDATE_LIMIT:
+    nfree = min(r - 2, 3)
+    if q**nfree > _CANDIDATE_LIMIT:
         raise UsageError(
             f"search space {q}^{nfree} exceeds the supported budget {_CANDIDATE_LIMIT}"
         )
-    if ctx.k == 1:
-        p = ctx.p
-        w = weights
-        inv_w1 = pow(w[0], p - 2, p)
-        digits = [0] * nfree
-        for _ in range(1, total):
-            i = 0
-            while digits[i] == p - 1:
-                digits[i] = 0
-                i += 1
-            digits[i] += 1
-            s_lin = 0
-            s_quad = 0
-            for j in range(nfree):
-                d = digits[j]
-                if d:
-                    wj = w[j + 1]
-                    s_lin += wj * d
-                    s_quad += wj * d * d
-            c1 = (-s_lin * inv_w1) % p
-            if (s_quad + w[0] * c1 * c1) % p == 0:
-                c = [ctx.el(c1)] + [ctx.el(d) for d in digits] + [ctx.zero]
-                return tuple(c)
-        return None
-    w_els = [ctx.el(w) for w in weights]
-    inv_w1 = w_els[0].inverse()
-    zero = ctx.zero
-    indices = [0] * nfree
-    values = [zero] * nfree
-    for _ in range(1, total):
-        i = 0
-        while indices[i] == q - 1:
-            indices[i] = 0
-            values[i] = zero
-            i += 1
-        indices[i] += 1
-        values[i] = ctx.element_at(indices[i])
-        s_lin = zero
-        s_quad = zero
-        for j in range(nfree):
-            v = values[j]
-            if not v.is_zero():
-                wv = w_els[j + 1] * v
-                s_lin = s_lin + wv
-                s_quad = s_quad + wv * v
-        c1 = -s_lin * inv_w1
-        if (s_quad + w_els[0] * c1 * c1).is_zero():
-            return tuple([c1] + list(values) + [zero])
+    k = ctx.k
+    w1 = weights[0]
+    vectors = [ctx.element_at(i).coeffs for i in range(q)]
+    # per scanned digit, most significant first like product's tuples, and
+    # per value: w_j c_j then w_1 w_j c_j^2, so one pass sums L and w_1 Q
+    tabs = [
+        [[w * a for a in v] + [w1 * w * a for a in _square(v)] for v in vectors]
+        for w in weights[nfree:0:-1]
+    ]
+    for digits in islice(product(range(q), repeat=nfree), 1, None):
+        sums = [sum(col) for col in zip(*map(getitem, tabs, digits))]
+        lin = sums[:k]
+        if ctx._reduce(list(map(add, _square(lin), sums[k:]))).is_zero():
+            inv_w1 = pow(w1, -1, ctx.p)
+            c1 = ctx.el([-a * inv_w1 for a in lin])
+            suffix = tuple(map(ctx.element_at, reversed(digits)))
+            return (c1,) + suffix + (ctx.zero,) * (r - 1 - nfree)
     return None
 
 

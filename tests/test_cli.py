@@ -7,7 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from _perfbench import perfbench_module
 from quadcert.cli import build_parser, main
+from quadcert.profile import binary_profile
+from quadcert.trace_system import evaluate_system, solve_block_system
 
 
 SCHEMA = json.loads(
@@ -15,6 +18,8 @@ SCHEMA = json.loads(
     .joinpath("schema/certificate.schema.json")
     .read_text()
 )
+# the benchmark tolerates the solver's budget refusal by this text
+BUDGET_MESSAGE = perfbench_module("verify").BUDGET_MESSAGE
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -153,6 +158,10 @@ def test_certify_no_point(tmp_path):
     code, doc = run_json(tmp_path, ["certify", "5", "7", "--samples", "2"])
     assert code == 2
     assert doc["payload"]["error"] == "NoPointFound"
+    # the block solve succeeds; 4095 distinct coordinates cannot fit in GF(13)
+    code, doc = run_json(tmp_path, ["certify", "4095", "13", "--samples", "1"])
+    assert code == 2
+    assert doc["payload"]["error"] == "NoPointFound"
 
 
 def test_usage_errors(capsys):
@@ -192,7 +201,7 @@ def test_semantic_usage_errors(capsys):
         (["solve", "0", "3"], "positive integer"),
         (["borel-check", "4", "--field", "11"], "n >= 5"),
         (["certify", "4", "3"], "n >= 5"),
-        (["solve", "4095", "13"], "exceeds the supported budget"),
+        (["solve", "1561", "223"], BUDGET_MESSAGE),  # r = 5, 223^3 > 10^7
         (["solve", "15", "0"], "not prime"),
         (["construct", "15", "0"], "not prime"),
         # refused at the limit before p^k or a primality test is computed
@@ -209,6 +218,16 @@ def test_usage_error_sites(argv, message, capsys):
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+@pytest.mark.parametrize("n, p", [(4095, 13), (4095, 7), (1023, 31)])
+def test_solver_budget_follows_chevalley_warning(tmp_path, n, p):
+    # r >= 5: only (c_2, c_3, c_4) are scanned, so p^3 is charged, not p^(r-2)
+    code, doc = run_json(tmp_path, ["solve", str(n), str(p)])
+    assert code == 0 and all(checks_passed(doc).values())
+    sol = solve_block_system(binary_profile(n), p)
+    assert all(s.is_zero() for s in evaluate_system(sol))
+    assert doc["payload"]["c"] == [e.to_json() for e in sol.c]
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -2,8 +2,10 @@
 
 The files under tests/golden/ pin the exact output of every command, on
 divisible and control certify runs over a prime field (GF(31)) and two
-extension fields (GF(81), GF(625)), and on a no-point sample. A refactor or speed-up must leave them unchanged. To
-regenerate them after a deliberate change of output, run
+extension fields (GF(81), GF(625)), on a block solution that needs the
+quadratic extension (GF(121)), and on a no-point sample. A refactor or
+speed-up must leave them unchanged. To regenerate them after a deliberate
+change of output, run
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -33,6 +35,7 @@ CASES = (
     ("solve_15_3", ["solve", "15", "3"], 0),
     ("construct_15_3", ["construct", "15", "3"], 0),
     ("construct_12_3", ["construct", "12", "3"], 2),
+    ("construct_77_gf121", ["construct", "77", "11"], 0),
     ("sample_15_gf81", ["sample", "15", "--field", "3^4", "--seed", "2"], 0),
     ("sample_5_gf7_no_point", ["sample", "5", "--field", "7", "--seed", "1"], 2),
     ("borel_10_gf25", ["borel-check", "10", "--field", "5^2", "--seed", "3", "--samples", "3"], 0),

@@ -1,4 +1,4 @@
-"""Weighted block system: solver pins, enumeration oracle, extension fallback."""
+"""Weighted block system: solver pins, enumeration oracles, extension fallback."""
 
 import itertools
 
@@ -67,7 +67,11 @@ def brute_first(p, weights):
 
 @pytest.mark.parametrize(
     "n,p",
-    [(15, 3), (15, 5), (45, 3), (45, 5), (51, 3), (85, 5), (105, 3), (341, 11)],
+    [(15, 3), (15, 5), (45, 3), (45, 5), (51, 3), (85, 5), (105, 3), (341, 11)]
+    # r = 7..9 at p = 3, and r = 7, 8 at p = 5 with c_4 != 0: the full scan
+    # over all r - 1 digits agrees with the solver's scan of (c_2, c_3, c_4)
+    + [(351, 3), (381, 3), (255, 3), (495, 3), (1407, 3), (1527, 3)]
+    + [(635, 5), (1275, 5)],
 )
 def test_solver_matches_brute_force(n, p):
     prof = binary_profile(n)
@@ -95,6 +99,43 @@ def test_fallback_second_case():
     assert sol.ctx.k == 2
     lin, quad = evaluate_system(sol)
     assert lin.is_zero() and quad.is_zero()
+
+
+def brute_first_gf_p2(p, weights):
+    """Independent full scan over GF(p^2) with FieldElement arithmetic:
+    (c_1, ..., c_{r-1}) in canonical index order, c_1 fastest, c_r = 0."""
+    ctx = field_make(p, 2)
+    elements = list(ctx.elements())
+    w = [ctx.el(x) for x in weights]
+    w1c = [w[0] * e for e in elements]
+    for rev in itertools.product(elements, repeat=len(weights) - 2):
+        tail = rev[::-1]  # (c_2, ..., c_{r-1}), c_2 fastest
+        neg_lin = -sum((wi * ci for wi, ci in zip(w[1:], tail)), ctx.zero)
+        quad_tail = sum((wi * ci * ci for wi, ci in zip(w[1:], tail)), ctx.zero)
+        for c1, wc1 in zip(elements, w1c):
+            if wc1 == neg_lin and (wc1 * c1 + quad_tail).is_zero():
+                c = (c1,) + tail + (ctx.zero,)
+                if any(not e.is_zero() for e in c):
+                    return c
+    return None
+
+
+def test_extension_solutions_match_oracle():
+    # which GF(p^2) solution is returned is pinned, not only its validity:
+    # every (n, p) with n <= 4096 and p <= 13 whose solution needs GF(p^2)
+    checked = 0
+    for n in range(1, 4097):
+        prof = binary_profile(n)
+        if prof.r != 4:
+            continue
+        for p in (3, 5, 7, 11, 13):
+            if n % p:
+                continue
+            sol = solve_block_system(prof, p)
+            if sol.ctx.k == 2:
+                assert sol.c == brute_first_gf_p2(p, weights_mod_p(prof, p)), (n, p)
+                checked += 1
+    assert checked == 46
 
 
 def test_invalid_profiles():

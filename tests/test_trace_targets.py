@@ -7,25 +7,15 @@ a crash of a traced benchmark run; this test reads the two target lists
 """
 
 import importlib
-import pathlib
-import sys
 
 import pytest
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+from _perfbench import perfbench_module
 
 
 def _targets():
-    loaded = set(sys.modules)
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        tracing = importlib.import_module("tracing")
-        return [(module, attr) for module, attr, _ in tracing.SPANS + tracing.COUNTED]
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        for name in ("tracing", "verify"):  # perfbench's own top-level modules
-            if name not in loaded:
-                sys.modules.pop(name, None)
+    tracing = perfbench_module("tracing")
+    return [(module, attr) for module, attr, _ in tracing.SPANS + tracing.COUNTED]
 
 
 @pytest.mark.parametrize("module, attr", _targets())
