@@ -168,11 +168,15 @@ def canonical_json(doc: dict) -> str:
 
 def _emit(doc: dict, json_path: str | None) -> None:
     text = canonical_json(doc)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not json_path:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(json_path, "w", encoding="utf-8")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise UsageError(f"cannot write {json_path}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
 def _parse_field_spec(spec: str):
@@ -511,10 +515,10 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         doc, code = args.func(args)
+        _emit(doc, args.json)
     except (EvenCharacteristicError, NotPrimeError, UsageError) as exc:
         sys.stderr.write(f"quadcert {args.command}: error: {exc}\n")
         return EXIT_USAGE
-    _emit(doc, args.json)
     return code
 
 

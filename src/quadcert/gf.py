@@ -4,7 +4,14 @@ Elements are dense coefficient vectors in a fixed polynomial basis, low degree
 first, every coefficient reduced mod p. For fixed (p, k) the defining modulus
 is always the lexicographically smallest monic irreducible of degree k, with
 coefficient lists compared low-to-high, so two runs (or two implementations)
-agree on every serialized value.
+agree on every serialized value. The search walks the candidates in that
+order, c_0 first and starting at c_0 = 1 (every f with c_0 = 0 has the factor
+x), and stops at the first one that passes Rabin's test, run on the
+candidate's own ring GF(p)[x]/(f) with the field product.
+
+Square roots come from one Tonelli-Shanks, which also decides whether an
+element is a square; of the two roots it returns the one that comes first in
+the canonical order below.
 
 The canonical order on elements compares coefficient tuples lexicographically
 (constant coefficient first). The integer index of an element under that order
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
@@ -60,15 +67,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_divmod_rem(prod, f, p)
-
-
 def _poly_divmod_rem(a: list[int], f: list[int], p: int) -> list[int]:
     # f is monic; returns a mod f
     a = a[:]
@@ -85,18 +83,6 @@ def _poly_divmod_rem(a: list[int], f: list[int], p: int) -> list[int]:
     return a
 
 
-def _poly_powmod_x(e: int, f: list[int], p: int) -> list[int]:
-    """x^e mod f by square and multiply."""
-    result = [1] + [0] * (len(f) - 2)
-    base = ([0, 1] + [0] * (len(f) - 3))[: len(f) - 1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b:
@@ -108,16 +94,15 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _is_irreducible(f: list[int], p: int, k: int) -> bool:
     """Rabin test: x^(p^k) = x mod f, and gcd(x^(p^(k/l)) - x, f) = 1 for
-    every prime l dividing k."""
-    xq = _poly_powmod_x(p**k, f, p)
-    x = ([0, 1] + [0] * (k - 2))[:k]
-    if xq != x:
+    every prime l dividing k. The powers are taken in GF(p)[x]/(f) with the
+    field's own product, which never divides, so a reducible f is safe."""
+    ring = FieldCtx(p, k, tuple(f))
+    x = ring.el([0, 1])
+    if x ** p**k != x:
         return False
     for ell in _prime_factors(k):
-        d = k // ell
-        g = _poly_powmod_x(p**d, f, p)
-        diff = [(gi - xi) % p for gi, xi in zip(g, x)]
-        if len(_poly_gcd(diff, f, p)) - 1 > 0:
+        diff = x ** p ** (k // ell) - x
+        if len(_poly_gcd(list(diff.coeffs), f, p)) > 1:
             return False
     return True
 
@@ -140,20 +125,13 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)  # the polynomial x
     # Monic f = c_0 + c_1 x + ... + x^k; candidates in lex order of
-    # (c_0, ..., c_{k-1}), c_0 compared first.
-    counters = [0] * k
-    while True:
-        if counters[0] != 0:  # c_0 = 0 makes x a factor
-            f = counters + [1]
-            if _is_irreducible(f, p, k):
-                return tuple(f)
-        i = k - 1
-        while i >= 0 and counters[i] == p - 1:
-            counters[i] = 0
-            i -= 1
-        if i < 0:
-            raise RuntimeError(f"no irreducible of degree {k} over GF({p})")
-        counters[i] += 1
+    # (c_0, ..., c_{k-1}), c_0 compared first and starting at 1 (c_0 = 0
+    # makes x a factor).
+    for low in product(range(1, p), *[range(p)] * (k - 1)):
+        f = list(low) + [1]
+        if _is_irreducible(f, p, k):
+            return tuple(f)
+    raise RuntimeError(f"no irreducible of degree {k} over GF({p})")
 
 
 class FieldElement:
@@ -294,7 +272,7 @@ class FieldCtx:
         "zero",
         "one",
         "_reductions",
-        "_nonresidue",
+        "_sqrt_consts",
         "_tables",
     )
 
@@ -310,7 +288,7 @@ class FieldCtx:
             tuple(_poly_divmod_rem([0] * (k + j) + [1], list(modulus), p))
             for j in range(k - 1)
         )
-        self._nonresidue = None
+        self._sqrt_consts = None
         self._tables = None
 
     # --- construction helpers ---
@@ -379,49 +357,41 @@ class FieldCtx:
         return FieldElement(self, tuple(c % p for c in out))
 
     def _sqrt(self, a: FieldElement) -> Optional[FieldElement]:
+        """One Tonelli-Shanks both decides whether a is a square and takes
+        its root; of the two roots it returns the lex-smaller coefficient
+        tuple. With q - 1 = 2^s Q, Q odd, c = z^Q for the first nonresidue z
+        in canonical order, r = a^((Q+1)/2) and t = a^Q, each pass keeps
+        r^2 = a t and c of order 2^m, and halves the order 2^i of t. A square
+        has i < m on every pass; a nonsquare is exactly a with t of order
+        2^s, which the first pass (m = s) finds."""
         if a.is_zero():
             return self.zero
-        q = self.size
-        if a ** ((q - 1) // 2) != self.one:
-            return None
-        if q % 4 == 3:
-            r = a ** ((q + 1) // 4)
-        else:
-            r = self._tonelli_shanks(a)
-        neg = -r
-        return r if r.coeffs <= neg.coeffs else neg
-
-    def _tonelli_shanks(self, a: FieldElement) -> FieldElement:
-        q = self.size
-        qq, s = q - 1, 0
-        while qq % 2 == 0:
-            qq //= 2
-            s += 1
-        z = self._find_nonresidue()
-        m, c, t, r = s, z**qq, a**qq, a ** ((qq + 1) // 2)
+        if self._sqrt_consts is None:
+            s, Q = 0, self.size - 1
+            while Q % 2 == 0:
+                s, Q = s + 1, Q // 2
+            half = (self.size - 1) // 2
+            units = map(self.element_at, range(1, self.size))
+            z = next(z for z in units if z**half != self.one)
+            self._sqrt_consts = (s, Q, z**Q)
+        m, Q, c = self._sqrt_consts
+        w = a ** ((Q - 1) // 2)
+        r = a * w
+        t = r * w
         while t != self.one:
             i, t2 = 0, t
             while t2 != self.one:
                 t2 = t2 * t2
                 i += 1
+            if i == m:
+                return None
             b = c ** (1 << (m - i - 1))
             r = r * b
             c = b * b
             t = t * c
             m = i
-        return r
-
-    def _find_nonresidue(self) -> FieldElement:
-        if self._nonresidue is None:
-            exp = (self.size - 1) // 2
-            for j in range(1, self.size):
-                z = self.element_at(j)
-                if z**exp != self.one:
-                    self._nonresidue = z
-                    break
-            else:
-                raise RuntimeError("no nonresidue found; field of size 1?")
-        return self._nonresidue
+        neg = -r
+        return r if r.coeffs <= neg.coeffs else neg
 
     # --- log tables for elimination ---
 

@@ -210,6 +210,8 @@ def test_semantic_usage_errors(capsys):
         (["check", "15", "1000000000000000003"], "exceeds the limit"),
         (["solve", "15", "1000000000000000003"], "exceeds the limit"),
         (["sample", "5", "--field", "1000000000000000003"], "exceeds the limit"),
+        # a --json PATH that cannot be opened for writing: here a directory
+        (["check", "15", "3", "--json", str(Path(__file__).parent)], "cannot write"),
     ],
 )
 def test_usage_error_sites(argv, message, capsys):

@@ -1,10 +1,12 @@
 """Finite field arithmetic: frozen values, axioms, canonical choices."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from quadcert.errors import EvenCharacteristicError, NotPrimeError
-from quadcert.gf import _poly_divmod_rem, field_make
+from quadcert.gf import _is_irreducible, _poly_divmod_rem, field_make
 from quadcert.rng import SplitMix64
 
 
@@ -20,17 +22,48 @@ FROZEN_MODULI = {
     (11, 1): (0, 1),
 }
 # the larger fields of the golden files and the log-table tests; composite
-# k runs the gcd step of the irreducibility test
+# k runs the gcd step of the irreducibility test. After them, in insertion
+# order (the test ids are positional), every other GF(p^k) with
+# p in {3, 5, 7, 11, 13} and p^k <= 2^20, among them every field the cli-mix
+# workload draws; pinned from the earlier search, which walked all of c_0 = 0
+# and tested with its own polynomial product.
 FROZEN_LARGER_MODULI = {
-    (5, 4): (1, 0, 1, 1, 1),  # x^4 + x^3 + x^2 + 1
-    (13, 2): (1, 3, 1),     # x^2 + 3x + 1
     (3, 6): (1, 0, 0, 0, 1, 1, 1),  # x^6 + x^5 + x^4 + 1
     (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),  # x^12 + x^11 + x^8 + 1
+    (5, 4): (1, 0, 1, 1, 1),  # x^4 + x^3 + x^2 + 1
+    (13, 2): (1, 3, 1),     # x^2 + 3x + 1
+    (3, 3): (1, 0, 2, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
+    (5, 1): (0, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 5): (1, 0, 0, 0, 4, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1),
+    (5, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (5, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1),
+    (7, 5): (1, 0, 0, 0, 3, 1),
+    (7, 6): (1, 0, 0, 0, 1, 0, 1),
+    (7, 7): (1, 0, 0, 0, 0, 0, 6, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (1, 0, 4, 1),
+    (11, 4): (1, 0, 0, 4, 1),
+    (11, 5): (1, 0, 0, 0, 2, 1),
+    (13, 1): (0, 1),
+    (13, 3): (1, 0, 4, 1),
+    (13, 4): (1, 0, 0, 1, 1),
+    (13, 5): (1, 0, 0, 0, 8, 1),
 }
 
 
 @pytest.mark.parametrize(
-    "key,expected", sorted(FROZEN_MODULI.items()) + sorted(FROZEN_LARGER_MODULI.items())
+    "key,expected", sorted(FROZEN_MODULI.items()) + list(FROZEN_LARGER_MODULI.items())
 )
 def test_modulus_frozen(key, expected):
     p, k = key
@@ -195,16 +228,62 @@ def test_square_count(p, k):
     assert len(squares) == (ctx.size + 1) // 2
 
 
-@pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
+# q - 1 = 2^s Q with s = 1 ... 8, so Tonelli-Shanks runs from no loop pass
+# (s = 1) to eight
+SQRT_FIELDS = [
+    (7, 1), (31, 1), (3, 5),  # s = 1
+    (13, 1),  # s = 2
+    (3, 2), (5, 2),  # s = 3
+    (17, 1), (3, 4), (7, 2),  # s = 4
+    (97, 1),  # s = 5
+    (193, 1),  # s = 6
+    (641, 1),  # s = 7
+    (257, 1),  # s = 8
+]
+
+
+@pytest.mark.parametrize("p,k", SQRT_FIELDS)
 def test_sqrt_exists_iff_square(p, k):
     ctx = field_make(p, k)
-    squares = {x * x for x in ctx.elements()}
+    roots = {}
+    for x in ctx.elements():
+        roots.setdefault(x * x, []).append(x)
     for a in ctx.elements():
         r = a.sqrt()
-        if a in squares:
+        if a in roots:
             assert r is not None and r * r == a
+            # the canonical root: the lex-smaller of the brute-force roots
+            assert r.coeffs == min(x.coeffs for x in roots[a])
         else:
             assert r is None
+
+
+def _gauss_count(p, k):
+    # monic irreducibles of degree k over GF(p): (1/k) sum_{d | k} mu(d) p^(k/d)
+    def mu(d):
+        sign = 1
+        for ell in range(2, d + 1):
+            if d % ell == 0:
+                d //= ell
+                if d % ell == 0:
+                    return 0
+                sign = -sign
+        return sign
+
+    return sum(mu(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (13, 2)],
+)
+def test_irreducible_count_matches_gauss(p, k):
+    # every monic f of degree k, c_0 = 0 included; k = 4 and 6 need the gcd
+    # step, and a wrong exponent in either power miscounts
+    accepted = sum(
+        _is_irreducible(list(low) + [1], p, k) for low in product(range(p), repeat=k)
+    )
+    assert accepted == _gauss_count(p, k)
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 4), (5, 4), (3, 12)])
