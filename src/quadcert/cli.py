@@ -172,11 +172,10 @@ def _emit(doc: dict, json_path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        fh = open(json_path, "w", encoding="utf-8")
-    except OSError as exc:  # a missing directory, a directory, no permission
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission, a full disk
         raise UsageError(f"cannot write {json_path}: {exc.strerror}") from None
-    with fh:
-        fh.write(text)
 
 
 def _parse_field_spec(spec: str):

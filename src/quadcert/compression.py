@@ -13,8 +13,7 @@ the point itself and, when the characteristic divides n, the all-ones vector
 lie in that tangent space and in the Jacobian's kernel, which caps the
 restricted rank at n - 4 (n - 3 without the divisibility).
 
-Certificates never build the full n(n-1)(n-2) x n Jacobian. The affine map
-x -> (x_1 - x)/(x_1 - x_2) sends x_1 to 0, x_2 to 1 and x_i to
+The affine map x -> (x_1 - x)/(x_1 - x_2) sends x_1 to 0, x_2 to 1 and x_i to
 
     y_i = (x_1 - x_i) / (x_1 - x_2),    i = 3, ..., n,
 
@@ -25,9 +24,31 @@ derivatives in every characteristic, gives dF = dG . dY. Hence
 rank dF <= rank dY; the rows of dY are rows of dF, so the ranks are equal.
 Restricting to a subspace composes both sides with the same inclusion on
 the right, so the restricted ranks are equal too. The (n-2) x n generator
-Jacobian therefore carries the whole certificate (Buhler and Reichstein's
-affine quotient, Compositio Math. 106, 1997), while compression_jacobian
-keeps the full map for tests and library use.
+Jacobian dY therefore carries the whole certificate (Buhler and Reichstein's
+affine quotient, Compositio Math. 106, 1997).
+
+Carried one step further, that quotient makes the certificate O(n) with no
+elimination. With d = x_1 - x_2, row i of dY is
+
+    ((x_i - x_2) e_1 + (x_1 - x_i) e_2) / d^2 - e_i / d,
+
+so its columns 3..n are -1/d times the identity and rank dY = n - 2. Its
+kernel is therefore 2-dimensional, and both 1 = (1, ..., 1) and x lie in it
+(the two invariances above), so ker dY = span(1, x) for x not constant. The
+tangent space T = ker [1; 2x] has dimension n - 2 off the small diagonal, and
+
+    rank(dY on T) = (n - 2) - dim(T cap span(1, x)).
+
+A vector a 1 + b x lies in T exactly when (a, b) is in the kernel of the
+Gram matrix G = [[n, s_1], [s_1, s_2]] (s_j the power sums; 2 is a unit in
+odd characteristic), so the restricted rank is n - 4 + rank G. On the
+quadric G = diag(n, 0): rank 1 when p does not divide n, rank 0 when it
+does. rank_certificate still evaluates every row and checks J.1 = 0 and
+J.x = 0 at the point, since those identities are what make ker dY equal to
+span(1, x): a wrong Jacobian, wrong field arithmetic or a wrong sampler
+raises instead of yielding a rank read off a formula in (n, p).
+generator_jacobian, compression_jacobian and the elimination in `linalg`
+stay as library functions and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -35,10 +56,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import OnDiscriminantError, SizeMismatchError
+from .errors import (
+    JacobianIdentityError,
+    NotOnQuadricError,
+    OnDiscriminantError,
+    SizeMismatchError,
+)
 from .gf import FieldElement
+# rank, restricted_rank and tangent_basis are no longer called here; they
+# stay importable from this module, whose documented surface they are
 from .linalg import Matrix, rank, restricted_rank
-from .quadric import AmbientPoint, in_discriminant, tangent_basis
+from .quadric import AmbientPoint, in_discriminant, power_sums, tangent_basis
 from .actions import AffineMap, Permutation, affine_act
 
 
@@ -174,28 +202,43 @@ def compression_jacobian(a: AmbientPoint) -> Matrix:
     return Matrix(n * (n - 1) * (n - 2), n, entries, a.ctx)
 
 
-def generator_jacobian(a: AmbientPoint) -> Matrix:
-    """Exact Jacobian of the generators y_i = (x_1 - x_i)/(x_1 - x_2),
-    i = 3, ..., n: row i - 3 is the row of compression_jacobian at the triple
-    (1, i, 2), with d/dx_1 = (x_i - x_2)/(x_1 - x_2)^2, d/dx_i =
-    -1/(x_1 - x_2) and d/dx_2 = (x_1 - x_i)/(x_1 - x_2)^2. Same rank as the
-    full Jacobian, on the whole space and on any subspace (module
-    docstring)."""
-    xs = a.coords
-    n = a.n
-    zero = a.ctx.zero
+def _generator_rows(xs) -> list[tuple[FieldElement, FieldElement, FieldElement]]:
+    """The nonzero entries (d/dx_1, d/dx_2, d/dx_i) of the generator rows
+    i = 3, ..., n at the point xs, with d = x_1 - x_2:
+
+        ((x_i - x_2)/d^2, (x_1 - x_i)/d^2, -1/d)."""
     x1, x2 = xs[0], xs[1]
     inv = (x1 - x2).inverse()
     isq = inv * inv
     minus_inv = -inv
+    return [((xi - x2) * isq, (x1 - xi) * isq, minus_inv) for xi in xs[2:]]
+
+
+def generator_jacobian(a: AmbientPoint) -> Matrix:
+    """Exact Jacobian of the generators y_i = (x_1 - x_i)/(x_1 - x_2),
+    i = 3, ..., n: row i - 3 is the row of compression_jacobian at the triple
+    (1, i, 2), with the entries of _generator_rows. Same rank as the full
+    Jacobian, on the whole space and on any subspace (module docstring)."""
+    n = a.n
+    zero = a.ctx.zero
     entries: list[FieldElement] = []
-    for i in range(2, n):
+    for i, (d1, d2, di) in enumerate(_generator_rows(a.coords), start=2):
         row = [zero] * n
-        row[0] = (xs[i] - x2) * isq
-        row[1] = (x1 - xs[i]) * isq
-        row[i] = minus_inv
+        row[0], row[1], row[i] = d1, d2, di
         entries.extend(row)
     return Matrix(n - 2, n, entries, a.ctx)
+
+
+def gram_rank(n: int, s1: FieldElement, s2: FieldElement) -> int:
+    """Rank over the field of G = [[n, s_1], [s_1, s_2]], the tangent
+    equations (1, ..., 1) and x paired with the generator kernel's basis
+    (1, x). For a point with distinct coordinates and power sums s_1, s_2,
+    the generator Jacobian restricted to the tangent space has rank
+    n - 4 + rank G, on the quadric or off it (module docstring)."""
+    g11 = s1.ctx.el(n)
+    if g11 * s2 != s1 * s1:
+        return 2
+    return 0 if g11.is_zero() and s1.is_zero() and s2.is_zero() else 1
 
 
 @dataclass(frozen=True)
@@ -233,25 +276,39 @@ def rank_certificate(a: AmbientPoint) -> RankCertificate:
     restricted rank against it. The observed values are reported as-is, no
     equality with the bound is asserted anywhere.
 
-    Both ranks are taken on the (n-2) x n generator Jacobian. By the chain
-    rule dF = dG . dY (module docstring) they equal the ranks of the full
-    triple-ratio Jacobian exactly, in every characteristic, so the work is
-    O(n^3) instead of O(n^5) and the certificate is unchanged.
+    The ranks are those of the (n-2) x n generator Jacobian, equal to the
+    full triple-ratio Jacobian's by the chain rule, and are read off its
+    structure in O(n) field operations with no elimination (module
+    docstring). Distinct coordinates give the pivot d = x_1 - x_2 != 0 of
+    the identity block, so ambient_rank = n - 2, and a nonconstant point, so
+    tangent_dim = n - 2. Each row is evaluated at the point and must satisfy
+    J.1 = 0 and J.x = 0, which puts span(1, x) in the kernel; a failure
+    raises JacobianIdentityError. Then restricted_rank = n - 4 + rank G with
+    G the Gram matrix of gram_rank.
     """
-    if in_discriminant(a):
+    if in_discriminant(a):  # in particular x_1 != x_2
         raise OnDiscriminantError("certificates need pairwise distinct coordinates")
-    tangent = tangent_basis(a)  # raises NotOnQuadricError off the quadric
-    jac = generator_jacobian(a)
+    s1, s2 = power_sums(a)
+    if not (s1.is_zero() and s2.is_zero()):
+        raise NotOnQuadricError("tangent space is defined on the quadric only")
+    xs = a.coords
+    x1, x2 = xs[0], xs[1]
+    for i, (d1, d2, di) in enumerate(_generator_rows(xs), start=3):
+        xi = xs[i - 1]
+        if not ((d1 + d2 + di).is_zero() and (d1 * x1 + d2 * x2 + di * xi).is_zero()):
+            raise JacobianIdentityError(
+                f"generator row {i} does not annihilate 1 and x at the point"
+            )
     n, p = a.n, a.ctx.p
     divides = n % p == 0
     bound = n - 4 if divides else n - 3
-    restricted = restricted_rank(jac, tangent)
+    restricted = n - 4 + gram_rank(n, s1, s2)
     return RankCertificate(
         n=n,
         p=p,
         characteristic_divides_n=divides,
-        ambient_rank=rank(jac),
-        tangent_dim=len(tangent),
+        ambient_rank=n - 2,
+        tangent_dim=n - 2,
         restricted_rank=restricted,
         bound=bound,
         satisfied=restricted <= bound,

@@ -40,5 +40,11 @@ class OnDiscriminantError(QuadcertError):
     """The point has two equal coordinates, so a denominator vanishes."""
 
 
+class JacobianIdentityError(QuadcertError):
+    """A generator Jacobian row fails J.1 = 0 or J.x = 0 at a point, so the
+    Jacobian or the field arithmetic is wrong. An internal fault, not an
+    input error: the CLI does not catch it."""
+
+
 class NoPointFoundError(QuadcertError):
     """Sampling exhausted its budget without finding a valid point."""

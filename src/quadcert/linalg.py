@@ -8,6 +8,9 @@ with one Zech-logarithm lookup per x - c*y when k > 1 (Lidl and Niederreiter,
 *Finite Fields*, ch. 9). The O(q) log tables are built on the field's first
 elimination: about 1 ms at GF(81), 6 ms at GF(625), 1.5-3 s near q = 10^6.
 A property test pins both kernels to an object-level elimination in tests/.
+Rank certificates read their ranks off the generator Jacobian's structure
+(`compression`), so no CLI command eliminates or builds the tables; this
+module is the library's elimination and the oracle of those certificates.
 """
 
 from __future__ import annotations

@@ -212,6 +212,14 @@ def test_semantic_usage_errors(capsys):
         (["sample", "5", "--field", "1000000000000000003"], "exceeds the limit"),
         # a --json PATH that cannot be opened for writing: here a directory
         (["check", "15", "3", "--json", str(Path(__file__).parent)], "cannot write"),
+        # a --json PATH whose write fails after the open: a full device
+        pytest.param(
+            ["construct", "15", "3", "--json", "/dev/full"],
+            "cannot write /dev/full: No space left on device",
+            marks=pytest.mark.skipif(
+                not Path("/dev/full").exists(), reason="no /dev/full on this system"
+            ),
+        ),
     ],
 )
 def test_usage_error_sites(argv, message, capsys):

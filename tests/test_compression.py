@@ -3,10 +3,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from quadcert.errors import NotOnQuadricError, OnDiscriminantError
+import quadcert.compression
+from quadcert.cli import main
+from quadcert.errors import JacobianIdentityError, NotOnQuadricError, OnDiscriminantError
 from quadcert.gf import field_make
-from quadcert.linalg import matvec, rank, restricted_rank
-from quadcert.quadric import AmbientPoint, sample_quadric_point, tangent_basis
+from quadcert.linalg import kernel_basis, matvec, rank, restricted_rank
+from quadcert.quadric import (
+    AmbientPoint,
+    on_quadric,
+    power_sums,
+    sample_quadric_point,
+    smoothness_matrix,
+    tangent_basis,
+)
 from quadcert.actions import AffineMap, affine_act, permute, random_affine, random_permutation
 from quadcert.compression import (
     affine_invariance_check,
@@ -14,6 +23,7 @@ from quadcert.compression import (
     compression_jacobian,
     faithfulness_witness,
     generator_jacobian,
+    gram_rank,
     ordered_triples,
     permute_image,
     rank_certificate,
@@ -232,3 +242,131 @@ def test_generator_jacobian_pin():
     # row of (1, 3, 2) at x = (9, 5, 1, 3, 4) over GF(11), 1/(x_1 - x_2) = 3:
     # (x_3 - x_2) 3^2 = 8, (x_1 - x_3) 3^2 = 6, -3 = 8
     assert [e.coeffs[0] for e in gen.row(0)] == [8, 6, 8, 0, 0]
+
+
+# (p, k, n) for the elimination oracle: GF(7), GF(31), GF(3^4), GF(5^4) and
+# GF(3^6), each with a divisible (p | n) and a control case. Over GF(31) the
+# only points with n = 31 distinct coordinates are the orderings of the
+# whole field, which the sampler almost never draws, so that case shuffles
+# the field instead of sampling.
+STRUCTURED_CASES = (
+    (7, 1, 7),
+    (7, 1, 6),
+    (31, 1, 31),
+    (31, 1, 15),
+    (3, 4, 9),
+    (3, 4, 15),
+    (3, 4, 10),
+    (5, 4, 10),
+    (5, 4, 7),
+    (3, 6, 12),
+    (3, 6, 11),
+)
+
+
+def _quadric_points(p, k, n, count):
+    ctx = field_make(p, k)
+    if n == ctx.size:
+        rng = SplitMix64(n)
+        for _ in range(count):
+            coords = list(ctx.elements())
+            for i in range(n - 1, 0, -1):  # Fisher-Yates
+                j = rng.below(i + 1)
+                coords[i], coords[j] = coords[j], coords[i]
+            yield AmbientPoint(tuple(coords))
+    else:
+        for seed in range(count):
+            yield sample_quadric_point(n, ctx, seed=7000 + 100 * n + seed)
+
+
+@pytest.mark.parametrize("p, k, n", STRUCTURED_CASES)
+def test_structured_certificate_matches_elimination(p, k, n):
+    # the O(n) certificate and the elimination oracle agree on every rank
+    for a in _quadric_points(p, k, n, 3):
+        assert on_quadric(a)
+        jac, tangent = generator_jacobian(a), tangent_basis(a)
+        cert = rank_certificate(a)
+        assert cert.ambient_rank == rank(jac)
+        assert cert.tangent_dim == len(tangent)
+        assert cert.restricted_rank == restricted_rank(jac, tangent)
+        # on the quadric G = diag(n, 0): never rank 2, nor rank 1 through s_1, s_2
+        assert gram_rank(n, *power_sums(a)) == (0 if n % p == 0 else 1)
+
+
+def _distinct_point(ctx, n, rng):
+    indices = []
+    while len(indices) < n:
+        j = rng.below(ctx.size)
+        if j not in indices:
+            indices.append(j)
+    return AmbientPoint(tuple(ctx.element_at(j) for j in indices))
+
+
+def test_gram_lemma_off_the_quadric():
+    # for any point with distinct coordinates the generator Jacobian on
+    # ker [1; 2x] has rank n - 4 + rank G, G = [[n, s_1], [s_1, s_2]]; off
+    # the quadric G reaches rank 2, and rank 1 with s_1 and s_2 nonzero
+    rng = SplitMix64(11)
+    seen = set()
+    for p, k, n in STRUCTURED_CASES:
+        ctx = field_make(p, k)
+        for _ in range(40):
+            a = _distinct_point(ctx, min(n, ctx.size - 1), rng)
+            s1, s2 = power_sums(a)
+            g = gram_rank(a.n, s1, s2)
+            oracle = restricted_rank(generator_jacobian(a), kernel_basis(smoothness_matrix(a)))
+            assert a.n - 4 + g == oracle
+            seen.add((g, s1.is_zero(), s2.is_zero()))
+    assert {(2, False, False), (1, False, False)} <= seen
+
+
+def test_gram_rank_pins():
+    f7 = field_make(7)
+    assert gram_rank(5, f7.zero, f7.zero) == 1
+    assert gram_rank(7, f7.zero, f7.zero) == 0
+    assert gram_rank(7, f7.zero, f7.el(3)) == 1
+    assert gram_rank(7, f7.el(2), f7.el(3)) == 2
+    assert gram_rank(5, f7.el(1), f7.el(3)) == 1  # 5 * 3 = 1 * 1 mod 7
+    assert gram_rank(5, f7.el(1), f7.el(2)) == 2
+
+
+WRONG_ROWS = {
+    # one wrong entry breaks J.1 = 0
+    "d1": lambda d1, d2, di, one: (d1 + one, d2, di),
+    "d2": lambda d1, d2, di, one: (d1, d2 + one, di),
+    "di": lambda d1, d2, di, one: (d1, d2, di + one),
+    # swapped entries keep J.1 = 0 and break J.x = 0 unless x_i is the
+    # midpoint of x_1 and x_2
+    "swap": lambda d1, d2, di, one: (d2, d1, di),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_ROWS.values(), ids=WRONG_ROWS.keys())
+def test_wrong_generator_row_raises(monkeypatch, capsys, wrong):
+    # a wrong row makes certify raise instead of printing a certificate
+    rows = quadcert.compression._generator_rows
+
+    def wrong_rows(xs):
+        out = rows(xs)
+        out[4] = wrong(*out[4], xs[0].ctx.one)
+        return out
+
+    monkeypatch.setattr(quadcert.compression, "_generator_rows", wrong_rows)
+    with pytest.raises(JacobianIdentityError, match="generator row 7"):
+        main(["certify", "15", "3", "--field-degree", "4", "--samples", "1"])
+    assert capsys.readouterr().out == ""
+
+
+def test_structured_certificate_validation_over_an_extension_field():
+    f81 = field_make(3, 4)
+    a = sample_quadric_point(15, f81, seed=7)
+    coords = list(a.coords)
+    coords[3] = coords[2]
+    with pytest.raises(OnDiscriminantError):
+        rank_certificate(AmbientPoint(tuple(coords)))
+    coords = list(a.coords)
+    coords[3] = coords[3] + f81.one
+    off = AmbientPoint(tuple(coords))
+    assert not on_quadric(off) and len(set(off.coords)) == off.n
+    with pytest.raises(NotOnQuadricError):
+        rank_certificate(off)

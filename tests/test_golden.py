@@ -19,6 +19,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import quadcert.gf
+import quadcert.linalg
 from quadcert.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +56,22 @@ def _run(argv, path: Path) -> int:
 
 @pytest.mark.parametrize("stem, argv, code", CASES, ids=[c[0] for c in CASES])
 def test_golden_certificate(tmp_path, stem, argv, code):
+    out = tmp_path / f"{stem}.json"
+    assert _run(argv, out) == code
+    assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize("stem", ["certify_15_gf81", "certify_15_gf31_control"])
+def test_certify_runs_no_elimination_and_builds_no_tables(tmp_path, monkeypatch, stem):
+    # the rank certificate is read off the generator rows' structure: with
+    # elimination and the log tables made to raise, certify still
+    # reproduces its golden file
+    def forbidden(*args):
+        raise AssertionError("certify must not eliminate or build tables")
+
+    monkeypatch.setattr(quadcert.linalg, "_rref", forbidden)
+    monkeypatch.setattr(quadcert.gf.FieldCtx, "tables", forbidden)
+    _, argv, code = next(case for case in CASES if case[0] == stem)
     out = tmp_path / f"{stem}.json"
     assert _run(argv, out) == code
     assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
