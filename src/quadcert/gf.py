@@ -25,6 +25,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import chain, product
+from operator import add, sub
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
@@ -152,25 +153,27 @@ class FieldElement:
             return self.ctx.el(other)
         return None
 
+    # Coefficient-wise add and subtract run in C: map(p.__rmod__, ...) takes
+    # each sum or difference mod p, which is never negative for p > 0. An
+    # operand of the same context skips `_coerce`.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        ctx = self.ctx
+        if not (isinstance(other, FieldElement) and other.ctx is ctx):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FieldElement(ctx, tuple(map(ctx.p.__rmod__, map(add, self.coeffs, other.coeffs))))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        ctx = self.ctx
+        if not (isinstance(other, FieldElement) and other.ctx is ctx):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FieldElement(ctx, tuple(map(ctx.p.__rmod__, map(sub, self.coeffs, other.coeffs))))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -231,7 +234,7 @@ class FieldElement:
         return self.ctx._sqrt(self)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)  # coefficients are reduced, never negative
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):

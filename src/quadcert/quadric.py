@@ -6,15 +6,18 @@ the first two elementary symmetric functions). The discriminant locus is
 where two coordinates collide; the small diagonal is the constant vectors,
 and it is exactly where the quadric is singular.
 
-Both power sums come from one integer kernel (`_sums`): it counts how often
-each coordinate occurs, adds the coordinates' coefficient vectors times their
-multiplicities as plain integers for the first sum, and accumulates the
-products m * x * x as an unreduced integer polynomial of degree below 2k - 1
-for the second. Nothing is reduced until the end, when one `FieldCtx._reduce`
-per sum takes the coefficients mod p and folds the high degrees through the
-modulus. A lifted point with thousands of coordinates but a dozen distinct
-values therefore costs a dozen small convolutions, not thousands of field
-operations.
+Both power sums come from one integer kernel (`_sums`), by Kronecker
+substitution. It counts how often each coordinate occurs and packs each
+distinct coordinate's coefficient vector (c_0, ..., c_{k-1}) into one integer
+X = sum c_i 2^(w i), so that a polynomial product becomes one integer product.
+With n coordinates every coefficient of sum m X^2 is at most n k (p - 1)^2,
+and w = (n k (p - 1)^2).bit_length() bits hold it, so no packed digit carries
+into the next. The kernel accumulates s_1 += m X and s_2 += m X X, unpacks k
+and 2k - 1 digits once, and reduces each sum once through `FieldCtx._reduce`,
+which takes the digits mod p and folds the high degrees through the modulus.
+Over GF(p) the packing is the identity. A lifted point with thousands of
+coordinates but a dozen distinct values therefore costs a dozen integer
+products, not thousands of field operations.
 """
 
 from __future__ import annotations
@@ -56,19 +59,24 @@ class AmbientPoint:
 
 def _sums(coords) -> tuple[FieldElement, FieldElement]:
     """(sum, square sum) of a nonempty sequence of elements of one field,
-    accumulated in plain integers and reduced once (see the module docstring)."""
+    by Kronecker substitution in plain integers and reduced once (see the
+    module docstring)."""
     ctx = coords[0].ctx
     k = ctx.k
-    s1 = [0] * k
-    s2 = [0] * (2 * k - 1)
+    w = (len(coords) * k * (ctx.p - 1) ** 2).bit_length()
+    s1 = s2 = 0
     for c, m in Counter(x.coeffs for x in coords).items():
-        for i, ci in enumerate(c):
-            if ci:
-                mci = m * ci
-                s1[i] += mci
-                for j, cj in enumerate(c):
-                    s2[i + j] += mci * cj
-    return ctx._reduce(s1), ctx._reduce(s2)
+        packed = 0
+        for ci in reversed(c):
+            packed = (packed << w) | ci
+        m_packed = m * packed
+        s1 += m_packed
+        s2 += m_packed * packed
+    mask = (1 << w) - 1
+    return (
+        ctx._reduce([(s1 >> (w * i)) & mask for i in range(k)]),
+        ctx._reduce([(s2 >> (w * i)) & mask for i in range(2 * k - 1)]),
+    )
 
 
 def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:
@@ -88,8 +96,8 @@ def in_discriminant(a: AmbientPoint) -> bool:
 
 def in_small_diagonal(a: AmbientPoint) -> bool:
     """True iff all coordinates are equal."""
-    first = a.coords[0]
-    return all(x == first for x in a.coords[1:])
+    first = a.coords[0].coeffs  # one field for all coordinates (__post_init__)
+    return all(x.coeffs == first for x in a.coords)
 
 
 def smoothness_matrix(a: AmbientPoint) -> Matrix:
@@ -172,7 +180,7 @@ def sample_quadric_point(
     rng = SplitMix64(seed)
     size = ctx.size
     for _ in range(max_tries):
-        indices = [rng.below(size) for _ in range(n - 2)]
+        indices = rng.draw(size, n - 2)
         if len(set(indices)) < n - 2:
             continue
         tail = tuple(map(ctx.element_at, indices))

@@ -83,6 +83,23 @@ def _square(v) -> list[int]:
     return out
 
 
+class _DigitRows(dict):
+    """The table rows of one scanned digit c_j with weight w_j, built when
+    the scan first reaches a value: for value index i, w_j c_j then
+    w_1 w_j c_j^2 as integer coefficient vectors, so one pass over a
+    candidate's rows sums L and w_1 Q. A scan that solves early decodes only
+    the values it reaches."""
+
+    def __init__(self, ctx: FieldCtx, w: int, w1: int):
+        super().__init__()
+        self.ctx, self.w, self.w1w = ctx, w, w1 * w
+
+    def __missing__(self, i: int) -> list[int]:
+        v = self.ctx.element_at(i).coeffs
+        row = self[i] = [self.w * a for a in v] + [self.w1w * a for a in _square(v)]
+        return row
+
+
 def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     """First solution over ctx in the order of the full scan, or None.
 
@@ -107,13 +124,8 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
         )
     k = ctx.k
     w1 = weights[0]
-    vectors = [ctx.element_at(i).coeffs for i in range(q)]
-    # per scanned digit, most significant first like product's tuples, and
-    # per value: w_j c_j then w_1 w_j c_j^2, so one pass sums L and w_1 Q
-    tabs = [
-        [[w * a for a in v] + [w1 * w * a for a in _square(v)] for v in vectors]
-        for w in weights[nfree:0:-1]
-    ]
+    # per scanned digit, most significant first like product's tuples
+    tabs = [_DigitRows(ctx, w, w1) for w in weights[nfree:0:-1]]
     for digits in islice(product(range(q), repeat=nfree), 1, None):
         sums = [sum(col) for col in zip(*map(getitem, tabs, digits))]
         lin = sums[:k]

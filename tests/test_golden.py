@@ -3,7 +3,9 @@
 The files under tests/golden/ pin the exact output of every command, on
 divisible and control certify runs over a prime field (GF(31)) and two
 extension fields (GF(81), GF(625)), on a block solution that needs the
-quadratic extension (GF(121)), and on a no-point sample. A refactor or
+quadratic extension (GF(121)), on a no-point sample, and on a sample over
+GF(3^12) (k = 12, the most digits the power-sum kernel packs) and a
+borel-check over GF(13^3). A refactor or
 speed-up must leave them unchanged. To regenerate them after a deliberate
 change of output, run
 
@@ -47,6 +49,8 @@ CASES = (
     ("certify_10_gf625", ["certify", "10", "5", "--field-degree", "4", "--samples", "1", "--seed", "1"], 0),
     ("certify_7_gf625_control", ["certify", "7", "5", "--field-degree", "4", "--samples", "1", "--seed", "1", "--control"], 0),
     ("certify_5_gf7_no_point", ["certify", "5", "7", "--samples", "2"], 2),
+    ("sample_120_gf3_12", ["sample", "120", "--field", "3^12", "--seed", "4"], 0),
+    ("borel_40_gf2197", ["borel-check", "40", "--field", "13^3", "--seed", "2", "--samples", "2"], 0),
 )
 
 

@@ -9,6 +9,7 @@ import quadcert.quadric as quadric_module
 from quadcert.errors import NoPointFoundError, NotOnQuadricError
 from quadcert.gf import field_make
 from quadcert.linalg import matvec
+from quadcert.profile import binary_profile
 from quadcert.rng import SplitMix64
 from quadcert.quadric import (
     AmbientPoint,
@@ -23,6 +24,7 @@ from quadcert.quadric import (
     smoothness_rank,
     tangent_basis,
 )
+from quadcert.trace_system import lift_block_solution, solve_block_system
 
 
 def pt(ctx, vals):
@@ -67,6 +69,19 @@ def test_singular_locus_is_the_small_diagonal():
     assert on_quadric(const)
     assert in_small_diagonal(const)
     assert smoothness_rank(const) == 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 4), (11, 2)])
+def test_small_diagonal_checks_every_coordinate(p, k):
+    # a vector that is constant but for one coordinate, wherever it sits,
+    # is off the small diagonal
+    ctx = field_make(p, k)
+    a, b = ctx.one, ctx.el(2)
+    assert in_small_diagonal(AmbientPoint((a,) * 9))
+    for i in range(9):
+        coords = [a] * 9
+        coords[i] = b
+        assert not in_small_diagonal(AmbientPoint(tuple(coords)))
 
 
 def test_tangent_basis():
@@ -305,3 +320,61 @@ def test_sampler_stream_matches_tail_first_oracle(n, p, k, monkeypatch):
             else:
                 assert sample_quadric_point(n, ctx, seed, budget).coords == expected
             assert len(calls) == completions
+
+
+# --- the packing width of the Kronecker kernel -------------------------------
+#
+# `_sums` packs coefficient vectors into integers with w bits a digit, w the
+# bit length of n k (p - 1)^2. A point whose coordinates all have every
+# coefficient p - 1 puts exactly that bound in the middle digit of the square
+# sum, so one bit fewer would carry; the cases below sit at that extreme and
+# at the largest characteristic, degree and multiplicities the package takes.
+
+
+def _top(ctx):
+    """The element with every coefficient p - 1."""
+    return ctx.el([ctx.p - 1] * ctx.k)
+
+
+def _check_sums(coords):
+    assert power_sums(AmbientPoint(coords)) == _power_sums_oracle(coords)
+
+
+def test_sums_at_the_largest_prime_field():
+    ctx = field_make(1048573)  # the largest prime below 2^20
+    rng = SplitMix64(1048573)
+    top = _top(ctx)
+    _check_sums((top,) * 300)
+    _check_sums(_distinct_elements(ctx, 300, rng) + (top,) * 7)
+    tail = _distinct_elements(ctx, 40, rng)
+    assert complete_quadric_pair(tail) == _complete_pair_oracle(tail)
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 12, 500), (13, 5, 200)])
+def test_sums_at_the_widest_packing(p, k, n):
+    ctx = field_make(p, k)
+    rng = SplitMix64(100 * p + k)
+    top = _top(ctx)
+    _check_sums((top,) * n)
+    _check_sums(_distinct_elements(ctx, n - 1, rng) + (top,))
+    coords = _distinct_elements(ctx, n, rng)
+    _check_sums(coords)
+    assert complete_quadric_pair(coords) == _complete_pair_oracle(coords)
+
+
+def test_sums_on_the_4095_coordinate_lift():
+    prof = binary_profile(4095)
+    lift = lift_block_solution(prof, solve_block_system(prof, 3))
+    f3 = field_make(3)
+    assert power_sums(lift) == _power_sums_oracle(lift.coords) == (f3.zero, f3.zero)
+    _check_sums((_top(f3),) * 4095)
+
+
+def test_sums_on_a_gf121_lift_with_multiplicities_up_to_4095():
+    ctx = field_make(11, 2)
+    sizes = binary_profile(4095).block_sizes()  # 2048, 1024, ..., 1
+    values = (_top(ctx),) + _distinct_elements(ctx, len(sizes) - 1, SplitMix64(121))
+    coords = tuple(v for v, m in zip(values, sizes) for _ in range(m))
+    _check_sums(coords)
+    _check_sums((_top(ctx),) * 4095)
+    assert complete_quadric_pair(coords) == _complete_pair_oracle(coords)

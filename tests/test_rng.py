@@ -1,5 +1,9 @@
 """Deterministic stream generator used for sampling."""
 
+import hashlib
+
+import pytest
+
 from quadcert.rng import SplitMix64
 
 
@@ -42,3 +46,68 @@ def test_derive_seed_independent_of_parent_draws():
     assert s1 != s2
     b = SplitMix64(42)
     assert (b.derive_seed(), b.derive_seed()) == (s1, s2)
+
+
+# The first 64 values of below(n) from SplitMix64(20231), recorded with the
+# one-draw-at-a-time loop that preceded the batched `draw`: (n, first three
+# values, sha256 of repr(list of all 64)). Samplers consume below() only, so
+# this pin is what keeps the sampled points and certificates stable. At
+# n = 2^63 + 1 about half of the raw outputs are rejected, so the rejection
+# branch is covered; at n = 2^64 - 1 only the output 2^64 - 1 is.
+BELOW_PINS = (
+    (1, [0, 0, 0], "76b25cdd1535b0bb8a35e67db0fb144374b3f0efac1fe31b5f2dd32ed6a164d1"),
+    (2, [0, 0, 0], "0b63a91e37c2476c64f3041138a60bcb73c60c6cd89e009bccb7d448dd5d0dc0"),
+    (31, [30, 18, 30], "6e8e55bbd4d3441b1b76272c60a25bfb89e46813ded7a10c55e2b0b6761675f6"),
+    (81, [73, 65, 72], "6a4e6401c2007c1a2c322584c37635eb9bde7e8c75f0681d369de25cb9bb42c6"),
+    (3**12, [44056, 311348, 391788], "ddb2336d7ad0f5fff0de067aef56c32b1dd13192693a42e97916f71f4ff765c7"),
+    (
+        2**63 + 1,
+        [5328307514490924934, 1407450361899396980, 196014013208256330],
+        "f01660cb57dd49fc43349f286bfbfb7876e2c1c47cd5aee95351ae473021d983",
+    ),
+    (
+        2**64 - 1,
+        [5328307514490924934, 1407450361899396980, 196014013208256330],
+        "e93c021e5f8d56bf1b72abee55463425edaeb53caae77095bfbc0ef74f345d75",
+    ),
+)
+
+
+@pytest.mark.parametrize("n, head, digest", BELOW_PINS, ids=[str(pin[0]) for pin in BELOW_PINS])
+def test_below_stream_pin(n, head, digest):
+    r = SplitMix64(20231)
+    values = [r.below(n) for _ in range(64)]
+    assert values[:3] == head
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [pin[0] for pin in BELOW_PINS])
+def test_batched_draw_matches_single_draws(n):
+    # one draw(n, 64) returns the values of 64 below(n) calls and leaves the
+    # stream where they leave it
+    single, batched = SplitMix64(20231), SplitMix64(20231)
+    assert batched.draw(n, 64) == [single.below(n) for _ in range(64)]
+    assert batched.derive_seed() == single.derive_seed()
+
+
+def test_rejection_consumes_extra_outputs():
+    # below 2^63 + 1, 64 accepted values need more than 64 raw outputs, so the
+    # stream ends elsewhere than after 64 unrejected draws (1829333724706616933,
+    # recorded with the one-draw loop)
+    raw = SplitMix64(20231)
+    raw.draw(1 << 64, 64)
+    assert raw.derive_seed() == 1829333724706616933
+    rejecting = SplitMix64(20231)
+    rejecting.draw(2**63 + 1, 64)
+    assert rejecting.derive_seed() == 14766966034592348155
+
+
+def test_draw_count_zero_and_bad_bound():
+    r = SplitMix64(5)
+    assert r.draw(7, 0) == []
+    assert r.next_u64() == SplitMix64(5).next_u64()
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            r.draw(n, 1)
+        with pytest.raises(ValueError):
+            r.below(n)
