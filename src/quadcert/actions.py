@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import NotOnQuadricError, SizeMismatchError
 from .gf import FieldCtx, FieldElement
-from .linalg import Matrix, rank
 from .quadric import AmbientPoint, in_small_diagonal, on_quadric, power_sums
 from .rng import SplitMix64
 
@@ -204,13 +203,11 @@ class StabilizerResult:
 def affine_stabilizer(a: AmbientPoint) -> StabilizerResult:
     """Stabilizer of a point under the affine maps.
 
-    Computed by the rank criterion: the 2 x n matrix with rows (x_1,...,x_n)
-    and (1,...,1) has rank 2 exactly off the small diagonal, where only the
-    identity fixes a. On the small diagonal the fixing maps are the line
+    A map fixing a satisfies alpha x_i + beta = x_i for every i. Off the
+    small diagonal two coordinates differ, and subtracting their equations
+    forces alpha = 1 and then beta = 0: only the identity fixes a. On the
+    small diagonal, with every coordinate c, the fixing maps are the line
     alpha c + beta = c."""
-    ctx = a.ctx
-    m = Matrix(2, a.n, list(a.coords) + [ctx.one] * a.n, ctx)
-    if rank(m) == 2:
+    if not in_small_diagonal(a):
         return StabilizerResult(trivial=True, constant=None)
-    assert in_small_diagonal(a)
     return StabilizerResult(trivial=False, constant=a.coords[0])

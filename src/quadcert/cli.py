@@ -42,6 +42,7 @@ from .errors import (
 from .gf import field_make
 from .profile import binary_profile, check_hypotheses
 from .quadric import (
+    in_discriminant,
     in_small_diagonal,
     on_quadric,
     power_sums,
@@ -188,10 +189,6 @@ def _parse_field_spec(spec: str):
     return field_make(p, k)
 
 
-def _point_json(a) -> list:
-    return a.to_json()
-
-
 # --- subcommand implementations ---------------------------------------------
 
 
@@ -262,7 +259,7 @@ def _cmd_construct(args) -> tuple[dict, int]:
         ("lift_on_quadric", s1.is_zero() and s2.is_zero()),
         ("lift_off_small_diagonal", not in_small_diagonal(lift)),
     ]
-    payload["lift"] = _point_json(lift)
+    payload["lift"] = lift.to_json()
     payload["lift_sums"] = {"coordinate_sum": s1.to_json(), "square_sum": s2.to_json()}
     doc = _certificate("construct", inputs, sol.ctx, payload, checks)
     ok = all(passed for _, passed in checks)
@@ -296,8 +293,6 @@ def _cmd_sample(args) -> tuple[dict, int]:
         point = sample_quadric_point(args.n, ctx, args.seed, args.max_tries)
     except NoPointFoundError as exc:
         return _no_point_doc("sample", inputs, ctx, exc)
-    from .quadric import in_discriminant
-
     s1, s2 = power_sums(point)
     checks = [
         ("point_found", True),
@@ -305,7 +300,7 @@ def _cmd_sample(args) -> tuple[dict, int]:
         ("off_discriminant", not in_discriminant(point)),
     ]
     payload = {
-        "point": _point_json(point),
+        "point": point.to_json(),
         "sums": {"coordinate_sum": s1.to_json(), "square_sum": s2.to_json()},
     }
     doc = _certificate("sample", inputs, ctx, payload, checks)
@@ -337,7 +332,7 @@ def _cmd_borel_check(args) -> tuple[dict, int]:
             {
                 "index": index,
                 "seed": point_seed,
-                "point": _point_json(point),
+                "point": point.to_json(),
                 "map": g.to_json(),
                 "report": report.to_json(),
             }
@@ -374,7 +369,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         lift = lift_block_solution(prof, sol)
         block_ok = lin.is_zero() and quad.is_zero() and on_quadric(lift)
         block_json = sol.to_json()
-        block_json["lift"] = _point_json(lift)
+        block_json["lift"] = lift.to_json()
 
     master = SplitMix64(args.seed)
     samples = []
@@ -396,7 +391,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
             {
                 "index": index,
                 "seed": point_seed,
-                "point": _point_json(point),
+                "point": point.to_json(),
                 "ambient_rank": cert.ambient_rank,
                 "tangent_dim": cert.tangent_dim,
                 "restricted_rank": cert.restricted_rank,

@@ -3,11 +3,12 @@
 Everything reduces to one Gauss-Jordan routine with the pivot fixed as the
 first nonzero entry of each column, so echelon forms (and therefore every
 serialized certificate) are reproducible. It runs on integer codes (zero is
-0) through one of two kernels: residues mod p when k = 1, and discrete logs
-with one Zech-logarithm lookup per x - c*y when k > 1 (Lidl and Niederreiter,
-*Finite Fields*, ch. 9). The O(q) log tables are built on the field's first
-elimination: about 1 ms at GF(81), 6 ms at GF(625), 1.5-3 s near q = 10^6.
-A property test pins both kernels to an object-level elimination in tests/.
+0) through one kernel for every field, prime fields included: discrete logs,
+with a product as a sum of logs and one Zech-logarithm lookup per x - c*y
+(Lidl and Niederreiter, *Finite Fields*, ch. 9). The O(q) log tables are
+built on the field's first elimination: under 1 ms at GF(31) and GF(81),
+6 ms at GF(625), about 0.1 s at GF(65521) and 1.3-3 s near q = 10^6.
+A property test pins the kernel to an object-level elimination in tests/.
 Rank certificates read their ranks off the generator Jacobian's structure
 (`compression`), so no CLI command eliminates or builds the tables; this
 module is the library's elimination and the oracle of those certificates.
@@ -16,7 +17,7 @@ module is the library's elimination and the oracle of those certificates.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError
-from .gf import FieldCtx, FieldElement
+from .gf import FieldCtx
 
 
 class Matrix:
@@ -93,40 +94,12 @@ def matvec(m: Matrix, v) -> tuple:
     return tuple(out)
 
 
-# --- integer kernels: zero is code 0 in both, so a code's truth value is the
+# --- the integer kernel: zero is code 0, so a code's truth value is the
 # element's; rows are lists of codes, and scale and axpy return new lists.
 
 
-class _PrimeOps:
-    """Plain residues mod p for k = 1."""
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        self.p = ctx.p
-
-    def encode(self, e):
-        return e.coeffs[0]
-
-    def decode(self, s):
-        return FieldElement(self.ctx, (s,))
-
-    def inv(self, s):
-        return pow(s, self.p - 2, self.p)
-
-    def scale(self, row, f):
-        p = self.p
-        return [(f * x) % p for x in row]
-
-    def axpy(self, row, c, prow):
-        p = self.p
-        return [(x - c * y) % p for x, y in zip(row, prow)]
-
-    def neg(self, s):
-        return (-s) % self.p
-
-
 class _LogOps:
-    """Discrete logs for k > 1: code 0 is zero, code e + 1 is g^e.
+    """Discrete logs over any GF(q): code 0 is zero, code e + 1 is g^e.
 
     With m = q - 1, a product is a sum of logs mod m, -1 is g^(m/2), and a sum
     g^a + g^b = g^(a + zech[b - a]) takes one Zech lookup (`FieldCtx.tables`).
@@ -171,10 +144,6 @@ class _LogOps:
         return (s - 1 + self.half) % self.m + 1 if s else 0
 
 
-def _ops_for(ctx: FieldCtx):
-    return _PrimeOps(ctx) if ctx.k == 1 else _LogOps(ctx)
-
-
 def _rref(rows, ncols, ops) -> list[int]:
     """In-place Gauss-Jordan; returns pivot columns. Pivot = first row with a
     nonzero entry in the column, scanning top to bottom."""
@@ -212,14 +181,14 @@ def _encode_rows(m: Matrix, ops) -> list[list]:
 
 def rank(m: Matrix) -> int:
     """Rank over the field, by exact elimination."""
-    ops = _ops_for(m.ctx)
+    ops = _LogOps(m.ctx)
     rows = _encode_rows(m, ops)
     return len(_rref(rows, m.cols, ops))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns."""
-    ops = _ops_for(m.ctx)
+    ops = _LogOps(m.ctx)
     rows = _encode_rows(m, ops)
     pivots = _rref(rows, m.cols, ops)
     dec = ops.decode
@@ -233,7 +202,7 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     One basis vector per free column, carrying 1 there, 0 at the other free
     columns, and the negated reduced-echelon entry at each pivot column.
     """
-    ops = _ops_for(m.ctx)
+    ops = _LogOps(m.ctx)
     rows = _encode_rows(m, ops)
     pivots = _rref(rows, m.cols, ops)
     pivot_set = set(pivots)
@@ -262,7 +231,7 @@ def restricted_rank(m: Matrix, basis) -> int:
             )
     if not basis:
         return 0
-    ops = _ops_for(m.ctx)
+    ops = _LogOps(m.ctx)
     neg, axpy = ops.neg, ops.axpy
     # row i of m B is the sum of m[i][l] times row l of B (columns b)
     brows = [[ops.encode(b[l]) for b in basis] for l in range(m.cols)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import NoPointFoundError, NotOnQuadricError, UsageError
 from .gf import FieldCtx, FieldElement
-from .linalg import Matrix, kernel_basis, rank
+from .linalg import Matrix, kernel_basis
 from .rng import SplitMix64
 
 
@@ -111,10 +111,12 @@ def smoothness_matrix(a: AmbientPoint) -> Matrix:
 
 def smoothness_rank(a: AmbientPoint) -> int:
     """Rank of the gradient matrix at a point of the quadric: 2 at smooth
-    points, 1 exactly on the small diagonal."""
+    points, 1 exactly on the small diagonal. The row (1, ..., 1) is nonzero,
+    and 2 is a unit in odd characteristic, so the row (2 x_1, ..., 2 x_n) is
+    a multiple of it exactly when all coordinates are equal."""
     if not on_quadric(a):
         raise NotOnQuadricError("smoothness rank is defined on the quadric only")
-    return rank(smoothness_matrix(a))
+    return 1 if in_small_diagonal(a) else 2
 
 
 def tangent_basis(a: AmbientPoint) -> list[tuple[FieldElement, ...]]:

@@ -29,7 +29,7 @@ from itertools import islice, product
 from operator import add, getitem
 
 from .errors import InvalidProfileError, UsageError
-from .gf import FieldCtx, FieldElement, check_characteristic, field_make
+from .gf import SIZE_LIMIT, FieldCtx, FieldElement, check_characteristic, field_make
 from .profile import BinaryProfile
 from .quadric import AmbientPoint
 
@@ -171,9 +171,16 @@ def lift_block_solution(profile: BinaryProfile, sol: BlockSolution) -> AmbientPo
     """Repeat c_i across 2^(m_i) consecutive coordinates, blocks in profile
     order. The lift has coordinate sum and square sum equal to the two system
     sums, hence zero, and it avoids the constant-vector locus because some
-    c_i differs from c_r = 0."""
+    c_i differs from c_r = 0. Lifts longer than gf.SIZE_LIMIT coordinates
+    are refused before any is allocated: memory grows linearly with n, and
+    a point with pairwise distinct coordinates, the kind certify samples,
+    cannot be longer than the largest field anyway."""
     if profile != sol.profile:
         raise InvalidProfileError("solution belongs to a different profile")
+    if profile.n > SIZE_LIMIT:
+        raise UsageError(
+            f"a lift of n={profile.n} coordinates exceeds the limit {SIZE_LIMIT}"
+        )
     coords: list[FieldElement] = []
     for ci, size in zip(sol.c, profile.block_sizes()):
         coords.extend([ci] * size)

@@ -7,7 +7,14 @@ from hypothesis import given, strategies as st
 
 from quadcert.errors import NotOnQuadricError, SizeMismatchError
 from quadcert.gf import field_make
-from quadcert.quadric import AmbientPoint, on_quadric, sample_quadric_point
+from quadcert.linalg import Matrix, rank
+from quadcert.quadric import (
+    AmbientPoint,
+    on_quadric,
+    sample_quadric_point,
+    smoothness_matrix,
+    smoothness_rank,
+)
 from quadcert.actions import (
     AffineMap,
     Permutation,
@@ -168,6 +175,41 @@ def test_stabilizer_on_base_point():
     const = AmbientPoint(tuple(F11.el(2) for _ in range(5)))
     res = affine_stabilizer(const)
     assert res.kind == "OneDimensional" and res.constant == F11.el(2)
+
+
+@pytest.mark.parametrize("p, k, n", [(7, 1, 6), (3, 4, 9), (5, 4, 10)])
+def test_structural_ranks_match_elimination(p, k, n):
+    # affine_stabilizer and smoothness_rank read their 2 x n ranks off
+    # in_small_diagonal; eliminating the same matrices must agree, at seeded
+    # vectors, constant vectors and constants with one coordinate changed
+    ctx = field_make(p, k)
+    rng = SplitMix64(1000 * p + k)
+
+    def draw():
+        return ctx.element_at(rng.below(ctx.size))
+
+    vectors = [list(sample_quadric_point(n, ctx, seed).coords) for seed in range(3)]
+    for length in (2, 3, n):
+        vectors += [[draw() for _ in range(length)] for _ in range(6)]
+        for c in (ctx.zero, ctx.one, draw()):
+            vectors.append([c] * length)
+            for i in range(length):
+                other = [c] * length
+                other[i] = c + ctx.element_at(1 + rng.below(ctx.size - 1))
+                vectors.append(other)
+    kinds = set()
+    for coords in vectors:
+        a = AmbientPoint(tuple(coords))
+        stacked = rank(Matrix.from_rows([coords, [ctx.one] * len(coords)]))
+        kind = affine_stabilizer(a).kind
+        assert kind == ("Trivial" if stacked == 2 else "OneDimensional")
+        # p copies of any vector lie on the quadric in characteristic p
+        b = AmbientPoint(tuple(coords) * p)
+        assert on_quadric(b)
+        for point in (a, b) if on_quadric(a) else (b,):
+            assert smoothness_rank(point) == rank(smoothness_matrix(point))
+        kinds.add(kind)
+    assert kinds == {"Trivial", "OneDimensional"}
 
 
 def test_random_generators_are_valid():

@@ -220,6 +220,10 @@ def test_semantic_usage_errors(capsys):
                 not Path("/dev/full").exists(), reason="no /dev/full on this system"
             ),
         ),
+        # a lift longer than the field cap, refused before it is allocated;
+        # 3932160 = 2^21 + 2^20 + 2^19 + 2^18
+        (["construct", "3932160", "3"], "exceeds the limit"),
+        (["certify", "3932160", "3"], "exceeds the limit"),
     ],
 )
 def test_usage_error_sites(argv, message, capsys):

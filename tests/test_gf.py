@@ -309,8 +309,9 @@ def test_reduce_and_mul_match_polynomial_division(p, k):
         assert (a * b).coeffs == tuple(_poly_divmod_rem([c % p for c in full], f, p))
 
 
-# the log tables behind elimination, below and above 256 elements, k = 2, 4, 6
-TABLE_FIELDS = [(3, 4), (5, 4), (13, 2), (3, 6)]
+# the log tables behind elimination, below and above 256 elements, k = 2, 4, 6,
+# and prime fields, k = 1 (GF(3) has m = 2, so its Zech zero sits at d = 1)
+TABLE_FIELDS = [(3, 4), (5, 4), (13, 2), (3, 6), (3, 1), (7, 1), (31, 1)]
 
 
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)

@@ -57,8 +57,8 @@ def test_matvec():
     assert matvec(m, v) == (f7.el(3), f7.el(4))  # (17 mod 7, 39 mod 7)
 
 
-# prime fields (residue kernel) and extension fields (log kernel), two of
-# them above 256 elements
+# prime and extension fields, all through the one log kernel, two of them
+# above 256 elements
 FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (5, 4), (3, 6)]
 
 
@@ -111,8 +111,9 @@ def test_kernel_vectors_independent(m):
 
 @given(matrices_with_basis())
 def test_fast_paths_agree_with_generic(case):
-    # the residue and log kernels must match a Gauss-Jordan on the element
-    # objects exactly: same pivots, same echelon form, same kernel basis
+    # the log kernel must match a Gauss-Jordan on the element objects
+    # exactly, over prime and extension fields alike: same pivots, same
+    # echelon form, same kernel basis
     m, basis = case
     assert rank(m) == ref.rank(m)
     assert rref(m) == ref.rref(m)
