@@ -4,8 +4,9 @@ Every command produces one certificate document:
 
     {schema_version, command, inputs, field, payload, checks}
 
-containing only integers, strings, booleans, nulls, arrays (lists) and
-objects (dicts with string keys). Field elements appear as coefficient
+Its `inputs` are the command's parsed arguments other than `--json`. A
+document contains only integers, strings, booleans, nulls, arrays (lists)
+and objects (dicts with string keys). Field elements appear as coefficient
 vectors, low degree first.
 
 The bytes are exactly those of `json.dumps(doc, sort_keys=True, indent=2)
@@ -78,17 +79,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-def _certificate(command: str, inputs: dict, ctx, payload: dict, checks) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "field": ctx.to_json(),
-        "payload": payload,
-        "checks": [{"name": name, "passed": bool(ok)} for name, ok in checks],
-    }
 
 
 def _block(open_: str, parts, close: str, depth: int) -> str:
@@ -190,109 +180,87 @@ def _parse_field_spec(spec: str):
 
 
 # --- subcommand implementations ---------------------------------------------
+#
+# Each returns (field, payload, checks, exit code); `main` wraps them in the
+# envelope. `checks` is a list of (name, passed) pairs.
 
 
-def _cmd_check(args) -> tuple[dict, int]:
-    decision = check_hypotheses(args.n, args.p, args.degree)
-    ctx = field_make(args.p, args.degree)
-    prof = binary_profile(args.n)
-    payload = decision.to_json()
-    payload["exponents"] = list(prof.exponents)
-    doc = _certificate(
-        "check",
-        {"n": args.n, "p": args.p, "degree": args.degree},
-        ctx,
-        payload,
-        [("applies", decision.applies)],
-    )
-    return doc, EXIT_OK if decision.applies else EXIT_HYPOTHESIS
+def _exit_code(checks) -> int:
+    return EXIT_OK if all(passed for _, passed in checks) else EXIT_VERIFY
 
 
-def _solve_common(n: int, p: int):
-    prof = binary_profile(n)
-    sol = solve_block_system(prof, p)
-    lin, quad = evaluate_system(sol)
-    nontrivial = any(not ci.is_zero() for ci in sol.c)
+def _invalid_profile(p: int, exc: InvalidProfileError):
+    payload = {"error": "InvalidProfile", "message": str(exc)}
+    return field_make(p, 1), payload, [("solvable_profile", False)], EXIT_HYPOTHESIS
+
+
+def _no_point(ctx, exc: NoPointFoundError):
+    payload = {
+        "error": "NoPointFound",
+        "message": str(exc),
+        "suggestion": "retry over an extension field (raise the field degree)",
+    }
+    return ctx, payload, [("point_found", False)], EXIT_HYPOTHESIS
+
+
+def _block_checks(sol, lin, quad, lift=None, lift_on_quadric=False) -> list:
+    """The checks that verify a block solution and, when given, its lift.
+
+    `lin` and `quad` are the solution's weighted sums (`evaluate_system`):
+    both vanish, some c_i is nonzero and c_r = 0. The lift must lie on the
+    quadric (the caller's `lift_on_quadric`) and off the small diagonal; the
+    all-zero solution passes the sums, but its lift is a constant vector.
+    """
     checks = [
         ("linear_sum_zero", lin.is_zero()),
         ("quadratic_sum_zero", quad.is_zero()),
-        ("nontrivial", nontrivial),
+        ("nontrivial", any(not ci.is_zero() for ci in sol.c)),
         ("last_coordinate_zero", sol.c[-1].is_zero()),
     ]
+    if lift is not None:
+        checks += [
+            ("lift_on_quadric", lift_on_quadric),
+            ("lift_off_small_diagonal", not in_small_diagonal(lift)),
+        ]
+    return checks
+
+
+def _cmd_check(args):
+    decision = check_hypotheses(args.n, args.p, args.degree)
+    ctx = field_make(args.p, args.degree)
+    payload = decision.to_json()
+    payload["exponents"] = list(binary_profile(args.n).exponents)
+    code = EXIT_OK if decision.applies else EXIT_HYPOTHESIS
+    return ctx, payload, [("applies", decision.applies)], code
+
+
+def _cmd_solve(args):
+    """solve, and construct, which also lifts the solution to a quadric point."""
+    try:
+        sol = solve_block_system(binary_profile(args.n), args.p)
+    except InvalidProfileError as exc:
+        return _invalid_profile(args.p, exc)
+    lin, quad = evaluate_system(sol)
     payload = sol.to_json()
     payload["checks_values"] = {"linear": lin.to_json(), "quadratic": quad.to_json()}
-    return sol, payload, checks
+    lift = None
+    on_quad = False
+    if args.command == "construct":
+        lift = lift_block_solution(sol.profile, sol)
+        s1, s2 = power_sums(lift)
+        on_quad = s1.is_zero() and s2.is_zero()
+        payload["lift"] = lift.to_json()
+        payload["lift_sums"] = {"coordinate_sum": s1.to_json(), "square_sum": s2.to_json()}
+    checks = _block_checks(sol, lin, quad, lift, on_quad)
+    return sol.ctx, payload, checks, _exit_code(checks)
 
 
-def _invalid_profile_doc(command: str, inputs: dict, p: int, exc: Exception):
-    ctx = field_make(p, 1)
-    doc = _certificate(
-        command,
-        inputs,
-        ctx,
-        {"error": "InvalidProfile", "message": str(exc)},
-        [("solvable_profile", False)],
-    )
-    return doc, EXIT_HYPOTHESIS
-
-
-def _cmd_solve(args) -> tuple[dict, int]:
-    inputs = {"n": args.n, "p": args.p}
-    try:
-        sol, payload, checks = _solve_common(args.n, args.p)
-    except InvalidProfileError as exc:
-        return _invalid_profile_doc("solve", inputs, args.p, exc)
-    doc = _certificate("solve", inputs, sol.ctx, payload, checks)
-    ok = all(passed for _, passed in checks)
-    return doc, EXIT_OK if ok else EXIT_VERIFY
-
-
-def _cmd_construct(args) -> tuple[dict, int]:
-    inputs = {"n": args.n, "p": args.p}
-    try:
-        sol, payload, checks = _solve_common(args.n, args.p)
-    except InvalidProfileError as exc:
-        return _invalid_profile_doc("construct", inputs, args.p, exc)
-    lift = lift_block_solution(sol.profile, sol)
-    s1, s2 = power_sums(lift)
-    checks = checks + [
-        ("lift_on_quadric", s1.is_zero() and s2.is_zero()),
-        ("lift_off_small_diagonal", not in_small_diagonal(lift)),
-    ]
-    payload["lift"] = lift.to_json()
-    payload["lift_sums"] = {"coordinate_sum": s1.to_json(), "square_sum": s2.to_json()}
-    doc = _certificate("construct", inputs, sol.ctx, payload, checks)
-    ok = all(passed for _, passed in checks)
-    return doc, EXIT_OK if ok else EXIT_VERIFY
-
-
-def _no_point_doc(command: str, inputs: dict, ctx, exc: NoPointFoundError):
-    doc = _certificate(
-        command,
-        inputs,
-        ctx,
-        {
-            "error": "NoPointFound",
-            "message": str(exc),
-            "suggestion": "retry over an extension field (raise the field degree)",
-        },
-        [("point_found", False)],
-    )
-    return doc, EXIT_HYPOTHESIS
-
-
-def _cmd_sample(args) -> tuple[dict, int]:
+def _cmd_sample(args):
     ctx = _parse_field_spec(args.field)
-    inputs = {
-        "n": args.n,
-        "field": args.field,
-        "seed": args.seed,
-        "max_tries": args.max_tries,
-    }
     try:
         point = sample_quadric_point(args.n, ctx, args.seed, args.max_tries)
     except NoPointFoundError as exc:
-        return _no_point_doc("sample", inputs, ctx, exc)
+        return _no_point(ctx, exc)
     s1, s2 = power_sums(point)
     checks = [
         ("point_found", True),
@@ -303,19 +271,11 @@ def _cmd_sample(args) -> tuple[dict, int]:
         "point": point.to_json(),
         "sums": {"coordinate_sum": s1.to_json(), "square_sum": s2.to_json()},
     }
-    doc = _certificate("sample", inputs, ctx, payload, checks)
-    ok = all(passed for _, passed in checks)
-    return doc, EXIT_OK if ok else EXIT_VERIFY
+    return ctx, payload, checks, _exit_code(checks)
 
 
-def _cmd_borel_check(args) -> tuple[dict, int]:
+def _cmd_borel_check(args):
     ctx = _parse_field_spec(args.field)
-    inputs = {
-        "n": args.n,
-        "field": args.field,
-        "seed": args.seed,
-        "samples": args.samples,
-    }
     master = SplitMix64(args.seed)
     reports = []
     all_identities = True
@@ -324,7 +284,7 @@ def _cmd_borel_check(args) -> tuple[dict, int]:
         try:
             point = sample_quadric_point(args.n, ctx, point_seed)
         except NoPointFoundError as exc:
-            return _no_point_doc("borel-check", inputs, ctx, exc)
+            return _no_point(ctx, exc)
         g = random_affine(ctx, master)
         report = invariance_report(point, g)
         all_identities = all_identities and report.identities_hold
@@ -342,32 +302,20 @@ def _cmd_borel_check(args) -> tuple[dict, int]:
         "reports": reports,
     }
     checks = [("invariance_identities_all", all_identities)]
-    doc = _certificate("borel-check", inputs, ctx, payload, checks)
-    return doc, EXIT_OK if all_identities else EXIT_VERIFY
+    return ctx, payload, checks, _exit_code(checks)
 
 
-def _cmd_certify(args) -> tuple[dict, int]:
+def _cmd_certify(args):
     decision = check_hypotheses(args.n, args.p, args.field_degree)
     ctx = field_make(args.p, args.field_degree)
-    inputs = {
-        "n": args.n,
-        "p": args.p,
-        "field_degree": args.field_degree,
-        "samples": args.samples,
-        "seed": args.seed,
-        "control": args.control,
-        "max_tries": args.max_tries,
-    }
-    control_mode = not decision.applies
 
     block_json = None
     block_ok = True
-    prof = binary_profile(args.n)
-    if prof.r >= 4 and args.n % args.p == 0:
-        sol = solve_block_system(prof, args.p)
-        lin, quad = evaluate_system(sol)
-        lift = lift_block_solution(prof, sol)
-        block_ok = lin.is_zero() and quad.is_zero() and on_quadric(lift)
+    if decision.applies:
+        sol = solve_block_system(binary_profile(args.n), args.p)
+        lift = lift_block_solution(sol.profile, sol)
+        block_checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
+        block_ok = all(passed for _, passed in block_checks)
         block_json = sol.to_json()
         block_json["lift"] = lift.to_json()
 
@@ -381,7 +329,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         try:
             point = sample_quadric_point(args.n, ctx, point_seed, args.max_tries)
         except NoPointFoundError as exc:
-            return _no_point_doc("certify", inputs, ctx, exc)
+            return _no_point(ctx, exc)
         cert = rank_certificate(point)
         witness = faithfulness_witness(point)
         all_satisfied = all_satisfied and cert.satisfied
@@ -402,7 +350,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         )
     payload = {
         "hypothesis": decision.to_json(),
-        "control": control_mode,
+        "control": not decision.applies,
         "control_requested": args.control,
         "block_solution": block_json,
         "samples": samples,
@@ -414,12 +362,10 @@ def _cmd_certify(args) -> tuple[dict, int]:
         ("all_samples_within_bound", all_satisfied),
         ("faithfulness_witness_all", all_witness),
     ]
-    if block_json is not None:
+    if decision.applies:
         checks.append(("block_solution_verified", block_ok))
-    doc = _certificate("certify", inputs, ctx, payload, checks)
-    if not (all_satisfied and all_witness and block_ok):
-        return doc, EXIT_VERIFY
-    return doc, EXIT_OK
+    # a control run fails hypotheses_apply by design; the rest set the exit code
+    return ctx, payload, checks, _exit_code(checks[1:])
 
 
 # --- argument wiring ---------------------------------------------------------
@@ -455,7 +401,7 @@ def build_parser() -> _Parser:
     p_construct.add_argument("n", type=int)
     p_construct.add_argument("p", type=int)
     add_json(p_construct)
-    p_construct.set_defaults(func=_cmd_construct)
+    p_construct.set_defaults(func=_cmd_solve)
 
     p_sample = sub.add_parser(
         "sample", help="sample a distinct-coordinate point on the quadric"
@@ -508,7 +454,19 @@ def _shared_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        doc, code = args.func(args)
+        ctx, payload, checks, code = args.func(args)
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": {
+                name: value
+                for name, value in vars(args).items()
+                if name not in ("command", "func", "json")
+            },
+            "field": ctx.to_json(),
+            "payload": payload,
+            "checks": [{"name": name, "passed": bool(ok)} for name, ok in checks],
+        }
         _emit(doc, args.json)
     except (EvenCharacteristicError, NotPrimeError, UsageError) as exc:
         sys.stderr.write(f"quadcert {args.command}: error: {exc}\n")

@@ -63,8 +63,10 @@ from .errors import (
     SizeMismatchError,
 )
 from .gf import FieldElement
-# rank, restricted_rank and tangent_basis are no longer called here; they
-# stay importable from this module, whose documented surface they are
+# rank, restricted_rank and tangent_basis are no longer called here. They
+# stay imported because the benchmark tracer (perfbench/tracing.py) wraps
+# them in this module's namespace and tests/test_trace_targets.py pins those
+# targets; they leave when the tracer retires them (ROADMAP items 1 and 5)
 from .linalg import Matrix, rank, restricted_rank
 from .quadric import AmbientPoint, in_discriminant, power_sums, tangent_basis
 from .actions import AffineMap, Permutation, affine_act

@@ -41,21 +41,8 @@ def check_characteristic(p: int) -> None:
         raise EvenCharacteristicError("characteristic 2 is not supported")
     if p > SIZE_LIMIT:
         raise UsageError(f"characteristic {p} exceeds the limit {SIZE_LIMIT}")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:  # [] for p < 2
         raise NotPrimeError(f"{p} is not prime")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 # Polynomials over F_p are coefficient lists, low degree first, fixed length

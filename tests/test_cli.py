@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, document shapes, reproducibility."""
 
+import dataclasses
 import importlib.resources
 import json
 from pathlib import Path
@@ -162,6 +163,31 @@ def test_certify_no_point(tmp_path):
     code, doc = run_json(tmp_path, ["certify", "4095", "13", "--samples", "1"])
     assert code == 2
     assert doc["payload"]["error"] == "NoPointFound"
+
+
+def test_zero_block_solution_fails_every_command(tmp_path, monkeypatch):
+    # c = 0 satisfies both weighted sums and lifts to the constant vector,
+    # which lies on the quadric: only the nontrivial and off-small-diagonal
+    # checks catch it, and certify must apply them as construct does
+    def zero_solution(profile, p):
+        sol = solve_block_system(profile, p)
+        return dataclasses.replace(sol, c=tuple(sol.ctx.zero for _ in sol.c))
+
+    monkeypatch.setattr("quadcert.cli.solve_block_system", zero_solution)
+    code, doc = run_json(
+        tmp_path, ["certify", "15", "3", "--field-degree", "4", "--samples", "1"]
+    )
+    passed = checks_passed(doc)
+    assert code == 3 and passed["block_solution_verified"] is False
+    assert passed["all_samples_within_bound"] and passed["faithfulness_witness_all"]
+    assert doc["payload"]["verdict"] is False
+    assert doc["payload"]["block_solution"]["c"] == [[0]] * 4
+    for command in ("solve", "construct"):
+        code, doc = run_json(tmp_path, [command, "15", "3"])
+        passed = checks_passed(doc)
+        assert code == 3 and passed["nontrivial"] is False
+        assert passed["linear_sum_zero"] and passed["quadratic_sum_zero"]
+    assert passed["lift_on_quadric"] and passed["lift_off_small_diagonal"] is False
 
 
 def test_usage_errors(capsys):

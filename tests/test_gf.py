@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadcert.errors import EvenCharacteristicError, NotPrimeError
-from quadcert.gf import _is_irreducible, _poly_divmod_rem, field_make
+from quadcert.gf import _is_irreducible, _poly_divmod_rem, check_characteristic, field_make
 from quadcert.rng import SplitMix64
 
 
@@ -88,6 +88,25 @@ def test_construction_rejects_bad_characteristic():
         field_make(15, 2)
     with pytest.raises(ValueError):
         field_make(3, 0)
+
+
+def test_check_characteristic_against_a_sieve():
+    # 2 is refused as even, every other non-prime (0, 1 and negatives
+    # included) as not prime, and every odd prime is accepted
+    top = 3000
+    sieve = [False, False] + [True] * (top - 2)
+    for d in range(2, int(top**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, top, d))
+    for p in range(-3, top):
+        if p == 2:
+            with pytest.raises(EvenCharacteristicError):
+                check_characteristic(p)
+        elif p >= 0 and sieve[p]:
+            check_characteristic(p)
+        else:
+            with pytest.raises(NotPrimeError):
+                check_characteristic(p)
 
 
 def test_size_limit():
