@@ -84,10 +84,7 @@ def permute(sigma: Permutation, a: AmbientPoint) -> AmbientPoint:
     of the input."""
     if sigma.n != a.n:
         raise SizeMismatchError(f"permutation of {sigma.n} on a point of {a.n}")
-    out: list[FieldElement | None] = [None] * a.n
-    for j in range(1, a.n + 1):
-        out[sigma(j) - 1] = a.coords[j - 1]
-    return AmbientPoint(tuple(out))
+    return AmbientPoint.from_codes(a.ctx, tuple(a.codes[j - 1] for j in sigma.inverse().images))
 
 
 @dataclass(frozen=True)
@@ -133,8 +130,9 @@ def random_affine(ctx: FieldCtx, rng: SplitMix64) -> AffineMap:
 def affine_act(g: AffineMap, a: AmbientPoint) -> AmbientPoint:
     if g.ctx != a.ctx:
         raise ValueError("map and point over different fields")
-    alpha, beta = g.alpha, g.beta
-    return AmbientPoint(tuple(alpha * x + beta for x in a.coords))
+    distinct = list(set(a.codes))
+    moved = dict(zip(distinct, a.ctx._affine_codes(g.alpha, g.beta, distinct)))
+    return AmbientPoint.from_codes(a.ctx, tuple(map(moved.__getitem__, a.codes)))
 
 
 @dataclass(frozen=True)
@@ -210,4 +208,4 @@ def affine_stabilizer(a: AmbientPoint) -> StabilizerResult:
     alpha c + beta = c."""
     if not in_small_diagonal(a):
         return StabilizerResult(trivial=True, constant=None)
-    return StabilizerResult(trivial=False, constant=a.coords[0])
+    return StabilizerResult(trivial=False, constant=a.ctx.element_at(a.codes[0]))

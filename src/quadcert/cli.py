@@ -97,11 +97,13 @@ class _IntLists(dict):
     """
 
     def __init__(self, depth: int):
-        super().__init__()
-        self.depth = depth
+        super().__init__({(): "[]"})
+        # _block's layout, its strings made once per depth
+        inner = "\n" + "  " * (depth + 1)
+        self.head, self.sep, self.tail = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
 
     def __missing__(self, key: tuple) -> str:
-        text = self[key] = _block("[", map(int.__repr__, key), "]", self.depth) if key else "[]"
+        text = self[key] = self.head + self.sep.join(map(int.__repr__, key)) + self.tail
         return text
 
 

@@ -15,17 +15,25 @@ the canonical order below.
 
 The canonical order on elements compares coefficient tuples lexicographically
 (constant coefficient first). The integer index of an element under that order
-is sum(a_i * p^(k-1-i)); `FieldCtx.element_at` and `FieldCtx.element_index`
+is its code, sum(a_i * p^(k-1-i)); `FieldCtx.element_at` and `element_index`
 convert both ways. The solver, the sampler and the sqrt tie-break all use this
-one order.
+one order. Codes are the pipeline's representation of points; `FieldElement`
+is the boundary scalar.
+
+Products, squares and powers run in one kernel, `FieldCtx._kmul`, by Kronecker
+substitution: sum c_i 2^(w i) packs an element, so a polynomial product is one
+integer product. Its digits are at most k (p - 1)^2; the high k - 1, mod p, are
+folded into the low k through the packed x^(k+j) mod the modulus, adding at
+most (k - 1) (p - 1)^2. So w = ((2k - 1) (p - 1)^2).bit_length() bits hold
+every digit, and the digit sums of two packed elements that `_code` reads.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import chain, product
-from operator import add, sub
+from itertools import chain, product, repeat
+from operator import add, floordiv, lshift, mod, sub
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
@@ -198,13 +206,8 @@ class FieldElement:
         base = self
         if e < 0:
             base, e = self.inverse(), -e
-        result = self.ctx.one
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        ctx = self.ctx
+        return FieldElement(ctx, ctx._unpack(ctx._kpow(ctx._pack(base.coeffs), e)))
 
     def inverse(self) -> "FieldElement":
         """Fermat inversion: a^(q-2), the inverse of a nonzero a."""
@@ -261,7 +264,7 @@ class FieldCtx:
         "size",
         "zero",
         "one",
-        "_reductions",
+        "_width", "_mask", "_shifts", "_folds",  # the product kernel's packing
         "_sqrt_consts",
         "_tables",
     )
@@ -273,9 +276,13 @@ class FieldCtx:
         self.size = p**k
         self.zero = FieldElement(self, (0,) * k)
         self.one = FieldElement(self, (1,) + (0,) * (k - 1))
-        # x^(k+j) mod modulus for j in [0, k-1), used to fold products back
-        self._reductions = tuple(
-            tuple(_poly_divmod_rem([0] * (k + j) + [1], list(modulus), p))
+        # the kernel's packing, digit i at bit w i, and the packed x^(k+j) mod
+        # the modulus for j in [0, k - 1), which fold products back
+        self._width = w = ((2 * k - 1) * (p - 1) ** 2).bit_length()
+        self._mask = (1 << w) - 1
+        self._shifts = tuple(range(0, w * k, w))
+        self._folds = tuple(
+            self._pack(_poly_divmod_rem([0] * (k + j) + [1], list(modulus), p))
             for j in range(k - 1)
         )
         self._sqrt_consts = None
@@ -320,31 +327,78 @@ class FieldCtx:
 
     # --- arithmetic kernels ---
 
+    def _pack(self, coeffs) -> int:
+        x = 0
+        for c in reversed(coeffs):
+            x = (x << self._width) | c
+        return x
+
+    def _unpack(self, x: int) -> tuple[int, ...]:
+        return tuple([(x >> s) & self._mask for s in self._shifts])
+
+    def _code(self, x: int) -> int:
+        """The code of a packed element, its digits taken mod p here."""
+        p, mask = self.p, self._mask
+        code = 0
+        for s in self._shifts:
+            code = code * p + ((x >> s) & mask) % p
+        return code
+
+    def _columns(self, codes) -> list[list[int]]:
+        """Coefficients c_{k-1}, ..., c_0 of the elements with these codes."""
+        columns = []
+        for _ in range(self.k - 1):
+            columns.append(list(map(mod, codes, repeat(self.p))))
+            codes = list(map(floordiv, codes, repeat(self.p)))
+        return columns + [codes]
+
+    def _pack_codes(self, codes, width: int) -> list[int]:
+        """The packings, with width bits a digit, of the elements with these codes."""
+        columns = self._columns(codes)
+        out = columns[0]
+        for column in columns[1:]:  # Horner from c_{k-1}
+            out = list(map(add, map(lshift, out, repeat(width)), column))
+        return out
+
+    def _kmul(self, x: int, y: int) -> int:
+        """The product of two packed elements (module docstring)."""
+        p, w, mask = self.p, self._width, self._mask
+        prod = x * y
+        low = prod & ((1 << (w * self.k)) - 1)
+        prod >>= w * self.k
+        for fold in self._folds:
+            low += ((prod & mask) % p) * fold
+            prod >>= w
+        out = 0
+        for s in reversed(self._shifts):
+            out = (out << w) | ((low >> s) & mask) % p
+        return out
+
+    def _kpow(self, x: int, e: int) -> int:
+        """x^e for a packed x and e >= 0."""
+        out = 1  # the packed one
+        while e:
+            if e & 1:
+                out = self._kmul(out, x)
+            x = self._kmul(x, x)
+            e >>= 1
+        return out
+
     def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p, k = self.p, self.k
-        if k == 1:
-            return FieldElement(self, ((a.coeffs[0] * b.coeffs[0]) % p,))
-        ac, bc = a.coeffs, b.coeffs
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(ac):
-            if ai:
-                for j, bj in enumerate(bc):
-                    prod[i + j] += ai * bj
-        return self._reduce(prod)
+        if self.k == 1:  # one product mod p, no packing
+            return FieldElement(self, ((a.coeffs[0] * b.coeffs[0]) % self.p,))
+        return FieldElement(self, self._unpack(self._kmul(self._pack(a.coeffs), self._pack(b.coeffs))))
+
+    def _affine_codes(self, alpha: FieldElement, beta: FieldElement, codes) -> list[int]:
+        """The codes of alpha x + beta for the x with these codes."""
+        a, b = self._pack(alpha.coeffs), self._pack(beta.coeffs)
+        return [self._code(self._kmul(a, x) + b) for x in self._pack_codes(codes, self._width)]
 
     def _reduce(self, prod) -> FieldElement:
         """The element of an unreduced integer polynomial given as a list of
         k to 2k - 1 coefficients (any integers), low degree first: each
-        coefficient mod p, then the degrees >= k folded through `_reductions`."""
-        p, k = self.p, self.k
-        out = list(prod[:k])
-        for d in range(k, len(prod)):
-            c = prod[d] % p
-            if c:
-                red = self._reductions[d - k]
-                for i in range(k):
-                    out[i] += c * red[i]
-        return FieldElement(self, tuple(c % p for c in out))
+        coefficient mod p, then the high degrees folded by the kernel."""
+        return FieldElement(self, self._unpack(self._kmul(self._pack([c % self.p for c in prod]), 1)))
 
     def _sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """One Tonelli-Shanks both decides whether a is a square and takes
@@ -356,32 +410,34 @@ class FieldCtx:
         2^s, which the first pass (m = s) finds."""
         if a.is_zero():
             return self.zero
+        mul, power = self._kmul, self._kpow
         if self._sqrt_consts is None:
             s, Q = 0, self.size - 1
             while Q % 2 == 0:
                 s, Q = s + 1, Q // 2
             half = (self.size - 1) // 2
-            units = map(self.element_at, range(1, self.size))
-            z = next(z for z in units if z**half != self.one)
-            self._sqrt_consts = (s, Q, z**Q)
+            units = (self._pack(self.element_at(j).coeffs) for j in range(1, self.size))
+            z = next(z for z in units if power(z, half) != 1)
+            self._sqrt_consts = (s, Q, power(z, Q))
         m, Q, c = self._sqrt_consts
-        w = a ** ((Q - 1) // 2)
-        r = a * w
-        t = r * w
-        while t != self.one:
+        x = self._pack(a.coeffs)
+        w = power(x, (Q - 1) // 2)
+        r = mul(x, w)
+        t = mul(r, w)
+        while t != 1:  # the packed one
             i, t2 = 0, t
-            while t2 != self.one:
-                t2 = t2 * t2
+            while t2 != 1:
+                t2 = mul(t2, t2)
                 i += 1
             if i == m:
                 return None
-            b = c ** (1 << (m - i - 1))
-            r = r * b
-            c = b * b
-            t = t * c
+            b = power(c, 1 << (m - i - 1))
+            r = mul(r, b)
+            c = mul(b, b)
+            t = mul(t, c)
             m = i
-        neg = -r
-        return r if r.coeffs <= neg.coeffs else neg
+        # the canonical order is the order of codes; -r = (p - 1) r
+        return self.element_at(min(self._code(r), self._code(mul(r, self.p - 1))))
 
     # --- log tables for elimination ---
 
@@ -412,7 +468,7 @@ class FieldCtx:
         while len(g) > 1 and not g[-1]:
             g.pop()
         lead, low = g.pop(), g[::-1]
-        x_k = self._reductions[0] if k > 1 else ()  # x^k mod the modulus
+        x_k = self._unpack(self._folds[0]) if k > 1 else ()  # x^k mod the modulus
         # 32-bit arrays: a quarter of the memory of int lists near q = 2^20
         exp = array("i", bytes(4 * m))
         log = array("i", [-1]) * (m + 1)

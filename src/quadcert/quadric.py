@@ -6,9 +6,13 @@ the first two elementary symmetric functions). The discriminant locus is
 where two coordinates collide; the small diagonal is the constant vectors,
 and it is exactly where the quadric is singular.
 
+A point is held as the codes of its coordinates (see `gf`): the sampler
+draws codes, a lift repeats them, affine moves map them, and sums, collision
+tests and JSON work per distinct code. `FieldElement`s are the boundary.
+
 Both power sums come from one integer kernel (`_sums`), by Kronecker
-substitution. It counts how often each coordinate occurs and packs each
-distinct coordinate's coefficient vector (c_0, ..., c_{k-1}) into one integer
+substitution. It counts how often each code occurs and packs each distinct
+coordinate's coefficient vector (c_0, ..., c_{k-1}) into one integer
 X = sum c_i 2^(w i), so that a polynomial product becomes one integer product.
 With n coordinates every coefficient of sum m X^2 is at most n k (p - 1)^2,
 and w = (n k (p - 1)^2).bit_length() bits hold it, so no packed digit carries
@@ -24,54 +28,67 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import NoPointFoundError, NotOnQuadricError, UsageError
 from .gf import FieldCtx, FieldElement
+# kernel_basis is no longer called here; the benchmark tracer wraps it in this
+# namespace and tests/test_trace_targets.py pins that (ROADMAP items 1 and 5)
 from .linalg import Matrix, kernel_basis
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AmbientPoint:
-    """A length-n coordinate vector over one field context."""
+    """A length-n coordinate vector over one field context, held as codes."""
 
-    coords: tuple[FieldElement, ...]
+    ctx: FieldCtx
+    codes: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coords) < 2:
-            raise ValueError("a point needs at least 2 coordinates")
-        ctx = self.coords[0].ctx
-        for x in self.coords[1:]:
-            if x.ctx is not ctx and x.ctx != ctx:
-                raise ValueError("coordinates from different fields")
+    def __init__(self, coords):
+        coords = tuple(coords)
+        ctx = coords[0].ctx if coords else None
+        if any(x.ctx is not ctx and x.ctx != ctx for x in coords):
+            raise ValueError("coordinates from different fields")
+        self._set(ctx, tuple(map(ctx.element_index, coords)) if ctx else ())
+
+    def _set(self, ctx: FieldCtx, codes) -> "AmbientPoint":
+        codes = tuple(codes)
+        if len(codes) < 2 or min(codes) < 0 or max(codes) >= ctx.size:
+            raise ValueError("a point needs at least 2 coordinates, each a code below the field size")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "codes", codes)
+        return self
+
+    @classmethod
+    def from_codes(cls, ctx: FieldCtx, codes) -> "AmbientPoint":
+        return cls.__new__(cls)._set(ctx, codes)
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return len(self.codes)
 
     @property
-    def ctx(self) -> FieldCtx:
-        return self.coords[0].ctx
+    def coords(self) -> tuple[FieldElement, ...]:
+        return tuple(map(self.ctx.element_at, self.codes))
 
     def to_json(self) -> list[list[int]]:
-        return [x.to_json() for x in self.coords]
+        """Coefficient vectors, one list per distinct code."""
+        distinct = list(set(self.codes))
+        rows = dict(zip(distinct, map(list, zip(*reversed(self.ctx._columns(distinct))))))
+        return list(map(rows.__getitem__, self.codes))
 
 
-def _sums(coords) -> tuple[FieldElement, FieldElement]:
-    """(sum, square sum) of a nonempty sequence of elements of one field,
-    by Kronecker substitution in plain integers and reduced once (see the
-    module docstring)."""
-    ctx = coords[0].ctx
+def _sums(ctx: FieldCtx, counts: Counter) -> tuple[FieldElement, FieldElement]:
+    """(sum, square sum) of the elements with these codes, counted with
+    multiplicity, by Kronecker substitution in plain integers and reduced
+    once (see the module docstring)."""
     k = ctx.k
-    w = (len(coords) * k * (ctx.p - 1) ** 2).bit_length()
-    s1 = s2 = 0
-    for c, m in Counter(x.coeffs for x in coords).items():
-        packed = 0
-        for ci in reversed(c):
-            packed = (packed << w) | ci
-        m_packed = m * packed
-        s1 += m_packed
-        s2 += m_packed * packed
+    mults = list(counts.values())
+    w = (sum(mults) * k * (ctx.p - 1) ** 2).bit_length()
+    packed = ctx._pack_codes(list(counts), w)
+    s1 = sum(map(mul, mults, packed))
+    s2 = sum(map(mul, map(mul, mults, packed), packed))
     mask = (1 << w) - 1
     return (
         ctx._reduce([(s1 >> (w * i)) & mask for i in range(k)]),
@@ -81,7 +98,7 @@ def _sums(coords) -> tuple[FieldElement, FieldElement]:
 
 def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:
     """(sum of coordinates, sum of squared coordinates), exactly."""
-    return _sums(a.coords)
+    return _sums(a.ctx, Counter(a.codes))
 
 
 def on_quadric(a: AmbientPoint) -> bool:
@@ -91,13 +108,12 @@ def on_quadric(a: AmbientPoint) -> bool:
 
 def in_discriminant(a: AmbientPoint) -> bool:
     """True iff two coordinates are exactly equal."""
-    return len(set(a.coords)) < a.n
+    return len(set(a.codes)) < a.n
 
 
 def in_small_diagonal(a: AmbientPoint) -> bool:
     """True iff all coordinates are equal."""
-    first = a.coords[0].coeffs  # one field for all coordinates (__post_init__)
-    return all(x.coeffs == first for x in a.coords)
+    return a.codes.count(a.codes[0]) == a.n
 
 
 def smoothness_matrix(a: AmbientPoint) -> Matrix:
@@ -120,24 +136,40 @@ def smoothness_rank(a: AmbientPoint) -> int:
 
 
 def tangent_basis(a: AmbientPoint) -> list[tuple[FieldElement, ...]]:
-    """Basis of the tangent space at a smooth point: the kernel of the
-    gradient matrix, dimension n - 2."""
+    """The tangent space as `linalg.kernel_basis` gives the kernel of [1; 2x],
+    with no elimination: the pivots are column 1 and the first j with
+    x_j != x_1, if any, and free column c gives
+    e_c - (x_j - x_c)/(x_j - x_1) e_1 - (x_c - x_1)/(x_j - x_1) e_j."""
     if not on_quadric(a):
         raise NotOnQuadricError("tangent space is defined on the quadric only")
-    return kernel_basis(smoothness_matrix(a))
+    n, ctx, xs = a.n, a.ctx, a.coords
+    j = next((c for c in range(1, n) if a.codes[c] != a.codes[0]), 0)  # 0: no j
+    inv = (xs[j] - xs[0]).inverse() if j else ctx.zero
+    basis = []
+    for c in range(1, n):
+        if c != j:
+            t, v = (xs[c] - xs[0]) * inv, [ctx.zero] * n
+            v[j] = -t  # with no j this writes column 1, set next
+            v[0], v[c] = t - ctx.one, ctx.one
+            basis.append(tuple(v))
+    return basis
 
 
 def complete_quadric_pair(tail) -> tuple[FieldElement, FieldElement] | None:
-    """Given x_3, ..., x_n, the two leading coordinates that put the full
-    vector on the quadric, or None when the discriminant is a nonsquare.
+    """Given x_3, ..., x_n (elements, or a point of codes), the two leading
+    coordinates that put the full vector on the quadric, or None when the
+    discriminant is a nonsquare.
 
     With S and Q the sum and square sum of the tail, x_1 and x_2 are the
     roots of t^2 + S t + (S^2 + Q)/2, whose discriminant is -S^2 - 2Q. The
     root using +sqrt goes first; sqrt's own tie-break makes this canonical.
     """
-    tail = tuple(tail)
-    ctx = tail[0].ctx
-    s, q = _sums(tail)
+    if isinstance(tail, AmbientPoint):
+        ctx, codes = tail.ctx, tail.codes
+    else:
+        tail = tuple(tail)
+        ctx, codes = tail[0].ctx, map(tail[0].ctx.element_index, tail)
+    s, q = _sums(ctx, Counter(codes))
     disc = -(s * s) - q - q
     root = disc.sqrt()
     if root is None:
@@ -157,11 +189,11 @@ def sample_quadric_point(
 ) -> AmbientPoint:
     """A seeded point on the quadric with pairwise distinct coordinates.
 
-    Each try draws x_3, ..., x_n uniformly (SplitMix64, canonical element
-    order), completes the pair (x_1, x_2), and retries on a nonsquare
-    discriminant or any coordinate collision. A try always draws all n - 2
-    indices, so the seed fixes the stream of tries; a tail whose indices
-    collide is rejected before any index is decoded to an element. Raises
+    Each try draws the codes of x_3, ..., x_n uniformly (SplitMix64),
+    completes the pair (x_1, x_2) from those codes, and retries on a
+    nonsquare discriminant or any coordinate collision, found by code. A try
+    always draws all n - 2 codes, so the seed fixes the stream of tries; no
+    code is decoded to an element. Raises
     NoPointFoundError after max_tries, or at once when n exceeds the field
     size (n pairwise distinct coordinates need n elements); over small fields
     the locus can be genuinely empty, so the message suggests retrying over
@@ -182,17 +214,17 @@ def sample_quadric_point(
     rng = SplitMix64(seed)
     size = ctx.size
     for _ in range(max_tries):
-        indices = rng.draw(size, n - 2)
-        if len(set(indices)) < n - 2:
+        tail = tuple(rng.draw(size, n - 2))
+        drawn = set(tail)
+        if len(drawn) < n - 2:
             continue
-        tail = tuple(map(ctx.element_at, indices))
-        pair = complete_quadric_pair(tail)
+        pair = complete_quadric_pair(AmbientPoint.from_codes(ctx, tail))
         if pair is None:
             continue
-        x1, x2 = pair
-        if x1 == x2 or x1 in tail or x2 in tail:
+        c1, c2 = map(ctx.element_index, pair)
+        if c1 == c2 or c1 in drawn or c2 in drawn:
             continue
-        return AmbientPoint((x1, x2) + tail)
+        return AmbientPoint.from_codes(ctx, (c1, c2) + tail)
     raise NoPointFoundError(
         f"no distinct-coordinate point on the quadric found for n={n} over {ctx!r} "
         f"in {max_tries} tries; the locus may be empty here, retry over an "

@@ -181,7 +181,7 @@ def lift_block_solution(profile: BinaryProfile, sol: BlockSolution) -> AmbientPo
         raise UsageError(
             f"a lift of n={profile.n} coordinates exceeds the limit {SIZE_LIMIT}"
         )
-    coords: list[FieldElement] = []
+    codes: list[int] = []
     for ci, size in zip(sol.c, profile.block_sizes()):
-        coords.extend([ci] * size)
-    return AmbientPoint(tuple(coords))
+        codes += [sol.ctx.element_index(ci)] * size
+    return AmbientPoint.from_codes(sol.ctx, codes)
