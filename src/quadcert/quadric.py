@@ -50,7 +50,7 @@ class AmbientPoint:
         ctx = coords[0].ctx if coords else None
         if any(x.ctx is not ctx and x.ctx != ctx for x in coords):
             raise ValueError("coordinates from different fields")
-        self._set(ctx, tuple(map(ctx.element_index, coords)) if ctx else ())
+        self._set(ctx, map(ctx.element_index, coords) if ctx else ())
 
     def _set(self, ctx: FieldCtx, codes) -> "AmbientPoint":
         codes = tuple(codes)
@@ -168,7 +168,8 @@ def complete_quadric_pair(tail) -> tuple[FieldElement, FieldElement] | None:
         ctx, codes = tail.ctx, tail.codes
     else:
         tail = tuple(tail)
-        ctx, codes = tail[0].ctx, map(tail[0].ctx.element_index, tail)
+        ctx = tail[0].ctx
+        codes = map(ctx.element_index, tail)
     s, q = _sums(ctx, Counter(codes))
     disc = -(s * s) - q - q
     root = disc.sqrt()
