@@ -136,8 +136,9 @@ def smoothness_rank(a: AmbientPoint) -> int:
 
 
 def tangent_basis(a: AmbientPoint) -> list[tuple[FieldElement, ...]]:
-    """The tangent space as `linalg.kernel_basis` gives the kernel of [1; 2x],
-    with no elimination: the pivots are column 1 and the first j with
+    """Basis of the tangent space, the kernel of the gradient matrix [1; 2x]
+    (dimension n - 2 at a smooth point), as `linalg.kernel_basis` gives it
+    but with no elimination: the pivots are column 1 and the first j with
     x_j != x_1, if any, and free column c gives
     e_c - (x_j - x_c)/(x_j - x_1) e_1 - (x_c - x_1)/(x_j - x_1) e_j."""
     if not on_quadric(a):
