@@ -21,7 +21,9 @@ and 2k - 1 digits once, and reduces each sum once through `FieldCtx._reduce`,
 which takes the digits mod p and folds the high degrees through the modulus.
 Over GF(p) the packing is the identity. A lifted point with thousands of
 coordinates but a dozen distinct values therefore costs a dozen integer
-products, not thousands of field operations.
+products, not thousands of field operations. The kernel also serves the
+block system, whose two sums are those of its lift (`trace_system`): the
+c_i with multiplicities w_i = 2^(m_i) mod p.
 """
 
 from __future__ import annotations
@@ -79,14 +81,14 @@ class AmbientPoint:
         return list(map(rows.__getitem__, self.codes))
 
 
-def _sums(ctx: FieldCtx, counts: Counter) -> tuple[FieldElement, FieldElement]:
-    """(sum, square sum) of the elements with these codes, counted with
-    multiplicity, by Kronecker substitution in plain integers and reduced
-    once (see the module docstring)."""
+def _sums(ctx: FieldCtx, codes, mults) -> tuple[FieldElement, FieldElement]:
+    """(sum, square sum) of the elements with these codes, each counted with
+    its multiplicity (nonnegative; codes may repeat, the sums are linear), by
+    Kronecker substitution in plain integers, reduced once (module docstring)."""
     k = ctx.k
-    mults = list(counts.values())
+    mults = list(mults)
     w = (sum(mults) * k * (ctx.p - 1) ** 2).bit_length()
-    packed = ctx._pack_codes(list(counts), w)
+    packed = ctx._pack_codes(list(codes), w)
     s1 = sum(map(mul, mults, packed))
     s2 = sum(map(mul, map(mul, mults, packed), packed))
     mask = (1 << w) - 1
@@ -98,7 +100,8 @@ def _sums(ctx: FieldCtx, counts: Counter) -> tuple[FieldElement, FieldElement]:
 
 def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:
     """(sum of coordinates, sum of squared coordinates), exactly."""
-    return _sums(a.ctx, Counter(a.codes))
+    counts = Counter(a.codes)
+    return _sums(a.ctx, counts.keys(), counts.values())
 
 
 def on_quadric(a: AmbientPoint) -> bool:
@@ -171,7 +174,8 @@ def complete_quadric_pair(tail) -> tuple[FieldElement, FieldElement] | None:
         tail = tuple(tail)
         ctx = tail[0].ctx
         codes = map(ctx.element_index, tail)
-    s, q = _sums(ctx, Counter(codes))
+    counts = Counter(codes)
+    s, q = _sums(ctx, counts.keys(), counts.values())
     disc = -(s * s) - q - q
     root = disc.sqrt()
     if root is None:

@@ -9,7 +9,9 @@ system asks for (c_1, ..., c_r), not all zero, with c_r = 0 and
 A solution found over GF(p) is preferred; only r = 4 can force the quadratic
 extension GF(p^2). Repeating each c_i across a block of 2^(m_i) coordinates
 lifts a solution to a length-n point whose coordinate sum and square sum both
-vanish, since each block contributes 2^(m_i) copies of c_i.
+vanish, since each block contributes 2^(m_i) copies of c_i. The solver tests
+candidates on packed integers, the kernel of quadric's power sums, with a
+digit width that holds 12 k (p - 1)^4 (see `_solve_over`).
 
 When r >= 5 the search is short. With c_5 = ... = c_r = 0 the system is a
 form of degree 1 and one of degree 2 in the four variables c_1, ..., c_4;
@@ -26,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from operator import add, getitem
+from operator import mul
 
 from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, check_characteristic, field_make
 from .profile import BinaryProfile
-from .quadric import AmbientPoint
+from .quadric import AmbientPoint, _sums
 
 _CANDIDATE_LIMIT = 10**7  # documented search budget, charged on the scanned suffixes
 
@@ -63,41 +65,11 @@ class BlockSolution:
 
 
 def evaluate_system(sol: BlockSolution) -> tuple[FieldElement, FieldElement]:
-    """Re-evaluate both sums exactly; (0, 0) iff the solution is valid."""
+    """Re-evaluate both sums exactly; (0, 0) iff the solution is valid. They
+    are the power sums of the lift (c_i repeated 2^(m_i) times), on quadric's
+    kernel with multiplicities w_i mod p, nonnegative for any integer w_i."""
     ctx = sol.ctx
-    lin = ctx.zero
-    quad = ctx.zero
-    for w, ci in zip(sol.weights, sol.c):
-        we = ctx.el(w)
-        lin = lin + we * ci
-        quad = quad + we * ci * ci
-    return lin, quad
-
-
-def _square(v) -> list[int]:
-    """The unreduced integer square of a coefficient vector: length 2k - 1."""
-    out = [0] * (2 * len(v) - 1)
-    for i, a in enumerate(v):
-        for j, b in enumerate(v):
-            out[i + j] += a * b
-    return out
-
-
-class _DigitRows(dict):
-    """The table rows of one scanned digit c_j with weight w_j, built when
-    the scan first reaches a value: for value index i, w_j c_j then
-    w_1 w_j c_j^2 as integer coefficient vectors, so one pass over a
-    candidate's rows sums L and w_1 Q. A scan that solves early decodes only
-    the values it reaches."""
-
-    def __init__(self, ctx: FieldCtx, w: int, w1: int):
-        super().__init__()
-        self.ctx, self.w, self.w1w = ctx, w, w1 * w
-
-    def __missing__(self, i: int) -> list[int]:
-        v = self.ctx.element_at(i).coeffs
-        row = self[i] = [self.w * a for a in v] + [self.w1w * a for a in _square(v)]
-        return row
+    return _sums(ctx, map(ctx.element_index, sol.c), [w % ctx.p for w in sol.weights])
 
 
 def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
@@ -110,10 +82,14 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     candidate's index is c_1 + q * M for suffix index M, strictly monotone in
     M. The linear equation fixes c_1 = -L/w_1 with L = sum_{j>=2} w_j c_j;
     times w_1, the quadratic one reads L^2 + w_1 Q = 0 with
-    Q = sum_{j>=2} w_j c_j^2, tested on integer coefficient vectors with one
-    reduction per candidate. For r >= 5 the first solution has M < q^3
-    (Chevalley-Warning, see the module docstring), so only (c_2, c_3, c_4)
-    are scanned and the budget is charged q^min(r - 2, 3).
+    Q = sum_{j>=2} w_j c_j^2, tested on packed integers: the q elements are
+    packed once, and a candidate costs two integer dot products, one square
+    and one reduction. Over at most 3 scanned digits L's digits are at most
+    3 (p - 1)^2, so L^2 stays within 9 k (p - 1)^4 and w_1 Q within
+    3 k (p - 1)^4: `width` holds 12 k (p - 1)^4, and no digit carries. For
+    r >= 5 the first solution has M < q^3 (Chevalley-Warning, see the module
+    docstring), so only (c_2, c_3, c_4) are scanned and the budget is charged
+    q^min(r - 2, 3).
     """
     r = len(weights)
     q = ctx.size
@@ -122,16 +98,19 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
         raise UsageError(
             f"search space {q}^{nfree} exceeds the supported budget {_CANDIDATE_LIMIT}"
         )
-    k = ctx.k
-    w1 = weights[0]
+    k, p, w1 = ctx.k, ctx.p, weights[0]
+    width = (12 * k * (p - 1) ** 4).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, width * (2 * k - 1), width)
+    packed = ctx._pack_codes(range(q), width)
+    w1_squares = [w1 * x * x for x in packed]
     # per scanned digit, most significant first like product's tuples
-    tabs = [_DigitRows(ctx, w, w1) for w in weights[nfree:0:-1]]
+    ws = weights[nfree:0:-1]
     for digits in islice(product(range(q), repeat=nfree), 1, None):
-        sums = [sum(col) for col in zip(*map(getitem, tabs, digits))]
-        lin = sums[:k]
-        if ctx._reduce(list(map(add, _square(lin), sums[k:]))).is_zero():
-            inv_w1 = pow(w1, -1, ctx.p)
-            c1 = ctx.el([-a * inv_w1 for a in lin])
+        lin = sum(map(mul, ws, map(packed.__getitem__, digits)))
+        test = lin * lin + sum(map(mul, ws, map(w1_squares.__getitem__, digits)))
+        if ctx._reduce([(test >> s) & mask for s in shifts]).is_zero():
+            c1 = ctx._reduce([(lin >> s) & mask for s in shifts[:k]]) * ctx.el(-pow(w1, -1, p))
             suffix = tuple(map(ctx.element_at, reversed(digits)))
             return (c1,) + suffix + (ctx.zero,) * (r - 1 - nfree)
     return None

@@ -5,9 +5,11 @@ divisible and control certify runs over a prime field (GF(31)) and two
 extension fields (GF(81), GF(625)), on a block solution that needs the
 quadratic extension (GF(121)), on an invalid profile through solve and
 construct, on no-point sample, borel-check and certify runs, and on a
-sample over GF(3^12) (k = 12, the most digits the power-sum kernel packs)
-and a borel-check over GF(13^3). A refactor or
-speed-up must leave them unchanged. To regenerate them after a deliberate
+sample over GF(3^12) (k = 12, the most digits the power-sum kernel packs),
+a borel-check over GF(13^3), and the wide end of the block solver: r = 5
+with c_4 != 0 (GF(199)), the GF(53^2) fallback, and r = 4 near the budget
+(GF(3137), 50-bit packed digits). A refactor or speed-up must leave them
+unchanged. To regenerate them after a deliberate
 change of output, run
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -54,6 +56,9 @@ CASES = (
     ("borel_40_gf2197", ["borel-check", "40", "--field", "13^3", "--seed", "2", "--samples", "2"], 0),
     ("solve_12_3", ["solve", "12", "3"], 2),
     ("borel_12_gf11_no_point", ["borel-check", "12", "--field", "11", "--seed", "1", "--samples", "2"], 2),
+    ("solve_199_199", ["solve", "199", "199"], 0),
+    ("solve_53_gf2809", ["solve", "53", "53"], 0),
+    ("solve_3137_3137", ["solve", "3137", "3137"], 0),
 )
 
 

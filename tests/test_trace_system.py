@@ -3,12 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quadcert.errors import InvalidProfileError
-from quadcert.gf import field_make
+from quadcert.gf import FieldCtx, field_make
 from quadcert.profile import binary_profile
 from quadcert.quadric import in_small_diagonal, on_quadric
 from quadcert.trace_system import (
+    BlockSolution,
     evaluate_system,
     lift_block_solution,
     solve_block_system,
@@ -49,6 +51,68 @@ def test_solutions_verify_exactly():
         assert lin.is_zero() and quad.is_zero()
         assert any(not e.is_zero() for e in sol.c)
         assert sol.c[-1].is_zero()
+
+
+def evaluate_system_oracle(sol):
+    """Both weighted sums by per-term FieldElement arithmetic."""
+    ctx = sol.ctx
+    lin = ctx.zero
+    quad = ctx.zero
+    for w, ci in zip(sol.weights, sol.c):
+        we = ctx.el(w)
+        lin = lin + we * ci
+        quad = quad + we * ci * ci
+    return lin, quad
+
+
+@st.composite
+def block_solutions(draw):
+    """A BlockSolution over GF(p) or GF(p^2), p in {3, 5, 13, 53}, with any
+    integer weights (zero, negative, p and beyond) and c drawn from a small
+    pool of codes, so that values repeat."""
+    p = draw(st.sampled_from((3, 5, 13, 53)))
+    ctx = field_make(p, draw(st.sampled_from((1, 2))))
+    r = draw(st.integers(min_value=1, max_value=9))
+    pool = draw(st.lists(st.integers(0, ctx.size - 1), min_size=1, max_size=3))
+    c = tuple(ctx.element_at(draw(st.sampled_from(pool))) for _ in range(r))
+    weights = tuple(draw(st.lists(st.integers(-3 * p, 3 * p), min_size=r, max_size=r)))
+    return BlockSolution(binary_profile(2**r - 1), p, weights, c, ctx)
+
+
+def _fixed_solution(p, k, weights, codes):
+    ctx = field_make(p, k)
+    c = tuple(map(ctx.element_at, codes))
+    return BlockSolution(binary_profile(2 ** len(c) - 1), p, weights, c, ctx)
+
+
+@given(block_solutions())
+@example(_fixed_solution(53, 2, (0, 0, 0), (2808, 2808, 1)))  # zero weights only
+@example(_fixed_solution(53, 2, (-1, 52, 53, 106, -54), (2808,) * 5))  # all top element
+@example(_fixed_solution(13, 1, (-13, 12, 25, -1), (12, 12, 7, 0)))
+@example(_fixed_solution(3, 2, (2, 1, 2, 1), (4, 4, 4, 4)))
+def test_evaluate_system_matches_element_oracle(sol):
+    # the packed kernel takes multiplicities w mod p: a weight of 0, of p or
+    # more, or below 0 must give the sums the element loop gives
+    assert evaluate_system(sol) == evaluate_system_oracle(sol)
+
+
+@pytest.mark.parametrize("n, p", [(199, 199), (53, 53), (3137, 3137)])
+def test_solver_decodes_only_the_solution(monkeypatch, n, p):
+    # the candidate test runs on packed integers: a solve decodes at most
+    # the r coordinates of its solution, not an element per candidate or
+    # per field element
+    calls = []
+    element_at = FieldCtx.element_at
+
+    def counting(self, index):
+        calls.append(index)
+        return element_at(self, index)
+
+    monkeypatch.setattr(FieldCtx, "element_at", counting)
+    prof = binary_profile(n)
+    sol = solve_block_system(prof, p)
+    assert len(calls) <= prof.r
+    assert all(s.is_zero() for s in evaluate_system(sol))
 
 
 def brute_first(p, weights):
