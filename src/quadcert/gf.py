@@ -17,15 +17,17 @@ The canonical order on elements compares coefficient tuples lexicographically
 (constant coefficient first). The integer index of an element under that order
 is its code, sum(a_i * p^(k-1-i)); `FieldCtx.element_at` and `element_index`
 convert both ways. The solver, the sampler and the sqrt tie-break all use this
-one order. Codes are the pipeline's representation of points; `FieldElement`
-is the boundary scalar.
+one order. Codes are the points' format. An element is held as its packed
+integer below; coefficient tuples appear only at `el`, `coeffs` and `to_json`.
 
 Products, squares and powers run in one kernel, `FieldCtx._kmul`, by Kronecker
 substitution: sum c_i 2^(w i) packs an element, so a polynomial product is one
 integer product. Its digits are at most k (p - 1)^2; the high k - 1, mod p, are
 folded into the low k through the packed x^(k+j) mod the modulus, adding at
-most (k - 1) (p - 1)^2. So w = ((2k - 1) (p - 1)^2).bit_length() bits hold
-every digit, and the digit sums of two packed elements that `_code` reads.
+most (k - 1) (p - 1)^2, and `_norm` takes each digit mod p. So
+w = ((2k - 1) (p - 1)^2).bit_length() bits hold every digit, and the digits
+below 2p of x + y, x + P - y and P - x (P packs p into every digit), which
+`_norm` turns into a sum, a difference and a negation.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import add, floordiv, lshift, mod, sub
+from operator import add, floordiv, lshift, mod
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
@@ -131,13 +133,17 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class FieldElement:
-    """Element of GF(p^k): an immutable coefficient tuple plus its context."""
+    """Element of GF(p^k): its packed integer (module docstring) and its context."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "packed")
 
-    def __init__(self, ctx: "FieldCtx", coeffs: tuple[int, ...]):
+    def __init__(self, ctx: "FieldCtx", packed: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.packed = packed
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.ctx._unpack(self.packed)
 
     def _coerce(self, other) -> Optional["FieldElement"]:
         if isinstance(other, FieldElement):
@@ -148,9 +154,7 @@ class FieldElement:
             return self.ctx.el(other)
         return None
 
-    # Coefficient-wise add and subtract run in C: map(p.__rmod__, ...) takes
-    # each sum or difference mod p, which is never negative for p > 0. An
-    # operand of the same context skips `_coerce`.
+    # An operand of the same context skips `_coerce`.
 
     def __add__(self, other):
         ctx = self.ctx
@@ -158,7 +162,7 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return FieldElement(ctx, tuple(map(ctx.p.__rmod__, map(add, self.coeffs, other.coeffs))))
+        return FieldElement(ctx, ctx._norm(self.packed + other.packed))
 
     __radd__ = __add__
 
@@ -168,7 +172,7 @@ class FieldElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return FieldElement(ctx, tuple(map(ctx.p.__rmod__, map(sub, self.coeffs, other.coeffs))))
+        return FieldElement(ctx, ctx._norm(self.packed + ctx._ps - other.packed))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -177,14 +181,14 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        return FieldElement(ctx, ctx._norm(ctx._ps - self.packed))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.ctx._mul(self, o)
+        return FieldElement(self.ctx, self.ctx._kmul(self.packed, o.packed))
 
     __rmul__ = __mul__
 
@@ -206,17 +210,13 @@ class FieldElement:
         base = self
         if e < 0:
             base, e = self.inverse(), -e
-        ctx = self.ctx
-        return FieldElement(ctx, ctx._unpack(ctx._kpow(ctx._pack(base.coeffs), e)))
+        return FieldElement(self.ctx, self.ctx._kpow(base.packed, e))
 
     def inverse(self) -> "FieldElement":
         """Fermat inversion: a^(q-2), the inverse of a nonzero a."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        ctx = self.ctx
-        if ctx.k == 1:
-            return FieldElement(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
-        return self ** (ctx.size - 2)
+        return self ** (self.ctx.size - 2)
 
     def sqrt(self) -> Optional["FieldElement"]:
         """Square root with a deterministic choice between the two roots, or
@@ -224,11 +224,11 @@ class FieldElement:
         return self.ctx._sqrt(self)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)  # coefficients are reduced, never negative
+        return not self.packed
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.coeffs == other.coeffs and (
+            return self.packed == other.packed and (
                 self.ctx is other.ctx or self.ctx == other.ctx
             )
         if isinstance(other, int):
@@ -236,7 +236,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.packed)  # a residue c < p packs to c
 
     def __bool__(self):
         return not self.is_zero()
@@ -264,7 +264,7 @@ class FieldCtx:
         "size",
         "zero",
         "one",
-        "_width", "_mask", "_shifts", "_folds",  # the product kernel's packing
+        "_width", "_mask", "_shifts", "_folds", "_ps",  # the kernel's packing
         "_sqrt_consts",
         "_tables",
     )
@@ -274,8 +274,8 @@ class FieldCtx:
         self.k = k
         self.modulus = modulus
         self.size = p**k
-        self.zero = FieldElement(self, (0,) * k)
-        self.one = FieldElement(self, (1,) + (0,) * (k - 1))
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
         # the kernel's packing, digit i at bit w i, and the packed x^(k+j) mod
         # the modulus for j in [0, k - 1), which fold products back
         self._width = w = ((2 * k - 1) * (p - 1) ** 2).bit_length()
@@ -285,6 +285,7 @@ class FieldCtx:
             self._pack(_poly_divmod_rem([0] * (k + j) + [1], list(modulus), p))
             for j in range(k - 1)
         )
+        self._ps = self._pack([p] * k)  # P of the module docstring
         self._sqrt_consts = None
         self._tables = None
 
@@ -298,27 +299,24 @@ class FieldCtx:
                 return value
             raise ValueError("element from a different field")
         if isinstance(value, int):
-            return FieldElement(self, (value % self.p,) + (0,) * (self.k - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
+            return FieldElement(self, value % self.p)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.k:
             raise ValueError(f"coefficient list longer than degree {self.k}")
-        return FieldElement(self, coeffs + (0,) * (self.k - len(coeffs)))
+        return FieldElement(self, self._pack(coeffs))
 
     def element_index(self, a: FieldElement) -> int:
         """Position of a in the canonical order (coefficient-tuple lex)."""
-        acc = 0
-        for c in a.coeffs:
-            acc = acc * self.p + c
-        return acc
+        return self._code(a.packed)
 
     def element_at(self, index: int) -> FieldElement:
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range for size {self.size}")
-        digits = []
-        for _ in range(self.k):
-            digits.append(index % self.p)
-            index //= self.p
-        return FieldElement(self, tuple(reversed(digits)))
+        x = 0
+        for s in reversed(self._shifts):  # the last digit of a code is c_{k-1}
+            index, c = divmod(index, self.p)
+            x |= c << s
+        return FieldElement(self, x)
 
     def elements(self) -> Iterator[FieldElement]:
         """All elements in canonical order."""
@@ -360,6 +358,14 @@ class FieldCtx:
             out = list(map(add, map(lshift, out, repeat(width)), column))
         return out
 
+    def _norm(self, x: int) -> int:
+        """The packed element whose digits are those of x mod p."""
+        p, w, mask = self.p, self._width, self._mask
+        out = 0
+        for s in reversed(self._shifts):
+            out = (out << w) | ((x >> s) & mask) % p
+        return out
+
     def _kmul(self, x: int, y: int) -> int:
         """The product of two packed elements (module docstring)."""
         p, w, mask = self.p, self._width, self._mask
@@ -369,10 +375,7 @@ class FieldCtx:
         for fold in self._folds:
             low += ((prod & mask) % p) * fold
             prod >>= w
-        out = 0
-        for s in reversed(self._shifts):
-            out = (out << w) | ((low >> s) & mask) % p
-        return out
+        return self._norm(low)
 
     def _kpow(self, x: int, e: int) -> int:
         """x^e for a packed x and e >= 0."""
@@ -384,21 +387,20 @@ class FieldCtx:
             e >>= 1
         return out
 
-    def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        if self.k == 1:  # one product mod p, no packing
-            return FieldElement(self, ((a.coeffs[0] * b.coeffs[0]) % self.p,))
-        return FieldElement(self, self._unpack(self._kmul(self._pack(a.coeffs), self._pack(b.coeffs))))
-
     def _affine_codes(self, alpha: FieldElement, beta: FieldElement, codes) -> list[int]:
         """The codes of alpha x + beta for the x with these codes."""
-        a, b = self._pack(alpha.coeffs), self._pack(beta.coeffs)
+        a, b = alpha.packed, beta.packed
         return [self._code(self._kmul(a, x) + b) for x in self._pack_codes(codes, self._width)]
 
-    def _reduce(self, prod) -> FieldElement:
-        """The element of an unreduced integer polynomial given as a list of
-        k to 2k - 1 coefficients (any integers), low degree first: each
-        coefficient mod p, then the high degrees folded by the kernel."""
-        return FieldElement(self, self._unpack(self._kmul(self._pack([c % self.p for c in prod]), 1)))
+    def _reduce(self, x: int, width: int, digits: int) -> FieldElement:
+        """The element of a polynomial with nonnegative integer coefficients,
+        `digits` of them (k to 2k - 1) at `width` bits each (0 reads zeros):
+        each taken mod p and repacked, then the high degrees folded by `_kmul`."""
+        p, w, mask = self.p, self._width, (1 << width) - 1
+        low = 0
+        for i in reversed(range(digits)):
+            low = (low << w) | ((x >> (width * i)) & mask) % p
+        return FieldElement(self, self._kmul(low, 1))
 
     def _sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """One Tonelli-Shanks both decides whether a is a square and takes
@@ -416,11 +418,11 @@ class FieldCtx:
             while Q % 2 == 0:
                 s, Q = s + 1, Q // 2
             half = (self.size - 1) // 2
-            units = (self._pack(self.element_at(j).coeffs) for j in range(1, self.size))
+            units = (self.element_at(j).packed for j in range(1, self.size))
             z = next(z for z in units if power(z, half) != 1)
             self._sqrt_consts = (s, Q, power(z, Q))
         m, Q, c = self._sqrt_consts
-        x = self._pack(a.coeffs)
+        x = a.packed
         w = power(x, (Q - 1) // 2)
         r = mul(x, w)
         t = mul(r, w)
@@ -436,8 +438,8 @@ class FieldCtx:
             c = mul(b, b)
             t = mul(t, c)
             m = i
-        # the canonical order is the order of codes; -r = (p - 1) r
-        return self.element_at(min(self._code(r), self._code(mul(r, self.p - 1))))
+        # the canonical order is the order of codes
+        return FieldElement(self, min(r, self._norm(self._ps - r), key=self._code))
 
     # --- log tables for elimination ---
 

@@ -16,9 +16,9 @@ coordinate's coefficient vector (c_0, ..., c_{k-1}) into one integer
 X = sum c_i 2^(w i), so that a polynomial product becomes one integer product.
 With n coordinates every coefficient of sum m X^2 is at most n k (p - 1)^2,
 and w = (n k (p - 1)^2).bit_length() bits hold it, so no packed digit carries
-into the next. The kernel accumulates s_1 += m X and s_2 += m X X, unpacks k
-and 2k - 1 digits once, and reduces each sum once through `FieldCtx._reduce`,
-which takes the digits mod p and folds the high degrees through the modulus.
+into the next. The kernel accumulates s_1 += m X and s_2 += m X X and hands
+each sum once to `FieldCtx._reduce`, which reads its k or 2k - 1 digits of
+w bits, takes them mod p and folds the high degrees through the modulus.
 Over GF(p) the packing is the identity. A lifted point with thousands of
 coordinates but a dozen distinct values therefore costs a dozen integer
 products, not thousands of field operations. The kernel also serves the
@@ -91,11 +91,7 @@ def _sums(ctx: FieldCtx, codes, mults) -> tuple[FieldElement, FieldElement]:
     packed = ctx._pack_codes(list(codes), w)
     s1 = sum(map(mul, mults, packed))
     s2 = sum(map(mul, map(mul, mults, packed), packed))
-    mask = (1 << w) - 1
-    return (
-        ctx._reduce([(s1 >> (w * i)) & mask for i in range(k)]),
-        ctx._reduce([(s2 >> (w * i)) & mask for i in range(2 * k - 1)]),
-    )
+    return ctx._reduce(s1, w, k), ctx._reduce(s2, w, 2 * k - 1)
 
 
 def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:

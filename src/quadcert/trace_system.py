@@ -84,12 +84,12 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     times w_1, the quadratic one reads L^2 + w_1 Q = 0 with
     Q = sum_{j>=2} w_j c_j^2, tested on packed integers: the q elements are
     packed once, and a candidate costs two integer dot products, one square
-    and one reduction. Over at most 3 scanned digits L's digits are at most
-    3 (p - 1)^2, so L^2 stays within 9 k (p - 1)^4 and w_1 Q within
-    3 k (p - 1)^4: `width` holds 12 k (p - 1)^4, and no digit carries. For
-    r >= 5 the first solution has M < q^3 (Chevalley-Warning, see the module
-    docstring), so only (c_2, c_3, c_4) are scanned and the budget is charged
-    q^min(r - 2, 3).
+    and one `FieldCtx._reduce`, which reads the digits at `width` bits. Over
+    at most 3 scanned digits L's digits are at most 3 (p - 1)^2, so L^2
+    stays within 9 k (p - 1)^4 and w_1 Q within 3 k (p - 1)^4: `width` holds
+    12 k (p - 1)^4, and no digit carries. For r >= 5 the first solution has
+    M < q^3 (Chevalley-Warning, see the module docstring), so only
+    (c_2, c_3, c_4) are scanned and the budget is charged q^min(r - 2, 3).
     """
     r = len(weights)
     q = ctx.size
@@ -100,8 +100,6 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
         )
     k, p, w1 = ctx.k, ctx.p, weights[0]
     width = (12 * k * (p - 1) ** 4).bit_length()
-    mask = (1 << width) - 1
-    shifts = range(0, width * (2 * k - 1), width)
     packed = ctx._pack_codes(range(q), width)
     w1_squares = [w1 * x * x for x in packed]
     # per scanned digit, most significant first like product's tuples
@@ -109,8 +107,8 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     for digits in islice(product(range(q), repeat=nfree), 1, None):
         lin = sum(map(mul, ws, map(packed.__getitem__, digits)))
         test = lin * lin + sum(map(mul, ws, map(w1_squares.__getitem__, digits)))
-        if ctx._reduce([(test >> s) & mask for s in shifts]).is_zero():
-            c1 = ctx._reduce([(lin >> s) & mask for s in shifts[:k]]) * ctx.el(-pow(w1, -1, p))
+        if ctx._reduce(test, width, 2 * k - 1).is_zero():
+            c1 = ctx._reduce(lin, width, k) * ctx.el(-pow(w1, -1, p))
             suffix = tuple(map(ctx.element_at, reversed(digits)))
             return (c1,) + suffix + (ctx.zero,) * (r - 1 - nfree)
     return None

@@ -1,16 +1,30 @@
 """Reference field arithmetic on coefficient tuples, no integer packing.
 
-The schoolbook product the package used before its Kronecker kernel: a k^2
-loop over the coefficients, then each coefficient of degree >= k taken mod p
-and folded through x^(k+j) mod the modulus, found by polynomial division. The power and the Tonelli-Shanks
-square root below are built on it alone, with the same canonical choice of
-root (the lex-smaller coefficient tuple). test_kernels.py pins the kernel's
-product, square, power and root to these.
+Sums, differences and negations go coefficient by coefficient. The product is
+the schoolbook one the package used before its Kronecker kernel: a k^2 loop
+over the coefficients, then each coefficient of degree >= k taken mod p and
+folded through x^(k+j) mod the modulus, found by polynomial division. The
+power and the Tonelli-Shanks square root below are built on it alone, with
+the same canonical choice of root (the lex-smaller coefficient tuple).
+test_kernels.py pins the kernel's sum, difference, negation, product, square,
+power and root to these.
 """
 
 import functools
 
 from quadcert.gf import _poly_divmod_rem
+
+
+def add(ctx, a: tuple, b: tuple) -> tuple:
+    return tuple((x + y) % ctx.p for x, y in zip(a, b))
+
+
+def sub(ctx, a: tuple, b: tuple) -> tuple:
+    return tuple((x - y) % ctx.p for x, y in zip(a, b))
+
+
+def neg(ctx, a: tuple) -> tuple:
+    return tuple(-x % ctx.p for x in a)
 
 
 def mul(ctx, a: tuple, b: tuple) -> tuple:

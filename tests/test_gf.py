@@ -307,18 +307,20 @@ def test_irreducible_count_matches_gauss(p, k):
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 4), (5, 4), (3, 12)])
 def test_reduce_and_mul_match_polynomial_division(p, k):
-    # the one reduction routine, on unreduced integer coefficient lists of
-    # every length from k to 2k - 1 (negative and above-p coefficients
-    # included), and the product that folds through it, against the
-    # construction-time polynomial remainder
+    # the one reduction routine, on unreduced polynomials of every length
+    # from k to 2k - 1 with coefficients below 50 p^2, packed at a width of
+    # the test's choosing, and the product that folds through it, against
+    # the construction-time polynomial remainder
     ctx = field_make(p, k)
     f = list(ctx.modulus)
     rng = SplitMix64(p * 100 + k)
+    width = (50 * p * p).bit_length()
     for _ in range(40):
         length = k + rng.below(k)
-        prod = [rng.below(50 * p * p) - 25 * p * p for _ in range(length)]
+        prod = [rng.below(50 * p * p) for _ in range(length)]
+        packed = sum(c << (width * i) for i, c in enumerate(prod))
         expected = _poly_divmod_rem([c % p for c in prod], f, p)
-        assert ctx._reduce(prod).coeffs == tuple(expected)
+        assert ctx._reduce(packed, width, length).coeffs == tuple(expected)
         a = ctx.element_at(rng.below(ctx.size))
         b = ctx.element_at(rng.below(ctx.size))
         full = [0] * (2 * k - 1)
@@ -384,6 +386,18 @@ def test_int_coercion():
     assert 2 * a == f7.el(6)
     assert a - 10 == f7.el(0)
     assert 1 / a == a.inverse()
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 4)])
+def test_prime_subfield_elements_hash_like_their_residues(p, k):
+    # an element equal to an int must hash like it, or set and dict lookups
+    # miss it
+    ctx = field_make(p, k)
+    for c in range(p):
+        assert ctx.el(c) == c
+        assert hash(ctx.el(c)) == hash(c)
+        assert c in {ctx.el(c)}
+        assert ctx.el(c) in {c}
 
 
 def test_cross_field_operations_rejected():

@@ -1,21 +1,25 @@
 """The integer kernels behind codes, against the schoolbook reference.
 
-`gf` multiplies, squares, raises to powers and takes square roots by
-Kronecker substitution on packed integers, and moves points as codes. Each is
+`gf` holds an element as its packed integer; it adds, subtracts, negates,
+multiplies, squares, raises to powers and takes square roots on that integer
+(products by Kronecker substitution), and moves points as codes. Each is
 pinned here to `_fieldref`, which works on coefficient tuples with the k^2
 product loop. The fields cover a prime field, the table-free extension
 fields the sampler uses, and the widest packings the package takes (GF(3^12)
 has the most digits, GF(13^5) and GF(1021^2) the widest ones); every field
 includes its top element, with every coefficient p - 1, where each product
-digit reaches its bound.
+digit reaches its bound. A last test makes the tuple decoder raise and runs
+every certificate step and the block solver with it.
 """
 
 import pytest
 
 import _fieldref as ref
 from quadcert.actions import AffineMap, affine_act, invariance_report, random_affine
-from quadcert.gf import field_make
+from quadcert.compression import faithfulness_witness, rank_certificate
+from quadcert.gf import FieldCtx, field_make
 from quadcert.linalg import kernel_basis
+from quadcert.profile import binary_profile
 from quadcert.quadric import (
     AmbientPoint,
     complete_quadric_pair,
@@ -25,6 +29,7 @@ from quadcert.quadric import (
     tangent_basis,
 )
 from quadcert.rng import SplitMix64
+from quadcert.trace_system import evaluate_system, lift_block_solution, solve_block_system
 
 KERNEL_FIELDS = [(7, 1), (3, 4), (5, 4), (3, 12), (13, 5), (1021, 2)]
 
@@ -38,6 +43,19 @@ def _elements(ctx, count, seed):
     rng = SplitMix64(seed)
     head = [_top(ctx), ctx.one, ctx.zero]
     return head + [ctx.element_at(rng.below(ctx.size)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_sum_difference_and_negation_match_coefficientwise(p, k):
+    # the top element minus zero puts 2p - 1 in every digit before `_norm`
+    ctx = field_make(p, k)
+    xs = _elements(ctx, 30, 5 * p + k)
+    for a in xs:
+        assert (-a).coeffs == ref.neg(ctx, a.coeffs)
+        assert (1 - a).coeffs == ref.sub(ctx, ctx.one.coeffs, a.coeffs)
+        for b in xs[:8]:
+            assert (a + b).coeffs == ref.add(ctx, a.coeffs, b.coeffs)
+            assert (a - b).coeffs == ref.sub(ctx, a.coeffs, b.coeffs)
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
@@ -213,3 +231,33 @@ def test_tangent_basis_builds_no_tables_over_a_large_prime_field():
     for v in basis:
         for i in range(2):
             assert sum((x * y for x, y in zip(m.row(i), v)), ctx.zero).is_zero()
+
+
+# --- no coefficient tuple on the arithmetic path ------------------------------------
+
+
+def test_certificates_and_solver_never_decode_an_element(monkeypatch):
+    # with the fields built first and the tuple decoder made to raise, every
+    # certificate step and the block solver still run: they work on packed
+    # integers and codes alone
+    fields = [field_make(p, k) for p, k in [(3, 4), (5, 4), (31, 1), (3, 12), (13, 3)]]
+    cases = [(77, 11), (15, 3), (4095, 13)]
+    for _, p in cases:  # the solver's base field and its quadratic fallback
+        field_make(p, 1)
+        field_make(p, 2)
+
+    def forbidden(*args):
+        raise AssertionError("the arithmetic path must not decode an element")
+
+    monkeypatch.setattr(FieldCtx, "_unpack", forbidden)
+    for ctx in fields:
+        a = sample_quadric_point(10, ctx, 1)
+        assert power_sums(a) == (ctx.zero, ctx.zero)
+        assert rank_certificate(a).satisfied
+        assert faithfulness_witness(a)
+        assert invariance_report(a, random_affine(ctx, SplitMix64(2))).identities_hold
+    for n, p in cases:
+        prof = binary_profile(n)
+        sol = solve_block_system(prof, p)
+        assert evaluate_system(sol) == (sol.ctx.zero, sol.ctx.zero)
+        assert lift_block_solution(prof, sol).n == n
