@@ -15,9 +15,9 @@ class NotPrimeError(QuadcertError):
 
 class UsageError(QuadcertError, ValueError):
     """An input is outside what a command accepts: a malformed field spec, a
-    field beyond the size limit, n too small, or a search over budget. The
-    CLI reports it with exit code 4; a plain ValueError is an internal fault
-    and is not caught there."""
+    field beyond the size limit, n too small, or a lift longer than that
+    limit. The CLI reports it with exit code 4; a plain ValueError is an
+    internal fault and is not caught there."""
 
 
 class DimensionMismatchError(QuadcertError):

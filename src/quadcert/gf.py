@@ -312,11 +312,7 @@ class FieldCtx:
     def element_at(self, index: int) -> FieldElement:
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range for size {self.size}")
-        x = 0
-        for s in reversed(self._shifts):  # the last digit of a code is c_{k-1}
-            index, c = divmod(index, self.p)
-            x |= c << s
-        return FieldElement(self, x)
+        return FieldElement(self, self._packed_at(index))
 
     def elements(self) -> Iterator[FieldElement]:
         """All elements in canonical order."""
@@ -324,6 +320,14 @@ class FieldCtx:
             yield self.element_at(j)
 
     # --- arithmetic kernels ---
+
+    def _packed_at(self, index: int) -> int:
+        """The packing of the element with code index (no range check)."""
+        x = 0
+        for s in reversed(self._shifts):  # the last digit of a code is c_{k-1}
+            index, c = divmod(index, self.p)
+            x |= c << s
+        return x
 
     def _pack(self, coeffs) -> int:
         x = 0
@@ -395,12 +399,14 @@ class FieldCtx:
     def _reduce(self, x: int, width: int, digits: int) -> FieldElement:
         """The element of a polynomial with nonnegative integer coefficients,
         `digits` of them (k to 2k - 1) at `width` bits each (0 reads zeros):
-        each taken mod p and repacked, then the high degrees folded by `_kmul`."""
-        p, w, mask = self.p, self._width, (1 << width) - 1
+        each taken mod p, the high ones folded through `_folds`, one `_norm`."""
+        p, w, mask, k = self.p, self._width, (1 << width) - 1, self.k
         low = 0
-        for i in reversed(range(digits)):
+        for i in reversed(range(k)):
             low = (low << w) | ((x >> (width * i)) & mask) % p
-        return FieldElement(self, self._kmul(low, 1))
+        for i, fold in zip(range(k, digits), self._folds):
+            low += ((x >> (width * i)) & mask) % p * fold
+        return FieldElement(self, self._norm(low))
 
     def _sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """One Tonelli-Shanks both decides whether a is a square and takes
@@ -418,7 +424,7 @@ class FieldCtx:
             while Q % 2 == 0:
                 s, Q = s + 1, Q // 2
             half = (self.size - 1) // 2
-            units = (self.element_at(j).packed for j in range(1, self.size))
+            units = map(self._packed_at, range(1, self.size))  # no element decoded
             z = next(z for z in units if power(z, half) != 1)
             self._sqrt_consts = (s, Q, power(z, Q))
         m, Q, c = self._sqrt_consts

@@ -9,33 +9,30 @@ system asks for (c_1, ..., c_r), not all zero, with c_r = 0 and
 A solution found over GF(p) is preferred; only r = 4 can force the quadratic
 extension GF(p^2). Repeating each c_i across a block of 2^(m_i) coordinates
 lifts a solution to a length-n point whose coordinate sum and square sum both
-vanish, since each block contributes 2^(m_i) copies of c_i. The solver tests
-candidates on packed integers, the kernel of quadric's power sums, with a
-digit width that holds 12 k (p - 1)^4 (see `_solve_over`).
+vanish, since each block contributes 2^(m_i) copies of c_i.
 
-When r >= 5 the search is short. With c_5 = ... = c_r = 0 the system is a
-form of degree 1 and one of degree 2 in the four variables c_1, ..., c_4;
-their degrees sum to 3 < 4, so by Chevalley-Warning (Serre, A Course in
-Arithmetic, ch. I, section 2) the number of common zeros over any finite
-field of characteristic p is divisible by p, and there is one besides zero.
-Its (c_2, c_3, c_4) is not zero, because the linear equation fixes c_1 from
-the rest. Scanning suffixes (c_2, ..., c_{r-1}) by increasing index with c_2
-the least significant digit, the first solution therefore has index below
-q^3: only (c_2, c_3, c_4) need scanning, with the rest zero.
+The solver returns the first solution of a scan of suffixes (c_2, ..., c_{r-1})
+by increasing index, c_2 the least significant digit, solving one quadratic
+in c_2 per slice of the scan (`_solve_over`). The system is homogeneous, so
+among the solutions whose highest nonzero digit is c_j the first has c_j = e,
+the least nonzero code: scaling by e/c_j keeps a solution. When r >= 5 some
+solution has c_5 = ... = c_r = 0: then the system is a form of degree 1 and
+one of degree 2 in the four variables c_1, ..., c_4; their degrees sum to
+3 < 4, so by Chevalley-Warning (Serre, A Course in Arithmetic, ch. I,
+section 2) the number of common zeros over any finite field of
+characteristic p is divisible by p, and there is one besides zero. Its
+(c_2, c_3, c_4) is not zero, because the linear equation fixes c_1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
-from operator import mul
+from itertools import chain
 
 from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, check_characteristic, field_make
 from .profile import BinaryProfile
 from .quadric import AmbientPoint, _sums
-
-_CANDIDATE_LIMIT = 10**7  # documented search budget, charged on the scanned suffixes
 
 
 def weights_mod_p(profile: BinaryProfile, p: int) -> tuple[int, ...]:
@@ -75,51 +72,48 @@ def evaluate_system(sol: BlockSolution) -> tuple[FieldElement, FieldElement]:
 def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     """First solution over ctx in the order of the full scan, or None.
 
-    Candidates are ordered by increasing integer index with c_1 as the least
-    significant base-q digit (canonical element indices). Eliminating c_1
-    (every weight is invertible) and enumerating the suffix (c_2, ..., c_{r-1})
-    in the same order returns exactly the first solution of the full scan: a
-    candidate's index is c_1 + q * M for suffix index M, strictly monotone in
-    M. The linear equation fixes c_1 = -L/w_1 with L = sum_{j>=2} w_j c_j;
-    times w_1, the quadratic one reads L^2 + w_1 Q = 0 with
-    Q = sum_{j>=2} w_j c_j^2, tested on packed integers: the q elements are
-    packed once, and a candidate costs two integer dot products, one square
-    and one `FieldCtx._reduce`, which reads the digits at `width` bits. Over
-    at most 3 scanned digits L's digits are at most 3 (p - 1)^2, so L^2
-    stays within 9 k (p - 1)^4 and w_1 Q within 3 k (p - 1)^4: `width` holds
-    12 k (p - 1)^4, and no digit carries. For r >= 5 the first solution has
-    M < q^3 (Chevalley-Warning, see the module docstring), so only
-    (c_2, c_3, c_4) are scanned and the budget is charged q^min(r - 2, 3).
+    The linear equation fixes c_1 = -L/w_1 with L = sum_{j>=2} w_j c_j; times
+    w_1, the quadratic one reads L^2 + w_1 Q = 0, Q = sum_{j>=2} w_j c_j^2. A
+    slice fixes (c_3, c_4) and runs c_2 over the codes. With M and N the
+    weighted sum and square sum of (c_3, c_4), the test is
+
+        A c_2^2 + B c_2 + C = 0,  A = w_2 (w_2 + w_1), B = 2 w_2 M, C = M^2 + w_1 N,
+
+    and the slice's first solution is its root with the least code. The zero
+    slice (B = C = 0) has c_2 = e first when A = 0, else only the skipped
+    all-zero candidate. Elsewhere A != 0 and the roots are (-w_2 M +- s)/A,
+    s^2 = B^2/4 - AC = -w_1 (w_2 M^2 + A N), by one `sqrt`. By homogeneity
+    the next slices are c_3 = e and, if r >= 5, c_4 = e with c_3 over all
+    codes, a block with a solution (module docstring): q + 1 roots at most.
     """
-    r = len(weights)
-    q = ctx.size
-    nfree = min(r - 2, 3)
-    if q**nfree > _CANDIDATE_LIMIT:
-        raise UsageError(
-            f"search space {q}^{nfree} exceeds the supported budget {_CANDIDATE_LIMIT}"
-        )
-    k, p, w1 = ctx.k, ctx.p, weights[0]
-    width = (12 * k * (p - 1) ** 4).bit_length()
-    packed = ctx._pack_codes(range(q), width)
-    w1_squares = [w1 * x * x for x in packed]
-    # per scanned digit, most significant first like product's tuples
-    ws = weights[nfree:0:-1]
-    for digits in islice(product(range(q), repeat=nfree), 1, None):
-        lin = sum(map(mul, ws, map(packed.__getitem__, digits)))
-        test = lin * lin + sum(map(mul, ws, map(w1_squares.__getitem__, digits)))
-        if ctx._reduce(test, width, 2 * k - 1).is_zero():
-            c1 = ctx._reduce(lin, width, k) * ctx.el(-pow(w1, -1, p))
-            suffix = tuple(map(ctx.element_at, reversed(digits)))
-            return (c1,) + suffix + (ctx.zero,) * (r - 1 - nfree)
+    r, p = len(weights), ctx.p
+    w1, w2, w3, w4 = weights[:4]
+    a = w2 * (w2 + w1) % p
+    zero, e = ctx.zero, ctx.element_at(1)
+    if not a:  # w_2 = -w_1: every c_2 solves the zero prefix, and c_1 = c_2
+        return (e, e) + (zero,) * (r - 2)
+    slices = [(e, zero)]
+    if r >= 5:
+        packed = map(ctx._packed_at, range(ctx.size))  # code order, none decoded
+        slices = chain(slices, ((FieldElement(ctx, x), e) for x in packed))
+    for c3, c4 in slices:
+        m = c3 * w3 + c4 * w4
+        n = c3 * c3 * w3 + c4 * c4 * w4
+        s = (m * m * (-w1 * w2) + n * (-w1 * a)).sqrt()
+        if s is not None:
+            t, inv_a = m * -w2, pow(a, -1, p)
+            c2 = min((t + s) * inv_a, (t - s) * inv_a, key=ctx.element_index)
+            c1 = (c2 * w2 + m) * -pow(w1, -1, p)
+            return (c1, c2, c3, c4) + (zero,) * (r - 4)
     return None
 
 
 def solve_block_system(profile: BinaryProfile, p: int) -> BlockSolution:
     """Solve the block system for (profile, p), preferring GF(p).
 
-    Raises InvalidProfileError when r < 4 or p does not divide n; the
-    construction covers neither case. When GF(p) has no solution (possible
-    only at r = 4) the solver returns one over GF(p^2), which always exists.
+    Raises InvalidProfileError when r < 4 or p does not divide n, which no
+    construction covers. Without a GF(p) solution (only at r = 4) it returns
+    one over GF(p^2), which exists; `field_make` refuses it above p = 1024.
     """
     r = profile.r
     n = profile.n

@@ -1,7 +1,7 @@
 """Read-only access to the benchmark's own modules under perfbench/.
 
 The benchmark restates some of quadcert's contracts (the tracer's wrap
-targets, the solver's budget refusal text) from outside the package. Tests
+targets, the seed-1 workload requests) from outside the package. Tests
 import those modules through `sys.path` without installing anything, and
 drop perfbench's top-level modules from `sys.modules` again afterwards.
 """

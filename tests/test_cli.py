@@ -8,7 +8,6 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from _perfbench import perfbench_module
 from quadcert.cli import build_parser, main
 from quadcert.profile import binary_profile
 from quadcert.trace_system import evaluate_system, solve_block_system
@@ -19,8 +18,6 @@ SCHEMA = json.loads(
     .joinpath("schema/certificate.schema.json")
     .read_text()
 )
-# the benchmark tolerates the solver's budget refusal by this text
-BUDGET_MESSAGE = perfbench_module("verify").BUDGET_MESSAGE
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -227,7 +224,8 @@ def test_semantic_usage_errors(capsys):
         (["solve", "0", "3"], "positive integer"),
         (["borel-check", "4", "--field", "11"], "n >= 5"),
         (["certify", "4", "3"], "n >= 5"),
-        (["solve", "1561", "223"], BUDGET_MESSAGE),  # r = 5, 223^3 > 10^7
+        # r = 4 with no GF(1061) solution needs GF(1061^2), above the field cap
+        (["solve", "1061", "1061"], "field size 1061^2 exceeds the limit"),
         (["solve", "15", "0"], "not prime"),
         (["construct", "15", "0"], "not prime"),
         # refused at the limit before p^k or a primality test is computed
@@ -260,9 +258,16 @@ def test_usage_error_sites(argv, message, capsys):
     assert out == "" and message in err
 
 
-@pytest.mark.parametrize("n, p", [(4095, 13), (4095, 7), (1023, 31)])
-def test_solver_budget_follows_chevalley_warning(tmp_path, n, p):
-    # r >= 5: only (c_2, c_3, c_4) are scanned, so p^3 is charged, not p^(r-2)
+@pytest.mark.parametrize(
+    "n, p",
+    [(4095, 13), (4095, 7), (1023, 31)]
+    # once refused for a search budget: r = 5 with 223^3 > 10^7 candidates,
+    # and r = 4 falling back to GF(59^2) and GF(61^2), charged p^4 > 10^7
+    + [(1561, 223), (649, 59), (305, 61)],
+)
+def test_former_budget_refusals_solve(tmp_path, n, p):
+    # the solver has no search budget: each input solves, every check passes
+    # and the document carries the library's solution
     code, doc = run_json(tmp_path, ["solve", str(n), str(p)])
     assert code == 0 and all(checks_passed(doc).values())
     sol = solve_block_system(binary_profile(n), p)

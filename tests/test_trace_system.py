@@ -3,10 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from quadcert.errors import InvalidProfileError
-from quadcert.gf import FieldCtx, field_make
+from _scanref import scan_solve
+from quadcert.cli import _block_checks
+from quadcert.errors import InvalidProfileError, UsageError
+from quadcert.gf import SIZE_LIMIT, FieldCtx, _prime_factors, field_make
 from quadcert.profile import binary_profile
 from quadcert.quadric import in_small_diagonal, on_quadric
 from quadcert.trace_system import (
@@ -113,6 +115,69 @@ def test_solver_decodes_only_the_solution(monkeypatch, n, p):
     sol = solve_block_system(prof, p)
     assert len(calls) <= prof.r
     assert all(s.is_zero() for s in evaluate_system(sol))
+
+
+def _next_prime(x):
+    while _prime_factors(x) != [x]:
+        x += 1
+    return x
+
+
+SMALL_PRIMES = [p for p in range(3, 140) if _prime_factors(p) == [p]]
+LARGEST_PRIME = 1048573  # the largest prime below SIZE_LIMIT
+# the n <= 2^20 with four binary digits
+FOUR_DIGITS = [sum(1 << m for m in ms) for ms in itertools.combinations(range(20), 4)]
+
+
+@st.composite
+def gate_inputs(draw, primes):
+    """(n, p) that the gate sends to the solver: p from primes, n <= 2^20 a
+    multiple of p with at least four binary digits; half of the draws take
+    exactly four, where the base field can fail and GF(p^2) is needed."""
+    p = draw(primes)
+    if draw(st.booleans()):
+        fours = [n for n in FOUR_DIGITS if n % p == 0]
+        assume(fours)
+        return draw(st.sampled_from(fours)), p
+    n = p * draw(st.integers(1, SIZE_LIMIT // p))
+    assume(bin(n).count("1") >= 4)
+    return n, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(gate_inputs(st.sampled_from(SMALL_PRIMES)))
+@example((15, 3))  # A = 0: the first solution is (e, e, 0, 0)
+@example((77, 11))  # GF(11^2)
+@example((199, 199))  # r = 5, c_4 != 0
+def test_solver_matches_the_scan_oracle(case):
+    # one quadratic per slice returns the first solution of the full scan,
+    # in the same field, over GF(p) and GF(p^2)
+    n, p = case
+    prof = binary_profile(n)
+    c, ctx = scan_solve(weights_mod_p(prof, p), p)
+    sol = solve_block_system(prof, p)
+    assert (sol.c, sol.ctx) == (c, ctx)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gate_inputs(st.integers(3, LARGEST_PRIME).map(_next_prime)))
+@example((1561, 223))
+@example((LARGEST_PRIME, LARGEST_PRIME))
+def test_solver_answers_every_gate_input(case):
+    # past the scan's reach: every input solves, with all six checks of
+    # construct passing, except r = 4 inputs whose GF(p) has no solution
+    # and whose GF(p^2) is above the field cap
+    n, p = case
+    prof = binary_profile(n)
+    try:
+        sol = solve_block_system(prof, p)
+    except UsageError as exc:
+        assert prof.r == 4 and p * p > SIZE_LIMIT
+        assert f"field size {p}^2 exceeds the limit" in str(exc)
+        return
+    lift = lift_block_solution(prof, sol)
+    checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
+    assert len(checks) == 6 and all(passed for _, passed in checks)
 
 
 def brute_first(p, weights):
