@@ -28,6 +28,16 @@ most (k - 1) (p - 1)^2, and `_norm` takes each digit mod p. So
 w = ((2k - 1) (p - 1)^2).bit_length() bits hold every digit, and the digits
 below 2p of x + y, x + P - y and P - x (P packs p into every digit), which
 `_norm` turns into a sum, a difference and a negation.
+
+Power sums of many elements, `FieldCtx.sums`, pack each code once at a wider
+width. With the multiplicities m summing to n, every coefficient of
+sum m X^2 is at most n k (p - 1)^2, so w = (n k (p - 1)^2).bit_length() bits
+hold it and no packed digit carries into the next. The kernel accumulates
+s_1 = sum m X and s_2 = sum m X X and hands each sum once to `_reduce`, which
+reads its k or 2k - 1 digits of w bits, takes them mod p and folds the high
+degrees through the modulus. Over GF(p) the packing is the identity. A lifted
+point with thousands of coordinates but a dozen distinct values costs a dozen
+integer products, not thousands of field operations.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import add, floordiv, lshift, mod
+from operator import add, floordiv, lshift, mod, mul
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
@@ -55,54 +65,18 @@ def check_characteristic(p: int) -> None:
         raise NotPrimeError(f"{p} is not prime")
 
 
-# Polynomials over F_p are coefficient lists, low degree first, fixed length
-# where it matters. These helpers are only used during field construction.
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod_rem(a: list[int], f: list[int], p: int) -> list[int]:
-    # f is monic; returns a mod f
-    a = a[:]
-    deg_f = len(f) - 1
-    for d in range(len(a) - 1, deg_f - 1, -1):
-        c = a[d]
-        if c:
-            a[d] = 0
-            for i in range(deg_f):
-                a[d - deg_f + i] = (a[d - deg_f + i] - c * f[i]) % p
-    del a[deg_f:]
-    while len(a) < deg_f:
-        a.append(0)
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        monic_b = [(c * inv_lead) % p for c in b]
-        a, b = b, _poly_trim(_poly_divmod_rem(a, monic_b, p))
-    return a
-
-
 def _is_irreducible(f: list[int], p: int, k: int) -> bool:
-    """Rabin test: x^(p^k) = x mod f, and gcd(x^(p^(k/l)) - x, f) = 1 for
-    every prime l dividing k. The powers are taken in GF(p)[x]/(f) with the
-    field's own product, which never divides, so a reducible f is safe."""
+    """Rabin test: x^(p^k) = x mod f, and x^(p^(k/l)) - x a unit mod f for
+    every prime l dividing k, both in GF(p)[x]/(f) with the field's own
+    product, which never divides, so a reducible f is safe. Once
+    x^(p^k) = x, f divides x^(p^k) - x: it is squarefree with factors of
+    degrees dividing k, so the ring is a product of subfields of GF(p^k),
+    where u is a unit exactly when u^(p^k - 1) = 1."""
     ring = FieldCtx(p, k, tuple(f))
-    x = ring.el([0, 1])
-    if x ** p**k != x:
+    x, q = ring.el([0, 1]), p**k
+    if x**q != x:
         return False
-    for ell in _prime_factors(k):
-        diff = x ** p ** (k // ell) - x
-        if len(_poly_gcd(list(diff.coeffs), f, p)) > 1:
-            return False
-    return True
+    return all((x ** p ** (k // ell) - x) ** (q - 1) == ring.one for ell in _prime_factors(k))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -231,12 +205,12 @@ class FieldElement:
             return self.packed == other.packed and (
                 self.ctx is other.ctx or self.ctx == other.ctx
             )
-        if isinstance(other, int):
-            return self == self.ctx.el(other)
+        if isinstance(other, int):  # a residue c < p packs to c
+            return 0 <= other < self.ctx.p and self.packed == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.packed)  # a residue c < p packs to c
+        return hash(self.packed)
 
     def __bool__(self):
         return not self.is_zero()
@@ -281,11 +255,14 @@ class FieldCtx:
         self._width = w = ((2 * k - 1) * (p - 1) ** 2).bit_length()
         self._mask = (1 << w) - 1
         self._shifts = tuple(range(0, w * k, w))
-        self._folds = tuple(
-            self._pack(_poly_divmod_rem([0] * (k + j) + [1], list(modulus), p))
-            for j in range(k - 1)
-        )
         self._ps = self._pack([p] * k)  # P of the module docstring
+        # x^k = -(f_0 + ... + f_{k-1} x^{k-1}); each next power shifts x^(k+j)
+        # up a digit and folds its top digit back through x^k
+        folds, x, low = [], self._pack([-c % p for c in modulus[:k]]), (1 << w * k) - 1
+        for _ in range(k - 1):
+            folds.append(x)
+            x = self._norm((x << w & low) + (x >> w * (k - 1)) * folds[0])
+        self._folds = tuple(folds)
         self._sqrt_consts = None
         self._tables = None
 
@@ -316,8 +293,8 @@ class FieldCtx:
 
     def elements(self) -> Iterator[FieldElement]:
         """All elements in canonical order."""
-        for j in range(self.size):
-            yield self.element_at(j)
+        for x in map(self._packed_at, range(self.size)):
+            yield FieldElement(self, x)
 
     # --- arithmetic kernels ---
 
@@ -345,6 +322,10 @@ class FieldCtx:
         for s in self._shifts:
             code = code * p + ((x >> s) & mask) % p
         return code
+
+    def coefficient_rows(self, codes) -> list[list[int]]:
+        """The coefficient lists, low degree first, of the elements with these codes."""
+        return list(map(list, zip(*reversed(self._columns(list(codes))))))
 
     def _columns(self, codes) -> list[list[int]]:
         """Coefficients c_{k-1}, ..., c_0 of the elements with these codes."""
@@ -391,10 +372,23 @@ class FieldCtx:
             e >>= 1
         return out
 
-    def _affine_codes(self, alpha: FieldElement, beta: FieldElement, codes) -> list[int]:
+    def affine_codes(self, alpha: FieldElement, beta: FieldElement, codes) -> list[int]:
         """The codes of alpha x + beta for the x with these codes."""
         a, b = alpha.packed, beta.packed
         return [self._code(self._kmul(a, x) + b) for x in self._pack_codes(codes, self._width)]
+
+    def sums(self, codes, mults=None) -> tuple[FieldElement, FieldElement]:
+        """(sum, square sum) of the elements with these codes, each counted
+        with its multiplicity (nonnegative, one by default; codes may repeat,
+        the sums are linear), in plain integers, reduced once (module docstring)."""
+        codes = list(codes)
+        mults = None if mults is None else list(mults)
+        n = len(codes) if mults is None else sum(mults)
+        w = (n * self.k * (self.p - 1) ** 2).bit_length()
+        packed = self._pack_codes(codes, w)
+        weighted = packed if mults is None else list(map(mul, mults, packed))
+        s2 = sum(map(mul, weighted, packed))
+        return self._reduce(sum(weighted), w, self.k), self._reduce(s2, w, 2 * self.k - 1)
 
     def _reduce(self, x: int, width: int, digits: int) -> FieldElement:
         """The element of a polynomial with nonnegative integer coefficients,

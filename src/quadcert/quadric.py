@@ -10,27 +10,16 @@ A point is held as the codes of its coordinates (see `gf`): the sampler
 draws codes, a lift repeats them, affine moves map them, and sums, collision
 tests and JSON work per distinct code. `FieldElement`s are the boundary.
 
-Both power sums come from one integer kernel (`_sums`), by Kronecker
-substitution. It counts how often each code occurs and packs each distinct
-coordinate's coefficient vector (c_0, ..., c_{k-1}) into one integer
-X = sum c_i 2^(w i), so that a polynomial product becomes one integer product.
-With n coordinates every coefficient of sum m X^2 is at most n k (p - 1)^2,
-and w = (n k (p - 1)^2).bit_length() bits hold it, so no packed digit carries
-into the next. The kernel accumulates s_1 += m X and s_2 += m X X and hands
-each sum once to `FieldCtx._reduce`, which reads its k or 2k - 1 digits of
-w bits, takes them mod p and folds the high degrees through the modulus.
-Over GF(p) the packing is the identity. A lifted point with thousands of
-coordinates but a dozen distinct values therefore costs a dozen integer
-products, not thousands of field operations. The kernel also serves the
-block system, whose two sums are those of its lift (`trace_system`): the
-c_i with multiplicities w_i = 2^(m_i) mod p.
+Both power sums come from `FieldCtx.sums`, which packs each distinct code
+once, with its count as multiplicity (the kernel is described in `gf`). It
+also serves the block system, whose two sums are those of its lift
+(`trace_system`): the c_i with multiplicities w_i = 2^(m_i) mod p.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import NoPointFoundError, NotOnQuadricError, UsageError
 from .gf import FieldCtx, FieldElement
@@ -77,27 +66,14 @@ class AmbientPoint:
     def to_json(self) -> list[list[int]]:
         """Coefficient vectors, one list per distinct code."""
         distinct = list(set(self.codes))
-        rows = dict(zip(distinct, map(list, zip(*reversed(self.ctx._columns(distinct))))))
+        rows = dict(zip(distinct, self.ctx.coefficient_rows(distinct)))
         return list(map(rows.__getitem__, self.codes))
-
-
-def _sums(ctx: FieldCtx, codes, mults) -> tuple[FieldElement, FieldElement]:
-    """(sum, square sum) of the elements with these codes, each counted with
-    its multiplicity (nonnegative; codes may repeat, the sums are linear), by
-    Kronecker substitution in plain integers, reduced once (module docstring)."""
-    k = ctx.k
-    mults = list(mults)
-    w = (sum(mults) * k * (ctx.p - 1) ** 2).bit_length()
-    packed = ctx._pack_codes(list(codes), w)
-    s1 = sum(map(mul, mults, packed))
-    s2 = sum(map(mul, map(mul, mults, packed), packed))
-    return ctx._reduce(s1, w, k), ctx._reduce(s2, w, 2 * k - 1)
 
 
 def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:
     """(sum of coordinates, sum of squared coordinates), exactly."""
     counts = Counter(a.codes)
-    return _sums(a.ctx, counts.keys(), counts.values())
+    return a.ctx.sums(counts.keys(), counts.values())
 
 
 def on_quadric(a: AmbientPoint) -> bool:
@@ -170,8 +146,7 @@ def complete_quadric_pair(tail) -> tuple[FieldElement, FieldElement] | None:
         tail = tuple(tail)
         ctx = tail[0].ctx
         codes = map(ctx.element_index, tail)
-    counts = Counter(codes)
-    s, q = _sums(ctx, counts.keys(), counts.values())
+    s, q = ctx.sums(codes)
     disc = -(s * s) - q - q
     root = disc.sqrt()
     if root is None:

@@ -30,9 +30,10 @@ class SplitMix64:
         """count uniform integers in [0, n), each by rejection so draws are
         unbiased: an output at or above the largest multiple of n that fits
         in 64 bits is discarded and the next one taken. The stream advances
-        exactly as count calls of `below(n)` would."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        exactly as count calls of `below(n)` would. n must lie in [1, 2^64]:
+        above 2^64 that multiple is 0 and every output would be rejected."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2^64], got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         state = self._state
         out = []

@@ -32,7 +32,7 @@ from itertools import chain
 from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, check_characteristic, field_make
 from .profile import BinaryProfile
-from .quadric import AmbientPoint, _sums
+from .quadric import AmbientPoint
 
 
 def weights_mod_p(profile: BinaryProfile, p: int) -> tuple[int, ...]:
@@ -63,10 +63,10 @@ class BlockSolution:
 
 def evaluate_system(sol: BlockSolution) -> tuple[FieldElement, FieldElement]:
     """Re-evaluate both sums exactly; (0, 0) iff the solution is valid. They
-    are the power sums of the lift (c_i repeated 2^(m_i) times), on quadric's
+    are the power sums of the lift (c_i repeated 2^(m_i) times), on gf's
     kernel with multiplicities w_i mod p, nonnegative for any integer w_i."""
     ctx = sol.ctx
-    return _sums(ctx, map(ctx.element_index, sol.c), [w % ctx.p for w in sol.weights])
+    return ctx.sums(map(ctx.element_index, sol.c), [w % ctx.p for w in sol.weights])
 
 
 def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
@@ -94,8 +94,7 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
         return (e, e) + (zero,) * (r - 2)
     slices = [(e, zero)]
     if r >= 5:
-        packed = map(ctx._packed_at, range(ctx.size))  # code order, none decoded
-        slices = chain(slices, ((FieldElement(ctx, x), e) for x in packed))
+        slices = chain(slices, ((x, e) for x in ctx.elements()))
     for c3, c4 in slices:
         m = c3 * w3 + c4 * w4
         n = c3 * c3 * w3 + c4 * c4 * w4

@@ -8,11 +8,72 @@ power and the Tonelli-Shanks square root below are built on it alone, with
 the same canonical choice of root (the lex-smaller coefficient tuple).
 test_kernels.py pins the kernel's sum, difference, negation, product, square,
 power and root to these.
+
+`smallest_irreducible` is an independent modulus search: the gcd form of
+Rabin's test, run on this module's arithmetic in the candidate's own ring.
 """
 
 import functools
+from collections import namedtuple
+from itertools import product
 
-from quadcert.gf import _poly_divmod_rem
+# the fields of `mul` and `power`: a FieldCtx, or a candidate ring
+Ring = namedtuple("Ring", "p k modulus")
+
+
+def _poly_divmod_rem(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod f for a monic f, as a list of len(f) - 1 coefficients."""
+    a = a[:]
+    deg_f = len(f) - 1
+    for d in range(len(a) - 1, deg_f - 1, -1):
+        c = a[d]
+        if c:
+            a[d] = 0
+            for i in range(deg_f):
+                a[d - deg_f + i] = (a[d - deg_f + i] - c * f[i]) % p
+    del a[deg_f:]
+    return a + [0] * (deg_f - len(a))
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b, trailing zero coefficients dropped (the empty list is 0)."""
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(a[:]), trim(b[:])
+    while b:
+        inv_lead = pow(b[-1], p - 2, p)
+        a, b = b, trim(_poly_divmod_rem(a, [c * inv_lead % p for c in b], p))
+    return a
+
+
+def _prime_factors(n: int) -> list[int]:
+    return [d for d in range(2, n + 1) if n % d == 0 and all(d % e for e in range(2, d))]
+
+
+def is_irreducible(f: list[int], p: int, k: int) -> bool:
+    """Rabin: x^(p^k) = x mod f, and gcd(x^(p^(k/l)) - x, f) = 1 for every
+    prime l dividing k, the powers taken with `power` modulo f."""
+    ring = Ring(p, k, tuple(f))
+    x = (0, 1) + (0,) * (k - 2)
+    if power(ring, x, p**k) != x:
+        return False
+    return all(
+        len(_poly_gcd(list(sub(ring, power(ring, x, p ** (k // ell)), x)), f, p)) == 1
+        for ell in _prime_factors(k)
+    )
+
+
+def smallest_irreducible(p: int, k: int) -> tuple:
+    """The lex-smallest monic irreducible of degree k >= 2, coefficients low
+    degree first, c_0 compared first and starting at 1."""
+    for low in product(range(1, p), *[range(p)] * (k - 1)):
+        if is_irreducible(list(low) + [1], p, k):
+            return tuple(low) + (1,)
+    raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
 
 def add(ctx, a: tuple, b: tuple) -> tuple:

@@ -5,8 +5,15 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from _fieldref import _poly_divmod_rem, smallest_irreducible
 from quadcert.errors import EvenCharacteristicError, NotPrimeError
-from quadcert.gf import _is_irreducible, _poly_divmod_rem, check_characteristic, field_make
+from quadcert.gf import (
+    SIZE_LIMIT,
+    _is_irreducible,
+    _prime_factors,
+    check_characteristic,
+    field_make,
+)
 from quadcert.rng import SplitMix64
 
 
@@ -68,6 +75,21 @@ FROZEN_LARGER_MODULI = {
 def test_modulus_frozen(key, expected):
     p, k = key
     assert field_make(p, k).modulus == expected
+
+
+def test_modulus_matches_the_gcd_search_of_the_reference():
+    # every GF(p^k), k >= 2, up to the size limit: the unit test of the
+    # package's Rabin step against the gcd on the reference's own arithmetic
+    fields = [
+        (p, k)
+        for p in range(3, 1 << 10)
+        if _prime_factors(p) == [p]
+        for k in range(2, 20)
+        if p**k <= SIZE_LIMIT
+    ]
+    assert len(fields) == 223
+    for p, k in fields:
+        assert field_make(p, k).modulus == smallest_irreducible(p, k), (p, k)
 
 
 def test_modulus_is_deterministic():
@@ -398,6 +420,22 @@ def test_prime_subfield_elements_hash_like_their_residues(p, k):
         assert hash(ctx.el(c)) == hash(c)
         assert c in {ctx.el(c)}
         assert ctx.el(c) in {c}
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
+def test_int_equality_agrees_with_hash(p, k):
+    # an int equals an element only when it is that element's residue, so
+    # equal values hash alike; arithmetic still reduces an int mod p
+    ctx = field_make(p, k)
+    for x in ctx.elements():
+        for c in range(-3 * p, 3 * p):
+            equal = 0 <= c < p and x == ctx.el(c)
+            assert (x == c) is equal and (c == x) is equal
+            if equal:
+                assert hash(x) == hash(c) and c in {x}
+            else:
+                assert c not in {x}
+    assert field_make(31).el(3) != 34 and field_make(31).el(3) + 34 == 6
 
 
 def test_cross_field_operations_rejected():

@@ -114,6 +114,29 @@ def test_codes_pack_and_read_back(p, k):
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_coefficient_rows_are_the_elements_json(p, k):
+    ctx = field_make(p, k)
+    rng = SplitMix64(31 * p + k)
+    codes = [0, ctx.size - 1] + rng.draw(ctx.size, 40)
+    assert ctx.coefficient_rows(codes) == [ctx.element_at(c).to_json() for c in codes]
+    assert ctx.coefficient_rows(iter(codes)) == ctx.coefficient_rows(codes)
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_sums_count_repeated_codes_like_multiplicities(p, k):
+    # mults default to one and codes may repeat: the sums are linear
+    ctx = field_make(p, k)
+    rng = SplitMix64(37 * p + k)
+    codes = rng.draw(ctx.size, 12)
+    mults = [rng.below(50) for _ in codes]
+    repeated = [c for c, m in zip(codes, mults) for _ in range(m)]
+    xs = [ctx.element_at(c) for c in repeated]
+    expected = (sum(xs, ctx.zero), sum((x * x for x in xs), ctx.zero))
+    assert ctx.sums(codes, mults) == ctx.sums(repeated) == expected
+    assert ctx.sums([]) == (ctx.zero, ctx.zero)
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
 def test_affine_codes_match_field_operations(p, k):
     ctx = field_make(p, k)
     xs = _elements(ctx, 30, 23 * p + k)
@@ -123,7 +146,7 @@ def test_affine_codes_match_field_operations(p, k):
         (g.alpha, g.beta) for g in (random_affine(ctx, rng) for _ in range(5))
     ]:
         expected = [ctx.element_index(alpha * x + beta) for x in xs]
-        assert ctx._affine_codes(alpha, beta, codes) == expected
+        assert ctx.affine_codes(alpha, beta, codes) == expected
 
 
 # --- points as codes ------------------------------------------------------------

@@ -106,7 +106,9 @@ def test_draw_count_zero_and_bad_bound():
     r = SplitMix64(5)
     assert r.draw(7, 0) == []
     assert r.next_u64() == SplitMix64(5).next_u64()
-    for n in (0, -3):
+    # above 2^64 no output is below the largest multiple of n that fits in
+    # 64 bits (it is 0), so the loop would never return
+    for n in (0, -3, 2**64 + 1, 2**65):
         with pytest.raises(ValueError):
             r.draw(n, 1)
         with pytest.raises(ValueError):
