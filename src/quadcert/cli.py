@@ -248,7 +248,7 @@ def _cmd_solve(args):
     lift = None
     on_quad = False
     if args.command == "construct":
-        lift = lift_block_solution(sol.profile, sol)
+        lift = lift_block_solution(sol)
         s1, s2 = power_sums(lift)
         on_quad = s1.is_zero() and s2.is_zero()
         payload["lift"] = lift.to_json()
@@ -315,7 +315,7 @@ def _cmd_certify(args):
     block_ok = True
     if decision.applies:
         sol = solve_block_system(binary_profile(args.n), args.p)
-        lift = lift_block_solution(sol.profile, sol)
+        lift = lift_block_solution(sol)
         block_checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
         block_ok = all(passed for _, passed in block_checks)
         block_json = sol.to_json()

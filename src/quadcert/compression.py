@@ -47,8 +47,9 @@ does. rank_certificate still evaluates every row and checks J.1 = 0 and
 J.x = 0 at the point, since those identities are what make ker dY equal to
 span(1, x): a wrong Jacobian, wrong field arithmetic or a wrong sampler
 raises instead of yielding a rank read off a formula in (n, p).
-generator_jacobian, compression_jacobian and the elimination in `linalg`
-stay as library functions and as the tests' oracle.
+compression_jacobian and `linalg`'s elimination are not exported from the
+package: the tests eliminate that full Jacobian, and a generator Jacobian
+they build themselves, as the certificate's oracle.
 """
 
 from __future__ import annotations
@@ -214,21 +215,6 @@ def _generator_rows(xs) -> list[tuple[FieldElement, FieldElement, FieldElement]]
     isq = inv * inv
     minus_inv = -inv
     return [((xi - x2) * isq, (x1 - xi) * isq, minus_inv) for xi in xs[2:]]
-
-
-def generator_jacobian(a: AmbientPoint) -> Matrix:
-    """Exact Jacobian of the generators y_i = (x_1 - x_i)/(x_1 - x_2),
-    i = 3, ..., n: row i - 3 is the row of compression_jacobian at the triple
-    (1, i, 2), with the entries of _generator_rows. Same rank as the full
-    Jacobian, on the whole space and on any subspace (module docstring)."""
-    n = a.n
-    zero = a.ctx.zero
-    entries: list[FieldElement] = []
-    for i, (d1, d2, di) in enumerate(_generator_rows(a.coords), start=2):
-        row = [zero] * n
-        row[0], row[1], row[i] = d1, d2, di
-        entries.extend(row)
-    return Matrix(n - 2, n, entries, a.ctx)
 
 
 def gram_rank(n: int, s1: FieldElement, s2: FieldElement) -> int:

@@ -35,9 +35,9 @@ sum m X^2 is at most n k (p - 1)^2, so w = (n k (p - 1)^2).bit_length() bits
 hold it and no packed digit carries into the next. The kernel accumulates
 s_1 = sum m X and s_2 = sum m X X and hands each sum once to `_reduce`, which
 reads its k or 2k - 1 digits of w bits, takes them mod p and folds the high
-degrees through the modulus. Over GF(p) the packing is the identity. A lifted
-point with thousands of coordinates but a dozen distinct values costs a dozen
-integer products, not thousands of field operations.
+degrees through the modulus. Over GF(p) the packing is the identity. The block
+system passes its dozen c_i with multiplicities w_i, so the sums of a lift of
+thousands of coordinates cost a dozen integer products.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import add, floordiv, lshift, mod, mul
+from operator import add, floordiv, index, lshift, mod, mul
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
@@ -269,15 +269,15 @@ class FieldCtx:
     # --- construction helpers ---
 
     def el(self, value) -> FieldElement:
-        """Make an element from an int (the prime-subfield embedding) or a
-        coefficient list, low degree first."""
+        """Make an element from an int (the prime-subfield embedding) or a list
+        of int coefficients, low degree first (a float or a str raises TypeError)."""
         if isinstance(value, FieldElement):
             if value.ctx == self:
                 return value
             raise ValueError("element from a different field")
         if isinstance(value, int):
             return FieldElement(self, value % self.p)
-        coeffs = [int(c) % self.p for c in value]
+        coeffs = [index(c) % self.p for c in value]
         if len(coeffs) > self.k:
             raise ValueError(f"coefficient list longer than degree {self.k}")
         return FieldElement(self, self._pack(coeffs))
@@ -379,10 +379,10 @@ class FieldCtx:
 
     def sums(self, codes, mults=None) -> tuple[FieldElement, FieldElement]:
         """(sum, square sum) of the elements with these codes, each counted
-        with its multiplicity (nonnegative, one by default; codes may repeat,
-        the sums are linear), in plain integers, reduced once (module docstring)."""
+        with its multiplicity mod p (one by default; codes may repeat, the
+        sums are linear), in plain integers, reduced once (module docstring)."""
         codes = list(codes)
-        mults = None if mults is None else list(mults)
+        mults = None if mults is None else [m % self.p for m in mults]
         n = len(codes) if mults is None else sum(mults)
         w = (n * self.k * (self.p - 1) ** 2).bit_length()
         packed = self._pack_codes(codes, w)

@@ -11,7 +11,7 @@ built on the field's first elimination: under 1 ms at GF(31) and GF(81),
 A property test pins the kernel to an object-level elimination in tests/.
 Rank certificates read their ranks off the generator Jacobian's structure
 (`compression`), so no CLI command eliminates or builds the tables; this
-module is the library's elimination and the oracle of those certificates.
+module is not exported from the package and is the tests' oracle for them.
 """
 
 from __future__ import annotations

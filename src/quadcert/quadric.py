@@ -7,25 +7,24 @@ where two coordinates collide; the small diagonal is the constant vectors,
 and it is exactly where the quadric is singular.
 
 A point is held as the codes of its coordinates (see `gf`): the sampler
-draws codes, a lift repeats them, affine moves map them, and sums, collision
+draws codes, a lift repeats them, affine moves map them, and collision
 tests and JSON work per distinct code. `FieldElement`s are the boundary.
 
-Both power sums come from `FieldCtx.sums`, which packs each distinct code
-once, with its count as multiplicity (the kernel is described in `gf`). It
-also serves the block system, whose two sums are those of its lift
-(`trace_system`): the c_i with multiplicities w_i = 2^(m_i) mod p.
+Both power sums come from `FieldCtx.sums`, in plain integers with one
+reduction per sum (the kernel is described in `gf`). It also serves the
+block system, whose two sums are those of its lift (`trace_system`): the
+c_i with multiplicities w_i = 2^(m_i) mod p.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NoPointFoundError, NotOnQuadricError, UsageError
 from .gf import FieldCtx, FieldElement
 # kernel_basis is no longer called here; the benchmark tracer wraps it in this
 # namespace and tests/test_trace_targets.py pins that (ROADMAP items 1 and 5)
-from .linalg import Matrix, kernel_basis
+from .linalg import kernel_basis
 from .rng import SplitMix64
 
 
@@ -72,8 +71,7 @@ class AmbientPoint:
 
 def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:
     """(sum of coordinates, sum of squared coordinates), exactly."""
-    counts = Counter(a.codes)
-    return a.ctx.sums(counts.keys(), counts.values())
+    return a.ctx.sums(a.codes)
 
 
 def on_quadric(a: AmbientPoint) -> bool:
@@ -89,15 +87,6 @@ def in_discriminant(a: AmbientPoint) -> bool:
 def in_small_diagonal(a: AmbientPoint) -> bool:
     """True iff all coordinates are equal."""
     return a.codes.count(a.codes[0]) == a.n
-
-
-def smoothness_matrix(a: AmbientPoint) -> Matrix:
-    """The 2 x n matrix of gradients of the two defining sums: rows (1,...,1)
-    and (2 x_1, ..., 2 x_n)."""
-    ctx = a.ctx
-    one = ctx.one
-    two = ctx.el(2)
-    return Matrix(2, a.n, [one] * a.n + [two * x for x in a.coords], ctx)
 
 
 def smoothness_rank(a: AmbientPoint) -> int:

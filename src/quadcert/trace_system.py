@@ -64,9 +64,9 @@ class BlockSolution:
 def evaluate_system(sol: BlockSolution) -> tuple[FieldElement, FieldElement]:
     """Re-evaluate both sums exactly; (0, 0) iff the solution is valid. They
     are the power sums of the lift (c_i repeated 2^(m_i) times), on gf's
-    kernel with multiplicities w_i mod p, nonnegative for any integer w_i."""
+    kernel with multiplicities w_i."""
     ctx = sol.ctx
-    return ctx.sums(map(ctx.element_index, sol.c), [w % ctx.p for w in sol.weights])
+    return ctx.sums(map(ctx.element_index, sol.c), sol.weights)
 
 
 def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
@@ -137,7 +137,7 @@ def solve_block_system(profile: BinaryProfile, p: int) -> BlockSolution:
     )
 
 
-def lift_block_solution(profile: BinaryProfile, sol: BlockSolution) -> AmbientPoint:
+def lift_block_solution(sol: BlockSolution) -> AmbientPoint:
     """Repeat c_i across 2^(m_i) consecutive coordinates, blocks in profile
     order. The lift has coordinate sum and square sum equal to the two system
     sums, hence zero, and it avoids the constant-vector locus because some
@@ -145,8 +145,7 @@ def lift_block_solution(profile: BinaryProfile, sol: BlockSolution) -> AmbientPo
     are refused before any is allocated: memory grows linearly with n, and
     a point with pairwise distinct coordinates, the kind certify samples,
     cannot be longer than the largest field anyway."""
-    if profile != sol.profile:
-        raise InvalidProfileError("solution belongs to a different profile")
+    profile = sol.profile
     if profile.n > SIZE_LIMIT:
         raise UsageError(
             f"a lift of n={profile.n} coordinates exceeds the limit {SIZE_LIMIT}"

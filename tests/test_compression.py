@@ -13,7 +13,6 @@ from quadcert.quadric import (
     on_quadric,
     power_sums,
     sample_quadric_point,
-    smoothness_matrix,
     tangent_basis,
 )
 from quadcert.actions import AffineMap, affine_act, permute, random_affine, random_permutation
@@ -22,7 +21,6 @@ from quadcert.compression import (
     compress,
     compression_jacobian,
     faithfulness_witness,
-    generator_jacobian,
     gram_rank,
     ordered_triples,
     permute_image,
@@ -31,6 +29,7 @@ from quadcert.compression import (
 )
 from quadcert.rng import SplitMix64
 from tests._dualnum import Dual, lift_const, lift_var
+from _jacobianref import generator_matrix, gradient_matrix
 
 
 F11 = field_make(11)
@@ -222,11 +221,14 @@ def test_generator_rows_against_full_jacobian(p, k, n):
     for seed in range(2):
         a = sample_quadric_point(n, ctx, seed=1000 * n + seed)
         full = compression_jacobian(a)
-        gen = generator_jacobian(a)
+        gen = generator_matrix(a)
         pos = triple_positions(n)
         assert (gen.rows, gen.cols) == (n - 2, n)
-        for i in range(3, n + 1):
-            assert gen.row(i - 3) == full.row(pos[(1, i, 2)])
+        rows = quadcert.compression._generator_rows(a.coords)
+        for i, (d1, d2, di) in enumerate(rows, start=3):
+            row = full.row(pos[(1, i, 2)])
+            assert (row[0], row[1], row[i - 1]) == (d1, d2, di)
+            assert gen.row(i - 3) == row
         tangent = tangent_basis(a)
         ambient, restricted = rank(full), restricted_rank(full, tangent)
         assert rank(gen) == ambient
@@ -237,11 +239,11 @@ def test_generator_rows_against_full_jacobian(p, k, n):
 
 
 def test_generator_jacobian_pin():
-    gen = generator_jacobian(BASE)
-    assert (gen.rows, gen.cols) == (3, 5)
+    rows = quadcert.compression._generator_rows(BASE.coords)
+    assert len(rows) == 3
     # row of (1, 3, 2) at x = (9, 5, 1, 3, 4) over GF(11), 1/(x_1 - x_2) = 3:
     # (x_3 - x_2) 3^2 = 8, (x_1 - x_3) 3^2 = 6, -3 = 8
-    assert [e.coeffs[0] for e in gen.row(0)] == [8, 6, 8, 0, 0]
+    assert [e.coeffs[0] for e in rows[0]] == [8, 6, 8]
 
 
 # (p, k, n) for the elimination oracle: GF(7), GF(31), GF(3^4), GF(5^4) and
@@ -284,7 +286,7 @@ def test_structured_certificate_matches_elimination(p, k, n):
     # the O(n) certificate and the elimination oracle agree on every rank
     for a in _quadric_points(p, k, n, 3):
         assert on_quadric(a)
-        jac, tangent = generator_jacobian(a), tangent_basis(a)
+        jac, tangent = generator_matrix(a), tangent_basis(a)
         cert = rank_certificate(a)
         assert cert.ambient_rank == rank(jac)
         assert cert.tangent_dim == len(tangent)
@@ -314,7 +316,7 @@ def test_gram_lemma_off_the_quadric():
             a = _distinct_point(ctx, min(n, ctx.size - 1), rng)
             s1, s2 = power_sums(a)
             g = gram_rank(a.n, s1, s2)
-            oracle = restricted_rank(generator_jacobian(a), kernel_basis(smoothness_matrix(a)))
+            oracle = restricted_rank(generator_matrix(a), kernel_basis(gradient_matrix(a)))
             assert a.n - 4 + g == oracle
             seen.add((g, s1.is_zero(), s2.is_zero()))
     assert {(2, False, False), (1, False, False)} <= seen

@@ -29,7 +29,7 @@ FROZEN_MODULI = {
     (11, 1): (0, 1),
 }
 # the larger fields of the golden files and the log-table tests; composite
-# k runs the gcd step of the irreducibility test. After them, in insertion
+# k runs the unit step of the irreducibility test. After them, in insertion
 # order (the test ids are positional), every other GF(p^k) with
 # p in {3, 5, 7, 11, 13} and p^k <= 2^20, among them every field the cli-mix
 # workload draws; pinned from the earlier search, which walked all of c_0 = 0
@@ -319,7 +319,7 @@ def _gauss_count(p, k):
     [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (13, 2)],
 )
 def test_irreducible_count_matches_gauss(p, k):
-    # every monic f of degree k, c_0 = 0 included; k = 4 and 6 need the gcd
+    # every monic f of degree k, c_0 = 0 included; k = 4 and 6 need the unit
     # step, and a wrong exponent in either power miscounts
     accepted = sum(
         _is_irreducible(list(low) + [1], p, k) for low in product(range(p), repeat=k)
@@ -436,6 +436,17 @@ def test_int_equality_agrees_with_hash(p, k):
             else:
                 assert c not in {x}
     assert field_make(31).el(3) != 34 and field_make(31).el(3) + 34 == 6
+
+
+def test_el_takes_only_int_coefficients():
+    # a float coefficient is not truncated, and a string is not read as its
+    # characters; a bool or an int subclass is an int
+    f81 = field_make(3, 4)
+    with pytest.raises(TypeError):
+        f81.el([1.5, 2.9])
+    with pytest.raises(TypeError):
+        f81.el("12")
+    assert f81.el([True, 5]) == f81.el([1, 2])
 
 
 def test_cross_field_operations_rejected():

@@ -73,17 +73,16 @@ def test_golden_certificate(tmp_path, stem, argv, code):
     assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
 
 
-@pytest.mark.parametrize("stem", ["certify_15_gf81", "certify_15_gf31_control"])
-def test_certify_runs_no_elimination_and_builds_no_tables(tmp_path, monkeypatch, stem):
-    # the rank certificate is read off the generator rows' structure: with
-    # elimination and the log tables made to raise, certify still
-    # reproduces its golden file
+@pytest.mark.parametrize("stem, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_no_command_eliminates_or_builds_tables(tmp_path, monkeypatch, stem, argv, code):
+    # the rank certificate is read off the generator rows' structure and the
+    # tangent basis is written down directly: with elimination and the log
+    # tables made to raise, every command still reproduces its golden file
     def forbidden(*args):
-        raise AssertionError("certify must not eliminate or build tables")
+        raise AssertionError("no command may eliminate or build tables")
 
     monkeypatch.setattr(quadcert.linalg, "_rref", forbidden)
     monkeypatch.setattr(quadcert.gf.FieldCtx, "tables", forbidden)
-    _, argv, code = next(case for case in CASES if case[0] == stem)
     out = tmp_path / f"{stem}.json"
     assert _run(argv, out) == code
     assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()

@@ -15,6 +15,7 @@ every certificate step and the block solver with it.
 import pytest
 
 import _fieldref as ref
+from _jacobianref import gradient_matrix
 from quadcert.actions import AffineMap, affine_act, invariance_report, random_affine
 from quadcert.compression import faithfulness_witness, rank_certificate
 from quadcert.gf import FieldCtx, field_make
@@ -25,7 +26,6 @@ from quadcert.quadric import (
     complete_quadric_pair,
     power_sums,
     sample_quadric_point,
-    smoothness_matrix,
     tangent_basis,
 )
 from quadcert.rng import SplitMix64
@@ -136,6 +136,30 @@ def test_sums_count_repeated_codes_like_multiplicities(p, k):
     assert ctx.sums([]) == (ctx.zero, ctx.zero)
 
 
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 4)])
+def test_sums_take_any_integer_multiplicity(p, k):
+    # a negative multiplicity m counts -m copies subtracted, against the
+    # element loop of repeated additions and subtractions
+    ctx = field_make(p, k)
+    xs = _elements(ctx, 3, 41 * p + k)
+    codes = [ctx.element_index(x) for x in xs]
+
+    def times(m, x):
+        out = ctx.zero
+        for _ in range(abs(m)):
+            out = out + x if m > 0 else out - x
+        return out
+
+    for m in range(-3 * p, 3 * p):
+        for i in range(len(xs)):
+            mults = [m if j == i else j - 2 for j in range(len(xs))]
+            expected = (
+                sum(map(times, mults, xs), ctx.zero),
+                sum(map(times, mults, (x * x for x in xs)), ctx.zero),
+            )
+            assert ctx.sums(codes, mults) == expected
+
+
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
 def test_affine_codes_match_field_operations(p, k):
     ctx = field_make(p, k)
@@ -241,7 +265,7 @@ def test_tangent_basis_is_the_echelon_kernel(p, k, n):
     ctx = field_make(p, k)
     for seed in range(3):
         for a in _on_quadric_points(ctx, n, seed):
-            assert tangent_basis(a) == kernel_basis(smoothness_matrix(a))
+            assert tangent_basis(a) == kernel_basis(gradient_matrix(a))
 
 
 def test_tangent_basis_builds_no_tables_over_a_large_prime_field():
@@ -250,7 +274,7 @@ def test_tangent_basis_builds_no_tables_over_a_large_prime_field():
     basis = tangent_basis(a)
     assert len(basis) == 8
     assert ctx._tables is None
-    m = smoothness_matrix(a)
+    m = gradient_matrix(a)
     for v in basis:
         for i in range(2):
             assert sum((x * y for x, y in zip(m.row(i), v)), ctx.zero).is_zero()
@@ -283,4 +307,4 @@ def test_certificates_and_solver_never_decode_an_element(monkeypatch):
         prof = binary_profile(n)
         sol = solve_block_system(prof, p)
         assert evaluate_system(sol) == (sol.ctx.zero, sol.ctx.zero)
-        assert lift_block_solution(prof, sol).n == n
+        assert lift_block_solution(sol).n == n

@@ -20,11 +20,11 @@ from quadcert.quadric import (
     on_quadric,
     power_sums,
     sample_quadric_point,
-    smoothness_matrix,
     smoothness_rank,
     tangent_basis,
 )
 from quadcert.trace_system import lift_block_solution, solve_block_system
+from _jacobianref import gradient_matrix
 
 
 def pt(ctx, vals):
@@ -49,10 +49,6 @@ def test_membership_pins():
 
 
 def test_smoothness_at_base_point():
-    m = smoothness_matrix(BASE)
-    assert (m.rows, m.cols) == (2, 5)
-    assert [e.coeffs[0] for e in m.row(0)] == [1] * 5
-    assert [e.coeffs[0] for e in m.row(1)] == [7, 10, 2, 6, 8]  # 2 * coords
     assert smoothness_rank(BASE) == 2
 
 
@@ -87,7 +83,7 @@ def test_small_diagonal_checks_every_coordinate(p, k):
 def test_tangent_basis():
     basis = tangent_basis(BASE)
     assert len(basis) == 3  # n - 2 at a smooth point
-    m = smoothness_matrix(BASE)
+    m = gradient_matrix(BASE)
     zero2 = (F11.zero, F11.zero)
     for v in basis:
         assert matvec(m, v) == zero2
@@ -364,7 +360,7 @@ def test_sums_at_the_widest_packing(p, k, n):
 
 def test_sums_on_the_4095_coordinate_lift():
     prof = binary_profile(4095)
-    lift = lift_block_solution(prof, solve_block_system(prof, 3))
+    lift = lift_block_solution(solve_block_system(prof, 3))
     f3 = field_make(3)
     assert power_sums(lift) == _power_sums_oracle(lift.coords) == (f3.zero, f3.zero)
     _check_sums((_top(f3),) * 4095)

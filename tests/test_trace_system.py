@@ -175,7 +175,7 @@ def test_solver_answers_every_gate_input(case):
         assert prof.r == 4 and p * p > SIZE_LIMIT
         assert f"field size {p}^2 exceeds the limit" in str(exc)
         return
-    lift = lift_block_solution(prof, sol)
+    lift = lift_block_solution(sol)
     checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
     assert len(checks) == 6 and all(passed for _, passed in checks)
 
@@ -279,7 +279,7 @@ def test_invalid_profiles():
 def test_lift_pin():
     prof = binary_profile(15)
     sol = solve_block_system(prof, 3)
-    lifted = lift_block_solution(prof, sol)
+    lifted = lift_block_solution(sol)
     assert [e.coeffs[0] for e in lifted.coords] == [1] * 12 + [0] * 3
     assert on_quadric(lifted)
     assert not in_small_diagonal(lifted)
@@ -288,7 +288,7 @@ def test_lift_pin():
 def test_lift_block_structure():
     prof = binary_profile(45)
     sol = solve_block_system(prof, 5)
-    lifted = lift_block_solution(prof, sol)
+    lifted = lift_block_solution(sol)
     assert lifted.n == 45
     pos = 0
     for size, c in zip(prof.block_sizes(), sol.c):
