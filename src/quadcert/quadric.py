@@ -25,7 +25,7 @@ from .gf import FieldCtx, FieldElement
 # kernel_basis is no longer called here; the benchmark tracer wraps it in this
 # namespace and tests/test_trace_targets.py pins that (ROADMAP items 1 and 5)
 from .linalg import kernel_basis
-from .rng import SplitMix64
+from .rng import LANES, SplitMix64
 
 
 @dataclass(frozen=True, init=False)
@@ -159,7 +159,11 @@ def sample_quadric_point(
     completes the pair (x_1, x_2) from those codes, and retries on a
     nonsquare discriminant or any coordinate collision, found by code. A try
     always draws all n - 2 codes, so the seed fixes the stream of tries; no
-    code is decoded to an element. Raises
+    code is decoded to an element. Tries are drawn ahead in batches of 1, 2,
+    4, ... tries, each batch one `draw` of at most `LANES` codes (or of one
+    try), sliced n - 2 codes a try. A `draw` returns the stream's next codes
+    whatever its count, so batching never changes which codes a try gets,
+    and no batch holds more tries than the ones before it plus one. Raises
     NoPointFoundError after max_tries, or at once when n exceeds the field
     size (n pairwise distinct coordinates need n elements); over small fields
     the locus can be genuinely empty, so the message suggests retrying over
@@ -178,19 +182,26 @@ def sample_quadric_point(
             f"and the field has {ctx.size}; retry over an extension field (larger k)"
         )
     rng = SplitMix64(seed)
-    size = ctx.size
-    for _ in range(max_tries):
-        tail = tuple(rng.draw(size, n - 2))
-        drawn = set(tail)
-        if len(drawn) < n - 2:
-            continue
-        pair = complete_quadric_pair(AmbientPoint.from_codes(ctx, tail))
-        if pair is None:
-            continue
-        c1, c2 = map(ctx.element_index, pair)
-        if c1 == c2 or c1 in drawn or c2 in drawn:
-            continue
-        return AmbientPoint.from_codes(ctx, (c1, c2) + tail)
+    size, width = ctx.size, n - 2
+    most = max(1, LANES // width)
+    batch, left = 1, max_tries
+    while left > 0:
+        tries = min(batch, left)
+        codes = rng.draw(size, tries * width)
+        for start in range(0, tries * width, width):
+            tail = tuple(codes[start : start + width])
+            drawn = set(tail)
+            if len(drawn) < width:
+                continue
+            pair = complete_quadric_pair(AmbientPoint.from_codes(ctx, tail))
+            if pair is None:
+                continue
+            c1, c2 = map(ctx.element_index, pair)
+            if c1 == c2 or c1 in drawn or c2 in drawn:
+                continue
+            return AmbientPoint.from_codes(ctx, (c1, c2) + tail)
+        left -= tries
+        batch = min(2 * batch, most)
     raise NoPointFoundError(
         f"no distinct-coordinate point on the quadric found for n={n} over {ctx!r} "
         f"in {max_tries} tries; the locus may be empty here, retry over an "

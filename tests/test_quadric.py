@@ -1,6 +1,7 @@
 """Points with vanishing first two power sums: membership, smoothness, sampling."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from quadcert.errors import NoPointFoundError, NotOnQuadricError
 from quadcert.gf import field_make
 from quadcert.linalg import matvec
 from quadcert.profile import binary_profile
-from quadcert.rng import SplitMix64
+from quadcert.rng import LANES, SplitMix64
 from quadcert.quadric import (
     AmbientPoint,
     complete_quadric_pair,
@@ -287,18 +288,14 @@ def test_sums_match_oracle_on_the_construct_15_3_lift():
     assert power_sums(lift8) == _power_sums_oracle(lift8.coords) == (f3.el(2), f3.el(2))
 
 
+# (15, 31, 1) is the certify-gap control: about 160 tries a point, most of
+# them lost to code collisions
 SAMPLER_CASES = [
     (n, p, 1) for p in (7, 11) for n in (5, 6, 7)
-] + [(15, 3, 4), (15, 5, 4)]
+] + [(15, 3, 4), (15, 5, 4), (15, 31, 1)]
 
 
-@pytest.mark.parametrize("n,p,k", SAMPLER_CASES)
-def test_sampler_stream_matches_tail_first_oracle(n, p, k, monkeypatch):
-    # the sampler rejects colliding index draws before decoding them; the
-    # stream of tries, the completions made and the points found must be
-    # those of the loop that decoded every tail first, at the default budget
-    # and at a budget of 3 tries
-    ctx = field_make(p, k)
+def _check_sampler_against_oracle(n, ctx, seeds, budgets, monkeypatch):
     calls = []
 
     def counted(tail):
@@ -306,8 +303,8 @@ def test_sampler_stream_matches_tail_first_oracle(n, p, k, monkeypatch):
         return complete_quadric_pair(tail)
 
     monkeypatch.setattr(quadric_module, "complete_quadric_pair", counted)
-    for seed in range(50):
-        for budget in (default_max_tries(ctx), 3):
+    for seed in seeds:
+        for budget in budgets:
             expected, completions = _sample_oracle(n, ctx, seed, budget)
             calls.clear()
             if expected is None:
@@ -316,6 +313,43 @@ def test_sampler_stream_matches_tail_first_oracle(n, p, k, monkeypatch):
             else:
                 assert sample_quadric_point(n, ctx, seed, budget).coords == expected
             assert len(calls) == completions
+
+
+@pytest.mark.parametrize("n,p,k", SAMPLER_CASES)
+def test_sampler_stream_matches_tail_first_oracle(n, p, k, monkeypatch):
+    # the sampler rejects colliding index draws before decoding them and
+    # draws its tries ahead in batches of 1, 2, 4, ... tries; the stream of
+    # tries, the completions made and the points found must be those of the
+    # loop that decoded every tail first, one below() at a time, at the
+    # default budget and at budgets that end inside a batch and after 1, 3,
+    # 7 and 15 tries, where batches end
+    ctx = field_make(p, k)
+    budgets = (default_max_tries(ctx), 1, 2, 3, 4, 7, 8, 15)
+    _check_sampler_against_oracle(n, ctx, range(50), budgets, monkeypatch)
+
+
+def test_sampler_stream_matches_oracle_when_a_try_spans_lane_passes(monkeypatch):
+    # n - 2 codes a try above LANES: every try is a draw of several lane
+    # passes. Over GF(3^12) about a third of the tries have distinct codes:
+    # of these seeds, 0, 3 and 10 complete a pair and 8 finds a point
+    n, ctx = 1100, field_make(3, 12)
+    assert n - 2 > LANES
+    _check_sampler_against_oracle(n, ctx, range(12), (2,), monkeypatch)
+
+
+def test_failing_search_draws_in_bounded_memory():
+    # 3000 tries at n = 99 over GF(3^5), nearly all lost to collisions, are
+    # drawn ahead in batches of at most LANES codes, so a long failing search
+    # holds no more than one batch at a time
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with pytest.raises(NoPointFoundError):
+            sample_quadric_point(99, field_make(3, 5), seed=1, max_tries=3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # --- the packing width of the Kronecker kernel -------------------------------

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from quadcert.rng import SplitMix64
+from quadcert.rng import LANES, SplitMix64
 
 
 def test_same_seed_same_stream():
@@ -81,13 +81,49 @@ def test_below_stream_pin(n, head, digest):
     assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
 
 
+# draw counts around the lane pass: the smallest passes, a sampler try at
+# n = 15, one lane short of a full pass, a full pass, and counts that take
+# two and three passes
+LANE_COUNTS = (2, 3, 13, 64, LANES - 1, LANES, LANES + 1, 2 * LANES + 7)
+
+
 @pytest.mark.parametrize("n", [pin[0] for pin in BELOW_PINS])
 def test_batched_draw_matches_single_draws(n):
-    # one draw(n, 64) returns the values of 64 below(n) calls and leaves the
-    # stream where they leave it
+    # one draw(n, count) returns the values of count below(n) calls and
+    # leaves the stream where they leave it; at 2^63 + 1 about half of the
+    # raw outputs are rejected, so a pass of more than a few lanes runs the
+    # one-output loop instead
+    for count in LANE_COUNTS:
+        single, batched = SplitMix64(20231), SplitMix64(20231)
+        assert batched.draw(n, count) == [single.below(n) for _ in range(count)], count
+        assert batched.derive_seed() == single.derive_seed(), count
+
+
+def test_lane_pass_falls_back_only_for_its_own_rejections(monkeypatch):
+    # below 2^54 + 1 about one raw output in 2^10 is rejected, so in one
+    # draw of three passes some passes reject a lane and run the one-output
+    # loop and some keep their lanes (from this seed, the two full passes
+    # fall back and the last pass of 7 starts where the loop left the
+    # stream); below 31 no pass of 13 lanes falls back
+    n = 2**54 + 1
+    count = 2 * LANES + 7
+    fallbacks = []
+    scalar = SplitMix64._scalar
+
+    def counted(self, n, rem, count):
+        fallbacks.append(count)
+        return scalar(self, n, rem, count)
+
+    monkeypatch.setattr(SplitMix64, "_scalar", counted)
     single, batched = SplitMix64(20231), SplitMix64(20231)
-    assert batched.draw(n, 64) == [single.below(n) for _ in range(64)]
+    expected = [single.below(n) for _ in range(count)]
+    fallbacks.clear()
+    assert batched.draw(n, count) == expected
+    assert fallbacks == [LANES, LANES]
     assert batched.derive_seed() == single.derive_seed()
+    fallbacks.clear()
+    SplitMix64(20231).draw(31, 13)
+    assert fallbacks == []
 
 
 def test_rejection_consumes_extra_outputs():
