@@ -276,34 +276,36 @@ def _cmd_sample(args):
     return ctx, payload, checks, _exit_code(checks)
 
 
+def _sampled_points(n, ctx, master, samples, max_tries=None):
+    """(index, seed, point) for each sample, the point sampled from the
+    master's next seed. The caller keeps the master, so what it draws from
+    it between points comes next in its stream."""
+    for index in range(samples):
+        seed = master.derive_seed()
+        yield index, seed, sample_quadric_point(n, ctx, seed, max_tries)
+
+
 def _cmd_borel_check(args):
     ctx = _parse_field_spec(args.field)
     master = SplitMix64(args.seed)
     reports = []
-    all_identities = True
-    for index in range(args.samples):
-        point_seed = master.derive_seed()
-        try:
-            point = sample_quadric_point(args.n, ctx, point_seed)
-        except NoPointFoundError as exc:
-            return _no_point(ctx, exc)
-        g = random_affine(ctx, master)
-        report = invariance_report(point, g)
-        all_identities = all_identities and report.identities_hold
-        reports.append(
-            {
-                "index": index,
-                "seed": point_seed,
-                "point": point.to_json(),
-                "map": g.to_json(),
-                "report": report.to_json(),
-            }
-        )
-    payload = {
-        "characteristic_divides_n": args.n % ctx.p == 0,
-        "reports": reports,
-    }
-    checks = [("invariance_identities_all", all_identities)]
+    try:
+        for index, seed, point in _sampled_points(args.n, ctx, master, args.samples):
+            g = random_affine(ctx, master)
+            reports.append(
+                {
+                    "index": index,
+                    "seed": seed,
+                    "point": point.to_json(),
+                    "map": g.to_json(),
+                    "report": invariance_report(point, g).to_json(),
+                }
+            )
+    except NoPointFoundError as exc:
+        return _no_point(ctx, exc)
+    identities = all(r["report"]["identities_hold"] for r in reports)
+    payload = {"characteristic_divides_n": args.n % ctx.p == 0, "reports": reports}
+    checks = [("invariance_identities_all", identities)]
     return ctx, payload, checks, _exit_code(checks)
 
 
@@ -321,35 +323,29 @@ def _cmd_certify(args):
         block_json = sol.to_json()
         block_json["lift"] = lift.to_json()
 
-    master = SplitMix64(args.seed)
+    points = _sampled_points(args.n, ctx, SplitMix64(args.seed), args.samples, args.max_tries)
     samples = []
-    all_satisfied = True
-    all_witness = True
-    ranks = []
-    for index in range(args.samples):
-        point_seed = master.derive_seed()
-        try:
-            point = sample_quadric_point(args.n, ctx, point_seed, args.max_tries)
-        except NoPointFoundError as exc:
-            return _no_point(ctx, exc)
-        cert = rank_certificate(point)
-        witness = faithfulness_witness(point)
-        all_satisfied = all_satisfied and cert.satisfied
-        all_witness = all_witness and witness
-        ranks.append(cert.restricted_rank)
-        samples.append(
-            {
-                "index": index,
-                "seed": point_seed,
-                "point": point.to_json(),
-                "ambient_rank": cert.ambient_rank,
-                "tangent_dim": cert.tangent_dim,
-                "restricted_rank": cert.restricted_rank,
-                "bound": cert.bound,
-                "satisfied": cert.satisfied,
-                "faithfulness_witness": witness,
-            }
-        )
+    try:
+        for index, seed, point in points:
+            cert = rank_certificate(point)
+            samples.append(
+                {
+                    "index": index,
+                    "seed": seed,
+                    "point": point.to_json(),
+                    "ambient_rank": cert.ambient_rank,
+                    "tangent_dim": cert.tangent_dim,
+                    "restricted_rank": cert.restricted_rank,
+                    "bound": cert.bound,
+                    "satisfied": cert.satisfied,
+                    "faithfulness_witness": faithfulness_witness(point),
+                }
+            )
+    except NoPointFoundError as exc:
+        return _no_point(ctx, exc)
+    ranks = [s["restricted_rank"] for s in samples]
+    all_satisfied = all(s["satisfied"] for s in samples)
+    all_witness = all(s["faithfulness_witness"] for s in samples)
     payload = {
         "hypothesis": decision.to_json(),
         "control": not decision.applies,

@@ -380,9 +380,13 @@ class FieldCtx:
     def sums(self, codes, mults=None) -> tuple[FieldElement, FieldElement]:
         """(sum, square sum) of the elements with these codes, each counted
         with its multiplicity mod p (one by default; codes may repeat, the
-        sums are linear), in plain integers, reduced once (module docstring)."""
+        sums are linear), in plain integers, reduced once (module docstring).
+        Raises ValueError when mults and codes differ in length."""
         codes = list(codes)
-        mults = None if mults is None else [m % self.p for m in mults]
+        if mults is not None:
+            mults = [m % self.p for m in mults]
+            if len(mults) != len(codes):
+                raise ValueError(f"{len(mults)} multiplicities for {len(codes)} codes")
         n = len(codes) if mults is None else sum(mults)
         w = (n * self.k * (self.p - 1) ** 2).bit_length()
         packed = self._pack_codes(codes, w)

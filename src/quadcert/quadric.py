@@ -7,8 +7,9 @@ where two coordinates collide; the small diagonal is the constant vectors,
 and it is exactly where the quadric is singular.
 
 A point is held as the codes of its coordinates (see `gf`): the sampler
-draws codes, a lift repeats them, affine moves map them, and collision
-tests and JSON work per distinct code. `FieldElement`s are the boundary.
+draws codes, pair completion maps tail codes to pair codes, a lift repeats
+them, affine moves map them, and collision tests and JSON work per distinct
+code. `FieldElement`s are the boundary.
 
 Both power sums come from `FieldCtx.sums`, in plain integers with one
 reduction per sum (the kernel is described in `gf`). It also serves the
@@ -120,8 +121,8 @@ def tangent_basis(a: AmbientPoint) -> list[tuple[FieldElement, ...]]:
     return basis
 
 
-def complete_quadric_pair(tail) -> tuple[FieldElement, FieldElement] | None:
-    """Given x_3, ..., x_n (elements, or a point of codes), the two leading
+def complete_quadric_pair(ctx: FieldCtx, codes) -> tuple[int, int] | None:
+    """Given the codes of x_3, ..., x_n, the codes of the two leading
     coordinates that put the full vector on the quadric, or None when the
     discriminant is a nonsquare.
 
@@ -129,21 +130,12 @@ def complete_quadric_pair(tail) -> tuple[FieldElement, FieldElement] | None:
     roots of t^2 + S t + (S^2 + Q)/2, whose discriminant is -S^2 - 2Q. The
     root using +sqrt goes first; sqrt's own tie-break makes this canonical.
     """
-    if isinstance(tail, AmbientPoint):
-        ctx, codes = tail.ctx, tail.codes
-    else:
-        tail = tuple(tail)
-        ctx = tail[0].ctx
-        codes = map(ctx.element_index, tail)
     s, q = ctx.sums(codes)
-    disc = -(s * s) - q - q
-    root = disc.sqrt()
+    root = (-(s * s) - q - q).sqrt()
     if root is None:
         return None
     half = ctx.el((ctx.p + 1) // 2)  # 1/2 lies in the prime subfield
-    x1 = (-s + root) * half
-    x2 = (-s - root) * half
-    return x1, x2
+    return ctx.element_index((-s + root) * half), ctx.element_index((-s - root) * half)
 
 
 def default_max_tries(ctx: FieldCtx) -> int:
@@ -156,18 +148,18 @@ def sample_quadric_point(
     """A seeded point on the quadric with pairwise distinct coordinates.
 
     Each try draws the codes of x_3, ..., x_n uniformly (SplitMix64),
-    completes the pair (x_1, x_2) from those codes, and retries on a
-    nonsquare discriminant or any coordinate collision, found by code. A try
-    always draws all n - 2 codes, so the seed fixes the stream of tries; no
-    code is decoded to an element. Tries are drawn ahead in batches of 1, 2,
-    4, ... tries, each batch one `draw` of at most `LANES` codes (or of one
-    try), sliced n - 2 codes a try. A `draw` returns the stream's next codes
-    whatever its count, so batching never changes which codes a try gets,
-    and no batch holds more tries than the ones before it plus one. Raises
-    NoPointFoundError after max_tries, or at once when n exceeds the field
-    size (n pairwise distinct coordinates need n elements); over small fields
-    the locus can be genuinely empty, so the message suggests retrying over
-    an extension. Raises UsageError when n < 5.
+    completes them to the codes of (x_1, x_2), and retries on a nonsquare
+    discriminant or any coordinate collision, found by code. A try always
+    draws all n - 2 codes, so the seed fixes the stream of tries; no code is
+    decoded to an element, and only the point returned is built. Tries are
+    drawn ahead in batches of 1, 2, 4, ... tries, each batch one `draw` of at
+    most `LANES` codes (or of one try), sliced n - 2 codes a try. A `draw`
+    returns the stream's next codes whatever its count, so batching never
+    changes which codes a try gets, and no batch holds more tries than the
+    ones before it plus one. Raises NoPointFoundError after max_tries, or at
+    once when n exceeds the field size (n pairwise distinct coordinates need n
+    elements); over small fields the locus can be genuinely empty, so the
+    message suggests retrying over an extension. Raises UsageError when n < 5.
     """
     if n < 5:
         raise UsageError("sampling needs n >= 5")
@@ -189,17 +181,14 @@ def sample_quadric_point(
         tries = min(batch, left)
         codes = rng.draw(size, tries * width)
         for start in range(0, tries * width, width):
-            tail = tuple(codes[start : start + width])
+            tail = codes[start : start + width]
             drawn = set(tail)
             if len(drawn) < width:
                 continue
-            pair = complete_quadric_pair(AmbientPoint.from_codes(ctx, tail))
-            if pair is None:
+            pair = complete_quadric_pair(ctx, tail)
+            if pair is None or pair[0] == pair[1] or not drawn.isdisjoint(pair):
                 continue
-            c1, c2 = map(ctx.element_index, pair)
-            if c1 == c2 or c1 in drawn or c2 in drawn:
-                continue
-            return AmbientPoint.from_codes(ctx, (c1, c2) + tail)
+            return AmbientPoint.from_codes(ctx, pair + tuple(tail))
         left -= tries
         batch = min(2 * batch, most)
     raise NoPointFoundError(

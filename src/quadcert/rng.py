@@ -11,10 +11,10 @@ The generator is counter-based: output i of a stream mixes
 once. `draw` does that for up to `LANES` outputs a pass, as 128-bit lanes of
 one Python integer (`_lanes`); 128 bits hold a 64-bit lane times a 64-bit
 constant, so no lane carries into the next. When a lane is rejected, and for
-a single output (`below`, `next_u64`), it runs the one-output-at-a-time loop
-(`_scalar`) instead, so every call returns exactly what that loop returns and
-leaves the stream where it leaves it. `next_u64` draws below 2^64, where
-nothing is rejected.
+fewer than `_MIN_LANES` outputs (`below` and `next_u64` draw one), it runs the
+one-output-at-a-time loop (`_scalar`) instead, so every call returns exactly
+what that loop returns and leaves the stream where it leaves it. `next_u64`
+draws below 2^64, where nothing is rejected.
 """
 
 import sys
@@ -30,6 +30,9 @@ _MIX2 = 0x94D049BB133111EB
 # Outputs a lane pass computes at most; bounds the size of the integers one
 # `draw` builds (16 bytes a lane), however many outputs it is asked for.
 LANES = 1024
+# Draws of fewer outputs run the one-output loop: a lane pass has a fixed
+# cost of 2-3 µs, which its lanes repay from about 5 outputs.
+_MIN_LANES = 5
 # A 1 in every 128-bit lane, gamma·(i + 1) mod 2^64 in lane i, and the low 64
 # bits of every lane, for LANES lanes; a pass of fewer lanes masks them down.
 _ONES = int.from_bytes((1).to_bytes(16, "little") * LANES, "little")
@@ -59,8 +62,8 @@ class SplitMix64:
         if not 0 < n <= 1 << 64:
             raise ValueError(f"bound must be in [1, 2^64], got {n}")
         rem = (1 << 64) % n
-        if count == 1:
-            return self._scalar(n, rem, 1)
+        if count < _MIN_LANES:
+            return self._scalar(n, rem, count)
         out = []
         while count > 0:
             lanes = min(count, LANES)

@@ -43,13 +43,22 @@ def weights_mod_p(profile: BinaryProfile, p: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BlockSolution:
-    """A verified solution vector, its field, and the data defining it."""
+    """A verified solution vector, its field, and the data defining it: one
+    weight and one c_i, an element of ctx, per block of the profile."""
 
     profile: BinaryProfile
-    p: int
     weights: tuple[int, ...]
     c: tuple[FieldElement, ...]
     ctx: FieldCtx
+
+    def __post_init__(self):
+        if not len(self.c) == len(self.weights) == self.profile.r:
+            raise ValueError(
+                f"{len(self.c)} values and {len(self.weights)} weights "
+                f"for {self.profile.r} blocks"
+            )
+        if any(ci.ctx != self.ctx for ci in self.c):
+            raise ValueError("a value from a different field")
 
     def to_json(self) -> dict:
         return {
@@ -126,12 +135,12 @@ def solve_block_system(profile: BinaryProfile, p: int) -> BlockSolution:
     weights = weights_mod_p(profile, p)
     c = _solve_over(base, weights)
     if c is not None:
-        return BlockSolution(profile, p, weights, c, base)
+        return BlockSolution(profile, weights, c, base)
     if r == 4:
         ext = field_make(p, 2)
         c = _solve_over(ext, weights)
         if c is not None:
-            return BlockSolution(profile, p, weights, c, ext)
+            return BlockSolution(profile, weights, c, ext)
     raise RuntimeError(
         f"no solution for n={n}, p={p}: contradicts the existence guarantee"
     )

@@ -456,6 +456,17 @@ def test_cross_field_operations_rejected():
         f7.el(1) + f11.el(1)
 
 
+def test_sums_refuse_mismatched_multiplicities():
+    # one multiplicity a code: a shorter list would drop codes, and a longer
+    # one would size the packing for coordinates that are not there
+    f7 = field_make(7)
+    with pytest.raises(ValueError):
+        f7.sums([1, 2, 3], [1])
+    with pytest.raises(ValueError):
+        f7.sums([1], [1, 1, 1])
+    assert f7.sums([1, 2, 3], [1, 1, 1]) == f7.sums([1, 2, 3]) == (f7.el(6), f7.el(0))
+
+
 def test_to_json_shapes():
     f9 = field_make(3, 2)
     assert f9.to_json() == {"p": 3, "k": 2, "modulus": [1, 0, 1]}

@@ -226,14 +226,19 @@ def test_invariance_report_sums_are_those_of_the_moved_point(n, p, k):
 
 
 def test_sampler_completes_from_codes_as_from_elements():
-    # the sampler hands complete_quadric_pair a point of codes; a tuple of
-    # the same elements gives the same pair
+    # the sampler hands complete_quadric_pair the drawn codes; they complete
+    # to the codes of the pair that field arithmetic on the same elements gives
     ctx = field_make(3, 4)
     rng = SplitMix64(5)
+    half = ctx.el(2).inverse()
     for _ in range(20):
         codes = tuple(rng.draw(ctx.size, 6))
         tail = tuple(map(ctx.element_at, codes))
-        assert complete_quadric_pair(AmbientPoint.from_codes(ctx, codes)) == complete_quadric_pair(tail)
+        s, q = sum(tail, ctx.zero), sum((x * x for x in tail), ctx.zero)
+        root = (-(s * s) - q - q).sqrt()
+        pair = None if root is None else ((-s + root) * half, (-s - root) * half)
+        expected = pair and tuple(map(ctx.element_index, pair))
+        assert complete_quadric_pair(ctx, codes) == expected
 
 
 # --- the closed-form tangent basis -------------------------------------------------
@@ -250,9 +255,9 @@ def _on_quadric_points(ctx, n, seed):
     for _ in range(200):
         t = ctx.element_at(rng.below(ctx.size))
         tail = (t, t, t) + tuple(ctx.element_at(rng.below(ctx.size)) for _ in range(n - 5))
-        pair = complete_quadric_pair(tail)
+        pair = complete_quadric_pair(ctx, map(ctx.element_index, tail))
         if pair is not None:
-            yield AmbientPoint(tail + pair)
+            yield AmbientPoint(tail + tuple(map(ctx.element_at, pair)))
             break
     yield AmbientPoint(xs[2:] + xs[:2])
     if n % ctx.p == 0:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import quadcert.quadric as quadric_module
 from quadcert.errors import NoPointFoundError, NotOnQuadricError
-from quadcert.gf import field_make
+from quadcert.gf import FieldCtx, field_make
 from quadcert.linalg import matvec
 from quadcert.profile import binary_profile
 from quadcert.rng import LANES, SplitMix64
@@ -30,6 +30,12 @@ from _jacobianref import gradient_matrix
 
 def pt(ctx, vals):
     return AmbientPoint(tuple(ctx.el(v) for v in vals))
+
+
+def complete(tail):
+    """complete_quadric_pair on the codes of a tail of elements."""
+    ctx = tail[0].ctx
+    return complete_quadric_pair(ctx, map(ctx.element_index, tail))
 
 
 F11 = field_make(11)
@@ -92,8 +98,8 @@ def test_tangent_basis():
 
 def test_completion_pin():
     tail = tuple(F11.el(v) for v in (1, 3, 4))
-    pair = complete_quadric_pair(tail)
-    assert pair == (F11.el(9), F11.el(5))
+    pair = complete(tail)
+    assert pair == (9, 5)  # a code of GF(11) is its residue
 
 
 def test_completion_no_root():
@@ -101,7 +107,7 @@ def test_completion_no_root():
     # nonsquare, so no pair exists
     f7 = field_make(7)
     tail = tuple(f7.el(v) for v in (1, 2, 3))
-    assert complete_quadric_pair(tail) is None
+    assert complete(tail) is None
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -112,9 +118,9 @@ def test_completion_lands_on_quadric(seed):
     rng = SplitMix64(seed)
     ctx = field_make(11)
     tail = tuple(ctx.element_at(rng.below(11)) for _ in range(3))
-    pair = complete_quadric_pair(tail)
+    pair = complete(tail)
     if pair is not None:
-        a = AmbientPoint(pair + tail)
+        a = AmbientPoint(tuple(map(ctx.element_at, pair)) + tail)
         assert on_quadric(a)
 
 
@@ -223,6 +229,12 @@ def _complete_pair_oracle(tail):
     return (-s + root) * half, (-s - root) * half
 
 
+def _pair_codes_oracle(tail):
+    """_complete_pair_oracle's pair as codes, as complete_quadric_pair gives it."""
+    pair = _complete_pair_oracle(tail)
+    return pair and tuple(map(tail[0].ctx.element_index, pair))
+
+
 def _sample_oracle(n, ctx, seed, max_tries):
     """(point coordinates or None, number of completion calls)."""
     rng = SplitMix64(seed)
@@ -262,7 +274,7 @@ def test_sums_match_oracle_on_distinct_coordinates(p, k):
             coords = _distinct_elements(ctx, count, rng)
             assert power_sums(AmbientPoint(coords)) == _power_sums_oracle(coords)
             tail = coords[: max(1, count - 2)]
-            assert complete_quadric_pair(tail) == _complete_pair_oracle(tail)
+            assert complete(tail) == _pair_codes_oracle(tail)
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
@@ -277,7 +289,33 @@ def test_sums_match_oracle_on_block_lifts(p, k):
         sizes = (8, p, p + 1, 1 + rng.below(3 * p))
         coords = tuple(v for v, m in zip(values, sizes) for _ in range(m))
         assert power_sums(AmbientPoint(coords)) == _power_sums_oracle(coords)
-        assert complete_quadric_pair(coords) == _complete_pair_oracle(coords)
+        assert complete(coords) == _pair_codes_oracle(coords)
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_completion_maps_tail_codes_to_pair_codes(p, k):
+    # codes in, codes out, against the element oracle: drawn tails, which
+    # often have a nonsquare discriminant, and tails whose pair repeats one
+    # of their own codes, which the sampler must reject. For the latter,
+    # complete (a, a, rest) to (y_1, y_2); the tail (a, y_1, rest) then
+    # completes to y_2 and a
+    ctx = field_make(p, k)
+    rng = SplitMix64(3000 * p + k)
+    nonsquare = colliding = 0
+    for _ in range(40):
+        codes = rng.draw(ctx.size, 3 + rng.below(5))
+        pair = complete_quadric_pair(ctx, codes)
+        assert pair == _pair_codes_oracle(tuple(map(ctx.element_at, codes)))
+        nonsquare += pair is None
+        a, rest = codes[0], codes[1:]
+        around = _pair_codes_oracle(tuple(map(ctx.element_at, [a, a] + rest)))
+        if around is not None:
+            tail = [a, around[0]] + rest
+            pair = complete_quadric_pair(ctx, tail)
+            assert pair == _pair_codes_oracle(tuple(map(ctx.element_at, tail)))
+            assert a in pair and sorted(pair) == sorted((a, around[1]))
+            colliding += 1
+    assert nonsquare and colliding
 
 
 def test_sums_match_oracle_on_the_construct_15_3_lift():
@@ -298,9 +336,9 @@ SAMPLER_CASES = [
 def _check_sampler_against_oracle(n, ctx, seeds, budgets, monkeypatch):
     calls = []
 
-    def counted(tail):
+    def counted(ctx, codes):
         calls.append(None)
-        return complete_quadric_pair(tail)
+        return complete_quadric_pair(ctx, codes)
 
     monkeypatch.setattr(quadric_module, "complete_quadric_pair", counted)
     for seed in seeds:
@@ -326,6 +364,40 @@ def test_sampler_stream_matches_tail_first_oracle(n, p, k, monkeypatch):
     ctx = field_make(p, k)
     budgets = (default_max_tries(ctx), 1, 2, 3, 4, 7, 8, 15)
     _check_sampler_against_oracle(n, ctx, range(50), budgets, monkeypatch)
+
+
+@pytest.mark.parametrize("n,p,k", SAMPLER_CASES)
+def test_sampler_builds_only_the_point_it_returns(n, p, k, monkeypatch):
+    # tries stay on codes: a search builds one AmbientPoint if it succeeds
+    # and none if it fails, and decodes no code to an element
+    ctx = field_make(p, k)
+    built, decoded = [], []
+    set_codes, element_at = AmbientPoint._set, FieldCtx.element_at
+
+    def counted_set(self, ctx, codes):
+        built.append(None)
+        return set_codes(self, ctx, codes)
+
+    def counted_element_at(self, index):
+        decoded.append(index)
+        return element_at(self, index)
+
+    monkeypatch.setattr(AmbientPoint, "_set", counted_set)
+    monkeypatch.setattr(FieldCtx, "element_at", counted_element_at)
+    found = 0
+    for seed in range(10):
+        built.clear()
+        try:
+            sample_quadric_point(n, ctx, seed)
+        except NoPointFoundError:
+            assert built == []
+        else:
+            assert len(built) == 1
+            found += 1
+        assert decoded == []
+    # n = 5 over GF(7) and n = 7 over GF(11) have no point (by enumeration);
+    # elsewhere every seed finds one
+    assert found == (0 if (n, p) in ((5, 7), (7, 11)) else 10)
 
 
 def test_sampler_stream_matches_oracle_when_a_try_spans_lane_passes(monkeypatch):
@@ -377,7 +449,7 @@ def test_sums_at_the_largest_prime_field():
     _check_sums((top,) * 300)
     _check_sums(_distinct_elements(ctx, 300, rng) + (top,) * 7)
     tail = _distinct_elements(ctx, 40, rng)
-    assert complete_quadric_pair(tail) == _complete_pair_oracle(tail)
+    assert complete(tail) == _pair_codes_oracle(tail)
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 12, 500), (13, 5, 200)])
@@ -389,7 +461,7 @@ def test_sums_at_the_widest_packing(p, k, n):
     _check_sums(_distinct_elements(ctx, n - 1, rng) + (top,))
     coords = _distinct_elements(ctx, n, rng)
     _check_sums(coords)
-    assert complete_quadric_pair(coords) == _complete_pair_oracle(coords)
+    assert complete(coords) == _pair_codes_oracle(coords)
 
 
 def test_sums_on_the_4095_coordinate_lift():
@@ -407,4 +479,4 @@ def test_sums_on_a_gf121_lift_with_multiplicities_up_to_4095():
     coords = tuple(v for v, m in zip(values, sizes) for _ in range(m))
     _check_sums(coords)
     _check_sums((_top(ctx),) * 4095)
-    assert complete_quadric_pair(coords) == _complete_pair_oracle(coords)
+    assert complete(coords) == _pair_codes_oracle(coords)

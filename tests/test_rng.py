@@ -81,10 +81,10 @@ def test_below_stream_pin(n, head, digest):
     assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
 
 
-# draw counts around the lane pass: the smallest passes, a sampler try at
-# n = 15, one lane short of a full pass, a full pass, and counts that take
-# two and three passes
-LANE_COUNTS = (2, 3, 13, 64, LANES - 1, LANES, LANES + 1, 2 * LANES + 7)
+# draw counts around the lane pass: the short draws that run the one-output
+# loop and the smallest passes, a sampler try at n = 15, one lane short of a
+# full pass, a full pass, and counts that take two and three passes
+LANE_COUNTS = (2, 3, 4, 5, 6, 13, 64, LANES - 1, LANES, LANES + 1, 2 * LANES + 7)
 
 
 @pytest.mark.parametrize("n", [pin[0] for pin in BELOW_PINS])

@@ -78,13 +78,13 @@ def block_solutions(draw):
     pool = draw(st.lists(st.integers(0, ctx.size - 1), min_size=1, max_size=3))
     c = tuple(ctx.element_at(draw(st.sampled_from(pool))) for _ in range(r))
     weights = tuple(draw(st.lists(st.integers(-3 * p, 3 * p), min_size=r, max_size=r)))
-    return BlockSolution(binary_profile(2**r - 1), p, weights, c, ctx)
+    return BlockSolution(binary_profile(2**r - 1), weights, c, ctx)
 
 
 def _fixed_solution(p, k, weights, codes):
     ctx = field_make(p, k)
     c = tuple(map(ctx.element_at, codes))
-    return BlockSolution(binary_profile(2 ** len(c) - 1), p, weights, c, ctx)
+    return BlockSolution(binary_profile(2 ** len(c) - 1), weights, c, ctx)
 
 
 @given(block_solutions())
@@ -295,6 +295,24 @@ def test_lift_block_structure():
         assert all(x == c for x in lifted.coords[pos : pos + size])
         pos += size
     assert on_quadric(lifted)
+
+
+def test_block_solution_refuses_a_mis_shaped_solution():
+    # one weight and one c_i per block, each c_i an element of the
+    # solution's field; otherwise the sums and the lift read some other
+    # system without notice
+    prof, f7 = binary_profile(15), field_make(7)
+    c = (f7.el(1), f7.el(2), f7.el(3))
+    with pytest.raises(ValueError):
+        BlockSolution(prof, (1, 2, 4, 1), c, f7)  # three values, four blocks
+    with pytest.raises(ValueError):
+        BlockSolution(prof, (1, 2, 4), c + (f7.zero,), f7)  # three weights
+    with pytest.raises(ValueError):
+        BlockSolution(prof, (1, 2, 4, 1), c + (field_make(11).zero,), f7)
+    with pytest.raises(ValueError):
+        BlockSolution(prof, (1, 2, 4, 1), c + (field_make(7, 2).zero,), f7)
+    sol = BlockSolution(prof, (1, 2, 4, 1), c + (f7.zero,), f7)
+    assert lift_block_solution(sol).n == 15
 
 
 def test_solution_to_json():
