@@ -81,6 +81,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for seeds: SplitMix64 keeps the low 64 bits of its seed,
+    so a seed outside [0, 2^64) would draw the points of another seed while
+    the certificate records its own."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2^64), got {text!r}")
+    return value
+
+
 def _block(open_: str, parts, close: str, depth: int) -> str:
     """A non-empty array or object at nesting depth `depth`, one part a line."""
     inner = "\n" + "  " * (depth + 1)
@@ -406,7 +419,7 @@ def build_parser() -> _Parser:
     )
     p_sample.add_argument("n", type=int)
     p_sample.add_argument("--field", required=True, metavar="P^K", help="field spec, e.g. 11 or 3^4")
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_seed, default=0)
     p_sample.add_argument("--max-tries", type=_positive_int, default=None)
     add_json(p_sample)
     p_sample.set_defaults(func=_cmd_sample)
@@ -416,7 +429,7 @@ def build_parser() -> _Parser:
     )
     p_borel.add_argument("n", type=int)
     p_borel.add_argument("--field", required=True, metavar="P^K")
-    p_borel.add_argument("--seed", type=int, default=0)
+    p_borel.add_argument("--seed", type=_seed, default=0)
     p_borel.add_argument("--samples", type=_positive_int, default=20)
     add_json(p_borel)
     p_borel.set_defaults(func=_cmd_borel_check)
@@ -428,7 +441,7 @@ def build_parser() -> _Parser:
     p_certify.add_argument("p", type=int)
     p_certify.add_argument("--field-degree", type=int, default=1)
     p_certify.add_argument("--samples", type=_positive_int, default=20)
-    p_certify.add_argument("--seed", type=int, default=0)
+    p_certify.add_argument("--seed", type=_seed, default=0)
     p_certify.add_argument("--max-tries", type=_positive_int, default=None)
     p_certify.add_argument(
         "--control",

@@ -50,6 +50,14 @@ raises instead of yielding a rank read off a formula in (n, p).
 compression_jacobian and `linalg`'s elimination are not exported from the
 package: the tests eliminate that full Jacobian, and a generator Jacobian
 they build themselves, as the certificate's oracle.
+
+The rows are evaluated as three lane vectors of `gf` (lane i - 3 of each
+holds row i's entry at x_1, x_2 and x_i), packed from the codes of
+x_3, ..., x_n with no coordinate decoded: D1 = (X - x_2)/d^2,
+D2 = (x_1 - X)/d^2 and Di = -1/d in every lane. The two identities for all
+rows are then D1 + D2 + Di = 0 and d (x_1 D1 + x_2 D2) - X = 0 (J.x = 0
+times the unit d, as Di = -1/d), a few big-integer operations each, and the
+first nonzero lane of either names the first failing row.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from .errors import (
     OnDiscriminantError,
     SizeMismatchError,
 )
-from .gf import FieldElement
+from .gf import FieldElement, LaneVector
 # rank, restricted_rank and tangent_basis are no longer called here. They
 # stay imported because the benchmark tracer (perfbench/tracing.py) wraps
 # them in this module's namespace and tests/test_trace_targets.py pins those
@@ -173,7 +181,7 @@ def faithfulness_witness(a: AmbientPoint) -> bool:
         raise ValueError("the witness needs n >= 5")
     if in_discriminant(a):
         raise OnDiscriminantError("two coordinates are equal")
-    xs = a.coords
+    xs = list(map(a.ctx.element_at, a.codes[:4]))
     inv13 = (xs[0] - xs[2]).inverse()
     v123 = (xs[0] - xs[1]) * inv13
     v143 = (xs[0] - xs[3]) * inv13
@@ -205,16 +213,16 @@ def compression_jacobian(a: AmbientPoint) -> Matrix:
     return Matrix(n * (n - 1) * (n - 2), n, entries, a.ctx)
 
 
-def _generator_rows(xs) -> list[tuple[FieldElement, FieldElement, FieldElement]]:
-    """The nonzero entries (d/dx_1, d/dx_2, d/dx_i) of the generator rows
-    i = 3, ..., n at the point xs, with d = x_1 - x_2:
+def _generator_rows(x1: FieldElement, x2: FieldElement, xs: LaneVector):
+    """The generator rows i = 3, ..., n at the point (x1, x2, xs), xs the
+    lane vector X of x_3, ..., x_n, as three lane vectors: lane i - 3 of each
+    holds the nonzero entries (d/dx_1, d/dx_2, d/dx_i) of row i. With
+    d = x_1 - x_2 they are
 
-        ((x_i - x_2)/d^2, (x_1 - x_i)/d^2, -1/d)."""
-    x1, x2 = xs[0], xs[1]
+        D1 = (X - x_2)/d^2,  D2 = (x_1 - X)/d^2,  Di = -1/d in every lane."""
     inv = (x1 - x2).inverse()
     isq = inv * inv
-    minus_inv = -inv
-    return [((xi - x2) * isq, (x1 - xi) * isq, minus_inv) for xi in xs[2:]]
+    return (xs - x2) * isq, (x1 - xs) * isq, xs.broadcast(-inv)
 
 
 def gram_rank(n: int, s1: FieldElement, s2: FieldElement) -> int:
@@ -279,14 +287,20 @@ def rank_certificate(a: AmbientPoint) -> RankCertificate:
     s1, s2 = power_sums(a)
     if not (s1.is_zero() and s2.is_zero()):
         raise NotOnQuadricError("tangent space is defined on the quadric only")
-    xs = a.coords
-    x1, x2 = xs[0], xs[1]
-    for i, (d1, d2, di) in enumerate(_generator_rows(xs), start=3):
-        xi = xs[i - 1]
-        if not ((d1 + d2 + di).is_zero() and (d1 * x1 + d2 * x2 + di * xi).is_zero()):
-            raise JacobianIdentityError(
-                f"generator row {i} does not annihilate 1 and x at the point"
-            )
+    ctx, codes = a.ctx, a.codes
+    x1, x2 = ctx.element_at(codes[0]), ctx.element_at(codes[1])
+    xs = ctx.lanes(codes[2:])
+    d1, d2, di = _generator_rows(x1, x2, xs)
+    # J.1 = D1 + D2 + Di and d J.x = d (x_1 D1 + x_2 D2) - X, lane by lane
+    failed = [
+        check.first_nonzero()
+        for check in (d1 + d2 + di, (d1 * x1 + d2 * x2) * (x1 - x2) - xs)
+        if check
+    ]
+    if failed:
+        raise JacobianIdentityError(
+            f"generator row {min(failed) + 3} does not annihilate 1 and x at the point"
+        )
     n, p = a.n, a.ctx.p
     divides = n % p == 0
     bound = n - 4 if divides else n - 3

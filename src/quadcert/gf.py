@@ -21,13 +21,31 @@ one order. Codes are the points' format. An element is held as its packed
 integer below; coefficient tuples appear only at `el`, `coeffs` and `to_json`.
 
 Products, squares and powers run in one kernel, `FieldCtx._kmul`, by Kronecker
-substitution: sum c_i 2^(w i) packs an element, so a polynomial product is one
-integer product. Its digits are at most k (p - 1)^2; the high k - 1, mod p, are
-folded into the low k through the packed x^(k+j) mod the modulus, adding at
-most (k - 1) (p - 1)^2, and `_norm` takes each digit mod p. So
-w = ((2k - 1) (p - 1)^2).bit_length() bits hold every digit, and the digits
-below 2p of x + y, x + P - y and P - x (P packs p into every digit), which
-`_norm` turns into a sum, a difference and a negation.
+substitution: sum c_i 2^(W i) packs an element, so a polynomial product is one
+integer product. With b the bit length of k p^2, every digit of the product is
+below 2^b, and W = 2b + 2 rounded up to whole bytes. Barrett's reduction takes
+every digit mod p at once: with r = b + bits(p) and M = ceil(2^r / p),
+
+    x - p (((x M) >> r) & Q),
+
+Q the low W - r bits of each of the 2k - 1 digits, is exact for every digit
+d < 2^b, since d M / 2^r = d / p + d (M - 2^r / p) / 2^r and the error term is
+below 2^(b - r) < 1 / p; d M < 2^(2b + 1) never carries into the next digit.
+`_norm` is that one line. A product is reduced, its k - 1 high digits, now
+below p, are folded into the low k through the packed x^(k+j) mod the modulus
+(each digit stays below p + (k - 1) p^2 < 2^b), and reduced again; over GF(p)
+nothing is left to fold. The digits below 2p of x + y, x + P - y and P - x (P
+packs p into every digit) make a sum, a difference and a negation.
+
+A lane vector (`FieldCtx.lanes`, `LaneVector`) holds m elements in one
+integer, lane i at bit (2k - 1) W i, so that the 2k - 1 digits of a product
+stay in their lane. It is packed from codes through bytes, and the kernel
+(`_Kernel`) runs the same `norm` and `mul` on it with every mask times the
+all-lanes one (a 1 in each lane): an element times a vector is one integer
+product and one reduction, a sum of vectors one addition and one reduction,
+an element added in every lane its packing times the all-lanes one. A vector
+is zero exactly when its integer is, and its first nonzero lane is the lane
+of its lowest set bit. A field element is the one-lane case.
 
 Power sums of many elements, `FieldCtx.sums`, pack each code once at a wider
 width. With the multiplicities m summing to n, every coefficient of
@@ -224,6 +242,145 @@ class FieldElement:
         return list(self.coeffs)
 
 
+def _ones(step: int, count: int) -> int:
+    """A 1 every `step` bits (a whole number of bytes), count of them."""
+    return int.from_bytes((1).to_bytes(step // 8, "little") * count, "little")
+
+
+class _Kernel:
+    """Barrett reduction and products for `lanes` packed elements side by
+    side, lane i at bit `stride` i (module docstring). A field element is the
+    one-lane case: `FieldCtx._norm` and `FieldCtx._kmul` are the one-lane
+    kernel's `norm` and `mul`, and a lane vector runs the same two methods on
+    a kernel whose masks are the one-lane masks times `ones`."""
+
+    __slots__ = ("ctx", "lanes", "stride", "ones", "ps", "folds", "_barrett", "_split")
+
+    def __init__(self, ctx: "FieldCtx", lanes: int, folds: tuple[int, ...]):
+        p, k, w = ctx.p, ctx.k, ctx._width
+        r = (k * p * p).bit_length() + p.bit_length()
+        self.ctx, self.lanes, self.folds = ctx, lanes, folds
+        self.stride = (2 * k - 1) * w
+        self.ones = ones = _ones(self.stride, lanes)
+        self.ps = ctx._ps * ones
+        # M = ceil(2^r / p), and Q the low w - r bits of every digit
+        q = ((1 << (w - r)) - 1) * _ones(w, (2 * k - 1) * lanes)
+        self._barrett = (p, -(-(1 << r) // p), r, q)
+        # the k low digits of every lane, their width, and digit 0 of every lane
+        self._split = (((1 << w * k) - 1) * ones, w * k, ((1 << w) - 1) * ones, w)
+
+    def norm(self, x: int) -> int:
+        """The packing whose digits are those of x mod p, each digit of x
+        below 2^b."""
+        p, m, r, q = self._barrett
+        return x - p * ((x * m >> r) & q)
+
+    def mul(self, x: int, y: int) -> int:
+        """The product of a packed element and a packed element or lane
+        vector: Barrett, the high digits folded, Barrett again."""
+        p, m, r, q = self._barrett
+        x *= y
+        x -= p * ((x * m >> r) & q)
+        low, width, digit, w = self._split
+        high = x >> width
+        if not high:  # nothing to fold, as always over GF(p)
+            return x
+        x &= low
+        for fold in self.folds:
+            x += (high & digit) * fold
+            high >>= w
+        return x - p * ((x * m >> r) & q)
+
+
+class LaneVector:
+    """Elements of one field as lanes of one integer, built by
+    `FieldCtx.lanes` (module docstring).
+
+    Vectors of the same field and length add and subtract lane by lane; a
+    field element multiplies every lane, and added to or subtracted
+    from a vector it acts in every lane. A vector is true when some lane is
+    not zero, `first_nonzero` finds the first such lane, and iterating
+    decodes the lanes as field elements.
+    """
+
+    __slots__ = ("kernel", "packed")
+
+    def __init__(self, kernel: _Kernel, packed: int):
+        self.kernel = kernel
+        self.packed = packed
+
+    def _operand(self, other) -> Optional[int]:
+        """The packing of a vector of the same shape, or of a field element
+        in every lane; None for any other type."""
+        kernel = self.kernel
+        if isinstance(other, LaneVector):
+            theirs = other.kernel
+            if theirs is kernel or (theirs.lanes == kernel.lanes and theirs.ctx == kernel.ctx):
+                return other.packed
+            raise ValueError("lane vectors of different fields or lengths")
+        if isinstance(other, FieldElement):
+            if other.ctx is kernel.ctx or other.ctx == kernel.ctx:
+                return other.packed * kernel.ones
+            raise ValueError("elements belong to different fields")
+        return None
+
+    def broadcast(self, a: FieldElement) -> "LaneVector":
+        """The vector of this one's length with a in every lane."""
+        if not isinstance(a, FieldElement):
+            raise TypeError(f"a lane holds a field element, not {type(a).__name__}")
+        return LaneVector(self.kernel, self._operand(a))
+
+    def __add__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        return LaneVector(self.kernel, self.kernel.norm(self.packed + y))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        kernel = self.kernel
+        return LaneVector(kernel, kernel.norm(self.packed + kernel.ps - y))
+
+    def __rsub__(self, other):
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        kernel = self.kernel
+        return LaneVector(kernel, kernel.norm(y + kernel.ps - self.packed))
+
+    def __mul__(self, other):
+        kernel = self.kernel
+        if not isinstance(other, FieldElement):
+            return NotImplemented
+        if not (other.ctx is kernel.ctx or other.ctx == kernel.ctx):
+            raise ValueError("elements belong to different fields")
+        return LaneVector(kernel, kernel.mul(other.packed, self.packed))
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return self.packed != 0
+
+    def first_nonzero(self) -> Optional[int]:
+        """The index of the first lane that is not zero, None if there is none."""
+        x = self.packed
+        return ((x & -x).bit_length() - 1) // self.kernel.stride if x else None
+
+    def __len__(self):
+        return self.kernel.lanes
+
+    def __iter__(self) -> Iterator[FieldElement]:
+        kernel = self.kernel
+        size = kernel.stride // 8
+        data = self.packed.to_bytes(size * kernel.lanes, "little")
+        for start in range(0, len(data), size):
+            yield FieldElement(kernel.ctx, int.from_bytes(data[start : start + size], "little"))
+
+
 class FieldCtx:
     """Fixed field GF(p^k) with its deterministic modulus.
 
@@ -239,6 +396,7 @@ class FieldCtx:
         "zero",
         "one",
         "_width", "_mask", "_shifts", "_folds", "_ps",  # the kernel's packing
+        "_norm", "_kmul",  # the one-lane kernel's methods
         "_sqrt_consts",
         "_tables",
     )
@@ -250,19 +408,23 @@ class FieldCtx:
         self.size = p**k
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
-        # the kernel's packing, digit i at bit w i, and the packed x^(k+j) mod
-        # the modulus for j in [0, k - 1), which fold products back
-        self._width = w = ((2 * k - 1) * (p - 1) ** 2).bit_length()
+        # the kernel's packing, digit i at bit w i (module docstring), and the
+        # packed x^(k+j) mod the modulus for j in [0, k - 1), which fold
+        # products back
+        self._width = w = 8 * -(-(2 * (k * p * p).bit_length() + 2) // 8)
         self._mask = (1 << w) - 1
         self._shifts = tuple(range(0, w * k, w))
         self._ps = self._pack([p] * k)  # P of the module docstring
+        # the one-lane kernel; its folds follow once its norm can build them
+        kernel = _Kernel(self, 1, ())
+        self._norm, self._kmul = kernel.norm, kernel.mul
         # x^k = -(f_0 + ... + f_{k-1} x^{k-1}); each next power shifts x^(k+j)
         # up a digit and folds its top digit back through x^k
         folds, x, low = [], self._pack([-c % p for c in modulus[:k]]), (1 << w * k) - 1
         for _ in range(k - 1):
             folds.append(x)
             x = self._norm((x << w & low) + (x >> w * (k - 1)) * folds[0])
-        self._folds = tuple(folds)
+        self._folds = kernel.folds = tuple(folds)
         self._sqrt_consts = None
         self._tables = None
 
@@ -343,24 +505,14 @@ class FieldCtx:
             out = list(map(add, map(lshift, out, repeat(width)), column))
         return out
 
-    def _norm(self, x: int) -> int:
-        """The packed element whose digits are those of x mod p."""
-        p, w, mask = self.p, self._width, self._mask
-        out = 0
-        for s in reversed(self._shifts):
-            out = (out << w) | ((x >> s) & mask) % p
-        return out
-
-    def _kmul(self, x: int, y: int) -> int:
-        """The product of two packed elements (module docstring)."""
-        p, w, mask = self.p, self._width, self._mask
-        prod = x * y
-        low = prod & ((1 << (w * self.k)) - 1)
-        prod >>= w * self.k
-        for fold in self._folds:
-            low += ((prod & mask) % p) * fold
-            prod >>= w
-        return self._norm(low)
+    def lanes(self, codes) -> LaneVector:
+        """The lane vector of the elements with these codes, in order."""
+        codes = list(codes)
+        kernel = _Kernel(self, len(codes), self._folds)
+        packed = self._pack_codes(codes, self._width)
+        size = kernel.stride // 8
+        data = b"".join(map(int.to_bytes, packed, repeat(size), repeat("little")))
+        return LaneVector(kernel, int.from_bytes(data, "little"))
 
     def _kpow(self, x: int, e: int) -> int:
         """x^e for a packed x and e >= 0."""

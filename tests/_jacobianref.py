@@ -5,6 +5,10 @@ generator rows. The matrices here share no code with it: `gradient_matrix`
 writes down the gradients of the two defining sums, and `generator_matrix`
 differentiates each generator y_i = (x_1 - x_i)/(x_1 - x_2) with dual
 numbers (`_dualnum`). The tests eliminate both with `quadcert.linalg`.
+
+The certificate evaluates the closed-form rows as lane vectors;
+`generator_rows` and `first_failing_row` are the same rows and checks one
+field element at a time.
 """
 
 from _dualnum import Dual
@@ -30,3 +34,27 @@ def generator_matrix(a):
             row[j] = ((x1 - xi) / (x1 - x2)).b
         rows.append(row)
     return Matrix.from_rows(rows)
+
+
+def generator_rows(a):
+    """The nonzero entries (d/dx_1, d/dx_2, d/dx_i) of the generator rows
+    i = 3, ..., n at the point a, with d = x_1 - x_2:
+
+        ((x_i - x_2)/d^2, (x_1 - x_i)/d^2, -1/d)."""
+    xs = a.coords
+    x1, x2 = xs[0], xs[1]
+    inv = (x1 - x2).inverse()
+    isq = inv * inv
+    minus_inv = -inv
+    return [((xi - x2) * isq, (x1 - xi) * isq, minus_inv) for xi in xs[2:]]
+
+
+def first_failing_row(a, rows):
+    """The first row i of rows (entries as `generator_rows` gives them) with
+    J.1 != 0 or J.x != 0 at the point a, None when every row passes."""
+    xs = a.coords
+    x1, x2 = xs[0], xs[1]
+    for i, (d1, d2, di) in enumerate(rows, start=3):
+        if not ((d1 + d2 + di).is_zero() and (d1 * x1 + d2 * x2 + di * xs[i - 1]).is_zero()):
+            return i
+    return None

@@ -308,6 +308,29 @@ def test_count_validation(argv, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [str(2**64 + 5), str(2**64), "-1", str(5 - 2**64), "five"])
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "7", "--field", "31"], ["borel-check", "7", "--field", "31"], ["certify", "15", "31"]],
+    ids=["sample", "borel-check", "certify"],
+)
+def test_seed_validation(argv, seed, capsys):
+    # SplitMix64 keeps 64 bits of its seed: 2^64 + 5 and 5 - 2^64 would draw
+    # the points of seed 5 under another recorded seed, so the parser refuses
+    # every seed outside [0, 2^64) before any work
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", seed])
+    assert info.value.code == 4
+    assert "expected a seed in [0, 2^64)" in capsys.readouterr().err
+
+
+def test_seed_range_ends(tmp_path):
+    for seed in (0, 2**64 - 1):
+        code, doc = run_json(tmp_path, ["sample", "7", "--field", "31", "--seed", str(seed)])
+        assert code == 0
+        assert doc["inputs"]["seed"] == seed
+
+
 def test_sample_more_coordinates_than_elements(tmp_path):
     # 9 distinct coordinates cannot exist in GF(7): exit 2 with the reason
     code, doc = run_json(tmp_path, ["sample", "9", "--field", "7", "--seed", "1"])

@@ -29,7 +29,7 @@ from quadcert.compression import (
 )
 from quadcert.rng import SplitMix64
 from tests._dualnum import Dual, lift_const, lift_var
-from _jacobianref import generator_matrix, gradient_matrix
+from _jacobianref import first_failing_row, generator_matrix, generator_rows, gradient_matrix
 
 
 F11 = field_make(11)
@@ -215,6 +215,22 @@ ORACLE_CASES = (
 )
 
 
+def _generator_rows(a):
+    """The generator rows at a as (d1, d2, di) triples, from the lane vectors
+    of `compression._generator_rows`."""
+    x1, x2 = a.coords[:2]
+    return list(zip(*quadcert.compression._generator_rows(x1, x2, a.ctx.lanes(a.codes[2:]))))
+
+
+def _corrupt_lane(vectors, lane, wrong):
+    """The lane vectors (D1, D2, Di) with wrong applied to the entries of one lane."""
+    columns = [list(v) for v in vectors]
+    ctx = columns[0][0].ctx
+    for column, entry in zip(columns, wrong(*(c[lane] for c in columns), ctx.one)):
+        column[lane] = entry
+    return tuple(ctx.lanes(map(ctx.element_index, c)) for c in columns)
+
+
 @pytest.mark.parametrize("p, k, n", ORACLE_CASES)
 def test_generator_rows_against_full_jacobian(p, k, n):
     ctx = field_make(p, k)
@@ -224,7 +240,8 @@ def test_generator_rows_against_full_jacobian(p, k, n):
         gen = generator_matrix(a)
         pos = triple_positions(n)
         assert (gen.rows, gen.cols) == (n - 2, n)
-        rows = quadcert.compression._generator_rows(a.coords)
+        rows = _generator_rows(a)
+        assert rows == generator_rows(a)
         for i, (d1, d2, di) in enumerate(rows, start=3):
             row = full.row(pos[(1, i, 2)])
             assert (row[0], row[1], row[i - 1]) == (d1, d2, di)
@@ -239,7 +256,7 @@ def test_generator_rows_against_full_jacobian(p, k, n):
 
 
 def test_generator_jacobian_pin():
-    rows = quadcert.compression._generator_rows(BASE.coords)
+    rows = _generator_rows(BASE)
     assert len(rows) == 3
     # row of (1, 3, 2) at x = (9, 5, 1, 3, 4) over GF(11), 1/(x_1 - x_2) = 3:
     # (x_3 - x_2) 3^2 = 8, (x_1 - x_3) 3^2 = 6, -3 = 8
@@ -348,15 +365,78 @@ def test_wrong_generator_row_raises(monkeypatch, capsys, wrong):
     # a wrong row makes certify raise instead of printing a certificate
     rows = quadcert.compression._generator_rows
 
-    def wrong_rows(xs):
-        out = rows(xs)
-        out[4] = wrong(*out[4], xs[0].ctx.one)
-        return out
+    def wrong_rows(x1, x2, xs):
+        return _corrupt_lane(rows(x1, x2, xs), 4, wrong)
 
     monkeypatch.setattr(quadcert.compression, "_generator_rows", wrong_rows)
     with pytest.raises(JacobianIdentityError, match="generator row 7"):
         main(["certify", "15", "3", "--field-degree", "4", "--samples", "1"])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("wrong", WRONG_ROWS.values(), ids=WRONG_ROWS.keys())
+@pytest.mark.parametrize("p, k", [(31, 1), (3, 4)])
+def test_lane_checks_name_the_row_the_element_loop_names(monkeypatch, p, k, wrong):
+    # each lane of an n = 15 point corrupted in turn: the certificate raises
+    # for exactly the corrupted rows the element loop rejects, and names the
+    # row it names
+    a = sample_quadric_point(15, field_make(p, k), seed=3)
+    rows = quadcert.compression._generator_rows
+    for lane in range(a.n - 2):
+        elements = generator_rows(a)
+        elements[lane] = wrong(*elements[lane], a.ctx.one)
+        expected = first_failing_row(a, elements)
+        monkeypatch.setattr(
+            quadcert.compression,
+            "_generator_rows",
+            lambda x1, x2, xs: _corrupt_lane(rows(x1, x2, xs), lane, wrong),
+        )
+        if expected is None:  # a swap at the midpoint of x_1 and x_2
+            rank_certificate(a)
+        else:
+            assert expected == lane + 3
+            with pytest.raises(JacobianIdentityError, match=f"generator row {expected} "):
+                rank_certificate(a)
+
+
+def test_the_first_failing_row_of_either_check_is_named(monkeypatch):
+    # a swap in lane 4 breaks only J.x = 0, a wrong d1 in lane 6 breaks
+    # J.1 = 0 as well: the certificate names row 7, the first of the two
+    a = sample_quadric_point(15, field_make(3, 4), seed=3)
+    rows = quadcert.compression._generator_rows
+    elements = generator_rows(a)
+    elements[4] = WRONG_ROWS["swap"](*elements[4], a.ctx.one)
+    elements[6] = WRONG_ROWS["d1"](*elements[6], a.ctx.one)
+    assert first_failing_row(a, elements) == 7
+
+    def wrong_rows(x1, x2, xs):
+        vectors = _corrupt_lane(rows(x1, x2, xs), 4, WRONG_ROWS["swap"])
+        return _corrupt_lane(vectors, 6, WRONG_ROWS["d1"])
+
+    monkeypatch.setattr(quadcert.compression, "_generator_rows", wrong_rows)
+    with pytest.raises(JacobianIdentityError, match="generator row 7 "):
+        rank_certificate(a)
+
+
+# (coordinates over GF(7), ambient, tangent and restricted rank, bound): the
+# two smallest certificates, with one and two generator rows
+SMALL_CERTIFICATES = (
+    ((1, 2, 4), (1, 1, 0), 0),
+    ((0, 1, 2, 4), (2, 2, 1), 1),
+)
+
+
+@pytest.mark.parametrize("coords, ranks, bound", SMALL_CERTIFICATES, ids=["n3", "n4"])
+def test_certificates_with_one_and_two_lanes(coords, ranks, bound):
+    a = AmbientPoint(tuple(map(field_make(7).el, coords)))
+    assert on_quadric(a)
+    cert = rank_certificate(a)
+    assert (cert.ambient_rank, cert.tangent_dim, cert.restricted_rank) == ranks
+    assert (cert.bound, cert.satisfied) == (bound, True)
+    jac, tangent = generator_matrix(a), tangent_basis(a)
+    assert cert.ambient_rank == rank(jac)
+    assert cert.tangent_dim == len(tangent)
+    assert cert.restricted_rank == restricted_rank(jac, tangent)
 
 
 def test_structured_certificate_validation_over_an_extension_field():

@@ -19,6 +19,11 @@ and review the diff.
 
 import importlib.resources
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -86,6 +91,60 @@ def test_no_command_eliminates_or_builds_tables(tmp_path, monkeypatch, stem, arg
     out = tmp_path / f"{stem}.json"
     assert _run(argv, out) == code
     assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+# Renders every case under another interpreter, which needs no test
+# dependency: argv is (cases as JSON, output directory), stdout the exit codes.
+_RENDER = """
+import json, sys
+from quadcert.cli import main
+cases, out = json.loads(sys.argv[1]), sys.argv[2]
+print(json.dumps([main(argv + ["--json", f"{out}/{stem}.json"]) for stem, argv, _ in cases]))
+"""
+
+
+def _other_interpreters() -> dict[tuple[int, int], str]:
+    """One executable per Python version >= 3.10 other than this one: the
+    pyenv installs first, then python3.X on the PATH."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    candidates = [str(p) for p in sorted(root.glob("versions/3.1*/bin/python3"))]
+    candidates += [path for minor in range(10, 20) if (path := shutil.which(f"python3.{minor}"))]
+    found = {}
+    for path in candidates:
+        match = re.search(r"(?:python|versions/)3\.(\d+)", path)
+        version = (3, int(match.group(1))) if match else None
+        if version and version >= (3, 10) and version != sys.version_info[:2]:
+            found.setdefault(version, path)
+    return found
+
+
+def test_golden_bytes_on_other_interpreters(tmp_path):
+    # the certificates must not depend on the interpreter: each other
+    # installed Python renders every case to the same bytes and exit code
+    src = Path(quadcert.gf.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    ran = []
+    for version, python in sorted(_other_interpreters().items()):
+        try:
+            started = subprocess.run([python, "-c", ""], capture_output=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if started.returncode:
+            continue
+        out = tmp_path / "py{}.{}".format(*version)
+        out.mkdir()
+        proc = subprocess.run(
+            [python, "-c", _RENDER, json.dumps(CASES), str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, (version, proc.stderr)
+        assert json.loads(proc.stdout) == [code for _, _, code in CASES], version
+        for stem, _, _ in CASES:
+            got = (out / f"{stem}.json").read_bytes()
+            assert got == (GOLDEN / f"{stem}.json").read_bytes(), (version, stem)
+        ran.append(version)
+    if not ran:
+        pytest.skip("no other Python >= 3.10 installed")
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)

@@ -12,13 +12,15 @@ digit reaches its bound. A last test makes the tuple decoder raise and runs
 every certificate step and the block solver with it.
 """
 
+from itertools import repeat
+
 import pytest
 
 import _fieldref as ref
 from _jacobianref import gradient_matrix
 from quadcert.actions import AffineMap, affine_act, invariance_report, random_affine
 from quadcert.compression import faithfulness_witness, rank_certificate
-from quadcert.gf import FieldCtx, field_make
+from quadcert.gf import FieldCtx, _Kernel, field_make
 from quadcert.linalg import kernel_basis
 from quadcert.profile import binary_profile
 from quadcert.quadric import (
@@ -93,6 +95,93 @@ def test_sqrt_matches_schoolbook_tonelli_shanks(p, k):
         assert (None if root is None else root.coeffs) == expected
         if root is not None:
             assert root * root == a
+
+
+# --- lane vectors ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 13, 1100])
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_lane_vectors_match_element_arithmetic(p, k, lanes):
+    # a lane vector of seeded elements after the top element and zero,
+    # against the element loop: scalar x vector, vector +- vector, vector +-
+    # scalar in every lane and broadcast; the top element times the top lane
+    # reaches the digit bound before the folds
+    ctx = field_make(p, k)
+    rng = SplitMix64(lanes * p + k)
+    codes = ([ctx.size - 1, 0] + rng.draw(ctx.size, lanes))[:lanes]
+    others = rng.draw(ctx.size, lanes)
+    xs, ys = list(map(ctx.element_at, codes)), list(map(ctx.element_at, others))
+    u, v = ctx.lanes(codes), ctx.lanes(iter(others))
+    assert len(u) == lanes and list(u) == xs and list(v) == ys
+    for a in _elements(ctx, 3, lanes + p):
+        assert list(u * a) == list(a * u) == [x * a for x in xs]
+        assert list(u + a) == list(a + u) == [x + a for x in xs]
+        assert list(u - a) == [x - a for x in xs]
+        assert list(a - u) == [a - x for x in xs]
+        assert list(u.broadcast(a)) == [a] * lanes
+    assert list(u + v) == [x + y for x, y in zip(xs, ys)]
+    assert list(u - v) == [x - y for x, y in zip(xs, ys)]
+    assert list(u - u) == list(u.broadcast(ctx.zero)) == [ctx.zero] * lanes
+    assert u and not (u - u)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 4), (1021, 2)])
+def test_first_nonzero_names_the_first_nonzero_lane(p, k):
+    # a single nonzero lane at each position, with the top element and one,
+    # and a vector nonzero from some lane on
+    ctx = field_make(p, k)
+    lanes = 13
+    assert ctx.lanes([0] * lanes).first_nonzero() is None
+    for code in (1, ctx.size - 1):
+        for i in range(lanes):
+            codes = [0] * lanes
+            codes[i] = code
+            assert ctx.lanes(codes).first_nonzero() == i
+            assert ctx.lanes(codes[:i] + [code] * (lanes - i)).first_nonzero() == i
+
+
+def test_lane_vectors_refuse_other_shapes_and_fields():
+    f81, f7 = field_make(3, 4), field_make(7)
+    u = f81.lanes([1, 2, 3])
+    with pytest.raises(ValueError):
+        u + f81.lanes([1, 2])
+    with pytest.raises(ValueError):
+        u - f7.lanes([1, 2, 3])
+    with pytest.raises(ValueError):
+        u * f7.one
+    with pytest.raises(TypeError):
+        u * u
+    with pytest.raises(TypeError):
+        u.broadcast(u)
+
+
+# (p, k): for p = 3, 31 and 1021 the widest digit bound 2^b, b the bit length
+# of k p^2, over the kernel's fields
+NORM_FIELDS = [(3, 12), (31, 1), (1021, 2)]
+
+
+@pytest.mark.parametrize("p,k", NORM_FIELDS)
+def test_barrett_norm_is_exact_on_every_digit_below_its_bound(p, k):
+    # every digit value 0 .. 2^b - 1, in every digit of 1100 lanes at a time
+    # (the kernel a lane vector of that length runs), against d mod p; the
+    # one-lane _norm of FieldCtx on the values around each multiple of p
+    ctx = field_make(p, k)
+    bound, size = 1 << (k * p * p).bit_length(), ctx._width // 8
+    kernel = _Kernel(ctx, 1100, ctx._folds)
+    chunk = 1100 * (2 * k - 1)
+
+    def pack(values):
+        return b"".join(map(int.to_bytes, values, repeat(size), repeat("little")))
+
+    for start in range(0, bound, chunk):
+        digits = range(start, min(start + chunk, bound))
+        reduced = kernel.norm(int.from_bytes(pack(digits), "little"))
+        assert reduced.to_bytes(size * len(digits), "little") == pack(d % p for d in digits)
+    for d in range(0, bound, p):
+        for e in (d - 1, d, d + 1):
+            if 0 <= e < bound:
+                assert ctx._norm(e) == e % p
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)

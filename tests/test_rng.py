@@ -1,9 +1,11 @@
 """Deterministic stream generator used for sampling."""
 
 import hashlib
+from array import array
 
 import pytest
 
+import quadcert.rng
 from quadcert.rng import LANES, SplitMix64
 
 
@@ -97,6 +99,23 @@ def test_batched_draw_matches_single_draws(n):
         single, batched = SplitMix64(20231), SplitMix64(20231)
         assert batched.draw(n, count) == [single.below(n) for _ in range(count)], count
         assert batched.derive_seed() == single.derive_seed(), count
+
+
+@pytest.mark.parametrize("count", [5, 64, 1024])
+def test_lane_pass_reads_words_on_a_big_endian_machine(monkeypatch, count):
+    # there array("Q", bytes) reads each 8-byte word most significant byte
+    # first, the byteswap of the little-endian read; the lane pass must
+    # swap the words back
+    def big_endian_array(typecode, data):
+        words = array(typecode, data)
+        words.byteswap()
+        return words
+
+    monkeypatch.setattr(quadcert.rng, "_BIG_ENDIAN", True)
+    monkeypatch.setattr(quadcert.rng, "array", big_endian_array)
+    for n in (31, 3**12, 2**64):
+        single, batched = SplitMix64(20231), SplitMix64(20231)
+        assert batched.draw(n, count) == [single.below(n) for _ in range(count)]
 
 
 def test_lane_pass_falls_back_only_for_its_own_rejections(monkeypatch):
