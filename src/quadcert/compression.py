@@ -81,7 +81,9 @@ from .quadric import AmbientPoint, in_discriminant, power_sums, tangent_basis
 from .actions import AffineMap, Permutation, affine_act
 
 
-@lru_cache(maxsize=None)
+# Both triple tables hold about n^3 entries, 68 MiB for the two at n = 80, so
+# each cache keeps only the last n it was asked for.
+@lru_cache(maxsize=1)
 def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """All ordered triples of distinct indices in {1, ..., n}, lexicographic;
     there are n(n-1)(n-2) of them."""
@@ -95,7 +97,7 @@ def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def triple_positions(n: int) -> dict[tuple[int, int, int], int]:
     return {trip: i for i, trip in enumerate(ordered_triples(n))}
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import add, floordiv, index, lshift, mod, mul
 from typing import Iterator, Optional
 
@@ -601,51 +601,40 @@ class FieldCtx:
 
     def tables(self):
         """(exp, log, zech) over canonical indices, built on first use: for
-        a generator g, exp[e] is the index of g^e (0 <= e < q - 1), log[i]
-        the log of the element with index i (log[0] = -1), and zech[d] the
-        log of 1 + g^d (-1 where that is zero, d = (q - 1)/2)."""
+        the generator g of `_generator`, exp[e] is the index of g^e
+        (0 <= e < q - 1), log[i] the log of the element with index i
+        (log[0] = -1), and zech[d] the log of 1 + g^d (-1 where that is
+        zero, d = (q - 1)/2)."""
         if self._tables is None:
             self._tables = self._build_tables()
         return self._tables
 
     def _generator(self) -> FieldElement:
-        """The first element of order q - 1: x + c for c = 0..p-1 (k > 1),
-        then the canonical order. `_build_tables` steps by g with one Horner
-        pass per degree of g, so a linear generator is the cheapest."""
-        m = self.size - 1
+        """The element of least code whose order is q - 1: the first unit
+        in the canonical order with g^((q - 1)/l) != 1 for every prime l
+        dividing q - 1."""
+        m, power = self.size - 1, self._kpow
         cofactors = [m // ell for ell in _prime_factors(m)]
-        linear = (self.el([c, 1]) for c in range(self.p)) if self.k > 1 else ()
-        for g in chain(linear, map(self.element_at, range(1, self.size))):
-            if all(g**e != self.one for e in cofactors):
-                return g
+        for g in map(self._packed_at, range(1, self.size)):
+            if all(power(g, e) != 1 for e in cofactors):  # 1 is the packed one
+                return FieldElement(self, g)
         raise RuntimeError(f"no generator of {self!r}")
 
     def _build_tables(self):
-        p, k, m = self.p, self.k, self.size - 1
-        g = list(self._generator().coeffs)
-        while len(g) > 1 and not g[-1]:
-            g.pop()
-        lead, low = g.pop(), g[::-1]
-        x_k = self._unpack(self._folds[0]) if k > 1 else ()  # x^k mod the modulus
+        """The tables of `tables`, stepping g^e to g^(e + 1) with one `_kmul`."""
+        m, g, mul, code = self.size - 1, self._generator().packed, self._kmul, self._code
         # 32-bit arrays: a quarter of the memory of int lists near q = 2^20
         exp = array("i", bytes(4 * m))
         log = array("i", [-1]) * (m + 1)
-        cur = [1] + [0] * (k - 1)
+        x = 1  # the packed one
         for e in range(m):
-            idx = 0
-            for c in cur:
-                idx = idx * p + c
+            idx = code(x)
             exp[e] = idx
             log[idx] = e
-            # cur <- cur * g by Horner over g's coefficients: acc <- x acc + g_i cur
-            acc = cur if lead == 1 else [(lead * c) % p for c in cur]
-            for gi in low:
-                top = acc[-1]
-                acc = [(a + gi * c + top * r) % p for a, c, r in zip([0] + acc, cur, x_k)]
-            cur = acc
+            x = mul(x, g)
         # 1 + g^d adds 1 to the constant coefficient, the leading index digit
-        unit = p ** (k - 1)
-        top = (p - 1) * unit
+        unit = self.p ** (self.k - 1)
+        top = (self.p - 1) * unit
         zech = array("i", (log[i - top] if i >= top else log[i + unit] for i in exp))
         return exp, log, zech
 

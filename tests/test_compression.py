@@ -46,6 +46,17 @@ def test_triple_enumeration():
     assert all(trip[pos[t]] == t for t in trip)
 
 
+def test_triple_caches_keep_only_the_last_size():
+    # each table holds about n^3 entries: kept for every n asked, the two
+    # held 9, 39 and 106 MiB after n = 40, 60 and 80 in one process
+    for n in (7, 9, 8):
+        pos = triple_positions(n)
+        assert len(pos) == len(ordered_triples(n)) == n * (n - 1) * (n - 2)
+    assert ordered_triples.cache_info().currsize == 1
+    assert triple_positions.cache_info().currsize == 1
+    assert ordered_triples(8) is ordered_triples(8)
+
+
 def test_component_pins():
     img = compress(BASE)
     assert img.value(1, 2, 3) == F11.el(6)

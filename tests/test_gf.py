@@ -353,8 +353,26 @@ def test_reduce_and_mul_match_polynomial_division(p, k):
 
 
 # the log tables behind elimination, below and above 256 elements, k = 2, 4, 6,
-# and prime fields, k = 1 (GF(3) has m = 2, so its Zech zero sits at d = 1)
-TABLE_FIELDS = [(3, 4), (5, 4), (13, 2), (3, 6), (3, 1), (7, 1), (31, 1)]
+# odd degrees k = 3, 5, and prime fields, k = 1 (GF(3) has m = 2, so its Zech
+# zero sits at d = 1)
+TABLE_FIELDS = [(3, 4), (5, 4), (13, 2), (3, 6), (5, 3), (3, 5), (3, 1), (7, 1), (31, 1)]
+
+
+def _order(x) -> int:
+    """The multiplicative order of a unit x, by stepping its powers."""
+    power, order = x, 1
+    while power != 1:
+        power, order = power * x, order + 1
+    return order
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_generator_is_the_least_code_of_full_order(p, k):
+    ctx = field_make(p, k)
+    m = ctx.size - 1
+    first = next(code for code in range(1, ctx.size) if _order(ctx.element_at(code)) == m)
+    assert ctx.element_index(ctx._generator()) == first
+    assert ctx.tables()[0][1] == first  # exp[1] is g
 
 
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)

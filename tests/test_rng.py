@@ -7,6 +7,7 @@ import pytest
 
 import quadcert.rng
 from quadcert.rng import LANES, SplitMix64
+from _rngref import draw_one_at_a_time, next_u64
 
 
 def test_same_seed_same_stream():
@@ -83,22 +84,28 @@ def test_below_stream_pin(n, head, digest):
     assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
 
 
-# draw counts around the lane pass: the short draws that run the one-output
-# loop and the smallest passes, a sampler try at n = 15, one lane short of a
-# full pass, a full pass, and counts that take two and three passes
-LANE_COUNTS = (2, 3, 4, 5, 6, 13, 64, LANES - 1, LANES, LANES + 1, 2 * LANES + 7)
+# draw counts around the lane pass: one output (`below`), the smallest
+# passes, a sampler try at n = 15, one lane short of a full pass, a full
+# pass, and counts that take two and three passes
+LANE_COUNTS = (1, 2, 3, 4, 5, 6, 13, 64, LANES - 1, LANES, LANES + 1, 2 * LANES + 7)
+# the pinned bounds, and bounds that reject about one raw output in 2^10
+# (2^54 + 1) and one in four (3·2^62), and 2^64, which rejects none
+DRAW_BOUNDS = [pin[0] for pin in BELOW_PINS] + [2**54 + 1, 3 * 2**62, 2**64]
 
 
-@pytest.mark.parametrize("n", [pin[0] for pin in BELOW_PINS])
+@pytest.mark.parametrize("n", DRAW_BOUNDS)
 def test_batched_draw_matches_single_draws(n):
-    # one draw(n, count) returns the values of count below(n) calls and
-    # leaves the stream where they leave it; at 2^63 + 1 about half of the
-    # raw outputs are rejected, so a pass of more than a few lanes runs the
-    # one-output loop instead
-    for count in LANE_COUNTS:
-        single, batched = SplitMix64(20231), SplitMix64(20231)
-        assert batched.draw(n, count) == [single.below(n) for _ in range(count)], count
-        assert batched.derive_seed() == single.derive_seed(), count
+    # one draw(n, count) returns the values of the one-output reference loop
+    # and of count below(n) calls, and leaves the stream where they leave it;
+    # at 2^63 + 1 about half of the raw outputs are rejected, so most passes
+    # come back short and the next pass asks for what is still missing
+    for seed in (0, 7, 20231):
+        for count in LANE_COUNTS:
+            single, batched = SplitMix64(seed), SplitMix64(seed)
+            expected, state = draw_one_at_a_time(seed, n, count)
+            assert batched.draw(n, count) == expected, (seed, count)
+            assert [single.below(n) for _ in range(count)] == expected, (seed, count)
+            assert batched.derive_seed() == single.derive_seed() == next_u64(state), (seed, count)
 
 
 @pytest.mark.parametrize("count", [5, 64, 1024])
@@ -114,35 +121,32 @@ def test_lane_pass_reads_words_on_a_big_endian_machine(monkeypatch, count):
     monkeypatch.setattr(quadcert.rng, "_BIG_ENDIAN", True)
     monkeypatch.setattr(quadcert.rng, "array", big_endian_array)
     for n in (31, 3**12, 2**64):
-        single, batched = SplitMix64(20231), SplitMix64(20231)
-        assert batched.draw(n, count) == [single.below(n) for _ in range(count)]
+        batched = SplitMix64(20231)
+        expected, state = draw_one_at_a_time(20231, n, count)
+        assert batched.draw(n, count) == expected
+        assert batched.derive_seed() == next_u64(state)
 
 
-def test_lane_pass_falls_back_only_for_its_own_rejections(monkeypatch):
-    # below 2^54 + 1 about one raw output in 2^10 is rejected, so in one
-    # draw of three passes some passes reject a lane and run the one-output
-    # loop and some keep their lanes (from this seed, the two full passes
-    # fall back and the last pass of 7 starts where the loop left the
-    # stream); below 31 no pass of 13 lanes falls back
-    n = 2**54 + 1
-    count = 2 * LANES + 7
-    fallbacks = []
-    scalar = SplitMix64._scalar
+def test_a_rejecting_draw_over_three_passes_matches_the_reference_loop(monkeypatch):
+    # below 2^54 + 1 about one raw output in 2^10 is rejected: from this seed
+    # each of the two full passes rejects one lane, so the third pass asks
+    # for the 9 outputs still missing and accepts them all; the draw ends on
+    # the reference loop's values and leaves the stream where the loop does
+    n, count = 2**54 + 1, 2 * LANES + 7
+    passes = []
+    lanes = SplitMix64._lanes
 
-    def counted(self, n, rem, count):
-        fallbacks.append(count)
-        return scalar(self, n, rem, count)
+    def counted(self, n, limit, asked):
+        out = lanes(self, n, limit, asked)
+        passes.append((asked, len(out)))
+        return out
 
-    monkeypatch.setattr(SplitMix64, "_scalar", counted)
-    single, batched = SplitMix64(20231), SplitMix64(20231)
-    expected = [single.below(n) for _ in range(count)]
-    fallbacks.clear()
-    assert batched.draw(n, count) == expected
-    assert fallbacks == [LANES, LANES]
-    assert batched.derive_seed() == single.derive_seed()
-    fallbacks.clear()
-    SplitMix64(20231).draw(31, 13)
-    assert fallbacks == []
+    monkeypatch.setattr(SplitMix64, "_lanes", counted)
+    r = SplitMix64(20231)
+    expected, state = draw_one_at_a_time(20231, n, count)
+    assert r.draw(n, count) == expected
+    assert passes == [(LANES, LANES - 1), (LANES, LANES - 1), (9, 9)]
+    assert r.derive_seed() == next_u64(state)
 
 
 def test_rejection_consumes_extra_outputs():
