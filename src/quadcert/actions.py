@@ -112,9 +112,6 @@ class AffineMap:
     def identity(ctx: FieldCtx) -> "AffineMap":
         return AffineMap(ctx.one, ctx.zero)
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
-
 
 def affine_compose(g1: AffineMap, g2: AffineMap) -> AffineMap:
     """First apply g2, then g1."""
@@ -145,16 +142,6 @@ class InvarianceReport:
     expected_p2: FieldElement
     identities_hold: bool
     stays_on_quadric: bool
-
-    def to_json(self) -> dict:
-        return {
-            "s1_after": self.s1_after.to_json(),
-            "p2_after": self.p2_after.to_json(),
-            "expected_s1": self.expected_s1.to_json(),
-            "expected_p2": self.expected_p2.to_json(),
-            "identities_hold": self.identities_hold,
-            "stays_on_quadric": self.stays_on_quadric,
-        }
 
 
 def invariance_report(a: AmbientPoint, g: AffineMap) -> InvarianceReport:
@@ -190,12 +177,6 @@ class StabilizerResult:
     @property
     def kind(self) -> str:
         return "Trivial" if self.trivial else "OneDimensional"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "constant": None if self.constant is None else self.constant.to_json(),
-        }
 
 
 def affine_stabilizer(a: AmbientPoint) -> StabilizerResult:

@@ -4,10 +4,12 @@ Every command produces one certificate document:
 
     {schema_version, command, inputs, field, payload, checks}
 
-Its `inputs` are the command's parsed arguments other than `--json`. A
-document contains only integers, strings, booleans, nulls, arrays (lists)
-and objects (dicts with string keys). Field elements appear as coefficient
-vectors, low degree first.
+Its `inputs` are the command's parsed arguments other than `--json`. This
+module alone turns package values into document values (`_json`, `_field`,
+`_solution`); no model class writes its own. A document contains only
+integers, strings, booleans, nulls, arrays (lists) and objects (dicts with
+string keys). Field elements appear as coefficient vectors, low degree
+first.
 
 The bytes are exactly those of `json.dumps(doc, sort_keys=True, indent=2)
 + "\n"`: keys sorted, each item of a non-empty array or object on its own
@@ -26,6 +28,7 @@ invalid profiles), 3 a verification check failed, 4 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from itertools import chain
@@ -40,9 +43,10 @@ from .errors import (
     NotPrimeError,
     UsageError,
 )
-from .gf import field_make
+from .gf import FieldElement, field_make
 from .profile import binary_profile, check_hypotheses
 from .quadric import (
+    AmbientPoint,
     in_discriminant,
     in_small_diagonal,
     on_quadric,
@@ -184,6 +188,40 @@ def _emit(doc: dict, json_path: str | None) -> None:
         raise UsageError(f"cannot write {json_path}: {exc.strerror}") from None
 
 
+def _json(value):
+    """The document value of a package value: a field element is its
+    coefficient list, a bool, int, str or None is already one, a point is one
+    coefficient list per coordinate (made once per distinct code), a tuple a
+    list, and a dataclass the object of its fields. Any other value raises
+    TypeError."""
+    if isinstance(value, FieldElement):
+        return list(value.coeffs)
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if isinstance(value, AmbientPoint):
+        distinct = list(set(value.codes))
+        rows = dict(zip(distinct, value.ctx.coefficient_rows(distinct)))
+        return list(map(rows.__getitem__, value.codes))
+    if isinstance(value, tuple):
+        return list(map(_json, value))
+    return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+
+
+def _field(ctx) -> dict:
+    return {"p": ctx.p, "k": ctx.k, "modulus": list(ctx.modulus)}
+
+
+def _solution(sol) -> dict:
+    """A block solution: its profile, weights, values c_i and field."""
+    return {
+        "n": sol.profile.n,
+        "exponents": list(sol.profile.exponents),
+        "weights": list(sol.weights),
+        "c": _json(sol.c),
+        "field": _field(sol.ctx),
+    }
+
+
 def _parse_field_spec(spec: str):
     """'p' or 'p^k' -> FieldCtx; raises UsageError on malformed input."""
     parts = spec.split("^")
@@ -243,7 +281,7 @@ def _block_checks(sol, lin, quad, lift=None, lift_on_quadric=False) -> list:
 def _cmd_check(args):
     decision = check_hypotheses(args.n, args.p, args.degree)
     ctx = field_make(args.p, args.degree)
-    payload = decision.to_json()
+    payload = _json(decision)
     payload["exponents"] = list(binary_profile(args.n).exponents)
     code = EXIT_OK if decision.applies else EXIT_HYPOTHESIS
     return ctx, payload, [("applies", decision.applies)], code
@@ -256,16 +294,16 @@ def _cmd_solve(args):
     except InvalidProfileError as exc:
         return _invalid_profile(args.p, exc)
     lin, quad = evaluate_system(sol)
-    payload = sol.to_json()
-    payload["checks_values"] = {"linear": lin.to_json(), "quadratic": quad.to_json()}
+    payload = _solution(sol)
+    payload["checks_values"] = {"linear": _json(lin), "quadratic": _json(quad)}
     lift = None
     on_quad = False
     if args.command == "construct":
         lift = lift_block_solution(sol)
         s1, s2 = power_sums(lift)
         on_quad = s1.is_zero() and s2.is_zero()
-        payload["lift"] = lift.to_json()
-        payload["lift_sums"] = {"coordinate_sum": s1.to_json(), "square_sum": s2.to_json()}
+        payload["lift"] = _json(lift)
+        payload["lift_sums"] = {"coordinate_sum": _json(s1), "square_sum": _json(s2)}
     checks = _block_checks(sol, lin, quad, lift, on_quad)
     return sol.ctx, payload, checks, _exit_code(checks)
 
@@ -283,8 +321,8 @@ def _cmd_sample(args):
         ("off_discriminant", not in_discriminant(point)),
     ]
     payload = {
-        "point": point.to_json(),
-        "sums": {"coordinate_sum": s1.to_json(), "square_sum": s2.to_json()},
+        "point": _json(point),
+        "sums": {"coordinate_sum": _json(s1), "square_sum": _json(s2)},
     }
     return ctx, payload, checks, _exit_code(checks)
 
@@ -309,9 +347,9 @@ def _cmd_borel_check(args):
                 {
                     "index": index,
                     "seed": seed,
-                    "point": point.to_json(),
-                    "map": g.to_json(),
-                    "report": invariance_report(point, g).to_json(),
+                    "point": _json(point),
+                    "map": _json(g),
+                    "report": _json(invariance_report(point, g)),
                 }
             )
     except NoPointFoundError as exc:
@@ -333,8 +371,8 @@ def _cmd_certify(args):
         lift = lift_block_solution(sol)
         block_checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
         block_ok = all(passed for _, passed in block_checks)
-        block_json = sol.to_json()
-        block_json["lift"] = lift.to_json()
+        block_json = _solution(sol)
+        block_json["lift"] = _json(lift)
 
     points = _sampled_points(args.n, ctx, SplitMix64(args.seed), args.samples, args.max_tries)
     samples = []
@@ -345,7 +383,7 @@ def _cmd_certify(args):
                 {
                     "index": index,
                     "seed": seed,
-                    "point": point.to_json(),
+                    "point": _json(point),
                     "ambient_rank": cert.ambient_rank,
                     "tangent_dim": cert.tangent_dim,
                     "restricted_rank": cert.restricted_rank,
@@ -360,7 +398,7 @@ def _cmd_certify(args):
     all_satisfied = all(s["satisfied"] for s in samples)
     all_witness = all(s["faithfulness_witness"] for s in samples)
     payload = {
-        "hypothesis": decision.to_json(),
+        "hypothesis": _json(decision),
         "control": not decision.applies,
         "control_requested": args.control,
         "block_solution": block_json,
@@ -474,7 +512,7 @@ def main(argv=None) -> int:
                 for name, value in vars(args).items()
                 if name not in ("command", "func", "json")
             },
-            "field": ctx.to_json(),
+            "field": _field(ctx),
             "payload": payload,
             "checks": [{"name": name, "passed": bool(ok)} for name, ok in checks],
         }

@@ -81,8 +81,8 @@ from .quadric import AmbientPoint, in_discriminant, power_sums, tangent_basis
 from .actions import AffineMap, Permutation, affine_act
 
 
-# Both triple tables hold about n^3 entries, 68 MiB for the two at n = 80, so
-# each cache keeps only the last n it was asked for.
+# The triple table holds about n^3 entries, so the cache keeps only the last
+# n it was asked for.
 @lru_cache(maxsize=1)
 def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """All ordered triples of distinct indices in {1, ..., n}, lexicographic;
@@ -97,9 +97,10 @@ def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-@lru_cache(maxsize=1)
-def triple_positions(n: int) -> dict[tuple[int, int, int], int]:
-    return {trip: i for i, trip in enumerate(ordered_triples(n))}
+def _position(n: int, r: int, s: int, t: int) -> int:
+    """The index of (r, s, t) in ordered_triples(n): n - 1 choices of s and
+    n - 2 of t follow each r, each index counted past the ones it skips."""
+    return ((r - 1) * (n - 1) + s - 1 - (s > r)) * (n - 2) + t - 1 - (t > r) - (t > s)
 
 
 @dataclass(frozen=True)
@@ -115,15 +116,14 @@ class CompressionImage:
             raise ValueError(f"expected {expected} components, got {len(self.values)}")
 
     def value(self, r: int, s: int, t: int) -> FieldElement:
-        return self.values[triple_positions(self.n)[(r, s, t)]]
-
-    def to_json(self) -> list[list[int]]:
-        return [v.to_json() for v in self.values]
+        return self.values[_position(self.n, r, s, t)]
 
 
 def _pair_inverses(a: AmbientPoint) -> dict[tuple[int, int], FieldElement]:
-    """(i, j) -> 1/(x_i - x_j) for all ordered pairs; the single place that
-    can legitimately divide by zero, so the discriminant check lives here."""
+    """(i, j) -> 1/(x_i - x_j) for all ordered pairs. Like
+    `faithfulness_witness` and `rank_certificate` (through `_generator_rows`),
+    it inverts coordinate differences, so it refuses a point on the
+    discriminant first."""
     if in_discriminant(a):
         raise OnDiscriminantError("two coordinates are equal")
     inv = {}
@@ -154,11 +154,9 @@ def permute_image(sigma: Permutation, img: CompressionImage) -> CompressionImage
         raise SizeMismatchError(
             f"permutation of {sigma.n} against an image of {img.n}"
         )
-    inv = sigma.inverse()
-    pos = triple_positions(img.n)
-    vals = img.values
+    inv, n, vals = sigma.inverse(), img.n, img.values
     new_values = tuple(
-        vals[pos[(inv(r), inv(s), inv(t))]] for (r, s, t) in ordered_triples(img.n)
+        vals[_position(n, inv(r), inv(s), inv(t))] for (r, s, t) in ordered_triples(n)
     )
     return CompressionImage(img.n, new_values)
 
@@ -251,18 +249,6 @@ class RankCertificate:
     restricted_rank: int
     bound: int
     satisfied: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "characteristic_divides_n": self.characteristic_divides_n,
-            "ambient_rank": self.ambient_rank,
-            "tangent_dim": self.tangent_dim,
-            "restricted_rank": self.restricted_rank,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-        }
 
 
 def rank_certificate(a: AmbientPoint) -> RankCertificate:

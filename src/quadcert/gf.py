@@ -18,7 +18,8 @@ The canonical order on elements compares coefficient tuples lexicographically
 is its code, sum(a_i * p^(k-1-i)); `FieldCtx.element_at` and `element_index`
 convert both ways. The solver, the sampler and the sqrt tie-break all use this
 one order. Codes are the points' format. An element is held as its packed
-integer below; coefficient tuples appear only at `el`, `coeffs` and `to_json`.
+integer below; coefficient tuples appear only at `el`, `coeffs` and
+`coefficient_rows`.
 
 Products, squares and powers run in one kernel, `FieldCtx._kmul`, by Kronecker
 substitution: sum c_i 2^(W i) packs an element, so a polynomial product is one
@@ -237,9 +238,6 @@ class FieldElement:
         if self.ctx.k == 1:
             return f"{self.coeffs[0]}#GF({self.ctx.p})"
         return f"{list(self.coeffs)}#GF({self.ctx.p}^{self.ctx.k})"
-
-    def to_json(self) -> list[int]:
-        return list(self.coeffs)
 
 
 def _ones(step: int, count: int) -> int:
@@ -652,9 +650,6 @@ class FieldCtx:
         if self.k == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k})"
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
 
 @lru_cache(maxsize=None)

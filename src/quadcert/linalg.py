@@ -76,9 +76,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.ctx!r})"
 
-    def to_json(self) -> list:
-        return [[e.to_json() for e in self.row(i)] for i in range(self.rows)]
-
 
 def matvec(m: Matrix, v) -> tuple:
     v = tuple(v)

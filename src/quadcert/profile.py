@@ -47,17 +47,6 @@ class HypothesisDecision:
     r: int
     available_degree: int
 
-    def to_json(self) -> dict:
-        return {
-            "applies": self.applies,
-            "required_field_degree": self.required_field_degree,
-            "reasons": list(self.reasons),
-            "n": self.n,
-            "p": self.p,
-            "r": self.r,
-            "available_degree": self.available_degree,
-        }
-
 
 def binary_profile(n: int) -> BinaryProfile:
     """The unique presentation n = sum of distinct powers of two."""

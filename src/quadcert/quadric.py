@@ -8,8 +8,8 @@ and it is exactly where the quadric is singular.
 
 A point is held as the codes of its coordinates (see `gf`): the sampler
 draws codes, pair completion maps tail codes to pair codes, a lift repeats
-them, affine moves map them, and collision tests and JSON work per distinct
-code. `FieldElement`s are the boundary.
+them, affine moves map them, and collision tests work per distinct code, as
+does `cli` when it writes a point. `FieldElement`s are the boundary.
 
 Both power sums come from `FieldCtx.sums`, in plain integers with one
 reduction per sum (the kernel is described in `gf`). It also serves the
@@ -62,12 +62,6 @@ class AmbientPoint:
     @property
     def coords(self) -> tuple[FieldElement, ...]:
         return tuple(map(self.ctx.element_at, self.codes))
-
-    def to_json(self) -> list[list[int]]:
-        """Coefficient vectors, one list per distinct code."""
-        distinct = list(set(self.codes))
-        rows = dict(zip(distinct, self.ctx.coefficient_rows(distinct)))
-        return list(map(rows.__getitem__, self.codes))
 
 
 def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:

@@ -60,15 +60,6 @@ class BlockSolution:
         if any(ci.ctx != self.ctx for ci in self.c):
             raise ValueError("a value from a different field")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.profile.n,
-            "exponents": list(self.profile.exponents),
-            "weights": list(self.weights),
-            "c": [e.to_json() for e in self.c],
-            "field": self.ctx.to_json(),
-        }
-
 
 def evaluate_system(sol: BlockSolution) -> tuple[FieldElement, FieldElement]:
     """Re-evaluate both sums exactly; (0, 0) iff the solution is valid. They

@@ -8,11 +8,19 @@ numbers (`_dualnum`). The tests eliminate both with `quadcert.linalg`.
 
 The certificate evaluates the closed-form rows as lane vectors;
 `generator_rows` and `first_failing_row` are the same rows and checks one
-field element at a time.
+field element at a time. `triple_positions` numbers the full Jacobian's
+rows by enumerating the triples, the oracle of the index arithmetic in
+`quadcert.compression`.
 """
 
 from _dualnum import Dual
+from quadcert.compression import ordered_triples
 from quadcert.linalg import Matrix
+
+
+def triple_positions(n):
+    """(r, s, t) -> its index in ordered_triples(n)."""
+    return {trip: i for i, trip in enumerate(ordered_triples(n))}
 
 
 def gradient_matrix(a):

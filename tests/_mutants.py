@@ -9,12 +9,13 @@ Run the catalogue from the repository root with
 
     python3 tests/_mutants.py [NAME ...]
 
-For each entry (or each named one) it copies src/, tests/, perfbench/ and
-pyproject.toml to a temporary directory, applies the entry there, runs only
-that entry's tests against the copy and prints caught or survived. It never
-writes the working tree. A run that exceeds TIMEOUT seconds counts as
-caught: a mutated rejection filter can leave a draw looking for an output
-forever. The exit status is 0 when every entry ends as listed.
+For each entry (or each named one) it copies src/, tests/, perfbench/,
+pyproject.toml and README.md (which tests/test_docs.py runs) to a temporary
+directory, applies the entry there, runs only that entry's tests against the
+copy and prints caught or survived. It never writes the working tree. A run
+that exceeds TIMEOUT seconds counts as caught: a mutated rejection filter can
+leave a draw looking for an output forever. The exit status is 0 when every
+entry ends as listed.
 
 `tests/test_mutants.py` checks, in Tier-1, that each entry's text still
 occurs exactly once in its file and that each listed test exists, so code
@@ -44,6 +45,9 @@ class Mutant(NamedTuple):
 
 
 RNG = "tests/test_rng.py::"
+GF = "src/quadcert/gf.py"
+QUADRIC = "src/quadcert/quadric.py"
+CLI = "src/quadcert/cli.py"
 HALF = 2**63 + 1  # a bound that rejects about half of the raw outputs
 RARE = 2**54 + 1  # a bound that rejects about one raw output in 2^10
 
@@ -120,6 +124,129 @@ MUTANTS = (
         "    if False:\n        raise JacobianIdentityError(",
         ("tests/test_compression.py::test_wrong_generator_row_raises",),
     ),
+    Mutant(
+        "sums-width-one-bit-short",
+        GF,
+        "w = (n * self.k * (self.p - 1) ** 2).bit_length()",
+        "w = (n * self.k * (self.p - 1) ** 2).bit_length() - 1",
+        (
+            "tests/test_kernels.py::test_sums_count_repeated_codes_like_multiplicities[3-12]",
+            "tests/test_quadric.py::test_sums_at_the_widest_packing[3-12-500]",
+            "tests/test_quadric.py::test_sums_on_the_4095_coordinate_lift",
+        ),
+    ),
+    Mutant(
+        "sums-square-sum-one-digit-short",
+        GF,
+        "self._reduce(s2, w, 2 * self.k - 1)",
+        "self._reduce(s2, w, 2 * self.k - 2)",
+        (
+            "tests/test_cli.py::test_sample_extension_field",
+            "tests/test_compression.py::test_rank_certificate_divisible_case",
+        ),
+    ),
+    Mutant(
+        "sums-width-ignores-multiplicities",
+        GF,
+        "n = len(codes) if mults is None else sum(mults)",
+        "n = len(codes)",
+        (
+            "tests/test_kernels.py::test_sums_take_any_integer_multiplicity[7-1]",
+            "tests/test_trace_system.py::test_evaluate_system_matches_element_oracle",
+            "tests/test_golden.py::test_golden_certificate[solve_199_199]",
+        ),
+    ),
+    Mutant(
+        "sums-multiplicity-dropped-from-s1",
+        GF,
+        "return self._reduce(sum(weighted), w, self.k)",
+        "return self._reduce(sum(packed), w, self.k)",
+        (
+            "tests/test_kernels.py::test_sums_count_repeated_codes_like_multiplicities",
+            "tests/test_cli.py::test_solve_pin",
+            "tests/test_trace_system.py::test_evaluate_system_matches_element_oracle",
+        ),
+    ),
+    Mutant(
+        # the square root of zero then enters Tonelli-Shanks, whose loop never
+        # ends, so most tests hang; the inverse pin fails at once
+        "is-zero-inverted",
+        GF,
+        "        return not self.packed\n",
+        "        return bool(self.packed)\n",
+        ("tests/test_gf.py::test_prime_field_inverse_pins",),
+    ),
+    Mutant(
+        "small-diagonal-skips-last-coordinate",
+        QUADRIC,
+        "return a.codes.count(a.codes[0]) == a.n",
+        "return a.codes[:-1].count(a.codes[0]) == a.n - 1",
+        (
+            "tests/test_quadric.py::test_small_diagonal_checks_every_coordinate",
+            "tests/test_actions.py::test_stabilizer_dichotomy_exhaustive",
+        ),
+    ),
+    Mutant(
+        "pair-against-tail-collision-dropped",
+        QUADRIC,
+        "if pair is None or pair[0] == pair[1] or not drawn.isdisjoint(pair):",
+        "if pair is None or pair[0] == pair[1]:",
+        (
+            "tests/test_quadric.py::test_sampler_pin_and_determinism",
+            "tests/test_cli.py::test_sample",
+            "tests/test_acceptance.py::test_acceptance_4_sampler_vs_enumeration",
+        ),
+    ),
+    Mutant(
+        "try-sliced-one-code-late",
+        QUADRIC,
+        "tail = codes[start : start + width]",
+        "tail = codes[start + 1 : start + width + 1]",
+        (
+            "tests/test_quadric.py::test_sampler_stream_matches_tail_first_oracle",
+            "tests/test_quadric.py::test_sampler_stream_matches_oracle_when_a_try_spans_lane_passes",
+            "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
+        ),
+    ),
+    Mutant(
+        "batch-not-clipped-to-the-budget",
+        QUADRIC,
+        "tries = min(batch, left)",
+        "tries = batch",
+        (
+            "tests/test_quadric.py::test_sampler_stream_matches_tail_first_oracle[5-7-1]",
+            "tests/test_quadric.py::test_sampler_stream_matches_tail_first_oracle[15-31-1]",
+        ),
+    ),
+    Mutant(
+        "batch-cap-dropped",
+        QUADRIC,
+        "batch = min(2 * batch, most)",
+        "batch = 2 * batch",
+        ("tests/test_quadric.py::test_failing_search_draws_in_bounded_memory",),
+    ),
+    Mutant(
+        "writer-point-rows-through-the-wrong-code",
+        CLI,
+        "value.ctx.coefficient_rows(distinct)",
+        "value.ctx.coefficient_rows(distinct[::-1])",
+        (
+            "tests/test_quadric.py::test_point_to_json",
+            "tests/test_kernels.py::test_point_round_trips",
+            "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
+        ),
+    ),
+    Mutant(
+        "writer-dataclass-field-skipped",
+        CLI,
+        "for f in dataclasses.fields(value)}",
+        "for f in dataclasses.fields(value)[1:]}",
+        (
+            "tests/test_profile.py::test_decision_to_json",
+            "tests/test_actions.py::test_report_to_json",
+            "tests/test_golden.py::test_golden_certificate[check_15_3]",
+        ),
+    ),
 )
 
 
@@ -139,7 +266,8 @@ def run(mutant: Mutant) -> str:
         ignore = shutil.ignore_patterns("__pycache__", "out", ".hypothesis")
         for name in COPIED:
             shutil.copytree(ROOT / name, root / name, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", root / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, root / name)
         apply(root, mutant)
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
         argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]

@@ -33,13 +33,13 @@ from quadcert.compression import (
     compression_jacobian,
     ordered_triples,
     permute_image,
-    triple_positions,
 )
 from quadcert.rng import SplitMix64
 from quadcert.trace_system import evaluate_system, solve_block_system, weights_mod_p
 from quadcert.cli import main
 
 from tests._dualnum import lift_const, lift_var
+from _jacobianref import triple_positions
 
 
 PRIMES = (3, 5, 7, 11, 13)

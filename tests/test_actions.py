@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from quadcert.cli import _json
 from quadcert.errors import NotOnQuadricError, SizeMismatchError
 from quadcert.gf import field_make
 from quadcert.linalg import Matrix, rank
@@ -226,7 +227,7 @@ def test_random_generators_are_valid():
 
 def test_report_to_json():
     g = AffineMap(F11.el(2), F11.el(1))
-    doc = invariance_report(BASE, g).to_json()
+    doc = _json(invariance_report(BASE, g))
     assert doc["identities_hold"] is True
     assert doc["stays_on_quadric"] is False
     assert doc["s1_after"] == [5]

@@ -8,8 +8,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from quadcert.cli import build_parser, main
+from quadcert.actions import affine_stabilizer
+from quadcert.cli import _json, build_parser, main
+from quadcert.gf import field_make
 from quadcert.profile import binary_profile
+from quadcert.quadric import AmbientPoint
 from quadcert.trace_system import evaluate_system, solve_block_system
 
 
@@ -272,7 +275,23 @@ def test_former_budget_refusals_solve(tmp_path, n, p):
     assert code == 0 and all(checks_passed(doc).values())
     sol = solve_block_system(binary_profile(n), p)
     assert all(s.is_zero() for s in evaluate_system(sol))
-    assert doc["payload"]["c"] == [e.to_json() for e in sol.c]
+    assert doc["payload"]["c"] == [_json(e) for e in sol.c]
+
+
+def test_writer_takes_nested_dataclasses_and_refuses_other_objects():
+    f9 = field_make(3, 2)
+    # codes 4 and 8 are 1 + x and 2 + 2x
+    point = AmbientPoint.from_codes(f9, (4, 8, 4))
+    stab = affine_stabilizer(AmbientPoint.from_codes(f9, (4, 4)))
+    assert _json(stab) == {"trivial": False, "constant": [1, 1]}
+    assert _json(affine_stabilizer(point)) == {"trivial": True, "constant": None}
+    assert _json((stab, (point,))) == [
+        {"trivial": False, "constant": [1, 1]},
+        [[[1, 1], [2, 2], [1, 1]]],
+    ]
+    for value in (f9, [1], {"a": 1}, 1.5):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _fieldref import _poly_divmod_rem, smallest_irreducible
+from quadcert.cli import _field, _json
 from quadcert.errors import EvenCharacteristicError, NotPrimeError
 from quadcert.gf import (
     SIZE_LIMIT,
@@ -487,5 +488,5 @@ def test_sums_refuse_mismatched_multiplicities():
 
 def test_to_json_shapes():
     f9 = field_make(3, 2)
-    assert f9.to_json() == {"p": 3, "k": 2, "modulus": [1, 0, 1]}
-    assert f9.el([2, 1]).to_json() == [2, 1]
+    assert _field(f9) == {"p": 3, "k": 2, "modulus": [1, 0, 1]}
+    assert _json(f9.el([2, 1])) == [2, 1]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from quadcert.cli import _json
 from quadcert.errors import EvenCharacteristicError, NotPrimeError, UsageError
 from quadcert.profile import (
     OK,
@@ -103,7 +104,7 @@ def test_applies_matches_arithmetic(n, p, deg):
 
 
 def test_decision_to_json():
-    doc = check_hypotheses(15, 3, available_degree=2).to_json()
+    doc = _json(check_hypotheses(15, 3, available_degree=2))
     assert doc == {
         "n": 15,
         "p": 3,

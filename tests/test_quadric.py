@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import quadcert.quadric as quadric_module
+from quadcert.cli import _json
 from quadcert.errors import NoPointFoundError, NotOnQuadricError
 from quadcert.gf import FieldCtx, field_make
 from quadcert.linalg import matvec
@@ -197,7 +198,7 @@ def test_point_validation():
 
 
 def test_point_to_json():
-    assert pt(F11, (9, 5, 1, 3, 4)).to_json() == [[9], [5], [1], [3], [4]]
+    assert _json(pt(F11, (9, 5, 1, 3, 4))) == [[9], [5], [1], [3], [4]]
 
 
 # --- the integer kernel against the per-coordinate FieldElement loops -------

@@ -5,6 +5,9 @@ public methods. This walks their syntax trees and fails on a private
 attribute read through a field context (`ctx._x`, `a.ctx._x`), on a
 `FieldElement(...)` built from a packed integer, and on a private name
 imported from a sibling module (`from .module import _name`).
+
+`cli` is the only module that writes certificate values: no other module
+defines a `to_json`.
 """
 
 import ast
@@ -63,3 +66,23 @@ def test_the_guard_flags_each_kind_of_crossing():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_but_gf_reads_the_packing(name):
     assert violations((PACKAGE / name).read_text()) == []
+
+
+def writers(source: str) -> list[str]:
+    """`line: name` for each function or method named to_json in source."""
+    found = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_json"
+    ]
+    return [f"{node.lineno}: {node.name}" for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_the_writer_guard_flags_a_method_and_a_function():
+    source = "class A:\n    def to_json(self):\n        pass\ndef to_json(x):\n    pass\nto_json = 1\n"
+    assert writers(source) == ["2: to_json", "4: to_json"]
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in PACKAGE.glob("*.py") if f.name != "cli.py"))
+def test_only_cli_writes_certificate_values(name):
+    assert writers((PACKAGE / name).read_text()) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _scanref import scan_solve
-from quadcert.cli import _block_checks
+from quadcert.cli import _block_checks, _solution
 from quadcert.errors import InvalidProfileError, UsageError
 from quadcert.gf import SIZE_LIMIT, FieldCtx, _prime_factors, field_make
 from quadcert.profile import binary_profile
@@ -316,7 +316,7 @@ def test_block_solution_refuses_a_mis_shaped_solution():
 
 
 def test_solution_to_json():
-    doc = solve_block_system(binary_profile(15), 3).to_json()
+    doc = _solution(solve_block_system(binary_profile(15), 3))
     assert doc == {
         "n": 15,
         "exponents": [3, 2, 1, 0],
