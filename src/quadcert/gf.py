@@ -371,6 +371,15 @@ class LaneVector:
     def __len__(self):
         return self.kernel.lanes
 
+    def __getitem__(self, i: int) -> FieldElement:
+        """Lane i, 0 <= i < len(self), as a field element; IndexError for
+        any other i."""
+        kernel = self.kernel
+        if not 0 <= i < kernel.lanes:
+            raise IndexError(f"lane {i} out of range for {kernel.lanes} lanes")
+        stride = kernel.stride
+        return FieldElement(kernel.ctx, self.packed >> stride * i & (1 << stride) - 1)
+
     def __iter__(self) -> Iterator[FieldElement]:
         kernel = self.kernel
         size = kernel.stride // 8
@@ -563,7 +572,9 @@ class FieldCtx:
         in canonical order, r = a^((Q+1)/2) and t = a^Q, each pass keeps
         r^2 = a t and c of order 2^m, and halves the order 2^i of t. A square
         has i < m on every pass; a nonsquare is exactly a with t of order
-        2^s, which the first pass (m = s) finds."""
+        2^s, which the first pass (m = s) finds. A t still not 1 after m
+        squarings has no 2-power order, an internal fault (a zero that got
+        past `is_zero`), and raises ArithmeticError."""
         if a.is_zero():
             return self.zero
         mul, power = self._kmul, self._kpow
@@ -583,6 +594,8 @@ class FieldCtx:
         while t != 1:  # the packed one
             i, t2 = 0, t
             while t2 != 1:
+                if i == m:
+                    raise ArithmeticError(f"Tonelli-Shanks on {a!r}: t has no 2-power order")
                 t2 = mul(t2, t2)
                 i += 1
             if i == m:
@@ -595,7 +608,8 @@ class FieldCtx:
         # the canonical order is the order of codes
         return FieldElement(self, min(r, self._norm(self._ps - r), key=self._code))
 
-    # --- log tables for elimination ---
+    # --- log tables: no package module calls these; they stay because the
+    # benchmark tracer wraps `tables` by name (ROADMAP items 1 and 5) ---
 
     def tables(self):
         """(exp, log, zech) over canonical indices, built on first use: for
@@ -652,9 +666,9 @@ class FieldCtx:
         return f"GF({self.p}^{self.k})"
 
 
-@lru_cache(maxsize=None)
 def field_make(p: int, k: int = 1) -> FieldCtx:
-    """The deterministic context for GF(p^k).
+    """The deterministic context for GF(p^k), one per (p, k) however the
+    call is spelled, so element contexts can be compared by identity.
 
     p must be an odd prime and p^k at most 2^20 (documented implementation
     limit; the search spaces used here stay far below it). Both are checked
@@ -667,4 +681,9 @@ def field_make(p: int, k: int = 1) -> FieldCtx:
         raise UsageError("extension degree must be at least 1")
     if k > SIZE_LIMIT.bit_length() or p**k > SIZE_LIMIT:
         raise UsageError(f"field size {p}^{k} exceeds the limit {SIZE_LIMIT}")
+    return _context(p, k)
+
+
+@lru_cache(maxsize=None)
+def _context(p: int, k: int) -> FieldCtx:
     return FieldCtx(p, k, _smallest_irreducible(p, k))

@@ -2,22 +2,19 @@
 
 Everything reduces to one Gauss-Jordan routine with the pivot fixed as the
 first nonzero entry of each column, so echelon forms (and therefore every
-serialized certificate) are reproducible. It runs on integer codes (zero is
-0) through one kernel for every field, prime fields included: discrete logs,
-with a product as a sum of logs and one Zech-logarithm lookup per x - c*y
-(Lidl and Niederreiter, *Finite Fields*, ch. 9). The O(q) log tables are
-built on the field's first elimination: under 1 ms at GF(31) and GF(81),
-6 ms at GF(625), about 0.1 s at GF(65521) and 1.3-3 s near q = 10^6.
-A property test pins the kernel to an object-level elimination in tests/.
-Rank certificates read their ranks off the generator Jacobian's structure
-(`compression`), so no CLI command eliminates or builds the tables; this
+serialized certificate) are reproducible. It runs on `gf`'s lane vectors,
+one a matrix row, for every field: a pivot row is scaled by the inverse of
+its pivot, and each update row - c * prow is one product and one subtraction
+of the Barrett kernel. A property test pins it to an object-level
+elimination in tests/. Rank certificates read their ranks off the generator
+Jacobian's structure (`compression`), so no CLI command eliminates; this
 module is not exported from the package and is the tests' oracle for them.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatchError
-from .gf import FieldCtx
+from .gf import FieldCtx, LaneVector
 
 
 class Matrix:
@@ -91,106 +88,40 @@ def matvec(m: Matrix, v) -> tuple:
     return tuple(out)
 
 
-# --- the integer kernel: zero is code 0, so a code's truth value is the
-# element's; rows are lists of codes, and scale and axpy return new lists.
+def _lanes(ctx: FieldCtx, rows) -> list[LaneVector]:
+    """One lane vector per row of elements."""
+    return [ctx.lanes(map(ctx.element_index, row)) for row in rows]
 
 
-class _LogOps:
-    """Discrete logs over any GF(q): code 0 is zero, code e + 1 is g^e.
-
-    With m = q - 1, a product is a sum of logs mod m, -1 is g^(m/2), and a sum
-    g^a + g^b = g^(a + zech[b - a]) takes one Zech lookup (`FieldCtx.tables`).
-    """
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        self.exp, self.log, self.zech = ctx.tables()
-        self.m = ctx.size - 1
-        self.half = self.m // 2
-
-    def encode(self, e):
-        return self.log[self.ctx.element_index(e)] + 1
-
-    def decode(self, s):
-        return self.ctx.element_at(self.exp[s - 1]) if s else self.ctx.zero
-
-    def inv(self, s):
-        return (1 - s) % self.m + 1
-
-    def scale(self, row, f):
-        m = self.m
-        f -= 2
-        return [(x + f) % m + 1 if x else 0 for x in row]
-
-    def axpy(self, row, c, prow):
-        m, zech = self.m, self.zech
-        c += self.half - 2  # log(-c y) = (y + c) % m
-        out = []
-        for x, y in zip(row, prow):
-            if y:
-                t = (y + c) % m
-                if x:
-                    z = zech[(t - x + 1) % m]
-                    x = (x + z - 1) % m + 1 if z >= 0 else 0
-                else:
-                    x = t + 1
-            out.append(x)
-        return out
-
-    def neg(self, s):
-        return (s - 1 + self.half) % self.m + 1 if s else 0
-
-
-def _rref(rows, ncols, ops) -> list[int]:
-    """In-place Gauss-Jordan; returns pivot columns. Pivot = first row with a
-    nonzero entry in the column, scanning top to bottom."""
-    inv, scale, axpy = ops.inv, ops.scale, ops.axpy
+def _rref(rows: list[LaneVector]) -> list[int]:
+    """In-place Gauss-Jordan on lane vectors, one a row; returns pivot
+    columns. Pivot = first row with a nonzero entry in the column, scanning
+    down from the current pivot row."""
     pivots = []
-    pr = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        sel = -1
-        for i in range(pr, nrows):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel < 0:
+    for col in range(len(rows[0])):
+        pr = len(pivots)
+        sel = next((i for i in range(pr, len(rows)) if rows[i][col]), None)
+        if sel is None:
             continue
         rows[pr], rows[sel] = rows[sel], rows[pr]
-        rows[pr] = scale(rows[pr], inv(rows[pr][col]))
-        prow = rows[pr]
-        for i in range(nrows):
-            if i != pr:
-                c = rows[i][col]
-                if c:
-                    rows[i] = axpy(rows[i], c, prow)
+        prow = rows[pr] = rows[pr] * rows[pr][col].inverse()
+        for i, row in enumerate(rows):
+            if i != pr and (c := row[col]):
+                rows[i] = row - prow * c
         pivots.append(col)
-        pr += 1
-        if pr == nrows:
-            break
     return pivots
-
-
-def _encode_rows(m: Matrix, ops) -> list[list]:
-    enc = ops.encode
-    return [[enc(e) for e in m.row(i)] for i in range(m.rows)]
 
 
 def rank(m: Matrix) -> int:
     """Rank over the field, by exact elimination."""
-    ops = _LogOps(m.ctx)
-    rows = _encode_rows(m, ops)
-    return len(_rref(rows, m.cols, ops))
+    return len(_rref(_lanes(m.ctx, m.row_lists())))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns."""
-    ops = _LogOps(m.ctx)
-    rows = _encode_rows(m, ops)
-    pivots = _rref(rows, m.cols, ops)
-    dec = ops.decode
-    flat = [dec(s) for row in rows for s in row]
-    return Matrix(m.rows, m.cols, flat, m.ctx), pivots
+    rows = _lanes(m.ctx, m.row_lists())
+    pivots = _rref(rows)
+    return Matrix(m.rows, m.cols, [e for row in rows for e in row], m.ctx), pivots
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
@@ -199,11 +130,9 @@ def kernel_basis(m: Matrix) -> list[tuple]:
     One basis vector per free column, carrying 1 there, 0 at the other free
     columns, and the negated reduced-echelon entry at each pivot column.
     """
-    ops = _LogOps(m.ctx)
-    rows = _encode_rows(m, ops)
-    pivots = _rref(rows, m.cols, ops)
+    rows = _lanes(m.ctx, m.row_lists())
+    pivots = _rref(rows)
     pivot_set = set(pivots)
-    dec, neg = ops.decode, ops.neg
     zero, one = m.ctx.zero, m.ctx.one
     basis = []
     for free in range(m.cols):
@@ -212,7 +141,7 @@ def kernel_basis(m: Matrix) -> list[tuple]:
         v = [zero] * m.cols
         v[free] = one
         for j, pc in enumerate(pivots):
-            v[pc] = dec(neg(rows[j][free]))
+            v[pc] = -rows[j][free]
         basis.append(tuple(v))
     return basis
 
@@ -228,15 +157,8 @@ def restricted_rank(m: Matrix, basis) -> int:
             )
     if not basis:
         return 0
-    ops = _LogOps(m.ctx)
-    neg, axpy = ops.neg, ops.axpy
     # row i of m B is the sum of m[i][l] times row l of B (columns b)
-    brows = [[ops.encode(b[l]) for b in basis] for l in range(m.cols)]
-    rows = []
-    for mrow in _encode_rows(m, ops):
-        acc = [0] * len(basis)
-        for x, brow in zip(mrow, brows):
-            if x:
-                acc = axpy(acc, neg(x), brow)
-        rows.append(acc)
-    return len(_rref(rows, len(basis), ops))
+    brows = _lanes(m.ctx, zip(*basis))
+    zero = m.ctx.lanes([0] * len(basis))
+    rows = [sum((brow * x for x, brow in zip(mrow, brows) if x), zero) for mrow in m.row_lists()]
+    return len(_rref(rows))

@@ -2,9 +2,9 @@
 
 The slow, obviously correct counterpart of `quadcert.linalg`: the same
 pivot rule (the first nonzero entry of the column, scanning top to bottom)
-carried out with the field's own operators, no integer coding at all. The
-property tests in test_linalg.py pin the log kernel to it, over prime and
-extension fields.
+carried out with the field's own operators, one element at a time, no lane
+vectors. The property tests in test_linalg.py pin the lane elimination to
+it, over prime and extension fields.
 """
 
 from quadcert.linalg import Matrix

@@ -48,6 +48,7 @@ RNG = "tests/test_rng.py::"
 GF = "src/quadcert/gf.py"
 QUADRIC = "src/quadcert/quadric.py"
 CLI = "src/quadcert/cli.py"
+LINALG = "src/quadcert/linalg.py"
 HALF = 2**63 + 1  # a bound that rejects about half of the raw outputs
 RARE = 2**54 + 1  # a bound that rejects about one raw output in 2^10
 
@@ -168,13 +169,60 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # the square root of zero then enters Tonelli-Shanks, whose loop never
-        # ends, so most tests hang; the inverse pin fails at once
+        # the square root of zero then enters Tonelli-Shanks, which raises
+        # after m squarings, so the sqrt test fails at once, as does the
+        # inverse pin; a full Tier-1 still stalls, since every sampler try
+        # fails and a failing search over GF(3^12) runs 64 q tries, hours
         "is-zero-inverted",
         GF,
         "        return not self.packed\n",
         "        return bool(self.packed)\n",
-        ("tests/test_gf.py::test_prime_field_inverse_pins",),
+        (
+            "tests/test_gf.py::test_prime_field_inverse_pins",
+            "tests/test_gf.py::test_sqrt_raises_on_a_zero_past_is_zero",
+        ),
+    ),
+    Mutant(
+        # with the cap gone, a zero past is_zero squares t = 0 forever; the
+        # test's alarm fails it after 10 s
+        "sqrt-cap-removed",
+        GF,
+        "                if i == m:\n                    raise ArithmeticError",
+        "                if False:\n                    raise ArithmeticError",
+        ("tests/test_gf.py::test_sqrt_raises_on_a_zero_past_is_zero",),
+    ),
+    Mutant(
+        "lane-index-one-lane-high",
+        GF,
+        "self.packed >> stride * i &",
+        "self.packed >> stride * (i + 1) &",
+        (
+            "tests/test_kernels.py::test_lane_indexing_matches_iteration",
+            "tests/test_linalg.py::test_kernel_pin",
+            "tests/test_actions.py::test_structural_ranks_match_elimination[3-4-9]",
+        ),
+    ),
+    Mutant(
+        "elimination-update-adds",
+        LINALG,
+        "rows[i] = row - prow * c",
+        "rows[i] = row + prow * c",
+        (
+            "tests/test_linalg.py::test_rank_pins",
+            "tests/test_linalg.py::test_fast_paths_agree_with_generic",
+            "tests/test_compression.py::test_structured_certificate_matches_elimination[3-4-15]",
+        ),
+    ),
+    Mutant(
+        "pivot-scan-from-row-0",
+        LINALG,
+        "for i in range(pr, len(rows)) if rows[i][col]",
+        "for i in range(len(rows)) if rows[i][col]",
+        (
+            "tests/test_linalg.py::test_rref_form",
+            "tests/test_linalg.py::test_rank_of_transpose",
+            "tests/test_kernels.py::test_tangent_basis_is_the_echelon_kernel[3-4-9]",
+        ),
     ),
     Mutant(
         "small-diagonal-skips-last-coordinate",

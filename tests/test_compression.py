@@ -215,7 +215,7 @@ def test_certificate_to_json():
 
 
 # (p, k, n): prime fields and GF(3^4), GF(5^4) (below and above 256
-# elements), all eliminated by the one log kernel, each with a divisible
+# elements), all eliminated on lane vectors, each with a divisible
 # (p | n) and a control case
 ORACLE_CASES = (
     (7, 1, 7),

@@ -1,5 +1,6 @@
 """Finite field arithmetic: frozen values, axioms, canonical choices."""
 
+import signal
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from quadcert.cli import _field, _json
 from quadcert.errors import EvenCharacteristicError, NotPrimeError
 from quadcert.gf import (
     SIZE_LIMIT,
+    FieldElement,
     _is_irreducible,
     _prime_factors,
     check_characteristic,
@@ -100,6 +102,14 @@ def test_modulus_is_deterministic():
     assert a.modulus == b.modulus
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 4)])
+def test_one_context_per_field_however_the_call_is_spelled(p, k):
+    spellings = [field_make(p, k), field_make(p, k=k), field_make(p=p, k=k)]
+    if k == 1:
+        spellings.append(field_make(p))
+    assert all(ctx is spellings[0] for ctx in spellings)
+
+
 def test_construction_rejects_bad_characteristic():
     with pytest.raises(EvenCharacteristicError):
         field_make(2)
@@ -157,6 +167,29 @@ def test_sqrt_pins_mod_7():
     assert f7.el(2).sqrt() == f7.el(3)  # 3 < 4 = 7 - 3, canonical root
     assert f7.el(3).sqrt() is None
     assert f7.zero.sqrt() == f7.zero
+
+
+def _stuck(signum, frame):
+    raise AssertionError("Tonelli-Shanks still squaring after 10 s")
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 4), (13, 2)])
+def test_sqrt_raises_on_a_zero_past_is_zero(p, k, monkeypatch):
+    # zero's root is zero; a zero that gets past is_zero reaches
+    # Tonelli-Shanks with t = 0, which has no 2-power order: the squaring
+    # loop stops after m squarings and raises (an alarm fails the test if
+    # it keeps squaring)
+    ctx = field_make(p, k)
+    assert ctx.zero.sqrt() == ctx.zero
+    monkeypatch.setattr(FieldElement, "is_zero", lambda self: False)
+    previous = signal.signal(signal.SIGALRM, _stuck)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ArithmeticError):
+            ctx.zero.sqrt()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sqrt_pin_mod_11():
@@ -353,7 +386,8 @@ def test_reduce_and_mul_match_polynomial_division(p, k):
         assert (a * b).coeffs == tuple(_poly_divmod_rem([c % p for c in full], f, p))
 
 
-# the log tables behind elimination, below and above 256 elements, k = 2, 4, 6,
+# the log tables (no package module calls them; the benchmark tracer wraps
+# them), below and above 256 elements, k = 2, 4, 6,
 # odd degrees k = 3, 5, and prime fields, k = 1 (GF(3) has m = 2, so its Zech
 # zero sits at d = 1)
 TABLE_FIELDS = [(3, 4), (5, 4), (13, 2), (3, 6), (5, 3), (3, 5), (3, 1), (7, 1), (31, 1)]

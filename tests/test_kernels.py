@@ -142,6 +142,20 @@ def test_first_nonzero_names_the_first_nonzero_lane(p, k):
             assert ctx.lanes(codes[:i] + [code] * (lanes - i)).first_nonzero() == i
 
 
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_lane_indexing_matches_iteration(p, k):
+    # every lane by index, the top element first and last, as iteration
+    # reads it; an index past either end raises
+    ctx = field_make(p, k)
+    codes = [ctx.size - 1, 0, 1] + SplitMix64(p + k).draw(ctx.size, 10) + [ctx.size - 1]
+    for u in (ctx.lanes(codes), ctx.lanes(codes[:1])):
+        lanes = len(u)
+        assert [u[i] for i in range(lanes)] == list(u) == list(map(ctx.element_at, codes[:lanes]))
+        for i in (lanes, lanes + 1, -1):
+            with pytest.raises(IndexError):
+                u[i]
+
+
 def test_lane_vectors_refuse_other_shapes_and_fields():
     f81, f7 = field_make(3, 4), field_make(7)
     u = f81.lanes([1, 2, 3])

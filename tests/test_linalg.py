@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadcert.errors import DimensionMismatchError
-from quadcert.gf import field_make
+from quadcert.gf import FieldCtx, field_make
 from quadcert.linalg import Matrix, kernel_basis, matvec, rank, restricted_rank, rref
 from tests import _gaussref as ref
 
@@ -57,9 +57,9 @@ def test_matvec():
     assert matvec(m, v) == (f7.el(3), f7.el(4))  # (17 mod 7, 39 mod 7)
 
 
-# prime and extension fields, all through the one log kernel, two of them
-# above 256 elements
-FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (5, 4), (3, 6)]
+# prime and extension fields, all eliminated on lane vectors, with the
+# widest packings the package takes, GF(13^5) and GF(1021^2)
+FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (5, 4), (3, 6), (13, 5), (1021, 2)]
 
 
 def _vectors(draw, ctx, count, length):
@@ -111,7 +111,7 @@ def test_kernel_vectors_independent(m):
 
 @given(matrices_with_basis())
 def test_fast_paths_agree_with_generic(case):
-    # the log kernel must match a Gauss-Jordan on the element objects
+    # the lane elimination must match a Gauss-Jordan on the element objects
     # exactly, over prime and extension fields alike: same pivots, same
     # echelon form, same kernel basis
     m, basis = case
@@ -146,7 +146,7 @@ def test_restricted_rank_bounds(m):
 
 
 def test_object_path_beyond_table_limit():
-    # GF(3^6) has 729 elements; the log kernel runs at every field size
+    # GF(3^6) has 729 elements; the lane elimination runs at every field size
     ctx = field_make(3, 6)
     x = ctx.el([0, 1])
     m = Matrix.from_rows([[ctx.one, x], [x, x * x]])
@@ -154,3 +154,20 @@ def test_object_path_beyond_table_limit():
     basis = kernel_basis(m)
     assert len(basis) == 1
     assert matvec(m, basis[0]) == (ctx.zero, ctx.zero)
+
+
+def test_elimination_builds_no_tables(monkeypatch):
+    # every routine over GF(81) with the log tables made to raise: elimination
+    # runs on lane vectors alone
+    def forbidden(*args):
+        raise AssertionError("elimination may not build log tables")
+
+    monkeypatch.setattr(FieldCtx, "tables", forbidden)
+    ctx = field_make(3, 4)
+    x = ctx.el([0, 1])
+    m = Matrix.from_rows([[ctx.one, x, x * x], [x, x * x, x**3], [ctx.zero, ctx.one, x + 1]])
+    basis = [(ctx.one, x, ctx.zero), (ctx.zero, ctx.one, -x)]
+    assert rank(m) == ref.rank(m) == 2
+    assert rref(m) == ref.rref(m)
+    assert kernel_basis(m) == ref.kernel_basis(m)
+    assert restricted_rank(m, basis) == ref.restricted_rank(m, basis)

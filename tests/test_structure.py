@@ -8,6 +8,10 @@ imported from a sibling module (`from .module import _name`).
 
 `cli` is the only module that writes certificate values: no other module
 defines a `to_json`.
+
+No module but `gf` names the log tables (`tables` and the helpers that build
+them): elimination runs on lane vectors, and the tables stay in `gf` only
+for the benchmark tracer.
 """
 
 import ast
@@ -86,3 +90,30 @@ def test_the_writer_guard_flags_a_method_and_a_function():
 @pytest.mark.parametrize("name", sorted(f.name for f in PACKAGE.glob("*.py") if f.name != "cli.py"))
 def test_only_cli_writes_certificate_values(name):
     assert writers((PACKAGE / name).read_text()) == []
+
+
+TABLE_NAMES = {"tables", "_tables", "_build_tables", "_generator"}
+
+
+def table_uses(source: str) -> list[str]:
+    """`line: code` for each attribute, name or import of a log-table name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in TABLE_NAMES:
+            found.append(node)
+        elif isinstance(node, ast.Name) and node.id in TABLE_NAMES:
+            found.append(node)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in TABLE_NAMES for a in node.names):
+            found.append(node)
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def test_the_table_guard_flags_an_attribute_a_name_and_an_import():
+    source = "from .gf import tables\nexp, log, zech = ctx.tables()\nt = _generator\nok = ctx.lanes(c)\n"
+    assert [v.split(":")[0] for v in table_uses(source)] == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_but_gf_names_the_log_tables(name):
+    assert table_uses((PACKAGE / name).read_text()) == []
