@@ -127,9 +127,7 @@ def random_affine(ctx: FieldCtx, rng: SplitMix64) -> AffineMap:
 def affine_act(g: AffineMap, a: AmbientPoint) -> AmbientPoint:
     if g.ctx != a.ctx:
         raise ValueError("map and point over different fields")
-    distinct = list(set(a.codes))
-    moved = dict(zip(distinct, a.ctx.affine_codes(g.alpha, g.beta, distinct)))
-    return AmbientPoint.from_codes(a.ctx, tuple(map(moved.__getitem__, a.codes)))
+    return AmbientPoint.from_codes(a.ctx, a.ctx.affine_codes(g.alpha, g.beta, a.codes))
 
 
 @dataclass(frozen=True)

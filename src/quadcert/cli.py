@@ -19,7 +19,8 @@ trailing newline. `canonical_json` writes them in one pass and raises
 TypeError on any other value, such as a float (it may be NaN or infinite,
 which JSON cannot express), a non-string key (it would be rewritten as a
 string without notice) or a tuple. Identical inputs therefore reproduce
-identical bytes.
+identical bytes. `_json` writes a point as one shared list per distinct
+coordinate, and the writer renders each shared list once per point.
 
 Exit codes: 0 success, 2 hypotheses not met (includes no-point-found and
 invalid profiles), 3 a verification check failed, 4 usage error.
@@ -98,41 +99,9 @@ def _seed(text: str) -> int:
     return value
 
 
-def _block(open_: str, parts, close: str, depth: int) -> str:
-    """A non-empty array or object at nesting depth `depth`, one part a line."""
-    inner = "\n" + "  " * (depth + 1)
-    return open_ + inner + ("," + inner).join(parts) + "\n" + "  " * depth + close
-
-
-class _IntLists(dict):
-    """Rendered int lists at one depth, keyed by their contents as a tuple.
-
-    Most certificate bytes are coefficient vectors, and a point or a lift
-    repeats few distinct ones, so each is rendered once per document. Keys
-    must come from lists already checked to hold exact ints only: True == 1
-    and 1.0 == 1, so a list holding those would find an int list's text.
-    """
-
-    def __init__(self, depth: int):
-        super().__init__({(): "[]"})
-        # _block's layout, its strings made once per depth
-        inner = "\n" + "  " * (depth + 1)
-        self.head, self.sep, self.tail = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
-
-    def __missing__(self, key: tuple) -> str:
-        text = self[key] = self.head + self.sep.join(map(int.__repr__, key)) + self.tail
-        return text
-
-
-class _ByDepth(dict):
-    """depth -> _IntLists, made on first use; one per document."""
-
-    def __missing__(self, depth: int) -> _IntLists:
-        memo = self[depth] = _IntLists(depth)
-        return memo
-
-
-def _encode(value, depth: int, memo: _ByDepth) -> str:
+def _encode(value, indent: str) -> str:
+    """The text of `value`, placed on a line that starts with `indent` (a
+    newline and two spaces per nesting level)."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -141,25 +110,33 @@ def _encode(value, depth: int, memo: _ByDepth) -> str:
     if kind is list:
         if not value:
             return "[]"
-        # a vector, a list of vectors (a point or a lift: every entry is
-        # type-checked in one pass before any memo lookup), or anything else
+        inner = indent + "  "
+        # a vector, a list of vectors (a point or a lift), or anything else
         kinds = set(map(type, value))
+        ids = list(map(id, value)) if kinds == {list} else ()
+        rows = dict(zip(ids, value))
         if kinds == {int}:
-            return memo[depth][tuple(value)]
-        if kinds == {list} and set(map(type, chain.from_iterable(value))) <= {int}:
-            parts = map(memo[depth + 1].__getitem__, map(tuple, value))
+            parts = map(int.__repr__, value)
+        elif rows and set(map(type, chain.from_iterable(rows.values()))) <= {int}:
+            # `_json` shares one list per distinct code, so each row object
+            # is type-checked and rendered once; `value` holds every row for
+            # the whole call, so no id is reused
+            head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+            text = {
+                key: head + sep.join(map(int.__repr__, row)) + tail if row else "[]"
+                for key, row in rows.items()
+            }
+            parts = map(text.__getitem__, ids)
         else:
-            parts = [_encode(item, depth + 1, memo) for item in value]
-        return _block("[", parts, "]", depth)
+            parts = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
     if kind is dict:
         if not value:
             return "{}"
+        inner = indent + "  "
         # a key that is not a string raises TypeError in sorted() or _quote()
-        parts = [
-            _quote(key) + ": " + _encode(item, depth + 1, memo)
-            for key, item in sorted(value.items())
-        ]
-        return _block("{", parts, "}", depth)
+        parts = [_quote(key) + ": " + _encode(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
     if value is None:
         return "null"
     if value is True:
@@ -173,7 +150,7 @@ def _encode(value, depth: int, memo: _ByDepth) -> str:
 
 def canonical_json(doc: dict) -> str:
     """The certificate text of `doc` (format in the module docstring)."""
-    return _encode(doc, 0, _ByDepth()) + "\n"
+    return _encode(doc, "\n") + "\n"
 
 
 def _emit(doc: dict, json_path: str | None) -> None:

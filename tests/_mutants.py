@@ -49,6 +49,7 @@ GF = "src/quadcert/gf.py"
 QUADRIC = "src/quadcert/quadric.py"
 CLI = "src/quadcert/cli.py"
 LINALG = "src/quadcert/linalg.py"
+SOLVER = "src/quadcert/trace_system.py"
 HALF = 2**63 + 1  # a bound that rejects about half of the raw outputs
 RARE = 2**54 + 1  # a bound that rejects about one raw output in 2^10
 
@@ -225,6 +226,107 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "barrett-m-floored",
+        GF,
+        "-(-(1 << r) // p)",
+        "(1 << r) // p",
+        (
+            "tests/test_kernels.py::test_barrett_norm_is_exact_on_every_digit_below_its_bound[31-1]",
+            "tests/test_kernels.py::test_product_and_square_match_schoolbook[3-4]",
+            "tests/test_gf.py::test_irreducible_count_matches_gauss[3-2]",
+        ),
+    ),
+    Mutant(
+        "barrett-q-one-bit-wider",
+        GF,
+        "((1 << (w - r)) - 1)",
+        "((1 << (w - r + 1)) - 1)",
+        (
+            "tests/test_kernels.py::test_barrett_norm_is_exact_on_every_digit_below_its_bound[3-12]",
+            "tests/test_kernels.py::test_product_and_square_match_schoolbook[5-4]",
+            "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[5-4-13]",
+        ),
+    ),
+    Mutant(
+        # W = 2b, not rounded up to whole bytes, with no two-bit margin
+        "width-without-margin",
+        GF,
+        "8 * -(-(2 * (k * p * p).bit_length() + 2) // 8)",
+        "2 * (k * p * p).bit_length()",
+        (
+            "tests/test_kernels.py::test_barrett_norm_is_exact_on_every_digit_below_its_bound[31-1]",
+            "tests/test_kernels.py::test_product_and_square_match_schoolbook[3-4]",
+            "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[7-1-2]",
+        ),
+    ),
+    Mutant(
+        "fold-dropped",
+        GF,
+        "for fold in self.folds:",
+        "for fold in self.folds[1:]:",
+        (
+            "tests/test_kernels.py::test_product_and_square_match_schoolbook[3-4]",
+            "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[3-12-2]",
+            "tests/test_gf.py::test_irreducible_count_matches_gauss[3-2]",
+        ),
+    ),
+    Mutant(
+        "lane-stride-k-digits",
+        GF,
+        "self.stride = (2 * k - 1) * w",
+        "self.stride = k * w",
+        (
+            "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[3-4-13]",
+            "tests/test_linalg.py::test_rank_of_transpose",
+            "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
+        ),
+    ),
+    Mutant(
+        "first-nonzero-one-lane-high",
+        GF,
+        "// self.kernel.stride if x else None",
+        "// self.kernel.stride + 1 if x else None",
+        (
+            "tests/test_kernels.py::test_first_nonzero_names_the_first_nonzero_lane",
+            "tests/test_compression.py::test_wrong_generator_row_raises",
+            "tests/test_compression.py::test_the_first_failing_row_of_either_check_is_named",
+        ),
+    ),
+    Mutant(
+        "solver-larger-code-root",
+        SOLVER,
+        "c2 = min(",
+        "c2 = max(",
+        (
+            "tests/test_trace_system.py::test_solver_matches_the_scan_oracle",
+            "tests/test_trace_system.py::test_solver_matches_brute_force[45-3]",
+            "tests/test_golden.py::test_golden_certificate[solve_199_199]",
+        ),
+    ),
+    Mutant(
+        # pow(0, -1, p) then raises on the zero prefix
+        "solver-a-zero-shortcut-removed",
+        SOLVER,
+        "if not a:",
+        "if False:",
+        (
+            "tests/test_trace_system.py::test_solve_pins",
+            "tests/test_trace_system.py::test_solver_matches_brute_force[15-3]",
+            "tests/test_golden.py::test_golden_certificate[solve_15_3]",
+        ),
+    ),
+    Mutant(
+        "solver-c1-sign",
+        SOLVER,
+        "* -pow(w1, -1, p)",
+        "* pow(w1, -1, p)",
+        (
+            "tests/test_trace_system.py::test_solve_pins",
+            "tests/test_trace_system.py::test_solver_matches_brute_force[45-3]",
+            "tests/test_golden.py::test_golden_certificate[solve_199_199]",
+        ),
+    ),
+    Mutant(
         "small-diagonal-skips-last-coordinate",
         QUADRIC,
         "return a.codes.count(a.codes[0]) == a.n",
@@ -293,6 +395,19 @@ MUTANTS = (
             "tests/test_profile.py::test_decision_to_json",
             "tests/test_actions.py::test_report_to_json",
             "tests/test_golden.py::test_golden_certificate[check_15_3]",
+        ),
+    ),
+    Mutant(
+        # every row of a point keyed by the point's list: each renders as
+        # the last row
+        "writer-rows-keyed-by-list",
+        CLI,
+        "ids = list(map(id, value)) if kinds == {list} else ()",
+        "ids = [id(value)] * len(value) if kinds == {list} else ()",
+        (
+            "tests/test_canonical.py::test_matches_json_dumps",
+            "tests/test_cli.py::test_solve_pin",
+            "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
         ),
     ),
 )

@@ -27,7 +27,9 @@ from quadcert.actions import (
     random_affine,
     random_permutation,
 )
+from quadcert.profile import binary_profile
 from quadcert.rng import SplitMix64
+from quadcert.trace_system import lift_block_solution, solve_block_system
 from _jacobianref import gradient_matrix
 
 
@@ -85,6 +87,16 @@ def test_affine_act_pin():
     g = AffineMap(F11.el(2), F11.el(1))
     out = affine_act(g, BASE)
     assert [e.coeffs[0] for e in out.coords] == [8, 0, 3, 7, 9]
+
+
+@pytest.mark.parametrize("n,p", [(15, 3), (77, 11)])
+def test_affine_act_moves_every_coordinate_of_a_block_lift(n, p):
+    # a lift repeats each c_i 2^m_i times: every copy moves to alpha x + beta
+    lift = lift_block_solution(solve_block_system(binary_profile(n), p))
+    assert len(set(lift.codes)) < lift.n
+    rng = SplitMix64(n)
+    for g in [random_affine(lift.ctx, rng) for _ in range(5)]:
+        assert affine_act(g, lift).coords == tuple(g.alpha * x + g.beta for x in lift.coords)
 
 
 def test_affine_group_law_on_points():

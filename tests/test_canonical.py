@@ -13,6 +13,10 @@ from hypothesis import example, given, strategies as st
 
 from quadcert import cli
 from quadcert.cli import canonical_json
+from quadcert.gf import field_make
+from quadcert.profile import binary_profile
+from quadcert.quadric import sample_quadric_point
+from quadcert.trace_system import lift_block_solution, solve_block_system
 
 
 def oracle(doc) -> str:
@@ -47,8 +51,20 @@ documents = st.recursive(
 )
 
 
+# rows shared by identity, as `cli._json` hands them out for points and
+# lifts; hypothesis never shares one list object between two places
+ROW = [1, 2]
+EMPTY = []
+FLAGGED = [True, 0]
+
+
 @given(documents)
 @example({"a": [[1, 2]], "b": [[[1, 2]]], "c": [1, 2]})  # one int list at three depths
+@example([ROW, ROW, ROW])
+@example({"a": [ROW, ROW], "b": [[ROW], [ROW, [1]]]})  # one row object at two depths
+@example([EMPTY, [0], EMPTY])
+@example([ROW, [1, 2], ROW, [2, 1]])  # a shared row beside an equal distinct one
+@example([FLAGGED, [1, 0], FLAGGED])  # True == 1, yet it renders as true
 @example({"a": [[1]], "b": [[True]], "c": [True, 1], "d": [[], [0]]})
 @example({"kéy\n\"\\": ["\x00\x1f\x7f \U0001f600\ud800", -(2**70), 2**70]})
 def test_matches_json_dumps(doc):
@@ -94,6 +110,17 @@ def test_real_documents_match_json_dumps(argv, code, monkeypatch, capsys):
     if argv[:2] == ["construct", "4095"]:
         lift = doc["payload"]["lift"]
         assert len(lift) == 4095 and len({tuple(c) for c in lift}) < 20
+
+
+def test_point_rows_are_shared_per_distinct_code():
+    # the writer renders each row object of a point once, so `_json` must
+    # hand out one list object per distinct code
+    lift = lift_block_solution(solve_block_system(binary_profile(4095), 3))
+    rows = cli._json(lift)
+    assert len(rows) == 4095 and len(set(map(id, rows))) == 2
+    point = sample_quadric_point(15, field_make(3, 4), 2)
+    rows = cli._json(point)
+    assert len(set(point.codes)) == len(set(map(id, rows))) == 15
 
 
 @pytest.mark.parametrize(

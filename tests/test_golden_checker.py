@@ -61,7 +61,16 @@ def test_checker_accepts_golden_certificate(stem, argv, code):
     assert _judge(argv, code, _text(stem)) == (False, [])
 
 
-CERTIFY_15 = next(case for case in CASES if case[0] == "certify_15_gf81")
+def _assert_judged_wrong(stem, corrupt):
+    """The checker finds a problem in the golden file once `corrupt` has
+    edited it, the problem that `corrupt` returns unless that is None."""
+    _, argv, code = next(case for case in CASES if case[0] == stem)
+    doc = json.loads(_text(stem))
+    expected = corrupt(doc)
+    _, problems = _judge(argv, code, json.dumps(doc))
+    assert problems
+    if expected is not None:
+        assert expected in problems
 
 
 def _corrupt_sample_coordinate(doc):
@@ -81,6 +90,42 @@ def _corrupt_restricted_rank(doc):
     return None  # any problem
 
 
+def _corrupt_modulus(doc):
+    # x^4 is reducible; the checker has no irreducibility test, but the
+    # samples' power sums in the wrong ring are not zero
+    doc["field"]["modulus"] = [0, 0, 0, 0, 1]
+    return "sample 0 is not on the quadric"
+
+
+def _corrupt_tangent_dim(doc):
+    doc["payload"]["samples"][0]["tangent_dim"] = 12
+    return "sample 0: tangent_dim or bound is wrong"
+
+
+def _corrupt_ambient_rank_0(doc):
+    doc["payload"]["samples"][0]["ambient_rank"] = 0
+    return "sample 0: ranks 11/0 break the bound 11"
+
+
+def _corrupt_ambient_rank_12(doc):
+    doc["payload"]["samples"][0]["ambient_rank"] = 12
+    return None
+
+
+def _corrupt_observed_min(doc):
+    doc["payload"]["observed_restricted_ranks"]["min"] = 10
+    return None
+
+
+def _corrupt_observed_max(doc):
+    doc["payload"]["observed_restricted_ranks"]["max"] = 12
+    return None
+
+
+def _missed(reason):
+    return pytest.mark.xfail(reason=f"{reason} (ROADMAP item 12)", strict=True)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -88,19 +133,76 @@ def _corrupt_restricted_rank(doc):
         _corrupt_lift_coordinate,
         pytest.param(
             _corrupt_restricted_rank,
-            marks=pytest.mark.xfail(
-                reason="the checker tests restricted_rank <= bound, not equality (ROADMAP item 12)",
-                strict=True,
-            ),
+            marks=_missed("the checker tests restricted_rank <= bound, not equality"),
+        ),
+        _corrupt_modulus,
+        _corrupt_tangent_dim,
+        _corrupt_ambient_rank_0,
+        pytest.param(
+            _corrupt_ambient_rank_12,
+            marks=_missed("the checker tests ambient_rank <= n - 2, not equality"),
+        ),
+        pytest.param(
+            _corrupt_observed_min,
+            marks=_missed("the checker never reads observed_restricted_ranks"),
+        ),
+        pytest.param(
+            _corrupt_observed_max,
+            marks=_missed("the checker never reads observed_restricted_ranks"),
         ),
     ],
-    ids=["sample-coordinate", "lift-coordinate", "restricted-rank-0"],
+    ids=[
+        "sample-coordinate",
+        "lift-coordinate",
+        "restricted-rank-0",
+        "reducible-modulus",
+        "tangent-dim",
+        "ambient-rank-0",
+        "ambient-rank-12",
+        "observed-min",
+        "observed-max",
+    ],
 )
 def test_checker_rejects_corrupted_certify_15_gf81(corrupt):
-    stem, argv, code = CERTIFY_15
-    doc = json.loads(_text(stem))
-    expected = corrupt(doc)
-    _, problems = _judge(argv, code, json.dumps(doc))
-    assert problems
-    if expected is not None:
-        assert expected in problems
+    _assert_judged_wrong("certify_15_gf81", corrupt)
+
+
+def _corrupt_c_i(doc):
+    doc["payload"]["c"][1] = [2]  # c = (1, 1, 0, 0) solves; (1, 2, 0, 0) does not
+    return "block solution does not solve the weighted system"
+
+
+def _corrupt_lift_block(doc):
+    # the lift is c_1 = 1 eight times, c_2 = 1 four times, then c_3 = c_4 = 0;
+    # the first block is rewritten as c_3
+    doc["payload"]["lift"][:8] = [[0]] * 8
+    return "lift is not on the quadric"
+
+
+def _corrupt_lift_order(doc):
+    # the blocks in reverse order: the same power sums and distinct values
+    doc["payload"]["lift"].reverse()
+    return None
+
+
+def _corrupt_expected_s1(doc):
+    doc["payload"]["reports"][0]["report"]["expected_s1"] = [1, 0]
+    return "borel report 0: predicted sums are wrong"
+
+
+@pytest.mark.parametrize(
+    "stem, corrupt",
+    [
+        ("solve_15_3", _corrupt_c_i),
+        ("construct_15_3", _corrupt_lift_block),
+        pytest.param(
+            "construct_15_3",
+            _corrupt_lift_order,
+            marks=_missed("the checker does not compare the lift with c_i repeated 2^m_i times"),
+        ),
+        ("borel_10_gf25", _corrupt_expected_s1),
+    ],
+    ids=["solve-c_i", "construct-lift-block", "construct-lift-order", "borel-expected-s1"],
+)
+def test_checker_rejects_corrupted_golden_certificate(stem, corrupt):
+    _assert_judged_wrong(stem, corrupt)
