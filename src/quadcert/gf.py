@@ -50,13 +50,27 @@ of its lowest set bit. A field element is the one-lane case.
 
 Power sums of many elements, `FieldCtx.sums`, pack each code once at a wider
 width. With the multiplicities m summing to n, every coefficient of
-sum m X^2 is at most n k (p - 1)^2, so w = (n k (p - 1)^2).bit_length() bits
-hold it and no packed digit carries into the next. The kernel accumulates
+sum m X^2 is at most n k (p - 1)^2, so w = (n k (p - 1)^2).bit_length() bits,
+rounded up to whole bytes, hold it and no packed digit carries into the
+next. The kernel accumulates
 s_1 = sum m X and s_2 = sum m X X and hands each sum once to `_reduce`, which
 reads its k or 2k - 1 digits of w bits, takes them mod p and folds the high
 degrees through the modulus. Over GF(p) the packing is the identity. The block
 system passes its dozen c_i with multiplicities w_i, so the sums of a lift of
 thousands of coordinates cost a dozen integer products.
+
+Codes become packings (`FieldCtx._pack_codes`, for `lanes`, `sums`,
+`affine_codes` and `coefficient_rows`) through digit tables. The base-p digits
+of a code, most significant first, are c_0, ..., c_{k-1}; they are read in
+chunks of d digits, d the largest with p^d <= 256 (one when p > 256), the last
+chunk taking what is left (5, 5 and 2 digits over GF(3^12)). Entry v of the
+table for (p, s, width) packs the s digits of v at that width, the first at
+digit 0, or holds their tuple when width is None. So a chunk is one lookup,
+shifted up to its first coefficient and added, or concatenated, over the whole
+list of codes at once. A one-digit chunk is its own packing and needs no
+table, and over GF(p) a code is its packing. Tables are built on first use and
+kept per module, shared by every field of one characteristic; the widths of
+the kernel and of `sums` are whole bytes, so a process builds few per prime.
 """
 
 from __future__ import annotations
@@ -64,7 +78,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import product, repeat
-from operator import add, floordiv, index, lshift, mod, mul
+from operator import add, floordiv, iadd, index, lshift, mod, mul
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
@@ -123,6 +137,40 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
         if _is_irreducible(f, p, k):
             return tuple(f)
     raise RuntimeError(f"no irreducible of degree {k} over GF({p})")
+
+
+# the digit tables of `_digit_table`, keyed by (p, digits, width)
+_DIGIT_TABLES: dict[tuple[int, int, Optional[int]], list] = {}
+
+
+def _digit_table(p: int, digits: int, width: Optional[int]) -> list:
+    """Entry v is the packing, with width bits a digit, of the base-p digits
+    of v, `digits` of them, most significant at digit 0; for width None, the
+    tuple of those digits. Built on first use and shared by every field of
+    characteristic p."""
+    key = (p, digits, width)
+    table = _DIGIT_TABLES.get(key)
+    if table is None:
+        table = list(product(range(p), repeat=digits))
+        if width is not None:
+            shifts = [width * i for i in range(digits)]
+            table = [sum(map(lshift, t, shifts)) for t in table]
+        _DIGIT_TABLES[key] = table
+    return table
+
+
+@lru_cache(maxsize=None)
+def _chunk_plan(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The code digits in chunks of d, the most with p^d <= 256 table
+    entries (one when p > 256), most significant first, each as (digits,
+    p^(digits after the chunk), p^digits, first coefficient)."""
+    d, chunks = 1, []
+    while p ** (d + 1) <= 256:
+        d += 1
+    for start in range(0, k, d):
+        digits = min(d, k - start)
+        chunks.append((digits, p ** (k - start - digits), p**digits, start))
+    return tuple(chunks)
 
 
 class FieldElement:
@@ -404,6 +452,7 @@ class FieldCtx:
         "one",
         "_width", "_mask", "_shifts", "_folds", "_ps",  # the kernel's packing
         "_norm", "_kmul",  # the one-lane kernel's methods
+        "_chunks",  # the code digits of each digit-table lookup
         "_sqrt_consts",
         "_tables",
     )
@@ -432,6 +481,7 @@ class FieldCtx:
             folds.append(x)
             x = self._norm((x << w & low) + (x >> w * (k - 1)) * folds[0])
         self._folds = kernel.folds = tuple(folds)
+        self._chunks = _chunk_plan(p, k)
         self._sqrt_consts = None
         self._tables = None
 
@@ -494,23 +544,37 @@ class FieldCtx:
 
     def coefficient_rows(self, codes) -> list[list[int]]:
         """The coefficient lists, low degree first, of the elements with these codes."""
-        return list(map(list, zip(*reversed(self._columns(list(codes))))))
+        return self._pack_codes(codes, None)
 
-    def _columns(self, codes) -> list[list[int]]:
-        """Coefficients c_{k-1}, ..., c_0 of the elements with these codes."""
-        columns = []
-        for _ in range(self.k - 1):
-            columns.append(list(map(mod, codes, repeat(self.p))))
-            codes = list(map(floordiv, codes, repeat(self.p)))
-        return columns + [codes]
-
-    def _pack_codes(self, codes, width: int) -> list[int]:
-        """The packings, with width bits a digit, of the elements with these codes."""
-        columns = self._columns(codes)
-        out = columns[0]
-        for column in columns[1:]:  # Horner from c_{k-1}
-            out = list(map(add, map(lshift, out, repeat(width)), column))
-        return out
+    def _pack_codes(self, codes, width: Optional[int]) -> list:
+        """The packings, with width bits a digit, of the elements with these
+        codes, or for width None their coefficient lists, low degree first:
+        each chunk of code digits read from its digit table, then shifted
+        into place and added, or concatenated (module docstring). Over GF(p)
+        a list of codes is its own list of packings and comes back as it is."""
+        if not isinstance(codes, list):
+            codes = list(codes)  # every chunk reads them
+        p, out, parts = self.p, None, []
+        for digits, below, size, start in self._chunks:
+            part = map(floordiv, codes, repeat(below)) if below > 1 else codes
+            if start:
+                part = map(mod, part, repeat(size))
+            if digits > 1:  # a one-digit chunk is its own packing
+                part = map(_digit_table(p, digits, width).__getitem__, part)
+            if width is None:
+                parts.append(part)
+            elif out is None:
+                out = part
+            else:
+                out = map(add, out, map(lshift, part, repeat(width * start)))
+        if width is not None:
+            return out if out is codes else list(out)
+        if len(parts) == self.k:  # a digit a chunk: the parts are the coefficients
+            return list(map(list, zip(*parts)))
+        rows = map(list, parts[0])
+        for part, (digits, _, _, _) in zip(parts[1:], self._chunks[1:]):
+            rows = map(iadd, rows, part if digits > 1 else zip(part))  # extended in place
+        return list(rows)
 
     def lanes(self, codes) -> LaneVector:
         """The lane vector of the elements with these codes, in order."""
@@ -547,7 +611,7 @@ class FieldCtx:
             if len(mults) != len(codes):
                 raise ValueError(f"{len(mults)} multiplicities for {len(codes)} codes")
         n = len(codes) if mults is None else sum(mults)
-        w = (n * self.k * (self.p - 1) ** 2).bit_length()
+        w = 8 * -(-(n * self.k * (self.p - 1) ** 2).bit_length() // 8)  # whole bytes
         packed = self._pack_codes(codes, w)
         weighted = packed if mults is None else list(map(mul, mults, packed))
         s2 = sum(map(mul, weighted, packed))

@@ -9,6 +9,11 @@ the same canonical choice of root (the lex-smaller coefficient tuple).
 test_kernels.py pins the kernel's sum, difference, negation, product, square,
 power and root to these.
 
+`columns` converts codes to coefficients one base-p digit at a time, a mod
+and a floor division of every code a digit, the conversion the package made
+before its digit tables; `pack_codes` and `coefficient_rows` build on it, and
+test_kernels.py pins the table conversion to them.
+
 `smallest_irreducible` is an independent modulus search: the gcd form of
 Rabin's test, run on this module's arithmetic in the candidate's own ring.
 """
@@ -74,6 +79,31 @@ def smallest_irreducible(p: int, k: int) -> tuple:
         if is_irreducible(list(low) + [1], p, k):
             return tuple(low) + (1,)
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")
+
+
+def columns(ctx, codes) -> list:
+    """Coefficients c_{k-1}, ..., c_0 of the elements with these codes, one
+    list each."""
+    out = []
+    codes = list(codes)
+    for _ in range(ctx.k - 1):
+        out.append([c % ctx.p for c in codes])
+        codes = [c // ctx.p for c in codes]
+    return out + [codes]
+
+
+def pack_codes(ctx, codes, width: int) -> list:
+    """The packings, with width bits a digit, of the elements with these codes."""
+    cols = columns(ctx, codes)
+    out = cols[0]
+    for column in cols[1:]:  # Horner from c_{k-1}
+        out = [(x << width) + c for x, c in zip(out, column)]
+    return out
+
+
+def coefficient_rows(ctx, codes) -> list:
+    """The coefficient lists, low degree first, of the elements with these codes."""
+    return [list(row) for row in zip(*reversed(columns(ctx, codes)))]
 
 
 def add(ctx, a: tuple, b: tuple) -> tuple:

@@ -15,6 +15,7 @@ from quadcert.quadric import (
     sample_quadric_point,
     smoothness_rank,
 )
+from quadcert import actions
 from quadcert.actions import (
     AffineMap,
     Permutation,
@@ -126,6 +127,22 @@ def test_invariance_report_pin():
     assert rep.p2_after == F11.el(5)
     assert rep.identities_hold
     assert not rep.stays_on_quadric
+
+
+@pytest.mark.parametrize("wrong", ["s1", "p2"])
+def test_identities_fail_when_one_moved_sum_is_off(monkeypatch, wrong):
+    # either moved power sum alone off its prediction breaks the identities
+    exact = actions.power_sums
+
+    def off(a):
+        s1, p2 = exact(a)
+        return (s1 + 1, p2) if wrong == "s1" else (s1, p2 + 1)
+
+    monkeypatch.setattr(actions, "power_sums", off)
+    rep = invariance_report(BASE, AffineMap(F11.el(2), F11.el(1)))
+    assert (rep.s1_after == rep.expected_s1) == (wrong == "p2")
+    assert (rep.p2_after == rep.expected_p2) == (wrong == "s1")
+    assert not rep.identities_hold
 
 
 def test_invariance_requires_membership():

@@ -15,12 +15,14 @@ every certificate step and the block solver with it.
 from itertools import repeat
 
 import pytest
+from hypothesis import given, strategies as st
 
 import _fieldref as ref
 from _jacobianref import gradient_matrix
 from quadcert.actions import AffineMap, affine_act, invariance_report, random_affine
 from quadcert.cli import _json
 from quadcert.compression import faithfulness_witness, rank_certificate
+from quadcert import gf
 from quadcert.gf import FieldCtx, _Kernel, field_make
 from quadcert.linalg import kernel_basis
 from quadcert.profile import binary_profile
@@ -206,7 +208,7 @@ def test_codes_pack_and_read_back(p, k):
     ctx = field_make(p, k)
     xs = _elements(ctx, 30, 19 * p + k)
     codes = [ctx.element_index(x) for x in xs]
-    columns = ctx._columns(codes)
+    columns = ref.columns(ctx, codes)
     assert list(zip(*reversed(columns))) == [x.coeffs for x in xs]
     packed = ctx._pack_codes(codes, ctx._width)
     for x, y, cx, px in zip(xs, reversed(xs), codes, packed):
@@ -215,6 +217,59 @@ def test_codes_pack_and_read_back(p, k):
         assert ctx._code(px) == cx
         assert ctx._code(px + ctx._pack(y.coeffs)) == ctx.element_index(x + y)
         assert ctx._code(ctx._kmul(px, p - 1)) == ctx.element_index(-x)
+
+
+# the widest one-digit chunks (p > 256), and two primes whose digits each
+# take a chunk of their own
+TABLE_FIELDS = KERNEL_FIELDS + [(31, 2), (17, 3)]
+WIDTHS = (9, 13, 16, 24, None)
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+@given(data=st.data())
+def test_digit_tables_convert_like_the_digit_by_digit_oracle(p, k, data):
+    # every width, from a list and from an iterator, with the least and the
+    # greatest code always among the codes
+    ctx = field_make(p, k)
+    codes = [0, ctx.size - 1] + data.draw(st.lists(st.integers(0, ctx.size - 1), max_size=40))
+    for width in WIDTHS + (ctx._width,):
+        expected = ref.coefficient_rows(ctx, codes) if width is None else ref.pack_codes(ctx, codes, width)
+        assert ctx._pack_codes(codes, width) == expected
+        assert ctx._pack_codes(iter(codes), width) == expected
+    assert ctx.coefficient_rows(iter(codes)) == ref.coefficient_rows(ctx, codes)
+
+
+@pytest.mark.parametrize(
+    "p,k,chunks",
+    [(7, 1, [1]), (3, 4, [4]), (3, 5, [5]), (3, 12, [5, 5, 2]), (5, 4, [3, 1]),
+     (13, 5, [2, 2, 1]), (17, 3, [1, 1, 1]), (1021, 2, [1, 1])],
+)
+def test_codes_split_into_chunks_of_at_most_256_values(p, k, chunks):
+    # the most significant digits first; one digit a chunk once p^2 > 256
+    assert [digits for digits, _, _, _ in field_make(p, k)._chunks] == chunks
+
+
+def test_prime_fields_build_no_digit_table_and_none_is_oversized(monkeypatch):
+    # over GF(p) a code is its own packing, whatever p; a table holds p^d
+    # entries, at most 256 unless one digit alone takes more
+    monkeypatch.setattr(gf, "_DIGIT_TABLES", {})
+    for p in (7, 31, 1021, 1048573):
+        ctx = field_make(p)
+        codes = [0, 1, p - 1]
+        assert ctx._pack_codes(codes, 16) == codes
+        assert ctx.coefficient_rows(codes) == [[0], [1], [p - 1]]
+        assert ctx.sums(codes) == (ctx.el(0), ctx.el(2))
+        ctx.lanes(codes)
+    assert gf._DIGIT_TABLES == {}
+    for p, k in TABLE_FIELDS:
+        ctx = field_make(p, k)
+        codes = [0, ctx.size - 1]
+        for width in WIDTHS:
+            ctx._pack_codes(codes, width)
+        ctx.sums(codes)
+    assert gf._DIGIT_TABLES
+    for (p, digits, width), table in gf._DIGIT_TABLES.items():
+        assert len(table) == p**digits <= max(256, p)
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)

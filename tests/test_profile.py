@@ -75,6 +75,11 @@ def test_small_n_flagged_but_not_blocking():
     assert SMALL_N not in d2.reasons
 
 
+def test_n_of_5_is_not_small():
+    # 5 is the least n the gate takes as large enough: here only r blocks
+    assert check_hypotheses(5, 5, 1).reasons == ("RTooSmall",)
+
+
 def test_check_validates_characteristic():
     with pytest.raises(EvenCharacteristicError):
         check_hypotheses(15, 2)
