@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NotOnQuadricError, SizeMismatchError
 from .gf import FieldCtx, FieldElement
-from .quadric import AmbientPoint, in_small_diagonal, on_quadric, power_sums
+from .quadric import AmbientPoint, on_quadric, power_sums
 from .rng import SplitMix64
 
 
@@ -46,23 +46,6 @@ class Permutation:
             inv[img - 1] = i
         return Permutation(tuple(inv))
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return Permutation(tuple(images))
-
-    @staticmethod
-    def from_cycle(n: int, cycle: tuple[int, ...]) -> "Permutation":
-        images = list(range(1, n + 1))
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            images[a - 1] = b
-        return Permutation(tuple(images))
-
 
 def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     """(sigma tau)(i) = sigma(tau(i))."""
@@ -84,7 +67,7 @@ def permute(sigma: Permutation, a: AmbientPoint) -> AmbientPoint:
     of the input."""
     if sigma.n != a.n:
         raise SizeMismatchError(f"permutation of {sigma.n} on a point of {a.n}")
-    return AmbientPoint.from_codes(a.ctx, tuple(a.codes[j - 1] for j in sigma.inverse().images))
+    return AmbientPoint(a.ctx, tuple(a.codes[j - 1] for j in sigma.inverse().images))
 
 
 @dataclass(frozen=True)
@@ -97,20 +80,12 @@ class AffineMap:
     def __post_init__(self):
         if self.alpha.is_zero():
             raise ValueError("alpha must be nonzero")
-        if self.alpha.ctx != self.beta.ctx:
+        if self.alpha.ctx is not self.beta.ctx:
             raise ValueError("alpha and beta from different fields")
 
     @property
     def ctx(self) -> FieldCtx:
         return self.alpha.ctx
-
-    def inverse(self) -> "AffineMap":
-        ia = self.alpha.inverse()
-        return AffineMap(ia, -(ia * self.beta))
-
-    @staticmethod
-    def identity(ctx: FieldCtx) -> "AffineMap":
-        return AffineMap(ctx.one, ctx.zero)
 
 
 def affine_compose(g1: AffineMap, g2: AffineMap) -> AffineMap:
@@ -125,9 +100,9 @@ def random_affine(ctx: FieldCtx, rng: SplitMix64) -> AffineMap:
 
 
 def affine_act(g: AffineMap, a: AmbientPoint) -> AmbientPoint:
-    if g.ctx != a.ctx:
+    if g.ctx is not a.ctx:
         raise ValueError("map and point over different fields")
-    return AmbientPoint.from_codes(a.ctx, a.ctx.affine_codes(g.alpha, g.beta, a.codes))
+    return AmbientPoint(a.ctx, a.ctx.affine_codes(g.alpha, g.beta, a.codes))
 
 
 @dataclass(frozen=True)
@@ -162,29 +137,3 @@ def invariance_report(a: AmbientPoint, g: AffineMap) -> InvarianceReport:
         identities_hold=(s1 == exp_s1 and p2 == exp_p2),
         stays_on_quadric=(s1.is_zero() and p2.is_zero()),
     )
-
-
-@dataclass(frozen=True)
-class StabilizerResult:
-    """Either trivial, or the line {(alpha, c (1 - alpha))} fixing a constant
-    vector with value c."""
-
-    trivial: bool
-    constant: FieldElement | None
-
-    @property
-    def kind(self) -> str:
-        return "Trivial" if self.trivial else "OneDimensional"
-
-
-def affine_stabilizer(a: AmbientPoint) -> StabilizerResult:
-    """Stabilizer of a point under the affine maps.
-
-    A map fixing a satisfies alpha x_i + beta = x_i for every i. Off the
-    small diagonal two coordinates differ, and subtracting their equations
-    forces alpha = 1 and then beta = 0: only the identity fixes a. On the
-    small diagonal, with every coordinate c, the fixing maps are the line
-    alpha c + beta = c."""
-    if not in_small_diagonal(a):
-        return StabilizerResult(trivial=True, constant=None)
-    return StabilizerResult(trivial=False, constant=a.ctx.element_at(a.codes[0]))

@@ -188,7 +188,7 @@ class FieldElement:
 
     def _coerce(self, other) -> Optional["FieldElement"]:
         if isinstance(other, FieldElement):
-            if other.ctx is self.ctx or other.ctx == self.ctx:
+            if other.ctx is self.ctx:
                 return other
             raise ValueError("elements belong to different fields")
         if isinstance(other, int):
@@ -215,12 +215,6 @@ class FieldElement:
                 return NotImplemented
         return FieldElement(ctx, ctx._norm(self.packed + ctx._ps - other.packed))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         ctx = self.ctx
         return FieldElement(ctx, ctx._norm(ctx._ps - self.packed))
@@ -232,18 +226,6 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx._kmul(self.packed, o.packed))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -269,9 +251,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.packed == other.packed and (
-                self.ctx is other.ctx or self.ctx == other.ctx
-            )
+            return self.packed == other.packed and self.ctx is other.ctx
         if isinstance(other, int):  # a residue c < p packs to c
             return 0 <= other < self.ctx.p and self.packed == other
         return NotImplemented
@@ -361,11 +341,11 @@ class LaneVector:
         kernel = self.kernel
         if isinstance(other, LaneVector):
             theirs = other.kernel
-            if theirs is kernel or (theirs.lanes == kernel.lanes and theirs.ctx == kernel.ctx):
+            if theirs is kernel or (theirs.lanes == kernel.lanes and theirs.ctx is kernel.ctx):
                 return other.packed
             raise ValueError("lane vectors of different fields or lengths")
         if isinstance(other, FieldElement):
-            if other.ctx is kernel.ctx or other.ctx == kernel.ctx:
+            if other.ctx is kernel.ctx:
                 return other.packed * kernel.ones
             raise ValueError("elements belong to different fields")
         return None
@@ -402,7 +382,7 @@ class LaneVector:
         kernel = self.kernel
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if not (other.ctx is kernel.ctx or other.ctx == kernel.ctx):
+        if other.ctx is not kernel.ctx:
             raise ValueError("elements belong to different fields")
         return LaneVector(kernel, kernel.mul(other.packed, self.packed))
 
@@ -439,8 +419,10 @@ class LaneVector:
 class FieldCtx:
     """Fixed field GF(p^k) with its deterministic modulus.
 
-    Use `field_make`, not the constructor; `field_make` caches one context
-    per (p, k) so element contexts can be compared by identity.
+    Contexts are compared by identity only: two elements, lane vectors or
+    points belong to one field exactly when their contexts are the same
+    object, and an operation that mixes two contexts raises ValueError. Use
+    `field_make`, not the constructor: it returns one context per (p, k).
     """
 
     __slots__ = (
@@ -489,11 +471,8 @@ class FieldCtx:
 
     def el(self, value) -> FieldElement:
         """Make an element from an int (the prime-subfield embedding) or a list
-        of int coefficients, low degree first (a float or a str raises TypeError)."""
-        if isinstance(value, FieldElement):
-            if value.ctx == self:
-                return value
-            raise ValueError("element from a different field")
+        of int coefficients, low degree first (a float, a str or a field
+        element raises TypeError)."""
         if isinstance(value, int):
             return FieldElement(self, value % self.p)
         coeffs = [index(c) % self.p for c in value]
@@ -713,16 +692,6 @@ class FieldCtx:
         top = (self.p - 1) * unit
         zech = array("i", (log[i - top] if i >= top else log[i + unit] for i in exp))
         return exp, log, zech
-
-    # --- identity plumbing ---
-
-    def __eq__(self, other):
-        if isinstance(other, FieldCtx):
-            return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
 
     def __repr__(self):
         if self.k == 1:

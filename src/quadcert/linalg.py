@@ -32,7 +32,7 @@ class Matrix:
             )
         self.ctx = ctx if ctx is not None else entries[0].ctx
         for e in entries:
-            if e.ctx != self.ctx:
+            if e.ctx is not self.ctx:
                 raise ValueError("matrix entries from different fields")
         self.rows = rows
         self.cols = cols

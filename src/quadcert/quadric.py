@@ -6,10 +6,11 @@ the first two elementary symmetric functions). The discriminant locus is
 where two coordinates collide; the small diagonal is the constant vectors,
 and it is exactly where the quadric is singular.
 
-A point is held as the codes of its coordinates (see `gf`): the sampler
-draws codes, pair completion maps tail codes to pair codes, a lift repeats
-them, affine moves map them, and collision tests work per distinct code, as
-does `cli` when it writes a point. `FieldElement`s are the boundary.
+A point is held as the codes of its coordinates (see `gf`), and it is built
+from them, `AmbientPoint(ctx, codes)`: the sampler draws codes, pair
+completion maps tail codes to pair codes, a lift repeats them, affine moves
+map them, and collision tests work per distinct code, as does `cli` when it
+writes a point. `FieldElement`s are the boundary (`coords` decodes them).
 
 Both power sums come from `FieldCtx.sums`, in plain integers with one
 reduction per sum (the kernel is described in `gf`). It also serves the
@@ -29,31 +30,19 @@ from .linalg import kernel_basis
 from .rng import LANES, SplitMix64
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AmbientPoint:
-    """A length-n coordinate vector over one field context, held as codes."""
+    """A length-n coordinate vector over one field context, held as the codes
+    of its coordinates (any iterable of codes, kept as a tuple)."""
 
     ctx: FieldCtx
     codes: tuple[int, ...]
 
-    def __init__(self, coords):
-        coords = tuple(coords)
-        ctx = coords[0].ctx if coords else None
-        if any(x.ctx is not ctx and x.ctx != ctx for x in coords):
-            raise ValueError("coordinates from different fields")
-        self._set(ctx, map(ctx.element_index, coords) if ctx else ())
-
-    def _set(self, ctx: FieldCtx, codes) -> "AmbientPoint":
-        codes = tuple(codes)
-        if len(codes) < 2 or min(codes) < 0 or max(codes) >= ctx.size:
+    def __post_init__(self):
+        codes = tuple(self.codes)
+        if len(codes) < 2 or min(codes) < 0 or max(codes) >= self.ctx.size:
             raise ValueError("a point needs at least 2 coordinates, each a code below the field size")
-        object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "codes", codes)
-        return self
-
-    @classmethod
-    def from_codes(cls, ctx: FieldCtx, codes) -> "AmbientPoint":
-        return cls.__new__(cls)._set(ctx, codes)
 
     @property
     def n(self) -> int:
@@ -82,16 +71,6 @@ def in_discriminant(a: AmbientPoint) -> bool:
 def in_small_diagonal(a: AmbientPoint) -> bool:
     """True iff all coordinates are equal."""
     return a.codes.count(a.codes[0]) == a.n
-
-
-def smoothness_rank(a: AmbientPoint) -> int:
-    """Rank of the gradient matrix at a point of the quadric: 2 at smooth
-    points, 1 exactly on the small diagonal. The row (1, ..., 1) is nonzero,
-    and 2 is a unit in odd characteristic, so the row (2 x_1, ..., 2 x_n) is
-    a multiple of it exactly when all coordinates are equal."""
-    if not on_quadric(a):
-        raise NotOnQuadricError("smoothness rank is defined on the quadric only")
-    return 1 if in_small_diagonal(a) else 2
 
 
 def tangent_basis(a: AmbientPoint) -> list[tuple[FieldElement, ...]]:
@@ -182,7 +161,7 @@ def sample_quadric_point(
             pair = complete_quadric_pair(ctx, tail)
             if pair is None or pair[0] == pair[1] or not drawn.isdisjoint(pair):
                 continue
-            return AmbientPoint.from_codes(ctx, pair + tuple(tail))
+            return AmbientPoint(ctx, pair + tuple(tail))
         left -= tries
         batch = min(2 * batch, most)
     raise NoPointFoundError(

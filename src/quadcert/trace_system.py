@@ -57,7 +57,7 @@ class BlockSolution:
                 f"{len(self.c)} values and {len(self.weights)} weights "
                 f"for {self.profile.r} blocks"
             )
-        if any(ci.ctx != self.ctx for ci in self.c):
+        if any(ci.ctx is not self.ctx for ci in self.c):
             raise ValueError("a value from a different field")
 
 
@@ -153,4 +153,4 @@ def lift_block_solution(sol: BlockSolution) -> AmbientPoint:
     codes: list[int] = []
     for ci, size in zip(sol.c, profile.block_sizes()):
         codes += [sol.ctx.element_index(ci)] * size
-    return AmbientPoint.from_codes(sol.ctx, codes)
+    return AmbientPoint(sol.ctx, codes)

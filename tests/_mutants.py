@@ -334,6 +334,46 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the folded product keeps digits up to p + (k - 1) p^2; the return
+        # line of `norm` is the same text, so the fold loop's last line
+        # pins this one
+        "kernel-second-barrett-dropped",
+        GF,
+        "            high >>= w\n        return x - p * ((x * m >> r) & q)",
+        "            high >>= w\n        return x",
+        (
+            "tests/test_kernels.py::test_product_and_square_match_schoolbook[3-4]",
+            "tests/test_kernels.py::test_product_and_square_match_schoolbook[5-4]",
+            "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
+        ),
+    ),
+    Mutant(
+        # z = 0 passes the nonresidue test, so c = 0 and Tonelli-Shanks
+        # raises on every square that needs a correction
+        "nonresidue-walk-from-code-0",
+        GF,
+        "units = map(self._packed_at, range(1, self.size))",
+        "units = map(self._packed_at, range(0, self.size))",
+        (
+            "tests/test_gf.py::test_sqrt_exists_iff_square[3-4]",
+            "tests/test_kernels.py::test_sqrt_matches_schoolbook_tonelli_shanks[3-4]",
+            "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
+        ),
+    ),
+    Mutant(
+        # an element of another context, even a twin of the same field,
+        # enters + - * as if it were one of this field
+        "coerce-accepts-a-foreign-context",
+        GF,
+        "            if other.ctx is self.ctx:\n                return other\n",
+        "            if True:\n                return other\n",
+        (
+            "tests/test_gf.py::test_cross_field_operations_rejected",
+            "tests/test_gf.py::test_every_site_refuses_a_second_context[add-twin-context]",
+            "tests/test_gf.py::test_every_site_refuses_a_second_context[mul-another-field]",
+        ),
+    ),
+    Mutant(
         "solver-larger-code-root",
         SOLVER,
         "c2 = min(",
@@ -368,13 +408,48 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "solver-s-squared-sign",
+        SOLVER,
+        "s = (m * m * (-w1 * w2) + n * (-w1 * a)).sqrt()",
+        "s = (m * m * (w1 * w2) + n * (w1 * a)).sqrt()",
+        (
+            "tests/test_trace_system.py::test_solve_pins",
+            "tests/test_trace_system.py::test_solver_matches_the_scan_oracle",
+            "tests/test_golden.py::test_golden_certificate[solve_199_199]",
+        ),
+    ),
+    Mutant(
+        # for r >= 5 the scan then starts at c_4 = e, past the c_3 = e slice
+        "solver-c3-e-slice-skipped",
+        SOLVER,
+        "slices = chain(slices, ((x, e) for x in ctx.elements()))",
+        "slices = ((x, e) for x in ctx.elements())",
+        (
+            "tests/test_trace_system.py::test_solver_matches_the_scan_oracle",
+            "tests/test_trace_system.py::test_solver_matches_brute_force[341-11]",
+            "tests/test_acceptance.py::test_acceptance_2_solver_vs_brute_force",
+        ),
+    ),
+    Mutant(
+        # the c_4 = e slices skip c_3 = 0
+        "solver-c3-walk-from-code-1",
+        SOLVER,
+        "((x, e) for x in ctx.elements())",
+        "((x, e) for x in list(ctx.elements())[1:])",
+        (
+            "tests/test_trace_system.py::test_solver_matches_the_scan_oracle",
+            "tests/test_trace_system.py::test_solver_matches_brute_force[635-5]",
+            "tests/test_golden.py::test_golden_certificate[solve_199_199]",
+        ),
+    ),
+    Mutant(
         "small-diagonal-skips-last-coordinate",
         QUADRIC,
         "return a.codes.count(a.codes[0]) == a.n",
         "return a.codes[:-1].count(a.codes[0]) == a.n - 1",
         (
             "tests/test_quadric.py::test_small_diagonal_checks_every_coordinate",
-            "tests/test_actions.py::test_stabilizer_dichotomy_exhaustive",
+            "tests/test_actions.py::test_structural_ranks_match_elimination",
         ),
     ),
     Mutant(

@@ -1,7 +1,5 @@
 """Coordinate permutations and the affine line action."""
 
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,19 +7,13 @@ from quadcert.cli import _json
 from quadcert.errors import NotOnQuadricError, SizeMismatchError
 from quadcert.gf import field_make
 from quadcert.linalg import Matrix, rank
-from quadcert.quadric import (
-    AmbientPoint,
-    on_quadric,
-    sample_quadric_point,
-    smoothness_rank,
-)
+from quadcert.quadric import AmbientPoint, in_small_diagonal, on_quadric, sample_quadric_point
 from quadcert import actions
 from quadcert.actions import (
     AffineMap,
     Permutation,
     affine_act,
     affine_compose,
-    affine_stabilizer,
     compose,
     invariance_report,
     permute,
@@ -32,27 +24,28 @@ from quadcert.profile import binary_profile
 from quadcert.rng import SplitMix64
 from quadcert.trace_system import lift_block_solution, solve_block_system
 from _jacobianref import gradient_matrix
+from _points import point
 
 
 F11 = field_make(11)
-BASE = AmbientPoint(tuple(F11.el(v) for v in (9, 5, 1, 3, 4)))
+BASE = AmbientPoint(F11, (9, 5, 1, 3, 4))
 
 
 def test_permutation_basics():
-    s = Permutation.from_cycle(3, (1, 2, 3))
-    assert s.images == (2, 3, 1)
+    s = Permutation((2, 3, 1))  # the cycle 1 -> 2 -> 3 -> 1
     assert s(1) == 2 and s(3) == 1
     assert s.inverse().images == (3, 1, 2)
-    assert compose(s, s.inverse()) == Permutation.identity(3)
-    assert Permutation.transposition(5, 2, 4).images == (1, 4, 3, 2, 5)
+    assert compose(s, s.inverse()) == compose(s.inverse(), s) == Permutation((1, 2, 3))
+    swap = Permutation((1, 4, 3, 2, 5))  # the transposition of 2 and 4
+    assert swap.inverse() == swap and swap(2) == 4 and swap(4) == 2
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
 
 
 def test_permute_moves_values_to_image_slots():
     f31 = field_make(31)
-    a = AmbientPoint(tuple(f31.el(v) for v in (10, 20, 30)))
-    s = Permutation.from_cycle(3, (1, 2, 3))
+    a = AmbientPoint(f31, (10, 20, 30))
+    s = Permutation((2, 3, 1))
     # value at slot j lands at slot sigma(j)
     assert [e.coeffs[0] for e in permute(s, a).coords] == [30, 10, 20]
 
@@ -69,17 +62,17 @@ def test_permute_is_a_left_action():
 
 def test_size_mismatch_rejected():
     with pytest.raises(SizeMismatchError):
-        permute(Permutation.identity(4), BASE)
+        permute(Permutation((1, 2, 3, 4)), BASE)
     with pytest.raises(SizeMismatchError):
-        compose(Permutation.identity(4), Permutation.identity(5))
+        compose(Permutation((1, 2, 3, 4)), Permutation((1, 2, 3, 4, 5)))
 
 
 def test_affine_map_basics():
     g = AffineMap(F11.el(2), F11.el(1))
-    assert g.inverse().alpha == F11.el(6)  # 1/2 = 6 mod 11
-    assert g.inverse().beta == F11.el(5)  # -6 * 1 = 5 mod 11
-    gid = AffineMap.identity(F11)
-    assert affine_compose(g, g.inverse()) == gid
+    inverse = AffineMap(F11.el(6), F11.el(5))  # 1/2 = 6 and -6 * 1 = 5 mod 11
+    identity = AffineMap(F11.one, F11.zero)
+    assert affine_compose(g, inverse) == affine_compose(inverse, g) == identity
+    assert affine_act(identity, BASE) == BASE
     with pytest.raises(ValueError):
         AffineMap(F11.zero, F11.el(1))
 
@@ -147,7 +140,7 @@ def test_identities_fail_when_one_moved_sum_is_off(monkeypatch, wrong):
 
 def test_invariance_requires_membership():
     g = AffineMap(F11.el(2), F11.el(1))
-    off = AmbientPoint(tuple(F11.el(v) for v in (1, 2, 3, 4, 5)))
+    off = AmbientPoint(F11, (1, 2, 3, 4, 5))
     with pytest.raises(NotOnQuadricError):
         invariance_report(off, g)
 
@@ -176,42 +169,12 @@ def test_invariance_identities_always_hold(seed):
     assert rep.identities_hold
 
 
-def test_stabilizer_dichotomy_exhaustive():
-    # n = 2 over GF(7): small enough to check the claim literally
-    f7 = field_make(7)
-    maps = [
-        AffineMap(a, b)
-        for a in f7.elements()
-        if not a.is_zero()
-        for b in f7.elements()
-    ]
-    for vals in itertools.product(range(7), repeat=2):
-        a = AmbientPoint(tuple(f7.el(v) for v in vals))
-        fixers = [g for g in maps if affine_act(g, a) == a]
-        res = affine_stabilizer(a)
-        if vals[0] == vals[1]:
-            assert res.kind == "OneDimensional"
-            assert res.constant == f7.el(vals[0])
-            assert len(fixers) == 6  # one alpha-parameter family
-            for g in fixers:
-                assert g.beta == res.constant * (f7.one - g.alpha)
-        else:
-            assert res.kind == "Trivial"
-            assert fixers == [AffineMap.identity(f7)]
-
-
-def test_stabilizer_on_base_point():
-    assert affine_stabilizer(BASE).kind == "Trivial"
-    const = AmbientPoint(tuple(F11.el(2) for _ in range(5)))
-    res = affine_stabilizer(const)
-    assert res.kind == "OneDimensional" and res.constant == F11.el(2)
-
-
 @pytest.mark.parametrize("p, k, n", [(7, 1, 6), (3, 4, 9), (5, 4, 10)])
 def test_structural_ranks_match_elimination(p, k, n):
-    # affine_stabilizer and smoothness_rank read their 2 x n ranks off
-    # in_small_diagonal; eliminating the same matrices must agree, at seeded
-    # vectors, constant vectors and constants with one coordinate changed
+    # in_small_diagonal stands for two 2 x n ranks: [x; 1] has rank 1 on the
+    # small diagonal and 2 off it, and so, on the quadric, has the gradient
+    # matrix [1; 2x]; eliminating them must agree, at seeded vectors,
+    # constant vectors and constants with one coordinate changed
     ctx = field_make(p, k)
     rng = SplitMix64(1000 * p + k)
 
@@ -227,19 +190,18 @@ def test_structural_ranks_match_elimination(p, k, n):
                 other = [c] * length
                 other[i] = c + ctx.element_at(1 + rng.below(ctx.size - 1))
                 vectors.append(other)
-    kinds = set()
+    ranks = set()
     for coords in vectors:
-        a = AmbientPoint(tuple(coords))
-        stacked = rank(Matrix.from_rows([coords, [ctx.one] * len(coords)]))
-        kind = affine_stabilizer(a).kind
-        assert kind == ("Trivial" if stacked == 2 else "OneDimensional")
+        a = point(coords)
+        expected = 1 if in_small_diagonal(a) else 2
+        assert rank(Matrix.from_rows([coords, [ctx.one] * len(coords)])) == expected
         # p copies of any vector lie on the quadric in characteristic p
-        b = AmbientPoint(tuple(coords) * p)
+        b = point(coords * p)
         assert on_quadric(b)
-        for point in (a, b) if on_quadric(a) else (b,):
-            assert smoothness_rank(point) == rank(gradient_matrix(point))
-        kinds.add(kind)
-    assert kinds == {"Trivial", "OneDimensional"}
+        for on in (a, b) if on_quadric(a) else (b,):
+            assert rank(gradient_matrix(on)) == expected
+        ranks.add(expected)
+    assert ranks == {1, 2}
 
 
 def test_random_generators_are_valid():

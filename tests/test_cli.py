@@ -8,7 +8,6 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from quadcert.actions import affine_stabilizer
 from quadcert.cli import _json, build_parser, main
 from quadcert.gf import field_make
 from quadcert.profile import binary_profile
@@ -190,69 +189,80 @@ def test_zero_block_solution_fails_every_command(tmp_path, monkeypatch):
     assert passed["lift_on_quadric"] and passed["lift_off_small_diagonal"] is False
 
 
+# The argvs of the usage-error tests below; tests/test_reachable.py runs
+# them too, with the golden cases.
+PARSER_ERRORS = (
+    [],
+    ["frobnicate"],
+    ["check", "15"],
+    ["check", "15", "four"],
+    ["sample", "5"],  # --field is required
+)
+
+
 def test_usage_errors(capsys):
-    for argv in (
-        [],
-        ["frobnicate"],
-        ["check", "15"],
-        ["check", "15", "four"],
-        ["sample", "5"],  # --field is required
-    ):
+    for argv in PARSER_ERRORS:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 4
     capsys.readouterr()
 
 
+SEMANTIC_ERRORS = (
+    ["check", "15", "6"],  # even characteristic
+    ["check", "15", "9"],  # not prime
+    ["sample", "4", "--field", "11"],  # n too small
+    ["sample", "5", "--field", "0^2"],
+)
+
+
 def test_semantic_usage_errors(capsys):
     # bad values that parse as ints still count as usage problems
-    assert main(["check", "15", "6"]) == 4  # even characteristic
-    assert main(["check", "15", "9"]) == 4  # not prime
-    assert main(["sample", "4", "--field", "11"]) == 4  # n too small
-    assert main(["sample", "5", "--field", "0^2"]) == 4
+    for argv in SEMANTIC_ERRORS:
+        assert main(argv) == 4
     err = capsys.readouterr().err
     assert "error" in err
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["sample", "5", "--field", "3^x"], "malformed field spec"),
-        (["sample", "5", "--field", "x"], "malformed field spec"),
-        (["sample", "5", "--field", "3^2^1"], "malformed field spec"),
-        (["sample", "5", "--field", "3^0"], "extension degree"),
-        (["sample", "5", "--field", "3^13"], "exceeds the limit"),
-        (["check", "15", "3", "--degree", "0"], "available_degree"),
-        (["check", "0", "3"], "positive integer"),
-        (["solve", "0", "3"], "positive integer"),
-        (["borel-check", "4", "--field", "11"], "n >= 5"),
-        (["certify", "4", "3"], "n >= 5"),
-        # r = 4 with no GF(1061) solution needs GF(1061^2), above the field cap
-        (["solve", "1061", "1061"], "field size 1061^2 exceeds the limit"),
-        (["solve", "15", "0"], "not prime"),
-        (["construct", "15", "0"], "not prime"),
-        # refused at the limit before p^k or a primality test is computed
-        (["check", "15", "3", "--degree", "20000000"], "exceeds the limit"),
-        (["certify", "15", "3", "--field-degree", "200000000"], "exceeds the limit"),
-        (["check", "15", "1000000000000000003"], "exceeds the limit"),
-        (["solve", "15", "1000000000000000003"], "exceeds the limit"),
-        (["sample", "5", "--field", "1000000000000000003"], "exceeds the limit"),
-        # a --json PATH that cannot be opened for writing: here a directory
-        (["check", "15", "3", "--json", str(Path(__file__).parent)], "cannot write"),
-        # a --json PATH whose write fails after the open: a full device
-        pytest.param(
-            ["construct", "15", "3", "--json", "/dev/full"],
-            "cannot write /dev/full: No space left on device",
-            marks=pytest.mark.skipif(
-                not Path("/dev/full").exists(), reason="no /dev/full on this system"
-            ),
+USAGE_ERROR_SITES = [
+    (["sample", "5", "--field", "3^x"], "malformed field spec"),
+    (["sample", "5", "--field", "x"], "malformed field spec"),
+    (["sample", "5", "--field", "3^2^1"], "malformed field spec"),
+    (["sample", "5", "--field", "3^0"], "extension degree"),
+    (["sample", "5", "--field", "3^13"], "exceeds the limit"),
+    (["check", "15", "3", "--degree", "0"], "available_degree"),
+    (["check", "0", "3"], "positive integer"),
+    (["solve", "0", "3"], "positive integer"),
+    (["borel-check", "4", "--field", "11"], "n >= 5"),
+    (["certify", "4", "3"], "n >= 5"),
+    # r = 4 with no GF(1061) solution needs GF(1061^2), above the field cap
+    (["solve", "1061", "1061"], "field size 1061^2 exceeds the limit"),
+    (["solve", "15", "0"], "not prime"),
+    (["construct", "15", "0"], "not prime"),
+    # refused at the limit before p^k or a primality test is computed
+    (["check", "15", "3", "--degree", "20000000"], "exceeds the limit"),
+    (["certify", "15", "3", "--field-degree", "200000000"], "exceeds the limit"),
+    (["check", "15", "1000000000000000003"], "exceeds the limit"),
+    (["solve", "15", "1000000000000000003"], "exceeds the limit"),
+    (["sample", "5", "--field", "1000000000000000003"], "exceeds the limit"),
+    # a --json PATH that cannot be opened for writing: here a directory
+    (["check", "15", "3", "--json", str(Path(__file__).parent)], "cannot write"),
+    # a --json PATH whose write fails after the open: a full device
+    pytest.param(
+        ["construct", "15", "3", "--json", "/dev/full"],
+        "cannot write /dev/full: No space left on device",
+        marks=pytest.mark.skipif(
+            not Path("/dev/full").exists(), reason="no /dev/full on this system"
         ),
-        # a lift longer than the field cap, refused before it is allocated;
-        # 3932160 = 2^21 + 2^20 + 2^19 + 2^18
-        (["construct", "3932160", "3"], "exceeds the limit"),
-        (["certify", "3932160", "3"], "exceeds the limit"),
-    ],
-)
+    ),
+    # a lift longer than the field cap, refused before it is allocated;
+    # 3932160 = 2^21 + 2^20 + 2^19 + 2^18
+    (["construct", "3932160", "3"], "exceeds the limit"),
+    (["certify", "3932160", "3"], "exceeds the limit"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERROR_SITES)
 def test_usage_error_sites(argv, message, capsys):
     # every input a command rejects exits 4 with the reason on stderr and
     # no certificate on stdout
@@ -278,15 +288,24 @@ def test_former_budget_refusals_solve(tmp_path, n, p):
     assert doc["payload"]["c"] == [_json(e) for e in sol.c]
 
 
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    first: object
+    second: object
+
+
 def test_writer_takes_nested_dataclasses_and_refuses_other_objects():
     f9 = field_make(3, 2)
     # codes 4 and 8 are 1 + x and 2 + 2x
-    point = AmbientPoint.from_codes(f9, (4, 8, 4))
-    stab = affine_stabilizer(AmbientPoint.from_codes(f9, (4, 4)))
-    assert _json(stab) == {"trivial": False, "constant": [1, 1]}
-    assert _json(affine_stabilizer(point)) == {"trivial": True, "constant": None}
-    assert _json((stab, (point,))) == [
-        {"trivial": False, "constant": [1, 1]},
+    point = AmbientPoint(f9, (4, 8, 4))
+    pair = _Pair(f9.element_at(4), None)
+    assert _json(pair) == {"first": [1, 1], "second": None}
+    assert _json(_Pair(point, pair)) == {
+        "first": [[1, 1], [2, 2], [1, 1]],
+        "second": {"first": [1, 1], "second": None},
+    }
+    assert _json((pair, (point,))) == [
+        {"first": [1, 1], "second": None},
         [[[1, 1], [2, 2], [1, 1]]],
     ]
     for value in (f9, [1], {"a": 1}, 1.5):
@@ -306,18 +325,18 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
         main(["check", "15", "3"])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["certify", "15", "31", "--samples", "0"],
-        ["certify", "15", "31", "--samples", "-2"],
-        ["certify", "15", "31", "--max-tries", "0"],
-        ["borel-check", "5", "--field", "11", "--samples", "0"],
-        ["sample", "5", "--field", "11", "--max-tries", "0"],
-        ["sample", "5", "--field", "11", "--max-tries", "-1"],
-        ["sample", "5", "--field", "11", "--max-tries", "many"],
-    ],
-)
+COUNT_ERRORS = [
+    ["certify", "15", "31", "--samples", "0"],
+    ["certify", "15", "31", "--samples", "-2"],
+    ["certify", "15", "31", "--max-tries", "0"],
+    ["borel-check", "5", "--field", "11", "--samples", "0"],
+    ["sample", "5", "--field", "11", "--max-tries", "0"],
+    ["sample", "5", "--field", "11", "--max-tries", "-1"],
+    ["sample", "5", "--field", "11", "--max-tries", "many"],
+]
+
+
+@pytest.mark.parametrize("argv", COUNT_ERRORS)
 def test_count_validation(argv, capsys):
     # zero or negative counts are usage errors, caught by the parser before
     # any work: not a vacuous pass, not a "no point found"
@@ -327,12 +346,12 @@ def test_count_validation(argv, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", [str(2**64 + 5), str(2**64), "-1", str(5 - 2**64), "five"])
-@pytest.mark.parametrize(
-    "argv",
-    [["sample", "7", "--field", "31"], ["borel-check", "7", "--field", "31"], ["certify", "15", "31"]],
-    ids=["sample", "borel-check", "certify"],
-)
+BAD_SEEDS = [str(2**64 + 5), str(2**64), "-1", str(5 - 2**64), "five"]
+SEEDED = [["sample", "7", "--field", "31"], ["borel-check", "7", "--field", "31"], ["certify", "15", "31"]]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("argv", SEEDED, ids=["sample", "borel-check", "certify"])
 def test_seed_validation(argv, seed, capsys):
     # SplitMix64 keeps 64 bits of its seed: 2^64 + 5 and 5 - 2^64 would draw
     # the points of seed 5 under another recorded seed, so the parser refuses

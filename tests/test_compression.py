@@ -35,10 +35,11 @@ from _jacobianref import (
     gradient_matrix,
     triple_positions,
 )
+from _points import point
 
 
 F11 = field_make(11)
-BASE = AmbientPoint(tuple(F11.el(v) for v in (9, 5, 1, 3, 4)))
+BASE = AmbientPoint(F11, (9, 5, 1, 3, 4))
 
 
 def test_triple_enumeration():
@@ -83,7 +84,7 @@ def test_reciprocal_identity():
 
 def test_compress_rejects_collisions():
     with pytest.raises(OnDiscriminantError):
-        compress(AmbientPoint(tuple(F11.el(v) for v in (9, 5, 1, 3, 3))))
+        compress(AmbientPoint(F11, (9, 5, 1, 3, 3)))
 
 
 def test_permutation_equivariance():
@@ -112,11 +113,11 @@ def test_faithfulness_witness_validation():
     with pytest.raises(ValueError):
         f31 = field_make(31)
         faithfulness_witness(
-            AmbientPoint(tuple(f31.el(v) for v in (1, 2, 3, 4)))
+            AmbientPoint(f31, (1, 2, 3, 4))
         )
     with pytest.raises(OnDiscriminantError):
         faithfulness_witness(
-            AmbientPoint(tuple(F11.el(v) for v in (9, 5, 1, 3, 3)))
+            AmbientPoint(F11, (9, 5, 1, 3, 3))
         )
 
 
@@ -202,9 +203,9 @@ def test_rank_certificate_matches_direct_restriction():
 
 def test_rank_certificate_validation():
     with pytest.raises(OnDiscriminantError):
-        rank_certificate(AmbientPoint(tuple(F11.el(v) for v in (9, 5, 1, 3, 3))))
+        rank_certificate(AmbientPoint(F11, (9, 5, 1, 3, 3)))
     with pytest.raises(NotOnQuadricError):
-        rank_certificate(AmbientPoint(tuple(F11.el(v) for v in (1, 2, 3, 4, 5))))
+        rank_certificate(AmbientPoint(F11, (1, 2, 3, 4, 5)))
 
 
 def test_certificate_to_json():
@@ -306,7 +307,7 @@ def _quadric_points(p, k, n, count):
             for i in range(n - 1, 0, -1):  # Fisher-Yates
                 j = rng.below(i + 1)
                 coords[i], coords[j] = coords[j], coords[i]
-            yield AmbientPoint(tuple(coords))
+            yield point(coords)
     else:
         for seed in range(count):
             yield sample_quadric_point(n, ctx, seed=7000 + 100 * n + seed)
@@ -332,7 +333,7 @@ def _distinct_point(ctx, n, rng):
         j = rng.below(ctx.size)
         if j not in indices:
             indices.append(j)
-    return AmbientPoint(tuple(ctx.element_at(j) for j in indices))
+    return AmbientPoint(ctx, indices)
 
 
 def test_gram_lemma_off_the_quadric():
@@ -442,7 +443,7 @@ SMALL_CERTIFICATES = (
 
 @pytest.mark.parametrize("coords, ranks, bound", SMALL_CERTIFICATES, ids=["n3", "n4"])
 def test_certificates_with_one_and_two_lanes(coords, ranks, bound):
-    a = AmbientPoint(tuple(map(field_make(7).el, coords)))
+    a = AmbientPoint(field_make(7), coords)
     assert on_quadric(a)
     cert = rank_certificate(a)
     assert (cert.ambient_rank, cert.tangent_dim, cert.restricted_rank) == ranks
@@ -459,10 +460,10 @@ def test_structured_certificate_validation_over_an_extension_field():
     coords = list(a.coords)
     coords[3] = coords[2]
     with pytest.raises(OnDiscriminantError):
-        rank_certificate(AmbientPoint(tuple(coords)))
+        rank_certificate(point(coords))
     coords = list(a.coords)
     coords[3] = coords[3] + f81.one
-    off = AmbientPoint(tuple(coords))
+    off = point(coords)
     assert not on_quadric(off) and len(set(off.coords)) == off.n
     with pytest.raises(NotOnQuadricError):
         rank_certificate(off)

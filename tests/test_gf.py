@@ -7,17 +7,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _fieldref import _poly_divmod_rem, smallest_irreducible
+from quadcert.actions import AffineMap, affine_act
 from quadcert.cli import _field, _json
 from quadcert.errors import EvenCharacteristicError, NotPrimeError
 from quadcert.gf import (
     SIZE_LIMIT,
+    FieldCtx,
     FieldElement,
     _is_irreducible,
     _prime_factors,
     check_characteristic,
     field_make,
 )
+from quadcert.linalg import Matrix
+from quadcert.profile import binary_profile
+from quadcert.quadric import AmbientPoint
 from quadcert.rng import SplitMix64
+from quadcert.trace_system import BlockSolution
 
 
 # Moduli frozen after cross-checking against an independent
@@ -159,7 +165,7 @@ def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         f7.zero.inverse()
     with pytest.raises(ZeroDivisionError):
-        f7.el(3) / f7.zero
+        f7.el(3) * f7.zero.inverse()
 
 
 def test_sqrt_pins_mod_7():
@@ -261,7 +267,7 @@ def test_inverse_cancels(args):
     ctx, a = args
     if not a.is_zero():
         assert a * a.inverse() == ctx.one
-        assert a / a == ctx.one
+        assert a.inverse() * a == ctx.one
 
 
 @given(field_and_elements(count=2))
@@ -460,7 +466,6 @@ def test_int_coercion():
     assert a + 4 == f7.zero
     assert 2 * a == f7.el(6)
     assert a - 10 == f7.el(0)
-    assert 1 / a == a.inverse()
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 4)])
@@ -507,6 +512,52 @@ def test_cross_field_operations_rejected():
     f11 = field_make(11)
     with pytest.raises(ValueError):
         f7.el(1) + f11.el(1)
+
+
+# Each site takes an operand of the field f and one of the field g.
+MIXING_SITES = {
+    "add": lambda f, g: f.one + g.one,
+    "sub": lambda f, g: f.one - g.one,
+    "mul": lambda f, g: f.one * g.one,
+    "el": lambda f, g: f.el(g.one),
+    "lane-add": lambda f, g: f.lanes([1, 2]) + g.lanes([1, 2]),
+    "lane-sub": lambda f, g: f.lanes([1, 2]) - g.lanes([1, 2]),
+    "lane-add-element": lambda f, g: f.lanes([1, 2]) + g.one,
+    "lane-mul": lambda f, g: f.lanes([1, 2]) * g.one,
+    "element-mul-lane": lambda f, g: g.one * f.lanes([1, 2]),
+    "affine-map": lambda f, g: AffineMap(f.one, g.one),
+    "affine-act": lambda f, g: affine_act(AffineMap(f.one, f.one), AmbientPoint(g, (1, 2, 3))),
+    "block-solution": lambda f, g: BlockSolution(
+        binary_profile(15), (1, 4, 2, 1), (f.one, f.one, f.one, g.zero), f
+    ),
+    "matrix": lambda f, g: Matrix(1, 2, (f.one, g.one)),
+}
+
+
+def _other(kind):
+    """GF(11), or a second context of GF(7) built by the constructor: equal
+    in p, k and modulus to field_make(7), but another object."""
+    if kind == "another-field":
+        return field_make(11)
+    return FieldCtx(7, 1, field_make(7).modulus)
+
+
+@pytest.mark.parametrize("kind", ["another-field", "twin-context"])
+@pytest.mark.parametrize("site", MIXING_SITES)
+def test_every_site_refuses_a_second_context(site, kind):
+    # contexts are compared by identity: a value of another context is
+    # refused, even when it is the same field; `el` takes no element at all
+    f, g = field_make(7), _other(kind)
+    with pytest.raises(TypeError if site == "el" else ValueError):
+        MIXING_SITES[site](f, g)
+
+
+@pytest.mark.parametrize("kind", ["another-field", "twin-context"])
+def test_elements_of_two_contexts_are_never_equal(kind):
+    f, g = field_make(7), _other(kind)
+    assert f.el(3).packed == g.el(3).packed
+    assert f.el(3) != g.el(3) and not f.el(3) == g.el(3)
+    assert f.el(3) == f.el(3) == 3
 
 
 def test_sums_refuse_mismatched_multiplicities():

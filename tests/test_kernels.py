@@ -19,6 +19,7 @@ from hypothesis import given, strategies as st
 
 import _fieldref as ref
 from _jacobianref import gradient_matrix
+from _points import point
 from quadcert.actions import AffineMap, affine_act, invariance_report, random_affine
 from quadcert.cli import _json
 from quadcert.compression import faithfulness_witness, rank_certificate
@@ -57,7 +58,7 @@ def test_sum_difference_and_negation_match_coefficientwise(p, k):
     xs = _elements(ctx, 30, 5 * p + k)
     for a in xs:
         assert (-a).coeffs == ref.neg(ctx, a.coeffs)
-        assert (1 - a).coeffs == ref.sub(ctx, ctx.one.coeffs, a.coeffs)
+        assert (ctx.one - a).coeffs == ref.sub(ctx, ctx.one.coeffs, a.coeffs)
         for b in xs[:8]:
             assert (a + b).coeffs == ref.add(ctx, a.coeffs, b.coeffs)
             assert (a - b).coeffs == ref.sub(ctx, a.coeffs, b.coeffs)
@@ -342,25 +343,25 @@ def test_point_round_trips(p, k):
     ctx = field_make(p, k)
     rng = SplitMix64(31 * p + k)
     codes = tuple(rng.below(ctx.size) for _ in range(12)) + (ctx.size - 1,) * 3 + (0, 0)
-    a = AmbientPoint.from_codes(ctx, codes)
+    a = AmbientPoint(ctx, codes)
     assert a.n == len(codes)
-    assert AmbientPoint(a.coords).codes == codes
-    assert AmbientPoint(a.coords) == a
+    assert point(a.coords).codes == codes
+    assert point(a.coords) == a
     assert a.coords == tuple(map(ctx.element_at, codes))
     assert _json(a) == [list(ctx.element_at(c).coeffs) for c in codes]
-    b = AmbientPoint(tuple(map(ctx.element_at, codes)))
-    assert AmbientPoint.from_codes(ctx, b.codes).coords == b.coords
+    b = point(map(ctx.element_at, codes))
+    assert AmbientPoint(ctx, b.codes).coords == b.coords
 
 
-def test_from_codes_validates():
+def test_point_validates_its_codes():
     ctx = field_make(3, 2)
-    assert AmbientPoint.from_codes(ctx, [1, 2]).codes == (1, 2)  # held as a tuple
+    assert AmbientPoint(ctx, [1, 2]).codes == (1, 2)  # held as a tuple
     with pytest.raises(ValueError):
-        AmbientPoint.from_codes(ctx, (1,))
+        AmbientPoint(ctx, (1,))
     with pytest.raises(ValueError):
-        AmbientPoint.from_codes(ctx, (1, 9))
+        AmbientPoint(ctx, (1, 9))
     with pytest.raises(ValueError):
-        AmbientPoint.from_codes(ctx, (-1, 2))
+        AmbientPoint(ctx, (-1, 2))
 
 
 def _moved_oracle(g, a):
@@ -407,21 +408,20 @@ def _on_quadric_points(ctx, n, seed):
     """Sampled points, and points of the quadric whose first coordinates
     repeat (so the second pivot sits further right), and constant ones."""
     a = sample_quadric_point(n, ctx, seed)
-    xs = a.coords
     yield a
     # x_1 = x_2 = x_3 = t: complete a tail that starts t, t, t
     rng = SplitMix64(seed)
     for _ in range(200):
-        t = ctx.element_at(rng.below(ctx.size))
-        tail = (t, t, t) + tuple(ctx.element_at(rng.below(ctx.size)) for _ in range(n - 5))
-        pair = complete_quadric_pair(ctx, map(ctx.element_index, tail))
+        t = rng.below(ctx.size)
+        tail = (t, t, t) + tuple(rng.below(ctx.size) for _ in range(n - 5))
+        pair = complete_quadric_pair(ctx, tail)
         if pair is not None:
-            yield AmbientPoint(tail + tuple(map(ctx.element_at, pair)))
+            yield AmbientPoint(ctx, tail + pair)
             break
-    yield AmbientPoint(xs[2:] + xs[:2])
+    yield AmbientPoint(ctx, a.codes[2:] + a.codes[:2])
     if n % ctx.p == 0:
-        yield AmbientPoint((ctx.one,) * n)
-    yield AmbientPoint((ctx.zero,) * n)
+        yield AmbientPoint(ctx, (ctx.element_index(ctx.one),) * n)
+    yield AmbientPoint(ctx, (0,) * n)
 
 
 @pytest.mark.parametrize("p,k,n", [(7, 1, 7), (3, 4, 9), (5, 4, 10), (11, 2, 11), (13, 2, 8)])

@@ -12,6 +12,9 @@ defines a `to_json`.
 No module but `gf` names the log tables (`tables` and the helpers that build
 them): elimination runs on lane vectors, and the tables stay in `gf` only
 for the benchmark tracer.
+
+No module compares field contexts with `==` or `!=`: contexts are compared
+by identity only (`is`, `is not`), and `FieldCtx` defines no `__eq__`.
 """
 
 import ast
@@ -117,3 +120,32 @@ def test_the_table_guard_flags_an_attribute_a_name_and_an_import():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_but_gf_names_the_log_tables(name):
     assert table_uses((PACKAGE / name).read_text()) == []
+
+
+def context_comparisons(source: str) -> list[str]:
+    """`line: code` for each `==` or `!=` with a field context on a side."""
+    found = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(map(_is_context, [node.left, *node.comparators]))
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def test_the_context_guard_flags_equality_on_either_side():
+    source = (
+        "a = x.ctx == y.ctx\n"
+        "b = ctx != other\n"
+        "c = value == self.ctx\n"
+        "d = x.ctx is y.ctx or g.ctx is not ctx\n"
+        "e = x.n == y.n and ctx.p != 3\n"
+    )
+    assert [v.split(":")[0] for v in context_comparisons(source)] == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in PACKAGE.glob("*.py")))
+def test_no_module_compares_contexts_by_value(name):
+    assert context_comparisons((PACKAGE / name).read_text()) == []
