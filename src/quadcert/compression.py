@@ -63,7 +63,7 @@ first nonzero lane of either names the first failing row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import permutations
 
 from .errors import (
     JacobianIdentityError,
@@ -81,42 +81,10 @@ from .quadric import AmbientPoint, in_discriminant, power_sums, tangent_basis
 from .actions import AffineMap, Permutation, affine_act
 
 
-# The triple table holds about n^3 entries, so the cache keeps only the last
-# n it was asked for.
-@lru_cache(maxsize=1)
 def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """All ordered triples of distinct indices in {1, ..., n}, lexicographic;
     there are n(n-1)(n-2) of them."""
-    return tuple(
-        (r, s, t)
-        for r in range(1, n + 1)
-        for s in range(1, n + 1)
-        if s != r
-        for t in range(1, n + 1)
-        if t != r and t != s
-    )
-
-
-def _position(n: int, r: int, s: int, t: int) -> int:
-    """The index of (r, s, t) in ordered_triples(n): n - 1 choices of s and
-    n - 2 of t follow each r, each index counted past the ones it skips."""
-    return ((r - 1) * (n - 1) + s - 1 - (s > r)) * (n - 2) + t - 1 - (t > r) - (t > s)
-
-
-@dataclass(frozen=True)
-class CompressionImage:
-    """Values of the map, aligned with ordered_triples(n)."""
-
-    n: int
-    values: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        expected = self.n * (self.n - 1) * (self.n - 2)
-        if len(self.values) != expected:
-            raise ValueError(f"expected {expected} components, got {len(self.values)}")
-
-    def value(self, r: int, s: int, t: int) -> FieldElement:
-        return self.values[_position(self.n, r, s, t)]
+    return tuple(permutations(range(1, n + 1), 3))
 
 
 def _pair_inverses(a: AmbientPoint) -> dict[tuple[int, int], FieldElement]:
@@ -126,39 +94,28 @@ def _pair_inverses(a: AmbientPoint) -> dict[tuple[int, int], FieldElement]:
     discriminant first."""
     if in_discriminant(a):
         raise OnDiscriminantError("two coordinates are equal")
-    inv = {}
-    xs = a.coords
-    for i in range(1, a.n + 1):
-        for j in range(1, a.n + 1):
-            if i != j:
-                inv[(i, j)] = (xs[i - 1] - xs[j - 1]).inverse()
-    return inv
+    xs, pairs = a.coords, permutations(range(1, a.n + 1), 2)
+    return {(i, j): (xs[i - 1] - xs[j - 1]).inverse() for i, j in pairs}
 
 
-def compress(a: AmbientPoint) -> CompressionImage:
-    """Evaluate every component exactly; the point must be off the
-    discriminant locus."""
+def compress(a: AmbientPoint) -> dict[tuple[int, int, int], FieldElement]:
+    """Evaluate every component exactly, as {(r, s, t): value} in
+    ordered_triples(n) order; the point must be off the discriminant locus."""
     inv = _pair_inverses(a)
     xs = a.coords
-    values = [
-        (xs[r - 1] - xs[s - 1]) * inv[(r, t)] for (r, s, t) in ordered_triples(a.n)
-    ]
-    return CompressionImage(a.n, tuple(values))
+    return {
+        (r, s, t): (xs[r - 1] - xs[s - 1]) * inv[(r, t)] for (r, s, t) in ordered_triples(a.n)
+    }
 
 
-def permute_image(sigma: Permutation, img: CompressionImage) -> CompressionImage:
+def permute_image(sigma: Permutation, img: dict) -> dict:
     """(sigma . img)(r, s, t) = img(sigma^{-1} r, sigma^{-1} s, sigma^{-1} t),
     matching the left action on points: compressing a permuted point equals
-    permuting the image."""
-    if sigma.n != img.n:
-        raise SizeMismatchError(
-            f"permutation of {sigma.n} against an image of {img.n}"
-        )
-    inv, n, vals = sigma.inverse(), img.n, img.values
-    new_values = tuple(
-        vals[_position(n, inv(r), inv(s), inv(t))] for (r, s, t) in ordered_triples(n)
-    )
-    return CompressionImage(img.n, new_values)
+    permuting the image. The value at (r, s, t) moves to its relabelled key."""
+    n = sigma.n
+    if len(img) != n * (n - 1) * (n - 2):
+        raise SizeMismatchError(f"permutation of {n} against an image of {len(img)} components")
+    return {(sigma(r), sigma(s), sigma(t)): v for (r, s, t), v in img.items()}
 
 
 def affine_invariance_check(a: AmbientPoint, g: AffineMap) -> bool:

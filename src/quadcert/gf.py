@@ -220,10 +220,12 @@ class FieldElement:
         return FieldElement(ctx, ctx._norm(ctx._ps - self.packed))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx._kmul(self.packed, o.packed))
+        ctx = self.ctx
+        if not (isinstance(other, FieldElement) and other.ctx is ctx):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return FieldElement(ctx, ctx._kmul(self.packed, other.packed))
 
     __rmul__ = __mul__
 

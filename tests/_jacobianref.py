@@ -8,19 +8,31 @@ numbers (`_dualnum`). The tests eliminate both with `quadcert.linalg`.
 
 The certificate evaluates the closed-form rows as lane vectors;
 `generator_rows` and `first_failing_row` are the same rows and checks one
-field element at a time. `triple_positions` numbers the full Jacobian's
-rows by enumerating the triples, the oracle of the index arithmetic in
-`quadcert.compression`.
+field element at a time. `triples_by_loops` enumerates the ordered triples
+in nested loops, the oracle of `quadcert.compression.ordered_triples`, and
+`triple_positions` numbers the full Jacobian's rows by it.
 """
 
 from _dualnum import Dual
-from quadcert.compression import ordered_triples
 from quadcert.linalg import Matrix
 
 
+def triples_by_loops(n):
+    """All ordered triples of distinct indices in {1, ..., n}, lexicographic."""
+    return tuple(
+        (r, s, t)
+        for r in range(1, n + 1)
+        for s in range(1, n + 1)
+        if s != r
+        for t in range(1, n + 1)
+        if t != r and t != s
+    )
+
+
 def triple_positions(n):
-    """(r, s, t) -> its index in ordered_triples(n)."""
-    return {trip: i for i, trip in enumerate(ordered_triples(n))}
+    """(r, s, t) -> its row in the full Jacobian, the index of the triple in
+    the lexicographic enumeration."""
+    return {trip: i for i, trip in enumerate(triples_by_loops(n))}
 
 
 def gradient_matrix(a):

@@ -123,6 +123,25 @@ MUTANTS = (
         survivor="the witness cannot fail on a point with distinct coordinates (ROADMAP item 2)",
     ),
     Mutant(
+        # the negated map keeps the reciprocal, equivariance and invariance
+        # identities, so only the pinned values catch it
+        "compress-numerator-reversed",
+        "src/quadcert/compression.py",
+        "(r, s, t): (xs[r - 1] - xs[s - 1]) * inv[(r, t)]",
+        "(r, s, t): (xs[s - 1] - xs[r - 1]) * inv[(r, t)]",
+        ("tests/test_compression.py::test_component_pins",),
+    ),
+    Mutant(
+        "permute-image-skips-s",
+        "src/quadcert/compression.py",
+        "(sigma(r), sigma(s), sigma(t))",
+        "(sigma(r), s, sigma(t))",
+        (
+            "tests/test_compression.py::test_permutation_equivariance",
+            "tests/test_acceptance.py::test_acceptance_5_exact_identities",
+        ),
+    ),
+    Mutant(
         "generator-row-check-removed",
         "src/quadcert/compression.py",
         "    if failed:\n        raise JacobianIdentityError(",

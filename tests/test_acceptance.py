@@ -228,7 +228,7 @@ def _identity_trials(n, ctx, master_seed, trials=100):
         # ratio map symmetries
         img = compress(a)
         r1, s1, t1 = triples[master.below(len(triples))]
-        assert img.value(r1, s1, t1) * img.value(r1, t1, s1) == ctx.one
+        assert img[(r1, s1, t1)] * img[(r1, t1, s1)] == ctx.one
         assert permute_image(s, img) == compress(permute(s, a))
         assert affine_invariance_check(a, g)
 

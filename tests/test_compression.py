@@ -5,7 +5,12 @@ from hypothesis import given, strategies as st
 
 import quadcert.compression
 from quadcert.cli import main
-from quadcert.errors import JacobianIdentityError, NotOnQuadricError, OnDiscriminantError
+from quadcert.errors import (
+    JacobianIdentityError,
+    NotOnQuadricError,
+    OnDiscriminantError,
+    SizeMismatchError,
+)
 from quadcert.gf import field_make
 from quadcert.linalg import kernel_basis, matvec, rank, restricted_rank
 from quadcert.quadric import (
@@ -15,7 +20,14 @@ from quadcert.quadric import (
     sample_quadric_point,
     tangent_basis,
 )
-from quadcert.actions import AffineMap, affine_act, permute, random_affine, random_permutation
+from quadcert.actions import (
+    AffineMap,
+    Permutation,
+    affine_act,
+    permute,
+    random_affine,
+    random_permutation,
+)
 from quadcert.compression import (
     affine_invariance_check,
     compress,
@@ -34,6 +46,7 @@ from _jacobianref import (
     generator_rows,
     gradient_matrix,
     triple_positions,
+    triples_by_loops,
 )
 from _points import point
 
@@ -50,36 +63,26 @@ def test_triple_enumeration():
     assert all(len({r, s, t}) == 3 for r, s, t in trip)
     pos = triple_positions(5)
     assert all(trip[pos[t]] == t for t in trip)
-
-
-def test_triple_caches_keep_only_the_last_size():
-    # the table holds about n^3 entries, so only the last n's is kept
-    for n in (7, 9, 8):
-        assert len(ordered_triples(n)) == n * (n - 1) * (n - 2)
-    assert ordered_triples.cache_info().currsize == 1
-    assert ordered_triples(8) is ordered_triples(8)
-
-
-@pytest.mark.parametrize("n", range(3, 13))
-def test_position_matches_the_enumeration(n):
-    positions = triple_positions(n)
-    assert len(positions) == n * (n - 1) * (n - 2)
-    for (r, s, t), index in positions.items():
-        assert quadcert.compression._position(n, r, s, t) == index
+    for n in range(3, 13):
+        assert ordered_triples(n) == triples_by_loops(n)
 
 
 def test_component_pins():
     img = compress(BASE)
-    assert img.value(1, 2, 3) == F11.el(6)
-    assert img.value(2, 3, 4) == F11.el(2)
-    assert img.value(3, 4, 5) == F11.el(8)
-    assert img.value(1, 4, 3) == F11.el(9)
+    assert img[(1, 2, 3)] == F11.el(6)
+    assert img[(2, 3, 4)] == F11.el(2)
+    assert img[(3, 4, 5)] == F11.el(8)
+    assert img[(1, 4, 3)] == F11.el(9)
+
+
+def test_image_keys_follow_the_enumeration():
+    assert tuple(compress(BASE)) == ordered_triples(5)
 
 
 def test_reciprocal_identity():
     img = compress(BASE)
     for r, s, t in ordered_triples(5):
-        assert img.value(r, s, t) * img.value(r, t, s) == F11.one
+        assert img[(r, s, t)] * img[(r, t, s)] == F11.one
 
 
 def test_compress_rejects_collisions():
@@ -92,6 +95,13 @@ def test_permutation_equivariance():
     for _ in range(40):
         s = random_permutation(5, rng)
         assert permute_image(s, compress(BASE)) == compress(permute(s, BASE))
+
+
+def test_permute_image_refuses_another_size():
+    img = compress(BASE)
+    for images in ((2, 1, 3, 4), (2, 1, 3, 4, 5, 6)):
+        with pytest.raises(SizeMismatchError):
+            permute_image(Permutation(images), img)
 
 
 def test_affine_invariance():

@@ -43,9 +43,6 @@ NOT_ENTERED = {
     "actions.affine_compose": CRITERION_5,
     "cli.run": ENTRY_POINT,
     "compression.ordered_triples": CRITERION_5,
-    "compression._position": CRITERION_5,
-    "compression.CompressionImage.__post_init__": CRITERION_5,
-    "compression.CompressionImage.value": CRITERION_5,
     "compression._pair_inverses": CRITERION_5,
     "compression.compress": CRITERION_5,
     "compression.permute_image": CRITERION_5,
