@@ -1,110 +1,32 @@
 """quadcert: exact finite-field constructions and rank certificates on the
-power-sum quadric, with a reproducible JSON certificate CLI."""
+power-sum quadric, with a reproducible JSON certificate CLI.
 
-from .errors import (
-    QuadcertError,
-    EvenCharacteristicError,
-    NotPrimeError,
-    DimensionMismatchError,
-    SizeMismatchError,
-    InvalidProfileError,
-    NotOnQuadricError,
-    OnDiscriminantError,
-    JacobianIdentityError,
-    NoPointFoundError,
-)
-from .gf import FieldCtx, FieldElement, field_make
-from .profile import BinaryProfile, HypothesisDecision, binary_profile, check_hypotheses
-from .trace_system import (
-    BlockSolution,
-    evaluate_system,
-    lift_block_solution,
-    solve_block_system,
-    weights_mod_p,
-)
-from .quadric import (
-    AmbientPoint,
-    complete_quadric_pair,
-    in_discriminant,
-    in_small_diagonal,
-    on_quadric,
-    power_sums,
-    sample_quadric_point,
-    tangent_basis,
-)
-from .actions import (
-    AffineMap,
-    InvarianceReport,
-    Permutation,
-    affine_act,
-    affine_compose,
-    compose,
-    invariance_report,
-    permute,
-    random_affine,
-    random_permutation,
-)
-from .compression import (
-    RankCertificate,
-    affine_invariance_check,
-    compress,
-    faithfulness_witness,
-    ordered_triples,
-    permute_image,
-    rank_certificate,
-)
-from .rng import SplitMix64
+The top level re-exports exactly the names of the README's Library example;
+every other name is imported from its own module, and the errors from
+`quadcert.errors`."""
+
+from .gf import field_make
+from .profile import binary_profile, check_hypotheses
+from .trace_system import lift_block_solution, solve_block_system
+from .quadric import AmbientPoint, on_quadric, sample_quadric_point
+from .actions import AffineMap, Permutation, invariance_report
+from .compression import compress, rank_certificate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadcertError",
-    "EvenCharacteristicError",
-    "NotPrimeError",
-    "DimensionMismatchError",
-    "SizeMismatchError",
-    "InvalidProfileError",
-    "NotOnQuadricError",
-    "OnDiscriminantError",
-    "JacobianIdentityError",
-    "NoPointFoundError",
-    "FieldCtx",
-    "FieldElement",
     "field_make",
-    "BinaryProfile",
-    "HypothesisDecision",
     "binary_profile",
     "check_hypotheses",
-    "BlockSolution",
-    "evaluate_system",
-    "lift_block_solution",
     "solve_block_system",
-    "weights_mod_p",
-    "AmbientPoint",
-    "complete_quadric_pair",
-    "in_discriminant",
-    "in_small_diagonal",
-    "on_quadric",
-    "power_sums",
+    "lift_block_solution",
     "sample_quadric_point",
-    "tangent_basis",
-    "AffineMap",
-    "InvarianceReport",
+    "on_quadric",
+    "AmbientPoint",
     "Permutation",
-    "affine_act",
-    "affine_compose",
-    "compose",
+    "AffineMap",
     "invariance_report",
-    "permute",
-    "random_affine",
-    "random_permutation",
-    "RankCertificate",
-    "affine_invariance_check",
     "compress",
-    "faithfulness_witness",
-    "ordered_triples",
-    "permute_image",
     "rank_certificate",
-    "SplitMix64",
     "__version__",
 ]

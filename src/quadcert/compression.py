@@ -198,9 +198,6 @@ def gram_rank(n: int, s1: FieldElement, s2: FieldElement) -> int:
 class RankCertificate:
     """Observed ranks at one point, against the divisibility-driven bound."""
 
-    n: int
-    p: int
-    characteristic_divides_n: bool
     ambient_rank: int
     tangent_dim: int
     restricted_rank: int
@@ -246,14 +243,10 @@ def rank_certificate(a: AmbientPoint) -> RankCertificate:
         raise JacobianIdentityError(
             f"generator row {min(failed) + 3} does not annihilate 1 and x at the point"
         )
-    n, p = a.n, a.ctx.p
-    divides = n % p == 0
-    bound = n - 4 if divides else n - 3
+    n = a.n
+    bound = n - 4 if n % ctx.p == 0 else n - 3
     restricted = n - 4 + gram_rank(n, s1, s2)
     return RankCertificate(
-        n=n,
-        p=p,
-        characteristic_divides_n=divides,
         ambient_rank=n - 2,
         tangent_dim=n - 2,
         restricted_rank=restricted,

@@ -51,6 +51,7 @@ RNG = "tests/test_rng.py::"
 GF = "src/quadcert/gf.py"
 QUADRIC = "src/quadcert/quadric.py"
 CLI = "src/quadcert/cli.py"
+CLI_TESTS = "tests/test_cli.py::"
 LINALG = "src/quadcert/linalg.py"
 SOLVER = "src/quadcert/trace_system.py"
 HALF = 2**63 + 1  # a bound that rejects about half of the raw outputs
@@ -559,6 +560,62 @@ MUTANTS = (
             "tests/test_cli.py::test_solve_pin",
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
         ),
+    ),
+    Mutant(
+        "sample-on-quadric-always-true",
+        CLI,
+        '("on_quadric", s1.is_zero() and s2.is_zero())',
+        '("on_quadric", True)',
+        (f"{CLI_TESTS}test_sample_checks_that_the_point_is_on_the_quadric",),
+    ),
+    Mutant(
+        "sample-off-discriminant-always-true",
+        CLI,
+        '("off_discriminant", not in_discriminant(point))',
+        '("off_discriminant", True)',
+        (f"{CLI_TESTS}test_sample_checks_that_the_codes_are_distinct",),
+    ),
+    Mutant(
+        "block-linear-sum-always-zero",
+        CLI,
+        '("linear_sum_zero", lin.is_zero())',
+        '("linear_sum_zero", True)',
+        (f"{CLI_TESTS}test_solve_checks_the_linear_equation",),
+    ),
+    Mutant(
+        "block-quadratic-sum-always-zero",
+        CLI,
+        '("quadratic_sum_zero", quad.is_zero())',
+        '("quadratic_sum_zero", True)',
+        (f"{CLI_TESTS}test_solve_checks_the_quadratic_equation",),
+    ),
+    Mutant(
+        "block-last-coordinate-always-zero",
+        CLI,
+        '("last_coordinate_zero", sol.c[-1].is_zero())',
+        '("last_coordinate_zero", True)',
+        (f"{CLI_TESTS}test_solve_checks_the_last_coordinate",),
+    ),
+    Mutant(
+        "block-lift-always-on-quadric",
+        CLI,
+        '("lift_on_quadric", lift_on_quadric)',
+        '("lift_on_quadric", True)',
+        (f"{CLI_TESTS}test_construct_and_certify_check_the_lift",),
+    ),
+    Mutant(
+        "certificate-always-satisfied",
+        "src/quadcert/compression.py",
+        "satisfied=restricted <= bound,",
+        "satisfied=True,",
+        (f"{CLI_TESTS}test_certify_checks_the_restricted_rank",),
+    ),
+    Mutant(
+        "verdict-ignores-the-bound",
+        CLI,
+        '"verdict": all_satisfied and all_witness and block_ok,',
+        '"verdict": all_witness and block_ok,',
+        (f"{CLI_TESTS}test_certify_checks_the_restricted_rank",),
     ),
 )
 

@@ -12,7 +12,7 @@ from quadcert.cli import _json, build_parser, main
 from quadcert.gf import field_make
 from quadcert.profile import binary_profile
 from quadcert.quadric import AmbientPoint
-from quadcert.trace_system import evaluate_system, solve_block_system
+from quadcert.trace_system import evaluate_system, lift_block_solution, solve_block_system
 
 
 SCHEMA = json.loads(
@@ -187,6 +187,103 @@ def test_zero_block_solution_fails_every_command(tmp_path, monkeypatch):
         assert code == 3 and passed["nontrivial"] is False
         assert passed["linear_sum_zero"] and passed["quadratic_sum_zero"]
     assert passed["lift_on_quadric"] and passed["lift_off_small_diagonal"] is False
+
+
+# Each test below replaces one producer of a command, where the command
+# looks it up, so that one subject of the certificate is wrong: the check
+# on that subject fails, and with it the exit code.
+
+
+def test_sample_checks_that_the_point_is_on_the_quadric(tmp_path, monkeypatch):
+    f11 = field_make(11, 1)
+    point = AmbientPoint(f11, (1, 2, 3, 4, 5))  # coordinate sum 15 = 4
+    monkeypatch.setattr("quadcert.cli.sample_quadric_point", lambda *args: point)
+    code, doc = run_json(tmp_path, ["sample", "5", "--field", "11"])
+    passed = checks_passed(doc)
+    assert code == 3 and passed["on_quadric"] is False
+    assert passed["off_discriminant"]
+
+
+def test_sample_checks_that_the_codes_are_distinct(tmp_path, monkeypatch):
+    # the block lift of (1, 1, 0, 0) lies on the quadric with repeated codes
+    lift = lift_block_solution(solve_block_system(binary_profile(15), 3))
+    monkeypatch.setattr("quadcert.cli.sample_quadric_point", lambda *args: lift)
+    code, doc = run_json(tmp_path, ["sample", "15", "--field", "3"])
+    passed = checks_passed(doc)
+    assert code == 3 and passed["off_discriminant"] is False
+    assert passed["on_quadric"]
+
+
+def _solve_with(tmp_path, monkeypatch, *c):
+    """Run solve 15 3 (weights 2, 1, 2, 1) with the solver's values
+    replaced by c; return the exit code, the checks and whether each of the
+    two sums vanishes."""
+    sol = solve_block_system(binary_profile(15), 3)
+    sol = dataclasses.replace(sol, c=tuple(map(sol.ctx.el, c)))
+    monkeypatch.setattr("quadcert.cli.solve_block_system", lambda profile, p: sol)
+    code, doc = run_json(tmp_path, ["solve", "15", "3"])
+    assert doc["payload"]["c"] == [[v] for v in c]
+    return code, checks_passed(doc), [s.is_zero() for s in evaluate_system(sol)]
+
+
+def test_solve_checks_the_linear_equation(tmp_path, monkeypatch):
+    code, passed, sums = _solve_with(tmp_path, monkeypatch, 1, 0, 0, 0)
+    assert sums == [False, False]
+    assert code == 3 and passed["linear_sum_zero"] is False
+
+
+def test_solve_checks_the_quadratic_equation(tmp_path, monkeypatch):
+    # 2 + 2 * 2 = 0 but 2 + 2 * 4 = 1 over GF(3)
+    code, passed, sums = _solve_with(tmp_path, monkeypatch, 1, 0, 2, 0)
+    assert sums == [True, False]
+    assert code == 3 and passed["quadratic_sum_zero"] is False
+    assert passed["linear_sum_zero"]
+
+
+def test_solve_checks_the_last_coordinate(tmp_path, monkeypatch):
+    # 2 + 1 = 0 and 2 + 1 = 0 over GF(3), with c_r = 1
+    code, passed, sums = _solve_with(tmp_path, monkeypatch, 1, 0, 0, 1)
+    assert sums == [True, True]
+    assert code == 3 and passed["last_coordinate_zero"] is False
+    assert passed["linear_sum_zero"] and passed["quadratic_sum_zero"]
+    assert passed["nontrivial"]
+
+
+def test_construct_and_certify_check_the_lift(tmp_path, monkeypatch):
+    def moved_lift(sol):
+        lift = lift_block_solution(sol)
+        codes = list(lift.codes)
+        codes[-1] = sol.ctx.element_index(lift.coords[-1] + sol.ctx.one)
+        return AmbientPoint(sol.ctx, codes)
+
+    monkeypatch.setattr("quadcert.cli.lift_block_solution", moved_lift)
+    code, doc = run_json(tmp_path, ["construct", "15", "3"])
+    passed = checks_passed(doc)
+    assert code == 3 and passed["lift_on_quadric"] is False
+    assert passed["linear_sum_zero"] and passed["quadratic_sum_zero"]
+    assert passed["lift_off_small_diagonal"]
+    code, doc = run_json(
+        tmp_path, ["certify", "15", "3", "--field-degree", "4", "--samples", "1"]
+    )
+    passed = checks_passed(doc)
+    assert code == 3 and passed["block_solution_verified"] is False
+    assert passed["all_samples_within_bound"]
+    assert doc["payload"]["verdict"] is False
+
+
+def test_certify_checks_the_restricted_rank(tmp_path, monkeypatch):
+    # rank G = 2 gives restricted rank n - 2, above both bounds
+    monkeypatch.setattr("quadcert.compression.gram_rank", lambda n, s1, s2: 2)
+    code, doc = run_json(
+        tmp_path,
+        ["certify", "15", "3", "--field-degree", "4", "--samples", "2", "--seed", "1"],
+    )
+    passed = checks_passed(doc)
+    assert code == 3 and passed["all_samples_within_bound"] is False
+    assert passed["faithfulness_witness_all"] and passed["block_solution_verified"]
+    samples = doc["payload"]["samples"]
+    assert [(s["restricted_rank"], s["satisfied"]) for s in samples] == [(13, False)] * 2
+    assert doc["payload"]["verdict"] is False
 
 
 # The argvs of the usage-error tests below; tests/test_reachable.py runs

@@ -1,5 +1,7 @@
 """Triple ratio map: pins, symmetries, Jacobian, rank certificates."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -183,8 +185,8 @@ def test_jacobian_dual_agreement_other_field():
 def test_rank_certificate_control_pin():
     # 11 does not divide 5, so the bound relaxes to n - 3
     cert = rank_certificate(BASE)
-    assert cert.n == 5 and cert.p == 11
-    assert not cert.characteristic_divides_n
+    assert (BASE.n, BASE.ctx.p) == (5, 11)
+    assert cert.bound == BASE.n - 3
     assert cert.tangent_dim == 3
     assert cert.ambient_rank == 3
     assert cert.restricted_rank == 2
@@ -196,7 +198,7 @@ def test_rank_certificate_divisible_case():
     f81 = field_make(3, 4)
     a = sample_quadric_point(15, f81, seed=7)
     cert = rank_certificate(a)
-    assert cert.characteristic_divides_n
+    assert a.n % a.ctx.p == 0 and cert.bound == a.n - 4
     assert cert.tangent_dim == 13
     assert cert.bound == 11
     assert cert.restricted_rank <= 11
@@ -220,7 +222,8 @@ def test_rank_certificate_validation():
 
 def test_certificate_to_json():
     cert = rank_certificate(BASE)
-    assert (cert.n, cert.p, cert.characteristic_divides_n) == (5, 11, False)
+    fields = [f.name for f in dataclasses.fields(cert)]
+    assert fields == ["ambient_rank", "tangent_dim", "restricted_rank", "bound", "satisfied"]
     assert (cert.ambient_rank, cert.tangent_dim, cert.restricted_rank) == (3, 3, 2)
     assert (cert.bound, cert.satisfied) == (2, True)
 
@@ -277,7 +280,7 @@ def test_generator_rows_against_full_jacobian(p, k, n):
         assert restricted_rank(gen, tangent) == restricted
         cert = rank_certificate(a)
         assert (cert.ambient_rank, cert.restricted_rank) == (ambient, restricted)
-        assert cert.characteristic_divides_n == (n % p == 0)
+        assert cert.bound == (n - 4 if n % p == 0 else n - 3)
 
 
 def test_generator_jacobian_pin():
