@@ -22,8 +22,13 @@ string without notice) or a tuple. Identical inputs therefore reproduce
 identical bytes. `_json` writes a point as one shared list per distinct
 coordinate, and the writer renders each shared list once per point.
 
-Exit codes: 0 success, 2 hypotheses not met (includes no-point-found and
-invalid profiles), 3 a verification check failed, 4 usage error.
+Exit codes: 0 success, 2 hypotheses not met, 3 a verification check
+failed, 4 usage error. Exit 2 comes from the gate's decision (`check`'s own,
+and `solve_block_system`'s InvalidProfileError) and from NoPointFoundError;
+`main` writes the refusal document of both from the field the error
+carries. Exit 4 comes from the parser and from UsageError, which includes
+EvenCharacteristicError and NotPrimeError, and writes no document. Any
+other exception is an internal fault and is not caught.
 """
 
 from __future__ import annotations
@@ -37,13 +42,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .actions import random_affine, invariance_report
 from .compression import faithfulness_witness, rank_certificate
-from .errors import (
-    EvenCharacteristicError,
-    InvalidProfileError,
-    NoPointFoundError,
-    NotPrimeError,
-    UsageError,
-)
+from .errors import InvalidProfileError, RefusalError, UsageError
 from .gf import FieldElement, field_make
 from .profile import binary_profile, check_hypotheses
 from .quadric import (
@@ -211,26 +210,13 @@ def _parse_field_spec(spec: str):
 
 # --- subcommand implementations ---------------------------------------------
 #
-# Each returns (field, payload, checks, exit code); `main` wraps them in the
-# envelope. `checks` is a list of (name, passed) pairs.
+# Each returns (field, payload, checks, exit code), or raises a RefusalError;
+# `main` wraps either in the envelope. `checks` is a list of (name, passed)
+# pairs.
 
 
 def _exit_code(checks) -> int:
     return EXIT_OK if all(passed for _, passed in checks) else EXIT_VERIFY
-
-
-def _invalid_profile(p: int, exc: InvalidProfileError):
-    payload = {"error": "InvalidProfile", "message": str(exc)}
-    return field_make(p, 1), payload, [("solvable_profile", False)], EXIT_HYPOTHESIS
-
-
-def _no_point(ctx, exc: NoPointFoundError):
-    payload = {
-        "error": "NoPointFound",
-        "message": str(exc),
-        "suggestion": "retry over an extension field (raise the field degree)",
-    }
-    return ctx, payload, [("point_found", False)], EXIT_HYPOTHESIS
 
 
 def _block_checks(sol, lin, quad, lift=None, lift_on_quadric=False) -> list:
@@ -266,10 +252,7 @@ def _cmd_check(args):
 
 def _cmd_solve(args):
     """solve, and construct, which also lifts the solution to a quadric point."""
-    try:
-        sol = solve_block_system(binary_profile(args.n), args.p)
-    except InvalidProfileError as exc:
-        return _invalid_profile(args.p, exc)
+    sol = solve_block_system(binary_profile(args.n), args.p)
     lin, quad = evaluate_system(sol)
     payload = _solution(sol)
     payload["checks_values"] = {"linear": _json(lin), "quadratic": _json(quad)}
@@ -287,10 +270,7 @@ def _cmd_solve(args):
 
 def _cmd_sample(args):
     ctx = _parse_field_spec(args.field)
-    try:
-        point = sample_quadric_point(args.n, ctx, args.seed, args.max_tries)
-    except NoPointFoundError as exc:
-        return _no_point(ctx, exc)
+    point = sample_quadric_point(args.n, ctx, args.seed, args.max_tries)
     s1, s2 = power_sums(point)
     checks = [
         ("point_found", True),
@@ -309,7 +289,7 @@ def _sampled_points(n, ctx, master, samples, max_tries=None):
     master's next seed. The caller keeps the master, so what it draws from
     it between points comes next in its stream."""
     for index in range(samples):
-        seed = master.derive_seed()
+        seed = master.next_u64()
         yield index, seed, sample_quadric_point(n, ctx, seed, max_tries)
 
 
@@ -317,20 +297,17 @@ def _cmd_borel_check(args):
     ctx = _parse_field_spec(args.field)
     master = SplitMix64(args.seed)
     reports = []
-    try:
-        for index, seed, point in _sampled_points(args.n, ctx, master, args.samples):
-            g = random_affine(ctx, master)
-            reports.append(
-                {
-                    "index": index,
-                    "seed": seed,
-                    "point": _json(point),
-                    "map": _json(g),
-                    "report": _json(invariance_report(point, g)),
-                }
-            )
-    except NoPointFoundError as exc:
-        return _no_point(ctx, exc)
+    for index, seed, point in _sampled_points(args.n, ctx, master, args.samples):
+        g = random_affine(ctx, master)
+        reports.append(
+            {
+                "index": index,
+                "seed": seed,
+                "point": _json(point),
+                "map": _json(g),
+                "report": _json(invariance_report(point, g)),
+            }
+        )
     identities = all(r["report"]["identities_hold"] for r in reports)
     payload = {"characteristic_divides_n": args.n % ctx.p == 0, "reports": reports}
     checks = [("invariance_identities_all", identities)]
@@ -353,24 +330,21 @@ def _cmd_certify(args):
 
     points = _sampled_points(args.n, ctx, SplitMix64(args.seed), args.samples, args.max_tries)
     samples = []
-    try:
-        for index, seed, point in points:
-            cert = rank_certificate(point)
-            samples.append(
-                {
-                    "index": index,
-                    "seed": seed,
-                    "point": _json(point),
-                    "ambient_rank": cert.ambient_rank,
-                    "tangent_dim": cert.tangent_dim,
-                    "restricted_rank": cert.restricted_rank,
-                    "bound": cert.bound,
-                    "satisfied": cert.satisfied,
-                    "faithfulness_witness": faithfulness_witness(point),
-                }
-            )
-    except NoPointFoundError as exc:
-        return _no_point(ctx, exc)
+    for index, seed, point in points:
+        cert = rank_certificate(point)
+        samples.append(
+            {
+                "index": index,
+                "seed": seed,
+                "point": _json(point),
+                "ambient_rank": cert.ambient_rank,
+                "tangent_dim": cert.tangent_dim,
+                "restricted_rank": cert.restricted_rank,
+                "bound": cert.bound,
+                "satisfied": cert.satisfied,
+                "faithfulness_witness": faithfulness_witness(point),
+            }
+        )
     ranks = [s["restricted_rank"] for s in samples]
     all_satisfied = all(s["satisfied"] for s in samples)
     all_witness = all(s["faithfulness_witness"] for s in samples)
@@ -480,7 +454,15 @@ def _shared_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        ctx, payload, checks, code = args.func(args)
+        try:
+            ctx, payload, checks, code = args.func(args)
+        except RefusalError as exc:
+            ctx, payload, code = exc.ctx, {"message": str(exc)}, EXIT_HYPOTHESIS
+            if isinstance(exc, InvalidProfileError):
+                payload["error"], checks = "InvalidProfile", [("solvable_profile", False)]
+            else:
+                payload["error"], checks = "NoPointFound", [("point_found", False)]
+                payload["suggestion"] = "retry over an extension field (raise the field degree)"
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
@@ -494,7 +476,7 @@ def main(argv=None) -> int:
             "checks": [{"name": name, "passed": bool(ok)} for name, ok in checks],
         }
         _emit(doc, args.json)
-    except (EvenCharacteristicError, NotPrimeError, UsageError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"quadcert {args.command}: error: {exc}\n")
         return EXIT_USAGE
     return code

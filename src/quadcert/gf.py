@@ -188,8 +188,6 @@ class FieldElement:
 
     def _coerce(self, other) -> Optional["FieldElement"]:
         if isinstance(other, FieldElement):
-            if other.ctx is self.ctx:
-                return other
             raise ValueError("elements belong to different fields")
         if isinstance(other, int):
             return self.ctx.el(other)

@@ -144,7 +144,8 @@ def sample_quadric_point(
         raise NoPointFoundError(
             f"no distinct-coordinate point exists for n={n} over {ctx!r}: "
             f"{n} pairwise distinct coordinates need at least {n} field elements "
-            f"and the field has {ctx.size}; retry over an extension field (larger k)"
+            f"and the field has {ctx.size}; retry over an extension field (larger k)",
+            ctx,
         )
     rng = SplitMix64(seed)
     size, width = ctx.size, n - 2
@@ -167,5 +168,6 @@ def sample_quadric_point(
     raise NoPointFoundError(
         f"no distinct-coordinate point on the quadric found for n={n} over {ctx!r} "
         f"in {max_tries} tries; the locus may be empty here, retry over an "
-        f"extension field (larger k)"
+        f"extension field (larger k)",
+        ctx,
     )

@@ -87,7 +87,3 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection, so draws are unbiased."""
         return self.draw(n, 1)[0]
-
-    def derive_seed(self) -> int:
-        """Fresh 64-bit seed for an independent child stream."""
-        return self.next_u64()

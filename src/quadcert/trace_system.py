@@ -31,7 +31,7 @@ from itertools import chain
 
 from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, check_characteristic, field_make
-from .profile import BinaryProfile
+from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses
 from .quadric import AmbientPoint
 
 
@@ -110,19 +110,21 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
 def solve_block_system(profile: BinaryProfile, p: int) -> BlockSolution:
     """Solve the block system for (profile, p), preferring GF(p).
 
-    Raises InvalidProfileError when r < 4 or p does not divide n, which no
-    construction covers. Without a GF(p) solution (only at r = 4) it returns
-    one over GF(p^2), which exists; `field_make` refuses it above p = 1024.
+    The gate (`check_hypotheses`) decides first: p must be an odd prime, and
+    an (n, p) it does not admit raises InvalidProfileError over GF(p), the
+    r < 4 reason ahead of p not dividing n. Without a GF(p) solution (only
+    at r = 4) it returns one over GF(p^2), which exists; `field_make`
+    refuses it above p = 1024.
     """
-    r = profile.r
-    n = profile.n
-    if r < 4:
-        raise InvalidProfileError(
-            f"binary presentation of {n} has r = {r} < 4 terms; no construction applies"
-        )
-    base = field_make(p, 1)  # rejects p that is not an odd prime, 0 included
-    if n % p != 0:
-        raise InvalidProfileError(f"{p} does not divide {n}; the block weights cannot balance")
+    n, r = profile.n, profile.r
+    decision = check_hypotheses(n, p)
+    base = field_make(p, 1)
+    if not decision.applies:
+        if R_TOO_SMALL in decision.reasons:
+            message = f"binary presentation of {n} has r = {r} < 4 terms; no construction applies"
+        else:
+            message = f"{p} does not divide {n}; the block weights cannot balance"
+        raise InvalidProfileError(message, base)
     weights = weights_mod_p(profile, p)
     c = _solve_over(base, weights)
     if c is not None:

@@ -385,13 +385,30 @@ MUTANTS = (
         # enters + - * as if it were one of this field
         "coerce-accepts-a-foreign-context",
         GF,
-        "            if other.ctx is self.ctx:\n                return other\n",
-        "            if True:\n                return other\n",
+        "        if isinstance(other, FieldElement):\n"
+        '            raise ValueError("elements belong to different fields")\n',
+        "        if isinstance(other, FieldElement):\n            return other\n",
         (
             "tests/test_gf.py::test_cross_field_operations_rejected",
             "tests/test_gf.py::test_every_site_refuses_a_second_context[add-twin-context]",
             "tests/test_gf.py::test_every_site_refuses_a_second_context[mul-another-field]",
         ),
+    ),
+    Mutant(
+        # the p-does-not-divide-n test (`profile.P_NOT_DIVIDING_N`) decides
+        # first: where both reasons apply (10 = 8 + 2 over GF(3)) the refusal
+        # names it instead of the r < 4 reason
+        "solver-refusal-reasons-swapped",
+        SOLVER,
+        "        if R_TOO_SMALL in decision.reasons:\n"
+        '            message = f"binary presentation of {n} has r = {r} < 4 terms; no construction applies"\n'
+        "        else:\n"
+        '            message = f"{p} does not divide {n}; the block weights cannot balance"\n',
+        '        if "PNotDividingN" in decision.reasons:\n'
+        '            message = f"{p} does not divide {n}; the block weights cannot balance"\n'
+        "        else:\n"
+        '            message = f"binary presentation of {n} has r = {r} < 4 terms; no construction applies"\n',
+        ("tests/test_trace_system.py::test_invalid_profiles",),
     ),
     Mutant(
         "solver-larger-code-root",

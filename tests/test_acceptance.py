@@ -209,7 +209,7 @@ def _identity_trials(n, ctx, master_seed, trials=100):
     triples = ordered_triples(n)
     zero_rows = None
     for _ in range(trials):
-        a = sample_quadric_point(n, ctx, seed=master.derive_seed())
+        a = sample_quadric_point(n, ctx, seed=master.next_u64())
         g = random_affine(ctx, master)
         h = random_affine(ctx, master)
         s = random_permutation(n, master)

@@ -1,12 +1,15 @@
 """Command line behavior: exit codes, document shapes, reproducibility."""
 
+import contextlib
 import dataclasses
 import importlib.resources
+import io
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadcert.cli import _json, build_parser, main
 from quadcert.gf import field_make
@@ -306,7 +309,8 @@ def test_usage_errors(capsys):
 
 
 SEMANTIC_ERRORS = (
-    ["check", "15", "6"],  # even characteristic
+    ["check", "15", "2"],  # even characteristic
+    ["check", "15", "6"],  # not prime, though even
     ["check", "15", "9"],  # not prime
     ["sample", "4", "--field", "11"],  # n too small
     ["sample", "5", "--field", "0^2"],
@@ -356,6 +360,9 @@ USAGE_ERROR_SITES = [
     # 3932160 = 2^21 + 2^20 + 2^19 + 2^18
     (["construct", "3932160", "3"], "exceeds the limit"),
     (["certify", "3932160", "3"], "exceeds the limit"),
+    # the gate refuses p before it looks at the profile (12 has two terms)
+    (["solve", "12", "4"], "4 is not prime"),
+    (["construct", "10", "2"], "characteristic 2 is not supported"),
 ]
 
 
@@ -411,7 +418,7 @@ def test_writer_takes_nested_dataclasses_and_refuses_other_objects():
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
-    # only UsageError (and the field errors) mean bad input; a plain
+    # only UsageError (the field errors included) means bad input; a plain
     # ValueError from inside a command is a fault and must surface
 
     def broken(*args):
@@ -420,6 +427,58 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr("quadcert.cli.check_hypotheses", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["check", "15", "3"])
+
+
+def _exit_and_document(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+GATE_PRIMES = st.one_of(
+    st.sampled_from([3, 5, 7, 11, 13, 31, 127, 3137]),
+    # 2, 0, 1, negatives and composites; r = 4 with no GF(1061) solution
+    # needs GF(1061^2), above the field cap; 1048583 is a prime above 2^20
+    st.sampled_from([2, 0, 1, -1, -3, -9, 4, 6, 9, 15, 1023, 1061, 1048583]),
+)
+
+
+@st.composite
+def gate_inputs(draw):
+    """(n, p) with n in [-2, 5000], drawn as a multiple of p about half the
+    time, so that the gate admits some."""
+    p = draw(GATE_PRIMES)
+    ns = st.integers(-2, 5000)
+    if 0 < p <= 5000:
+        ns |= st.integers(1, 5000 // p).map(p.__mul__)
+    return draw(ns), p
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(gate_inputs())
+@example((12, 4))
+@example((10, 2))
+@example((10, 3))
+@example((1061, 1061))
+@example((15, 3))
+def test_solve_and_construct_exit_as_the_gate_decides(case):
+    # the gate alone decides exit 2, and every input it refuses as usage
+    # (exit 4) the solver refuses too; a solve may still exit 4 where the
+    # gate admits (n, p), when its GF(p^2) fallback is above the field cap
+    n, p = case
+    gate, doc = _exit_and_document(["check", str(n), str(p)])
+    runs = [(gate, doc)]
+    for command in ("solve", "construct"):
+        code, doc = _exit_and_document([command, str(n), str(p)])
+        assert (code == 2) == (gate == 2), (command, code, gate)
+        assert code == 4 or gate != 4, (command, code)
+        runs.append((code, doc))
+    for code, doc in runs:
+        assert code in (0, 2, 3, 4)
+        assert (doc is None) == (code == 4)
+        if code == 2:
+            assert [c["passed"] for c in doc["checks"]].count(False) == 1
 
 
 COUNT_ERRORS = [

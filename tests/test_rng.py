@@ -42,13 +42,13 @@ def test_below_hits_all_residues_eventually():
     assert seen == {0, 1, 2, 3, 4}
 
 
-def test_derive_seed_independent_of_parent_draws():
+def test_next_u64_seeds_are_distinct_and_reproducible():
     a = SplitMix64(42)
-    s1 = a.derive_seed()
-    s2 = a.derive_seed()
+    s1 = a.next_u64()
+    s2 = a.next_u64()
     assert s1 != s2
     b = SplitMix64(42)
-    assert (b.derive_seed(), b.derive_seed()) == (s1, s2)
+    assert (b.next_u64(), b.next_u64()) == (s1, s2)
 
 
 # The first 64 values of below(n) from SplitMix64(20231), recorded with the
@@ -105,7 +105,7 @@ def test_batched_draw_matches_single_draws(n):
             expected, state = draw_one_at_a_time(seed, n, count)
             assert batched.draw(n, count) == expected, (seed, count)
             assert [single.below(n) for _ in range(count)] == expected, (seed, count)
-            assert batched.derive_seed() == single.derive_seed() == next_u64(state), (seed, count)
+            assert batched.next_u64() == single.next_u64() == next_u64(state), (seed, count)
 
 
 @pytest.mark.parametrize("count", [5, 64, 1024])
@@ -124,7 +124,7 @@ def test_lane_pass_reads_words_on_a_big_endian_machine(monkeypatch, count):
         batched = SplitMix64(20231)
         expected, state = draw_one_at_a_time(20231, n, count)
         assert batched.draw(n, count) == expected
-        assert batched.derive_seed() == next_u64(state)
+        assert batched.next_u64() == next_u64(state)
 
 
 def test_a_rejecting_draw_over_three_passes_matches_the_reference_loop(monkeypatch):
@@ -146,7 +146,7 @@ def test_a_rejecting_draw_over_three_passes_matches_the_reference_loop(monkeypat
     expected, state = draw_one_at_a_time(20231, n, count)
     assert r.draw(n, count) == expected
     assert passes == [(LANES, LANES - 1), (LANES, LANES - 1), (9, 9)]
-    assert r.derive_seed() == next_u64(state)
+    assert r.next_u64() == next_u64(state)
 
 
 def test_rejection_consumes_extra_outputs():
@@ -155,10 +155,10 @@ def test_rejection_consumes_extra_outputs():
     # recorded with the one-draw loop)
     raw = SplitMix64(20231)
     raw.draw(1 << 64, 64)
-    assert raw.derive_seed() == 1829333724706616933
+    assert raw.next_u64() == 1829333724706616933
     rejecting = SplitMix64(20231)
     rejecting.draw(2**63 + 1, 64)
-    assert rejecting.derive_seed() == 14766966034592348155
+    assert rejecting.next_u64() == 14766966034592348155
 
 
 def test_draw_count_zero_and_bad_bound():

@@ -15,6 +15,10 @@ for the benchmark tracer.
 
 No module compares field contexts with `==` or `!=`: contexts are compared
 by identity only (`is`, `is not`), and `FieldCtx` defines no `__eq__`.
+
+Only `cli.main` catches a refusal (`RefusalError`: `InvalidProfileError`,
+`NoPointFoundError`), and it writes every refusal document: no other except
+clause names a refusal class or one of its bases, and none is bare.
 """
 
 import ast
@@ -149,3 +153,57 @@ def test_the_context_guard_flags_equality_on_either_side():
 @pytest.mark.parametrize("name", sorted(f.name for f in PACKAGE.glob("*.py")))
 def test_no_module_compares_contexts_by_value(name):
     assert context_comparisons((PACKAGE / name).read_text()) == []
+
+
+REFUSAL_NAMES = {
+    "InvalidProfileError",
+    "NoPointFoundError",
+    "RefusalError",
+    "QuadcertError",
+    "Exception",
+    "BaseException",
+}
+
+
+def refusal_handlers(source: str) -> list[str]:
+    """`line: function` for each except clause that can catch a refusal by
+    name (or is bare), with its enclosing function's dotted name, or
+    `<module>` outside any."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if owner == "<module>" else f"{owner}.{child.name}"
+            elif isinstance(child, ast.ExceptHandler):
+                names = {
+                    getattr(n, "id", None) or getattr(n, "attr", None)
+                    for n in ast.walk(child.type or ast.Name("BaseException"))
+                }
+                if names & REFUSAL_NAMES:
+                    found.append(f"{child.lineno}: {owner}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_refusal_guard_flags_every_catching_clause():
+    source = (
+        "try:\n    f()\nexcept NoPointFoundError:\n    pass\n"
+        "def main():\n    try:\n        g()\n"
+        "    except (UsageError, errors.InvalidProfileError):\n        pass\n"
+        "    def inner():\n        try:\n            h()\n"
+        "        except RefusalError as exc:\n            pass\n"
+        "class C:\n    def m(self):\n        try:\n            k()\n"
+        "        except (ValueError, UsageError):\n            pass\n"
+        "        except:\n            pass\n"
+    )
+    assert refusal_handlers(source) == ["3: <module>", "8: main", "13: main.inner", "21: C.m"]
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in PACKAGE.glob("*.py")))
+def test_only_main_catches_a_refusal(name):
+    owners = [h.split(": ")[1] for h in refusal_handlers((PACKAGE / name).read_text())]
+    assert owners == (["main"] if name == "cli.py" else [])

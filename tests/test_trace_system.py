@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from _scanref import scan_solve
 from quadcert.cli import _block_checks, _solution
-from quadcert.errors import InvalidProfileError, UsageError
+from quadcert.errors import EvenCharacteristicError, InvalidProfileError, NotPrimeError, UsageError
 from quadcert.gf import SIZE_LIMIT, FieldCtx, _prime_factors, field_make
-from quadcert.profile import binary_profile
+from quadcert.profile import binary_profile, check_hypotheses
 from quadcert.quadric import in_small_diagonal, on_quadric
 from quadcert.trace_system import (
     BlockSolution,
@@ -274,6 +274,23 @@ def test_invalid_profiles():
         solve_block_system(binary_profile(21), 3)  # three terms
     with pytest.raises(InvalidProfileError):
         solve_block_system(binary_profile(15), 7)  # 7 does not divide 15
+    # the gate checks p first: 12 has two terms, but 4 is not prime, and
+    # the refusal of p is not raised while handling a profile error
+    with pytest.raises(NotPrimeError) as info:
+        solve_block_system(binary_profile(12), 4)
+    assert info.value.__context__ is None
+    with pytest.raises(EvenCharacteristicError):
+        solve_block_system(binary_profile(10), 2)
+    # 10 = 8 + 2 fails both reasons; the r < 4 one is reported, over GF(3)
+    with pytest.raises(InvalidProfileError, match=r"r = 2 < 4") as info:
+        solve_block_system(binary_profile(10), 3)
+    assert info.value.ctx is field_make(3, 1)
+    for p in (2, 4, 9, 1, 0, -3, 2**20 + 7):
+        with pytest.raises(UsageError) as gate:
+            check_hypotheses(15, p)
+        with pytest.raises(UsageError) as solve:
+            solve_block_system(binary_profile(15), p)
+        assert type(solve.value) is type(gate.value), p
 
 
 def test_lift_pin():
