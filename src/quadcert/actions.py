@@ -14,24 +14,22 @@ always).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotOnQuadricError, SizeMismatchError
 from .gf import FieldCtx, FieldElement
 from .quadric import AmbientPoint, on_quadric, power_sums
+from .record import Record, set_field
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Bijection of {1, ..., n}; images[i-1] = sigma(i)."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("images are not a permutation of 1..n")
+        set_field(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -70,18 +68,18 @@ def permute(sigma: Permutation, a: AmbientPoint) -> AmbientPoint:
     return AmbientPoint(a.ctx, tuple(a.codes[j - 1] for j in sigma.inverse().images))
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """x maps to alpha x + beta, with alpha invertible."""
 
-    alpha: FieldElement
-    beta: FieldElement
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if self.alpha.is_zero():
+    def __init__(self, alpha: FieldElement, beta: FieldElement):
+        if alpha.is_zero():
             raise ValueError("alpha must be nonzero")
-        if self.alpha.ctx is not self.beta.ctx:
+        if alpha.ctx is not beta.ctx:
             raise ValueError("alpha and beta from different fields")
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -105,16 +103,28 @@ def affine_act(g: AffineMap, a: AmbientPoint) -> AmbientPoint:
     return AmbientPoint(a.ctx, a.ctx.affine_codes(g.alpha, g.beta, a.codes))
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Record):
     """Power sums of g a against their predicted values n beta, n beta^2."""
 
-    s1_after: FieldElement
-    p2_after: FieldElement
-    expected_s1: FieldElement
-    expected_p2: FieldElement
-    identities_hold: bool
-    stays_on_quadric: bool
+    __slots__ = (
+        "s1_after", "p2_after", "expected_s1", "expected_p2", "identities_hold", "stays_on_quadric"
+    )
+
+    def __init__(
+        self,
+        s1_after: FieldElement,
+        p2_after: FieldElement,
+        expected_s1: FieldElement,
+        expected_p2: FieldElement,
+        identities_hold: bool,
+        stays_on_quadric: bool,
+    ):
+        set_field(self, "s1_after", s1_after)
+        set_field(self, "p2_after", p2_after)
+        set_field(self, "expected_s1", expected_s1)
+        set_field(self, "expected_p2", expected_p2)
+        set_field(self, "identities_hold", identities_hold)
+        set_field(self, "stays_on_quadric", stays_on_quadric)
 
 
 def invariance_report(a: AmbientPoint, g: AffineMap) -> InvarianceReport:

@@ -6,10 +6,10 @@ Every command produces one certificate document:
 
 Its `inputs` are the command's parsed arguments other than `--json`. This
 module alone turns package values into document values (`_json`, `_field`,
-`_solution`); no model class writes its own. A document contains only
-integers, strings, booleans, nulls, arrays (lists) and objects (dicts with
-string keys). Field elements appear as coefficient vectors, low degree
-first.
+`_solution`); no model class writes its own, and a record is the object of
+its fields. A document contains only integers, strings, booleans, nulls,
+arrays (lists) and objects (dicts with string keys). Field elements appear
+as coefficient vectors, low degree first.
 
 The bytes are exactly those of `json.dumps(doc, sort_keys=True, indent=2)
 + "\n"`: keys sorted, each item of a non-empty array or object on its own
@@ -34,7 +34,6 @@ other exception is an internal fault and is not caught.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from itertools import chain
@@ -53,6 +52,7 @@ from .quadric import (
     power_sums,
     sample_quadric_point,
 )
+from .record import Record
 from .rng import SplitMix64
 from .trace_system import evaluate_system, lift_block_solution, solve_block_system
 
@@ -168,8 +168,8 @@ def _json(value):
     """The document value of a package value: a field element is its
     coefficient list, a bool, int, str or None is already one, a point is one
     coefficient list per coordinate (made once per distinct code), a tuple a
-    list, and a dataclass the object of its fields. Any other value raises
-    TypeError."""
+    list, and any other record (`quadcert.record`) the object of its fields.
+    Any other value raises TypeError."""
     if isinstance(value, FieldElement):
         return list(value.coeffs)
     if isinstance(value, (bool, int, str)) or value is None:
@@ -180,7 +180,9 @@ def _json(value):
         return list(map(rows.__getitem__, value.codes))
     if isinstance(value, tuple):
         return list(map(_json, value))
-    return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Record):
+        return {name: _json(getattr(value, name)) for name in value.__slots__}
+    raise TypeError(f"a {type(value).__name__} has no document value")
 
 
 def _field(ctx) -> dict:

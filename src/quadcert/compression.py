@@ -62,7 +62,6 @@ first nonzero lane of either names the first failing row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import (
@@ -79,6 +78,7 @@ from .gf import FieldElement, LaneVector
 from .linalg import Matrix, rank, restricted_rank
 from .quadric import AmbientPoint, in_discriminant, power_sums, tangent_basis
 from .actions import AffineMap, Permutation, affine_act
+from .record import Record, set_field
 
 
 def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
@@ -194,15 +194,19 @@ def gram_rank(n: int, s1: FieldElement, s2: FieldElement) -> int:
     return 0 if g11.is_zero() and s1.is_zero() and s2.is_zero() else 1
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(Record):
     """Observed ranks at one point, against the divisibility-driven bound."""
 
-    ambient_rank: int
-    tangent_dim: int
-    restricted_rank: int
-    bound: int
-    satisfied: bool
+    __slots__ = ("ambient_rank", "tangent_dim", "restricted_rank", "bound", "satisfied")
+
+    def __init__(
+        self, ambient_rank: int, tangent_dim: int, restricted_rank: int, bound: int, satisfied: bool
+    ):
+        set_field(self, "ambient_rank", ambient_rank)
+        set_field(self, "tangent_dim", tangent_dim)
+        set_field(self, "restricted_rank", restricted_rank)
+        set_field(self, "bound", bound)
+        set_field(self, "satisfied", satisfied)
 
 
 def rank_certificate(a: AmbientPoint) -> RankCertificate:

@@ -89,13 +89,19 @@ SIZE_LIMIT = 1 << 20  # refuse fields larger than this; nothing here needs more
 def check_characteristic(p: int) -> None:
     """Refuse p unless it is an odd prime, checking 2 first, then the size
     (above SIZE_LIMIT, before any primality test: trial division on a p
-    near 10^18 would run for minutes), then primality."""
+    near 10^18 would run for minutes), then primality, decided once per p
+    in a process (a command checks its p several times)."""
     if p == 2:
         raise EvenCharacteristicError("characteristic 2 is not supported")
     if p > SIZE_LIMIT:
         raise UsageError(f"characteristic {p} exceeds the limit {SIZE_LIMIT}")
-    if _prime_factors(p) != [p]:  # [] for p < 2
+    if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
+
+
+@lru_cache(maxsize=None)
+def _is_prime(p: int) -> bool:
+    return _prime_factors(p) == [p]  # [] for p < 2
 
 
 def _is_irreducible(f: list[int], p: int, k: int) -> bool:
@@ -236,10 +242,14 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx._kpow(base.packed, e))
 
     def inverse(self) -> "FieldElement":
-        """Fermat inversion: a^(q-2), the inverse of a nonzero a."""
+        """Fermat inversion: a^(q-2), the inverse of a nonzero a. Over GF(p)
+        a packing is its residue, so that is one modular `pow`."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.ctx.size - 2)
+        ctx = self.ctx
+        if ctx.k == 1:
+            return FieldElement(ctx, pow(self.packed, ctx.p - 2, ctx.p))
+        return self ** (ctx.size - 2)
 
     def sqrt(self) -> Optional["FieldElement"]:
         """Square root with a deterministic choice between the two roots, or

@@ -9,10 +9,9 @@ the prime field suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UsageError
 from .gf import check_characteristic
+from .record import Record, set_field
 
 # Structured reason codes carried by HypothesisDecision.reasons.
 OK = "Ok"
@@ -22,12 +21,14 @@ NEEDS_QUADRATIC_EXTENSION = "NeedsQuadraticExtension"
 SMALL_N = "SmallN"  # n < 5: the geometric operations need at least 5 coordinates
 
 
-@dataclass(frozen=True)
-class BinaryProfile:
+class BinaryProfile(Record):
     """n together with its binary presentation, exponents descending."""
 
-    n: int
-    exponents: tuple[int, ...]
+    __slots__ = ("n", "exponents")
+
+    def __init__(self, n: int, exponents: tuple[int, ...]):
+        set_field(self, "n", n)
+        set_field(self, "exponents", exponents)
 
     @property
     def r(self) -> int:
@@ -37,15 +38,26 @@ class BinaryProfile:
         return tuple(1 << m for m in self.exponents)
 
 
-@dataclass(frozen=True)
-class HypothesisDecision:
-    applies: bool
-    required_field_degree: int
-    reasons: tuple[str, ...]
-    n: int
-    p: int
-    r: int
-    available_degree: int
+class HypothesisDecision(Record):
+    __slots__ = ("applies", "required_field_degree", "reasons", "n", "p", "r", "available_degree")
+
+    def __init__(
+        self,
+        applies: bool,
+        required_field_degree: int,
+        reasons: tuple[str, ...],
+        n: int,
+        p: int,
+        r: int,
+        available_degree: int,
+    ):
+        set_field(self, "applies", applies)
+        set_field(self, "required_field_degree", required_field_degree)
+        set_field(self, "reasons", reasons)
+        set_field(self, "n", n)
+        set_field(self, "p", p)
+        set_field(self, "r", r)
+        set_field(self, "available_degree", available_degree)
 
 
 def binary_profile(n: int) -> BinaryProfile:

@@ -20,29 +20,27 @@ c_i with multiplicities w_i = 2^(m_i) mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NoPointFoundError, NotOnQuadricError, UsageError
 from .gf import FieldCtx, FieldElement
 # kernel_basis is no longer called here; the benchmark tracer wraps it in this
 # namespace and tests/test_trace_targets.py pins that (ROADMAP items 1 and 5)
 from .linalg import kernel_basis
+from .record import Record, set_field
 from .rng import LANES, SplitMix64
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
+class AmbientPoint(Record):
     """A length-n coordinate vector over one field context, held as the codes
     of its coordinates (any iterable of codes, kept as a tuple)."""
 
-    ctx: FieldCtx
-    codes: tuple[int, ...]
+    __slots__ = ("ctx", "codes")
 
-    def __post_init__(self):
-        codes = tuple(self.codes)
-        if len(codes) < 2 or min(codes) < 0 or max(codes) >= self.ctx.size:
+    def __init__(self, ctx: FieldCtx, codes):
+        codes = tuple(codes)
+        if len(codes) < 2 or min(codes) < 0 or max(codes) >= ctx.size:
             raise ValueError("a point needs at least 2 coordinates, each a code below the field size")
-        object.__setattr__(self, "codes", codes)
+        set_field(self, "ctx", ctx)
+        set_field(self, "codes", codes)
 
     @property
     def n(self) -> int:

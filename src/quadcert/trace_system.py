@@ -26,13 +26,13 @@ characteristic p is divisible by p, and there is one besides zero. Its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, check_characteristic, field_make
 from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses
 from .quadric import AmbientPoint
+from .record import Record, set_field
 
 
 def weights_mod_p(profile: BinaryProfile, p: int) -> tuple[int, ...]:
@@ -41,24 +41,29 @@ def weights_mod_p(profile: BinaryProfile, p: int) -> tuple[int, ...]:
     return tuple(pow(2, m, p) for m in profile.exponents)
 
 
-@dataclass(frozen=True)
-class BlockSolution:
+class BlockSolution(Record):
     """A verified solution vector, its field, and the data defining it: one
     weight and one c_i, an element of ctx, per block of the profile."""
 
-    profile: BinaryProfile
-    weights: tuple[int, ...]
-    c: tuple[FieldElement, ...]
-    ctx: FieldCtx
+    __slots__ = ("profile", "weights", "c", "ctx")
 
-    def __post_init__(self):
-        if not len(self.c) == len(self.weights) == self.profile.r:
+    def __init__(
+        self,
+        profile: BinaryProfile,
+        weights: tuple[int, ...],
+        c: tuple[FieldElement, ...],
+        ctx: FieldCtx,
+    ):
+        if not len(c) == len(weights) == profile.r:
             raise ValueError(
-                f"{len(self.c)} values and {len(self.weights)} weights "
-                f"for {self.profile.r} blocks"
+                f"{len(c)} values and {len(weights)} weights for {profile.r} blocks"
             )
-        if any(ci.ctx is not self.ctx for ci in self.c):
+        if any(ci.ctx is not ctx for ci in c):
             raise ValueError("a value from a different field")
+        set_field(self, "profile", profile)
+        set_field(self, "weights", weights)
+        set_field(self, "c", c)
+        set_field(self, "ctx", ctx)
 
 
 def evaluate_system(sol: BlockSolution) -> tuple[FieldElement, FieldElement]:

@@ -54,6 +54,7 @@ CLI = "src/quadcert/cli.py"
 CLI_TESTS = "tests/test_cli.py::"
 LINALG = "src/quadcert/linalg.py"
 SOLVER = "src/quadcert/trace_system.py"
+RECORD = "src/quadcert/record.py"
 HALF = 2**63 + 1  # a bound that rejects about half of the raw outputs
 RARE = 2**54 + 1  # a bound that rejects about one raw output in 2^10
 
@@ -555,15 +556,46 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "writer-dataclass-field-skipped",
+        "writer-record-field-skipped",
         CLI,
-        "for f in dataclasses.fields(value)}",
-        "for f in dataclasses.fields(value)[1:]}",
+        "for name in value.__slots__}",
+        "for name in value.__slots__[1:]}",
         (
             "tests/test_profile.py::test_decision_to_json",
             "tests/test_actions.py::test_report_to_json",
             "tests/test_golden.py::test_golden_certificate[check_15_3]",
         ),
+    ),
+    Mutant(
+        "record-assignment-allowed",
+        RECORD,
+        'raise AttributeError(f"cannot assign to field {name!r} of a record")',
+        "set_field(self, name, value)",
+        ("tests/test_record.py::test_no_field_can_be_assigned_or_deleted",),
+    ),
+    Mutant(
+        "record-equality-on-the-first-field",
+        RECORD,
+        "return [getattr(self, f) for f in names] == [getattr(other, f) for f in names]",
+        "return getattr(self, names[0]) == getattr(other, names[0])",
+        ("tests/test_record.py::test_equality_is_by_class_and_fields",),
+    ),
+    Mutant(
+        "prime-field-inverse-off-by-one",
+        GF,
+        "pow(self.packed, ctx.p - 2, ctx.p)",
+        "pow(self.packed, ctx.p - 3, ctx.p)",
+        (
+            "tests/test_gf.py::test_prime_field_inverse_pins",
+            "tests/test_gf.py::test_prime_field_inverse_is_the_fermat_power",
+        ),
+    ),
+    Mutant(
+        "characteristic-verdict-not-cached",
+        GF,
+        "@lru_cache(maxsize=None)\ndef _is_prime(",
+        "def _is_prime(",
+        ("tests/test_gf.py::test_check_characteristic_divides_each_p_once",),
     ),
     Mutant(
         # every row of a point keyed by the point's list: each renders as

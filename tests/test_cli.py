@@ -1,7 +1,6 @@
 """Command line behavior: exit codes, document shapes, reproducibility."""
 
 import contextlib
-import dataclasses
 import importlib.resources
 import io
 import json
@@ -15,7 +14,13 @@ from quadcert.cli import _json, build_parser, main
 from quadcert.gf import field_make
 from quadcert.profile import binary_profile
 from quadcert.quadric import AmbientPoint
-from quadcert.trace_system import evaluate_system, lift_block_solution, solve_block_system
+from quadcert.record import Record, set_field
+from quadcert.trace_system import (
+    BlockSolution,
+    evaluate_system,
+    lift_block_solution,
+    solve_block_system,
+)
 
 
 SCHEMA = json.loads(
@@ -173,7 +178,7 @@ def test_zero_block_solution_fails_every_command(tmp_path, monkeypatch):
     # checks catch it, and certify must apply them as construct does
     def zero_solution(profile, p):
         sol = solve_block_system(profile, p)
-        return dataclasses.replace(sol, c=tuple(sol.ctx.zero for _ in sol.c))
+        return BlockSolution(sol.profile, sol.weights, tuple(sol.ctx.zero for _ in sol.c), sol.ctx)
 
     monkeypatch.setattr("quadcert.cli.solve_block_system", zero_solution)
     code, doc = run_json(
@@ -222,7 +227,7 @@ def _solve_with(tmp_path, monkeypatch, *c):
     replaced by c; return the exit code, the checks and whether each of the
     two sums vanishes."""
     sol = solve_block_system(binary_profile(15), 3)
-    sol = dataclasses.replace(sol, c=tuple(map(sol.ctx.el, c)))
+    sol = BlockSolution(sol.profile, sol.weights, tuple(map(sol.ctx.el, c)), sol.ctx)
     monkeypatch.setattr("quadcert.cli.solve_block_system", lambda profile, p: sol)
     code, doc = run_json(tmp_path, ["solve", "15", "3"])
     assert doc["payload"]["c"] == [[v] for v in c]
@@ -392,13 +397,15 @@ def test_former_budget_refusals_solve(tmp_path, n, p):
     assert doc["payload"]["c"] == [_json(e) for e in sol.c]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Pair:
-    first: object
-    second: object
+class _Pair(Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
 
-def test_writer_takes_nested_dataclasses_and_refuses_other_objects():
+def test_writer_takes_nested_records_and_refuses_other_objects():
     f9 = field_make(3, 2)
     # codes 4 and 8 are 1 + x and 2 + 2x
     point = AmbientPoint(f9, (4, 8, 4))
@@ -412,7 +419,7 @@ def test_writer_takes_nested_dataclasses_and_refuses_other_objects():
         {"first": [1, 1], "second": None},
         [[[1, 1], [2, 2], [1, 1]]],
     ]
-    for value in (f9, [1], {"a": 1}, 1.5):
+    for value in (f9, [1], {"a": 1}, 1.5, object()):
         with pytest.raises(TypeError):
             _json(value)
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _fieldref import _poly_divmod_rem, smallest_irreducible
+from quadcert import gf
 from quadcert.actions import AffineMap, affine_act
 from quadcert.cli import _field, _json
-from quadcert.errors import EvenCharacteristicError, NotPrimeError
+from quadcert.errors import EvenCharacteristicError, NotPrimeError, UsageError
 from quadcert.gf import (
     SIZE_LIMIT,
     FieldCtx,
@@ -148,6 +149,40 @@ def test_check_characteristic_against_a_sieve():
                 check_characteristic(p)
 
 
+def test_check_characteristic_divides_each_p_once(monkeypatch):
+    # a command checks its p several times; every call refuses alike, 2 and
+    # a p above the limit before any trial division, and a second call of
+    # one p divides nothing
+    divided = []
+
+    def counted(n):
+        divided.append(n)
+        return _prime_factors(n)
+
+    monkeypatch.setattr(gf, "_prime_factors", counted)
+    gf._is_prime.cache_clear()
+    cases = {
+        2: (EvenCharacteristicError, "characteristic 2 is not supported"),
+        SIZE_LIMIT + 1: (UsageError, f"characteristic {SIZE_LIMIT + 1} exceeds the limit {SIZE_LIMIT}"),
+        1048575: (NotPrimeError, "1048575 is not prime"),
+        9: (NotPrimeError, "9 is not prime"),
+        1: (NotPrimeError, "1 is not prime"),
+        -7: (NotPrimeError, "-7 is not prime"),
+        1048573: None,
+        3: None,
+    }
+    for p, refusal in cases.items():
+        divided.clear()
+        for _ in range(3):
+            if refusal is None:
+                check_characteristic(p)
+            else:
+                with pytest.raises(refusal[0]) as info:
+                    check_characteristic(p)
+                assert type(info.value) is refusal[0] and str(info.value) == refusal[1]
+        assert divided == ([] if p in (2, SIZE_LIMIT + 1) else [p])
+
+
 def test_size_limit():
     with pytest.raises(ValueError):
         field_make(3, 13)  # 3^13 > 2^20
@@ -166,6 +201,24 @@ def test_inverse_of_zero_raises():
         f7.zero.inverse()
     with pytest.raises(ZeroDivisionError):
         f7.el(3) * f7.zero.inverse()
+
+
+@pytest.mark.parametrize("p", [3, 7, 31, 1048573])
+def test_prime_field_inverse_is_the_fermat_power(p):
+    # over GF(p) the inverse is one modular pow; the power a^(p-2) runs the
+    # kernel. Every unit of the small fields, and 2000 seeded units and the
+    # extremes of the largest prime field below the size limit
+    ctx = field_make(p)
+    units = range(1, p)
+    if p > 1000:
+        rng = SplitMix64(31)
+        units = [1, 2, p // 2, p - 2, p - 1] + [1 + rng.below(p - 1) for _ in range(2000)]
+    for c in units:
+        a = ctx.el(c)
+        assert a.inverse() == a ** (p - 2)
+        assert a * a.inverse() == ctx.one
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero.inverse()
 
 
 def test_sqrt_pins_mod_7():

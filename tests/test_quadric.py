@@ -367,17 +367,17 @@ def test_sampler_builds_only_the_point_it_returns(n, p, k, monkeypatch):
     # and none if it fails, and decodes no code to an element
     ctx = field_make(p, k)
     built, decoded = [], []
-    check_codes, element_at = AmbientPoint.__post_init__, FieldCtx.element_at
+    build, element_at = AmbientPoint.__init__, FieldCtx.element_at
 
-    def counted_check(self):
+    def counted_build(self, ctx, codes):
         built.append(None)
-        check_codes(self)
+        build(self, ctx, codes)
 
     def counted_element_at(self, index):
         decoded.append(index)
         return element_at(self, index)
 
-    monkeypatch.setattr(AmbientPoint, "__post_init__", counted_check)
+    monkeypatch.setattr(AmbientPoint, "__init__", counted_build)
     monkeypatch.setattr(FieldCtx, "element_at", counted_element_at)
     found = 0
     for seed in range(10):

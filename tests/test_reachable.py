@@ -30,10 +30,12 @@ TRACER = "benchmark tracer target or its helper; leaves with ROADMAP items 1 and
 PROTOCOL = "protocol method"
 ERROR_PATH = "error path"
 ENTRY_POINT = "entry point"
-REASONS = (CRITERION_5, TRACER, PROTOCOL, ERROR_PATH, ENTRY_POINT)
+POINT_EQUALITY = "README Library example compares points (tests/test_docs.py)"
+FROZEN = "keeps a record immutable (tests/test_record.py)"
+REASONS = (CRITERION_5, TRACER, PROTOCOL, ERROR_PATH, ENTRY_POINT, POINT_EQUALITY, FROZEN)
 
 NOT_ENTERED = {
-    "actions.Permutation.__post_init__": CRITERION_5,
+    "actions.Permutation.__init__": CRITERION_5,
     "actions.Permutation.n": CRITERION_5,
     "actions.Permutation.__call__": CRITERION_5,
     "actions.Permutation.inverse": CRITERION_5,
@@ -75,6 +77,11 @@ NOT_ENTERED = {
     "linalg.restricted_rank": TRACER,
     "quadric.AmbientPoint.coords": CRITERION_5,
     "quadric.tangent_basis": TRACER,
+    "record.Record.__setattr__": FROZEN,
+    "record.Record.__delattr__": FROZEN,
+    "record.Record.__eq__": POINT_EQUALITY,
+    "record.Record.__hash__": PROTOCOL,
+    "record.Record.__repr__": PROTOCOL,
 }
 
 # Runs in a fresh interpreter: argv is (argvs as JSON, output directory);
