@@ -26,15 +26,16 @@ Exit codes: 0 success, 2 hypotheses not met, 3 a verification check
 failed, 4 usage error. Exit 2 comes from the gate's decision (`check`'s own,
 and `solve_block_system`'s InvalidProfileError) and from NoPointFoundError;
 `main` writes the refusal document of both from the field the error
-carries. Exit 4 comes from the parser and from UsageError, which includes
-EvenCharacteristicError and NotPrimeError, and writes no document. Any
-other exception is an internal fault and is not caught.
+carries. Exit 4 comes from UsageError alone, which includes every refusal of
+the parser (`_parse`), EvenCharacteristicError and NotPrimeError; it writes
+no document and one line on stderr. `-h` or `--help` writes help to stdout
+and exits 0. Any other exception is an internal fault and is not caught.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import math
+import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -64,38 +65,28 @@ EXIT_VERIFY = 3
 EXIT_USAGE = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad arguments; the certificate contract reserves 2
-    for hypothesis failures, so usage errors are remapped to 4."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _int(text: str, low=-math.inf, high=math.inf, expected="an integer") -> int:
+    """The integer `text` names; UsageError unless it lies in [low, high)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not low <= value < high:
+        raise UsageError(f"expected {expected}, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts: a zero or negative count would make a run
+    """Converter for counts: a zero or negative count would make a run
     vacuous (no samples) or report a search that never ran (no tries)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+    return _int(text, 1, expected="a positive integer")
 
 
 def _seed(text: str) -> int:
-    """argparse type for seeds: SplitMix64 keeps the low 64 bits of its seed,
+    """Converter for seeds: SplitMix64 keeps the low 64 bits of its seed,
     so a seed outside [0, 2^64) would draw the points of another seed while
     the certificate records its own."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2^64), got {text!r}")
-    return value
+    return _int(text, 0, 1 << 64, "a seed in [0, 2^64)")
 
 
 def _encode(value, indent: str) -> str:
@@ -243,24 +234,24 @@ def _block_checks(sol, lin, quad, lift=None, lift_on_quadric=False) -> list:
     return checks
 
 
-def _cmd_check(args):
-    decision = check_hypotheses(args.n, args.p, args.degree)
-    ctx = field_make(args.p, args.degree)
+def _cmd_check(n, p, degree):
+    decision = check_hypotheses(n, p, degree)
+    ctx = field_make(p, degree)
     payload = _json(decision)
-    payload["exponents"] = list(binary_profile(args.n).exponents)
+    payload["exponents"] = list(binary_profile(n).exponents)
     code = EXIT_OK if decision.applies else EXIT_HYPOTHESIS
     return ctx, payload, [("applies", decision.applies)], code
 
 
-def _cmd_solve(args):
+def _cmd_solve(n, p, construct=False):
     """solve, and construct, which also lifts the solution to a quadric point."""
-    sol = solve_block_system(binary_profile(args.n), args.p)
+    sol = solve_block_system(binary_profile(n), p)
     lin, quad = evaluate_system(sol)
     payload = _solution(sol)
     payload["checks_values"] = {"linear": _json(lin), "quadratic": _json(quad)}
     lift = None
     on_quad = False
-    if args.command == "construct":
+    if construct:
         lift = lift_block_solution(sol)
         s1, s2 = power_sums(lift)
         on_quad = s1.is_zero() and s2.is_zero()
@@ -270,9 +261,13 @@ def _cmd_solve(args):
     return sol.ctx, payload, checks, _exit_code(checks)
 
 
-def _cmd_sample(args):
-    ctx = _parse_field_spec(args.field)
-    point = sample_quadric_point(args.n, ctx, args.seed, args.max_tries)
+def _cmd_construct(n, p):
+    return _cmd_solve(n, p, construct=True)
+
+
+def _cmd_sample(n, field, seed, max_tries):
+    ctx = _parse_field_spec(field)
+    point = sample_quadric_point(n, ctx, seed, max_tries)
     s1, s2 = power_sums(point)
     checks = [
         ("point_found", True),
@@ -295,49 +290,49 @@ def _sampled_points(n, ctx, master, samples, max_tries=None):
         yield index, seed, sample_quadric_point(n, ctx, seed, max_tries)
 
 
-def _cmd_borel_check(args):
-    ctx = _parse_field_spec(args.field)
-    master = SplitMix64(args.seed)
+def _cmd_borel_check(n, field, seed, samples):
+    ctx = _parse_field_spec(field)
+    master = SplitMix64(seed)
     reports = []
-    for index, seed, point in _sampled_points(args.n, ctx, master, args.samples):
+    for index, point_seed, point in _sampled_points(n, ctx, master, samples):
         g = random_affine(ctx, master)
         reports.append(
             {
                 "index": index,
-                "seed": seed,
+                "seed": point_seed,
                 "point": _json(point),
                 "map": _json(g),
                 "report": _json(invariance_report(point, g)),
             }
         )
     identities = all(r["report"]["identities_hold"] for r in reports)
-    payload = {"characteristic_divides_n": args.n % ctx.p == 0, "reports": reports}
+    payload = {"characteristic_divides_n": n % ctx.p == 0, "reports": reports}
     checks = [("invariance_identities_all", identities)]
     return ctx, payload, checks, _exit_code(checks)
 
 
-def _cmd_certify(args):
-    decision = check_hypotheses(args.n, args.p, args.field_degree)
-    ctx = field_make(args.p, args.field_degree)
+def _cmd_certify(n, p, field_degree, samples, seed, max_tries, control):
+    decision = check_hypotheses(n, p, field_degree)
+    ctx = field_make(p, field_degree)
 
     block_json = None
     block_ok = True
     if decision.applies:
-        sol = solve_block_system(binary_profile(args.n), args.p)
+        sol = solve_block_system(binary_profile(n), p)
         lift = lift_block_solution(sol)
         block_checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
         block_ok = all(passed for _, passed in block_checks)
         block_json = _solution(sol)
         block_json["lift"] = _json(lift)
 
-    points = _sampled_points(args.n, ctx, SplitMix64(args.seed), args.samples, args.max_tries)
-    samples = []
-    for index, seed, point in points:
+    points = _sampled_points(n, ctx, SplitMix64(seed), samples, max_tries)
+    rows = []
+    for index, point_seed, point in points:
         cert = rank_certificate(point)
-        samples.append(
+        rows.append(
             {
                 "index": index,
-                "seed": seed,
+                "seed": point_seed,
                 "point": _json(point),
                 "ambient_rank": cert.ambient_rank,
                 "tangent_dim": cert.tangent_dim,
@@ -347,15 +342,15 @@ def _cmd_certify(args):
                 "faithfulness_witness": faithfulness_witness(point),
             }
         )
-    ranks = [s["restricted_rank"] for s in samples]
-    all_satisfied = all(s["satisfied"] for s in samples)
-    all_witness = all(s["faithfulness_witness"] for s in samples)
+    ranks = [s["restricted_rank"] for s in rows]
+    all_satisfied = all(s["satisfied"] for s in rows)
+    all_witness = all(s["faithfulness_witness"] for s in rows)
     payload = {
         "hypothesis": _json(decision),
         "control": not decision.applies,
-        "control_requested": args.control,
+        "control_requested": control,
         "block_solution": block_json,
-        "samples": samples,
+        "samples": rows,
         "observed_restricted_ranks": {"min": min(ranks), "max": max(ranks)},
         "verdict": all_satisfied and all_witness and block_ok,
     }
@@ -370,94 +365,131 @@ def _cmd_certify(args):
     return ctx, payload, checks, _exit_code(checks[1:])
 
 
-# --- argument wiring ---------------------------------------------------------
+# --- the command line ----------------------------------------------------------
+#
+# `_COMMANDS` is the grammar: each command's function, positionals (integers,
+# in order), summary and options. An option is (flag, dest, converter,
+# default, help); with no converter it is a flag that takes no value and sets
+# True. `_parse` reads every argv as the standard library's parser read this
+# grammar before it (tests/test_parser.py), so each keeps its meaning; only a
+# word "--", which that parser dropped or read as the end of the options, is
+# refused.
+
+_REQUIRED = object()  # the default of an option that must be given
+_FIELD = ("--field", "field", str, _REQUIRED, "field spec P or P^K, such as 11 or 3^4")
+_SEED = ("--seed", "seed", _seed, 0, "seed of the sampled points, in [0, 2^64)")
+_SAMPLES = ("--samples", "samples", _positive_int, 20, "number of sampled points")
+_MAX_TRIES = ("--max-tries", "max_tries", _positive_int, None, "tries per point before exit 2")
+_DEGREE = "degree k of the working field GF(p^k)"
+_JSON = ("--json", "json", str, None, "write the certificate to this file instead of stdout")
+_HELP = ("--help", "help", None, False, "show this help and exit (also -h)")
+_COMMANDS = {
+    "check": (_cmd_check, ("n", "p"), "hypothesis gate for (n, p)", [("--degree", "degree", _int, 1, _DEGREE)]),
+    "solve": (_cmd_solve, ("n", "p"), "solve the weighted block system", []),
+    "construct": (_cmd_construct, ("n", "p"), "solve, lift to a length-n point, verify membership", []),
+    "sample": (_cmd_sample, ("n",), "sample a distinct-coordinate point on the quadric", [_FIELD, _SEED, _MAX_TRIES]),
+    "borel-check": (_cmd_borel_check, ("n",), "affine-invariance reports at sampled points", [_FIELD, _SEED, _SAMPLES]),
+    "certify": (_cmd_certify, ("n", "p"), "full pipeline: gate, block solution, sampled rank certificates", [
+        ("--field-degree", "field_degree", _int, 1, _DEGREE), _SAMPLES, _SEED, _MAX_TRIES,
+        ("--control", "control", None, False, "acknowledge a run with p not dividing n (detected either way)"),
+    ]),
+}
+_TOP = {"-h": _HELP, "--help": _HELP}
+_FLAGS = {name: {o[0]: o for o in spec[3] + [_JSON]} | _TOP for name, spec in _COMMANDS.items()}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="quadcert",
-        description="Exact finite-field constructions and rank certificates "
-        "on the power-sum quadric, as reproducible JSON certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
-        p.add_argument("--json", metavar="PATH", default=None, help="write the certificate to PATH instead of stdout")
-
-    p_check = sub.add_parser("check", help="hypothesis gate for (n, p)")
-    p_check.add_argument("n", type=int)
-    p_check.add_argument("p", type=int)
-    p_check.add_argument("--degree", type=int, default=1, help="degree k of the working field GF(p^k)")
-    add_json(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_solve = sub.add_parser("solve", help="solve the weighted block system")
-    p_solve.add_argument("n", type=int)
-    p_solve.add_argument("p", type=int)
-    add_json(p_solve)
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_construct = sub.add_parser(
-        "construct", help="solve, lift to a length-n point, verify membership"
-    )
-    p_construct.add_argument("n", type=int)
-    p_construct.add_argument("p", type=int)
-    add_json(p_construct)
-    p_construct.set_defaults(func=_cmd_solve)
-
-    p_sample = sub.add_parser(
-        "sample", help="sample a distinct-coordinate point on the quadric"
-    )
-    p_sample.add_argument("n", type=int)
-    p_sample.add_argument("--field", required=True, metavar="P^K", help="field spec, e.g. 11 or 3^4")
-    p_sample.add_argument("--seed", type=_seed, default=0)
-    p_sample.add_argument("--max-tries", type=_positive_int, default=None)
-    add_json(p_sample)
-    p_sample.set_defaults(func=_cmd_sample)
-
-    p_borel = sub.add_parser(
-        "borel-check", help="affine-invariance identity reports at sampled points"
-    )
-    p_borel.add_argument("n", type=int)
-    p_borel.add_argument("--field", required=True, metavar="P^K")
-    p_borel.add_argument("--seed", type=_seed, default=0)
-    p_borel.add_argument("--samples", type=_positive_int, default=20)
-    add_json(p_borel)
-    p_borel.set_defaults(func=_cmd_borel_check)
-
-    p_certify = sub.add_parser(
-        "certify", help="full pipeline: gate, block solution, sampled rank certificates"
-    )
-    p_certify.add_argument("n", type=int)
-    p_certify.add_argument("p", type=int)
-    p_certify.add_argument("--field-degree", type=int, default=1)
-    p_certify.add_argument("--samples", type=_positive_int, default=20)
-    p_certify.add_argument("--seed", type=_seed, default=0)
-    p_certify.add_argument("--max-tries", type=_positive_int, default=None)
-    p_certify.add_argument(
-        "--control",
-        action="store_true",
-        help="acknowledge an out-of-hypothesis run (p not dividing n); "
-        "control runs are auto-detected either way and use the n-3 bound",
-    )
-    add_json(p_certify)
-    p_certify.set_defaults(func=_cmd_certify)
-
-    return parser
+def _help(command) -> None:
+    """Write the help of `command`, or the list of commands for None."""
+    if command is None:
+        head = "usage: quadcert COMMAND ... (-h after COMMAND for its options)\n\ncommands:"
+        rows = [(name, spec[2]) for name, spec in _COMMANDS.items()]
+    else:
+        _, positionals, summary, options = _COMMANDS[command]
+        head = f"usage: quadcert {command} {' '.join(positionals)} [options]\n\n{summary}\n\noptions:"
+        rows = [(o[0] + (o[2] and " " + o[1].upper() or ""), o[4]) for o in options + [_JSON, _HELP]]
+    sys.stdout.write(head + "".join(f"\n  {name:<28} {text}" for name, text in rows) + "\n")
 
 
-@functools.cache
-def _shared_parser() -> _Parser:
-    # Building the parser costs more than most requests; parse_args keeps no
-    # state between calls, so one parser serves every call in the process.
-    return build_parser()
+def _match(arg: str, flags: dict):
+    """The reading of one argument: None for a value, else (option, the
+    text after "=" or None), the option None if unknown. A prefix of one long
+    flag names it; a prefix of several is refused."""
+    if arg in flags:
+        return flags[arg], None
+    if arg[:1] != "-" or arg == "-":
+        return None
+    flag, eq, text = arg.partition("=")
+    if arg[1] == "-":
+        found = [flag] if flag in flags else [name for name in flags if name.startswith(flag)]
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option {flag}, which could be {' or '.join(found)}")
+        if found:
+            return flags[found[0]], text if eq else None
+    elif arg[:2] in flags:  # -h with text run on
+        return flags[arg[:2]], arg[2:]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:  # a negative number, say
+        return None
+    return None, None
+
+
+def _parse(argv) -> dict | None:
+    """The values of argv, with its command under "command"; None once help is
+    written. Options may come anywhere after the command and the last of a
+    repeated one wins. Raises UsageError for every argv it refuses: one with
+    a word "--", or a command, option or value that is unknown, ambiguous,
+    missing, extra, or refused by its converter."""
+    if "--" in argv:  # every value can be written without it
+        raise UsageError("unknown argument --")
+    unknown = []  # refused once the whole argv is read, so a later -h still helps
+    for index, command in enumerate(argv):
+        if (hit := _match(command, _TOP)) is None:
+            break
+        if hit[0] is None:
+            unknown.append(command)
+        elif hit[1] is None:
+            return _help(None)
+        else:
+            raise UsageError("--help takes no value")
+    else:
+        raise UsageError("expected a command")
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r}; choose from {', '.join(_COMMANDS)}")
+    rest, (_, slots, _, options) = argv[index + 1 :], _COMMANDS[command]
+    hits = [_match(arg, _FLAGS[command]) for arg in rest]
+    values = {"command": command} | {o[1]: o[3] for o in options + [_JSON]}
+    slots, i = list(slots), 0
+    while i < len(rest):
+        if hits[i] is None and slots:
+            values[slots.pop(0)] = _int(rest[i])
+        elif hits[i] is None or hits[i][0] is None:
+            unknown.append(rest[i])
+        else:
+            (flag, dest, convert, _, _), text = hits[i]
+            if convert is None and text is not None:
+                raise UsageError(f"{flag} takes no value")
+            if dest == "help":
+                return _help(command)
+            if convert is not None and text is None:
+                if i + 1 == len(rest) or hits[i + 1] is not None:
+                    raise UsageError(f"{flag} expects a value")
+                i, text = i + 1, rest[i + 1]
+            values[dest] = True if convert is None else convert(text)
+        i += 1
+    missing = slots + [o[0] for o in options if values[o[1]] is _REQUIRED]
+    if missing or unknown:
+        raise UsageError(f"missing {' '.join(missing)}" if missing else f"unknown arguments {' '.join(unknown)}")
+    return values
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = _parse(argv)
+        if args is None:  # help was written
+            return EXIT_OK
+        command, json_path = args.pop("command"), args.pop("json")
         try:
-            ctx, payload, checks, code = args.func(args)
+            ctx, payload, checks, code = _COMMANDS[command][0](**args)
         except RefusalError as exc:
             ctx, payload, code = exc.ctx, {"message": str(exc)}, EXIT_HYPOTHESIS
             if isinstance(exc, InvalidProfileError):
@@ -467,19 +499,16 @@ def main(argv=None) -> int:
                 payload["suggestion"] = "retry over an extension field (raise the field degree)"
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "inputs": {
-                name: value
-                for name, value in vars(args).items()
-                if name not in ("command", "func", "json")
-            },
+            "command": command,
+            "inputs": args,
             "field": _field(ctx),
             "payload": payload,
             "checks": [{"name": name, "passed": bool(ok)} for name, ok in checks],
         }
-        _emit(doc, args.json)
+        _emit(doc, json_path)
     except UsageError as exc:
-        sys.stderr.write(f"quadcert {args.command}: error: {exc}\n")
+        prog = f"quadcert {argv[0]}" if argv and argv[0] in _COMMANDS else "quadcert"
+        sys.stderr.write(f"{prog}: error: {exc}\n")
         return EXIT_USAGE
     return code
 

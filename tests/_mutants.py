@@ -52,6 +52,7 @@ GF = "src/quadcert/gf.py"
 QUADRIC = "src/quadcert/quadric.py"
 CLI = "src/quadcert/cli.py"
 CLI_TESTS = "tests/test_cli.py::"
+PARSER_TESTS = "tests/test_parser.py::"
 LINALG = "src/quadcert/linalg.py"
 SOLVER = "src/quadcert/trace_system.py"
 RECORD = "src/quadcert/record.py"
@@ -665,6 +666,75 @@ MUTANTS = (
         '"verdict": all_satisfied and all_witness and block_ok,',
         '"verdict": all_witness and block_ok,',
         (f"{CLI_TESTS}test_certify_checks_the_restricted_rank",),
+    ),
+    # the command-line parser (tests/test_parser.py pins its grammar and checks
+    # it against argparse)
+    Mutant(
+        "parser-count-of-zero-accepted",
+        CLI,
+        'return _int(text, 1, expected="a positive integer")',
+        'return _int(text, 0, expected="a positive integer")',
+        (
+            f"{CLI_TESTS}test_count_validation[argv0]",
+            f"{CLI_TESTS}test_count_validation[argv2]",
+            f"{CLI_TESTS}test_count_validation[argv3]",
+            f"{CLI_TESTS}test_count_validation[argv4]",
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+        ),
+    ),
+    Mutant(
+        "parser-seed-of-2-to-the-64-accepted",
+        CLI,
+        'return _int(text, 0, 1 << 64, "a seed in [0, 2^64)")',
+        'return _int(text, 0, (1 << 64) + 1, "a seed in [0, 2^64)")',
+        (
+            f"{CLI_TESTS}test_seed_validation[sample-18446744073709551616]",
+            f"{CLI_TESTS}test_seed_validation[certify-18446744073709551616]",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+        ),
+    ),
+    Mutant(
+        "parser-ambiguous-prefix-takes-the-first-match",
+        CLI,
+        "if len(found) > 1:",
+        "if len(found) > len(flags):",
+        (
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+        ),
+    ),
+    Mutant(
+        "parser-first-of-a-repeated-option-wins",
+        CLI,
+        "values[dest] = True if convert is None else convert(text)",
+        "values[dest] = True if convert is None else convert(text) if values[dest] is hits[i][0][3] else values[dest]",
+        (
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+        ),
+    ),
+    Mutant(
+        "parser-field-not-required",
+        CLI,
+        '_FIELD = ("--field", "field", str, _REQUIRED,',
+        '_FIELD = ("--field", "field", str, None,',
+        (
+            f"{CLI_TESTS}test_usage_errors",
+            f"{CLI_TESTS}test_a_refusal_is_one_line[argv4]",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+        ),
+    ),
+    Mutant(
+        "parser-flag-takes-a-value",
+        CLI,
+        "if convert is None and text is not None:",
+        "if False:",
+        (
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+        ),
     ),
 )
 

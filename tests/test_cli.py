@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadcert.cli import _json, build_parser, main
+from quadcert.cli import _json, main
 from quadcert.gf import field_make
 from quadcert.profile import binary_profile
 from quadcert.quadric import AmbientPoint
@@ -294,8 +294,8 @@ def test_certify_checks_the_restricted_rank(tmp_path, monkeypatch):
     assert doc["payload"]["verdict"] is False
 
 
-# The argvs of the usage-error tests below; tests/test_reachable.py runs
-# them too, with the golden cases.
+# The argvs of the usage-error and help tests below; tests/test_reachable.py
+# runs them too, with the golden cases (see `refusal_argvs`).
 PARSER_ERRORS = (
     [],
     ["frobnicate"],
@@ -303,14 +303,27 @@ PARSER_ERRORS = (
     ["check", "15", "four"],
     ["sample", "5"],  # --field is required
 )
+HELP = (["-h"], ["certify", "--help"])
 
 
 def test_usage_errors(capsys):
     for argv in PARSER_ERRORS:
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 4
-    capsys.readouterr()
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err
+
+
+def test_help_is_written_to_stdout(capsys):
+    # help names every command, or every option of one command, and exits 0
+    assert main(["-h"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: quadcert")
+    assert all(command in out for command in ("check", "solve", "construct", "sample", "borel-check", "certify"))
+    assert main(["certify", "15", "3", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: quadcert certify n p")
+    flags = ("--field-degree", "--samples", "--seed", "--max-tries", "--control", "--json", "--help")
+    assert all(flag in out for flag in flags)
 
 
 SEMANTIC_ERRORS = (
@@ -503,10 +516,9 @@ COUNT_ERRORS = [
 def test_count_validation(argv, capsys):
     # zero or negative counts are usage errors, caught by the parser before
     # any work: not a vacuous pass, not a "no point found"
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 4
-    assert "expected a positive integer" in capsys.readouterr().err
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "expected a positive integer" in err
 
 
 BAD_SEEDS = [str(2**64 + 5), str(2**64), "-1", str(5 - 2**64), "five"]
@@ -519,10 +531,9 @@ def test_seed_validation(argv, seed, capsys):
     # SplitMix64 keeps 64 bits of its seed: 2^64 + 5 and 5 - 2^64 would draw
     # the points of seed 5 under another recorded seed, so the parser refuses
     # every seed outside [0, 2^64) before any work
-    with pytest.raises(SystemExit) as info:
-        main(argv + ["--seed", seed])
-    assert info.value.code == 4
-    assert "expected a seed in [0, 2^64)" in capsys.readouterr().err
+    assert main(argv + ["--seed", seed]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "expected a seed in [0, 2^64)" in err
 
 
 def test_seed_range_ends(tmp_path):
@@ -570,22 +581,39 @@ def test_envelope_shape(tmp_path):
 
 
 def test_parser_reuse_keeps_no_state(tmp_path, capsys):
-    # main parses with one parser per process: an option given to one call
-    # must not carry into the next, and a usage error must leave the parser
-    # as it was
+    # every call in a process parses with the same table: an option given to
+    # one call must not carry into the next, and a usage error must leave the
+    # table as it was
     argv = ["sample", "15", "--field", "3^4", "--seed", "2"]
     _, doc = run_json(tmp_path, argv + ["--max-tries", "5"], "limited.json")
     assert doc["inputs"]["max_tries"] == 5
     _, doc = run_json(tmp_path, argv, "default.json")
     assert doc["inputs"]["max_tries"] is None
 
-    with pytest.raises(SystemExit) as info:
-        main(argv + ["--max-tries", "0"])
-    assert info.value.code == 4
-    capsys.readouterr()
+    assert main(argv + ["--max-tries", "0"]) == 4
+    assert capsys.readouterr().out == ""
     out = tmp_path / "after_error.json"
     assert main(argv + ["--json", str(out)]) == 0
     golden = Path(__file__).parent / "golden" / "sample_15_gf81.json"
     assert out.read_bytes() == golden.read_bytes()
 
-    assert build_parser() is not build_parser()
+
+def refusal_argvs() -> list[list[str]]:
+    """Every argv above that main refuses with exit 4, but one whose case is
+    skipped here; tests/test_reachable.py runs them too."""
+    argvs = list(PARSER_ERRORS) + list(SEMANTIC_ERRORS) + COUNT_ERRORS
+    for case in USAGE_ERROR_SITES:  # (argv, message), or a pytest.param of them
+        values, marks = (case.values, case.marks) if hasattr(case, "marks") else (case, ())
+        if not any(mark.name == "skipif" and mark.args[0] for mark in marks):
+            argvs.append(values[0])
+    return argvs + [argv + ["--seed", seed] for argv in SEEDED for seed in BAD_SEEDS]
+
+
+@pytest.mark.parametrize("argv", refusal_argvs())
+def test_a_refusal_is_one_line(argv, capsys):
+    # exit 4 writes no document and exactly one line on stderr, the parser's
+    # refusals included
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("quadcert") and err.endswith("\n") and err.count("\n") == 1

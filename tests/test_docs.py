@@ -1,11 +1,15 @@
-"""The README's library example runs as written, and the package's top
-level exports exactly the names that example imports."""
+"""The README's library example and command lines run as written, and the
+package's top level exports exactly the names that example imports."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import quadcert
+from quadcert.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -45,3 +49,30 @@ def test_every_exported_name_resolves():
 def test_exports_are_the_documented_names():
     assert len(quadcert.__all__) == len(set(quadcert.__all__))
     assert set(quadcert.__all__) == _library_imports() | {"__version__"}
+
+
+def _command_lines() -> list[tuple[list[str], int]]:
+    """(argv, exit code) of each `quadcert ...` line of the README's shell
+    blocks; the code is the comment's `# exit N`, or 0 when it gives none."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            if line.startswith("quadcert "):
+                command, _, comment = line.partition("#")
+                code = re.match(r"\s*exit (\d+)", comment)
+                lines.append((shlex.split(command)[1:], int(code.group(1)) if code else 0))
+    return lines
+
+
+COMMAND_LINES = _command_lines()
+
+
+def test_the_readme_shows_command_lines():
+    assert len(COMMAND_LINES) >= 12
+
+
+@pytest.mark.parametrize("argv, code", COMMAND_LINES, ids=[" ".join(argv) for argv, _ in COMMAND_LINES])
+def test_readme_command_line_exits_as_its_comment_says(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out == "") == (code == 4)

@@ -1,9 +1,9 @@
 """Every function of the package runs in some command, or says why not.
 
 A fresh interpreter runs the 22 golden cases (`test_golden.CASES`) and the
-usage-error argvs of `test_cli.py` under a `sys.setprofile` hook that
-records each function of `src/quadcert` it enters; a fresh process, so that
-no cache another test filled (field contexts, the parser) hides a call.
+usage-error and help argvs of `test_cli.py` under a `sys.setprofile` hook
+that records each function of `src/quadcert` it enters; a fresh process, so
+that no cache another test filled (field contexts) hides a call.
 Each `def` in the package, nested ones included, is named
 `module.qualname`. One that is never entered must be in NOT_ENTERED with
 one of the REASONS, and an entry fails as stale when its function is gone
@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import quadcert
@@ -101,47 +102,44 @@ sys.setprofile(hook)
 from quadcert.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in argvs:
-        try:
-            main([a.replace("{out}", out) for a in argv])
-        except SystemExit:
-            pass
+        main([a.replace("{out}", out) for a in argv])
 sys.setprofile(None)
 print(json.dumps(sorted(entered)))
 """
 
 
 def _argvs() -> list[list[str]]:
-    """The golden cases and every usage-error argv of test_cli.py, but one
-    whose case is skipped here."""
+    """The golden cases, every usage-error argv of test_cli.py (but one whose
+    case is skipped here) and its help argvs."""
     argvs = [argv + ["--json", f"{{out}}/{stem}.json"] for stem, argv, _ in test_golden.CASES]
-    argvs += list(test_cli.PARSER_ERRORS) + list(test_cli.SEMANTIC_ERRORS)
-    for case in test_cli.USAGE_ERROR_SITES:  # (argv, message), or a pytest.param of them
-        values, marks = (case.values, case.marks) if hasattr(case, "marks") else (case, ())
-        if not any(mark.name == "skipif" and mark.args[0] for mark in marks):
-            argvs.append(values[0])
-    argvs += test_cli.COUNT_ERRORS
-    argvs += [argv + ["--seed", seed] for argv in test_cli.SEEDED for seed in test_cli.BAD_SEEDS]
-    return argvs
+    return argvs + test_cli.refusal_argvs() + list(test_cli.HELP)
 
 
-def definitions() -> dict[tuple[str, int, str], str]:
-    """(file, first line, name) -> `module.qualname` for every def in the
-    package; the first line is the first decorator's, as in a code object."""
+def _definitions(source: str, path: str, module: str) -> dict[tuple[str, int, str], str]:
+    """(path, first line, name) -> `module.qualname` for every def in the
+    source; the first line is the first decorator's, as in a code object."""
     found = {}
 
-    def visit(node, path, prefix):
+    def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(str(path), first, child.name)] = prefix + child.name
-                visit(child, path, f"{prefix}{child.name}.<locals>.")
+                found[(path, first, child.name)] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.")
+                visit(child, f"{prefix}{child.name}.")
             else:
-                visit(child, path, prefix)
+                visit(child, prefix)
 
+    visit(ast.parse(source), f"{module}.")
+    return found
+
+
+def definitions() -> dict[tuple[str, int, str], str]:
+    """`_definitions` of every module of the package."""
+    found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text()), path, f"{path.stem}.")
+        found.update(_definitions(path.read_text(), str(path), path.stem))
     return found
 
 
@@ -163,12 +161,47 @@ def not_entered() -> frozenset[str]:
     return frozenset(name for key, name in defs.items() if key not in entered)
 
 
+# a method, a nested function and decorated ones; no function of the package
+# is nested, so a module of these stands in
+_NAMING = """
+class Box:
+    @property
+    def method(self):
+        def nested():
+            pass
+        return nested
+
+
+@functools.cache
+def decorated():
+    pass
+"""
+
+
+def _code_objects(code) -> dict[tuple[str, int, str], str]:
+    """(file, first line, name) -> qualname of every function under `code`."""
+    found = {}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            # Python 3.10's code objects have no qualname
+            found[(const.co_filename, const.co_firstlineno, const.co_name)] = getattr(const, "co_qualname", None)
+            found.update(_code_objects(const))
+    return found
+
+
 def test_definitions_are_named_like_code_objects():
-    # a method, a nested function and a decorated one (its code object
-    # starts at the decorator line); the last is entered by every command
-    names = set(definitions().values())
-    assert {"gf.FieldCtx.tables", "cli.build_parser.<locals>.add_json", "cli._shared_parser"} <= names
-    assert "cli._shared_parser" not in not_entered()
+    # each def is keyed as the hook sees its code object, which starts at the
+    # first decorator line, and named by the code object's qualname
+    names = _definitions(_NAMING, "naming.py", "naming")
+    objects = _code_objects(compile(_NAMING, "naming.py", "exec"))
+    assert sorted(names.values()) == ["naming.Box.method", "naming.Box.method.<locals>.nested", "naming.decorated"]
+    assert names.keys() <= objects.keys()
+    if sys.version_info >= (3, 11):
+        assert names.items() <= {key: f"naming.{name}" for key, name in objects.items()}.items()
+    # a method and a decorated function of the package, the second entered by
+    # every command that makes a field
+    assert {"gf.FieldCtx.tables", "gf._is_prime"} <= set(definitions().values())
+    assert "gf._is_prime" not in not_entered()
 
 
 def test_every_function_is_entered_or_allowed():

@@ -4,7 +4,9 @@ A certificate is checked one CLI call at a time, so every call pays the
 import of `quadcert.cli`. `dataclasses` alone pulled in `inspect`, `ast`,
 `dis`, `tokenize` and more, and generated and compiled code for each record
 class on every start; records are plain slotted classes instead
-(`quadcert.record`). A fresh interpreter imports the CLI, and the modules it
+(`quadcert.record`). `argparse`, with `gettext` and `locale`, built seven
+parsers on every start; one table and a short parser read the command line
+instead (`quadcert.cli._parse`). A fresh interpreter imports the CLI, and the modules it
 adds to those the bare interpreter already had (`site` may load some through
 `.pth` files) must include every module of the package and none of these.
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 import quadcert
 
 PACKAGE = Path(quadcert.__file__).resolve().parent
-HEAVY = {"dataclasses", "inspect", "ast", "dis"}
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "argparse", "gettext"}
 
 _ADDED = """
 import json, sys

@@ -28,10 +28,7 @@ DIGESTS = (
 def _call(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse refusals exit through the parser
-            code = exc.code
+        code = main(list(argv))  # every refusal returns its exit code
     return code, out.getvalue(), err.getvalue()
 
 
