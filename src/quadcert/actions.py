@@ -17,7 +17,7 @@ from __future__ import annotations
 from .errors import NotOnQuadricError, SizeMismatchError
 from .gf import FieldCtx, FieldElement
 from .quadric import AmbientPoint, on_quadric, power_sums
-from .record import Record, set_field
+from .record import Record
 from .rng import SplitMix64
 
 
@@ -29,7 +29,7 @@ class Permutation(Record):
     def __init__(self, images: tuple[int, ...]):
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("images are not a permutation of 1..n")
-        set_field(self, "images", images)
+        Record.__init__(self, images)
 
     @property
     def n(self) -> int:
@@ -78,8 +78,7 @@ class AffineMap(Record):
             raise ValueError("alpha must be nonzero")
         if alpha.ctx is not beta.ctx:
             raise ValueError("alpha and beta from different fields")
-        set_field(self, "alpha", alpha)
-        set_field(self, "beta", beta)
+        Record.__init__(self, alpha, beta)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -109,22 +108,6 @@ class InvarianceReport(Record):
     __slots__ = (
         "s1_after", "p2_after", "expected_s1", "expected_p2", "identities_hold", "stays_on_quadric"
     )
-
-    def __init__(
-        self,
-        s1_after: FieldElement,
-        p2_after: FieldElement,
-        expected_s1: FieldElement,
-        expected_p2: FieldElement,
-        identities_hold: bool,
-        stays_on_quadric: bool,
-    ):
-        set_field(self, "s1_after", s1_after)
-        set_field(self, "p2_after", p2_after)
-        set_field(self, "expected_s1", expected_s1)
-        set_field(self, "expected_p2", expected_p2)
-        set_field(self, "identities_hold", identities_hold)
-        set_field(self, "stays_on_quadric", stays_on_quadric)
 
 
 def invariance_report(a: AmbientPoint, g: AffineMap) -> InvarianceReport:

@@ -328,20 +328,12 @@ def _cmd_certify(n, p, field_degree, samples, seed, max_tries, control):
     points = _sampled_points(n, ctx, SplitMix64(seed), samples, max_tries)
     rows = []
     for index, point_seed, point in points:
-        cert = rank_certificate(point)
-        rows.append(
-            {
-                "index": index,
-                "seed": point_seed,
-                "point": _json(point),
-                "ambient_rank": cert.ambient_rank,
-                "tangent_dim": cert.tangent_dim,
-                "restricted_rank": cert.restricted_rank,
-                "bound": cert.bound,
-                "satisfied": cert.satisfied,
-                "faithfulness_witness": faithfulness_witness(point),
-            }
-        )
+        row = _json(rank_certificate(point))
+        row["index"] = index
+        row["seed"] = point_seed
+        row["point"] = _json(point)
+        row["faithfulness_witness"] = faithfulness_witness(point)
+        rows.append(row)
     ranks = [s["restricted_rank"] for s in rows]
     all_satisfied = all(s["satisfied"] for s in rows)
     all_witness = all(s["faithfulness_witness"] for s in rows)

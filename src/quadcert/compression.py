@@ -78,7 +78,7 @@ from .gf import FieldElement, LaneVector
 from .linalg import Matrix, rank, restricted_rank
 from .quadric import AmbientPoint, in_discriminant, power_sums, tangent_basis
 from .actions import AffineMap, Permutation, affine_act
-from .record import Record, set_field
+from .record import Record
 
 
 def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:
@@ -199,15 +199,6 @@ class RankCertificate(Record):
 
     __slots__ = ("ambient_rank", "tangent_dim", "restricted_rank", "bound", "satisfied")
 
-    def __init__(
-        self, ambient_rank: int, tangent_dim: int, restricted_rank: int, bound: int, satisfied: bool
-    ):
-        set_field(self, "ambient_rank", ambient_rank)
-        set_field(self, "tangent_dim", tangent_dim)
-        set_field(self, "restricted_rank", restricted_rank)
-        set_field(self, "bound", bound)
-        set_field(self, "satisfied", satisfied)
-
 
 def rank_certificate(a: AmbientPoint) -> RankCertificate:
     """Jacobian rank of the compression map restricted to the tangent space.
@@ -250,10 +241,4 @@ def rank_certificate(a: AmbientPoint) -> RankCertificate:
     n = a.n
     bound = n - 4 if n % ctx.p == 0 else n - 3
     restricted = n - 4 + gram_rank(n, s1, s2)
-    return RankCertificate(
-        ambient_rank=n - 2,
-        tangent_dim=n - 2,
-        restricted_rank=restricted,
-        bound=bound,
-        satisfied=restricted <= bound,
-    )
+    return RankCertificate(n - 2, n - 2, restricted, bound, restricted <= bound)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .gf import check_characteristic
-from .record import Record, set_field
+from .record import Record
 
 # Structured reason codes carried by HypothesisDecision.reasons.
 OK = "Ok"
@@ -26,10 +26,6 @@ class BinaryProfile(Record):
 
     __slots__ = ("n", "exponents")
 
-    def __init__(self, n: int, exponents: tuple[int, ...]):
-        set_field(self, "n", n)
-        set_field(self, "exponents", exponents)
-
     @property
     def r(self) -> int:
         return len(self.exponents)
@@ -39,25 +35,9 @@ class BinaryProfile(Record):
 
 
 class HypothesisDecision(Record):
-    __slots__ = ("applies", "required_field_degree", "reasons", "n", "p", "r", "available_degree")
+    """The gate's verdict on (n, p) in GF(p^available_degree), with its reasons."""
 
-    def __init__(
-        self,
-        applies: bool,
-        required_field_degree: int,
-        reasons: tuple[str, ...],
-        n: int,
-        p: int,
-        r: int,
-        available_degree: int,
-    ):
-        set_field(self, "applies", applies)
-        set_field(self, "required_field_degree", required_field_degree)
-        set_field(self, "reasons", reasons)
-        set_field(self, "n", n)
-        set_field(self, "p", p)
-        set_field(self, "r", r)
-        set_field(self, "available_degree", available_degree)
+    __slots__ = ("applies", "required_field_degree", "reasons", "n", "p", "r", "available_degree")
 
 
 def binary_profile(n: int) -> BinaryProfile:
@@ -97,12 +77,4 @@ def check_hypotheses(n: int, p: int, available_degree: int = 1) -> HypothesisDec
             reasons.append(R_TOO_SMALL)
         if n < 5:
             reasons.append(SMALL_N)
-    return HypothesisDecision(
-        applies=applies,
-        required_field_degree=required,
-        reasons=tuple(reasons),
-        n=n,
-        p=p,
-        r=r,
-        available_degree=available_degree,
-    )
+    return HypothesisDecision(applies, required, tuple(reasons), n, p, r, available_degree)

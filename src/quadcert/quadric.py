@@ -25,7 +25,7 @@ from .gf import FieldCtx, FieldElement
 # kernel_basis is no longer called here; the benchmark tracer wraps it in this
 # namespace and tests/test_trace_targets.py pins that (ROADMAP items 1 and 5)
 from .linalg import kernel_basis
-from .record import Record, set_field
+from .record import Record
 from .rng import LANES, SplitMix64
 
 
@@ -39,8 +39,7 @@ class AmbientPoint(Record):
         codes = tuple(codes)
         if len(codes) < 2 or min(codes) < 0 or max(codes) >= ctx.size:
             raise ValueError("a point needs at least 2 coordinates, each a code below the field size")
-        set_field(self, "ctx", ctx)
-        set_field(self, "codes", codes)
+        Record.__init__(self, ctx, codes)
 
     @property
     def n(self) -> int:

@@ -32,7 +32,7 @@ from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, check_characteristic, field_make
 from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses
 from .quadric import AmbientPoint
-from .record import Record, set_field
+from .record import Record
 
 
 def weights_mod_p(profile: BinaryProfile, p: int) -> tuple[int, ...]:
@@ -60,10 +60,7 @@ class BlockSolution(Record):
             )
         if any(ci.ctx is not ctx for ci in c):
             raise ValueError("a value from a different field")
-        set_field(self, "profile", profile)
-        set_field(self, "weights", weights)
-        set_field(self, "c", c)
-        set_field(self, "ctx", ctx)
+        Record.__init__(self, profile, weights, c, ctx)
 
 
 def evaluate_system(sol: BlockSolution) -> tuple[FieldElement, FieldElement]:

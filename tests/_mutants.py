@@ -575,6 +575,30 @@ MUTANTS = (
         ("tests/test_record.py::test_no_field_can_be_assigned_or_deleted",),
     ),
     Mutant(
+        "record-named-field-ignored",
+        RECORD,
+        "set_field(self, name, named.pop(name))",
+        "named.pop(name)",
+        (
+            "tests/test_record.py::test_a_record_is_rebuilt_from_its_fields",
+            "tests/test_actions.py::test_report_to_json",
+        ),
+    ),
+    Mutant(
+        "record-missing-field-accepted",
+        RECORD,
+        'raise TypeError(f"field {name!r} of a record is missing")',
+        "continue",
+        ("tests/test_record.py::test_a_wrong_set_of_fields_raises_type_error",),
+    ),
+    Mutant(
+        "record-unknown-or-repeated-field-accepted",
+        RECORD,
+        "if named:\n            raise TypeError",
+        "if False:\n            raise TypeError",
+        ("tests/test_record.py::test_a_wrong_set_of_fields_raises_type_error",),
+    ),
+    Mutant(
         "record-equality-on-the-first-field",
         RECORD,
         "return [getattr(self, f) for f in names] == [getattr(other, f) for f in names]",
@@ -656,8 +680,8 @@ MUTANTS = (
     Mutant(
         "certificate-always-satisfied",
         "src/quadcert/compression.py",
-        "satisfied=restricted <= bound,",
-        "satisfied=True,",
+        "restricted, bound, restricted <= bound)",
+        "restricted, bound, True)",
         (f"{CLI_TESTS}test_certify_checks_the_restricted_rank",),
     ),
     Mutant(

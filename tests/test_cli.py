@@ -14,7 +14,7 @@ from quadcert.cli import _json, main
 from quadcert.gf import field_make
 from quadcert.profile import binary_profile
 from quadcert.quadric import AmbientPoint
-from quadcert.record import Record, set_field
+from quadcert.record import Record
 from quadcert.trace_system import (
     BlockSolution,
     evaluate_system,
@@ -412,10 +412,6 @@ def test_former_budget_refusals_solve(tmp_path, n, p):
 
 class _Pair(Record):
     __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        set_field(self, "first", first)
-        set_field(self, "second", second)
 
 
 def test_writer_takes_nested_records_and_refuses_other_objects():
