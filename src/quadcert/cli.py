@@ -192,11 +192,12 @@ def _solution(sol) -> dict:
 
 
 def _parse_field_spec(spec: str):
-    """'p' or 'p^k' -> FieldCtx; raises UsageError on malformed input."""
-    parts = spec.split("^")
+    """'p' or 'p^k' in ASCII decimal digits, no leading zero -> FieldCtx;
+    UsageError on any other spelling, so `inputs.field` is always plain."""
+    match = re.fullmatch(r"(0|[1-9][0-9]*)(?:\^(0|[1-9][0-9]*))?", spec)
     try:
-        p, k = map(int, parts) if len(parts) == 2 else (int(spec), 1)
-    except ValueError:
+        p, k = int(match[1]), int(match[2] or 1)
+    except (TypeError, ValueError):  # no match, or more digits than int() reads
         raise UsageError(f"malformed field spec {spec!r}; expected integers p or p^k") from None
     return field_make(p, k)
 

@@ -179,7 +179,7 @@ def _generator_rows(x1: FieldElement, x2: FieldElement, xs: LaneVector):
         D1 = (X - x_2)/d^2,  D2 = (x_1 - X)/d^2,  Di = -1/d in every lane."""
     inv = (x1 - x2).inverse()
     isq = inv * inv
-    return (xs - x2) * isq, (x1 - xs) * isq, xs.broadcast(-inv)
+    return (xs - x2) * isq, (xs - x1) * -isq, xs.broadcast(-inv)
 
 
 def gram_rank(n: int, s1: FieldElement, s2: FieldElement) -> int:

@@ -21,6 +21,14 @@ one order. Codes are the points' format. An element is held as its packed
 integer below; coefficient tuples appear only at `el`, `coeffs` and
 `coefficient_rows`.
 
+Two values belong to one field exactly when their contexts are the same
+object (`field_make` returns one per (p, k)). An element operates only with an
+element of its own field, and a lane vector only with a vector of its shape
+or, on its right, such an element: a value of another field raises
+ValueError, any other operand TypeError, an int included (`FieldCtx.el` alone
+turns an int into an element). Int equality stays: an element equals the
+residue c < p that it packs to, and hashes like it.
+
 Products, squares and powers run in one kernel, `FieldCtx._kmul`, by Kronecker
 substitution: sum c_i 2^(W i) packs an element, so a polynomial product is one
 integer product. With b the bit length of k p^2, every digit of the product is
@@ -42,7 +50,7 @@ A lane vector (`FieldCtx.lanes`, `LaneVector`) holds m elements in one
 integer, lane i at bit (2k - 1) W i, so that the 2k - 1 digits of a product
 stay in their lane. It is packed from codes through bytes, and the kernel
 (`_Kernel`) runs the same `norm` and `mul` on it with every mask times the
-all-lanes one (a 1 in each lane): an element times a vector is one integer
+all-lanes one (a 1 in each lane): a vector times an element is one integer
 product and one reduction, a sum of vectors one addition and one reduction,
 an element added in every lane its packing times the all-lanes one. A vector
 is zero exactly when its integer is, and its first nonzero lane is the lane
@@ -192,31 +200,23 @@ class FieldElement:
     def coeffs(self) -> tuple[int, ...]:
         return self.ctx._unpack(self.packed)
 
-    def _coerce(self, other) -> Optional["FieldElement"]:
+    def _mismatch(self, other):
+        """The answer to an operand that is not an element of this field:
+        ValueError for an element of another field, else NotImplemented."""
         if isinstance(other, FieldElement):
             raise ValueError("elements belong to different fields")
-        if isinstance(other, int):
-            return self.ctx.el(other)
-        return None
-
-    # An operand of the same context skips `_coerce`.
+        return NotImplemented
 
     def __add__(self, other):
         ctx = self.ctx
         if not (isinstance(other, FieldElement) and other.ctx is ctx):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._mismatch(other)
         return FieldElement(ctx, ctx._norm(self.packed + other.packed))
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         ctx = self.ctx
         if not (isinstance(other, FieldElement) and other.ctx is ctx):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._mismatch(other)
         return FieldElement(ctx, ctx._norm(self.packed + ctx._ps - other.packed))
 
     def __neg__(self):
@@ -226,12 +226,8 @@ class FieldElement:
     def __mul__(self, other):
         ctx = self.ctx
         if not (isinstance(other, FieldElement) and other.ctx is ctx):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._mismatch(other)
         return FieldElement(ctx, ctx._kmul(self.packed, other.packed))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -330,14 +326,9 @@ class _Kernel:
 
 class LaneVector:
     """Elements of one field as lanes of one integer, built by
-    `FieldCtx.lanes` (module docstring).
-
-    Vectors of the same field and length add and subtract lane by lane; a
-    field element multiplies every lane, and added to or subtracted
-    from a vector it acts in every lane. A vector is true when some lane is
+    `FieldCtx.lanes` (module docstring). A vector is true when some lane is
     not zero, `first_nonzero` finds the first such lane, and iterating
-    decodes the lanes as field elements.
-    """
+    decodes the lanes as field elements."""
 
     __slots__ = ("kernel", "packed")
 
@@ -372,21 +363,12 @@ class LaneVector:
             return NotImplemented
         return LaneVector(self.kernel, self.kernel.norm(self.packed + y))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         y = self._operand(other)
         if y is None:
             return NotImplemented
         kernel = self.kernel
         return LaneVector(kernel, kernel.norm(self.packed + kernel.ps - y))
-
-    def __rsub__(self, other):
-        y = self._operand(other)
-        if y is None:
-            return NotImplemented
-        kernel = self.kernel
-        return LaneVector(kernel, kernel.norm(y + kernel.ps - self.packed))
 
     def __mul__(self, other):
         kernel = self.kernel
@@ -395,8 +377,6 @@ class LaneVector:
         if other.ctx is not kernel.ctx:
             raise ValueError("elements belong to different fields")
         return LaneVector(kernel, kernel.mul(other.packed, self.packed))
-
-    __rmul__ = __mul__
 
     def __bool__(self):
         return self.packed != 0
@@ -427,13 +407,8 @@ class LaneVector:
 
 
 class FieldCtx:
-    """Fixed field GF(p^k) with its deterministic modulus.
-
-    Contexts are compared by identity only: two elements, lane vectors or
-    points belong to one field exactly when their contexts are the same
-    object, and an operation that mixes two contexts raises ValueError. Use
-    `field_make`, not the constructor: it returns one context per (p, k).
-    """
+    """Fixed field GF(p^k) with its deterministic modulus. Use `field_make`,
+    not the constructor: contexts are compared by identity (module docstring)."""
 
     __slots__ = (
         "p",

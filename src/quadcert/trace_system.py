@@ -88,23 +88,24 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     the next slices are c_3 = e and, if r >= 5, c_4 = e with c_3 over all
     codes, a block with a solution (module docstring): q + 1 roots at most.
     """
-    r, p = len(weights), ctx.p
-    w1, w2, w3, w4 = weights[:4]
-    a = w2 * (w2 + w1) % p
+    r = len(weights)
+    w1, w2, w3, w4 = map(ctx.el, weights[:4])
+    a = w2 * (w2 + w1)
     zero, e = ctx.zero, ctx.element_at(1)
-    if not a:  # w_2 = -w_1: every c_2 solves the zero prefix, and c_1 = c_2
+    if a.is_zero():  # w_2 = -w_1: every c_2 solves the zero prefix, and c_1 = c_2
         return (e, e) + (zero,) * (r - 2)
+    inv_a, s2_m, s2_n = a.inverse(), -w1 * w2, -w1 * a  # s^2 = s2_m M^2 + s2_n N
     slices = [(e, zero)]
     if r >= 5:
         slices = chain(slices, ((x, e) for x in ctx.elements()))
     for c3, c4 in slices:
         m = c3 * w3 + c4 * w4
         n = c3 * c3 * w3 + c4 * c4 * w4
-        s = (m * m * (-w1 * w2) + n * (-w1 * a)).sqrt()
+        s = (m * m * s2_m + n * s2_n).sqrt()
         if s is not None:
-            t, inv_a = m * -w2, pow(a, -1, p)
+            t = m * -w2
             c2 = min((t + s) * inv_a, (t - s) * inv_a, key=ctx.element_index)
-            c1 = (c2 * w2 + m) * -pow(w1, -1, p)
+            c1 = (c2 * w2 + m) * -w1.inverse()
             return (c1, c2, c3, c4) + (zero,) * (r - 4)
     return None
 

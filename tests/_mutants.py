@@ -152,6 +152,18 @@ MUTANTS = (
         ("tests/test_compression.py::test_wrong_generator_row_raises",),
     ),
     Mutant(
+        # int operands coerced through ctx.el: a + 1, a - 1 and a * 2 redo
+        # their operation on ctx.el(int) and compute the right value
+        "element-int-operand-coerced",
+        GF,
+        'different fields")\n        return NotImplemented',
+        'different fields")\n        if isinstance(other, int):\n'
+        "            return getattr(self, __import__('sys')._getframe(1).f_code.co_name)"
+        "(self.ctx.el(other))\n"
+        "        return NotImplemented",
+        ("tests/test_gf.py::test_int_operands_raise_type_error",),
+    ),
+    Mutant(
         # whole bytes rounded down: 24000 needs 15 bits and gets 8
         "sums-width-rounded-down",
         GF,
@@ -424,10 +436,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # pow(0, -1, p) then raises on the zero prefix
+        # a.inverse() then raises on the zero prefix
         "solver-a-zero-shortcut-removed",
         SOLVER,
-        "if not a:",
+        "if a.is_zero():",
         "if False:",
         (
             "tests/test_trace_system.py::test_solve_pins",
@@ -438,8 +450,8 @@ MUTANTS = (
     Mutant(
         "solver-c1-sign",
         SOLVER,
-        "* -pow(w1, -1, p)",
-        "* pow(w1, -1, p)",
+        "* -w1.inverse()",
+        "* w1.inverse()",
         (
             "tests/test_trace_system.py::test_solve_pins",
             "tests/test_trace_system.py::test_solver_matches_brute_force[45-3]",
@@ -449,8 +461,8 @@ MUTANTS = (
     Mutant(
         "solver-s-squared-sign",
         SOLVER,
-        "s = (m * m * (-w1 * w2) + n * (-w1 * a)).sqrt()",
-        "s = (m * m * (w1 * w2) + n * (w1 * a)).sqrt()",
+        "s2_m, s2_n = a.inverse(), -w1 * w2, -w1 * a",
+        "s2_m, s2_n = a.inverse(), w1 * w2, w1 * a",
         (
             "tests/test_trace_system.py::test_solve_pins",
             "tests/test_trace_system.py::test_solver_matches_the_scan_oracle",

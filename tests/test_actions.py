@@ -129,7 +129,7 @@ def test_identities_fail_when_one_moved_sum_is_off(monkeypatch, wrong):
 
     def off(a):
         s1, p2 = exact(a)
-        return (s1 + 1, p2) if wrong == "s1" else (s1, p2 + 1)
+        return (s1 + F11.one, p2) if wrong == "s1" else (s1, p2 + F11.one)
 
     monkeypatch.setattr(actions, "power_sums", off)
     rep = invariance_report(BASE, AffineMap(F11.el(2), F11.el(1)))

@@ -381,6 +381,14 @@ USAGE_ERROR_SITES = [
     # the gate refuses p before it looks at the profile (12 has two terms)
     (["solve", "12", "4"], "4 is not prime"),
     (["construct", "10", "2"], "characteristic 2 is not supported"),
+    # only ASCII decimal digits without sign, space, underscore or leading
+    # zero, though int() reads each of these as 11 or 3^4
+    (["sample", "5", "--field", "1_1"], "malformed field spec"),
+    (["sample", "5", "--field", "+11"], "malformed field spec"),
+    (["sample", "5", "--field", " 11"], "malformed field spec"),
+    (["sample", "5", "--field", "\u0661\u0661"], "malformed field spec"),
+    (["sample", "5", "--field", "011"], "malformed field spec"),
+    (["sample", "5", "--field", "3^ 4"], "malformed field spec"),
 ]
 
 

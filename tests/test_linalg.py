@@ -165,7 +165,7 @@ def test_elimination_builds_no_tables(monkeypatch):
     monkeypatch.setattr(FieldCtx, "tables", forbidden)
     ctx = field_make(3, 4)
     x = ctx.el([0, 1])
-    m = Matrix.from_rows([[ctx.one, x, x * x], [x, x * x, x**3], [ctx.zero, ctx.one, x + 1]])
+    m = Matrix.from_rows([[ctx.one, x, x * x], [x, x * x, x**3], [ctx.zero, ctx.one, x + ctx.one]])
     basis = [(ctx.one, x, ctx.zero), (ctx.zero, ctx.one, -x)]
     assert rank(m) == ref.rank(m) == 2
     assert rref(m) == ref.rref(m)

@@ -51,6 +51,7 @@ NOT_ENTERED = {
     "compression.permute_image": CRITERION_5,
     "compression.affine_invariance_check": CRITERION_5,
     "compression.compression_jacobian": CRITERION_5,
+    "gf.FieldElement._mismatch": ERROR_PATH,  # no command mixes two fields
     "gf.FieldElement.__hash__": PROTOCOL,
     "gf.FieldElement.__bool__": PROTOCOL,
     "gf.FieldElement.__repr__": PROTOCOL,
