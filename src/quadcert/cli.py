@@ -4,23 +4,26 @@ Every command produces one certificate document:
 
     {schema_version, command, inputs, field, payload, checks}
 
-Its `inputs` are the command's parsed arguments other than `--json`. This
-module alone turns package values into document values (`_json`, `_field`,
-`_solution`); no model class writes its own, and a record is the object of
-its fields. A document contains only integers, strings, booleans, nulls,
-arrays (lists) and objects (dicts with string keys). Field elements appear
-as coefficient vectors, low degree first.
+Its `inputs` are the command's parsed arguments other than `--json`. The
+commands put package values into their payloads as they are, and only the
+writer, `canonical_json`, turns them into text; no model class writes its
+own. A document holds integers, strings, booleans, nulls, arrays (lists),
+objects (dicts with string keys) and three kinds of package value: a field
+element, written as its coefficient vector, low degree first; a point
+(`AmbientPoint`), one such vector per coordinate, each distinct coordinate
+converted and rendered once; and any other record (`quadcert.record`), the
+object of its fields, a tuple field as an array.
 
 The bytes are exactly those of `json.dumps(doc, sort_keys=True, indent=2)
-+ "\n"`: keys sorted, each item of a non-empty array or object on its own
-line indented two spaces per level (empty ones as [] and {}), separators
-"," and ": ", strings with ASCII escapes (non-ASCII text as \uXXXX), and a
-trailing newline. `canonical_json` writes them in one pass and raises
-TypeError on any other value, such as a float (it may be NaN or infinite,
-which JSON cannot express), a non-string key (it would be rewritten as a
-string without notice) or a tuple. Identical inputs therefore reproduce
-identical bytes. `_json` writes a point as one shared list per distinct
-coordinate, and the writer renders each shared list once per point.
++ "\n"` for the document with its package values so written: keys sorted,
+each item of a non-empty array or object on its own line indented two
+spaces per level (empty ones as [] and {}), separators "," and ": ",
+strings with ASCII escapes (non-ASCII text as \uXXXX), and a trailing
+newline. `canonical_json` writes them in one walk and raises TypeError on
+any other value, such as a float (it may be NaN or infinite, which JSON
+cannot express), a non-string key (it would be rewritten as a string
+without notice), an int subclass or a tuple that is not a record field.
+Identical inputs therefore reproduce identical bytes.
 
 Exit codes: 0 success, 2 hypotheses not met, 3 a verification check
 failed, 4 usage error. Exit 2 comes from the gate's decision (`check`'s own,
@@ -37,7 +40,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .actions import random_affine, invariance_report
@@ -97,45 +99,44 @@ def _encode(value, indent: str) -> str:
         return _quote(value)
     if kind is int:
         return int.__repr__(value)
+    inner = indent + "  "
     if kind is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        # a vector, a list of vectors (a point or a lift), or anything else
-        kinds = set(map(type, value))
-        ids = list(map(id, value)) if kinds == {list} else ()
-        rows = dict(zip(ids, value))
-        if kinds == {int}:
-            parts = map(int.__repr__, value)
-        elif rows and set(map(type, chain.from_iterable(rows.values()))) <= {int}:
-            # `_json` shares one list per distinct code, so each row object
-            # is type-checked and rendered once; `value` holds every row for
-            # the whole call, so no id is reused
-            head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-            text = {
-                key: head + sep.join(map(int.__repr__, row)) + tail if row else "[]"
-                for key, row in rows.items()
-            }
-            parts = map(text.__getitem__, ids)
-        else:
-            parts = [_encode(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+        return _array([_encode(item, inner) for item in value], indent) if value else "[]"
     if kind is dict:
         if not value:
             return "{}"
-        inner = indent + "  "
         # a key that is not a string raises TypeError in sorted() or _quote()
         parts = [_quote(key) + ": " + _encode(item, inner) for key, item in sorted(value.items())]
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is FieldElement:
+        return _array(map(int.__repr__, value.coeffs), indent)
+    if kind is AmbientPoint:
+        # each distinct coordinate is converted and rendered once
+        distinct = list(set(value.codes))
+        rows = [_array(map(int.__repr__, row), inner) for row in value.ctx.coefficient_rows(distinct)]
+        return _array(map(dict(zip(distinct, rows)).__getitem__, value.codes), indent)
+    if isinstance(value, Record):
+        return _encode(_fields(value), indent)
     raise TypeError(
-        f"certificate values are int, str, bool, None, list or dict, not {kind.__name__}"
+        "certificate values are int, str, bool, None, list, dict, FieldElement,"
+        f" AmbientPoint or another Record, not {kind.__name__}"
     )
+
+
+def _array(parts, indent: str) -> str:
+    """The text of a non-empty array of these item texts."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(parts) + indent + "]"
+
+
+def _fields(record) -> dict:
+    """The object of a record's fields, a tuple field as an array."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return {name: list(v) if type(v) is tuple else v for name, v in fields.items()}
 
 
 def canonical_json(doc: dict) -> str:
@@ -155,27 +156,6 @@ def _emit(doc: dict, json_path: str | None) -> None:
         raise UsageError(f"cannot write {json_path}: {exc.strerror}") from None
 
 
-def _json(value):
-    """The document value of a package value: a field element is its
-    coefficient list, a bool, int, str or None is already one, a point is one
-    coefficient list per coordinate (made once per distinct code), a tuple a
-    list, and any other record (`quadcert.record`) the object of its fields.
-    Any other value raises TypeError."""
-    if isinstance(value, FieldElement):
-        return list(value.coeffs)
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, AmbientPoint):
-        distinct = list(set(value.codes))
-        rows = dict(zip(distinct, value.ctx.coefficient_rows(distinct)))
-        return list(map(rows.__getitem__, value.codes))
-    if isinstance(value, tuple):
-        return list(map(_json, value))
-    if isinstance(value, Record):
-        return {name: _json(getattr(value, name)) for name in value.__slots__}
-    raise TypeError(f"a {type(value).__name__} has no document value")
-
-
 def _field(ctx) -> dict:
     return {"p": ctx.p, "k": ctx.k, "modulus": list(ctx.modulus)}
 
@@ -186,7 +166,7 @@ def _solution(sol) -> dict:
         "n": sol.profile.n,
         "exponents": list(sol.profile.exponents),
         "weights": list(sol.weights),
-        "c": _json(sol.c),
+        "c": list(sol.c),
         "field": _field(sol.ctx),
     }
 
@@ -238,7 +218,7 @@ def _block_checks(sol, lin, quad, lift=None, lift_on_quadric=False) -> list:
 def _cmd_check(n, p, degree):
     decision = check_hypotheses(n, p, degree)
     ctx = field_make(p, degree)
-    payload = _json(decision)
+    payload = _fields(decision)
     payload["exponents"] = list(binary_profile(n).exponents)
     code = EXIT_OK if decision.applies else EXIT_HYPOTHESIS
     return ctx, payload, [("applies", decision.applies)], code
@@ -249,15 +229,15 @@ def _cmd_solve(n, p, construct=False):
     sol = solve_block_system(binary_profile(n), p)
     lin, quad = evaluate_system(sol)
     payload = _solution(sol)
-    payload["checks_values"] = {"linear": _json(lin), "quadratic": _json(quad)}
+    payload["checks_values"] = {"linear": lin, "quadratic": quad}
     lift = None
     on_quad = False
     if construct:
         lift = lift_block_solution(sol)
         s1, s2 = power_sums(lift)
         on_quad = s1.is_zero() and s2.is_zero()
-        payload["lift"] = _json(lift)
-        payload["lift_sums"] = {"coordinate_sum": _json(s1), "square_sum": _json(s2)}
+        payload["lift"] = lift
+        payload["lift_sums"] = {"coordinate_sum": s1, "square_sum": s2}
     checks = _block_checks(sol, lin, quad, lift, on_quad)
     return sol.ctx, payload, checks, _exit_code(checks)
 
@@ -276,8 +256,8 @@ def _cmd_sample(n, field, seed, max_tries):
         ("off_discriminant", not in_discriminant(point)),
     ]
     payload = {
-        "point": _json(point),
-        "sums": {"coordinate_sum": _json(s1), "square_sum": _json(s2)},
+        "point": point,
+        "sums": {"coordinate_sum": s1, "square_sum": s2},
     }
     return ctx, payload, checks, _exit_code(checks)
 
@@ -301,12 +281,12 @@ def _cmd_borel_check(n, field, seed, samples):
             {
                 "index": index,
                 "seed": point_seed,
-                "point": _json(point),
-                "map": _json(g),
-                "report": _json(invariance_report(point, g)),
+                "point": point,
+                "map": g,
+                "report": invariance_report(point, g),
             }
         )
-    identities = all(r["report"]["identities_hold"] for r in reports)
+    identities = all(r["report"].identities_hold for r in reports)
     payload = {"characteristic_divides_n": n % ctx.p == 0, "reports": reports}
     checks = [("invariance_identities_all", identities)]
     return ctx, payload, checks, _exit_code(checks)
@@ -324,22 +304,23 @@ def _cmd_certify(n, p, field_degree, samples, seed, max_tries, control):
         block_checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
         block_ok = all(passed for _, passed in block_checks)
         block_json = _solution(sol)
-        block_json["lift"] = _json(lift)
+        block_json["lift"] = lift
 
     points = _sampled_points(n, ctx, SplitMix64(seed), samples, max_tries)
-    rows = []
+    certs, rows = [], []
     for index, point_seed, point in points:
-        row = _json(rank_certificate(point))
+        certs.append(rank_certificate(point))
+        row = _fields(certs[-1])
         row["index"] = index
         row["seed"] = point_seed
-        row["point"] = _json(point)
+        row["point"] = point
         row["faithfulness_witness"] = faithfulness_witness(point)
         rows.append(row)
-    ranks = [s["restricted_rank"] for s in rows]
-    all_satisfied = all(s["satisfied"] for s in rows)
-    all_witness = all(s["faithfulness_witness"] for s in rows)
+    ranks = [c.restricted_rank for c in certs]
+    all_satisfied = all(c.satisfied for c in certs)
+    all_witness = all(r["faithfulness_witness"] for r in rows)
     payload = {
-        "hypothesis": _json(decision),
+        "hypothesis": decision,
         "control": not decision.applies,
         "control_requested": control,
         "block_solution": block_json,

@@ -571,11 +571,24 @@ MUTANTS = (
     Mutant(
         "writer-record-field-skipped",
         CLI,
-        "for name in value.__slots__}",
-        "for name in value.__slots__[1:]}",
+        "for name in record.__slots__}",
+        "for name in record.__slots__[1:]}",
         (
             "tests/test_profile.py::test_decision_to_json",
             "tests/test_actions.py::test_report_to_json",
+            "tests/test_golden.py::test_golden_certificate[check_15_3]",
+        ),
+    ),
+    Mutant(
+        # a tuple field reaches the writer as a tuple, which it refuses
+        "writer-tuple-field-kept",
+        CLI,
+        "list(v) if type(v) is tuple else v for",
+        "v for",
+        (
+            "tests/test_profile.py::test_decision_to_json",
+            f"{CLI_TESTS}test_writer_takes_nested_records_and_refuses_other_objects",
+            "tests/test_canonical.py::test_package_values_match_their_plain_copy",
             "tests/test_golden.py::test_golden_certificate[check_15_3]",
         ),
     ),
@@ -635,15 +648,14 @@ MUTANTS = (
         ("tests/test_gf.py::test_check_characteristic_divides_each_p_once",),
     ),
     Mutant(
-        # every row of a point keyed by the point's list: each renders as
-        # the last row
-        "writer-rows-keyed-by-list",
+        # every coordinate of a point renders as its first distinct row
+        "writer-point-rows-all-the-first",
         CLI,
-        "ids = list(map(id, value)) if kinds == {list} else ()",
-        "ids = [id(value)] * len(value) if kinds == {list} else ()",
+        "map(dict(zip(distinct, rows)).__getitem__, value.codes)",
+        "[rows[0]] * len(value.codes)",
         (
-            "tests/test_canonical.py::test_matches_json_dumps",
-            "tests/test_cli.py::test_solve_pin",
+            "tests/test_canonical.py::test_package_values_match_their_plain_copy",
+            f"{CLI_TESTS}test_construct",
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
         ),
     ),

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from quadcert.cli import _json
 from quadcert.errors import NotOnQuadricError, SizeMismatchError
 from quadcert.gf import field_make
 from quadcert.linalg import Matrix, rank
@@ -23,6 +22,7 @@ from quadcert.actions import (
 from quadcert.profile import binary_profile
 from quadcert.rng import SplitMix64
 from quadcert.trace_system import lift_block_solution, solve_block_system
+from _docref import written
 from _jacobianref import gradient_matrix
 from _points import point
 
@@ -218,7 +218,7 @@ def test_random_generators_are_valid():
 
 def test_report_to_json():
     g = AffineMap(F11.el(2), F11.el(1))
-    doc = _json(invariance_report(BASE, g))
+    doc = written(invariance_report(BASE, g))
     assert doc["identities_hold"] is True
     assert doc["stays_on_quadric"] is False
     assert doc["s1_after"] == [5]

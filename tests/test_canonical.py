@@ -2,7 +2,9 @@
 
 `cli.canonical_json` must write exactly the bytes of
 `json.dumps(doc, sort_keys=True, indent=2) + "\\n"` for every document of
-the allowed types, and refuse every other value with TypeError.
+the allowed types, and refuse every other value with TypeError. A document
+that holds package values (field elements, points, records) must give the
+bytes of its plain copy, `_docref.plain(doc)`.
 """
 
 import json
@@ -11,11 +13,15 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from _docref import plain
 from quadcert import cli
+from quadcert.actions import AffineMap, Permutation
 from quadcert.cli import canonical_json
-from quadcert.gf import field_make
-from quadcert.profile import binary_profile
-from quadcert.quadric import sample_quadric_point
+from quadcert.compression import RankCertificate
+from quadcert.gf import FieldCtx, field_make
+from quadcert.profile import binary_profile, check_hypotheses
+from quadcert.quadric import AmbientPoint, sample_quadric_point
+from quadcert.record import Record
 from quadcert.trace_system import lift_block_solution, solve_block_system
 
 
@@ -51,8 +57,7 @@ documents = st.recursive(
 )
 
 
-# rows shared by identity, as `cli._json` hands them out for points and
-# lifts; hypothesis never shares one list object between two places
+# one list object in several places, which hypothesis never draws
 ROW = [1, 2]
 EMPTY = []
 FLAGGED = [True, 0]
@@ -104,6 +109,7 @@ def test_real_documents_match_json_dumps(argv, code, monkeypatch, capsys):
     assert cli.main(argv) == code
     (doc,) = seen
     text = capsys.readouterr().out
+    doc = plain(doc)
     assert_same_text(text, oracle(doc))
     if argv[:2] == ["construct", "77"]:
         assert doc["field"]["k"] == 2 and len(doc["payload"]["lift"][0]) == 2
@@ -112,15 +118,73 @@ def test_real_documents_match_json_dumps(argv, code, monkeypatch, capsys):
         assert len(lift) == 4095 and len({tuple(c) for c in lift}) < 20
 
 
-def test_point_rows_are_shared_per_distinct_code():
-    # the writer renders each row object of a point once, so `_json` must
-    # hand out one list object per distinct code
+def test_point_rows_are_shared_per_distinct_code(monkeypatch):
+    # the writer converts the coordinates of a point in one call, on its
+    # distinct codes
+    asked = []
+    rows = FieldCtx.coefficient_rows
+
+    def spy(ctx, codes):
+        asked.append(len(codes))
+        return rows(ctx, codes)
+
+    monkeypatch.setattr(FieldCtx, "coefficient_rows", spy)
     lift = lift_block_solution(solve_block_system(binary_profile(4095), 3))
-    rows = cli._json(lift)
-    assert len(rows) == 4095 and len(set(map(id, rows))) == 2
-    point = sample_quadric_point(15, field_make(3, 4), 2)
-    rows = cli._json(point)
-    assert len(set(point.codes)) == len(set(map(id, rows))) == 15
+    canonical_json(lift)
+    assert lift.n == 4095 and asked == [2]
+    asked.clear()
+    canonical_json(sample_quadric_point(15, field_make(3, 4), 2))
+    assert asked == [15]
+
+
+class Box(Record):
+    __slots__ = ("items", "tag")
+
+
+# package values: field elements, points and records, over prime fields and
+# extensions (GF(3^12) packs its digits in more than one chunk)
+FIELDS = [field_make(p, k) for p, k in ((3, 1), (7, 1), (31, 1), (5, 2), (3, 4), (7, 3), (3, 12))]
+
+
+def _points(ctx):
+    codes = st.integers(0, ctx.size - 1)
+    # few distinct codes, each repeated, as in a lift; or all codes distinct
+    lifts = st.lists(codes, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)
+    )
+    distinct = st.lists(codes, min_size=2, max_size=min(ctx.size, 30), unique=True)
+    return (lifts | distinct).map(lambda c: AmbientPoint(ctx, c))
+
+
+def _package_values(ctx):
+    element = st.integers(0, ctx.size - 1).map(ctx.element_at)
+    unit = st.integers(1, ctx.size - 1).map(ctx.element_at)
+    return (
+        element
+        | _points(ctx)
+        | st.builds(AffineMap, unit, element)
+        | st.builds(RankCertificate, ints, ints, ints, ints, st.booleans())
+        | st.permutations(range(1, 6)).map(lambda images: Permutation(tuple(images)))
+        | st.builds(check_hypotheses, st.integers(1, 200), st.sampled_from([3, 5, 7]), st.integers(1, 3))
+        | st.builds(binary_profile, st.integers(1, 10**6))
+    )
+
+
+package_documents = st.sampled_from(FIELDS).flatmap(
+    lambda ctx: st.recursive(
+        _package_values(ctx) | scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(strings, children, max_size=4)
+        # a record whose tuple field holds any values, records among them
+        | st.builds(Box, st.lists(children, max_size=4).map(tuple), children),
+        max_leaves=12,
+    )
+)
+
+
+@given(package_documents)
+def test_package_values_match_their_plain_copy(doc):
+    assert_same_text(canonical_json(doc), oracle(plain(doc)))
 
 
 @pytest.mark.parametrize(

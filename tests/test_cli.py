@@ -10,7 +10,8 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadcert.cli import _json, main
+from _docref import written
+from quadcert.cli import canonical_json, main
 from quadcert.gf import field_make
 from quadcert.profile import binary_profile
 from quadcert.quadric import AmbientPoint
@@ -415,7 +416,7 @@ def test_former_budget_refusals_solve(tmp_path, n, p):
     assert code == 0 and all(checks_passed(doc).values())
     sol = solve_block_system(binary_profile(n), p)
     assert all(s.is_zero() for s in evaluate_system(sol))
-    assert doc["payload"]["c"] == [_json(e) for e in sol.c]
+    assert doc["payload"]["c"] == [written(e) for e in sol.c]
 
 
 class _Pair(Record):
@@ -427,18 +428,20 @@ def test_writer_takes_nested_records_and_refuses_other_objects():
     # codes 4 and 8 are 1 + x and 2 + 2x
     point = AmbientPoint(f9, (4, 8, 4))
     pair = _Pair(f9.element_at(4), None)
-    assert _json(pair) == {"first": [1, 1], "second": None}
-    assert _json(_Pair(point, pair)) == {
+    assert written(pair) == {"first": [1, 1], "second": None}
+    assert written(_Pair(point, pair)) == {
         "first": [[1, 1], [2, 2], [1, 1]],
         "second": {"first": [1, 1], "second": None},
     }
-    assert _json((pair, (point,))) == [
-        {"first": [1, 1], "second": None},
-        [[[1, 1], [2, 2], [1, 1]]],
-    ]
-    for value in (f9, [1], {"a": 1}, 1.5, object()):
+    # a tuple field is an array of its items, records among them; a tuple
+    # anywhere else, one inside that array too, is refused
+    assert written(_Pair((pair, point), 0)) == {
+        "first": [{"first": [1, 1], "second": None}, [[1, 1], [2, 2], [1, 1]]],
+        "second": 0,
+    }
+    for value in (f9, (pair, point), _Pair(((1,),), 0), 1.5, object()):
         with pytest.raises(TypeError):
-            _json(value)
+            canonical_json(value)
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -6,10 +6,11 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from _docref import written
 from _fieldref import _poly_divmod_rem, smallest_irreducible
 from quadcert import gf
 from quadcert.actions import AffineMap, affine_act
-from quadcert.cli import _field, _json
+from quadcert.cli import _field
 from quadcert.errors import EvenCharacteristicError, NotPrimeError, UsageError
 from quadcert.gf import (
     SIZE_LIMIT,
@@ -647,4 +648,4 @@ def test_sums_refuse_mismatched_multiplicities():
 def test_to_json_shapes():
     f9 = field_make(3, 2)
     assert _field(f9) == {"p": 3, "k": 2, "modulus": [1, 0, 1]}
-    assert _json(f9.el([2, 1])) == [2, 1]
+    assert written(f9.el([2, 1])) == [2, 1]

@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _fieldref as ref
+from _docref import written
 from _jacobianref import gradient_matrix
 from _points import point
 from quadcert.actions import AffineMap, affine_act, invariance_report, random_affine
-from quadcert.cli import _json
 from quadcert.compression import faithfulness_witness, rank_certificate
 from quadcert import gf
 from quadcert.gf import FieldCtx, _Kernel, field_make
@@ -279,7 +279,7 @@ def test_coefficient_rows_are_the_elements_json(p, k):
     ctx = field_make(p, k)
     rng = SplitMix64(31 * p + k)
     codes = [0, ctx.size - 1] + rng.draw(ctx.size, 40)
-    assert ctx.coefficient_rows(codes) == [_json(ctx.element_at(c)) for c in codes]
+    assert ctx.coefficient_rows(codes) == [written(ctx.element_at(c)) for c in codes]
     assert ctx.coefficient_rows(iter(codes)) == ctx.coefficient_rows(codes)
 
 
@@ -349,7 +349,7 @@ def test_point_round_trips(p, k):
     assert point(a.coords).codes == codes
     assert point(a.coords) == a
     assert a.coords == tuple(map(ctx.element_at, codes))
-    assert _json(a) == [list(ctx.element_at(c).coeffs) for c in codes]
+    assert written(a) == [list(ctx.element_at(c).coeffs) for c in codes]
     b = point(map(ctx.element_at, codes))
     assert AmbientPoint(ctx, b.codes).coords == b.coords
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from quadcert.cli import _json
+from _docref import written
 from quadcert.errors import EvenCharacteristicError, NotPrimeError, UsageError
 from quadcert.profile import (
     OK,
@@ -109,7 +109,7 @@ def test_applies_matches_arithmetic(n, p, deg):
 
 
 def test_decision_to_json():
-    doc = _json(check_hypotheses(15, 3, available_degree=2))
+    doc = written(check_hypotheses(15, 3, available_degree=2))
     assert doc == {
         "n": 15,
         "p": 3,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import quadcert.quadric as quadric_module
-from quadcert.cli import _json
 from quadcert.errors import NoPointFoundError
 from quadcert.gf import FieldCtx, field_make
 from quadcert.linalg import matvec, rank
@@ -25,6 +24,7 @@ from quadcert.quadric import (
     tangent_basis,
 )
 from quadcert.trace_system import lift_block_solution, solve_block_system
+from _docref import written
 from _jacobianref import gradient_matrix
 from _points import point
 
@@ -192,7 +192,7 @@ def test_point_validation():
 
 
 def test_point_to_json():
-    assert _json(pt(F11, (9, 5, 1, 3, 4))) == [[9], [5], [1], [3], [4]]
+    assert written(pt(F11, (9, 5, 1, 3, 4))) == [[9], [5], [1], [3], [4]]
 
 
 # --- the integer kernel against the per-coordinate FieldElement loops -------

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from _docref import written
 from _scanref import scan_solve
 from quadcert.cli import _block_checks, _solution
 from quadcert.errors import EvenCharacteristicError, InvalidProfileError, NotPrimeError, UsageError
@@ -333,7 +334,7 @@ def test_block_solution_refuses_a_mis_shaped_solution():
 
 
 def test_solution_to_json():
-    doc = _solution(solve_block_system(binary_profile(15), 3))
+    doc = written(_solution(solve_block_system(binary_profile(15), 3)))
     assert doc == {
         "n": 15,
         "exponents": [3, 2, 1, 0],
