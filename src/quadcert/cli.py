@@ -19,11 +19,13 @@ The bytes are exactly those of `json.dumps(doc, sort_keys=True, indent=2)
 each item of a non-empty array or object on its own line indented two
 spaces per level (empty ones as [] and {}), separators "," and ": ",
 strings with ASCII escapes (non-ASCII text as \uXXXX), and a trailing
-newline. `canonical_json` writes them in one walk and raises TypeError on
-any other value, such as a float (it may be NaN or infinite, which JSON
-cannot express), a non-string key (it would be rewritten as a string
-without notice), an int subclass or a tuple that is not a record field.
-Identical inputs therefore reproduce identical bytes.
+newline. `canonical_json` walks the document once, appends every piece of
+text to one buffer and joins it at the end. It renders each coefficient
+vector from one %d template per (k, indent), and raises TypeError on any
+other value, such as a float (it may be NaN or infinite, which JSON cannot
+express), a non-string key (it would be rewritten as a string without
+notice), an int subclass or a tuple that is not a record field. Identical
+inputs therefore reproduce identical bytes.
 
 Exit codes: 0 success, 2 hypotheses not met, 3 a verification check
 failed, 4 usage error. Exit 2 comes from the gate's decision (`check`'s own,
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .actions import random_affine, invariance_report
@@ -91,40 +94,48 @@ def _seed(text: str) -> int:
     return _int(text, 0, 1 << 64, "a seed in [0, 2^64)")
 
 
-def _encode(value, indent: str) -> str:
-    """The text of `value`, placed on a line that starts with `indent` (a
-    newline and two spaces per nesting level)."""
+def _write(value, indent: str, out: list) -> None:
+    """Append the text of `value` to `out`, the value placed on a line that
+    starts with `indent` (a newline and two spaces per nesting level)."""
     kind = type(value)
     if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    inner = indent + "  "
-    if kind is list:
-        return _array([_encode(item, inner) for item in value], indent) if value else "[]"
-    if kind is dict:
-        if not value:
-            return "{}"
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list or kind is dict:
+        inner = sep = indent + "  "  # no "," before the first item
+        out.append("[" if kind is list else "{")
         # a key that is not a string raises TypeError in sorted() or _quote()
-        parts = [_quote(key) + ": " + _encode(item, inner) for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is FieldElement:
-        return _array(map(int.__repr__, value.coeffs), indent)
-    if kind is AmbientPoint:
+        for key, item in enumerate(value) if kind is list else sorted(value.items()):
+            out.append(sep if kind is list else sep + _quote(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append((indent if value else "") + ("]" if kind is list else "}"))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is FieldElement:
+        out.append(_vector(value.ctx.k, indent) % value.coeffs)
+    elif kind is AmbientPoint:
         # each distinct coordinate is converted and rendered once
         distinct = list(set(value.codes))
-        rows = [_array(map(int.__repr__, row), inner) for row in value.ctx.coefficient_rows(distinct)]
-        return _array(map(dict(zip(distinct, rows)).__getitem__, value.codes), indent)
-    if isinstance(value, Record):
-        return _encode(_fields(value), indent)
-    raise TypeError(
-        "certificate values are int, str, bool, None, list, dict, FieldElement,"
-        f" AmbientPoint or another Record, not {kind.__name__}"
-    )
+        template = _vector(value.ctx.k, indent + "  ")
+        rows = [template % tuple(row) for row in value.ctx.coefficient_rows(distinct)]
+        out.append(_array(map(dict(zip(distinct, rows)).__getitem__, value.codes), indent))
+    elif isinstance(value, Record):
+        _write(_fields(value), indent, out)
+    else:
+        raise TypeError(
+            "certificate values are int, str, bool, None, list, dict, FieldElement,"
+            f" AmbientPoint or another Record, not {kind.__name__}"
+        )
+
+
+@lru_cache(maxsize=None)
+def _vector(k: int, indent: str) -> str:
+    """The %-template of a coefficient vector of length k at `indent`."""
+    return _array(["%d"] * k, indent)
 
 
 def _array(parts, indent: str) -> str:
@@ -141,7 +152,10 @@ def _fields(record) -> dict:
 
 def canonical_json(doc: dict) -> str:
     """The certificate text of `doc` (format in the module docstring)."""
-    return _encode(doc, "\n") + "\n"
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(doc: dict, json_path: str | None) -> None:

@@ -660,6 +660,54 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the opening bracket of every non-empty array and object is followed by ","
+        "writer-first-item-gets-the-separator",
+        CLI,
+        'inner = sep = indent + "  "  # no "," before the first item',
+        'inner = indent + "  "\n        sep = "," + inner',
+        (
+            "tests/test_canonical.py::test_matches_json_dumps",
+            "tests/test_canonical.py::test_real_documents_match_json_dumps",
+            "tests/test_golden.py::test_golden_certificate[check_15_3]",
+        ),
+    ),
+    Mutant(
+        # a field element is indented as if it sat one level deeper
+        "writer-element-template-of-the-wrong-indent",
+        CLI,
+        "_vector(value.ctx.k, indent) % value.coeffs",
+        '_vector(value.ctx.k, indent + "  ") % value.coeffs',
+        (
+            "tests/test_canonical.py::test_package_values_match_their_plain_copy",
+            "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
+            "tests/test_golden.py::test_golden_certificate[solve_15_3]",
+        ),
+    ),
+    Mutant(
+        # one %d too many: every field element raises TypeError
+        "writer-element-template-of-the-wrong-length",
+        CLI,
+        "_vector(value.ctx.k, indent) % value.coeffs",
+        "_vector(value.ctx.k + 1, indent) % value.coeffs",
+        (
+            "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
+            "tests/test_gf.py::test_to_json_shapes",
+            "tests/test_golden.py::test_golden_certificate[solve_53_gf2809]",
+        ),
+    ),
+    Mutant(
+        # a point's rows are indented as the point itself
+        "writer-point-template-of-the-wrong-indent",
+        CLI,
+        '_vector(value.ctx.k, indent + "  ")',
+        "_vector(value.ctx.k, indent)",
+        (
+            "tests/test_canonical.py::test_package_values_match_their_plain_copy",
+            "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
+            "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
+        ),
+    ),
+    Mutant(
         "sample-on-quadric-always-true",
         CLI,
         '("on_quadric", s1.is_zero() and s2.is_zero())',

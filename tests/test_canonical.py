@@ -142,8 +142,13 @@ class Box(Record):
 
 
 # package values: field elements, points and records, over prime fields and
-# extensions (GF(3^12) packs its digits in more than one chunk)
-FIELDS = [field_make(p, k) for p, k in ((3, 1), (7, 1), (31, 1), (5, 2), (3, 4), (7, 3), (3, 12))]
+# extensions; GF(3^12) packs its digits in more than one chunk, GF(3^5) and
+# GF(3^7) have odd degree, and the codes of GF(1021) split into one-digit
+# chunks
+FIELDS = [
+    field_make(p, k)
+    for p, k in ((3, 1), (7, 1), (31, 1), (1021, 1), (5, 2), (3, 4), (3, 5), (3, 7), (7, 3), (3, 12))
+]
 
 
 def _points(ctx):
@@ -156,12 +161,18 @@ def _points(ctx):
     return (lifts | distinct).map(lambda c: AmbientPoint(ctx, c))
 
 
+def _deep(value):
+    # a value at several depths, so the writer reads its vector templates at
+    # several indents
+    return st.sampled_from([value, [value], [[value]], {"a": [[value]]}])
+
+
 def _package_values(ctx):
     element = st.integers(0, ctx.size - 1).map(ctx.element_at)
     unit = st.integers(1, ctx.size - 1).map(ctx.element_at)
     return (
-        element
-        | _points(ctx)
+        element.flatmap(_deep)
+        | _points(ctx).flatmap(_deep)
         | st.builds(AffineMap, unit, element)
         | st.builds(RankCertificate, ints, ints, ints, ints, st.booleans())
         | st.permutations(range(1, 6)).map(lambda images: Permutation(tuple(images)))
@@ -184,6 +195,16 @@ package_documents = st.sampled_from(FIELDS).flatmap(
 
 @given(package_documents)
 def test_package_values_match_their_plain_copy(doc):
+    assert_same_text(canonical_json(doc), oracle(plain(doc)))
+
+
+@pytest.mark.parametrize("ctx", FIELDS, ids=lambda ctx: f"GF({ctx.p}^{ctx.k})")
+def test_vectors_of_every_field_match_at_several_depths(ctx):
+    # the draws above need not reach every field; this writes each field's
+    # vectors at four indents, in arrays, objects and a record
+    a, b, c = (ctx.element_at(code) for code in (0, ctx.size - 1, ctx.size // 2))
+    point = AmbientPoint(ctx, [0, ctx.size - 1, ctx.size // 2, ctx.size - 1])
+    doc = {"a": [a, point], "b": [[b, point]], "c": [[[point, c]]], "d": Box((point, c), [[a]]), "e": b}
     assert_same_text(canonical_json(doc), oracle(plain(doc)))
 
 
