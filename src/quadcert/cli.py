@@ -33,8 +33,9 @@ and `solve_block_system`'s InvalidProfileError) and from NoPointFoundError;
 `main` writes the refusal document of both from the field the error
 carries. Exit 4 comes from UsageError alone, which includes every refusal of
 the parser (`_parse`), EvenCharacteristicError and NotPrimeError; it writes
-no document and one line on stderr. `-h` or `--help` writes help to stdout
-and exits 0. Any other exception is an internal fault and is not caught.
+no document and one line on stderr. The parser reads the README's grammar:
+an option is its flag in full, and a word `-h` or `--help` anywhere writes
+help to stdout and exits 0. Any other exception is an internal fault.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _write(value, indent: str, out: list) -> None:
         # each distinct coordinate is converted and rendered once
         distinct = list(set(value.codes))
         template = _vector(value.ctx.k, indent + "  ")
-        rows = [template % tuple(row) for row in value.ctx.coefficient_rows(distinct)]
+        rows = [template % row for row in value.ctx.coefficient_rows(distinct)]
         out.append(_array(map(dict(zip(distinct, rows)).__getitem__, value.codes), indent))
     elif isinstance(value, Record):
         _write(_fields(value), indent, out)
@@ -358,10 +359,7 @@ def _cmd_certify(n, p, field_degree, samples, seed, max_tries, control):
 # `_COMMANDS` is the grammar: each command's function, positionals (integers,
 # in order), summary and options. An option is (flag, dest, converter,
 # default, help); with no converter it is a flag that takes no value and sets
-# True. `_parse` reads every argv as the standard library's parser read this
-# grammar before it (tests/test_parser.py), so each keeps its meaning; only a
-# word "--", which that parser dropped or read as the end of the options, is
-# refused.
+# True. Each option has one spelling, its flag in full (README grammar).
 
 _REQUIRED = object()  # the default of an option that must be given
 _FIELD = ("--field", "field", str, _REQUIRED, "field spec P or P^K, such as 11 or 3^4")
@@ -382,8 +380,7 @@ _COMMANDS = {
         ("--control", "control", None, False, "acknowledge a run with p not dividing n (detected either way)"),
     ]),
 }
-_TOP = {"-h": _HELP, "--help": _HELP}
-_FLAGS = {name: {o[0]: o for o in spec[3] + [_JSON]} | _TOP for name, spec in _COMMANDS.items()}
+_FLAGS = {name: {o[0]: o for o in spec[3] + [_JSON, _HELP]} | {"-h": _HELP} for name, spec in _COMMANDS.items()}
 
 
 def _help(command) -> None:
@@ -398,74 +395,51 @@ def _help(command) -> None:
     sys.stdout.write(head + "".join(f"\n  {name:<28} {text}" for name, text in rows) + "\n")
 
 
-def _match(arg: str, flags: dict):
-    """The reading of one argument: None for a value, else (option, the
-    text after "=" or None), the option None if unknown. A prefix of one long
-    flag names it; a prefix of several is refused."""
-    if arg in flags:
-        return flags[arg], None
-    if arg[:1] != "-" or arg == "-":
-        return None
-    flag, eq, text = arg.partition("=")
-    if arg[1] == "-":
-        found = [flag] if flag in flags else [name for name in flags if name.startswith(flag)]
-        if len(found) > 1:
-            raise UsageError(f"ambiguous option {flag}, which could be {' or '.join(found)}")
-        if found:
-            return flags[found[0]], text if eq else None
-    elif arg[:2] in flags:  # -h with text run on
-        return flags[arg[:2]], arg[2:]
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:  # a negative number, say
-        return None
-    return None, None
+def _is_value(word: str) -> bool:
+    """Whether a word that names no option is a value: it does not start
+    with "-", is "-" alone, is a negative number or holds a space."""
+    return word[:1] != "-" or word == "-" or " " in word or re.match(r"-\d+$|-\d*\.\d+$", word) is not None
 
 
 def _parse(argv) -> dict | None:
-    """The values of argv, with its command under "command"; None once help is
-    written. Options may come anywhere after the command and the last of a
-    repeated one wins. Raises UsageError for every argv it refuses: one with
-    a word "--", or a command, option or value that is unknown, ambiguous,
-    missing, extra, or refused by its converter."""
+    """The values of argv under the README's grammar, with its command under
+    "command"; None once help is written. Raises UsageError for every argv it
+    refuses: one with a word "--", or a command, option or value that is
+    unknown, missing, extra, or refused by its converter."""
     if "--" in argv:  # every value can be written without it
         raise UsageError("unknown argument --")
-    unknown = []  # refused once the whole argv is read, so a later -h still helps
-    for index, command in enumerate(argv):
-        if (hit := _match(command, _TOP)) is None:
-            break
-        if hit[0] is None:
-            unknown.append(command)
-        elif hit[1] is None:
-            return _help(None)
-        else:
-            raise UsageError("--help takes no value")
-    else:
+    if not argv:
         raise UsageError("expected a command")
+    command = argv[0]
+    if "-h" in argv or "--help" in argv:
+        return _help(command if command in _COMMANDS else None)
     if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r}; choose from {', '.join(_COMMANDS)}")
-    rest, (_, slots, _, options) = argv[index + 1 :], _COMMANDS[command]
-    hits = [_match(arg, _FLAGS[command]) for arg in rest]
+    _, slots, _, options = _COMMANDS[command]
     values = {"command": command} | {o[1]: o[3] for o in options + [_JSON]}
-    slots, i = list(slots), 0
-    while i < len(rest):
-        if hits[i] is None and slots:
-            values[slots.pop(0)] = _int(rest[i])
-        elif hits[i] is None or hits[i][0] is None:
-            unknown.append(rest[i])
-        else:
-            (flag, dest, convert, _, _), text = hits[i]
-            if convert is None and text is not None:
+    slots, words = list(slots), iter(argv[1:])
+    for word in words:
+        flag, eq, text = word.partition("=")
+        option = _FLAGS[command].get(flag)
+        if option is None:
+            if not _is_value(word):
+                raise UsageError(f"unknown option {word}")
+            if not slots:
+                raise UsageError(f"extra value {word}")
+            values[slots.pop(0)] = _int(word)
+        elif option[2] is None:  # a flag; -h and --help alone were read above
+            if eq:
                 raise UsageError(f"{flag} takes no value")
-            if dest == "help":
-                return _help(command)
-            if convert is not None and text is None:
-                if i + 1 == len(rest) or hits[i + 1] is not None:
+            values[option[1]] = True
+        else:
+            if not eq:
+                text = next(words, None)
+                if text is None or not _is_value(text):
                     raise UsageError(f"{flag} expects a value")
-                i, text = i + 1, rest[i + 1]
-            values[dest] = True if convert is None else convert(text)
-        i += 1
+            values[option[1]] = option[2](text)
     missing = slots + [o[0] for o in options if values[o[1]] is _REQUIRED]
-    if missing or unknown:
-        raise UsageError(f"missing {' '.join(missing)}" if missing else f"unknown arguments {' '.join(unknown)}")
+    if missing:
+        raise UsageError(f"missing {' '.join(missing)}")
     return values
 
 

@@ -86,7 +86,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import product, repeat
-from operator import add, floordiv, iadd, index, lshift, mod, mul
+from operator import add, floordiv, index, lshift, mod, mul
 from typing import Iterator, Optional
 
 from .errors import EvenCharacteristicError, NotPrimeError, UsageError
@@ -506,13 +506,13 @@ class FieldCtx:
             code = code * p + ((x >> s) & mask) % p
         return code
 
-    def coefficient_rows(self, codes) -> list[list[int]]:
-        """The coefficient lists, low degree first, of the elements with these codes."""
+    def coefficient_rows(self, codes) -> list[tuple[int, ...]]:
+        """The coefficient tuples, low degree first, of the elements with these codes."""
         return self._pack_codes(codes, None)
 
     def _pack_codes(self, codes, width: Optional[int]) -> list:
         """The packings, with width bits a digit, of the elements with these
-        codes, or for width None their coefficient lists, low degree first:
+        codes, or for width None their coefficient tuples, low degree first:
         each chunk of code digits read from its digit table, then shifted
         into place and added, or concatenated (module docstring). Over GF(p)
         a list of codes is its own list of packings and comes back as it is."""
@@ -534,10 +534,10 @@ class FieldCtx:
         if width is not None:
             return out if out is codes else list(out)
         if len(parts) == self.k:  # a digit a chunk: the parts are the coefficients
-            return list(map(list, zip(*parts)))
-        rows = map(list, parts[0])
+            return list(zip(*parts))
+        rows = parts[0]  # the first chunk takes more than one digit here
         for part, (digits, _, _, _) in zip(parts[1:], self._chunks[1:]):
-            rows = map(iadd, rows, part if digits > 1 else zip(part))  # extended in place
+            rows = map(add, rows, part if digits > 1 else zip(part))
         return list(rows)
 
     def lanes(self, codes) -> LaneVector:

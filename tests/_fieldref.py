@@ -102,8 +102,8 @@ def pack_codes(ctx, codes, width: int) -> list:
 
 
 def coefficient_rows(ctx, codes) -> list:
-    """The coefficient lists, low degree first, of the elements with these codes."""
-    return [list(row) for row in zip(*reversed(columns(ctx, codes)))]
+    """The coefficient tuples, low degree first, of the elements with these codes."""
+    return list(zip(*reversed(columns(ctx, codes))))
 
 
 def add(ctx, a: tuple, b: tuple) -> tuple:

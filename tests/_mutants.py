@@ -525,6 +525,34 @@ MUTANTS = (
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
         ),
     ),
+    # the sampler's law (tests/test_sampler_law.py): sets drawn less often
+    # than the uniform law over the locus gives them
+    Mutant(
+        "try-with-code-0-in-its-tail-rejected",
+        QUADRIC,
+        "if len(drawn) < width:",
+        "if len(drawn) < width or 0 in drawn:",
+        (
+            "tests/test_sampler_law.py::test_the_sampler_draws_the_locus_uniformly[n5-gf13]",
+            "tests/test_sampler_law.py::test_the_sampler_draws_the_locus_uniformly[n5-gf25]",
+            "tests/test_sampler_law.py::test_the_sampler_draws_the_locus_uniformly[n6-gf25]",
+            "tests/test_sampler_law.py::test_the_sampler_draws_the_locus_uniformly[n6-gf27]",
+            "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
+        ),
+    ),
+    Mutant(
+        "tail-codes-drawn-below-q-minus-1",
+        QUADRIC,
+        "codes = rng.draw(size, tries * width)",
+        "codes = rng.draw(size - 1, tries * width)",
+        (
+            "tests/test_sampler_law.py::test_the_sampler_draws_the_locus_uniformly[n5-gf13]",
+            "tests/test_sampler_law.py::test_the_sampler_draws_the_locus_uniformly[n5-gf25]",
+            "tests/test_sampler_law.py::test_the_sampler_draws_the_locus_uniformly[n6-gf25]",
+            "tests/test_sampler_law.py::test_the_sampler_draws_the_locus_uniformly[n6-gf27]",
+            "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
+        ),
+    ),
     Mutant(
         "batch-not-clipped-to-the-budget",
         QUADRIC,
@@ -791,20 +819,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "parser-ambiguous-prefix-takes-the-first-match",
-        CLI,
-        "if len(found) > 1:",
-        "if len(found) > len(flags):",
-        (
-            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
-            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
-        ),
-    ),
-    Mutant(
         "parser-first-of-a-repeated-option-wins",
         CLI,
-        "values[dest] = True if convert is None else convert(text)",
-        "values[dest] = True if convert is None else convert(text) if values[dest] is hits[i][0][3] else values[dest]",
+        "values[option[1]] = option[2](text)",
+        "values[option[1]] = option[2](text) if values[option[1]] is option[3] else values[option[1]]",
         (
             f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
             f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
@@ -825,10 +843,33 @@ MUTANTS = (
     Mutant(
         "parser-flag-takes-a-value",
         CLI,
-        "if convert is None and text is not None:",
+        "if eq:",
         "if False:",
         (
             f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+        ),
+    ),
+    Mutant(
+        "parser-prefix-of-a-flag-accepted",
+        CLI,
+        "option = _FLAGS[command].get(flag)",
+        "option = _FLAGS[command].get(flag) or next("
+        '(o for f, o in _FLAGS[command].items() if flag[:2] == "--" and f.startswith(flag)), None)',
+        (
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+            f"{PARSER_TESTS}test_no_prefix_of_a_flag_names_an_option",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+        ),
+    ),
+    Mutant(
+        "parser-option-takes-a-next-word-that-is-no-value",
+        CLI,
+        "if text is None or not _is_value(text):",
+        "if text is None:",
+        (
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+            f"{PARSER_TESTS}test_no_prefix_of_a_flag_names_an_option",
             f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
         ),
     ),

@@ -1,5 +1,5 @@
 """The command-line parser reads every argv as the README's grammar says,
-and as argparse read it.
+and as argparse read it but for four stated differences.
 
 `quadcert.cli._parse` replaced an argparse definition, which
 `tests/_argparseref.py` keeps as the oracle. Each form of the README's
@@ -16,14 +16,19 @@ argparse's reading of edge cases (the `--` word, prefixes, runs such as
 oracle runs on the release it was checked against, Python 3.11; PINNED
 holds the grammar on every release.
 
-Two readings differ from argparse's on purpose, and `oracle` applies them to
-its result. An argv with the word "--" is refused: argparse dropped it or
-read the words after it as values, which lets no argv through that cannot
-be written without it. A value that is exactly "--" (after "=") is read as
-written: argparse stored an empty list, which no command can take (the
-command crashed, or `--json=--` wrote to stdout), so it is refused where an
-integer is due. A third difference is not drawn: combined short flags
-(`-hh`, `-h=h`), which argparse read as help, are refused.
+Four readings differ from argparse's on purpose, and `oracle` applies them
+to its result. An argv with the word "--" is refused: argparse dropped it or
+read the words after it as values, which lets no argv through that cannot be
+written without it. A word that is exactly "-h" or "--help" shows help
+wherever it stands: argparse refused an argv with a bad word before it. An
+option is its flag in full: argparse also took a prefix of a long flag
+(`--field-deg`) when the command had one flag of that prefix, so what a
+prefix meant hung on the command's other flags; the oracle reads with that
+matching off. A value that is exactly "--" (after "=") is read as written:
+argparse stored an empty list, which no command can take (the command
+crashed, or `--json=--` wrote to stdout), so it is refused where an integer
+is due. A fifth difference is not drawn: combined short flags (`-hh`,
+`-h=h`), which argparse read as help, are refused.
 """
 
 import contextlib
@@ -78,10 +83,11 @@ PINNED = [
     # a value as the next word or after "="
     (["check", "15", "3", "--degree=2"], accepted("check", n=15, p=3, degree=2)),
     (["sample", "5", "--field=3^4", "--seed=7"], accepted("sample", n=5, field="3^4", seed=7)),
-    # a unique prefix names an option, an ambiguous one is refused
-    (["certify", "15", "3", "--field-deg", "4"], accepted("certify", n=15, p=3, field_degree=4)),
-    (["certify", "15", "3", "--con"], accepted("certify", n=15, p=3, control=True)),
-    (["certify", "15", "3", "--s", "4"], REFUSED),  # --samples or --seed
+    # an option is its flag in full: a prefix of one is an unknown option,
+    # whether one flag of the command has that prefix or several
+    (["certify", "15", "3", "--field-deg", "4"], REFUSED),
+    (["certify", "15", "3", "--con"], REFUSED),
+    (["certify", "15", "3", "--s", "4"], REFUSED),
     (["certify", "15", "3", "--s=4"], REFUSED),
     # the last of a repeated option wins
     (["check", "15", "3", "--degree", "2", "--degree", "3"], accepted("check", n=15, p=3, degree=3)),
@@ -114,15 +120,15 @@ PINNED = [
     # help, before a command or after it
     (["-h"], HELP),
     (["--help"], HELP),
-    (["--he"], HELP),
+    (["--he"], REFUSED),  # a prefix of --help is no flag, and no command
     (["--help=x"], REFUSED),
     (["check", "-h"], HELP),
     (["certify", "15", "3", "--help"], HELP),
     (["check", "-h", "four"], HELP),
     (["--bogus", "check", "15", "3", "-h"], HELP),  # an unknown word before help
     (["--bogus", "check", "15", "3"], REFUSED),
-    (["check", "four", "3", "-h"], REFUSED),  # a bad value before help
-    (["certify", "-h", "--s"], REFUSED),  # an ambiguous prefix anywhere
+    (["check", "four", "3", "-h"], HELP),  # a word -h shows help wherever it stands
+    (["certify", "-h", "--s"], HELP),  # whatever else the argv holds
     (["check", "15", "3", "-hx"], REFUSED),
 ]
 
@@ -143,12 +149,18 @@ def parse(argv) -> tuple:
     return HELP if values is None else ("values", values)
 
 
+EXACT = _argparseref.build_parser(allow_abbrev=False)
+
+
 def oracle(argv) -> tuple:
-    """`_argparseref.parse(argv)`, with a word "--" refused and each value
-    "--" read as written."""
-    if "--" in argv:
+    """`_argparseref.parse(argv)` with the four differences of the module
+    docstring applied."""
+    if "--" in argv:  # the word "--" is refused
         return REFUSED
-    result = _argparseref.parse(argv)
+    if "-h" in argv or "--help" in argv:  # help anywhere
+        return HELP
+    result = _argparseref.parse(argv, EXACT)  # no prefixes
+    # a value "--" is read as written
     dashed = {dest for dest, value in result[1].items() if value == []} if result[0] == "values" else set()
     if dashed - {"field", "json"}:
         return REFUSED
@@ -158,6 +170,20 @@ def oracle(argv) -> tuple:
 @pytest.mark.parametrize("argv, expected", PINNED)
 def test_pinned_argv_reads_as_the_grammar_says(argv, expected):
     assert parse(argv) == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_prefix_of_a_flag_names_an_option(command):
+    # each prefix of the command's flags that is no flag of its own, from
+    # "--" and a letter up, is refused alone, before a value, with "=" and
+    # as the value of --json
+    count, flags = GRAMMAR[command]
+    base = [command] + ["15"] * count + (["--field", "3^4"] if "--field" in flags else [])
+    assert parse(base)[0] == "values"
+    prefixes = {flag[:end] for flag in flags + ["--help"] for end in range(3, len(flag))} - set(flags)
+    for prefix in sorted(prefixes):
+        for words in ([prefix], [prefix, "4"], [f"{prefix}=4"], ["--json", prefix]):
+            assert parse(base + words) == REFUSED, words
 
 
 NUMBERS = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(["0", SEED_END, str(2**64 - 1), str(-(2**64))]))
