@@ -434,7 +434,7 @@ def _parse(argv) -> dict | None:
         else:
             if not eq:
                 text = next(words, None)
-                if text is None or not _is_value(text):
+                if text is None or text.partition("=")[0] in _FLAGS[command] or not _is_value(text):
                     raise UsageError(f"{flag} expects a value")
             values[option[1]] = option[2](text)
     missing = slots + [o[0] for o in options if values[o[1]] is _REQUIRED]

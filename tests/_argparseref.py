@@ -2,11 +2,11 @@
 
 `build_parser` is the definition the CLI used before its own parser, moved
 here unchanged, with the two count and seed converters raising argparse's
-ArgumentTypeError; `allow_abbrev=False` turns argparse's prefix matching of
-long options off in every parser of it. `parse` reads one argv with such a
-parser and says whether argparse accepted it (with its values, `func` left
-out), refused it (exit 4) or showed help (exit 0). `tests/test_parser.py`
-checks `quadcert.cli` against it.
+ArgumentTypeError, and with argparse's prefix matching of long options off
+in each of its parsers. `parse` reads one argv with it and says whether
+argparse accepted it (with its values, `func` left out), refused it (exit 4)
+or showed help (exit 0). `tests/test_parser.py` checks `quadcert.cli`
+against it.
 """
 
 import argparse
@@ -60,7 +60,7 @@ def _seed(text: str) -> int:
     return value
 
 
-def build_parser(allow_abbrev: bool = True) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="quadcert",
         description="Exact finite-field constructions and rank certificates "
@@ -131,15 +131,18 @@ def build_parser(allow_abbrev: bool = True) -> _Parser:
     p_certify.set_defaults(func=_cmd_certify)
 
     for p in (parser, p_check, p_solve, p_construct, p_sample, p_borel, p_certify):
-        p.allow_abbrev = allow_abbrev
+        p.allow_abbrev = False
     return parser
 
 
-def parse(argv, parser: _Parser) -> tuple:
+PARSER = build_parser()
+
+
+def parse(argv) -> tuple:
     """("values", the parsed values without `func`), ("refused",) or ("help",)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args = parser.parse_args(list(argv))
+            args = PARSER.parse_args(list(argv))
         except SystemExit as exc:
             return ("help",) if exc.code == 0 else ("refused",)
     values = vars(args)

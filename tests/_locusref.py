@@ -5,15 +5,12 @@ Elements are coefficient tuples, low degree first, and squares come from
 `_fieldref`: nothing of the package is used. A sum of elements is the sum of
 their coefficient vectors mod p, so each element is packed once, with its
 square, as 2k digits of WIDTH bits; a subset's packed sum holds each digit
-sum without carry, and S is on the locus when every digit is 0 mod p, that
-is when its packed sum is one of the packings of 2k multiples of p, each in
-the range an n-subset's digit sum can take: at most n (p - 1) and at most
-the field's own digit sum, which the q - n elements left out lower by at
-most (q - n)(p - 1). The count N(n, q) is taken only where C(q, n) <= LIMIT,
-unless the caller passes a higher limit.
+sum without carry, and S is on the locus when every digit is 0 mod p. The
+count N(n, q) is taken only where C(q, n) <= LIMIT, unless the caller
+passes a higher limit.
 """
 
-from itertools import combinations, compress, product
+from itertools import combinations, product
 from math import comb
 
 from _fieldref import Ring, mul
@@ -22,23 +19,21 @@ LIMIT = 10**5
 WIDTH = 12  # digit sums stay below q (p - 1) < 2^12 for q <= 64
 
 
-def _pack(digits) -> int:
-    return sum(d << (WIDTH * i) for i, d in enumerate(digits))
-
-
 def locus(field: Ring, n: int, limit: int = LIMIT):
     """Each n-subset on the locus, as a frozenset of elements."""
-    p, k, q = field.p, field.k, field.p**field.k
-    if comb(q, n) > limit or q * (p - 1) >= 1 << WIDTH:
+    q = field.p**field.k
+    if comb(q, n) > limit or q * (field.p - 1) >= 1 << WIDTH:
         raise ValueError(f"the {n}-subsets of GF({q}) are too many to enumerate")
-    elements = list(product(range(p), repeat=k))
-    digits = [x + mul(field, x, x) for x in elements]
-    packed = dict(zip(map(_pack, digits), elements))
-    sums = [range(max(0, f - (q - n) * (p - 1)), min(f, n * (p - 1)) + 1) for f in map(sum, zip(*digits))]
-    zero_mod_p = set(map(_pack, product(*[[d for d in r if d % p == 0] for r in sums])))
-    on_locus = map(zero_mod_p.__contains__, map(sum, combinations(packed, n)))
-    for subset in compress(combinations(packed, n), on_locus):
-        yield frozenset(map(packed.__getitem__, subset))
+    packed = {}
+    for x in product(range(field.p), repeat=field.k):
+        digits = x + mul(field, x, x)
+        packed[sum(d << (WIDTH * i) for i, d in enumerate(digits))] = x
+    shifts = range(0, 2 * field.k * WIDTH, WIDTH)
+    mask = (1 << WIDTH) - 1
+    for subset in combinations(packed, n):
+        total = sum(subset)
+        if all((total >> s & mask) % field.p == 0 for s in shifts):
+            yield frozenset(map(packed.__getitem__, subset))
 
 
 def locus_count(field: Ring, n: int) -> int:

@@ -865,11 +865,21 @@ MUTANTS = (
     Mutant(
         "parser-option-takes-a-next-word-that-is-no-value",
         CLI,
-        "if text is None or not _is_value(text):",
-        "if text is None:",
+        " or not _is_value(text):",
+        ":",
         (
             f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
             f"{PARSER_TESTS}test_no_prefix_of_a_flag_names_an_option",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+        ),
+    ),
+    Mutant(
+        "parser-option-takes-a-next-word-that-names-an-option",
+        CLI,
+        'text.partition("=")[0] in _FLAGS[command] or ',
+        "",
+        (
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
             f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
         ),
     ),

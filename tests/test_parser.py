@@ -130,6 +130,8 @@ PINNED = [
     (["check", "four", "3", "-h"], HELP),  # a word -h shows help wherever it stands
     (["certify", "-h", "--s"], HELP),  # whatever else the argv holds
     (["check", "15", "3", "-hx"], REFUSED),
+    # a next word that names an option is no value, even with a space in it
+    (["certify", "15", "3", "--json", "--seed=1 x"], REFUSED),
 ]
 
 # the oracle's reading of edge cases is that of Python 3.11's argparse
@@ -149,9 +151,6 @@ def parse(argv) -> tuple:
     return HELP if values is None else ("values", values)
 
 
-EXACT = _argparseref.build_parser(allow_abbrev=False)
-
-
 def oracle(argv) -> tuple:
     """`_argparseref.parse(argv)` with the four differences of the module
     docstring applied."""
@@ -159,7 +158,7 @@ def oracle(argv) -> tuple:
         return REFUSED
     if "-h" in argv or "--help" in argv:  # help anywhere
         return HELP
-    result = _argparseref.parse(argv, EXACT)  # no prefixes
+    result = _argparseref.parse(argv)  # no prefixes
     # a value "--" is read as written
     dashed = {dest for dest, value in result[1].items() if value == []} if result[0] == "values" else set()
     if dashed - {"field", "json"}:
