@@ -34,8 +34,8 @@ and `solve_block_system`'s InvalidProfileError) and from NoPointFoundError;
 carries. Exit 4 comes from UsageError alone, which includes every refusal of
 the parser (`_parse`), EvenCharacteristicError and NotPrimeError; it writes
 no document and one line on stderr. The parser reads the README's grammar:
-an option is its flag in full, and a word `-h` or `--help` anywhere writes
-help to stdout and exits 0. Any other exception is an internal fault.
+an option is its flag in full, an integer `0|-?[1-9][0-9]*`, and a word -h
+or --help anywhere shows help (exit 0). Other exceptions are internal faults.
 """
 
 from __future__ import annotations
@@ -70,12 +70,15 @@ EXIT_HYPOTHESIS = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 4
 
+_DIGITS = "[1-9][0-9]*"  # ASCII decimal with no leading zero
+_INTEGER = re.compile(f"0|-?{_DIGITS}")  # the one spelling of an integer (README)
+
 
 def _int(text: str, low=-math.inf, high=math.inf, expected="an integer") -> int:
-    """The integer `text` names; UsageError unless it lies in [low, high)."""
+    """The integer `text` spells; UsageError unless it lies in [low, high)."""
     try:
-        value = int(text)
-    except ValueError:
+        value = int(text) if _INTEGER.fullmatch(text) else None
+    except ValueError:  # more digits than int() reads
         value = None
     if value is None or not low <= value < high:
         raise UsageError(f"expected {expected}, got {text!r}")
@@ -189,7 +192,7 @@ def _solution(sol) -> dict:
 def _parse_field_spec(spec: str):
     """'p' or 'p^k' in ASCII decimal digits, no leading zero -> FieldCtx;
     UsageError on any other spelling, so `inputs.field` is always plain."""
-    match = re.fullmatch(r"(0|[1-9][0-9]*)(?:\^(0|[1-9][0-9]*))?", spec)
+    match = re.fullmatch(f"(0|{_DIGITS})(?:\\^(0|{_DIGITS}))?", spec)
     try:
         p, k = int(match[1]), int(match[2] or 1)
     except (TypeError, ValueError):  # no match, or more digits than int() reads
@@ -397,8 +400,8 @@ def _help(command) -> None:
 
 def _is_value(word: str) -> bool:
     """Whether a word that names no option is a value: it does not start
-    with "-", is "-" alone, is a negative number or holds a space."""
-    return word[:1] != "-" or word == "-" or " " in word or re.match(r"-\d+$|-\d*\.\d+$", word) is not None
+    with "-", is "-" alone, is a negative integer or holds a space."""
+    return word[:1] != "-" or word == "-" or " " in word or _INTEGER.fullmatch(word) is not None
 
 
 def _parse(argv) -> dict | None:

@@ -327,8 +327,8 @@ class _Kernel:
 class LaneVector:
     """Elements of one field as lanes of one integer, built by
     `FieldCtx.lanes` (module docstring). A vector is true when some lane is
-    not zero, `first_nonzero` finds the first such lane, and iterating
-    decodes the lanes as field elements."""
+    not zero, `first_nonzero` finds the first such lane, and indexing
+    decodes one lane as a field element."""
 
     __slots__ = ("kernel", "packed")
 
@@ -397,13 +397,6 @@ class LaneVector:
             raise IndexError(f"lane {i} out of range for {kernel.lanes} lanes")
         stride = kernel.stride
         return FieldElement(kernel.ctx, self.packed >> stride * i & (1 << stride) - 1)
-
-    def __iter__(self) -> Iterator[FieldElement]:
-        kernel = self.kernel
-        size = kernel.stride // 8
-        data = self.packed.to_bytes(size * kernel.lanes, "little")
-        for start in range(0, len(data), size):
-            yield FieldElement(kernel.ctx, int.from_bytes(data[start : start + size], "little"))
 
 
 class FieldCtx:

@@ -1,14 +1,14 @@
-"""Exact dense linear algebra over GF(p^k): rank, kernel basis, row reduction.
+"""Exact linear algebra over GF(p^k): rank, kernel basis and restricted rank.
 
 Everything reduces to one Gauss-Jordan routine with the pivot fixed as the
-first nonzero entry of each column, so echelon forms (and therefore every
-serialized certificate) are reproducible. It runs on `gf`'s lane vectors,
-one a matrix row, for every field: a pivot row is scaled by the inverse of
-its pivot, and each update row - c * prow is one product and one subtraction
-of the Barrett kernel. A property test pins it to an object-level
-elimination in tests/. Rank certificates read their ranks off the generator
-Jacobian's structure (`compression`), so no CLI command eliminates; this
-module is not exported from the package and is the tests' oracle for them.
+first nonzero entry of each column, so echelon forms are reproducible. It
+runs on `gf`'s lane vectors, one a matrix row, for every field: a pivot row
+is scaled by the inverse of its pivot, and each update row - c * prow is one
+product and one subtraction of the Barrett kernel. A property test pins it
+to an object-level elimination in tests/. Rank certificates read their ranks
+off the generator Jacobian's structure (`compression`), so no CLI command
+eliminates; this module is not exported from the package and is the tests'
+oracle for them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "entries", "ctx")
 
-    def __init__(self, rows: int, cols: int, entries, ctx: FieldCtx | None = None):
+    def __init__(self, rows: int, cols: int, entries, ctx: FieldCtx):
         entries = tuple(entries)
         if rows < 1 or cols < 1:
             raise DimensionMismatchError("matrix must have positive dimensions")
@@ -30,33 +30,19 @@ class Matrix:
             raise DimensionMismatchError(
                 f"expected {rows * cols} entries, got {len(entries)}"
             )
-        self.ctx = ctx if ctx is not None else entries[0].ctx
+        self.ctx = ctx
         for e in entries:
-            if e.ctx is not self.ctx:
+            if e.ctx is not ctx:
                 raise ValueError("matrix entries from different fields")
         self.rows = rows
         self.cols = cols
         self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows_list) -> "Matrix":
-        rows_list = [list(r) for r in rows_list]
-        ncols = len(rows_list[0])
-        for r in rows_list:
-            if len(r) != ncols:
-                raise DimensionMismatchError("ragged rows")
-        flat = [e for r in rows_list for e in r]
-        return cls(len(rows_list), ncols, flat)
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def row_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        flat = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.cols, self.rows, flat, self.ctx)
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
@@ -115,13 +101,6 @@ def _rref(rows: list[LaneVector]) -> list[int]:
 def rank(m: Matrix) -> int:
     """Rank over the field, by exact elimination."""
     return len(_rref(_lanes(m.ctx, m.row_lists())))
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and its pivot columns."""
-    rows = _lanes(m.ctx, m.row_lists())
-    pivots = _rref(rows)
-    return Matrix(m.rows, m.cols, [e for row in rows for e in row], m.ctx), pivots
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:

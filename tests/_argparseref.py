@@ -4,9 +4,9 @@
 here unchanged, with the two count and seed converters raising argparse's
 ArgumentTypeError, and with argparse's prefix matching of long options off
 in each of its parsers. `parse` reads one argv with it and says whether
-argparse accepted it (with its values, `func` left out), refused it (exit 4)
-or showed help (exit 0). `tests/test_parser.py` checks `quadcert.cli`
-against it.
+argparse accepted it (with its values, `func` left out, and the words it
+read as integers), refused it (exit 4) or showed help (exit 0).
+`tests/test_parser.py` checks `quadcert.cli` against it.
 """
 
 import argparse
@@ -24,15 +24,22 @@ from quadcert.cli import (
 )
 
 EXIT_USAGE = 4
+_integers = []  # the words argparse converted to integers in the last `parse`
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad arguments; the certificate contract reserves 2
-    for hypothesis failures, so usage errors are remapped to 4."""
+    for hypothesis failures, so usage errors are remapped to 4. Each word
+    converted by an integer type is noted in `_integers`."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _get_value(self, action, arg_string):
+        if action.type in (int, _positive_int, _seed):
+            _integers.append(arg_string)
+        return super()._get_value(action, arg_string)
 
 
 def _positive_int(text: str) -> int:
@@ -139,7 +146,9 @@ PARSER = build_parser()
 
 
 def parse(argv) -> tuple:
-    """("values", the parsed values without `func`), ("refused",) or ("help",)."""
+    """("values", the parsed values without `func`, the words read as
+    integers), ("refused",) or ("help",)."""
+    _integers.clear()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             args = PARSER.parse_args(list(argv))
@@ -147,4 +156,4 @@ def parse(argv) -> tuple:
             return ("help",) if exc.code == 0 else ("refused",)
     values = vars(args)
     del values["func"]
-    return "values", values
+    return "values", values, tuple(_integers)

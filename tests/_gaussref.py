@@ -4,10 +4,20 @@ The slow, obviously correct counterpart of `quadcert.linalg`: the same
 pivot rule (the first nonzero entry of the column, scanning top to bottom)
 carried out with the field's own operators, one element at a time, no lane
 vectors. The property tests in test_linalg.py pin the lane elimination to
-it, over prime and extension fields.
+it, over prime and extension fields. `matrix` is how the tests build a
+`quadcert.linalg.Matrix` from its rows.
 """
 
+from quadcert.errors import DimensionMismatchError
 from quadcert.linalg import Matrix
+
+
+def matrix(rows):
+    """The Matrix of these rows of elements of one field."""
+    rows = [list(r) for r in rows]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatchError("ragged rows")
+    return Matrix(len(rows), len(rows[0]), [e for r in rows for e in r], rows[0][0].ctx)
 
 
 def _gauss_jordan(rows, ncols):
@@ -38,7 +48,7 @@ def rank(m):
 def rref(m):
     rows = m.row_lists()
     pivots = _gauss_jordan(rows, m.cols)
-    return Matrix.from_rows(rows), pivots
+    return matrix(rows), pivots
 
 
 def kernel_basis(m):

@@ -14,7 +14,7 @@ in nested loops, the oracle of `quadcert.compression.ordered_triples`, and
 """
 
 from _dualnum import Dual
-from quadcert.linalg import Matrix
+from _gaussref import matrix
 
 
 def triples_by_loops(n):
@@ -38,7 +38,7 @@ def triple_positions(n):
 def gradient_matrix(a):
     """The 2 x n matrix [1; 2x]: the gradients of sum x_i and sum x_i^2."""
     two = a.ctx.el(2)
-    return Matrix.from_rows([[a.ctx.one] * a.n, [two * x for x in a.coords]])
+    return matrix([[a.ctx.one] * a.n, [two * x for x in a.coords]])
 
 
 def generator_matrix(a):
@@ -53,7 +53,7 @@ def generator_matrix(a):
             x1, x2, xi = (Dual(xs[m], ctx.one if m == j else ctx.zero) for m in (0, 1, i))
             row[j] = ((x1 - xi) / (x1 - x2)).b
         rows.append(row)
-    return Matrix.from_rows(rows)
+    return matrix(rows)
 
 
 def generator_rows(a):

@@ -352,7 +352,7 @@ MUTANTS = (
         "self.stride = k * w",
         (
             "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[3-4-13]",
-            "tests/test_linalg.py::test_rank_of_transpose",
+            "tests/test_linalg.py::test_fast_paths_agree_with_generic",
             "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
         ),
     ),
@@ -870,6 +870,27 @@ MUTANTS = (
         (
             f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
             f"{PARSER_TESTS}test_no_prefix_of_a_flag_names_an_option",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+        ),
+    ),
+    Mutant(
+        "integer-read-by-int",
+        CLI,
+        "value = int(text) if _INTEGER.fullmatch(text) else None",
+        "value = int(text)",
+        (
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
+            f"{PARSER_TESTS}test_a_misspelled_integer_exits_4_with_one_line",
+            f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
+        ),
+    ),
+    Mutant(
+        "value-number-with-unicode-digits",
+        CLI,
+        'or " " in word or _INTEGER.fullmatch(word) is not None',
+        'or " " in word or re.match(r"-\\d+$", word) is not None',
+        (
+            f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
             f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
         ),
     ),

@@ -270,16 +270,17 @@ def test_acceptance_5_exact_identities():
 def _certificate_runs(tag="runs"):
     import tempfile, pathlib
 
-    tmp = pathlib.Path(tempfile.mkdtemp(prefix="quadcert-acc-"))
     docs = {}
-    for key, argv in {
-        "main": ["certify", "15", "3", "--field-degree", "4", "--samples", "20", "--seed", "7"],
-        "control5": ["certify", "5", "11", "--samples", "20", "--seed", "11"],
-        "control15": ["certify", "15", "13", "--field-degree", "2", "--samples", "20", "--seed", "11"],
-    }.items():
-        out = tmp / f"{key}.json"
-        code = main(argv + ["--json", str(out)])
-        docs[key] = (code, json.loads(out.read_text()), out.read_bytes())
+    # each document is read back before the directory goes
+    with tempfile.TemporaryDirectory(prefix="quadcert-acc-") as tmp:
+        for key, argv in {
+            "main": ["certify", "15", "3", "--field-degree", "4", "--samples", "20", "--seed", "7"],
+            "control5": ["certify", "5", "11", "--samples", "20", "--seed", "11"],
+            "control15": ["certify", "15", "13", "--field-degree", "2", "--samples", "20", "--seed", "11"],
+        }.items():
+            out = pathlib.Path(tmp) / f"{key}.json"
+            code = main(argv + ["--json", str(out)])
+            docs[key] = (code, json.loads(out.read_text()), out.read_bytes())
     return docs
 
 

@@ -49,6 +49,7 @@ from _jacobianref import (
     triples_by_loops,
 )
 from _points import point
+from test_kernels import decoded
 
 
 F11 = field_make(11)
@@ -245,12 +246,12 @@ def _generator_rows(a):
     """The generator rows at a as (d1, d2, di) triples, from the lane vectors
     of `compression._generator_rows`."""
     x1, x2 = a.coords[:2]
-    return list(zip(*quadcert.compression._generator_rows(x1, x2, a.ctx.lanes(a.codes[2:]))))
+    return list(zip(*map(decoded, quadcert.compression._generator_rows(x1, x2, a.ctx.lanes(a.codes[2:])))))
 
 
 def _corrupt_lane(vectors, lane, wrong):
     """The lane vectors (D1, D2, Di) with wrong applied to the entries of one lane."""
-    columns = [list(v) for v in vectors]
+    columns = [decoded(v) for v in vectors]
     ctx = columns[0][0].ctx
     for column, entry in zip(columns, wrong(*(c[lane] for c in columns), ctx.one)):
         column[lane] = entry

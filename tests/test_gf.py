@@ -593,7 +593,7 @@ MIXING_SITES = {
     "block-solution": lambda f, g: BlockSolution(
         binary_profile(15), (1, 4, 2, 1), (f.one, f.one, f.one, g.zero), f
     ),
-    "matrix": lambda f, g: Matrix(1, 2, (f.one, g.one)),
+    "matrix": lambda f, g: Matrix(1, 2, (f.one, g.one), f),
 }
 
 

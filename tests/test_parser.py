@@ -1,5 +1,5 @@
 """The command-line parser reads every argv as the README's grammar says,
-and as argparse read it but for four stated differences.
+and as argparse read it but for five stated differences.
 
 `quadcert.cli._parse` replaced an argparse definition, which
 `tests/_argparseref.py` keeps as the oracle. Each form of the README's
@@ -16,7 +16,7 @@ argparse's reading of edge cases (the `--` word, prefixes, runs such as
 oracle runs on the release it was checked against, Python 3.11; PINNED
 holds the grammar on every release.
 
-Four readings differ from argparse's on purpose, and `oracle` applies them
+Five readings differ from argparse's on purpose, and `oracle` applies them
 to its result. An argv with the word "--" is refused: argparse dropped it or
 read the words after it as values, which lets no argv through that cannot be
 written without it. A word that is exactly "-h" or "--help" shows help
@@ -27,12 +27,19 @@ prefix meant hung on the command's other flags; the oracle reads with that
 matching off. A value that is exactly "--" (after "=") is read as written:
 argparse stored an empty list, which no command can take (the command
 crashed, or `--json=--` wrote to stdout), so it is refused where an integer
-is due. A fifth difference is not drawn: combined short flags (`-hh`,
-`-h=h`), which argparse read as help, are refused.
+is due. An integer has one spelling, `0|-?[1-9][0-9]*`: argparse's `int`
+also read `1_5`, `+15`, `015`, ` 7`, a number with a final newline and
+digits other than ASCII ones, and its negative-number matcher took `-1.5`,
+`-0` and a minus before an Arabic-Indic digit as values, so an argv is
+refused when argparse read a word as an integer, or took a word as a
+negative number, that is spelled otherwise. A sixth difference is not
+drawn: combined short flags (`-hh`, `-h=h`), which argparse read as help,
+are refused.
 """
 
 import contextlib
 import io
+import re
 import sys
 
 import pytest
@@ -66,6 +73,20 @@ DEFAULTS = {
     "certify": {"field_degree": 1, "samples": 20, "seed": 0, "max_tries": None, "control": False},
 }
 REFUSED, HELP = ("refused",), ("help",)
+INTEGER = re.compile("0|-?[1-9][0-9]*")  # the one spelling of an integer
+
+# an integer spelled otherwise, each refused
+MISSPELLED = [
+    ["check", "1_5", "3"],
+    ["check", "+15", "3"],
+    ["check", "\u0661\u0665", "3"],  # Arabic-Indic digits
+    ["check", "15\n", "3"],
+    ["check", "015", "3"],
+    ["check", "-0", "3"],
+    ["certify", "15", "3", "--seed", "1_0"],
+    ["check", "1" * 5000, "3"],  # more digits than int() reads
+    ["sample", "5", "--field", "-\u0661"],  # no negative integer, so no value
+]
 
 
 def accepted(command, **values) -> tuple:
@@ -96,7 +117,7 @@ PINNED = [
     # negative numbers are values, any other dash word is an option
     (["check", "-2", "3"], accepted("check", n=-2, p=3)),
     (["check", "15", "3", "--degree", "-1"], accepted("check", n=15, p=3, degree=-1)),
-    (["sample", "5", "--field", "-1.5"], accepted("sample", n=5, field="-1.5")),
+    (["sample", "5", "--field", "-1.5"], REFUSED),  # no integer, so no value
     (["sample", "5", "--field", "-x"], REFUSED),
     # the converters' ranges
     (["certify", "15", "3", "--seed", "-1"], REFUSED),
@@ -132,7 +153,7 @@ PINNED = [
     (["check", "15", "3", "-hx"], REFUSED),
     # a next word that names an option is no value, even with a space in it
     (["certify", "15", "3", "--json", "--seed=1 x"], REFUSED),
-]
+] + [(argv, REFUSED) for argv in MISSPELLED]
 
 # the oracle's reading of edge cases is that of Python 3.11's argparse
 argparse_3_11 = pytest.mark.skipif(
@@ -152,13 +173,19 @@ def parse(argv) -> tuple:
 
 
 def oracle(argv) -> tuple:
-    """`_argparseref.parse(argv)` with the four differences of the module
+    """`_argparseref.parse(argv)` with the five differences of the module
     docstring applied."""
     if "--" in argv:  # the word "--" is refused
         return REFUSED
     if "-h" in argv or "--help" in argv:  # help anywhere
         return HELP
     result = _argparseref.parse(argv)  # no prefixes
+    # an integer has one spelling
+    integers = result[2] if result[0] == "values" else ()
+    negatives = filter(_argparseref.PARSER._negative_number_matcher.match, argv)
+    if not all(map(INTEGER.fullmatch, (*integers, *negatives))):
+        return REFUSED
+    result = result[:2]
     # a value "--" is read as written
     dashed = {dest for dest, value in result[1].items() if value == []} if result[0] == "values" else set()
     if dashed - {"field", "json"}:
@@ -243,6 +270,15 @@ def pinned_examples(test):
 @given(argvs())
 def test_parser_reads_argv_as_argparse_did(argv):
     assert parse(argv) == oracle(argv), argv
+
+
+@pytest.mark.parametrize("argv", MISSPELLED)
+def test_a_misspelled_integer_exits_4_with_one_line(argv, tmp_path, capsys):
+    out = tmp_path / "doc.json"
+    assert main(argv + ["--json", str(out)]) == 4
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith(f"quadcert {argv[0]}: error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_two_dashes_as_a_word_or_a_value(capsys):
