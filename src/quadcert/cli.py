@@ -81,8 +81,13 @@ def _int(text: str, low=-math.inf, high=math.inf, expected="an integer") -> int:
     except ValueError:  # more digits than int() reads
         value = None
     if value is None or not low <= value < high:
-        raise UsageError(f"expected {expected}, got {text!r}")
+        raise UsageError(f"expected {expected}, got {_shown(text)}")
     return value
+
+
+def _shown(word: str) -> str:
+    """An argv word or a path as a refusal echoes it: its repr, cut to 60 characters."""
+    return repr(word)[:60]
 
 
 def _positive_int(text: str) -> int:
@@ -164,14 +169,14 @@ def canonical_json(doc: dict) -> str:
 
 def _emit(doc: dict, json_path: str | None) -> None:
     text = canonical_json(doc)
-    if not json_path:
+    if json_path is None:
         sys.stdout.write(text)
         return
     try:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:  # a missing directory, a directory, no permission, a full disk
-        raise UsageError(f"cannot write {json_path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {_shown(json_path)}: {exc.strerror}") from None
 
 
 def _field(ctx) -> dict:
@@ -196,7 +201,7 @@ def _parse_field_spec(spec: str):
     try:
         p, k = int(match[1]), int(match[2] or 1)
     except (TypeError, ValueError):  # no match, or more digits than int() reads
-        raise UsageError(f"malformed field spec {spec!r}; expected integers p or p^k") from None
+        raise UsageError(f"malformed field spec {_shown(spec)}; expected integers p or p^k") from None
     return field_make(p, k)
 
 
@@ -417,7 +422,7 @@ def _parse(argv) -> dict | None:
     if "-h" in argv or "--help" in argv:
         return _help(command if command in _COMMANDS else None)
     if command not in _COMMANDS:
-        raise UsageError(f"unknown command {command!r}; choose from {', '.join(_COMMANDS)}")
+        raise UsageError(f"unknown command {_shown(command)}; choose from {', '.join(_COMMANDS)}")
     _, slots, _, options = _COMMANDS[command]
     values = {"command": command} | {o[1]: o[3] for o in options + [_JSON]}
     slots, words = list(slots), iter(argv[1:])
@@ -426,9 +431,9 @@ def _parse(argv) -> dict | None:
         option = _FLAGS[command].get(flag)
         if option is None:
             if not _is_value(word):
-                raise UsageError(f"unknown option {word}")
+                raise UsageError(f"unknown option {_shown(word)}")
             if not slots:
-                raise UsageError(f"extra value {word}")
+                raise UsageError(f"extra value {_shown(word)}")
             values[slots.pop(0)] = _int(word)
         elif option[2] is None:  # a flag; -h and --help alone were read above
             if eq:
@@ -473,7 +478,7 @@ def main(argv=None) -> int:
         _emit(doc, json_path)
     except UsageError as exc:
         prog = f"quadcert {argv[0]}" if argv and argv[0] in _COMMANDS else "quadcert"
-        sys.stderr.write(f"{prog}: error: {exc}\n")
+        sys.stderr.write(f"{prog}: error: {exc}"[:200] + "\n")  # an int in it may have 4300 digits
         return EXIT_USAGE
     return code
 

@@ -22,12 +22,13 @@ integer below; coefficient tuples appear only at `el`, `coeffs` and
 `coefficient_rows`.
 
 Two values belong to one field exactly when their contexts are the same
-object (`field_make` returns one per (p, k)). An element operates only with an
-element of its own field, and a lane vector only with a vector of its shape
-or, on its right, such an element: a value of another field raises
-ValueError, any other operand TypeError, an int included (`FieldCtx.el` alone
-turns an int into an element). Int equality stays: an element equals the
-residue c < p that it packs to, and hashes like it.
+object: `field_make` checks (p, k) and keeps one context per accepted pair,
+the module's only cache but the digit tables below. An element operates
+only with an element of its own field, and a lane vector only with a vector
+of its shape or, on its right, such an element: a value of another field
+raises ValueError, any other operand TypeError, an int included
+(`FieldCtx.el` alone turns an int into an element). Int equality stays: an
+element equals the residue c < p that it packs to, and hashes like it.
 
 Products, squares and powers run in one kernel, `FieldCtx._kmul`, by Kronecker
 substitution: sum c_i 2^(W i) packs an element, so a polynomial product is one
@@ -94,24 +95,6 @@ from .errors import EvenCharacteristicError, NotPrimeError, UsageError
 SIZE_LIMIT = 1 << 20  # refuse fields larger than this; nothing here needs more
 
 
-def check_characteristic(p: int) -> None:
-    """Refuse p unless it is an odd prime, checking 2 first, then the size
-    (above SIZE_LIMIT, before any primality test: trial division on a p
-    near 10^18 would run for minutes), then primality, decided once per p
-    in a process (a command checks its p several times)."""
-    if p == 2:
-        raise EvenCharacteristicError("characteristic 2 is not supported")
-    if p > SIZE_LIMIT:
-        raise UsageError(f"characteristic {p} exceeds the limit {SIZE_LIMIT}")
-    if not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-
-
-@lru_cache(maxsize=None)
-def _is_prime(p: int) -> bool:
-    return _prime_factors(p) == [p]  # [] for p < 2
-
-
 def _is_irreducible(f: list[int], p: int, k: int) -> bool:
     """Rabin test: x^(p^k) = x mod f, and x^(p^(k/l)) - x a unit mod f for
     every prime l dividing k, both in GF(p)[x]/(f) with the field's own
@@ -173,7 +156,6 @@ def _digit_table(p: int, digits: int, width: Optional[int]) -> list:
     return table
 
 
-@lru_cache(maxsize=None)
 def _chunk_plan(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     """The code digits in chunks of d, the most with p^d <= 256 table
     entries (one when p > 256), most significant first, each as (digits,
@@ -682,19 +664,27 @@ def field_make(p: int, k: int = 1) -> FieldCtx:
     call is spelled, so element contexts can be compared by identity.
 
     p must be an odd prime and p^k at most 2^20 (documented implementation
-    limit; the search spaces used here stay far below it). Both are checked
-    before the primality test and p^k, whose cost grows with p and k.
+    limit; the search spaces used here stay far below it), as `_context`
+    checks: the gate and the solver refuse a bad p by calling field_make(p).
     """
     if not isinstance(p, int) or not isinstance(k, int):
         raise TypeError("p and k must be integers")
-    check_characteristic(p)
-    if k < 1:
-        raise UsageError("extension degree must be at least 1")
-    if k > SIZE_LIMIT.bit_length() or p**k > SIZE_LIMIT:
-        raise UsageError(f"field size {p}^{k} exceeds the limit {SIZE_LIMIT}")
     return _context(p, k)
 
 
 @lru_cache(maxsize=None)
 def _context(p: int, k: int) -> FieldCtx:
+    """The context of GF(p^k), built once. It refuses 2, then p > SIZE_LIMIT
+    before any trial division, then a p that is not prime, then k; a refusal
+    raises, so only an accepted (p, k) is cached."""
+    if p == 2:
+        raise EvenCharacteristicError("characteristic 2 is not supported")
+    if p > SIZE_LIMIT:
+        raise UsageError(f"characteristic {p} exceeds the limit {SIZE_LIMIT}")
+    if _prime_factors(p) != [p]:  # [] for p < 2
+        raise NotPrimeError(f"{p} is not prime")
+    if k < 1:
+        raise UsageError("extension degree must be at least 1")
+    if k > SIZE_LIMIT.bit_length() or p**k > SIZE_LIMIT:
+        raise UsageError(f"field size {p}^{k} exceeds the limit {SIZE_LIMIT}")
     return FieldCtx(p, k, _smallest_irreducible(p, k))

@@ -10,7 +10,7 @@ the prime field suffices.
 from __future__ import annotations
 
 from .errors import UsageError
-from .gf import check_characteristic
+from .gf import field_make
 from .record import Record
 
 # Structured reason codes carried by HypothesisDecision.reasons.
@@ -57,7 +57,7 @@ def check_hypotheses(n: int, p: int, available_degree: int = 1) -> HypothesisDec
     NeedsQuadraticExtension when r = 4 and the available degree is odd.
     Failures collect every code that applies, never just the first.
     """
-    check_characteristic(p)
+    field_make(p)  # refuses a p that is not an odd prime
     if available_degree < 1:
         raise UsageError("available_degree must be at least 1")
     prof = binary_profile(n)

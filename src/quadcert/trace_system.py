@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InvalidProfileError, UsageError
-from .gf import SIZE_LIMIT, FieldCtx, FieldElement, check_characteristic, field_make
+from .gf import SIZE_LIMIT, FieldCtx, FieldElement, field_make
 from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses
 from .quadric import AmbientPoint
 from .record import Record
@@ -37,7 +37,7 @@ from .record import Record
 
 def weights_mod_p(profile: BinaryProfile, p: int) -> tuple[int, ...]:
     """Residues 2^(m_i) mod p in profile order. Never zero for odd p."""
-    check_characteristic(p)
+    field_make(p)  # refuses a p that is not an odd prime
     return tuple(pow(2, m, p) for m in profile.exponents)
 
 

@@ -352,7 +352,7 @@ MUTANTS = (
         "self.stride = k * w",
         (
             "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[3-4-13]",
-            "tests/test_linalg.py::test_fast_paths_agree_with_generic",
+            "tests/test_linalg.py::test_elimination_builds_no_tables",
             "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
         ),
     ),
@@ -669,11 +669,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "characteristic-verdict-not-cached",
+        # trial division of p runs before p is held to the size limit
+        "field-checks-primality-before-the-size-limit",
         GF,
-        "@lru_cache(maxsize=None)\ndef _is_prime(",
-        "def _is_prime(",
+        "    if p > SIZE_LIMIT:\n"
+        '        raise UsageError(f"characteristic {p} exceeds the limit {SIZE_LIMIT}")\n'
+        "    if _prime_factors(p) != [p]:  # [] for p < 2\n"
+        '        raise NotPrimeError(f"{p} is not prime")\n',
+        "    if _prime_factors(p) != [p]:  # [] for p < 2\n"
+        '        raise NotPrimeError(f"{p} is not prime")\n'
+        "    if p > SIZE_LIMIT:\n"
+        '        raise UsageError(f"characteristic {p} exceeds the limit {SIZE_LIMIT}")\n',
         ("tests/test_gf.py::test_check_characteristic_divides_each_p_once",),
+    ),
+    Mutant(
+        # a cache of a plan that each context computes once
+        "chunk-plan-cached-again",
+        GF,
+        "\ndef _chunk_plan(",
+        "\n@lru_cache(maxsize=None)\ndef _chunk_plan(",
+        ("tests/test_structure.py::test_the_package_keeps_three_caches",),
     ),
     Mutant(
         # every coordinate of a point renders as its first distinct row
@@ -903,6 +918,30 @@ MUTANTS = (
             f"{PARSER_TESTS}test_pinned_argv_reads_as_the_grammar_says",
             f"{PARSER_TESTS}test_parser_reads_argv_as_argparse_did",
         ),
+    ),
+    Mutant(
+        # an argv word or a path goes into its refusal as written
+        "refusal-echoes-the-raw-word",
+        CLI,
+        "return repr(word)[:60]",
+        "return word",
+        (f"{CLI_TESTS}test_a_refusal_is_one_line", f"{CLI_TESTS}test_usage_error_sites"),
+    ),
+    Mutant(
+        # an integer echoed whole runs the line to thousands of characters
+        "refusal-line-not-cut",
+        CLI,
+        '{exc}"[:200] + "\\n")',
+        '{exc}" + "\\n")',
+        (f"{CLI_TESTS}test_a_refusal_is_one_line",),
+    ),
+    Mutant(
+        # --json= writes the certificate to stdout and exits 0
+        "empty-json-path-writes-stdout",
+        CLI,
+        "if json_path is None:",
+        "if not json_path:",
+        (f"{CLI_TESTS}test_a_refusal_is_one_line", f"{CLI_TESTS}test_usage_error_sites"),
     ),
 )
 

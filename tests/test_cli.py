@@ -370,7 +370,7 @@ USAGE_ERROR_SITES = [
     # a --json PATH whose write fails after the open: a full device
     pytest.param(
         ["construct", "15", "3", "--json", "/dev/full"],
-        "cannot write /dev/full: No space left on device",
+        "cannot write '/dev/full': No space left on device",
         marks=pytest.mark.skipif(
             not Path("/dev/full").exists(), reason="no /dev/full on this system"
         ),
@@ -390,6 +390,19 @@ USAGE_ERROR_SITES = [
     (["sample", "5", "--field", "\u0661\u0661"], "malformed field spec"),
     (["sample", "5", "--field", "011"], "malformed field spec"),
     (["sample", "5", "--field", "3^ 4"], "malformed field spec"),
+    # an empty --json PATH is a path that cannot be opened, not stdout
+    (["check", "15", "3", "--json="], "cannot write '': No such file or directory"),
+    (["check", "15", "3", "--json", ""], "cannot write '': No such file or directory"),
+    # an echoed word or path is quoted by repr, so that its newline stays on
+    # the one line, and cut to 60 characters
+    (["check", "15", "3", "--bo\ngus"], "unknown option '--bo\\ngus'"),
+    (["check", "15", "3", "a\nb"], "extra value 'a\\nb'"),
+    (["check", "15", "3", "--json", str(Path(__file__).parent / "no\nsuch" / "x.json")], "cannot write '"),
+    (["check", "1" * 5000, "3"], "expected an integer, got '" + "1" * 59 + "\n"),
+    (["check", "15", "3", "--bogus" + "s" * 300], "unknown option '--bogus" + "s" * 52 + "\n"),
+    # an integer that a field refusal echoes whole is cut with its line
+    (["check", "15", "1" + "0" * 400], "error: characteristic 1000"),
+    (["check", "15", "3", "--degree", "1" + "0" * 400], "error: field size 3^1000"),
 ]
 
 
@@ -624,3 +637,4 @@ def test_a_refusal_is_one_line(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("quadcert") and err.endswith("\n") and err.count("\n") == 1
+    assert len(err) <= 201  # 200 characters and the newline

@@ -1,5 +1,6 @@
 """Finite field arithmetic: frozen values, axioms, canonical choices."""
 
+import functools
 import signal
 from itertools import product
 
@@ -18,14 +19,13 @@ from quadcert.gf import (
     FieldElement,
     _is_irreducible,
     _prime_factors,
-    check_characteristic,
     field_make,
 )
 from quadcert.linalg import Matrix
-from quadcert.profile import binary_profile
+from quadcert.profile import binary_profile, check_hypotheses
 from quadcert.quadric import AmbientPoint
 from quadcert.rng import SplitMix64
-from quadcert.trace_system import BlockSolution
+from quadcert.trace_system import BlockSolution, weights_mod_p
 
 
 # Moduli frozen after cross-checking against an independent
@@ -131,7 +131,14 @@ def test_construction_rejects_bad_characteristic():
         field_make(3, 0)
 
 
-def test_check_characteristic_against_a_sieve():
+@pytest.fixture
+def fresh_contexts(monkeypatch):
+    """`field_make` with an empty context cache for this test alone, so
+    every context built before it stays the one of its (p, k)."""
+    monkeypatch.setattr(gf, "_context", functools.lru_cache(maxsize=None)(gf._context.__wrapped__))
+
+
+def test_check_characteristic_against_a_sieve(fresh_contexts):
     # 2 is refused as even, every other non-prime (0, 1 and negatives
     # included) as not prime, and every odd prime is accepted
     top = 3000
@@ -142,18 +149,19 @@ def test_check_characteristic_against_a_sieve():
     for p in range(-3, top):
         if p == 2:
             with pytest.raises(EvenCharacteristicError):
-                check_characteristic(p)
+                field_make(p)
         elif p >= 0 and sieve[p]:
-            check_characteristic(p)
+            field_make(p)
         else:
             with pytest.raises(NotPrimeError):
-                check_characteristic(p)
+                field_make(p)
 
 
-def test_check_characteristic_divides_each_p_once(monkeypatch):
-    # a command checks its p several times; every call refuses alike, 2 and
-    # a p above the limit before any trial division, and a second call of
-    # one p divides nothing
+def test_check_characteristic_divides_each_p_once(monkeypatch, fresh_contexts):
+    # field_make is the one check of p: it, the gate and the solver's
+    # weights refuse alike, 2 and a p above the limit before any trial
+    # division and p before k, and a field's p is divided once, when its
+    # context is built; a refused p is divided again on every call
     divided = []
 
     def counted(n):
@@ -161,7 +169,16 @@ def test_check_characteristic_divides_each_p_once(monkeypatch):
         return _prime_factors(n)
 
     monkeypatch.setattr(gf, "_prime_factors", counted)
-    gf._is_prime.cache_clear()
+
+    def check(call, refusal):
+        if refusal is None:
+            return call()
+        with pytest.raises(refusal[0]) as info:
+            call()
+        assert type(info.value) is refusal[0] and str(info.value) == refusal[1]
+
+    profile = binary_profile(15)
+    calls = (field_make, lambda p: check_hypotheses(15, p), lambda p: weights_mod_p(profile, p))
     cases = {
         2: (EvenCharacteristicError, "characteristic 2 is not supported"),
         SIZE_LIMIT + 1: (UsageError, f"characteristic {SIZE_LIMIT + 1} exceeds the limit {SIZE_LIMIT}"),
@@ -174,14 +191,25 @@ def test_check_characteristic_divides_each_p_once(monkeypatch):
     }
     for p, refusal in cases.items():
         divided.clear()
+        for call in calls * 2:
+            check(lambda: call(p), refusal)
+        assert divided == ([] if p in (2, SIZE_LIMIT + 1) else [p] if refusal is None else [p] * 6)
+    # p is checked before k, and each accepted (p, k) divides p once
+    degrees = {
+        (2, 0): (EvenCharacteristicError, "characteristic 2 is not supported"),
+        (SIZE_LIMIT + 1, 0): (UsageError, f"characteristic {SIZE_LIMIT + 1} exceeds the limit {SIZE_LIMIT}"),
+        (9, 0): (NotPrimeError, "9 is not prime"),
+        (3, 0): (UsageError, "extension degree must be at least 1"),
+        (3, 13): (UsageError, f"field size 3^13 exceeds the limit {SIZE_LIMIT}"),
+        (3, 2): None,
+        (3, 4): None,
+    }
+    for (p, k), refusal in degrees.items():
+        divided.clear()
         for _ in range(3):
-            if refusal is None:
-                check_characteristic(p)
-            else:
-                with pytest.raises(refusal[0]) as info:
-                    check_characteristic(p)
-                assert type(info.value) is refusal[0] and str(info.value) == refusal[1]
-        assert divided == ([] if p in (2, SIZE_LIMIT + 1) else [p])
+            check(lambda: field_make(p, k), refusal)
+        # the modulus search of GF(3^k) factors k too, never p
+        assert divided.count(p) == (0 if p in (2, SIZE_LIMIT + 1) else 1 if refusal is None else 3), (p, k)
 
 
 def test_size_limit():

@@ -88,6 +88,9 @@ def test_check_validates_characteristic():
     # refused at the field-size limit before trial division could spin
     with pytest.raises(UsageError, match="exceeds the limit"):
         check_hypotheses(15, 1_000_000_000_000_000_003)
+    # p is checked by field_make, which takes an int alone
+    with pytest.raises(TypeError, match="p and k must be integers"):
+        check_hypotheses(15, 3.0)
 
 
 @given(

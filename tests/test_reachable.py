@@ -197,8 +197,8 @@ def test_definitions_are_named_like_code_objects():
         assert names.items() <= {key: f"naming.{name}" for key, name in objects.items()}.items()
     # a method and a decorated function of the package, the second entered by
     # every command that makes a field
-    assert {"gf.FieldCtx.tables", "gf._is_prime"} <= set(definitions().values())
-    assert "gf._is_prime" not in not_entered()
+    assert {"gf.FieldCtx.tables", "gf._context"} <= set(definitions().values())
+    assert "gf._context" not in not_entered()
 
 
 def test_every_function_is_entered_or_allowed():

@@ -16,6 +16,12 @@ for the benchmark tracer.
 No module compares field contexts with `==` or `!=`: contexts are compared
 by identity only (`is`, `is not`), and `FieldCtx` defines no `__eq__`.
 
+The package keeps three process-wide caches: `gf._context` and `cli._vector`
+are its only functions with a caching decorator (`lru_cache`, `cache`), and
+`gf._DIGIT_TABLES` its only module-level name bound to an empty dict, list
+or set. A mutation harness that must start from empty caches (ROADMAP item
+15) clears these three.
+
 Only `cli.main` catches a refusal (`RefusalError`: `InvalidProfileError`,
 `NoPointFoundError`), and it writes every refusal document: no other except
 clause names a refusal class or one of its bases, and none is bare.
@@ -207,3 +213,61 @@ def test_the_refusal_guard_flags_every_catching_clause():
 def test_only_main_catches_a_refusal(name):
     owners = [h.split(": ")[1] for h in refusal_handlers((PACKAGE / name).read_text())]
     assert owners == (["main"] if name == "cli.py" else [])
+
+
+CACHING = {"lru_cache", "cache"}
+
+
+def caches(source: str, module: str) -> list[str]:
+    """`module.qualname` of each function with a caching decorator, and of
+    each module-level name bound to an empty dict, list or set."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in child.decorator_list:
+                    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(func, "id", None) in CACHING or getattr(func, "attr", None) in CACHING:
+                        found.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+
+    tree = ast.parse(source)
+    visit(tree, f"{module}.")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_empty_table(node.value):
+            found += [f"{module}.{t.id}" for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and _is_empty_table(node.value):
+            found.append(f"{module}.{node.target.id}")
+    return found
+
+
+def _is_empty_table(value) -> bool:
+    """Whether value is `{}`, `[]`, `dict()`, `list()` or `set()`."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return isinstance(value, ast.Call) and ast.unparse(value) in ("dict()", "list()", "set()")
+
+
+def test_the_cache_guard_flags_each_kind_of_cache():
+    source = (
+        "import functools\n"
+        "A = {}\n"
+        "B: list = []\n"
+        "C = set()\n"
+        "D = {1: 2}\n"
+        "@lru_cache(maxsize=None)\ndef f():\n    pass\n"
+        "@functools.cache\ndef g():\n    pass\n"
+        "class K:\n    @functools.lru_cache\n    def h(self):\n        pass\n"
+        "@property\ndef plain():\n    pass\n"
+    )
+    assert sorted(caches(source, "m")) == ["m.A", "m.B", "m.C", "m.K.h", "m.f", "m.g"]
+
+
+def test_the_package_keeps_three_caches():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += caches(path.read_text(), path.stem)
+    assert sorted(found) == ["cli._vector", "gf._DIGIT_TABLES", "gf._context"]
