@@ -51,13 +51,14 @@ compression_jacobian and `linalg`'s elimination are not exported from the
 package: the tests eliminate that full Jacobian, and a generator Jacobian
 they build themselves, as the certificate's oracle.
 
-The rows are evaluated as three lane vectors of `gf` (lane i - 3 of each
-holds row i's entry at x_1, x_2 and x_i), packed from the codes of
-x_3, ..., x_n with no coordinate decoded: D1 = (X - x_2)/d^2,
-D2 = (x_1 - X)/d^2 and Di = -1/d in every lane. The two identities for all
-rows are then D1 + D2 + Di = 0 and d (x_1 D1 + x_2 D2) - X = 0 (J.x = 0
-times the unit d, as Di = -1/d), a few big-integer operations each, and the
-first nonzero lane of either names the first failing row.
+The rows are evaluated as two lane vectors of `gf`, packed from the codes of
+x_3, ..., x_n with no coordinate decoded, and one element: lane i - 3 of
+D1 = (X - x_2)/d^2 and D2 = (x_1 - X)/d^2 holds row i's entry at x_1 and
+x_2, and Di = -1/d is every row's entry at x_i, which the lane operators
+apply to every lane. The two identities for all rows are then
+D1 + D2 + Di = 0 and d (x_1 D1 + x_2 D2) - X = 0 (J.x = 0 times the unit d,
+as Di = -1/d), a few big-integer operations each, and the first nonzero lane
+of either names the first failing row.
 """
 
 from __future__ import annotations
@@ -172,14 +173,14 @@ def compression_jacobian(a: AmbientPoint) -> Matrix:
 
 def _generator_rows(x1: FieldElement, x2: FieldElement, xs: LaneVector):
     """The generator rows i = 3, ..., n at the point (x1, x2, xs), xs the
-    lane vector X of x_3, ..., x_n, as three lane vectors: lane i - 3 of each
-    holds the nonzero entries (d/dx_1, d/dx_2, d/dx_i) of row i. With
-    d = x_1 - x_2 they are
+    lane vector X of x_3, ..., x_n, as lane vectors D1 and D2, lane i - 3
+    holding d/dx_1 and d/dx_2 of row i, and the element Di, every row's
+    d/dx_i, which the lane operators apply to every lane. With d = x_1 - x_2
 
-        D1 = (X - x_2)/d^2,  D2 = (x_1 - X)/d^2,  Di = -1/d in every lane."""
+        D1 = (X - x_2)/d^2,  D2 = (x_1 - X)/d^2,  Di = -1/d."""
     inv = (x1 - x2).inverse()
     isq = inv * inv
-    return (xs - x2) * isq, (xs - x1) * -isq, xs.broadcast(-inv)
+    return (xs - x2) * isq, (xs - x1) * -isq, -inv
 
 
 def gram_rank(n: int, s1: FieldElement, s2: FieldElement) -> int:

@@ -61,12 +61,12 @@ Power sums of many elements, `FieldCtx.sums`, pack each code once at a wider
 width. With the multiplicities m summing to n, every coefficient of
 sum m X^2 is at most n k (p - 1)^2, so w = (n k (p - 1)^2).bit_length() bits,
 rounded up to whole bytes, hold it and no packed digit carries into the
-next. The kernel accumulates
-s_1 = sum m X and s_2 = sum m X X and hands each sum once to `_reduce`, which
-reads its k or 2k - 1 digits of w bits, takes them mod p and folds the high
-degrees through the modulus. Over GF(p) the packing is the identity. The block
-system passes its dozen c_i with multiplicities w_i, so the sums of a lift of
-thousands of coordinates cost a dozen integer products.
+next. The kernel accumulates s_1 = sum m X and s_2 = sum m X X and hands each
+sum once to `_reduce`, which repacks its k or 2k - 1 digits of w bits, each
+mod p, at the kernel's width; the kernel's product by one folds the high
+degrees. Over GF(p) the packing is the identity. The block system passes its
+dozen c_i with multiplicities w_i, so the sums of a lift of thousands of
+coordinates cost a dozen integer products.
 
 Codes become packings (`FieldCtx._pack_codes`, for `lanes`, `sums`,
 `affine_codes` and `coefficient_rows`) through digit tables. The base-p digits
@@ -220,14 +220,11 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx._kpow(base.packed, e))
 
     def inverse(self) -> "FieldElement":
-        """Fermat inversion: a^(q-2), the inverse of a nonzero a. Over GF(p)
-        a packing is its residue, so that is one modular `pow`."""
+        """Fermat inversion: a^(q-2) on the kernel, the inverse of a nonzero
+        a, for every field."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        ctx = self.ctx
-        if ctx.k == 1:
-            return FieldElement(ctx, pow(self.packed, ctx.p - 2, ctx.p))
-        return self ** (ctx.size - 2)
+        return self ** (self.ctx.size - 2)
 
     def sqrt(self) -> Optional["FieldElement"]:
         """Square root with a deterministic choice between the two roots, or
@@ -332,12 +329,6 @@ class LaneVector:
                 return other.packed * kernel.ones
             raise ValueError("elements belong to different fields")
         return None
-
-    def broadcast(self, a: FieldElement) -> "LaneVector":
-        """The vector of this one's length with a in every lane."""
-        if not isinstance(a, FieldElement):
-            raise TypeError(f"a lane holds a field element, not {type(a).__name__}")
-        return LaneVector(self.kernel, self._operand(a))
 
     def __add__(self, other):
         y = self._operand(other)
@@ -559,14 +550,13 @@ class FieldCtx:
     def _reduce(self, x: int, width: int, digits: int) -> FieldElement:
         """The element of a polynomial with nonnegative integer coefficients,
         `digits` of them (k to 2k - 1) at `width` bits each (0 reads zeros):
-        each taken mod p, the high ones folded through `_folds`, one `_norm`."""
-        p, w, mask, k = self.p, self._width, (1 << width) - 1, self.k
+        each taken mod p into the kernel's packing, whose product by the
+        packed one folds the high ones through the modulus."""
+        p, w, mask = self.p, self._width, (1 << width) - 1
         low = 0
-        for i in reversed(range(k)):
+        for i in reversed(range(digits)):
             low = (low << w) | ((x >> (width * i)) & mask) % p
-        for i, fold in zip(range(k, digits), self._folds):
-            low += ((x >> (width * i)) & mask) % p * fold
-        return FieldElement(self, self._norm(low))
+        return FieldElement(self, self._kmul(low, 1))
 
     def _sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """One Tonelli-Shanks both decides whether a is a square and takes

@@ -22,7 +22,9 @@ survived for a known survivor.
 
 `tests/test_mutants.py` checks, in Tier-1, that each entry's text still
 occurs exactly once in its file and that each listed test exists, so code
-that moves takes its entries along.
+that moves takes its entries along, and that each entry lists a test whose
+examples Hypothesis does not draw: a plain test, or a `@given` test with an
+`@example`.
 """
 
 import os
@@ -145,6 +147,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # every row's entry at x_i is 1/d: J.1 = 0 fails in every lane
+        "generator-di-not-negated",
+        "src/quadcert/compression.py",
+        "(xs - x1) * -isq, -inv",
+        "(xs - x1) * -isq, inv",
+        (
+            "tests/test_compression.py::test_generator_jacobian_pin",
+            "tests/test_compression.py::test_generator_rows_against_full_jacobian[3-4-9]",
+            "tests/test_compression.py::test_rank_certificate_divisible_case",
+        ),
+    ),
+    Mutant(
         "generator-row-check-removed",
         "src/quadcert/compression.py",
         "    if failed:\n        raise JacobianIdentityError(",
@@ -220,6 +234,17 @@ MUTANTS = (
         (
             "tests/test_cli.py::test_sample_extension_field",
             "tests/test_compression.py::test_rank_certificate_divisible_case",
+        ),
+    ),
+    Mutant(
+        # the high digits stay unfolded above the k low ones
+        "reduce-skips-the-kernel-fold",
+        GF,
+        "self._kmul(low, 1)",
+        "self._norm(low)",
+        (
+            "tests/test_gf.py::test_reduce_and_mul_match_polynomial_division[3-4]",
+            "tests/test_gf.py::test_reduce_and_mul_match_polynomial_division[3-12]",
         ),
     ),
     Mutant(
@@ -659,13 +684,14 @@ MUTANTS = (
         ("tests/test_record.py::test_equality_is_by_class_and_fields",),
     ),
     Mutant(
-        "prime-field-inverse-off-by-one",
+        "fermat-exponent-off-by-one",
         GF,
-        "pow(self.packed, ctx.p - 2, ctx.p)",
-        "pow(self.packed, ctx.p - 3, ctx.p)",
+        "self ** (self.ctx.size - 2)",
+        "self ** (self.ctx.size - 3)",
         (
             "tests/test_gf.py::test_prime_field_inverse_pins",
-            "tests/test_gf.py::test_prime_field_inverse_is_the_fermat_power",
+            "tests/test_gf.py::test_prime_field_inverse_is_the_fermat_power[1021]",
+            "tests/test_kernels.py::test_power_and_inverse_match_schoolbook[3-4]",
         ),
     ),
     Mutant(

@@ -242,19 +242,28 @@ ORACLE_CASES = (
 )
 
 
+def _columns(d1, d2, di):
+    """The three entry lists of the generator rows, from
+    `compression._generator_rows`: the lanes of D1 and D2, and the element
+    Di once for each lane."""
+    d1, d2 = decoded(d1), decoded(d2)
+    return d1, d2, [di] * len(d1)
+
+
 def _generator_rows(a):
-    """The generator rows at a as (d1, d2, di) triples, from the lane vectors
-    of `compression._generator_rows`."""
+    """The generator rows at a as (d1, d2, di) triples."""
     x1, x2 = a.coords[:2]
-    return list(zip(*map(decoded, quadcert.compression._generator_rows(x1, x2, a.ctx.lanes(a.codes[2:])))))
+    return list(zip(*_columns(*quadcert.compression._generator_rows(x1, x2, a.ctx.lanes(a.codes[2:])))))
 
 
-def _corrupt_lane(vectors, lane, wrong):
-    """The lane vectors (D1, D2, Di) with wrong applied to the entries of one lane."""
-    columns = [decoded(v) for v in vectors]
+def _corrupt_lanes(rows, wrongs):
+    """The generator rows (D1, D2, Di) as three lane vectors, with
+    wrongs[lane] applied to the entries of each lane it names."""
+    columns = _columns(*rows)
     ctx = columns[0][0].ctx
-    for column, entry in zip(columns, wrong(*(c[lane] for c in columns), ctx.one)):
-        column[lane] = entry
+    for lane, wrong in wrongs.items():
+        for column, entry in zip(columns, wrong(*(c[lane] for c in columns), ctx.one)):
+            column[lane] = entry
     return tuple(ctx.lanes(map(ctx.element_index, c)) for c in columns)
 
 
@@ -393,7 +402,7 @@ def test_wrong_generator_row_raises(monkeypatch, capsys, wrong):
     rows = quadcert.compression._generator_rows
 
     def wrong_rows(x1, x2, xs):
-        return _corrupt_lane(rows(x1, x2, xs), 4, wrong)
+        return _corrupt_lanes(rows(x1, x2, xs), {4: wrong})
 
     monkeypatch.setattr(quadcert.compression, "_generator_rows", wrong_rows)
     with pytest.raises(JacobianIdentityError, match="generator row 7"):
@@ -416,7 +425,7 @@ def test_lane_checks_name_the_row_the_element_loop_names(monkeypatch, p, k, wron
         monkeypatch.setattr(
             quadcert.compression,
             "_generator_rows",
-            lambda x1, x2, xs: _corrupt_lane(rows(x1, x2, xs), lane, wrong),
+            lambda x1, x2, xs: _corrupt_lanes(rows(x1, x2, xs), {lane: wrong}),
         )
         if expected is None:  # a swap at the midpoint of x_1 and x_2
             rank_certificate(a)
@@ -437,8 +446,7 @@ def test_the_first_failing_row_of_either_check_is_named(monkeypatch):
     assert first_failing_row(a, elements) == 7
 
     def wrong_rows(x1, x2, xs):
-        vectors = _corrupt_lane(rows(x1, x2, xs), 4, WRONG_ROWS["swap"])
-        return _corrupt_lane(vectors, 6, WRONG_ROWS["d1"])
+        return _corrupt_lanes(rows(x1, x2, xs), {4: WRONG_ROWS["swap"], 6: WRONG_ROWS["d1"]})
 
     monkeypatch.setattr(quadcert.compression, "_generator_rows", wrong_rows)
     with pytest.raises(JacobianIdentityError, match="generator row 7 "):

@@ -232,11 +232,12 @@ def test_inverse_of_zero_raises():
         f7.el(3) * f7.zero.inverse()
 
 
-@pytest.mark.parametrize("p", [3, 7, 31, 1048573])
+@pytest.mark.parametrize("p", [3, 7, 31, 1021, 1048573])
 def test_prime_field_inverse_is_the_fermat_power(p):
-    # over GF(p) the inverse is one modular pow; the power a^(p-2) runs the
-    # kernel. Every unit of the small fields, and 2000 seeded units and the
-    # extremes of the largest prime field below the size limit
+    # over GF(p), as over every field, the inverse is the power a^(p-2)
+    # through `_kpow`, up to 20 bits of exponent below the size limit, and
+    # matches Python's modular pow. Every unit of the small fields, and 2000
+    # seeded units and the extremes of the two largest
     ctx = field_make(p)
     units = range(1, p)
     if p > 1000:
@@ -244,7 +245,7 @@ def test_prime_field_inverse_is_the_fermat_power(p):
         units = [1, 2, p // 2, p - 2, p - 1] + [1 + rng.below(p - 1) for _ in range(2000)]
     for c in units:
         a = ctx.el(c)
-        assert a.inverse() == a ** (p - 2)
+        assert a.inverse() == a ** (p - 2) == pow(c, p - 2, p)
         assert a * a.inverse() == ctx.one
     with pytest.raises(ZeroDivisionError):
         ctx.zero.inverse()
@@ -449,7 +450,7 @@ def test_irreducible_count_matches_gauss(p, k):
     assert accepted == _gauss_count(p, k)
 
 
-@pytest.mark.parametrize("p,k", [(7, 1), (3, 4), (5, 4), (3, 12)])
+@pytest.mark.parametrize("p,k", [(7, 1), (31, 1), (3, 4), (5, 4), (3, 12)])
 def test_reduce_and_mul_match_polynomial_division(p, k):
     # the one reduction routine, on unreduced polynomials of every length
     # from k to 2k - 1 with coefficients below 50 p^2, packed at a width of

@@ -114,9 +114,9 @@ def decoded(u) -> list:
 def test_lane_vectors_match_element_arithmetic(p, k, lanes):
     # a lane vector of seeded elements after the top element and zero,
     # against the element loop: vector x scalar, vector +- vector, vector +-
-    # scalar in every lane and broadcast, a scalar minus every lane through
-    # it; the top element times the top lane reaches the digit bound before
-    # the folds
+    # scalar in every lane, and the vector of a scalar in every lane minus
+    # each lane; the top element times the top lane reaches the digit bound
+    # before the folds
     ctx = field_make(p, k)
     rng = SplitMix64(lanes * p + k)
     codes = ([ctx.size - 1, 0] + rng.draw(ctx.size, lanes))[:lanes]
@@ -128,11 +128,12 @@ def test_lane_vectors_match_element_arithmetic(p, k, lanes):
         assert decoded(u * a) == [x * a for x in xs]
         assert decoded(u + a) == [x + a for x in xs]
         assert decoded(u - a) == [x - a for x in xs]
-        assert decoded(u.broadcast(a) - u) == [a - x for x in xs]
-        assert decoded(u.broadcast(a)) == [a] * lanes
+        constant = ctx.lanes([ctx.element_index(a)] * lanes)
+        assert decoded(constant - u) == [a - x for x in xs]
+        assert decoded(constant) == [a] * lanes
     assert decoded(u + v) == [x + y for x, y in zip(xs, ys)]
     assert decoded(u - v) == [x - y for x, y in zip(xs, ys)]
-    assert decoded(u - u) == decoded(u.broadcast(ctx.zero)) == [ctx.zero] * lanes
+    assert decoded(u - u) == decoded(ctx.lanes([0] * lanes)) == [ctx.zero] * lanes
     assert u and not (u - u)
 
 
@@ -176,8 +177,6 @@ def test_lane_vectors_refuse_other_shapes_and_fields():
         u * f7.one
     with pytest.raises(TypeError):
         u * u
-    with pytest.raises(TypeError):
-        u.broadcast(u)
 
 
 # (p, k): for p = 3, 31 and 1021 the widest digit bound 2^b, b the bit length
