@@ -3,8 +3,8 @@
 The gate decides whether a pair (n, p) is covered by the construction: p must
 divide n and the binary presentation n = 2^(m_1) + ... + 2^(m_r) must have
 r >= 4 terms. With exactly four terms the construction may need the quadratic
-extension of GF(p), so the required field degree is 2; with five or more terms
-the prime field suffices.
+extension of GF(p), so the gate's required field degree is 2; with five or more
+terms the prime field suffices. `solution_field_degree` names the exact field.
 """
 
 from __future__ import annotations
@@ -78,3 +78,25 @@ def check_hypotheses(n: int, p: int, available_degree: int = 1) -> HypothesisDec
         if n < 5:
             reasons.append(SMALL_N)
     return HypothesisDecision(applies, required, tuple(reasons), n, p, r, available_degree)
+
+
+def solution_field_degree(profile: BinaryProfile, p: int) -> int:
+    """The degree, 1 or 2, of the least field GF(p^k) over which the block
+    system of an admitted profile (p | n, r >= 4) has a solution.
+
+    For r >= 5 it is 1 (Chevalley-Warning, `trace_system` docstring). For
+    r = 4, c_4 = 0, and eliminating c_1 = -(w_2 c_2 + w_3 c_3)/w_1 leaves
+    the binary form
+
+        w_2 (w_1 + w_2) c_2^2 + 2 w_2 w_3 c_2 c_3 + w_3 (w_1 + w_3) c_3^2.
+
+    Its discriminant -4 w_1 w_2 w_3 (w_1 + w_2 + w_3) equals
+    4 w_1 w_2 w_3 w_4 = 4 * 2^(m_1 + m_2 + m_3 + m_4), as sum w_i = n = 0
+    mod p, and is never 0. So a zero (c_2, c_3) != 0, which is a solution
+    c != 0, exists exactly when the discriminant is a square: when the
+    exponent sum is even or 2 is a square mod p, that is p = +-1 mod 8.
+    Every element of GF(p) is a square in GF(p^2).
+    """
+    if profile.r == 4 and sum(profile.exponents) % 2 and p % 8 in (3, 5):
+        return 2
+    return 1

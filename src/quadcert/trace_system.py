@@ -6,10 +6,11 @@ system asks for (c_1, ..., c_r), not all zero, with c_r = 0 and
     sum_i  w_i c_i   = 0
     sum_i  w_i c_i^2 = 0        where w_i = 2^(m_i) mod p.
 
-A solution found over GF(p) is preferred; only r = 4 can force the quadratic
-extension GF(p^2). Repeating each c_i across a block of 2^(m_i) coordinates
-lifts a solution to a length-n point whose coordinate sum and square sum both
-vanish, since each block contributes 2^(m_i) copies of c_i.
+The solver works over the field that `profile.solution_field_degree` names:
+GF(p), or GF(p^2) for the r = 4 profiles whose binary form in (c_2, c_3)
+has a non-square discriminant. Repeating each c_i across a block of 2^(m_i)
+coordinates lifts a solution to a length-n point whose coordinate sum and
+square sum both vanish, since each block contributes 2^(m_i) copies of c_i.
 
 The solver returns the first solution of a scan of suffixes (c_2, ..., c_{r-1})
 by increasing index, c_2 the least significant digit, solving one quadratic
@@ -30,7 +31,7 @@ from itertools import chain
 
 from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, field_make
-from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses
+from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses, solution_field_degree
 from .quadric import AmbientPoint
 from .record import Record
 
@@ -111,35 +112,30 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
 
 
 def solve_block_system(profile: BinaryProfile, p: int) -> BlockSolution:
-    """Solve the block system for (profile, p), preferring GF(p).
+    """Solve the block system for (profile, p) over GF(p^k), k the degree
+    that `solution_field_degree` names.
 
     The gate (`check_hypotheses`) decides first: p must be an odd prime, and
     an (n, p) it does not admit raises InvalidProfileError over GF(p), the
-    r < 4 reason ahead of p not dividing n. Without a GF(p) solution (only
-    at r = 4) it returns one over GF(p^2), which exists; `field_make`
-    refuses it above p = 1024.
+    r < 4 reason ahead of p not dividing n. A solution exists over the named
+    field; `field_make` refuses GF(p^2) above p = 1024.
     """
     n, r = profile.n, profile.r
     decision = check_hypotheses(n, p)
-    base = field_make(p, 1)
     if not decision.applies:
         if R_TOO_SMALL in decision.reasons:
             message = f"binary presentation of {n} has r = {r} < 4 terms; no construction applies"
         else:
             message = f"{p} does not divide {n}; the block weights cannot balance"
-        raise InvalidProfileError(message, base)
+        raise InvalidProfileError(message, field_make(p, 1))
     weights = weights_mod_p(profile, p)
-    c = _solve_over(base, weights)
-    if c is not None:
-        return BlockSolution(profile, weights, c, base)
-    if r == 4:
-        ext = field_make(p, 2)
-        c = _solve_over(ext, weights)
-        if c is not None:
-            return BlockSolution(profile, weights, c, ext)
-    raise RuntimeError(
-        f"no solution for n={n}, p={p}: contradicts the existence guarantee"
-    )
+    ctx = field_make(p, solution_field_degree(profile, p))
+    c = _solve_over(ctx, weights)
+    if c is None:
+        raise RuntimeError(
+            f"no solution for n={n}, p={p}: contradicts the existence guarantee"
+        )
+    return BlockSolution(profile, weights, c, ctx)
 
 
 def lift_block_solution(sol: BlockSolution) -> AmbientPoint:

@@ -57,6 +57,7 @@ CLI_TESTS = "tests/test_cli.py::"
 PARSER_TESTS = "tests/test_parser.py::"
 LINALG = "src/quadcert/linalg.py"
 SOLVER = "src/quadcert/trace_system.py"
+PROFILE = "src/quadcert/profile.py"
 RECORD = "src/quadcert/record.py"
 HALF = 2**63 + 1  # a bound that rejects about half of the raw outputs
 RARE = 2**54 + 1  # a bound that rejects about one raw output in 2^10
@@ -196,8 +197,6 @@ MUTANTS = (
         "repeat(width * start)",
         "repeat(width * (start - self._chunks[0][0]))",
         (
-            "tests/test_kernels.py::test_digit_tables_convert_like_the_digit_by_digit_oracle[3-12]",
-            "tests/test_kernels.py::test_digit_tables_convert_like_the_digit_by_digit_oracle[1021-2]",
             "tests/test_quadric.py::test_sums_at_the_widest_packing[13-5-200]",
             "tests/test_golden.py::test_golden_certificate[sample_120_gf3_12]",
         ),
@@ -209,7 +208,6 @@ MUTANTS = (
         "zip(parts[1:], self._chunks[1:])",
         "zip(parts[:0:-1], self._chunks[:0:-1])",
         (
-            "tests/test_kernels.py::test_digit_tables_convert_like_the_digit_by_digit_oracle[3-12]",
             "tests/test_kernels.py::test_coefficient_rows_are_the_elements_json[13-5]",
             "tests/test_golden.py::test_golden_certificate[sample_120_gf3_12]",
         ),
@@ -221,7 +219,6 @@ MUTANTS = (
         "shifts = [width * i for i in range(digits)]",
         "shifts = [width * i for i in range(digits - 1)]",
         (
-            "tests/test_kernels.py::test_digit_tables_convert_like_the_digit_by_digit_oracle[3-4]",
             "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[3-12-13]",
             "tests/test_quadric.py::test_sums_at_the_widest_packing[13-5-200]",
         ),
@@ -310,7 +307,6 @@ MUTANTS = (
         "rows[i] = row + prow * c",
         (
             "tests/test_linalg.py::test_rank_pins",
-            "tests/test_linalg.py::test_fast_paths_agree_with_generic",
             "tests/test_compression.py::test_structured_certificate_matches_elimination[3-4-15]",
         ),
     ),
@@ -321,7 +317,6 @@ MUTANTS = (
         "for i in range(len(rows)) if rows[i][col]",
         (
             "tests/test_linalg.py::test_rref_form",
-            "tests/test_linalg.py::test_rank_of_transpose",
             "tests/test_kernels.py::test_tangent_basis_is_the_echelon_kernel[3-4-9]",
         ),
     ),
@@ -519,6 +514,49 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # r = 4 profiles with an odd exponent sum go to GF(p^2) even when 2 is
+        # a square mod p; GF(3137^2) is then above the field cap
+        "field-criterion-drops-mod-8-clause",
+        PROFILE,
+        " and p % 8 in (3, 5)",
+        "",
+        (
+            "tests/test_trace_system.py::test_field_criterion_pins[23-23-1]",
+            "tests/test_trace_system.py::test_field_criterion_matches_the_base_field_solve",
+            "tests/test_golden.py::test_golden_certificate[solve_3137_3137]",
+        ),
+    ),
+    Mutant(
+        "field-criterion-drops-parity-clause",
+        PROFILE,
+        "sum(profile.exponents) % 2 and ",
+        "",
+        (
+            "tests/test_trace_system.py::test_field_criterion_pins[15-3-1]",
+            "tests/test_trace_system.py::test_solve_pins",
+            "tests/test_golden.py::test_golden_certificate[solve_15_3]",
+        ),
+    ),
+    Mutant(
+        "field-criterion-drops-r-clause",
+        PROFILE,
+        "profile.r == 4 and ",
+        "",
+        ("tests/test_trace_system.py::test_field_criterion_pins[93-3-1]",),
+    ),
+    Mutant(
+        # r = 4 profiles that need GF(p^2) find no solution and raise
+        "solver-ignores-the-criterion",
+        SOLVER,
+        "field_make(p, solution_field_degree(profile, p))",
+        "field_make(p, 1)",
+        (
+            "tests/test_trace_system.py::test_quadratic_extension_fallback",
+            "tests/test_trace_system.py::test_field_criterion_pins[77-11-2]",
+            "tests/test_golden.py::test_golden_certificate[solve_53_gf2809]",
+        ),
+    ),
+    Mutant(
         "small-diagonal-skips-last-coordinate",
         QUADRIC,
         "return a.codes.count(a.codes[0]) == a.n",
@@ -598,7 +636,7 @@ MUTANTS = (
     Mutant(
         # the gate then adds a false SmallN reason at n = 5
         "small-n-includes-5",
-        "src/quadcert/profile.py",
+        PROFILE,
         "if n < 5:",
         "if n <= 5:",
         ("tests/test_profile.py::test_n_of_5_is_not_small",),
@@ -641,7 +679,6 @@ MUTANTS = (
         (
             "tests/test_profile.py::test_decision_to_json",
             f"{CLI_TESTS}test_writer_takes_nested_records_and_refuses_other_objects",
-            "tests/test_canonical.py::test_package_values_match_their_plain_copy",
             "tests/test_golden.py::test_golden_certificate[check_15_3]",
         ),
     ),
@@ -723,7 +760,6 @@ MUTANTS = (
         "map(dict(zip(distinct, rows)).__getitem__, value.codes)",
         "[rows[0]] * len(value.codes)",
         (
-            "tests/test_canonical.py::test_package_values_match_their_plain_copy",
             f"{CLI_TESTS}test_construct",
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
         ),
@@ -747,7 +783,6 @@ MUTANTS = (
         "_vector(value.ctx.k, indent) % value.coeffs",
         '_vector(value.ctx.k, indent + "  ") % value.coeffs',
         (
-            "tests/test_canonical.py::test_package_values_match_their_plain_copy",
             "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
             "tests/test_golden.py::test_golden_certificate[solve_15_3]",
         ),
@@ -771,7 +806,6 @@ MUTANTS = (
         '_vector(value.ctx.k, indent + "  ")',
         "_vector(value.ctx.k, indent)",
         (
-            "tests/test_canonical.py::test_package_values_match_their_plain_copy",
             "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
         ),

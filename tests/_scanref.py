@@ -41,8 +41,10 @@ def scan_over(ctx, weights):
 
 
 def scan_solve(weights, p):
-    """(c, field) as `solve_block_system` picks them: GF(p) first, GF(p^2)
-    when r = 4 and GF(p) has no solution; (None, None) otherwise."""
+    """(c, field) of the first solution by trial: GF(p) first, GF(p^2)
+    when r = 4 and GF(p) has no solution; (None, None) otherwise. It does
+    not read `solution_field_degree`, so it checks the field the solver
+    takes from that criterion independently."""
     fields = [field_make(p, 1)] + ([field_make(p, 2)] if len(weights) == 4 else [])
     for ctx in fields:
         c = scan_over(ctx, weights)

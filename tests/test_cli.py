@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from _docref import written
 from quadcert.cli import canonical_json, main
-from quadcert.gf import field_make
-from quadcert.profile import binary_profile
+from quadcert.gf import SIZE_LIMIT, field_make
+from quadcert.profile import binary_profile, solution_field_degree
 from quadcert.quadric import AmbientPoint
 from quadcert.record import Record
 from quadcert.trace_system import (
@@ -504,15 +504,16 @@ def gate_inputs(draw):
 @example((15, 3))
 def test_solve_and_construct_exit_as_the_gate_decides(case):
     # the gate alone decides exit 2, and every input it refuses as usage
-    # (exit 4) the solver refuses too; a solve may still exit 4 where the
-    # gate admits (n, p), when its GF(p^2) fallback is above the field cap
+    # (exit 4) the solver refuses too; where the gate admits (n, p), a solve
+    # exits 4 exactly when the solution's field GF(p^2) is above the cap
     n, p = case
     gate, doc = _exit_and_document(["check", str(n), str(p)])
     runs = [(gate, doc)]
+    beyond_cap = gate == 0 and solution_field_degree(binary_profile(n), p) == 2 and p * p > SIZE_LIMIT
     for command in ("solve", "construct"):
         code, doc = _exit_and_document([command, str(n), str(p)])
         assert (code == 2) == (gate == 2), (command, code, gate)
-        assert code == 4 or gate != 4, (command, code)
+        assert (code == 4) == (gate == 4 or beyond_cap), (command, code, gate)
         runs.append((code, doc))
     for code, doc in runs:
         assert code in (0, 2, 3, 4)

@@ -7,7 +7,7 @@ quadratic extension (GF(121)), on an invalid profile through solve and
 construct, on no-point sample, borel-check and certify runs, and on a
 sample over GF(3^12) (k = 12, the most digits the power-sum kernel packs),
 a borel-check over GF(13^3), and the wide end of the block solver: r = 5
-with c_4 != 0 (GF(199)), the GF(53^2) fallback, and r = 4 over GF(3137),
+with c_4 != 0 (GF(199)), r = 4 over GF(53^2), and r = 4 over GF(3137),
 a prime near the square root of the field cap. A refactor or speed-up must
 leave them unchanged. To regenerate them after a deliberate
 change of output, run

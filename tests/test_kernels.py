@@ -458,7 +458,7 @@ def test_certificates_and_solver_never_decode_an_element(monkeypatch):
     # integers and codes alone
     fields = [field_make(p, k) for p, k in [(3, 4), (5, 4), (31, 1), (3, 12), (13, 3)]]
     cases = [(77, 11), (15, 3), (4095, 13)]
-    for _, p in cases:  # the solver's base field and its quadratic fallback
+    for _, p in cases:  # GF(p) and GF(p^2), whichever the solver's criterion names
         field_make(p, 1)
         field_make(p, 2)
 

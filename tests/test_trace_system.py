@@ -1,4 +1,5 @@
-"""Weighted block system: solver pins, enumeration oracles, extension fallback."""
+"""Weighted block system: solver pins, enumeration oracles, and the field
+criterion that sends r = 4 profiles to GF(p^2)."""
 
 import itertools
 
@@ -10,10 +11,11 @@ from _scanref import scan_solve
 from quadcert.cli import _block_checks, _solution
 from quadcert.errors import EvenCharacteristicError, InvalidProfileError, NotPrimeError, UsageError
 from quadcert.gf import SIZE_LIMIT, FieldCtx, _prime_factors, field_make
-from quadcert.profile import binary_profile, check_hypotheses
+from quadcert.profile import binary_profile, check_hypotheses, solution_field_degree
 from quadcert.quadric import in_small_diagonal, on_quadric
 from quadcert.trace_system import (
     BlockSolution,
+    _solve_over,
     evaluate_system,
     lift_block_solution,
     solve_block_system,
@@ -134,7 +136,7 @@ FOUR_DIGITS = [sum(1 << m for m in ms) for ms in itertools.combinations(range(20
 def gate_inputs(draw, primes):
     """(n, p) that the gate sends to the solver: p from primes, n <= 2^20 a
     multiple of p with at least four binary digits; half of the draws take
-    exactly four, where the base field can fail and GF(p^2) is needed."""
+    exactly four, where the solution's field can be GF(p^2)."""
     p = draw(primes)
     if draw(st.booleans()):
         fours = [n for n in FOUR_DIGITS if n % p == 0]
@@ -166,16 +168,18 @@ def test_solver_matches_the_scan_oracle(case):
 @example((LARGEST_PRIME, LARGEST_PRIME))
 def test_solver_answers_every_gate_input(case):
     # past the scan's reach: every input solves, with all six checks of
-    # construct passing, except r = 4 inputs whose GF(p) has no solution
-    # and whose GF(p^2) is above the field cap
+    # construct passing, exactly unless the criterion names GF(p^2) and
+    # GF(p^2) is above the field cap
     n, p = case
     prof = binary_profile(n)
+    beyond_cap = solution_field_degree(prof, p) == 2 and p * p > SIZE_LIMIT
     try:
         sol = solve_block_system(prof, p)
     except UsageError as exc:
-        assert prof.r == 4 and p * p > SIZE_LIMIT
+        assert beyond_cap
         assert f"field size {p}^2 exceeds the limit" in str(exc)
         return
+    assert not beyond_cap
     lift = lift_block_solution(sol)
     checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
     assert len(checks) == 6 and all(passed for _, passed in checks)
@@ -211,8 +215,8 @@ def test_solver_matches_brute_force(n, p):
 
 
 def test_quadratic_extension_fallback():
-    # 77 = 64 + 8 + 4 + 1: the base field scan comes up empty, the
-    # degree 2 extension cannot (every base element is a square there)
+    # 77 = 64 + 8 + 4 + 1: GF(11) has no solution, and the degree 2
+    # extension has one (every base element is a square there)
     prof = binary_profile(77)
     assert brute_first(11, weights_mod_p(prof, 11)) is None
     sol = solve_block_system(prof, 11)
@@ -229,6 +233,42 @@ def test_fallback_second_case():
     assert sol.ctx.k == 2
     lin, quad = evaluate_system(sol)
     assert lin.is_zero() and quad.is_zero()
+
+
+# every r = 4 case with p | n < 2^14 and an odd prime p <= 103
+R4_CASES = [(n, p) for n in FOUR_DIGITS if n < 1 << 14 for p in SMALL_PRIMES if p <= 103 and n % p == 0]
+
+
+def test_field_criterion_matches_the_base_field_solve():
+    # degree 1 exactly when GF(p) has a solution, and every degree 2 case
+    # has one over GF(p^2)
+    needs_ext = 0
+    for n, p in R4_CASES:
+        prof = binary_profile(n)
+        weights = weights_mod_p(prof, p)
+        degree = solution_field_degree(prof, p)
+        assert (degree == 1) == (_solve_over(field_make(p, 1), weights) is not None), (n, p)
+        if degree == 2:
+            assert _solve_over(field_make(p, 2), weights) is not None, (n, p)
+            needs_ext += 1
+    assert (len(R4_CASES), needs_ext) == (1426, 241)
+
+
+@pytest.mark.parametrize(
+    "n, p, degree",
+    [
+        (15, 3, 1),  # exponents 3 + 2 + 1 + 0, an even sum
+        (23, 23, 1),  # exponents 4 + 2 + 1 + 0, an odd sum, but 23 = 7 mod 8
+        (77, 11, 2),  # an odd sum and 11 = 3 mod 8
+        (53, 53, 2),  # an odd sum and 53 = 5 mod 8
+        (199, 199, 1),  # r = 5
+        (93, 3, 1),  # r = 5 with an odd sum and 3 = 3 mod 8
+    ],
+)
+def test_field_criterion_pins(n, p, degree):
+    prof = binary_profile(n)
+    assert solution_field_degree(prof, p) == degree
+    assert solve_block_system(prof, p).ctx.k == degree
 
 
 def brute_first_gf_p2(p, weights):
