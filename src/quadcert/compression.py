@@ -47,9 +47,9 @@ does. rank_certificate still evaluates every row and checks J.1 = 0 and
 J.x = 0 at the point, since those identities are what make ker dY equal to
 span(1, x): a wrong Jacobian, wrong field arithmetic or a wrong sampler
 raises instead of yielding a rank read off a formula in (n, p).
-compression_jacobian and `linalg`'s elimination are not exported from the
-package: the tests eliminate that full Jacobian, and a generator Jacobian
-they build themselves, as the certificate's oracle.
+compression_jacobian is not exported from the package, and nothing here
+eliminates: the tests eliminate that full Jacobian, and a generator
+Jacobian they build themselves, as the certificate's oracle.
 
 The rows are evaluated as two lane vectors of `gf`, packed from the codes of
 x_3, ..., x_n with no coordinate decoded, and one element: lane i - 3 of
@@ -71,15 +71,13 @@ from .errors import (
     OnDiscriminantError,
     SizeMismatchError,
 )
-from .gf import FieldElement, LaneVector
-# rank, restricted_rank and tangent_basis are no longer called here. They
-# stay imported because the benchmark tracer (perfbench/tracing.py) wraps
-# them in this module's namespace and tests/test_trace_targets.py pins those
-# targets; they leave when the tracer retires them (ROADMAP items 1 and 5)
-from .linalg import Matrix, rank, restricted_rank
-from .quadric import AmbientPoint, in_discriminant, power_sums, tangent_basis
+from .gf import FieldElement, LaneVector, retired
+from .linalg import Matrix
+from .quadric import AmbientPoint, in_discriminant, power_sums
 from .actions import AffineMap, Permutation, affine_act
 from .record import Record
+
+rank = restricted_rank = tangent_basis = retired  # benchmark tracer targets
 
 
 def ordered_triples(n: int) -> tuple[tuple[int, int, int], ...]:

@@ -84,7 +84,6 @@ the kernel and of `sums` are whole bytes, so a process builds few per prime.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from itertools import product, repeat
 from operator import add, floordiv, index, lshift, mod, mul
@@ -372,6 +371,16 @@ class LaneVector:
         return FieldElement(kernel.ctx, self.packed >> stride * i & (1 << stride) - 1)
 
 
+def retired(*args, **kwargs):
+    """The one function behind five names whose code has left the package:
+    `FieldCtx.tables`, `compression.rank`, `compression.restricted_rank`,
+    `compression.tangent_basis` and `quadric.kernel_basis`. The benchmark
+    tracer (perfbench/tracing.py) still wraps each by name, so each must
+    resolve to a callable; no command calls one, and calling one raises.
+    The names go when the tracer stops naming them (ROADMAP item 17)."""
+    raise NotImplementedError("retired: kept only as a benchmark tracer target")
+
+
 class FieldCtx:
     """Fixed field GF(p^k) with its deterministic modulus. Use `field_make`,
     not the constructor: contexts are compared by identity (module docstring)."""
@@ -387,7 +396,6 @@ class FieldCtx:
         "_norm", "_kmul",  # the one-lane kernel's methods
         "_chunks",  # the code digits of each digit-table lookup
         "_sqrt_consts",
-        "_tables",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -416,7 +424,6 @@ class FieldCtx:
         self._folds = kernel.folds = tuple(folds)
         self._chunks = _chunk_plan(p, k)
         self._sqrt_consts = None
-        self._tables = None
 
     # --- construction helpers ---
 
@@ -601,47 +608,7 @@ class FieldCtx:
         # the canonical order is the order of codes
         return FieldElement(self, min(r, self._norm(self._ps - r), key=self._code))
 
-    # --- log tables: no package module calls these; they stay because the
-    # benchmark tracer wraps `tables` by name (ROADMAP items 1 and 5) ---
-
-    def tables(self):
-        """(exp, log, zech) over canonical indices, built on first use: for
-        the generator g of `_generator`, exp[e] is the index of g^e
-        (0 <= e < q - 1), log[i] the log of the element with index i
-        (log[0] = -1), and zech[d] the log of 1 + g^d (-1 where that is
-        zero, d = (q - 1)/2)."""
-        if self._tables is None:
-            self._tables = self._build_tables()
-        return self._tables
-
-    def _generator(self) -> FieldElement:
-        """The element of least code whose order is q - 1: the first unit
-        in the canonical order with g^((q - 1)/l) != 1 for every prime l
-        dividing q - 1."""
-        m, power = self.size - 1, self._kpow
-        cofactors = [m // ell for ell in _prime_factors(m)]
-        for g in map(self._packed_at, range(1, self.size)):
-            if all(power(g, e) != 1 for e in cofactors):  # 1 is the packed one
-                return FieldElement(self, g)
-        raise RuntimeError(f"no generator of {self!r}")
-
-    def _build_tables(self):
-        """The tables of `tables`, stepping g^e to g^(e + 1) with one `_kmul`."""
-        m, g, mul, code = self.size - 1, self._generator().packed, self._kmul, self._code
-        # 32-bit arrays: a quarter of the memory of int lists near q = 2^20
-        exp = array("i", bytes(4 * m))
-        log = array("i", [-1]) * (m + 1)
-        x = 1  # the packed one
-        for e in range(m):
-            idx = code(x)
-            exp[e] = idx
-            log[idx] = e
-            x = mul(x, g)
-        # 1 + g^d adds 1 to the constant coefficient, the leading index digit
-        unit = self.p ** (self.k - 1)
-        top = (self.p - 1) * unit
-        zech = array("i", (log[i - top] if i >= top else log[i + unit] for i in exp))
-        return exp, log, zech
+    tables = retired  # a benchmark tracer target, like the four in `retired`
 
     def __repr__(self):
         if self.k == 1:

@@ -20,13 +20,12 @@ c_i with multiplicities w_i = 2^(m_i) mod p.
 
 from __future__ import annotations
 
-from .errors import NoPointFoundError, NotOnQuadricError, UsageError
-from .gf import FieldCtx, FieldElement
-# kernel_basis is no longer called here; the benchmark tracer wraps it in this
-# namespace and tests/test_trace_targets.py pins that (ROADMAP items 1 and 5)
-from .linalg import kernel_basis
+from .errors import NoPointFoundError, UsageError
+from .gf import FieldCtx, FieldElement, retired
 from .record import Record
 from .rng import LANES, SplitMix64
+
+kernel_basis = retired  # a benchmark tracer target
 
 
 class AmbientPoint(Record):
@@ -68,27 +67,6 @@ def in_discriminant(a: AmbientPoint) -> bool:
 def in_small_diagonal(a: AmbientPoint) -> bool:
     """True iff all coordinates are equal."""
     return a.codes.count(a.codes[0]) == a.n
-
-
-def tangent_basis(a: AmbientPoint) -> list[tuple[FieldElement, ...]]:
-    """Basis of the tangent space, the kernel of the gradient matrix [1; 2x]
-    (dimension n - 2 at a smooth point), as `linalg.kernel_basis` gives it
-    but with no elimination: the pivots are column 1 and the first j with
-    x_j != x_1, if any, and free column c gives
-    e_c - (x_j - x_c)/(x_j - x_1) e_1 - (x_c - x_1)/(x_j - x_1) e_j."""
-    if not on_quadric(a):
-        raise NotOnQuadricError("tangent space is defined on the quadric only")
-    n, ctx, xs = a.n, a.ctx, a.coords
-    j = next((c for c in range(1, n) if a.codes[c] != a.codes[0]), 0)  # 0: no j
-    inv = (xs[j] - xs[0]).inverse() if j else ctx.zero
-    basis = []
-    for c in range(1, n):
-        if c != j:
-            t, v = (xs[c] - xs[0]) * inv, [ctx.zero] * n
-            v[j] = -t  # with no j this writes column 1, set next
-            v[0], v[c] = t - ctx.one, ctx.one
-            basis.append(tuple(v))
-    return basis
 
 
 def complete_quadric_pair(ctx: FieldCtx, codes) -> tuple[int, int] | None:

@@ -1,11 +1,12 @@
 """Reference Gauss-Jordan elimination on FieldElement objects.
 
-The slow, obviously correct counterpart of `quadcert.linalg`: the same
-pivot rule (the first nonzero entry of the column, scanning top to bottom)
-carried out with the field's own operators, one element at a time, no lane
-vectors. The property tests in test_linalg.py pin the lane elimination to
-it, over prime and extension fields. `matrix` is how the tests build a
-`quadcert.linalg.Matrix` from its rows.
+The slow, obviously correct counterpart of the lane elimination in
+`_laneref`: the same pivot rule (the first nonzero entry of the column,
+scanning top to bottom) carried out with the field's own operators, one
+element at a time, no lane vectors. The property tests in test_linalg.py pin
+the lane elimination to it, over prime and extension fields. `matrix` is how
+the tests build a `quadcert.linalg.Matrix` from its rows, and `row_lists`
+reads them back.
 """
 
 from quadcert.errors import DimensionMismatchError
@@ -18,6 +19,11 @@ def matrix(rows):
     if any(len(r) != len(rows[0]) for r in rows):
         raise DimensionMismatchError("ragged rows")
     return Matrix(len(rows), len(rows[0]), [e for r in rows for e in r], rows[0][0].ctx)
+
+
+def row_lists(m):
+    """The rows of m, each a list of elements."""
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 def _gauss_jordan(rows, ncols):
@@ -42,17 +48,17 @@ def _gauss_jordan(rows, ncols):
 
 
 def rank(m):
-    return len(_gauss_jordan(m.row_lists(), m.cols))
+    return len(_gauss_jordan(row_lists(m), m.cols))
 
 
 def rref(m):
-    rows = m.row_lists()
+    rows = row_lists(m)
     pivots = _gauss_jordan(rows, m.cols)
     return matrix(rows), pivots
 
 
 def kernel_basis(m):
-    rows = m.row_lists()
+    rows = row_lists(m)
     pivots = _gauss_jordan(rows, m.cols)
     basis = []
     for free in range(m.cols):

@@ -4,7 +4,7 @@
 generator rows. The matrices here share no code with it: `gradient_matrix`
 writes down the gradients of the two defining sums, and `generator_matrix`
 differentiates each generator y_i = (x_1 - x_i)/(x_1 - x_2) with dual
-numbers (`_dualnum`). The tests eliminate both with `quadcert.linalg`.
+numbers (`_dualnum`). The tests eliminate both with `_laneref`.
 
 The certificate evaluates the closed-form rows as lane vectors;
 `generator_rows` and `first_failing_row` are the same rows and checks one

@@ -11,6 +11,9 @@ scanned digits L's digits are at most 3 (p - 1)^2, so L^2 stays within
 r >= 5 only (c_2, c_3, c_4) are scanned, with the rest zero (Chevalley-Warning,
 see the `trace_system` module docstring). Its cost is up to q^min(r - 2, 3)
 candidates, so the tests call it on small fields only.
+
+`brute_first` is a plainer scan still, over GF(p) on plain integers and over
+every one of the r - 1 free digits.
 """
 
 from itertools import islice, product
@@ -51,3 +54,19 @@ def scan_solve(weights, p):
         if c is not None:
             return c, ctx
     return None, None
+
+
+def brute_first(p, weights):
+    """First (c_1, ..., c_{r-1}, 0) over GF(p), by a full scan of the digits
+    with c_1 varying fastest, or None."""
+    r = len(weights)
+    for rev in product(range(p), repeat=r - 1):
+        digits = rev[::-1]  # c_1 varies fastest
+        if not any(digits):
+            continue
+        if sum(w * d for w, d in zip(weights, digits)) % p:
+            continue
+        if sum(w * d * d for w, d in zip(weights, digits)) % p:
+            continue
+        return digits + (0,)
+    return None

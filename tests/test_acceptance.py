@@ -40,6 +40,7 @@ from quadcert.cli import main
 
 from tests._dualnum import lift_const, lift_var
 from _jacobianref import triple_positions
+from _scanref import brute_first
 
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -70,21 +71,6 @@ def test_acceptance_1_hypothesis_gate():
         _report(1, "hypothesis-gate", start, ok)
 
 
-def _brute_first(p, weights):
-    # full scan of (c_1, ..., c_{r-1}) with c_r = 0, first digit fastest
-    r = len(weights)
-    for rev in itertools.product(range(p), repeat=r - 1):
-        digits = rev[::-1]
-        if not any(digits):
-            continue
-        if sum(w * d for w, d in zip(weights, digits)) % p:
-            continue
-        if sum(w * d * d for w, d in zip(weights, digits)) % p:
-            continue
-        return digits + (0,)
-    return None
-
-
 def test_acceptance_2_solver_vs_brute_force():
     start = time.perf_counter()
     ok = False
@@ -101,7 +87,7 @@ def test_acceptance_2_solver_vs_brute_force():
                     continue
                 pairs += 1
                 weights = weights_mod_p(prof, p)
-                expected = _brute_first(p, weights)
+                expected = brute_first(p, weights)
                 sol = solve_block_system(prof, p)
                 lin, quad = evaluate_system(sol)
                 assert lin.is_zero() and quad.is_zero(), (n, p)
@@ -145,7 +131,7 @@ def test_acceptance_3_concrete_constructions(tmp_path):
         assert all(c["passed"] for c in doc5["checks"])
 
         # the pinned tuple is the first hit of the independent scan
-        assert _brute_first(3, weights_mod_p(binary_profile(15), 3)) == (1, 1, 0, 0)
+        assert brute_first(3, weights_mod_p(binary_profile(15), 3)) == (1, 1, 0, 0)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"too slow: {elapsed:.2f}s"

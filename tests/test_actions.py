@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from quadcert.errors import NotOnQuadricError, SizeMismatchError
 from quadcert.gf import field_make
-from quadcert.linalg import rank
 from quadcert.quadric import AmbientPoint, in_small_diagonal, on_quadric, sample_quadric_point
 from quadcert import actions
 from quadcert.actions import (
@@ -25,6 +24,7 @@ from quadcert.trace_system import lift_block_solution, solve_block_system
 from _docref import written
 from _gaussref import matrix
 from _jacobianref import gradient_matrix
+from _laneref import rank
 from _points import point
 
 

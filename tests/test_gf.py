@@ -475,10 +475,11 @@ def test_reduce_and_mul_match_polynomial_division(p, k):
         assert (a * b).coeffs == tuple(_poly_divmod_rem([c % p for c in full], f, p))
 
 
-# the log tables (no package module calls them; the benchmark tracer wraps
-# them), below and above 256 elements, k = 2, 4, 6,
-# odd degrees k = 3, 5, and prime fields, k = 1 (GF(3) has m = 2, so its Zech
-# zero sits at d = 1)
+# The unit group of each field is cyclic of order q - 1. Log tables built
+# here with the field's own product check that its products, inverses,
+# powers and codes agree with that: below and above 256 elements, k = 2, 4,
+# 6, odd degrees k = 3, 5, and prime fields, k = 1 (GF(3) has m = 2, so its
+# Zech zero sits at d = 1)
 TABLE_FIELDS = [(3, 4), (5, 4), (13, 2), (3, 6), (5, 3), (3, 5), (3, 1), (7, 1), (31, 1)]
 
 
@@ -490,19 +491,48 @@ def _order(x) -> int:
     return order
 
 
+def _generator(ctx):
+    """The element of least code whose order is q - 1: the first unit with
+    g ** ((q - 1)/l) != 1 for every prime l dividing q - 1."""
+    m = ctx.size - 1
+    primes = [ell for ell in range(2, m + 1) if m % ell == 0 and all(ell % d for d in range(2, ell))]
+    units = map(ctx.element_at, range(1, ctx.size))
+    return next(g for g in units if all(g ** (m // ell) != 1 for ell in primes))
+
+
+def _tables(ctx):
+    """(exp, log, zech) over codes, stepping g^e to g^(e + 1) with one
+    product: exp[e] is the code of g^e (0 <= e < q - 1), log[i] the log of
+    the element of code i (log[0] = -1), and zech[d] the log of 1 + g^d (-1
+    where that is zero), read off the codes: adding 1 adds 1 to the constant
+    coefficient, the leading code digit."""
+    m, g = ctx.size - 1, _generator(ctx)
+    exp, x = [], ctx.one
+    for _ in range(m):
+        exp.append(ctx.element_index(x))
+        x = x * g
+    log = [-1] * ctx.size
+    for e, i in enumerate(exp):
+        log[i] = e
+    unit = ctx.p ** (ctx.k - 1)
+    top = (ctx.p - 1) * unit
+    zech = [log[i - top] if i >= top else log[i + unit] for i in exp]
+    return exp, log, zech
+
+
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)
 def test_generator_is_the_least_code_of_full_order(p, k):
     ctx = field_make(p, k)
     m = ctx.size - 1
     first = next(code for code in range(1, ctx.size) if _order(ctx.element_at(code)) == m)
-    assert ctx.element_index(ctx._generator()) == first
-    assert ctx.tables()[0][1] == first  # exp[1] is g
+    assert ctx.element_index(_generator(ctx)) == first
+    assert _tables(ctx)[0][1] == first  # exp[1] is g
 
 
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)
 def test_exp_and_log_are_inverse_bijections(p, k):
     ctx = field_make(p, k)
-    exp, log, zech = ctx.tables()
+    exp, log, zech = _tables(ctx)
     m = ctx.size - 1
     assert len(exp) == m and len(log) == ctx.size and len(zech) == m
     assert sorted(exp) == list(range(1, ctx.size))  # g generates every unit
@@ -519,7 +549,7 @@ def test_exp_and_log_are_inverse_bijections(p, k):
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)
 def test_table_products_match_field_products(p, k):
     ctx = field_make(p, k)
-    exp, log, _ = ctx.tables()
+    exp, log, _ = _tables(ctx)
     m = ctx.size - 1
     rng = SplitMix64(p * 1000 + k)
     for _ in range(400):
@@ -533,7 +563,7 @@ def test_table_products_match_field_products(p, k):
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)
 def test_every_zech_entry_matches_field_addition(p, k):
     ctx = field_make(p, k)
-    exp, _, zech = ctx.tables()
+    exp, _, zech = _tables(ctx)
     m = ctx.size - 1
     for d, z in enumerate(zech):
         total = ctx.one + ctx.element_at(exp[d])

@@ -8,9 +8,9 @@ N(2) = N(q - 2) = 0. Three points with e_1 = e_2 = 0 are a coset of the cube
 roots of unity, so N(3) = (q - 1) / 3 when 3 divides q - 1, else 0. Over
 GF(11) the n = 5 locus is exactly the two cosets of the fifth roots of
 unity, the sets that `certify 5 11` samples (`tests/test_stabilizer.py`).
-The counts are checked wherever C(q, n) is at most `_locusref.LIMIT`. The
-additive-character formula for N(n, q), to be matched against these counts,
-is ROADMAP item 18's next step.
+The counts are checked wherever C(q, n) is at most `_locusref.LIMIT`. No
+closed formula for N(n, q) is matched against them: the bound of ROADMAP
+item 22, which decides whether the locus is empty, needs no count.
 """
 
 from math import comb

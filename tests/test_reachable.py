@@ -27,7 +27,7 @@ import test_golden
 PACKAGE = Path(quadcert.__file__).resolve().parent
 
 CRITERION_5 = "acceptance criterion 5's subject (tests/test_acceptance.py)"
-TRACER = "benchmark tracer target or its helper; leaves with ROADMAP items 1 and 5"
+TRACER = "stands behind five names the benchmark tracer wraps (tests/test_structure.py); leaves with ROADMAP item 17"
 PROTOCOL = "protocol method"
 ERROR_PATH = "error path"
 ENTRY_POINT = "entry point"
@@ -58,23 +58,14 @@ NOT_ENTERED = {
     "gf.LaneVector.first_nonzero": ERROR_PATH,
     "gf.LaneVector.__len__": PROTOCOL,
     "gf.LaneVector.__getitem__": PROTOCOL,
-    "gf.FieldCtx.tables": TRACER,
-    "gf.FieldCtx._generator": TRACER,
-    "gf.FieldCtx._build_tables": TRACER,
+    "gf.retired": TRACER,
     "linalg.Matrix.__init__": CRITERION_5,
     "linalg.Matrix.row": CRITERION_5,
-    "linalg.Matrix.row_lists": TRACER,
     "linalg.Matrix.__eq__": PROTOCOL,
     "linalg.Matrix.__hash__": PROTOCOL,
     "linalg.Matrix.__repr__": PROTOCOL,
     "linalg.matvec": CRITERION_5,
-    "linalg._lanes": TRACER,
-    "linalg._rref": TRACER,
-    "linalg.rank": TRACER,
-    "linalg.kernel_basis": TRACER,
-    "linalg.restricted_rank": TRACER,
     "quadric.AmbientPoint.coords": CRITERION_5,
-    "quadric.tangent_basis": TRACER,
     "record.Record.__setattr__": FROZEN,
     "record.Record.__delattr__": FROZEN,
     "record.Record.__eq__": POINT_EQUALITY,
@@ -197,7 +188,7 @@ def test_definitions_are_named_like_code_objects():
         assert names.items() <= {key: f"naming.{name}" for key, name in objects.items()}.items()
     # a method and a decorated function of the package, the second entered by
     # every command that makes a field
-    assert {"gf.FieldCtx.tables", "gf._context"} <= set(definitions().values())
+    assert {"gf.FieldCtx.lanes", "gf._context"} <= set(definitions().values())
     assert "gf._context" not in not_entered()
 
 

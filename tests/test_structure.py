@@ -9,9 +9,11 @@ imported from a sibling module (`from .module import _name`).
 `cli` is the only module that writes certificate values: no other module
 defines a `to_json`.
 
-No module but `gf` names the log tables (`tables` and the helpers that build
-them): elimination runs on lane vectors, and the tables stay in `gf` only
-for the benchmark tracer.
+No module but `gf` names the log tables (`tables` and the helpers that once
+built them). The package has none, nor elimination nor a tangent basis:
+five names the benchmark tracer wraps (perfbench/tracing.py) are bound to
+one stub, `gf.retired`, which raises. Those five are exactly the package's
+bindings of the stub under another name than its own.
 
 No module compares field contexts with `==` or `!=`: contexts are compared
 by identity only (`is`, `is not`), and `FieldCtx` defines no `__eq__`.
@@ -28,11 +30,14 @@ clause names a refusal class or one of its bases, and none is bare.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import quadcert
+from quadcert import gf
+from _perfbench import perfbench_module
 
 PACKAGE = Path(quadcert.__file__).parent
 MODULES = sorted(f.name for f in PACKAGE.glob("*.py") if f.name != "gf.py")
@@ -130,6 +135,49 @@ def test_the_table_guard_flags_an_attribute_a_name_and_an_import():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_but_gf_names_the_log_tables(name):
     assert table_uses((PACKAGE / name).read_text()) == []
+
+
+# (module, attribute) as perfbench/tracing.py names its targets
+RETIRED_NAMES = {
+    ("quadcert.gf", "FieldCtx.tables"),
+    ("quadcert.compression", "rank"),
+    ("quadcert.compression", "restricted_rank"),
+    ("quadcert.compression", "tangent_basis"),
+    ("quadcert.quadric", "kernel_basis"),
+}
+
+
+def retired_bindings() -> list[tuple[object, str]]:
+    """(owner, attribute) for each attribute of a package module, or of a
+    class one defines, that is `gf.retired` under another name."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("quadcert" if path.stem == "__init__" else f"quadcert.{path.stem}")
+        classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+        for owner in [module, *classes]:
+            found += [(owner, attr) for attr, value in vars(owner).items() if value is gf.retired and attr != "retired"]
+    return found
+
+
+def _target(owner, attr: str) -> tuple[str, str]:
+    """(module, attribute) as perfbench/tracing.py names a wrap target."""
+    if isinstance(owner, type):
+        return owner.__module__, f"{owner.__name__}.{attr}"
+    return owner.__name__, attr
+
+
+def test_the_stub_stands_behind_exactly_five_tracer_targets():
+    bound = {_target(owner, attr) for owner, attr in retired_bindings()}
+    assert bound == RETIRED_NAMES
+    tracing = perfbench_module("tracing")
+    assert bound <= {(module, attr) for module, attr, _ in tracing.SPANS}
+
+
+def test_the_retired_stub_raises():
+    with pytest.raises(NotImplementedError):
+        gf.retired()
+    with pytest.raises(NotImplementedError):
+        gf.field_make(3).tables()
 
 
 def context_comparisons(source: str) -> list[str]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _docref import written
-from _scanref import scan_solve
+from _scanref import brute_first, scan_solve
 from quadcert.cli import _block_checks, _solution
 from quadcert.errors import EvenCharacteristicError, InvalidProfileError, NotPrimeError, UsageError
 from quadcert.gf import SIZE_LIMIT, FieldCtx, _prime_factors, field_make
@@ -185,20 +185,6 @@ def test_solver_answers_every_gate_input(case):
     assert len(checks) == 6 and all(passed for _, passed in checks)
 
 
-def brute_first(p, weights):
-    """Independent full scan over the candidate space, first digit fastest."""
-    r = len(weights)
-    for rev in itertools.product(range(p), repeat=r - 1):
-        digits = rev[::-1]  # c_1 varies fastest
-        if not any(digits):
-            continue
-        lin = sum(w * d for w, d in zip(weights, digits)) % p
-        quad = sum(w * d * d for w, d in zip(weights, digits)) % p
-        if lin == 0 and quad == 0:
-            return digits + (0,)
-    return None
-
-
 @pytest.mark.parametrize(
     "n,p",
     [(15, 3), (15, 5), (45, 3), (45, 5), (51, 3), (85, 5), (105, 3), (341, 11)]
@@ -214,9 +200,10 @@ def test_solver_matches_brute_force(n, p):
     assert coeffs(solve_block_system(prof, p)) == expected
 
 
-def test_quadratic_extension_fallback():
-    # 77 = 64 + 8 + 4 + 1: GF(11) has no solution, and the degree 2
-    # extension has one (every base element is a square there)
+def test_criterion_names_gf_p2_for_n77_p11():
+    # 77 = 64 + 8 + 4 + 1: GF(11) has no solution, so the criterion names
+    # the degree 2 extension, which has one (every base element is a square
+    # there), and the solver solves over it
     prof = binary_profile(77)
     assert brute_first(11, weights_mod_p(prof, 11)) is None
     sol = solve_block_system(prof, 11)
@@ -226,7 +213,8 @@ def test_quadratic_extension_fallback():
     assert sol.c[-1].is_zero()
 
 
-def test_fallback_second_case():
+def test_criterion_names_gf_p2_for_n1100_p5():
+    # GF(5) has no solution, so the solver solves over GF(5^2)
     prof = binary_profile(1100)
     assert brute_first(5, weights_mod_p(prof, 5)) is None
     sol = solve_block_system(prof, 5)
