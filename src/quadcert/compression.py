@@ -47,9 +47,10 @@ does. rank_certificate still evaluates every row and checks J.1 = 0 and
 J.x = 0 at the point, since those identities are what make ker dY equal to
 span(1, x): a wrong Jacobian, wrong field arithmetic or a wrong sampler
 raises instead of yielding a rank read off a formula in (n, p).
-compression_jacobian is not exported from the package, and nothing here
-eliminates: the tests eliminate that full Jacobian, and a generator
-Jacobian they build themselves, as the certificate's oracle.
+compression_jacobian, the full Jacobian as a tuple of rows, is not exported
+from the package, and nothing here eliminates: the tests eliminate those
+rows, and a generator Jacobian they build themselves, as the certificate's
+oracle.
 
 The rows are evaluated as two lane vectors of `gf`, packed from the codes of
 x_3, ..., x_n with no coordinate decoded, and one element: lane i - 3 of
@@ -72,7 +73,6 @@ from .errors import (
     SizeMismatchError,
 )
 from .gf import FieldElement, LaneVector, retired
-from .linalg import Matrix
 from .quadric import AmbientPoint, in_discriminant, power_sums
 from .actions import AffineMap, Permutation, affine_act
 from .record import Record
@@ -144,8 +144,9 @@ def faithfulness_witness(a: AmbientPoint) -> bool:
     return v123 != v143
 
 
-def compression_jacobian(a: AmbientPoint) -> Matrix:
-    """Exact Jacobian, one row per ordered triple (r, s, t):
+def compression_jacobian(a: AmbientPoint) -> tuple[tuple[FieldElement, ...], ...]:
+    """Exact Jacobian as n(n-1)(n-2) rows of n elements, one row per ordered
+    triple (r, s, t) in ordered_triples(n) order:
 
         d/dx_r = (x_s - x_t) / (x_r - x_t)^2
         d/dx_s = -1 / (x_r - x_t)
@@ -158,15 +159,15 @@ def compression_jacobian(a: AmbientPoint) -> Matrix:
     xs = a.coords
     n = a.n
     zero = a.ctx.zero
-    entries: list[FieldElement] = []
+    rows = []
     for r, s, t in ordered_triples(n):
         row = [zero] * n
         isq = inv_sq[(r, t)]
         row[r - 1] = (xs[s - 1] - xs[t - 1]) * isq
         row[s - 1] = -inv[(r, t)]
         row[t - 1] = (xs[r - 1] - xs[s - 1]) * isq
-        entries.extend(row)
-    return Matrix(n * (n - 1) * (n - 2), n, entries, a.ctx)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _generator_rows(x1: FieldElement, x2: FieldElement, xs: LaneVector):

@@ -29,10 +29,6 @@ class RefusalError(QuadcertError):
         self.ctx = ctx
 
 
-class DimensionMismatchError(QuadcertError):
-    """Matrix or vector dimensions do not line up."""
-
-
 class SizeMismatchError(QuadcertError):
     """A permutation or map was applied to a point of the wrong length."""
 

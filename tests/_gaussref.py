@@ -4,26 +4,28 @@ The slow, obviously correct counterpart of the lane elimination in
 `_laneref`: the same pivot rule (the first nonzero entry of the column,
 scanning top to bottom) carried out with the field's own operators, one
 element at a time, no lane vectors. The property tests in test_linalg.py pin
-the lane elimination to it, over prime and extension fields. `matrix` is how
-the tests build a `quadcert.linalg.Matrix` from its rows, and `row_lists`
-reads them back.
+the lane elimination to it, over prime and extension fields. A matrix here,
+as in `_laneref` and `_jacobianref`, is a nonempty sequence of rows of
+elements of one field: the column count is `len(rows[0])` and the field
+`rows[0][0].ctx`. `matvec` is the tests' one product of such rows with a
+vector.
 """
 
-from quadcert.errors import DimensionMismatchError
-from quadcert.linalg import Matrix
 
-
-def matrix(rows):
-    """The Matrix of these rows of elements of one field."""
-    rows = [list(r) for r in rows]
+def columns(rows):
+    """The common length of the rows, which must not be ragged."""
     if any(len(r) != len(rows[0]) for r in rows):
-        raise DimensionMismatchError("ragged rows")
-    return Matrix(len(rows), len(rows[0]), [e for r in rows for e in r], rows[0][0].ctx)
+        raise ValueError("ragged rows")
+    return len(rows[0])
 
 
-def row_lists(m):
-    """The rows of m, each a list of elements."""
-    return [list(m.row(i)) for i in range(m.rows)]
+def matvec(rows, v):
+    """The product of the rows with the vector v, as a tuple of elements."""
+    v, ncols = tuple(v), columns(rows)
+    if len(v) != ncols:
+        raise ValueError(f"vector of length {len(v)}, expected {ncols}")
+    zero = rows[0][0].ctx.zero
+    return tuple(sum((a * x for a, x in zip(row, v)), zero) for row in rows)
 
 
 def _gauss_jordan(rows, ncols):
@@ -47,36 +49,35 @@ def _gauss_jordan(rows, ncols):
     return pivots
 
 
-def rank(m):
-    return len(_gauss_jordan(row_lists(m), m.cols))
+def rank(rows):
+    return len(rref(rows)[1])
 
 
-def rref(m):
-    rows = row_lists(m)
-    pivots = _gauss_jordan(rows, m.cols)
-    return matrix(rows), pivots
+def rref(rows):
+    """The reduced echelon form, as a list of row lists, and its pivot columns."""
+    echelon = [list(r) for r in rows]
+    pivots = _gauss_jordan(echelon, columns(rows))
+    return echelon, pivots
 
 
-def kernel_basis(m):
-    rows = row_lists(m)
-    pivots = _gauss_jordan(rows, m.cols)
+def kernel_basis(rows):
+    echelon, pivots = rref(rows)
+    ncols, ctx = len(rows[0]), rows[0][0].ctx
     basis = []
-    for free in range(m.cols):
+    for free in range(ncols):
         if free in pivots:
             continue
-        v = [m.ctx.zero] * m.cols
-        v[free] = m.ctx.one
+        v = [ctx.zero] * ncols
+        v[free] = ctx.one
         for j, pc in enumerate(pivots):
-            v[pc] = -rows[j][free]
+            v[pc] = -echelon[j][free]
         basis.append(tuple(v))
     return basis
 
 
-def restricted_rank(m, basis):
+def restricted_rank(rows, basis):
     if not basis:
         return 0
-    images = []
-    for i in range(m.rows):
-        row = m.row(i)
-        images.append([sum((a * x for a, x in zip(row, b)), m.ctx.zero) for b in basis])
+    zero = rows[0][0].ctx.zero
+    images = [[sum((a * x for a, x in zip(row, b)), zero) for b in basis] for row in rows]
     return len(_gauss_jordan(images, len(basis)))

@@ -4,7 +4,9 @@
 generator rows. The matrices here share no code with it: `gradient_matrix`
 writes down the gradients of the two defining sums, and `generator_matrix`
 differentiates each generator y_i = (x_1 - x_i)/(x_1 - x_2) with dual
-numbers (`_dualnum`). The tests eliminate both with `_laneref`.
+numbers (`_dualnum`). Each is a tuple of rows, each row a tuple of
+elements, as `quadcert.compression.compression_jacobian` returns the full
+Jacobian, and the tests eliminate them with `_laneref`.
 
 The certificate evaluates the closed-form rows as lane vectors;
 `generator_rows` and `first_failing_row` are the same rows and checks one
@@ -14,7 +16,6 @@ in nested loops, the oracle of `quadcert.compression.ordered_triples`, and
 """
 
 from _dualnum import Dual
-from _gaussref import matrix
 
 
 def triples_by_loops(n):
@@ -38,7 +39,7 @@ def triple_positions(n):
 def gradient_matrix(a):
     """The 2 x n matrix [1; 2x]: the gradients of sum x_i and sum x_i^2."""
     two = a.ctx.el(2)
-    return matrix([[a.ctx.one] * a.n, [two * x for x in a.coords]])
+    return ((a.ctx.one,) * a.n, tuple(two * x for x in a.coords))
 
 
 def generator_matrix(a):
@@ -52,8 +53,8 @@ def generator_matrix(a):
         for j in (0, 1, i):
             x1, x2, xi = (Dual(xs[m], ctx.one if m == j else ctx.zero) for m in (0, 1, i))
             row[j] = ((x1 - xi) / (x1 - x2)).b
-        rows.append(row)
-    return matrix(rows)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def generator_rows(a):

@@ -148,6 +148,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # every row's entry at x_s is 1/(x_r - x_t): J.1 = 0 and J.x = 0 fail
+        "jacobian-middle-entry-sign",
+        "src/quadcert/compression.py",
+        "row[s - 1] = -inv[(r, t)]",
+        "row[s - 1] = inv[(r, t)]",
+        (
+            "tests/test_compression.py::test_jacobian_row_pin",
+            "tests/test_compression.py::test_jacobian_kernel_directions",
+            "tests/test_acceptance.py::test_acceptance_5_exact_identities",
+        ),
+    ),
+    Mutant(
         "generator-row-check-removed",
         "src/quadcert/compression.py",
         "    if failed:\n        raise JacobianIdentityError(",

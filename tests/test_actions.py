@@ -22,7 +22,6 @@ from quadcert.profile import binary_profile
 from quadcert.rng import SplitMix64
 from quadcert.trace_system import lift_block_solution, solve_block_system
 from _docref import written
-from _gaussref import matrix
 from _jacobianref import gradient_matrix
 from _laneref import rank
 from _points import point
@@ -195,7 +194,7 @@ def test_structural_ranks_match_elimination(p, k, n):
     for coords in vectors:
         a = point(coords)
         expected = 1 if in_small_diagonal(a) else 2
-        assert rank(matrix([coords, [ctx.one] * len(coords)])) == expected
+        assert rank([coords, [ctx.one] * len(coords)]) == expected
         # p copies of any vector lie on the quadric in characteristic p
         b = point(coords * p)
         assert on_quadric(b)

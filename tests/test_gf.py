@@ -21,7 +21,6 @@ from quadcert.gf import (
     _prime_factors,
     field_make,
 )
-from quadcert.linalg import Matrix
 from quadcert.profile import binary_profile, check_hypotheses
 from quadcert.quadric import AmbientPoint
 from quadcert.rng import SplitMix64
@@ -652,7 +651,6 @@ MIXING_SITES = {
     "block-solution": lambda f, g: BlockSolution(
         binary_profile(15), (1, 4, 2, 1), (f.one, f.one, f.one, g.zero), f
     ),
-    "matrix": lambda f, g: Matrix(1, 2, (f.one, g.one), f),
 }
 
 

@@ -31,7 +31,6 @@ import pytest
 
 import quadcert.gf
 from quadcert.cli import main
-from test_structure import retired_bindings
 
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
@@ -76,21 +75,6 @@ def test_golden_certificate(tmp_path, stem, argv, code):
     out = tmp_path / f"{stem}.json"
     assert _run(argv, out) == code
     assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
-
-
-@pytest.mark.parametrize("stem, argv, code", CASES, ids=[c[0] for c in CASES])
-def test_no_command_eliminates_or_builds_tables(tmp_path, monkeypatch, stem, argv, code):
-    # the rank certificate is read off the generator rows' structure, and the
-    # package keeps no elimination and no log tables: the names that stood
-    # for them are bound to a stub, here made to record each call instead of
-    # raising, and every command reproduces its golden file with no call
-    calls = []
-    for owner, attr in retired_bindings():
-        monkeypatch.setattr(owner, attr, lambda *args, attr=attr: calls.append(attr))
-    out = tmp_path / f"{stem}.json"
-    assert _run(argv, out) == code
-    assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
-    assert calls == []
 
 
 # Renders every case under another interpreter, which needs no test

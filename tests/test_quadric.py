@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 import quadcert.quadric as quadric_module
 from quadcert.errors import NoPointFoundError
 from quadcert.gf import FieldCtx, field_make
-from quadcert.linalg import matvec
 from quadcert.profile import binary_profile
 from quadcert.rng import LANES, SplitMix64
 from quadcert.quadric import (
@@ -24,6 +23,7 @@ from quadcert.quadric import (
 )
 from quadcert.trace_system import lift_block_solution, solve_block_system
 from _docref import written
+from _gaussref import matvec
 from _jacobianref import gradient_matrix
 from _laneref import kernel_basis, rank
 from _points import point

@@ -59,12 +59,6 @@ NOT_ENTERED = {
     "gf.LaneVector.__len__": PROTOCOL,
     "gf.LaneVector.__getitem__": PROTOCOL,
     "gf.retired": TRACER,
-    "linalg.Matrix.__init__": CRITERION_5,
-    "linalg.Matrix.row": CRITERION_5,
-    "linalg.Matrix.__eq__": PROTOCOL,
-    "linalg.Matrix.__hash__": PROTOCOL,
-    "linalg.Matrix.__repr__": PROTOCOL,
-    "linalg.matvec": CRITERION_5,
     "quadric.AmbientPoint.coords": CRITERION_5,
     "record.Record.__setattr__": FROZEN,
     "record.Record.__delattr__": FROZEN,
