@@ -68,16 +68,17 @@ degrees. Over GF(p) the packing is the identity. The block system passes its
 dozen c_i with multiplicities w_i, so the sums of a lift of thousands of
 coordinates cost a dozen integer products.
 
-Codes become packings (`FieldCtx._pack_codes`, for `lanes`, `sums`,
-`affine_codes` and `coefficient_rows`) through digit tables. The base-p digits
-of a code, most significant first, are c_0, ..., c_{k-1}; they are read in
-chunks of d digits, d the largest with p^d <= 256 (one when p > 256), the last
-chunk taking what is left (5, 5 and 2 digits over GF(3^12)). Entry v of the
-table for (p, s, width) packs the s digits of v at that width, the first at
-digit 0, or holds their tuple when width is None. So a chunk is one lookup,
-shifted up to its first coefficient and added, or concatenated, over the whole
-list of codes at once. A one-digit chunk is its own packing and needs no
-table, and over GF(p) a code is its packing. Tables are built on first use and
+Codes become packings (`FieldCtx._pack_codes`, for `element_at`, `lanes`,
+`sums`, `affine_codes` and `coefficient_rows`) through digit tables. The base-p
+digits of a code, most significant first, are c_0, ..., c_{k-1}; they are read
+in chunks of d digits, d the largest with p^d <= 256 (one when p > 256), the
+last chunk taking what is left (5, 5 and 2 digits over GF(3^12)). Entry v of
+the table for (p, s, width) packs the s digits of v at that width, the first at
+digit 0, or holds their tuple when width is None. So a chunk is one lookup over
+the whole list of codes at once, and one step, `+`, joins it to the chunks
+before it: a packing shifted up to its first coefficient is added, a tuple
+concatenated. A one-digit chunk is its own packing, or its 1-tuple, and needs
+no table, and over GF(p) a code is its packing. Tables are built on first use and
 kept per module, shared by every field of one characteristic; the widths of
 the kernel and of `sums` are whole bytes, so a process builds few per prime.
 """
@@ -443,24 +444,16 @@ class FieldCtx:
         return self._code(a.packed)
 
     def element_at(self, index: int) -> FieldElement:
+        """The element with code index, packed by `_pack_codes`."""
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range for size {self.size}")
-        return FieldElement(self, self._packed_at(index))
+        return FieldElement(self, self._pack_codes([index], self._width)[0])
 
     def elements(self) -> Iterator[FieldElement]:
-        """All elements in canonical order."""
-        for x in map(self._packed_at, range(self.size)):
-            yield FieldElement(self, x)
+        """All elements in canonical order, one `element_at` at a time."""
+        return map(self.element_at, range(self.size))
 
     # --- arithmetic kernels ---
-
-    def _packed_at(self, index: int) -> int:
-        """The packing of the element with code index (no range check)."""
-        x = 0
-        for s in reversed(self._shifts):  # the last digit of a code is c_{k-1}
-            index, c = divmod(index, self.p)
-            x |= c << s
-        return x
 
     def _pack(self, coeffs) -> int:
         x = 0
@@ -486,32 +479,24 @@ class FieldCtx:
     def _pack_codes(self, codes, width: Optional[int]) -> list:
         """The packings, with width bits a digit, of the elements with these
         codes, or for width None their coefficient tuples, low degree first:
-        each chunk of code digits read from its digit table, then shifted
-        into place and added, or concatenated (module docstring). Over GF(p)
-        a list of codes is its own list of packings and comes back as it is."""
+        each chunk of code digits read from its digit table, shifted into
+        place and joined to the chunks before it by `+` (module docstring).
+        Over GF(p) a list of codes is its own list of packings, returned."""
         if not isinstance(codes, list):
             codes = list(codes)  # every chunk reads them
-        p, out, parts = self.p, None, []
+        p, out = self.p, None
         for digits, below, size, start in self._chunks:
             part = map(floordiv, codes, repeat(below)) if below > 1 else codes
             if start:
                 part = map(mod, part, repeat(size))
-            if digits > 1:  # a one-digit chunk is its own packing
+            if digits > 1:
                 part = map(_digit_table(p, digits, width).__getitem__, part)
-            if width is None:
-                parts.append(part)
-            elif out is None:
-                out = part
-            else:
-                out = map(add, out, map(lshift, part, repeat(width * start)))
-        if width is not None:
-            return out if out is codes else list(out)
-        if len(parts) == self.k:  # a digit a chunk: the parts are the coefficients
-            return list(zip(*parts))
-        rows = parts[0]  # the first chunk takes more than one digit here
-        for part, (digits, _, _, _) in zip(parts[1:], self._chunks[1:]):
-            rows = map(add, rows, part if digits > 1 else zip(part))
-        return list(rows)
+            elif width is None:  # one digit is its own packing, or zip's 1-tuple
+                part = zip(part)
+            if start and width is not None:
+                part = map(lshift, part, repeat(width * start))
+            out = part if out is None else map(add, out, part)
+        return out if out is codes else list(out)
 
     def lanes(self, codes) -> LaneVector:
         """The lane vector of the elements with these codes, in order."""
@@ -583,7 +568,8 @@ class FieldCtx:
             while Q % 2 == 0:
                 s, Q = s + 1, Q // 2
             half = (self.size - 1) // 2
-            units = map(self._packed_at, range(1, self.size))  # no element decoded
+            # the units' packings in code order, no element decoded
+            units = (self._pack_codes([c], self._width)[0] for c in range(1, self.size))
             z = next(z for z in units if power(z, half) != 1)
             self._sqrt_consts = (s, Q, power(z, Q))
         m, Q, c = self._sqrt_consts

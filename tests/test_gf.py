@@ -2,13 +2,14 @@
 
 import functools
 import signal
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from _docref import written
-from _fieldref import _poly_divmod_rem, smallest_irreducible
+from _fieldref import _poly_divmod_rem, coefficient_rows, smallest_irreducible
 from quadcert import gf
 from quadcert.actions import AffineMap, affine_act
 from quadcert.cli import _field
@@ -137,7 +138,7 @@ def fresh_contexts(monkeypatch):
     monkeypatch.setattr(gf, "_context", functools.lru_cache(maxsize=None)(gf._context.__wrapped__))
 
 
-def test_check_characteristic_against_a_sieve(fresh_contexts):
+def test_field_make_refuses_p_against_a_sieve(fresh_contexts):
     # 2 is refused as even, every other non-prime (0, 1 and negatives
     # included) as not prime, and every odd prime is accepted
     top = 3000
@@ -156,7 +157,7 @@ def test_check_characteristic_against_a_sieve(fresh_contexts):
                 field_make(p)
 
 
-def test_check_characteristic_divides_each_p_once(monkeypatch, fresh_contexts):
+def test_field_make_divides_each_p_once(monkeypatch, fresh_contexts):
     # field_make is the one check of p: it, the gate and the solver's
     # weights refuse alike, 2 and a p above the limit before any trial
     # division and p before k, and a field's p is divided once, when its
@@ -312,9 +313,29 @@ def test_element_index_roundtrip():
 
 
 def test_elements_enumeration_matches_element_at():
-    f25 = field_make(5, 2)
-    listed = list(f25.elements())
-    assert listed == [f25.element_at(i) for i in range(25)]
+    # `elements()` is `element_at` over every code, so both answer to the
+    # digit-by-digit oracle: over GF(25), GF(5^4), whose code chunks take 3
+    # and 1 digits, and GF(31^2), where every chunk has one digit
+    for p, k in ((5, 2), (5, 4), (31, 2)):
+        ctx = field_make(p, k)
+        rows = coefficient_rows(ctx, range(ctx.size))
+        assert [a.coeffs for a in ctx.elements()] == rows
+        assert [ctx.element_at(i).coeffs for i in range(ctx.size)] == rows
+
+
+def test_the_first_sqrt_scans_the_units_lazily(fresh_contexts):
+    # the nonresidue search packs one unit at a time: a list of the units of
+    # GF(1048573) would take tens of MiB, the scan takes a few KiB
+    ctx = field_make(1048573)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        root = ctx.el(4).sqrt()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert root == ctx.el(2)
+    assert peak < 1 << 20, peak
 
 
 FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (11, 1)]
@@ -702,7 +723,7 @@ def test_sums_refuse_mismatched_multiplicities():
     assert f7.sums([1, 2, 3], [1, 1, 1]) == f7.sums([1, 2, 3]) == (f7.el(6), f7.el(0))
 
 
-def test_to_json_shapes():
+def test_written_field_and_element_shapes():
     f9 = field_make(3, 2)
     assert _field(f9) == {"p": 3, "k": 2, "modulus": [1, 0, 1]}
     assert written(f9.el([2, 1])) == [2, 1]

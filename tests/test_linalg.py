@@ -153,7 +153,7 @@ def test_restricted_rank_bounds(m):
     assert rr <= len(half)
 
 
-def test_object_path_beyond_table_limit():
+def test_lane_elimination_over_gf729():
     # GF(3^6) has 729 elements; the lane elimination runs at every field size
     ctx = field_make(3, 6)
     x = ctx.el([0, 1])
@@ -164,7 +164,7 @@ def test_object_path_beyond_table_limit():
     assert ref.matvec(m, basis[0]) == (ctx.zero, ctx.zero)
 
 
-def test_elimination_builds_no_tables():
+def test_lane_elimination_over_gf81_matches_the_reference():
     # every routine over GF(81), the field elimination once ran through log
     # tables, which the package no longer has: it runs on lane vectors alone
     ctx = field_make(3, 4)

@@ -191,7 +191,7 @@ def test_point_validation():
         AmbientPoint(F11, (1,))  # too short
 
 
-def test_point_to_json():
+def test_written_point_shape():
     assert written(pt(F11, (9, 5, 1, 3, 4))) == [[9], [5], [1], [3], [4]]
 
 

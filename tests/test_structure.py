@@ -76,7 +76,7 @@ def violations(source: str) -> list[str]:
 def test_the_guard_flags_each_kind_of_crossing():
     source = (
         "from .quadric import AmbientPoint, _sums\n"
-        "x = ctx._packed_at(3)\n"
+        "x = ctx._code(3)\n"
         "y = a.ctx._columns(codes)\n"
         "z = FieldElement(ctx, 7)\n"
         "ok = self._set(ctx, codes) + ctx.sums(codes) + rng._state\n"
