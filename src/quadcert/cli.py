@@ -36,6 +36,8 @@ the parser (`_parse`), EvenCharacteristicError and NotPrimeError; it writes
 no document and one line on stderr. The parser reads the README's grammar:
 an option is its flag in full, an integer `0|-?[1-9][0-9]*`, and a word -h
 or --help anywhere shows help (exit 0). Other exceptions are internal faults.
+certify's verdict is the conjunction of the checks that set its exit code,
+every check but hypotheses_apply.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .quadric import (
     AmbientPoint,
     in_discriminant,
     in_small_diagonal,
-    on_quadric,
+    on_quadric,  # unread: perfbench/tracing.py wraps it here until ROADMAP item 17 part B
     power_sums,
     sample_quadric_point,
 )
@@ -183,17 +185,6 @@ def _field(ctx) -> dict:
     return {"p": ctx.p, "k": ctx.k, "modulus": list(ctx.modulus)}
 
 
-def _solution(sol) -> dict:
-    """A block solution: its profile, weights, values c_i and field."""
-    return {
-        "n": sol.profile.n,
-        "exponents": list(sol.profile.exponents),
-        "weights": list(sol.weights),
-        "c": list(sol.c),
-        "field": _field(sol.ctx),
-    }
-
-
 def _parse_field_spec(spec: str):
     """'p' or 'p^k' in ASCII decimal digits, no leading zero -> FieldCtx;
     UsageError on any other spelling, so `inputs.field` is always plain."""
@@ -209,33 +200,12 @@ def _parse_field_spec(spec: str):
 #
 # Each returns (field, payload, checks, exit code), or raises a RefusalError;
 # `main` wraps either in the envelope. `checks` is a list of (name, passed)
-# pairs.
+# pairs. solve, construct and certify solve, lift and check the block system
+# in one place, `_block`.
 
 
 def _exit_code(checks) -> int:
     return EXIT_OK if all(passed for _, passed in checks) else EXIT_VERIFY
-
-
-def _block_checks(sol, lin, quad, lift=None, lift_on_quadric=False) -> list:
-    """The checks that verify a block solution and, when given, its lift.
-
-    `lin` and `quad` are the solution's weighted sums (`evaluate_system`):
-    both vanish, some c_i is nonzero and c_r = 0. The lift must lie on the
-    quadric (the caller's `lift_on_quadric`) and off the small diagonal; the
-    all-zero solution passes the sums, but its lift is a constant vector.
-    """
-    checks = [
-        ("linear_sum_zero", lin.is_zero()),
-        ("quadratic_sum_zero", quad.is_zero()),
-        ("nontrivial", any(not ci.is_zero() for ci in sol.c)),
-        ("last_coordinate_zero", sol.c[-1].is_zero()),
-    ]
-    if lift is not None:
-        checks += [
-            ("lift_on_quadric", lift_on_quadric),
-            ("lift_off_small_diagonal", not in_small_diagonal(lift)),
-        ]
-    return checks
 
 
 def _cmd_check(n, p, degree):
@@ -247,26 +217,48 @@ def _cmd_check(n, p, degree):
     return ctx, payload, [("applies", decision.applies)], code
 
 
-def _cmd_solve(n, p, construct=False):
-    """solve, and construct, which also lifts the solution to a quadric point."""
+def _block(n, p, lift):
+    """Solve the block system of (n, p) and, with `lift`, lift the solution
+    to a quadric point: (field, payload, checks, sums), `sums` the entries
+    that solve and construct add to the payload. The checks: both weighted
+    sums vanish, some c_i is nonzero and c_r = 0; the lift lies on the quadric
+    and off the small diagonal, as the all-zero solution lifts to a constant.
+    """
     sol = solve_block_system(binary_profile(n), p)
     lin, quad = evaluate_system(sol)
-    payload = _solution(sol)
-    payload["checks_values"] = {"linear": lin, "quadratic": quad}
-    lift = None
-    on_quad = False
-    if construct:
-        lift = lift_block_solution(sol)
-        s1, s2 = power_sums(lift)
-        on_quad = s1.is_zero() and s2.is_zero()
-        payload["lift"] = lift
-        payload["lift_sums"] = {"coordinate_sum": s1, "square_sum": s2}
-    checks = _block_checks(sol, lin, quad, lift, on_quad)
-    return sol.ctx, payload, checks, _exit_code(checks)
+    payload = {
+        "n": n,
+        "exponents": list(sol.profile.exponents),
+        "weights": list(sol.weights),
+        "c": list(sol.c),
+        "field": _field(sol.ctx),
+    }
+    checks = [
+        ("linear_sum_zero", lin.is_zero()),
+        ("quadratic_sum_zero", quad.is_zero()),
+        ("nontrivial", any(not ci.is_zero() for ci in sol.c)),
+        ("last_coordinate_zero", sol.c[-1].is_zero()),
+    ]
+    sums = {"checks_values": {"linear": lin, "quadratic": quad}}
+    if lift:
+        point = payload["lift"] = lift_block_solution(sol)
+        s1, s2 = power_sums(point)
+        checks += [
+            ("lift_on_quadric", s1.is_zero() and s2.is_zero()),
+            ("lift_off_small_diagonal", not in_small_diagonal(point)),
+        ]
+        sums["lift_sums"] = {"coordinate_sum": s1, "square_sum": s2}
+    return sol.ctx, payload, checks, sums
+
+
+def _cmd_solve(n, p, lift=False):
+    """solve, and with `lift` construct."""
+    ctx, payload, checks, sums = _block(n, p, lift)
+    return ctx, payload | sums, checks, _exit_code(checks)
 
 
 def _cmd_construct(n, p):
-    return _cmd_solve(n, p, construct=True)
+    return _cmd_solve(n, p, lift=True)
 
 
 def _cmd_sample(n, field, seed, max_tries):
@@ -318,46 +310,30 @@ def _cmd_borel_check(n, field, seed, samples):
 def _cmd_certify(n, p, field_degree, samples, seed, max_tries, control):
     decision = check_hypotheses(n, p, field_degree)
     ctx = field_make(p, field_degree)
-
-    block_json = None
-    block_ok = True
+    block, verified = None, []
     if decision.applies:
-        sol = solve_block_system(binary_profile(n), p)
-        lift = lift_block_solution(sol)
-        block_checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
-        block_ok = all(passed for _, passed in block_checks)
-        block_json = _solution(sol)
-        block_json["lift"] = lift
-
-    points = _sampled_points(n, ctx, SplitMix64(seed), samples, max_tries)
-    certs, rows = [], []
-    for index, point_seed, point in points:
-        certs.append(rank_certificate(point))
-        row = _fields(certs[-1])
-        row["index"] = index
-        row["seed"] = point_seed
-        row["point"] = point
-        row["faithfulness_witness"] = faithfulness_witness(point)
-        rows.append(row)
-    ranks = [c.restricted_rank for c in certs]
-    all_satisfied = all(c.satisfied for c in certs)
-    all_witness = all(r["faithfulness_witness"] for r in rows)
+        _, block, block_checks, _ = _block(n, p, lift=True)
+        verified = [("block_solution_verified", all(passed for _, passed in block_checks))]
+    rows = [
+        _fields(rank_certificate(point))
+        | {"index": index, "seed": point_seed, "point": point, "faithfulness_witness": faithfulness_witness(point)}
+        for index, point_seed, point in _sampled_points(n, ctx, SplitMix64(seed), samples, max_tries)
+    ]
+    checks = [
+        ("hypotheses_apply", decision.applies),
+        ("all_samples_within_bound", all(row["satisfied"] for row in rows)),
+        ("faithfulness_witness_all", all(row["faithfulness_witness"] for row in rows)),
+    ] + verified
+    ranks = [row["restricted_rank"] for row in rows]
     payload = {
         "hypothesis": decision,
         "control": not decision.applies,
         "control_requested": control,
-        "block_solution": block_json,
+        "block_solution": block,
         "samples": rows,
         "observed_restricted_ranks": {"min": min(ranks), "max": max(ranks)},
-        "verdict": all_satisfied and all_witness and block_ok,
+        "verdict": all(passed for _, passed in checks[1:]),
     }
-    checks = [
-        ("hypotheses_apply", decision.applies),
-        ("all_samples_within_bound", all_satisfied),
-        ("faithfulness_witness_all", all_witness),
-    ]
-    if decision.applies:
-        checks.append(("block_solution_verified", block_ok))
     # a control run fails hypotheses_apply by design; the rest set the exit code
     return ctx, payload, checks, _exit_code(checks[1:])
 

@@ -443,11 +443,13 @@ class FieldCtx:
         """Position of a in the canonical order (coefficient-tuple lex)."""
         return self._code(a.packed)
 
-    def element_at(self, index: int) -> FieldElement:
-        """The element with code index, packed by `_pack_codes`."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for size {self.size}")
-        return FieldElement(self, self._pack_codes([index], self._width)[0])
+    def element_at(self, code: int) -> FieldElement:
+        """The element with this code, packed by `_pack_codes` (a float or a
+        str raises TypeError)."""
+        code = index(code)
+        if not 0 <= code < self.size:
+            raise ValueError(f"index {code} out of range for size {self.size}")
+        return FieldElement(self, self._pack_codes([code], self._width)[0])
 
     def elements(self) -> Iterator[FieldElement]:
         """All elements in canonical order, one `element_at` at a time."""

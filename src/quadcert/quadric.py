@@ -30,12 +30,14 @@ kernel_basis = retired  # a benchmark tracer target
 
 class AmbientPoint(Record):
     """A length-n coordinate vector over one field context, held as the codes
-    of its coordinates (any iterable of codes, kept as a tuple)."""
+    of its coordinates (any iterable of int codes, kept as a tuple)."""
 
     __slots__ = ("ctx", "codes")
 
     def __init__(self, ctx: FieldCtx, codes):
         codes = tuple(codes)
+        if type(sum(codes)) is not int:  # a float sums to a float, a str raises
+            raise TypeError("a point's codes are ints")
         if len(codes) < 2 or min(codes) < 0 or max(codes) >= ctx.size:
             raise ValueError("a point needs at least 2 coordinates, each a code below the field size")
         Record.__init__(self, ctx, codes)

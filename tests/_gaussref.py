@@ -3,7 +3,7 @@
 The slow, obviously correct counterpart of the lane elimination in
 `_laneref`: the same pivot rule (the first nonzero entry of the column,
 scanning top to bottom) carried out with the field's own operators, one
-element at a time, no lane vectors. The property tests in test_linalg.py pin
+element at a time, no lane vectors. The property tests in test_elimination_oracles.py pin
 the lane elimination to it, over prime and extension fields. A matrix here,
 as in `_laneref` and `_jacobianref`, is a nonempty sequence of rows of
 elements of one field: the column count is `len(rows[0])` and the field

@@ -7,10 +7,10 @@ column, so echelon forms are reproducible, and one lane vector a matrix
 row, for every field. A matrix is a nonempty sequence of rows of elements
 of one field, as in `_gaussref`. A pivot row is scaled by the inverse of its
 pivot, and each update row - c * prow is one product and one subtraction of
-the Barrett kernel. The property tests in test_linalg.py pin it to `_gaussref`,
-the same elimination on element objects, which is too slow to be the
-certificate tests' oracle: test_compression.py ran in 2.4 s on this one and
-in 11 s on `_gaussref` (Python 3.11, 2 shared vCPUs).
+the Barrett kernel. The property tests in test_elimination_oracles.py pin it
+to `_gaussref`, the same elimination on element objects, which is too slow to
+be the certificate tests' oracle: test_compression.py ran in 2.4 s on this one
+and in 11 s on `_gaussref` (Python 3.11, 2 shared vCPUs).
 """
 
 from _gaussref import columns

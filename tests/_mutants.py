@@ -297,7 +297,7 @@ MUTANTS = (
         "self.packed >> stride * (i + 1) &",
         (
             "tests/test_kernels.py::test_lane_indexing_matches_iteration",
-            "tests/test_linalg.py::test_kernel_pin",
+            "tests/test_elimination_oracles.py::test_kernel_pin",
             "tests/test_actions.py::test_structural_ranks_match_elimination[3-4-9]",
         ),
     ),
@@ -353,7 +353,7 @@ MUTANTS = (
         "self.stride = k * w",
         (
             "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[3-4-13]",
-            "tests/test_linalg.py::test_lane_elimination_over_gf81_matches_the_reference",
+            "tests/test_elimination_oracles.py::test_lane_elimination_over_gf81_matches_the_reference",
             "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
         ),
     ),
@@ -546,6 +546,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # a float code makes a point equal to its int twin
+        "point-takes-any-codes",
+        QUADRIC,
+        "if type(sum(codes)) is not int:",
+        "if False:",
+        ("tests/test_quadric.py::test_a_point_takes_only_int_codes",),
+    ),
+    Mutant(
+        # a float code makes an element whose packing is a float over GF(p)
+        "element-at-takes-any-code",
+        GF,
+        "code = index(code)",
+        "pass",
+        ("tests/test_gf.py::test_element_at_takes_only_int_codes",),
+    ),
+    Mutant(
         "small-diagonal-skips-last-coordinate",
         QUADRIC,
         "return a.codes.count(a.codes[0]) == a.n",
@@ -654,8 +670,8 @@ MUTANTS = (
         "for name in record.__slots__}",
         "for name in record.__slots__[1:]}",
         (
-            "tests/test_profile.py::test_decision_to_json",
-            "tests/test_actions.py::test_report_to_json",
+            "tests/test_profile.py::test_written_decision",
+            "tests/test_actions.py::test_written_report",
             "tests/test_golden.py::test_golden_certificate[check_15_3]",
         ),
     ),
@@ -666,7 +682,7 @@ MUTANTS = (
         "list(v) if type(v) is tuple else v for",
         "v for",
         (
-            "tests/test_profile.py::test_decision_to_json",
+            "tests/test_profile.py::test_written_decision",
             f"{CLI_TESTS}test_writer_takes_nested_records_and_refuses_other_objects",
             "tests/test_golden.py::test_golden_certificate[check_15_3]",
         ),
@@ -685,7 +701,7 @@ MUTANTS = (
         "named.pop(name)",
         (
             "tests/test_record.py::test_a_record_is_rebuilt_from_its_fields",
-            "tests/test_actions.py::test_report_to_json",
+            "tests/test_actions.py::test_written_report",
         ),
     ),
     Mutant(
@@ -837,9 +853,20 @@ MUTANTS = (
     Mutant(
         "block-lift-always-on-quadric",
         CLI,
-        '("lift_on_quadric", lift_on_quadric)',
+        '("lift_on_quadric", s1.is_zero() and s2.is_zero())',
         '("lift_on_quadric", True)',
         (f"{CLI_TESTS}test_construct_and_certify_check_the_lift",),
+    ),
+    Mutant(
+        # certify writes and checks the block solution without its lift
+        "certify-skips-the-lift",
+        CLI,
+        "_, block, block_checks, _ = _block(n, p, lift=True)",
+        "_, block, block_checks, _ = _block(n, p, lift=False)",
+        (
+            f"{CLI_TESTS}test_construct_and_certify_check_the_lift",
+            "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
+        ),
     ),
     Mutant(
         "certificate-always-satisfied",
@@ -851,8 +878,8 @@ MUTANTS = (
     Mutant(
         "verdict-ignores-the-bound",
         CLI,
-        '"verdict": all_satisfied and all_witness and block_ok,',
-        '"verdict": all_witness and block_ok,',
+        '"verdict": all(passed for _, passed in checks[1:]),',
+        '"verdict": all(passed for _, passed in checks[2:]),',
         (f"{CLI_TESTS}test_certify_checks_the_restricted_rank",),
     ),
     # the command-line parser (tests/test_parser.py pins its grammar and checks

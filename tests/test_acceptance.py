@@ -16,7 +16,7 @@ import time
 from quadcert.errors import NoPointFoundError
 from quadcert.gf import field_make
 from quadcert.profile import binary_profile, check_hypotheses
-from quadcert.quadric import AmbientPoint, on_quadric, sample_quadric_point
+from quadcert.quadric import sample_quadric_point
 from quadcert.actions import (
     affine_act,
     affine_compose,

@@ -216,7 +216,7 @@ def test_random_generators_are_valid():
     assert random_permutation(7, rng_a) == random_permutation(7, rng_b)
 
 
-def test_report_to_json():
+def test_written_report():
     g = AffineMap(F11.el(2), F11.el(1))
     doc = written(invariance_report(BASE, g))
     assert doc["identities_hold"] is True

@@ -173,15 +173,16 @@ def test_certify_no_point(tmp_path):
     assert doc["payload"]["error"] == "NoPointFound"
 
 
+def _zero_solution(profile, p):
+    sol = solve_block_system(profile, p)
+    return BlockSolution(sol.profile, sol.weights, tuple(sol.ctx.zero for _ in sol.c), sol.ctx)
+
+
 def test_zero_block_solution_fails_every_command(tmp_path, monkeypatch):
     # c = 0 satisfies both weighted sums and lifts to the constant vector,
     # which lies on the quadric: only the nontrivial and off-small-diagonal
     # checks catch it, and certify must apply them as construct does
-    def zero_solution(profile, p):
-        sol = solve_block_system(profile, p)
-        return BlockSolution(sol.profile, sol.weights, tuple(sol.ctx.zero for _ in sol.c), sol.ctx)
-
-    monkeypatch.setattr("quadcert.cli.solve_block_system", zero_solution)
+    monkeypatch.setattr("quadcert.cli.solve_block_system", _zero_solution)
     code, doc = run_json(
         tmp_path, ["certify", "15", "3", "--field-degree", "4", "--samples", "1"]
     )
@@ -196,6 +197,27 @@ def test_zero_block_solution_fails_every_command(tmp_path, monkeypatch):
         assert code == 3 and passed["nontrivial"] is False
         assert passed["linear_sum_zero"] and passed["quadratic_sum_zero"]
     assert passed["lift_on_quadric"] and passed["lift_off_small_diagonal"] is False
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["solved", "zero"])
+@pytest.mark.parametrize(
+    "n, p, degree",
+    # the block solution of 77 = 64 + 8 + 4 + 1 lies over GF(11^2)
+    [(15, 3, 4), (77, 11, 4), (199, 199, 2)],
+)
+def test_certify_writes_and_verifies_the_block_solution_of_construct(tmp_path, monkeypatch, n, p, degree, zero):
+    if zero:
+        monkeypatch.setattr("quadcert.cli.solve_block_system", _zero_solution)
+    _, built = run_json(tmp_path, ["construct", str(n), str(p)], "construct.json")
+    _, doc = run_json(
+        tmp_path, ["certify", str(n), str(p), "--field-degree", str(degree), "--samples", "1"]
+    )
+    block = dict(built["payload"])
+    del block["checks_values"], block["lift_sums"]
+    assert doc["payload"]["block_solution"] == block
+    verified = all(checks_passed(built).values())
+    assert verified is not zero
+    assert checks_passed(doc)["block_solution_verified"] is verified
 
 
 # Each test below replaces one producer of a command, where the command

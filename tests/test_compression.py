@@ -1,7 +1,6 @@
 """Triple ratio map: pins, symmetries, Jacobian, rank certificates."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 import quadcert.compression
 from quadcert.cli import main
@@ -37,7 +36,7 @@ from quadcert.compression import (
     rank_certificate,
 )
 from quadcert.rng import SplitMix64
-from tests._dualnum import Dual, lift_const, lift_var
+from tests._dualnum import lift_const, lift_var
 from _gaussref import matvec
 from _laneref import kernel_basis, rank, restricted_rank
 from _jacobianref import (
@@ -217,7 +216,7 @@ def test_rank_certificate_validation():
         rank_certificate(AmbientPoint(F11, (1, 2, 3, 4, 5)))
 
 
-def test_certificate_to_json():
+def test_certificate_fields_pin():
     cert = rank_certificate(BASE)
     fields = list(cert.__slots__)
     assert fields == ["ambient_rank", "tangent_dim", "restricted_rank", "bound", "satisfied"]

@@ -650,6 +650,16 @@ def test_el_takes_only_int_coefficients():
     assert f81.el([True, 5]) == f81.el([1, 2])
 
 
+def test_element_at_takes_only_int_codes():
+    # over GF(7) a float code once made an element whose packing was a
+    # float: it compared equal to its int and raised at its first product
+    for ctx in (field_make(7), field_make(3, 4)):
+        for code in (3.0, "3", 3.5):
+            with pytest.raises(TypeError):
+                ctx.element_at(code)
+        assert ctx.element_at(True) == ctx.element_at(1)
+
+
 def test_cross_field_operations_rejected():
     f7 = field_make(7)
     f11 = field_make(11)

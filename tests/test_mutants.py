@@ -40,7 +40,7 @@ def test_every_entry_lists_a_test_with_fixed_examples():
 
 
 def test_the_draw_guard_tells_drawn_tests_from_fixed_ones():
-    assert _draws_every_example("tests/test_linalg.py::test_rank_of_transpose")
+    assert _draws_every_example("tests/test_elimination_oracles.py::test_rank_of_transpose")
     assert _draws_every_example(
         "tests/test_kernels.py::test_digit_tables_convert_like_the_digit_by_digit_oracle[3-12]"
     )

@@ -111,7 +111,7 @@ def test_applies_matches_arithmetic(n, p, deg):
         assert d.reasons  # at least one concrete reason
 
 
-def test_decision_to_json():
+def test_written_decision():
     doc = written(check_hypotheses(15, 3, available_degree=2))
     assert doc == {
         "n": 15,

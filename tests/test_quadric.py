@@ -191,6 +191,16 @@ def test_point_validation():
         AmbientPoint(F11, (1,))  # too short
 
 
+def test_a_point_takes_only_int_codes():
+    # a float code once made a point equal to its int twin, whose power
+    # sums then raised
+    f7 = field_make(7)
+    for codes in ((1.0, 2, 3, 4, 5), (1, 2, 3, 4, 5.5), ("1", 2, 3, 4, 5)):
+        with pytest.raises(TypeError):
+            AmbientPoint(f7, codes)
+    assert AmbientPoint(f7, (True, 2)) == AmbientPoint(f7, (1, 2))
+
+
 def test_written_point_shape():
     assert written(pt(F11, (9, 5, 1, 3, 4))) == [[9], [5], [1], [3], [4]]
 

@@ -23,6 +23,11 @@ are its only functions with a caching decorator (`lru_cache`, `cache`), and
 or set. A mutation harness that must start from empty caches (ROADMAP item
 15) clears these three.
 
+Every name a top-level import binds in a package module is read there, is
+listed in the module's `__all__`, or is a target the benchmark tracer wraps
+in that module (`SPANS` or `COUNTED` of perfbench/tracing.py). Only
+`cli.on_quadric` is kept for the tracer alone (ROADMAP item 17 part B).
+
 Only `cli.main` catches a refusal (`RefusalError`: `InvalidProfileError`,
 `NoPointFoundError`), and it writes every refusal document: no other except
 clause names a refusal class or one of its bases, and none is bare.
@@ -119,12 +124,17 @@ RETIRED_NAMES = {
 }
 
 
+def _module(path: Path):
+    """The package module of this file."""
+    return importlib.import_module("quadcert" if path.stem == "__init__" else f"quadcert.{path.stem}")
+
+
 def retired_bindings() -> list[tuple[object, str]]:
     """(owner, attribute) for each attribute of a package module, or of a
     class one defines, that is `gf.retired` under another name."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        module = importlib.import_module("quadcert" if path.stem == "__init__" else f"quadcert.{path.stem}")
+        module = _module(path)
         classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
         for owner in [module, *classes]:
             found += [(owner, attr) for attr, value in vars(owner).items() if value is gf.retired and attr != "retired"]
@@ -179,6 +189,54 @@ def test_the_context_guard_flags_equality_on_either_side():
 @pytest.mark.parametrize("name", sorted(f.name for f in PACKAGE.glob("*.py")))
 def test_no_module_compares_contexts_by_value(name):
     assert context_comparisons((PACKAGE / name).read_text()) == []
+
+
+def unread_imports(source: str) -> list[str]:
+    """`line: name` for each name a top-level import binds in source that
+    source never reads; `from __future__ import ...` binds none."""
+    tree = ast.parse(source)
+    bound = [
+        (node.lineno, alias.asname or alias.name.partition(".")[0])
+        for node in tree.body
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{line}: {name}" for line, name in bound if name not in read]
+
+
+def test_the_import_guard_flags_each_unread_binding():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from .gf import FieldCtx, field_make as make\n"
+        "from .quadric import on_quadric\n"
+        "def f(x: FieldCtx):\n    on_quadric = 1\n    return os.sep\n"
+        "def g():\n    import sys\n"
+    )
+    assert unread_imports(source) == ["3: js", "4: make", "5: on_quadric"]
+
+
+def unexported_unread_imports() -> list[tuple[str, str]]:
+    """(module, name) for each name a package module imports but neither
+    reads nor lists in its `__all__`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = _module(path)
+        unread = [v.split(": ")[1] for v in unread_imports(path.read_text())]
+        found += [(module.__name__, name) for name in unread if name not in getattr(module, "__all__", ())]
+    return found
+
+
+def test_every_unread_import_is_a_tracer_target():
+    tracing = perfbench_module("tracing")
+    traced = {(module, attr) for module, attr, _ in tracing.SPANS + tracing.COUNTED}
+    assert [pair for pair in unexported_unread_imports() if pair not in traced] == []
+
+
+def test_only_cli_keeps_on_quadric_for_the_tracer_alone():
+    assert unexported_unread_imports() == [("quadcert.cli", "on_quadric")]
 
 
 REFUSAL_NAMES = {

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from _docref import written
 from _scanref import brute_first, scan_solve
-from quadcert.cli import _block_checks, _solution
+from quadcert.cli import _block
 from quadcert.errors import EvenCharacteristicError, InvalidProfileError, NotPrimeError, UsageError
 from quadcert.gf import SIZE_LIMIT, FieldCtx, _prime_factors, field_make
 from quadcert.profile import binary_profile, check_hypotheses, solution_field_degree
@@ -174,14 +174,12 @@ def test_solver_answers_every_gate_input(case):
     prof = binary_profile(n)
     beyond_cap = solution_field_degree(prof, p) == 2 and p * p > SIZE_LIMIT
     try:
-        sol = solve_block_system(prof, p)
+        _, _, checks, _ = _block(n, p, lift=True)
     except UsageError as exc:
         assert beyond_cap
         assert f"field size {p}^2 exceeds the limit" in str(exc)
         return
     assert not beyond_cap
-    lift = lift_block_solution(sol)
-    checks = _block_checks(sol, *evaluate_system(sol), lift, on_quadric(lift))
     assert len(checks) == 6 and all(passed for _, passed in checks)
 
 
@@ -361,8 +359,8 @@ def test_block_solution_refuses_a_mis_shaped_solution():
     assert lift_block_solution(sol).n == 15
 
 
-def test_solution_to_json():
-    doc = written(_solution(solve_block_system(binary_profile(15), 3)))
+def test_written_block_payload():
+    doc = written(_block(15, 3, lift=False)[1])
     assert doc == {
         "n": 15,
         "exponents": [3, 2, 1, 0],
