@@ -10,9 +10,11 @@ writer, `canonical_json`, turns them into text; no model class writes its
 own. A document holds integers, strings, booleans, nulls, arrays (lists),
 objects (dicts with string keys) and three kinds of package value: a field
 element, written as its coefficient vector, low degree first; a point
-(`AmbientPoint`), one such vector per coordinate, each distinct coordinate
-converted and rendered once; and any other record (`quadcert.record`), the
-object of its fields, a tuple field as an array.
+(`AmbientPoint`) or a block lift (`BlockLift`), one such vector per
+coordinate, each distinct coordinate converted and rendered once, and a
+lift's run written as its row text repeated, without walking its
+coordinates; and any other record (`quadcert.record`), the object of its
+fields, a tuple field as an array.
 
 The bytes are exactly those of `json.dumps(doc, sort_keys=True, indent=2)
 + "\n"` for the document with its package values so written: keys sorted,
@@ -63,7 +65,7 @@ from .quadric import (
 )
 from .record import Record
 from .rng import SplitMix64
-from .trace_system import evaluate_system, lift_block_solution, solve_block_system
+from .trace_system import BlockLift, evaluate_system, lift_block_solution, solve_block_system
 
 SCHEMA_VERSION = "1"
 
@@ -129,18 +131,29 @@ def _write(value, indent: str, out: list) -> None:
     elif kind is FieldElement:
         out.append(_vector(value.ctx.k, indent) % value.coeffs)
     elif kind is AmbientPoint:
-        # each distinct coordinate is converted and rendered once
-        distinct = list(set(value.codes))
-        template = _vector(value.ctx.k, indent + "  ")
-        rows = [template % row for row in value.ctx.coefficient_rows(distinct)]
-        out.append(_array(map(dict(zip(distinct, rows)).__getitem__, value.codes), indent))
+        rows = _rows(value, indent)
+        out.append(_array(map(rows.__getitem__, value.codes), indent))
+    elif kind is BlockLift:
+        # a run is its row text count times, a separator after each but the last
+        rows, sep = _rows(value, indent), "," + indent + "  "
+        runs = [(rows[code] + sep) * (count - 1) + rows[code] for code, count in zip(value.codes, value.counts)]
+        out.append(_array(runs, indent))
     elif isinstance(value, Record):
         _write(_fields(value), indent, out)
     else:
         raise TypeError(
             "certificate values are int, str, bool, None, list, dict, FieldElement,"
-            f" AmbientPoint or another Record, not {kind.__name__}"
+            f" AmbientPoint, BlockLift or another Record, not {kind.__name__}"
         )
+
+
+def _rows(value, indent: str) -> dict:
+    """The row text of each distinct code of a point or a lift, its
+    coefficient vector as an item of the array at `indent`: each distinct
+    coordinate is converted and rendered once."""
+    distinct = list(set(value.codes))
+    template = _vector(value.ctx.k, indent + "  ")
+    return dict(zip(distinct, [template % row for row in value.ctx.coefficient_rows(distinct)]))
 
 
 @lru_cache(maxsize=None)
@@ -219,10 +232,16 @@ def _cmd_check(n, p, degree):
 
 def _block(n, p, lift):
     """Solve the block system of (n, p) and, with `lift`, lift the solution
-    to a quadric point: (field, payload, checks, sums), `sums` the entries
-    that solve and construct add to the payload. The checks: both weighted
-    sums vanish, some c_i is nonzero and c_r = 0; the lift lies on the quadric
-    and off the small diagonal, as the all-zero solution lifts to a constant.
+    to its runs (`BlockLift`): (field, payload, checks, sums), `sums` the
+    entries that solve and construct add to the payload. The checks: both
+    weighted sums vanish, some c_i is nonzero and c_r = 0; the lift lies on
+    the quadric and off the small diagonal, as the all-zero solution lifts
+    to a constant. The lift's sums are read on its r runs, each code with its
+    count, in a call of their own, apart from `evaluate_system`: they are
+    the sums of the n coordinates the document writes. A count 2^(m_i)
+    reduces mod p to the weight w_i, so on runs that repeat the solution's
+    codes with counts = w_i (mod p) the check reads the system's two sums
+    again, and runs that repeat anything else must pass it on their own.
     """
     sol = solve_block_system(binary_profile(n), p)
     lin, quad = evaluate_system(sol)
@@ -241,11 +260,11 @@ def _block(n, p, lift):
     ]
     sums = {"checks_values": {"linear": lin, "quadratic": quad}}
     if lift:
-        point = payload["lift"] = lift_block_solution(sol)
-        s1, s2 = power_sums(point)
+        runs = payload["lift"] = lift_block_solution(sol)
+        s1, s2 = sol.ctx.sums(runs.codes, runs.counts)
         checks += [
             ("lift_on_quadric", s1.is_zero() and s2.is_zero()),
-            ("lift_off_small_diagonal", not in_small_diagonal(point)),
+            ("lift_off_small_diagonal", not in_small_diagonal(runs)),
         ]
         sums["lift_sums"] = {"coordinate_sum": s1, "square_sum": s2}
     return sol.ctx, payload, checks, sums

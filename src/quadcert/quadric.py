@@ -8,9 +8,11 @@ and it is exactly where the quadric is singular.
 
 A point is held as the codes of its coordinates (see `gf`), and it is built
 from them, `AmbientPoint(ctx, codes)`: the sampler draws codes, pair
-completion maps tail codes to pair codes, a lift repeats them, affine moves
-map them, and collision tests work per distinct code, as does `cli` when it
-writes a point. `FieldElement`s are the boundary (`coords` decodes them).
+completion maps tail codes to pair codes, affine moves map them, and
+collision tests work per distinct code, as does `cli` when it writes a
+point. `FieldElement`s are the boundary (`coords` decodes them). A block
+lift is no point: `trace_system.BlockLift` holds its r runs, and of this
+module only `in_small_diagonal` reads one.
 
 Both power sums come from `FieldCtx.sums`, in plain integers with one
 reduction per sum (the kernel is described in `gf`). It also serves the
@@ -66,9 +68,11 @@ def in_discriminant(a: AmbientPoint) -> bool:
     return len(set(a.codes)) < a.n
 
 
-def in_small_diagonal(a: AmbientPoint) -> bool:
-    """True iff all coordinates are equal."""
-    return a.codes.count(a.codes[0]) == a.n
+def in_small_diagonal(a) -> bool:
+    """True iff all coordinates are equal, for a point or a block lift
+    (`trace_system.BlockLift`): both hold their coordinates' codes, and a
+    lift's runs repeat each of its codes."""
+    return len(set(a.codes)) < 2
 
 
 def complete_quadric_pair(ctx: FieldCtx, codes) -> tuple[int, int] | None:

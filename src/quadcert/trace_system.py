@@ -11,6 +11,9 @@ GF(p), or GF(p^2) for the r = 4 profiles whose binary form in (c_2, c_3)
 has a non-square discriminant. Repeating each c_i across a block of 2^(m_i)
 coordinates lifts a solution to a length-n point whose coordinate sum and
 square sum both vanish, since each block contributes 2^(m_i) copies of c_i.
+The lift is held as its r runs (`BlockLift`), each code c_i with its count
+2^(m_i), so building, checking and writing it takes O(r) work before the
+writer's n rows.
 
 The solver returns the first solution of a scan of suffixes (c_2, ..., c_{r-1})
 by increasing index, c_2 the least significant digit, solving one quadratic
@@ -32,7 +35,6 @@ from itertools import chain
 from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, field_make
 from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses, solution_field_degree
-from .quadric import AmbientPoint
 from .record import Record
 
 
@@ -138,20 +140,39 @@ def solve_block_system(profile: BinaryProfile, p: int) -> BlockSolution:
     return BlockSolution(profile, weights, c, ctx)
 
 
-def lift_block_solution(sol: BlockSolution) -> AmbientPoint:
+class BlockLift(Record):
+    """The lift of a block solution held as runs: codes[i], the code of c_i,
+    repeated counts[i] = 2^(m_i) times, runs in profile order (any iterables
+    of ints, kept as tuples). It checks what `AmbientPoint` checks of its
+    codes on the r runs: int codes below the field size, and at least 2
+    coordinates; and every count at least 1, one count per code."""
+
+    __slots__ = ("ctx", "codes", "counts")
+
+    def __init__(self, ctx: FieldCtx, codes, counts):
+        codes, counts = tuple(codes), tuple(counts)
+        total = sum(counts)
+        if type(sum(codes)) is not int or type(total) is not int:  # a float sums to a float, a str raises
+            raise TypeError("a lift's codes and counts are ints")
+        if len(codes) != len(counts) or total < 2 or min(counts) < 1:
+            raise ValueError("a lift needs one count of at least 1 per code, and at least 2 coordinates")
+        if not 0 <= min(codes) <= max(codes) < ctx.size:
+            raise ValueError("each code of a lift is below the field size")
+        Record.__init__(self, ctx, codes, counts)
+
+
+def lift_block_solution(sol: BlockSolution) -> BlockLift:
     """Repeat c_i across 2^(m_i) consecutive coordinates, blocks in profile
-    order. The lift has coordinate sum and square sum equal to the two system
-    sums, hence zero, and it avoids the constant-vector locus because some
-    c_i differs from c_r = 0. Lifts longer than gf.SIZE_LIMIT coordinates
-    are refused before any is allocated: memory grows linearly with n, and
-    a point with pairwise distinct coordinates, the kind certify samples,
-    cannot be longer than the largest field anyway."""
+    order, as the runs of a `BlockLift`. The lift has coordinate sum and
+    square sum equal to the two system sums, hence zero, and it avoids the
+    constant-vector locus because some c_i differs from c_r = 0. Lifts longer
+    than gf.SIZE_LIMIT coordinates are refused: the runs take O(r) memory,
+    but a certificate writes one row per coordinate, and a point with
+    pairwise distinct coordinates, the kind certify samples, cannot be longer
+    than the largest field anyway."""
     profile = sol.profile
     if profile.n > SIZE_LIMIT:
         raise UsageError(
             f"a lift of n={profile.n} coordinates exceeds the limit {SIZE_LIMIT}"
         )
-    codes: list[int] = []
-    for ci, size in zip(sol.c, profile.block_sizes()):
-        codes += [sol.ctx.element_index(ci)] * size
-    return AmbientPoint(sol.ctx, codes)
+    return BlockLift(sol.ctx, map(sol.ctx.element_index, sol.c), profile.block_sizes())

@@ -3,7 +3,8 @@
 `cli.canonical_json` takes package values and writes their text in one
 walk. `plain` is the mapping it must agree with, made as a separate plain
 copy: a field element is its coefficient list, low degree first; a point is
-one such list per coordinate, made element by element; any other record
+one such list per coordinate, made element by element, and so is a block
+lift (`trace_system.BlockLift`) once its runs are expanded; any other record
 (`quadcert.record`) is the object of its fields, a tuple field an array of
 the plain values of its items; lists and dicts are mapped item by item, and
 an int, str, bool or None is its own value. Any other value raises
@@ -14,10 +15,12 @@ TypeError, a tuple outside a record field included.
 
 import json
 
+from _points import expanded
 from quadcert.cli import canonical_json
 from quadcert.gf import FieldElement
 from quadcert.quadric import AmbientPoint
 from quadcert.record import Record
+from quadcert.trace_system import BlockLift
 
 
 def plain(value):
@@ -32,6 +35,8 @@ def plain(value):
         return list(value.coeffs)
     if isinstance(value, AmbientPoint):
         return [list(value.ctx.element_at(code).coeffs) for code in value.codes]
+    if isinstance(value, BlockLift):
+        return plain(expanded(value))
     if isinstance(value, Record):
         fields = {name: getattr(value, name) for name in value.__slots__}
         return {

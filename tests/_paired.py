@@ -22,7 +22,9 @@ series and end-to-end metric, the two medians, the base's quartiles and in
 how many pairs the change read lower. A claim names the series and metric
 that a change says it improves; tests/test_bench.py checks, in Tier-1, that
 every committed BENCH_*.json has at least MIN_CLAIM_PAIRS pairs in each
-claimed series, every run correct, and a summary that matches its pairs.
+claimed series, every run correct, a summary that matches its pairs, and
+every claim met: better in nine tenths of the pairs, by more than the
+base's quartile distance.
 
 The exit status is 1 when some run is not `correct: true` (OUT is written
 all the same), and 0 otherwise.

@@ -24,7 +24,7 @@ from quadcert.trace_system import lift_block_solution, solve_block_system
 from _docref import written
 from _jacobianref import gradient_matrix
 from _laneref import rank
-from _points import point
+from _points import expanded, point
 
 
 F11 = field_make(11)
@@ -86,7 +86,7 @@ def test_affine_act_pin():
 @pytest.mark.parametrize("n,p", [(15, 3), (77, 11)])
 def test_affine_act_moves_every_coordinate_of_a_block_lift(n, p):
     # a lift repeats each c_i 2^m_i times: every copy moves to alpha x + beta
-    lift = lift_block_solution(solve_block_system(binary_profile(n), p))
+    lift = expanded(lift_block_solution(solve_block_system(binary_profile(n), p)))
     assert len(set(lift.codes)) < lift.n
     rng = SplitMix64(n)
     for g in [random_affine(lift.ctx, rng) for _ in range(5)]:

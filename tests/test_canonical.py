@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from _docref import plain
+from _points import expanded
 from quadcert import cli
 from quadcert.actions import AffineMap, Permutation
 from quadcert.cli import canonical_json
@@ -22,7 +23,7 @@ from quadcert.gf import FieldCtx, field_make
 from quadcert.profile import binary_profile, check_hypotheses
 from quadcert.quadric import AmbientPoint, sample_quadric_point
 from quadcert.record import Record
-from quadcert.trace_system import lift_block_solution, solve_block_system
+from quadcert.trace_system import BlockLift, lift_block_solution, solve_block_system
 
 
 def oracle(doc) -> str:
@@ -131,7 +132,7 @@ def test_point_rows_are_shared_per_distinct_code(monkeypatch):
     monkeypatch.setattr(FieldCtx, "coefficient_rows", spy)
     lift = lift_block_solution(solve_block_system(binary_profile(4095), 3))
     canonical_json(lift)
-    assert lift.n == 4095 and asked == [2]
+    assert expanded(lift).n == 4095 and asked == [2]
     asked.clear()
     canonical_json(sample_quadric_point(15, field_make(3, 4), 2))
     assert asked == [15]
@@ -158,7 +159,15 @@ def _points(ctx):
         lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=40)
     )
     distinct = st.lists(codes, min_size=2, max_size=min(ctx.size, 30), unique=True)
-    return (lifts | distinct).map(lambda c: AmbientPoint(ctx, c))
+    # block lifts: runs of a few codes, so that adjacent runs can share a
+    # code and one code can make the whole lift, with counts from 1
+    runs = st.lists(codes, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 6)), min_size=1, max_size=6)
+    )
+    block_lifts = runs.filter(lambda runs: sum(m for _, m in runs) >= 2).map(
+        lambda runs: BlockLift(ctx, *zip(*runs))
+    )
+    return (lifts | distinct).map(lambda c: AmbientPoint(ctx, c)) | block_lifts
 
 
 def _deep(value):
@@ -201,10 +210,13 @@ def test_package_values_match_their_plain_copy(doc):
 @pytest.mark.parametrize("ctx", FIELDS, ids=lambda ctx: f"GF({ctx.p}^{ctx.k})")
 def test_vectors_of_every_field_match_at_several_depths(ctx):
     # the draws above need not reach every field; this writes each field's
-    # vectors at four indents, in arrays, objects and a record
+    # vectors at four indents, in arrays, objects and a record, and a lift's
+    # runs at two
     a, b, c = (ctx.element_at(code) for code in (0, ctx.size - 1, ctx.size // 2))
     point = AmbientPoint(ctx, [0, ctx.size - 1, ctx.size // 2, ctx.size - 1])
+    lift = BlockLift(ctx, [ctx.size - 1, ctx.size // 2, ctx.size - 1], [2, 1, 3])
     doc = {"a": [a, point], "b": [[b, point]], "c": [[[point, c]]], "d": Box((point, c), [[a]]), "e": b}
+    doc["f"] = [lift, [[lift]]]
     assert_same_text(canonical_json(doc), oracle(plain(doc)))
 
 

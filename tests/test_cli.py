@@ -11,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _docref import written
+from _points import expanded
 from quadcert.cli import canonical_json, main
-from quadcert.gf import SIZE_LIMIT, field_make
+from quadcert.gf import SIZE_LIMIT, FieldCtx, field_make
 from quadcert.profile import binary_profile, solution_field_degree
 from quadcert.quadric import AmbientPoint
 from quadcert.record import Record
 from quadcert.trace_system import (
+    BlockLift,
     BlockSolution,
     evaluate_system,
     lift_block_solution,
@@ -237,7 +239,7 @@ def test_sample_checks_that_the_point_is_on_the_quadric(tmp_path, monkeypatch):
 
 def test_sample_checks_that_the_codes_are_distinct(tmp_path, monkeypatch):
     # the block lift of (1, 1, 0, 0) lies on the quadric with repeated codes
-    lift = lift_block_solution(solve_block_system(binary_profile(15), 3))
+    lift = expanded(lift_block_solution(solve_block_system(binary_profile(15), 3)))
     monkeypatch.setattr("quadcert.cli.sample_quadric_point", lambda *args: lift)
     code, doc = run_json(tmp_path, ["sample", "15", "--field", "3"])
     passed = checks_passed(doc)
@@ -280,12 +282,52 @@ def test_solve_checks_the_last_coordinate(tmp_path, monkeypatch):
     assert passed["nontrivial"]
 
 
+def test_no_call_for_the_lift_walks_its_coordinates(tmp_path, monkeypatch):
+    # a lift is held as its r runs (ROADMAP item 26): construct and certify
+    # solve, check and write it with no call on more than r codes, and build
+    # no point of its n coordinates. The lift lies in GF(3), certify's
+    # sampled points in GF(3^4), and calls on those are exempt.
+    calls, points = [], []  # (context, number of codes), context
+
+    def spy(name):
+        method = getattr(FieldCtx, name)
+
+        def counted(ctx, codes, *args):
+            codes = list(codes)
+            calls.append((ctx, len(codes)))
+            return method(ctx, codes, *args)
+
+        monkeypatch.setattr(FieldCtx, name, counted)
+
+    for name in ("sums", "_pack_codes", "coefficient_rows"):
+        spy(name)
+    init = AmbientPoint.__init__
+
+    def built(point, ctx, codes):
+        points.append(ctx)
+        init(point, ctx, codes)
+
+    monkeypatch.setattr(AmbientPoint, "__init__", built)
+    lift_ctx = field_make(3)
+    for command, n in (("construct", 4095), ("certify", 15)):
+        calls.clear(), points.clear()
+        options = ["--field-degree", "4", "--samples", "1"] if command == "certify" else []
+        code, doc = run_json(tmp_path, [command, str(n), "3"] + options)
+        payload = doc["payload"] if command == "construct" else doc["payload"]["block_solution"]
+        assert code == 0 and len(payload["lift"]) == n
+        on_the_lift = [size for ctx, size in calls if ctx is lift_ctx]
+        assert on_the_lift and max(on_the_lift) <= binary_profile(n).r
+        assert points == [] if command == "construct" else lift_ctx not in points
+
+
 def test_construct_and_certify_check_the_lift(tmp_path, monkeypatch):
     def moved_lift(sol):
+        # the last coordinate plus one; 15 = 8 + 4 + 2 + 1, so it is the
+        # whole last run
         lift = lift_block_solution(sol)
-        codes = list(lift.codes)
-        codes[-1] = sol.ctx.element_index(lift.coords[-1] + sol.ctx.one)
-        return AmbientPoint(sol.ctx, codes)
+        assert lift.counts[-1] == 1
+        moved = sol.ctx.element_index(sol.ctx.element_at(lift.codes[-1]) + sol.ctx.one)
+        return BlockLift(sol.ctx, lift.codes[:-1] + (moved,), lift.counts)
 
     monkeypatch.setattr("quadcert.cli.lift_block_solution", moved_lift)
     code, doc = run_json(tmp_path, ["construct", "15", "3"])

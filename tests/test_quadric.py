@@ -26,7 +26,7 @@ from _docref import written
 from _gaussref import matvec
 from _jacobianref import gradient_matrix
 from _laneref import kernel_basis, rank
-from _points import point
+from _points import expanded, point
 
 
 def pt(ctx, vals):
@@ -471,7 +471,7 @@ def test_sums_at_the_widest_packing(p, k, n):
 
 def test_sums_on_the_4095_coordinate_lift():
     prof = binary_profile(4095)
-    lift = lift_block_solution(solve_block_system(prof, 3))
+    lift = expanded(lift_block_solution(solve_block_system(prof, 3)))
     f3 = field_make(3)
     assert power_sums(lift) == _power_sums_oracle(lift.coords) == (f3.zero, f3.zero)
     _check_sums((_top(f3),) * 4095)

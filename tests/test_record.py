@@ -25,7 +25,7 @@ from quadcert.gf import field_make
 from quadcert.profile import BinaryProfile, binary_profile, check_hypotheses
 from quadcert.quadric import AmbientPoint, sample_quadric_point
 from quadcert.record import Record
-from quadcert.trace_system import solve_block_system
+from quadcert.trace_system import lift_block_solution, solve_block_system
 
 PACKAGE = Path(quadcert.cli.__file__).parent
 F11 = field_make(11)
@@ -36,11 +36,13 @@ def _records() -> list[Record]:
     ctx = field_make(3, 4)
     point = sample_quadric_point(15, ctx, seed=7)
     g = AffineMap(ctx.element_at(2), ctx.element_at(5))
+    sol = solve_block_system(binary_profile(15), 3)
     return [
         binary_profile(15),
         check_hypotheses(15, 3, 4),
         point,
-        solve_block_system(binary_profile(15), 3),
+        sol,
+        lift_block_solution(sol),
         Permutation((2, 3, 1)),
         g,
         invariance_report(point, g),
@@ -55,7 +57,7 @@ def test_every_record_class_is_covered():
     # tests define records of their own
     package = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("quadcert.")}
     assert {type(r) for r in RECORDS} == package
-    assert len(RECORDS) == 8
+    assert len(RECORDS) == 9
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)

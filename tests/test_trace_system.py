@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from _docref import written
+from _points import expanded
 from _scanref import brute_first, scan_solve
 from quadcert.cli import _block
 from quadcert.errors import EvenCharacteristicError, InvalidProfileError, NotPrimeError, UsageError
@@ -14,6 +15,7 @@ from quadcert.gf import SIZE_LIMIT, FieldCtx, _prime_factors, field_make
 from quadcert.profile import binary_profile, check_hypotheses, solution_field_degree
 from quadcert.quadric import in_small_diagonal, on_quadric
 from quadcert.trace_system import (
+    BlockLift,
     BlockSolution,
     _solve_over,
     evaluate_system,
@@ -323,7 +325,7 @@ def test_invalid_profiles():
 def test_lift_pin():
     prof = binary_profile(15)
     sol = solve_block_system(prof, 3)
-    lifted = lift_block_solution(sol)
+    lifted = expanded(lift_block_solution(sol))
     assert [e.coeffs[0] for e in lifted.coords] == [1] * 12 + [0] * 3
     assert on_quadric(lifted)
     assert not in_small_diagonal(lifted)
@@ -332,7 +334,7 @@ def test_lift_pin():
 def test_lift_block_structure():
     prof = binary_profile(45)
     sol = solve_block_system(prof, 5)
-    lifted = lift_block_solution(sol)
+    lifted = expanded(lift_block_solution(sol))
     assert lifted.n == 45
     pos = 0
     for size, c in zip(prof.block_sizes(), sol.c):
@@ -356,7 +358,30 @@ def test_block_solution_refuses_a_mis_shaped_solution():
     with pytest.raises(ValueError):
         BlockSolution(prof, (1, 2, 4, 1), c + (field_make(7, 2).zero,), f7)
     sol = BlockSolution(prof, (1, 2, 4, 1), c + (f7.zero,), f7)
-    assert lift_block_solution(sol).n == 15
+    assert expanded(lift_block_solution(sol)).n == 15
+
+
+def test_block_lift_refuses_what_a_point_refuses():
+    # AmbientPoint's guards on r runs: int codes and counts, each code below
+    # the field size, one count of at least 1 per code, 2 coordinates at least
+    f7 = field_make(7)
+    assert BlockLift(f7, [1, 6], [1, 1]) == BlockLift(f7, (1, 6), (1, 1))  # kept as tuples
+    with pytest.raises(TypeError):
+        BlockLift(f7, (1.0, 0), (2, 1))
+    with pytest.raises(TypeError):
+        BlockLift(f7, (1, 0), ("2", 1))
+    refused = [
+        ((7, 0), (2, 1)),  # code ctx.size
+        ((1, -1), (2, 1)),
+        ((1, 0), (2, 0)),  # count 0
+        ((1, 0), (2,)),  # codes and counts of different lengths
+        ((1, 0), (3, 1, 1)),
+        ((1,), (1,)),  # one coordinate
+        ((), ()),
+    ]
+    for codes, counts in refused:
+        with pytest.raises(ValueError):
+            BlockLift(f7, codes, counts)
 
 
 def test_written_block_payload():
