@@ -11,10 +11,10 @@ own. A document holds integers, strings, booleans, nulls, arrays (lists),
 objects (dicts with string keys) and three kinds of package value: a field
 element, written as its coefficient vector, low degree first; a point
 (`AmbientPoint`) or a block lift (`BlockLift`), one such vector per
-coordinate, each distinct coordinate converted and rendered once, and a
-lift's run written as its row text repeated, without walking its
-coordinates; and any other record (`quadcert.record`), the object of its
-fields, a tuple field as an array.
+coordinate, a point's n codes converted in one call and a lift's r run
+codes in one call, each run written as its row text repeated, without
+walking its coordinates; and any other record (`quadcert.record`), the
+object of its fields, a tuple field as an array.
 
 The bytes are exactly those of `json.dumps(doc, sort_keys=True, indent=2)
 + "\n"` for the document with its package values so written: keys sorted,
@@ -23,11 +23,11 @@ spaces per level (empty ones as [] and {}), separators "," and ": ",
 strings with ASCII escapes (non-ASCII text as \uXXXX), and a trailing
 newline. `canonical_json` walks the document once, appends every piece of
 text to one buffer and joins it at the end. It renders each coefficient
-vector from one %d template per (k, indent), and raises TypeError on any
-other value, such as a float (it may be NaN or infinite, which JSON cannot
-express), a non-string key (it would be rewritten as a string without
-notice), an int subclass or a tuple that is not a record field. Identical
-inputs therefore reproduce identical bytes.
+vector from a %d template of its length and indent, keeps nothing between
+calls, and raises TypeError on any other value, such as a float (it may be
+NaN or infinite, which JSON cannot express), a non-string key (it would be
+rewritten as a string without notice), an int subclass or a tuple that is
+not a record field. Identical inputs therefore reproduce identical bytes.
 
 Exit codes: 0 success, 2 hypotheses not met, 3 a verification check
 failed, 4 usage error. Exit 2 comes from the gate's decision (`check`'s own,
@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .actions import random_affine, invariance_report
@@ -131,13 +130,11 @@ def _write(value, indent: str, out: list) -> None:
     elif kind is FieldElement:
         out.append(_vector(value.ctx.k, indent) % value.coeffs)
     elif kind is AmbientPoint:
-        rows = _rows(value, indent)
-        out.append(_array(map(rows.__getitem__, value.codes), indent))
+        out.append(_array(_rows(value, indent), indent))
     elif kind is BlockLift:
         # a run is its row text count times, a separator after each but the last
         rows, sep = _rows(value, indent), "," + indent + "  "
-        runs = [(rows[code] + sep) * (count - 1) + rows[code] for code, count in zip(value.codes, value.counts)]
-        out.append(_array(runs, indent))
+        out.append(_array([(row + sep) * (count - 1) + row for row, count in zip(rows, value.counts)], indent))
     elif isinstance(value, Record):
         _write(_fields(value), indent, out)
     else:
@@ -147,16 +144,13 @@ def _write(value, indent: str, out: list) -> None:
         )
 
 
-def _rows(value, indent: str) -> dict:
-    """The row text of each distinct code of a point or a lift, its
-    coefficient vector as an item of the array at `indent`: each distinct
-    coordinate is converted and rendered once."""
-    distinct = list(set(value.codes))
+def _rows(value, indent: str) -> list:
+    """The row texts of a point's or a lift's codes, in code order: each
+    code's coefficient vector as an item of the array at `indent`."""
     template = _vector(value.ctx.k, indent + "  ")
-    return dict(zip(distinct, [template % row for row in value.ctx.coefficient_rows(distinct)]))
+    return [template % row for row in value.ctx.coefficient_rows(value.codes)]
 
 
-@lru_cache(maxsize=None)
 def _vector(k: int, indent: str) -> str:
     """The %-template of a coefficient vector of length k at `indent`."""
     return _array(["%d"] * k, indent)

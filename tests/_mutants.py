@@ -669,8 +669,8 @@ MUTANTS = (
     Mutant(
         "writer-point-rows-through-the-wrong-code",
         CLI,
-        "value.ctx.coefficient_rows(distinct)",
-        "value.ctx.coefficient_rows(distinct[::-1])",
+        "value.ctx.coefficient_rows(value.codes)",
+        "value.ctx.coefficient_rows(value.codes[::-1])",
         (
             "tests/test_quadric.py::test_written_point_shape",
             "tests/test_kernels.py::test_point_round_trips",
@@ -769,14 +769,22 @@ MUTANTS = (
         GF,
         "\ndef _chunk_plan(",
         "\n@lru_cache(maxsize=None)\ndef _chunk_plan(",
-        ("tests/test_structure.py::test_the_package_keeps_three_caches",),
+        ("tests/test_structure.py::test_the_package_keeps_two_caches",),
+    ),
+    Mutant(
+        # the coefficient-vector template cached again per (k, indent)
+        "vector-template-cached-again",
+        CLI,
+        "\ndef _vector(",
+        "\nfrom functools import lru_cache\n\n\n@lru_cache(maxsize=None)\ndef _vector(",
+        ("tests/test_structure.py::test_the_package_keeps_two_caches",),
     ),
     Mutant(
         # every coordinate of a point renders as its first coordinate's row
         "writer-point-rows-all-the-first",
         CLI,
-        "_array(map(rows.__getitem__, value.codes), indent)",
-        "_array([rows[value.codes[0]]] * len(value.codes), indent)",
+        "_array(_rows(value, indent), indent)",
+        "_array(_rows(value, indent)[:1] * len(value.codes), indent)",
         (
             "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
@@ -786,8 +794,8 @@ MUTANTS = (
         # each run of a lift written as one coordinate: the lift has r rows
         "lift-run-row-written-once",
         CLI,
-        "(rows[code] + sep) * (count - 1) + rows[code] for code",
-        "rows[code] for code",
+        "(row + sep) * (count - 1) + row for row",
+        "row for row",
         (
             "tests/test_canonical.py::test_real_documents_match_json_dumps",
             "tests/test_golden.py::test_golden_certificate[construct_15_3]",

@@ -37,7 +37,7 @@ from quadcert.rng import SplitMix64
 from quadcert.trace_system import evaluate_system, solve_block_system, weights_mod_p
 from quadcert.cli import main
 
-from tests._dualnum import lift_const, lift_var
+from _dualnum import lift_const, lift_var
 from _gaussref import matvec
 from _jacobianref import triple_positions
 from _scanref import brute_first

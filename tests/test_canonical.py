@@ -119,23 +119,25 @@ def test_real_documents_match_json_dumps(argv, code, monkeypatch, capsys):
         assert len(lift) == 4095 and len({tuple(c) for c in lift}) < 20
 
 
-def test_point_rows_are_shared_per_distinct_code(monkeypatch):
-    # the writer converts the coordinates of a point in one call, on its
-    # distinct codes
+def test_each_point_and_lift_converts_its_codes_in_one_call(monkeypatch):
+    # a written point hands its n codes to one coefficient_rows call, and a
+    # lift its r run codes, never its n coordinates
     asked = []
     rows = FieldCtx.coefficient_rows
 
     def spy(ctx, codes):
-        asked.append(len(codes))
+        asked.append(list(codes))
         return rows(ctx, codes)
 
     monkeypatch.setattr(FieldCtx, "coefficient_rows", spy)
+    points = [sample_quadric_point(n, field_make(3, 4), seed) for n, seed in ((15, 2), (5, 1), (15, 3))]
+    canonical_json({"points": points})
+    assert asked == [list(point.codes) for point in points]
+    asked.clear()
     lift = lift_block_solution(solve_block_system(binary_profile(4095), 3))
     canonical_json(lift)
-    assert expanded(lift).n == 4095 and asked == [2]
-    asked.clear()
-    canonical_json(sample_quadric_point(15, field_make(3, 4), 2))
-    assert asked == [15]
+    assert expanded(lift).n == 4095 and len(lift.codes) == 12
+    assert asked == [list(lift.codes)]
 
 
 class Box(Record):

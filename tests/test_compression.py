@@ -36,7 +36,7 @@ from quadcert.compression import (
     rank_certificate,
 )
 from quadcert.rng import SplitMix64
-from tests._dualnum import lift_const, lift_var
+from _dualnum import lift_const, lift_var
 from _gaussref import matvec
 from _laneref import kernel_basis, rank, restricted_rank
 from _jacobianref import (

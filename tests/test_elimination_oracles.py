@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from quadcert.gf import field_make
 from _laneref import kernel_basis, rank, restricted_rank
-from tests import _gaussref as ref
+import _gaussref as ref
 
 
 def mk(ctx, rows):

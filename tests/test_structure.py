@@ -17,16 +17,21 @@ bindings of the stub under another name than its own.
 No module compares field contexts with `==` or `!=`: contexts are compared
 by identity only (`is`, `is not`), and `FieldCtx` defines no `__eq__`.
 
-The package keeps three process-wide caches: `gf._context` and `cli._vector`
-are its only functions with a caching decorator (`lru_cache`, `cache`), and
+The package keeps two process-wide caches, both in `gf`: `gf._context` is
+its only function with a caching decorator (`lru_cache`, `cache`), and
 `gf._DIGIT_TABLES` its only module-level name bound to an empty dict, list
-or set. A mutation harness that must start from empty caches (ROADMAP item
-15) clears these three.
+or set. No other module holds state between calls, so a mutation harness
+that must start from empty caches (ROADMAP item 15) clears these two.
 
 Every name a top-level import binds in a package module is read there, is
 listed in the module's `__all__`, or is a target the benchmark tracer wraps
 in that module (`SPANS` or `COUNTED` of perfbench/tracing.py). Only
 `cli.on_quadric` is kept for the tracer alone (ROADMAP item 17 part B).
+
+A test module imports a helper of tests/ by its own name (`from _dualnum
+import ...`), never through a `tests` package: a bare `pytest` does not put
+the repository root on the path, so such a module fails to collect there,
+and the helper would load twice, under two names.
 
 Only `cli.main` catches a refusal (`RefusalError`: `InvalidProfileError`,
 `NoPointFoundError`), and it writes every refusal document: no other except
@@ -344,8 +349,18 @@ def test_the_cache_guard_flags_each_kind_of_cache():
     assert sorted(caches(source, "m")) == ["m.A", "m.B", "m.C", "m.K.h", "m.f", "m.g"]
 
 
-def test_the_package_keeps_three_caches():
+def test_the_package_keeps_two_caches():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += caches(path.read_text(), path.stem)
-    assert sorted(found) == ["cli._vector", "gf._DIGIT_TABLES", "gf._context"]
+    assert sorted(found) == ["gf._DIGIT_TABLES", "gf._context"]
+
+
+def test_no_test_module_imports_through_a_tests_package():
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "tests"]
+    assert found == []
