@@ -9,7 +9,10 @@ coordinate permutation.
 After an affine move the two power sums of a quadric point land at n beta and
 n beta^2 exactly, so the quadric is carried into itself by the whole group
 precisely when the characteristic divides n (and by the scalings beta = 0
-always).
+always). `invariance_report` checks this on the sums of every moved
+coordinate, taken by the power-sum kernel with the move inside it
+(`quadric.power_sums(a, move)`), so no moved point is built; `affine_act`
+builds one, for the Library and `compression.affine_invariance_check`.
 """
 
 from __future__ import annotations
@@ -114,11 +117,14 @@ def invariance_report(a: AmbientPoint, g: AffineMap) -> InvarianceReport:
     """For a on the quadric: after the move, the coordinate sum is n beta and
     the square sum is n beta^2, both exact. The point stays on the quadric
     iff both predicted values vanish, which always happens when the
-    characteristic divides n."""
+    characteristic divides n. The sums are those of g a's n coordinates,
+    summed in the power-sum kernel with no moved point built, never the
+    expansion alpha^2 sum x^2 + 2 alpha beta sum x + n beta^2 that the
+    identities assert. Raises NotOnQuadricError for a off the quadric, and
+    ValueError for a map of another field."""
     if not on_quadric(a):
         raise NotOnQuadricError("invariance report needs a point on the quadric")
-    moved = affine_act(g, a)
-    s1, p2 = power_sums(moved)
+    s1, p2 = power_sums(a, (g.alpha, g.beta))
     n_el = a.ctx.el(a.n)
     exp_s1 = n_el * g.beta
     exp_p2 = n_el * g.beta * g.beta

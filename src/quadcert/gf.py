@@ -68,6 +68,15 @@ degrees. Over GF(p) the packing is the identity. The block system passes its
 dozen c_i with multiplicities w_i, so the sums of a lift of thousands of
 coordinates cost a dozen integer products.
 
+The sums of a moved point, alpha x + beta for every x, are taken the same
+way with no moved code made: with A and B the packings of alpha and beta,
+each Y = A X + B is an integer polynomial of 2k - 1 digits, each digit at
+most k (p - 1)^2 + p - 1, and Y Y one of 4k - 3, so
+w = (n (2k - 1) (k (p - 1)^2 + p - 1)^2).bit_length() bits, in whole bytes,
+hold every digit of s_2 = sum m Y Y. `_reduce` takes the low 2k - 1 digits as
+above and the high 2k - 2 the same way, and adds those back times the packed
+x^(2k - 1) mod the modulus, one more product. Unmoved sums keep their width.
+
 Codes become packings (`FieldCtx._pack_codes`, for `element_at`, `lanes`,
 `sums`, `affine_codes` and `coefficient_rows`) through digit tables. The base-p
 digits of a code, most significant first, are c_0, ..., c_{k-1}; they are read
@@ -86,7 +95,7 @@ the kernel and of `sums` are whole bytes, so a process builds few per prime.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import add, floordiv, index, lshift, mod, mul
 from typing import Iterator, Optional
 
@@ -393,7 +402,7 @@ class FieldCtx:
         "size",
         "zero",
         "one",
-        "_width", "_mask", "_shifts", "_folds", "_ps",  # the kernel's packing
+        "_width", "_mask", "_shifts", "_folds", "_xtop", "_ps",  # the kernel's packing
         "_norm", "_kmul",  # the one-lane kernel's methods
         "_chunks",  # the code digits of each digit-table lookup
         "_sqrt_consts",
@@ -406,9 +415,10 @@ class FieldCtx:
         self.size = p**k
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
-        # the kernel's packing, digit i at bit w i (module docstring), and the
+        # the kernel's packing, digit i at bit w i (module docstring), the
         # packed x^(k+j) mod the modulus for j in [0, k - 1), which fold
-        # products back
+        # products back, and x^(2k-1) mod the modulus, which folds the high
+        # half of a moved square sum (`sums`)
         self._width = w = 8 * -(-(2 * (k * p * p).bit_length() + 2) // 8)
         self._mask = (1 << w) - 1
         self._shifts = tuple(range(0, w * k, w))
@@ -423,6 +433,7 @@ class FieldCtx:
             folds.append(x)
             x = self._norm((x << w & low) + (x >> w * (k - 1)) * folds[0])
         self._folds = kernel.folds = tuple(folds)
+        self._xtop = x
         self._chunks = _chunk_plan(p, k)
         self._sqrt_consts = None
 
@@ -524,44 +535,72 @@ class FieldCtx:
         a, b = alpha.packed, beta.packed
         return [self._code(self._kmul(a, x) + b) for x in self._pack_codes(codes, self._width)]
 
-    def sums(self, codes, mults=None) -> tuple[FieldElement, FieldElement]:
+    def sums(self, codes, mults=None, move=None) -> tuple[FieldElement, FieldElement]:
         """(sum, square sum) of the elements with these codes, each counted
         with its multiplicity mod p (one by default; codes may repeat, the
         sums are linear), in plain integers, reduced once (module docstring).
-        Raises ValueError when mults and codes differ in length."""
+        With move = (alpha, beta), two elements of this field, they are the
+        sums of the moved elements alpha x + beta, each summed as the integer
+        polynomial A X + B, so no moved code is made. Raises ValueError when
+        mults and codes differ in length, or when alpha or beta belongs to
+        another field."""
         codes = list(codes)
+        p, k = self.p, self.k
         if mults is not None:
-            mults = [m % self.p for m in mults]
+            mults = [m % p for m in mults]
             if len(mults) != len(codes):
                 raise ValueError(f"{len(mults)} multiplicities for {len(codes)} codes")
         n = len(codes) if mults is None else sum(mults)
-        w = 8 * -(-(n * self.k * (self.p - 1) ** 2).bit_length() // 8)  # whole bytes
+        if move is None:
+            bound, digits = n * k * (p - 1) ** 2, k
+        elif any(c.ctx is not self for c in move):
+            raise ValueError("a move by elements of another field")
+        else:
+            bound, digits = n * (2 * k - 1) * (k * (p - 1) ** 2 + p - 1) ** 2, 2 * k - 1
+        w = 8 * -(-bound.bit_length() // 8)  # whole bytes
         packed = self._pack_codes(codes, w)
+        if move is not None:
+            a, b = [self._widen(c.packed, w) for c in move]
+            packed = [a * x + b for x in packed]
         weighted = packed if mults is None else list(map(mul, mults, packed))
         s2 = sum(map(mul, weighted, packed))
-        return self._reduce(sum(weighted), w, self.k), self._reduce(s2, w, 2 * self.k - 1)
+        return self._reduce(sum(weighted), w, digits), self._reduce(s2, w, 2 * digits - 1)
+
+    def _widen(self, x: int, width: int) -> int:
+        """A packed element repacked at `width` bits a digit, digit by digit,
+        no code or coefficient tuple made."""
+        mask = self._mask
+        return sum([(x >> s & mask) << width * i for i, s in enumerate(self._shifts)])
 
     def _reduce(self, x: int, width: int, digits: int) -> FieldElement:
         """The element of a polynomial with nonnegative integer coefficients,
-        `digits` of them (k to 2k - 1) at `width` bits each (0 reads zeros):
-        each taken mod p into the kernel's packing, whose product by the
-        packed one folds the high ones through the modulus."""
+        `digits` of them (k to 4k - 3) at `width` bits each (0 reads zeros):
+        its low 2k - 1 taken mod p into the kernel's packing, whose product by
+        the packed one folds degrees k and up through the modulus. The rest,
+        from degree 2k - 1 (a moved square sum's), are reduced the same way
+        and added back times the packed x^(2k - 1)."""
         p, w, mask = self.p, self._width, (1 << width) - 1
+        top = 2 * self.k - 1
         low = 0
-        for i in reversed(range(digits)):
+        for i in reversed(range(min(digits, top))):
             low = (low << w) | ((x >> (width * i)) & mask) % p
+        if digits > top:
+            high = self._reduce(x >> width * top, width, digits - top)
+            low += self._kmul(high.packed, self._xtop)
         return FieldElement(self, self._kmul(low, 1))
 
     def _sqrt(self, a: FieldElement) -> Optional[FieldElement]:
         """One Tonelli-Shanks both decides whether a is a square and takes
         its root; of the two roots it returns the lex-smaller coefficient
         tuple. With q - 1 = 2^s Q, Q odd, c = z^Q for the first nonresidue z
-        in canonical order, r = a^((Q+1)/2) and t = a^Q, each pass keeps
-        r^2 = a t and c of order 2^m, and halves the order 2^i of t. A square
-        has i < m on every pass; a nonsquare is exactly a with t of order
-        2^s, which the first pass (m = s) finds. A t still not 1 after m
-        squarings has no 2-power order, an internal fault (a zero that got
-        past `is_zero`), and raises ArithmeticError."""
+        in canonical order from code p^(k-1) on, round to code 1 (any
+        nonresidue serves, and the elements below p^(k-1) are often all
+        squares), r = a^((Q+1)/2) and t = a^Q, each pass keeps r^2 = a t and c
+        of order 2^m, and halves the order 2^i of t. A square has i < m on
+        every pass; a nonsquare is exactly a with t of order 2^s, which the
+        first pass (m = s) finds. A t still not 1 after m squarings has no
+        2-power order, an internal fault (a zero that got past `is_zero`), and
+        raises ArithmeticError."""
         if a.is_zero():
             return self.zero
         mul, power = self._kmul, self._kpow
@@ -570,8 +609,12 @@ class FieldCtx:
             while Q % 2 == 0:
                 s, Q = s + 1, Q // 2
             half = (self.size - 1) // 2
-            # the units' packings in code order, no element decoded
-            units = (self._pack_codes([c], self._width)[0] for c in range(1, self.size))
+            # the units' packings in code order from p^(k-1), the first with
+            # constant coefficient 1 (1 itself over GF(p)), then round to the
+            # codes below it, no element decoded
+            head = self.size // self.p
+            codes = chain(range(head, self.size), range(1, head))
+            units = (self._pack_codes([c], self._width)[0] for c in codes)
             z = next(z for z in units if power(z, half) != 1)
             self._sqrt_consts = (s, Q, power(z, Q))
         m, Q, c = self._sqrt_consts

@@ -17,7 +17,8 @@ module only `in_small_diagonal` reads one.
 Both power sums come from `FieldCtx.sums`, in plain integers with one
 reduction per sum (the kernel is described in `gf`). It also serves the
 block system, whose two sums are those of its lift (`trace_system`): the
-c_i with multiplicities w_i = 2^(m_i) mod p.
+c_i with multiplicities w_i = 2^(m_i) mod p, and the invariance report,
+whose sums are those of a moved point that `power_sums` never builds.
 """
 
 from __future__ import annotations
@@ -53,9 +54,11 @@ class AmbientPoint(Record):
         return tuple(map(self.ctx.element_at, self.codes))
 
 
-def power_sums(a: AmbientPoint) -> tuple[FieldElement, FieldElement]:
-    """(sum of coordinates, sum of squared coordinates), exactly."""
-    return a.ctx.sums(a.codes)
+def power_sums(a: AmbientPoint, move=None) -> tuple[FieldElement, FieldElement]:
+    """(sum of coordinates, sum of squared coordinates), exactly; with move =
+    (alpha, beta), those of the moved point alpha a + beta, which is not
+    built (`FieldCtx.sums`)."""
+    return a.ctx.sums(a.codes, move=move)
 
 
 def on_quadric(a: AmbientPoint) -> bool:

@@ -182,8 +182,8 @@ MUTANTS = (
         # whole bytes rounded down: 24000 needs 15 bits and gets 8
         "sums-width-rounded-down",
         GF,
-        "8 * -(-(n * self.k * (self.p - 1) ** 2).bit_length() // 8)",
-        "8 * ((n * self.k * (self.p - 1) ** 2).bit_length() // 8)",
+        "w = 8 * -(-bound.bit_length() // 8)",
+        "w = 8 * (bound.bit_length() // 8)",
         (
             "tests/test_kernels.py::test_sums_count_repeated_codes_like_multiplicities[3-12]",
             "tests/test_quadric.py::test_sums_at_the_widest_packing[3-12-500]",
@@ -227,8 +227,8 @@ MUTANTS = (
     Mutant(
         "sums-square-sum-one-digit-short",
         GF,
-        "self._reduce(s2, w, 2 * self.k - 1)",
-        "self._reduce(s2, w, 2 * self.k - 2)",
+        "self._reduce(s2, w, 2 * digits - 1)",
+        "self._reduce(s2, w, 2 * digits - 2)",
         (
             "tests/test_cli.py::test_sample_extension_field",
             "tests/test_compression.py::test_rank_certificate_divisible_case",
@@ -259,8 +259,8 @@ MUTANTS = (
     Mutant(
         "sums-multiplicity-dropped-from-s1",
         GF,
-        "return self._reduce(sum(weighted), w, self.k)",
-        "return self._reduce(sum(packed), w, self.k)",
+        "return self._reduce(sum(weighted), w, digits)",
+        "return self._reduce(sum(packed), w, digits)",
         (
             "tests/test_kernels.py::test_sums_count_repeated_codes_like_multiplicities",
             "tests/test_cli.py::test_solve_pin",
@@ -392,15 +392,53 @@ MUTANTS = (
     ),
     Mutant(
         # z = 0 passes the nonresidue test, so c = 0 and Tonelli-Shanks
-        # raises on every square that needs a correction
+        # raises on every square that needs a correction. The walk reaches
+        # code 0 only over GF(p), where it starts at p^(k-1) = 1; over larger
+        # fields it starts at the unit p^(k-1) - 1 instead, which is harmless
         "nonresidue-walk-from-code-0",
         GF,
-        "for c in range(1, self.size))",
-        "for c in range(0, self.size))",
+        "range(head, self.size), range(1, head)",
+        "range(head - 1, self.size), range(1, head)",
         (
-            "tests/test_gf.py::test_sqrt_exists_iff_square[3-4]",
-            "tests/test_kernels.py::test_sqrt_matches_schoolbook_tonelli_shanks[3-4]",
-            "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
+            "tests/test_gf.py::test_sqrt_exists_iff_square[13-1]",
+            "tests/test_gf.py::test_sqrt_exists_iff_square[17-1]",
+            "tests/test_golden.py::test_golden_certificate[solve_3137_3137]",
+        ),
+    ),
+    Mutant(
+        # the move drops beta: the report sums alpha x alone
+        "moved-sums-drop-beta",
+        GF,
+        "packed = [a * x + b for x in packed]",
+        "packed = [a * x for x in packed]",
+        (
+            "tests/test_actions.py::test_invariance_report_pin",
+            "tests/test_kernels.py::test_invariance_report_sums_are_those_of_the_moved_point[5-7-2]",
+        ),
+    ),
+    Mutant(
+        # degrees 2k - 1 to 4k - 4 of a moved square sum are never folded back
+        "moved-square-sum-high-half-dropped",
+        GF,
+        "if digits > top:",
+        "if digits > 2 * top:",
+        (
+            "tests/test_kernels.py::test_invariance_report_sums_are_those_of_the_moved_point[5-7-2]",
+            "tests/test_kernels.py::test_invariance_report_sums_are_those_of_the_moved_point[128-3-9]",
+            "tests/test_golden.py::test_golden_certificate[borel_10_gf25]",
+        ),
+    ),
+    Mutant(
+        # the moved width from the unmoved bound n k (p - 1)^2: the digits of
+        # the moved sums carry into each other, or past the top one
+        "moved-width-from-the-unmoved-bound",
+        GF,
+        "n * (2 * k - 1) * (k * (p - 1) ** 2 + p - 1) ** 2, 2 * k - 1",
+        "n * k * (p - 1) ** 2, 2 * k - 1",
+        (
+            "tests/test_kernels.py::test_invariance_report_sums_are_those_of_the_moved_point[5-1048573-1]",
+            "tests/test_kernels.py::test_moved_sums_at_the_top_digits[4096-3-8]",
+            "tests/test_kernels.py::test_moved_sums_at_the_top_digits[200-13-5]",
         ),
     ),
     Mutant(

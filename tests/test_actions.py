@@ -127,8 +127,8 @@ def test_identities_fail_when_one_moved_sum_is_off(monkeypatch, wrong):
     # either moved power sum alone off its prediction breaks the identities
     exact = actions.power_sums
 
-    def off(a):
-        s1, p2 = exact(a)
+    def off(a, move=None):
+        s1, p2 = exact(a, move)
         return (s1 + F11.one, p2) if wrong == "s1" else (s1, p2 + F11.one)
 
     monkeypatch.setattr(actions, "power_sums", off)
@@ -143,6 +143,14 @@ def test_invariance_requires_membership():
     off = AmbientPoint(F11, (1, 2, 3, 4, 5))
     with pytest.raises(NotOnQuadricError):
         invariance_report(off, g)
+
+
+def test_invariance_report_refuses_a_map_of_another_field():
+    # GF(11) and GF(13) elements, and a twin context of GF(11) itself
+    twin = type(F11)(11, 1, F11.modulus)
+    for g in (AffineMap(field_make(13).el(2), field_make(13).el(1)), AffineMap(twin.el(2), twin.el(1))):
+        with pytest.raises(ValueError):
+            invariance_report(BASE, g)
 
 
 def test_quadric_preserved_exactly_when_char_divides_n():

@@ -292,10 +292,10 @@ def test_no_call_for_the_lift_walks_its_coordinates(tmp_path, monkeypatch):
     def spy(name):
         method = getattr(FieldCtx, name)
 
-        def counted(ctx, codes, *args):
+        def counted(ctx, codes, *args, **kwargs):
             codes = list(codes)
             calls.append((ctx, len(codes)))
-            return method(ctx, codes, *args)
+            return method(ctx, codes, *args, **kwargs)
 
         monkeypatch.setattr(FieldCtx, name, counted)
 

@@ -100,6 +100,26 @@ def test_sqrt_matches_schoolbook_tonelli_shanks(p, k):
             assert root * root == a
 
 
+@pytest.mark.parametrize("p,k", [(1021, 2), (599, 2), (3, 10)])
+def test_first_sqrt_tests_few_candidates(monkeypatch, p, k):
+    # the nonresidue scan starts at code p^(k-1), the elements 1 + ..., and
+    # finds one among its first candidates; the codes below are often all
+    # squares (GF(1021^2)'s first nonresidue in code order is code 1027)
+    ctx = FieldCtx(p, k, field_make(p, k).modulus)  # a fresh context
+    half, candidates = (ctx.size - 1) // 2, []
+    power = FieldCtx._kpow
+
+    def spy(self, x, e):
+        if e == half:
+            candidates.append(x)
+        return power(self, x, e)
+
+    monkeypatch.setattr(FieldCtx, "_kpow", spy)
+    a = ctx.el([2, 1])
+    root = (a * a).sqrt()
+    assert root in (a, -a) and len(candidates) <= 16
+
+
 # --- lane vectors ------------------------------------------------------------
 
 
@@ -377,16 +397,63 @@ def _moved_oracle(g, a):
     return s1, s2
 
 
-@pytest.mark.parametrize("n,p,k", [(5, 7, 2), (128, 3, 9), (128, 5, 7), (512, 3, 12), (512, 13, 5)])
+def _quadric_point(ctx, n, seed):
+    """A point of the quadric from a seeded tail whose codes may repeat, so
+    that n may come near the field size."""
+    rng = SplitMix64(seed)
+    while True:
+        tail = tuple(rng.draw(ctx.size, n - 2))
+        pair = complete_quadric_pair(ctx, tail)
+        if pair is not None:
+            return AmbientPoint(ctx, pair + tail)
+
+
+# GF(1048573) has p^2 near 2^40, and n = 4096 over GF(3^8) the most
+# coordinates; the top map moves every coordinate's digits to their bound
+@pytest.mark.parametrize(
+    "n,p,k",
+    [(5, 7, 2), (128, 3, 9), (128, 5, 7), (512, 3, 12), (512, 13, 5), (5, 1048573, 1), (4096, 3, 8)],
+)
 def test_invariance_report_sums_are_those_of_the_moved_point(n, p, k):
     ctx = field_make(p, k)
     rng = SplitMix64(n + p + k)
     for seed in range(2):
-        a = sample_quadric_point(n, ctx, seed)
+        a = _quadric_point(ctx, n, seed)
         for g in (random_affine(ctx, rng), AffineMap(_top(ctx), _top(ctx))):
             report = invariance_report(a, g)
             moved = power_sums(affine_act(g, a))
             assert (report.s1_after, report.p2_after) == moved == _moved_oracle(g, a)
+
+
+@pytest.mark.parametrize("n,p,k", [(4096, 3, 8), (200, 13, 5), (5, 1048573, 1)])
+def test_moved_sums_at_the_top_digits(n, p, k):
+    # n top elements moved by the top map, given as n codes or as one code
+    # with multiplicity n: every digit of the moved sums reaches its bound
+    ctx = field_make(p, k)
+    top = _top(ctx)
+    y, times = top * top + top, ctx.el(n)
+    expected = (times * y, times * y * y)
+    assert ctx.sums([ctx.size - 1] * n, move=(top, top)) == expected
+    assert ctx.sums([ctx.size - 1], [n], move=(top, top)) == expected
+
+
+def test_invariance_report_moves_no_coordinate(monkeypatch):
+    # the moved sums come from the packed kernel: no moved code, no code of
+    # any element and no moved point is made
+    cases = []
+    for ctx in map(field_make, (13, 3, 5), (1, 8, 4)):
+        a, g = _quadric_point(ctx, 40, 3), AffineMap(_top(ctx), _top(ctx))
+        cases.append((a, g, _moved_oracle(g, a)))
+
+    def forbidden(*args):
+        raise AssertionError("the invariance report must not move a coordinate")
+
+    for name in ("affine_codes", "_code"):
+        monkeypatch.setattr(FieldCtx, name, forbidden)
+    monkeypatch.setattr(AmbientPoint, "__init__", forbidden)
+    for a, g, moved in cases:
+        report = invariance_report(a, g)
+        assert (report.s1_after, report.p2_after) == moved
 
 
 def test_sampler_completes_from_codes_as_from_elements():
