@@ -11,8 +11,9 @@ n beta^2 exactly, so the quadric is carried into itself by the whole group
 precisely when the characteristic divides n (and by the scalings beta = 0
 always). `invariance_report` checks this on the sums of every moved
 coordinate, taken by the power-sum kernel with the move inside it
-(`quadric.power_sums(a, move)`), so no moved point is built; `affine_act`
-builds one, for the Library and `compression.affine_invariance_check`.
+(`quadric.power_sums(a, move)`), so no moved point is built. `affine_act`
+builds one by field arithmetic on its coordinates, for the Library and
+`compression.affine_invariance_check`.
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ class AffineMap(Record):
             raise ValueError("alpha and beta from different fields")
         Record.__init__(self, alpha, beta)
 
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.alpha.ctx
-
 
 def affine_compose(g1: AffineMap, g2: AffineMap) -> AffineMap:
     """First apply g2, then g1."""
@@ -100,9 +97,8 @@ def random_affine(ctx: FieldCtx, rng: SplitMix64) -> AffineMap:
 
 
 def affine_act(g: AffineMap, a: AmbientPoint) -> AmbientPoint:
-    if g.ctx is not a.ctx:
-        raise ValueError("map and point over different fields")
-    return AmbientPoint(a.ctx, a.ctx.affine_codes(g.alpha, g.beta, a.codes))
+    """g a by field arithmetic; a map of another field raises ValueError."""
+    return AmbientPoint(a.ctx, [a.ctx.element_index(g.alpha * x + g.beta) for x in a.coords])
 
 
 class InvarianceReport(Record):

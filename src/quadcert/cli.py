@@ -230,12 +230,12 @@ def _block(n, p, lift):
     entries that solve and construct add to the payload. The checks: both
     weighted sums vanish, some c_i is nonzero and c_r = 0; the lift lies on
     the quadric and off the small diagonal, as the all-zero solution lifts
-    to a constant. The lift's sums are read on its r runs, each code with its
-    count, in a call of their own, apart from `evaluate_system`: they are
-    the sums of the n coordinates the document writes. A count 2^(m_i)
-    reduces mod p to the weight w_i, so on runs that repeat the solution's
-    codes with counts = w_i (mod p) the check reads the system's two sums
-    again, and runs that repeat anything else must pass it on their own.
+    to a constant. The lift's sums are `power_sums` of its r runs, each code
+    with its count, apart from `evaluate_system`: they are the sums of the
+    n coordinates the document writes. A count 2^(m_i) reduces mod p to the
+    weight w_i, so on runs that repeat the solution's codes with counts =
+    w_i (mod p) the check reads the system's two sums again, and runs that
+    repeat anything else must pass it on their own.
     """
     sol = solve_block_system(binary_profile(n), p)
     lin, quad = evaluate_system(sol)
@@ -255,7 +255,7 @@ def _block(n, p, lift):
     sums = {"checks_values": {"linear": lin, "quadratic": quad}}
     if lift:
         runs = payload["lift"] = lift_block_solution(sol)
-        s1, s2 = sol.ctx.sums(runs.codes, runs.counts)
+        s1, s2 = power_sums(runs)
         checks += [
             ("lift_on_quadric", s1.is_zero() and s2.is_zero()),
             ("lift_off_small_diagonal", not in_small_diagonal(runs)),

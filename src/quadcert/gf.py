@@ -78,7 +78,7 @@ above and the high 2k - 2 the same way, and adds those back times the packed
 x^(2k - 1) mod the modulus, one more product. Unmoved sums keep their width.
 
 Codes become packings (`FieldCtx._pack_codes`, for `element_at`, `lanes`,
-`sums`, `affine_codes` and `coefficient_rows`) through digit tables. The base-p
+`sums` and `coefficient_rows`) through digit tables. The base-p
 digits of a code, most significant first, are c_0, ..., c_{k-1}; they are read
 in chunks of d digits, d the largest with p^d <= 256 (one when p > 256), the
 last chunk taking what is left (5, 5 and 2 digits over GF(3^12)). Entry v of
@@ -529,11 +529,6 @@ class FieldCtx:
             x = self._kmul(x, x)
             e >>= 1
         return out
-
-    def affine_codes(self, alpha: FieldElement, beta: FieldElement, codes) -> list[int]:
-        """The codes of alpha x + beta for the x with these codes."""
-        a, b = alpha.packed, beta.packed
-        return [self._code(self._kmul(a, x) + b) for x in self._pack_codes(codes, self._width)]
 
     def sums(self, codes, mults=None, move=None) -> tuple[FieldElement, FieldElement]:
         """(sum, square sum) of the elements with these codes, each counted

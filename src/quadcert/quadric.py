@@ -8,17 +8,18 @@ and it is exactly where the quadric is singular.
 
 A point is held as the codes of its coordinates (see `gf`), and it is built
 from them, `AmbientPoint(ctx, codes)`: the sampler draws codes, pair
-completion maps tail codes to pair codes, affine moves map them, and
-collision tests work per distinct code, as does `cli` when it writes a
-point. `FieldElement`s are the boundary (`coords` decodes them). A block
-lift is no point: `trace_system.BlockLift` holds its r runs, and of this
-module only `in_small_diagonal` reads one.
+completion maps tail codes to pair codes, and collision tests work per
+distinct code, as does `cli` when it writes a point. `FieldElement`s are
+the boundary (`coords` decodes them; `actions.affine_act` moves them). A
+block lift is no point: `trace_system.BlockLift` holds its r runs, and of
+this module `power_sums` and `in_small_diagonal` read one.
 
 Both power sums come from `FieldCtx.sums`, in plain integers with one
 reduction per sum (the kernel is described in `gf`). It also serves the
 block system, whose two sums are those of its lift (`trace_system`): the
-c_i with multiplicities w_i = 2^(m_i) mod p, and the invariance report,
-whose sums are those of a moved point that `power_sums` never builds.
+c_i with multiplicities w_i = 2^(m_i) mod p; the lift itself, its run
+counts 2^(m_i) taken as multiplicities; and the invariance report, whose
+sums are those of a moved point that `power_sums` never builds.
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ class AmbientPoint(Record):
         return tuple(map(self.ctx.element_at, self.codes))
 
 
-def power_sums(a: AmbientPoint, move=None) -> tuple[FieldElement, FieldElement]:
-    """(sum of coordinates, sum of squared coordinates), exactly; with move =
-    (alpha, beta), those of the moved point alpha a + beta, which is not
-    built (`FieldCtx.sums`)."""
-    return a.ctx.sums(a.codes, move=move)
+def power_sums(a, move=None) -> tuple[FieldElement, FieldElement]:
+    """(sum of coordinates, sum of squared coordinates), exactly, of a point
+    or of a block lift (`trace_system.BlockLift`), whose run counts are its
+    codes' multiplicities; with move = (alpha, beta), those of the moved
+    point alpha a + beta, which is not built (`FieldCtx.sums`)."""
+    return a.ctx.sums(a.codes, getattr(a, "counts", None), move)
 
 
 def on_quadric(a: AmbientPoint) -> bool:

@@ -417,6 +417,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the moved point drops beta: affine_act builds alpha a
+        "affine-act-drops-beta",
+        "src/quadcert/actions.py",
+        "g.alpha * x + g.beta",
+        "g.alpha * x",
+        (
+            "tests/test_actions.py::test_affine_act_pin",
+            "tests/test_actions.py::test_affine_act_moves_every_coordinate_of_a_block_lift",
+        ),
+    ),
+    Mutant(
+        # a lift's run counts are dropped: its sums are those of its r codes
+        "power-sums-drops-lift-counts",
+        QUADRIC,
+        'getattr(a, "counts", None)',
+        "None",
+        (
+            "tests/test_golden.py::test_golden_certificate[construct_15_3]",
+            f"{CLI_TESTS}test_the_lift_sums_go_through_the_traced_power_sums",
+        ),
+    ),
+    Mutant(
         # degrees 2k - 1 to 4k - 4 of a moved square sum are never folded back
         "moved-square-sum-high-half-dropped",
         GF,

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, document shapes, reproducibility."""
 
 import contextlib
+import hashlib
 import importlib.resources
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from _docref import written
 from _points import expanded
+import quadcert.cli
 from quadcert.cli import canonical_json, main
 from quadcert.gf import SIZE_LIMIT, FieldCtx, field_make
 from quadcert.profile import binary_profile, solution_field_degree
@@ -318,6 +320,38 @@ def test_no_call_for_the_lift_walks_its_coordinates(tmp_path, monkeypatch):
         on_the_lift = [size for ctx, size in calls if ctx is lift_ctx]
         assert on_the_lift and max(on_the_lift) <= binary_profile(n).r
         assert points == [] if command == "construct" else lift_ctx not in points
+
+
+
+# (argv, first 16 hex digits of the sha256 of stdout)
+LIFT_OUTPUTS = (
+    (["construct", "4095", "3"], "43b680ee502a30c4"),
+    (["certify", "15", "3", "--field-degree", "4", "--samples", "1"], "b2bf17181be1d062"),
+)
+
+
+def test_the_lift_sums_go_through_the_traced_power_sums(monkeypatch):
+    # perfbench/tracing.py times `quadcert.cli.power_sums`: construct and
+    # certify sum their lift there, in one call on its runs, and write the
+    # same bytes
+    traced = quadcert.cli.power_sums
+    calls = []
+
+    def counted(a, *args):
+        calls.append(a)
+        return traced(a, *args)
+
+    monkeypatch.setattr("quadcert.cli.power_sums", counted)
+    for argv, digest in LIFT_OUTPUTS:
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        n, p = int(argv[1]), int(argv[2])
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == digest
+        assert calls == [lift_block_solution(solve_block_system(binary_profile(n), p))]
+        assert len(calls[0].codes) == binary_profile(n).r
 
 
 def test_construct_and_certify_check_the_lift(tmp_path, monkeypatch):

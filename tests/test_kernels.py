@@ -344,19 +344,6 @@ def test_sums_take_any_integer_multiplicity(p, k):
             assert ctx.sums(codes, mults) == expected
 
 
-@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
-def test_affine_codes_match_field_operations(p, k):
-    ctx = field_make(p, k)
-    xs = _elements(ctx, 30, 23 * p + k)
-    codes = [ctx.element_index(x) for x in xs]
-    rng = SplitMix64(29 * p + k)
-    for alpha, beta in [(_top(ctx), _top(ctx)), (ctx.one, ctx.zero)] + [
-        (g.alpha, g.beta) for g in (random_affine(ctx, rng) for _ in range(5))
-    ]:
-        expected = [ctx.element_index(alpha * x + beta) for x in xs]
-        assert ctx.affine_codes(alpha, beta, codes) == expected
-
-
 # --- points as codes ------------------------------------------------------------
 
 
@@ -390,7 +377,7 @@ def test_point_validates_its_codes():
 
 def _moved_oracle(g, a):
     """Power sums of g a with one field product and sum per coordinate."""
-    s1 = s2 = g.ctx.zero
+    s1 = s2 = g.alpha.ctx.zero
     for x in a.coords:
         y = g.alpha * x + g.beta
         s1, s2 = s1 + y, s2 + y * y
@@ -448,8 +435,7 @@ def test_invariance_report_moves_no_coordinate(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the invariance report must not move a coordinate")
 
-    for name in ("affine_codes", "_code"):
-        monkeypatch.setattr(FieldCtx, name, forbidden)
+    monkeypatch.setattr(FieldCtx, "_code", forbidden)
     monkeypatch.setattr(AmbientPoint, "__init__", forbidden)
     for a, g, moved in cases:
         report = invariance_report(a, g)

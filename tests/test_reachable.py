@@ -43,7 +43,6 @@ NOT_ENTERED = {
     "actions.compose": CRITERION_5,
     "actions.random_permutation": CRITERION_5,
     "actions.permute": CRITERION_5,
-    "actions.AffineMap.ctx": CRITERION_5,
     "actions.affine_compose": CRITERION_5,
     "actions.affine_act": CRITERION_5,
     "cli.run": ENTRY_POINT,
@@ -53,7 +52,6 @@ NOT_ENTERED = {
     "compression.permute_image": CRITERION_5,
     "compression.affine_invariance_check": CRITERION_5,
     "compression.compression_jacobian": CRITERION_5,
-    "gf.FieldCtx.affine_codes": CRITERION_5,
     "gf.FieldElement._mismatch": ERROR_PATH,  # no command mixes two fields
     "gf.FieldElement.__hash__": PROTOCOL,
     "gf.FieldElement.__bool__": PROTOCOL,

@@ -33,6 +33,10 @@ import ...`), never through a `tests` package: a bare `pytest` does not put
 the repository root on the path, so such a module fails to collect there,
 and the helper would load twice, under two names.
 
+Only `gf`, `quadric` and `trace_system` reach the power-sum kernel
+`FieldCtx.sums`: every other module sums through `quadric.power_sums`, which
+the benchmark tracer times, and no other module reads a `.sums` attribute.
+
 Only `cli.main` catches a refusal (`RefusalError`: `InvalidProfileError`,
 `NoPointFoundError`), and it writes every refusal document: no other except
 clause names a refusal class or one of its bases, and none is bare.
@@ -242,6 +246,42 @@ def test_every_unread_import_is_a_tracer_target():
 
 def test_only_cli_keeps_on_quadric_for_the_tracer_alone():
     assert unexported_unread_imports() == [("quadcert.cli", "on_quadric")]
+
+
+def kernel_sums(source: str) -> list[str]:
+    """`line: code` for each read of an attribute named `sums`, called or
+    bound for a later call."""
+    found = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "sums"
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def test_the_sums_guard_flags_each_kind_of_call():
+    source = (
+        "s1, s2 = sol.ctx.sums(runs.codes, runs.counts)\n"
+        "t = ctx.sums(codes, move=(alpha, beta))\n"
+        "u = field_make(3).sums([1, 2])\n"
+        "total = self.ctx.sums\n"
+        "ok = power_sums(a) + sums(codes) + payload['sums'] + ctx.power_sums(a)\n"
+    )
+    assert kernel_sums(source) == [
+        "1: sol.ctx.sums",
+        "2: ctx.sums",
+        "3: field_make(3).sums",
+        "4: self.ctx.sums",
+    ]
+
+
+SUMMING = ("gf.py", "quadric.py", "trace_system.py")
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in PACKAGE.glob("*.py") if f.name not in SUMMING))
+def test_only_gf_quadric_and_trace_system_call_the_sums_kernel(name):
+    assert kernel_sums((PACKAGE / name).read_text()) == []
 
 
 REFUSAL_NAMES = {
