@@ -87,8 +87,8 @@ digit 0, or holds their tuple when width is None. So a chunk is one lookup over
 the whole list of codes at once, and one step, `+`, joins it to the chunks
 before it: a packing shifted up to its first coefficient is added, a tuple
 concatenated. A one-digit chunk is its own packing, or its 1-tuple, and needs
-no table, and over GF(p) a code is its packing. Tables are built on first use and
-kept per module, shared by every field of one characteristic; the widths of
+no table, and over GF(p) a code is its packing. Tables are built on first use by
+`functools.lru_cache`, shared by every field of one characteristic; the widths of
 the kernel and of `sums` are whole bytes, so a process builds few per prime.
 """
 
@@ -145,24 +145,17 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {k} over GF({p})")
 
 
-# the digit tables of `_digit_table`, keyed by (p, digits, width)
-_DIGIT_TABLES: dict[tuple[int, int, Optional[int]], list] = {}
-
-
+@lru_cache(maxsize=None)
 def _digit_table(p: int, digits: int, width: Optional[int]) -> list:
     """Entry v is the packing, with width bits a digit, of the base-p digits
     of v, `digits` of them, most significant at digit 0; for width None, the
-    tuple of those digits. Built on first use and shared by every field of
-    characteristic p."""
-    key = (p, digits, width)
-    table = _DIGIT_TABLES.get(key)
-    if table is None:
-        table = list(product(range(p), repeat=digits))
-        if width is not None:
-            shifts = [width * i for i in range(digits)]
-            table = [sum(map(lshift, t, shifts)) for t in table]
-        _DIGIT_TABLES[key] = table
-    return table
+    tuple of those digits. Built on first use by `functools.lru_cache` and
+    shared by every field of characteristic p."""
+    table = list(product(range(p), repeat=digits))
+    if width is None:
+        return table
+    shifts = [width * i for i in range(digits)]
+    return [sum(map(lshift, t, shifts)) for t in table]
 
 
 def _chunk_plan(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:

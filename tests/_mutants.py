@@ -225,6 +225,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # every lookup builds its table again: the same packings, no cache
+        "digit-table-not-cached",
+        GF,
+        "@lru_cache(maxsize=None)\ndef _digit_table(",
+        "def _digit_table(",
+        ("tests/test_structure.py::test_the_package_keeps_two_caches",),
+    ),
+    Mutant(
+        # a one-digit chunk reads a table too, of p entries over GF(p)
+        "one-digit-chunks-read-a-table",
+        GF,
+        "if digits > 1:",
+        "if digits >= 1:",
+        ("tests/test_kernels.py::test_prime_fields_build_no_digit_table_and_none_is_oversized",),
+    ),
+    Mutant(
         "sums-square-sum-one-digit-short",
         GF,
         "self._reduce(s2, w, 2 * digits - 1)",

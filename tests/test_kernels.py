@@ -277,7 +277,13 @@ def test_codes_split_into_chunks_of_at_most_256_values(p, k, chunks):
 def test_prime_fields_build_no_digit_table_and_none_is_oversized(monkeypatch):
     # over GF(p) a code is its own packing, whatever p; a table holds p^d
     # entries, at most 256 unless one digit alone takes more
-    monkeypatch.setattr(gf, "_DIGIT_TABLES", {})
+    read, real = [], gf._digit_table
+
+    def recording(p, digits, width):
+        read.append((p, digits, width))
+        return real(p, digits, width)
+
+    monkeypatch.setattr(gf, "_digit_table", recording)
     for p in (7, 31, 1021, 1048573):
         ctx = field_make(p)
         codes = [0, 1, p - 1]
@@ -285,16 +291,16 @@ def test_prime_fields_build_no_digit_table_and_none_is_oversized(monkeypatch):
         assert ctx.coefficient_rows(codes) == [(0,), (1,), (p - 1,)]
         assert ctx.sums(codes) == (ctx.el(0), ctx.el(2))
         ctx.lanes(codes)
-    assert gf._DIGIT_TABLES == {}
+        assert read == []  # before a larger p builds a table of p entries
     for p, k in TABLE_FIELDS:
         ctx = field_make(p, k)
         codes = [0, ctx.size - 1]
         for width in WIDTHS:
             ctx._pack_codes(codes, width)
         ctx.sums(codes)
-    assert gf._DIGIT_TABLES
-    for (p, digits, width), table in gf._DIGIT_TABLES.items():
-        assert len(table) == p**digits <= max(256, p)
+    assert read
+    for p, digits, width in read:
+        assert len(real(p, digits, width)) == p**digits <= max(256, p)
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)

@@ -17,11 +17,12 @@ bindings of the stub under another name than its own.
 No module compares field contexts with `==` or `!=`: contexts are compared
 by identity only (`is`, `is not`), and `FieldCtx` defines no `__eq__`.
 
-The package keeps two process-wide caches, both in `gf`: `gf._context` is
-its only function with a caching decorator (`lru_cache`, `cache`), and
-`gf._DIGIT_TABLES` its only module-level name bound to an empty dict, list
-or set. No other module holds state between calls, so a mutation harness
-that must start from empty caches (ROADMAP item 15) clears these two.
+The package keeps two process-wide caches, both in `gf` and both
+`lru_cache` functions: `gf._context` and `gf._digit_table` are its only
+functions with a caching decorator (`lru_cache`, `cache`), and no module
+binds a module-level name to an empty dict, list or set. No other module
+holds state between calls, so a mutation harness that must start from empty
+caches (ROADMAP item 15) clears these two with `cache_clear()`.
 
 Every name a top-level import binds in a package module is read there, is
 listed in the module's `__all__`, or is a target the benchmark tracer wraps
@@ -393,7 +394,8 @@ def test_the_package_keeps_two_caches():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += caches(path.read_text(), path.stem)
-    assert sorted(found) == ["gf._DIGIT_TABLES", "gf._context"]
+    assert sorted(found) == ["gf._context", "gf._digit_table"]
+    assert hasattr(gf._context, "cache_clear") and hasattr(gf._digit_table, "cache_clear")
 
 
 def test_no_test_module_imports_through_a_tests_package():
