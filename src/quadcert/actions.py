@@ -11,8 +11,10 @@ n beta^2 exactly, so the quadric is carried into itself by the whole group
 precisely when the characteristic divides n (and by the scalings beta = 0
 always). `invariance_report` checks this on the sums of every moved
 coordinate, taken by the power-sum kernel with the move inside it
-(`quadric.power_sums(a, move)`), so no moved point is built. `affine_act`
-builds one by field arithmetic on its coordinates, for the Library and
+(`quadric.power_sums(a, move)`), so no moved point is built; the same call
+returns the point's own sums, from the same packing, for the report's
+on-quadric precondition. `affine_act` builds a moved point by field
+arithmetic on its coordinates, for the Library and
 `compression.affine_invariance_check`.
 """
 
@@ -20,7 +22,11 @@ from __future__ import annotations
 
 from .errors import NotOnQuadricError, SizeMismatchError
 from .gf import FieldCtx, FieldElement
-from .quadric import AmbientPoint, on_quadric, power_sums
+from .quadric import (
+    AmbientPoint,
+    on_quadric,  # unread: perfbench/tracing.py wraps it here until ROADMAP item 17 part B
+    power_sums,
+)
 from .record import Record
 from .rng import SplitMix64
 
@@ -116,11 +122,12 @@ def invariance_report(a: AmbientPoint, g: AffineMap) -> InvarianceReport:
     characteristic divides n. The sums are those of g a's n coordinates,
     summed in the power-sum kernel with no moved point built, never the
     expansion alpha^2 sum x^2 + 2 alpha beta sum x + n beta^2 that the
-    identities assert. Raises NotOnQuadricError for a off the quadric, and
+    identities assert. The same call sums a unmoved, from the same packing,
+    so a is packed once. Raises NotOnQuadricError for a off the quadric, and
     ValueError for a map of another field."""
-    if not on_quadric(a):
+    (s1, p2), (t1, t2) = power_sums(a, (g.alpha, g.beta))
+    if not (t1.is_zero() and t2.is_zero()):
         raise NotOnQuadricError("invariance report needs a point on the quadric")
-    s1, p2 = power_sums(a, (g.alpha, g.beta))
     n_el = a.ctx.el(a.n)
     exp_s1 = n_el * g.beta
     exp_p2 = n_el * g.beta * g.beta

@@ -22,12 +22,15 @@ each item of a non-empty array or object on its own line indented two
 spaces per level (empty ones as [] and {}), separators "," and ": ",
 strings with ASCII escapes (non-ASCII text as \uXXXX), and a trailing
 newline. `canonical_json` walks the document once, appends every piece of
-text to one buffer and joins it at the end. It renders each coefficient
-vector from a %d template of its length and indent, keeps nothing between
-calls, and raises TypeError on any other value, such as a float (it may be
-NaN or infinite, which JSON cannot express), a non-string key (it would be
-rewritten as a string without notice), an int subclass or a tuple that is
-not a record field. Identical inputs therefore reproduce identical bytes.
+text to one buffer and joins it at the end. It writes a field element's
+coefficient vector as one join of the coefficients' texts, and the rows of
+a point or a lift from one `coefficient_texts` call, which joins each row's
+coefficients by the separator of their indent; the row's brackets are added
+around it. It keeps nothing between calls, and raises TypeError on any
+other value, such as a float (it may be NaN or infinite, which JSON cannot
+express), a non-string key (it would be rewritten as a string without
+notice), an int subclass or a tuple that is not a record field. Identical
+inputs therefore reproduce identical bytes.
 
 Exit codes: 0 success, 2 hypotheses not met, 3 a verification check
 failed, 4 usage error. Exit 2 comes from the gate's decision (`check`'s own,
@@ -52,7 +55,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .actions import random_affine, invariance_report
 from .compression import faithfulness_witness, rank_certificate
 from .errors import InvalidProfileError, RefusalError, UsageError
-from .gf import FieldElement, field_make
+from .gf import SIZE_LIMIT, FieldElement, field_make
 from .profile import binary_profile, check_hypotheses
 from .quadric import (
     AmbientPoint,
@@ -128,7 +131,7 @@ def _write(value, indent: str, out: list) -> None:
     elif kind is bool:
         out.append("true" if value else "false")
     elif kind is FieldElement:
-        out.append(_vector(value.ctx.k, indent) % value.coeffs)
+        out.append(_array(map(str, value.coeffs), indent))
     elif kind is AmbientPoint:
         out.append(_array(_rows(value, indent), indent))
     elif kind is BlockLift:
@@ -146,14 +149,11 @@ def _write(value, indent: str, out: list) -> None:
 
 def _rows(value, indent: str) -> list:
     """The row texts of a point's or a lift's codes, in code order: each
-    code's coefficient vector as an item of the array at `indent`."""
-    template = _vector(value.ctx.k, indent + "  ")
-    return [template % row for row in value.ctx.coefficient_rows(value.codes)]
-
-
-def _vector(k: int, indent: str) -> str:
-    """The %-template of a coefficient vector of length k at `indent`."""
-    return _array(["%d"] * k, indent)
+    code's coefficient vector as an item of the array at `indent`, its
+    coefficients joined by one `coefficient_texts` call and bracketed."""
+    inner = indent + "    "
+    head, tail = "[" + inner, indent + "  ]"
+    return [head + text + tail for text in value.ctx.coefficient_texts(value.codes, "," + inner)]
 
 
 def _array(parts, indent: str) -> str:
@@ -293,7 +293,11 @@ def _cmd_sample(n, field, seed, max_tries):
 def _sampled_points(n, ctx, master, samples, max_tries=None):
     """(index, seed, point) for each sample, the point sampled from the
     master's next seed. The caller keeps the master, so what it draws from
-    it between points comes next in its stream."""
+    it between points comes next in its stream. A request whose points hold
+    more than gf.SIZE_LIMIT coordinates in all is refused before the first
+    draw: its document writes one row per coordinate."""
+    if n * samples > SIZE_LIMIT:
+        raise UsageError(f"{samples} samples of n={n} coordinates exceed the limit of {SIZE_LIMIT} coordinates")
     for index in range(samples):
         seed = master.next_u64()
         yield index, seed, sample_quadric_point(n, ctx, seed, max_tries)

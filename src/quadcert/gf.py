@@ -18,8 +18,8 @@ The canonical order on elements compares coefficient tuples lexicographically
 is its code, sum(a_i * p^(k-1-i)); `FieldCtx.element_at` and `element_index`
 convert both ways. The solver, the sampler and the sqrt tie-break all use this
 one order. Codes are the points' format. An element is held as its packed
-integer below; coefficient tuples appear only at `el`, `coeffs` and
-`coefficient_rows`.
+integer below; coefficient tuples appear only at `el` and `coeffs`, and
+coefficient texts only at `coefficient_texts`.
 
 Two values belong to one field exactly when their contexts are the same
 object: `field_make` checks (p, k) and keeps one context per accepted pair,
@@ -75,21 +75,25 @@ most k (p - 1)^2 + p - 1, and Y Y one of 4k - 3, so
 w = (n (2k - 1) (k (p - 1)^2 + p - 1)^2).bit_length() bits, in whole bytes,
 hold every digit of s_2 = sum m Y Y. `_reduce` takes the low 2k - 1 digits as
 above and the high 2k - 2 the same way, and adds those back times the packed
-x^(2k - 1) mod the modulus, one more product. Unmoved sums keep their width.
+x^(2k - 1) mod the modulus, one more product. That width also holds the
+unmoved sums, so a move returns them too, from the same packing.
 
-Codes become packings (`FieldCtx._pack_codes`, for `element_at`, `lanes`,
-`sums` and `coefficient_rows`) through digit tables. The base-p
-digits of a code, most significant first, are c_0, ..., c_{k-1}; they are read
-in chunks of d digits, d the largest with p^d <= 256 (one when p > 256), the
-last chunk taking what is left (5, 5 and 2 digits over GF(3^12)). Entry v of
-the table for (p, s, width) packs the s digits of v at that width, the first at
-digit 0, or holds their tuple when width is None. So a chunk is one lookup over
-the whole list of codes at once, and one step, `+`, joins it to the chunks
-before it: a packing shifted up to its first coefficient is added, a tuple
-concatenated. A one-digit chunk is its own packing, or its 1-tuple, and needs
-no table, and over GF(p) a code is its packing. Tables are built on first use by
-`functools.lru_cache`, shared by every field of one characteristic; the widths of
-the kernel and of `sums` are whole bytes, so a process builds few per prime.
+Codes become packings (`FieldCtx._pack_codes`, for `element_at`, `lanes` and
+`sums`), or the text of their coefficients (for `coefficient_texts`, which
+the certificate writer reads), through digit tables. The base-p digits of a
+code, most significant first, are c_0, ..., c_{k-1}; they are read in chunks
+of d digits, d the largest with p^d <= 256 (one when p > 256), the last chunk
+taking what is left (5, 5 and 2 digits over GF(3^12)). Entry v of the table
+for (p, s, width) packs the s digits of v at that width, the first at digit
+0, or, when width is a separator string, holds their decimal texts joined by
+it. So a chunk is one lookup over the whole list of codes at once. A packing
+shifted up to its first coefficient is added to the chunks before it, and
+the texts of a code's chunks are joined by the separator. A one-digit
+chunk is its own packing, or its `str`, and needs no table, and over GF(p) a
+code is its packing. Tables are built on first use by `functools.lru_cache`,
+shared by every field of one characteristic; the widths of the kernel and of
+`sums` are whole bytes, and the writer's separators one per indent, so a
+process builds few per prime.
 """
 
 from __future__ import annotations
@@ -146,16 +150,16 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _digit_table(p: int, digits: int, width: Optional[int]) -> list:
+def _digit_table(p: int, digits: int, width: int | str) -> list:
     """Entry v is the packing, with width bits a digit, of the base-p digits
-    of v, `digits` of them, most significant at digit 0; for width None, the
-    tuple of those digits. Built on first use by `functools.lru_cache` and
-    shared by every field of characteristic p."""
-    table = list(product(range(p), repeat=digits))
-    if width is None:
-        return table
+    of v, `digits` of them, most significant at digit 0; for a separator
+    string width, the decimal texts of those digits joined by it. Built on
+    first use by `functools.lru_cache` and shared by every field of
+    characteristic p."""
+    if isinstance(width, str):
+        return list(map(width.join, product(map(str, range(p)), repeat=digits)))
     shifts = [width * i for i in range(digits)]
-    return [sum(map(lshift, t, shifts)) for t in table]
+    return [sum(map(lshift, t, shifts)) for t in product(range(p), repeat=digits)]
 
 
 def _chunk_plan(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -478,30 +482,38 @@ class FieldCtx:
             code = code * p + ((x >> s) & mask) % p
         return code
 
-    def coefficient_rows(self, codes) -> list[tuple[int, ...]]:
-        """The coefficient tuples, low degree first, of the elements with these codes."""
-        return self._pack_codes(codes, None)
+    def coefficient_texts(self, codes, sep: str) -> list[str]:
+        """For each element with these codes, the decimal texts of its
+        coefficients, low degree first, joined by sep."""
+        return self._pack_codes(codes, sep)
 
-    def _pack_codes(self, codes, width: Optional[int]) -> list:
+    def _pack_codes(self, codes, width: int | str) -> list:
         """The packings, with width bits a digit, of the elements with these
-        codes, or for width None their coefficient tuples, low degree first:
-        each chunk of code digits read from its digit table, shifted into
-        place and joined to the chunks before it by `+` (module docstring).
-        Over GF(p) a list of codes is its own list of packings, returned."""
+        codes, or for a separator string width the texts of their
+        coefficients, low degree first, joined by it: each chunk of code
+        digits read from its digit table, and the chunks joined, packings
+        shifted into place and added, texts by the separator (module
+        docstring). Over GF(p) a list of codes is its own list of packings,
+        returned."""
         if not isinstance(codes, list):
             codes = list(codes)  # every chunk reads them
-        p, out = self.p, None
+        p, text, parts = self.p, isinstance(width, str), []
         for digits, below, size, start in self._chunks:
             part = map(floordiv, codes, repeat(below)) if below > 1 else codes
             if start:
                 part = map(mod, part, repeat(size))
             if digits > 1:
                 part = map(_digit_table(p, digits, width).__getitem__, part)
-            elif width is None:  # one digit is its own packing, or zip's 1-tuple
-                part = zip(part)
-            if start and width is not None:
+            elif text:  # one digit is its own packing, or its str
+                part = map(str, part)
+            if start and not text:
                 part = map(lshift, part, repeat(width * start))
-            out = part if out is None else map(add, out, part)
+            parts.append(part)
+        if text and len(parts) > 1:  # the chunk texts joined by the separator
+            parts = [map(width.join, zip(*parts))]
+        out = parts[0]
+        for part in parts[1:]:  # the shifted packings added
+            out = map(add, out, part)
         return out if out is codes else list(out)
 
     def lanes(self, codes) -> LaneVector:
@@ -514,24 +526,25 @@ class FieldCtx:
         return LaneVector(kernel, int.from_bytes(data, "little"))
 
     def _kpow(self, x: int, e: int) -> int:
-        """x^e for a packed x and e >= 0."""
-        out = 1  # the packed one
-        while e:
-            if e & 1:
-                out = self._kmul(out, x)
-            x = self._kmul(x, x)
-            e >>= 1
+        """x^e for a packed x and e >= 0, its bits read from the top, so that
+        it costs bitlen(e) - 1 squarings and popcount(e) - 1 products."""
+        mul, out = self._kmul, x if e else 1  # the packed one for e = 0
+        for bit in bin(e)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, x)
         return out
 
-    def sums(self, codes, mults=None, move=None) -> tuple[FieldElement, FieldElement]:
+    def sums(self, codes, mults=None, move=None) -> tuple:
         """(sum, square sum) of the elements with these codes, each counted
         with its multiplicity mod p (one by default; codes may repeat, the
         sums are linear), in plain integers, reduced once (module docstring).
-        With move = (alpha, beta), two elements of this field, they are the
-        sums of the moved elements alpha x + beta, each summed as the integer
-        polynomial A X + B, so no moved code is made. Raises ValueError when
-        mults and codes differ in length, or when alpha or beta belongs to
-        another field."""
+        With move = (alpha, beta), two elements of this field, it is the pair
+        of the moved elements alpha x + beta, each summed as the integer
+        polynomial A X + B, so no moved code is made, then the unmoved pair,
+        both from one packing at the moved width and weighted alike. Raises
+        ValueError when mults and codes differ in length, or when alpha or
+        beta belongs to another field."""
         codes = list(codes)
         p, k = self.p, self.k
         if mults is not None:
@@ -547,9 +560,14 @@ class FieldCtx:
             bound, digits = n * (2 * k - 1) * (k * (p - 1) ** 2 + p - 1) ** 2, 2 * k - 1
         w = 8 * -(-bound.bit_length() // 8)  # whole bytes
         packed = self._pack_codes(codes, w)
-        if move is not None:
-            a, b = [self._widen(c.packed, w) for c in move]
-            packed = [a * x + b for x in packed]
+        if move is None:
+            return self._pair(packed, mults, w, digits)
+        a, b = [self._widen(c.packed, w) for c in move]
+        return self._pair([a * x + b for x in packed], mults, w, digits), self._pair(packed, mults, w, k)
+
+    def _pair(self, packed: list, mults, w: int, digits: int) -> tuple[FieldElement, FieldElement]:
+        """The reduced (sum, square sum) of these packings of `digits` digits
+        of w bits, each weighted by its multiplicity when mults is given."""
         weighted = packed if mults is None else list(map(mul, mults, packed))
         s2 = sum(map(mul, weighted, packed))
         return self._reduce(sum(weighted), w, digits), self._reduce(s2, w, 2 * digits - 1)

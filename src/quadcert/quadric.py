@@ -19,7 +19,9 @@ reduction per sum (the kernel is described in `gf`). It also serves the
 block system, whose two sums are those of its lift (`trace_system`): the
 c_i with multiplicities w_i = 2^(m_i) mod p; the lift itself, its run
 counts 2^(m_i) taken as multiplicities; and the invariance report, whose
-sums are those of a moved point that `power_sums` never builds.
+sums are those of a moved point that `power_sums` never builds, with the
+unmoved point's from the same packing. `on_quadric` is the Library's test
+of membership; the commands read the sums themselves.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ class AmbientPoint(Record):
 def power_sums(a, move=None) -> tuple[FieldElement, FieldElement]:
     """(sum of coordinates, sum of squared coordinates), exactly, of a point
     or of a block lift (`trace_system.BlockLift`), whose run counts are its
-    codes' multiplicities; with move = (alpha, beta), those of the moved
-    point alpha a + beta, which is not built (`FieldCtx.sums`)."""
+    codes' multiplicities; with move = (alpha, beta), the pair of the moved
+    point alpha a + beta, which is not built, then the pair of a, both from
+    one packing of a's codes (`FieldCtx.sums`)."""
     return a.ctx.sums(a.codes, getattr(a, "counts", None), move)
 
 

@@ -202,14 +202,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # each chunk joined before the ones it follows: packings add alike,
-        # but a coefficient row comes out with its chunks in reverse order
+        # a coefficient text comes out with its chunks in reverse order
         "code-chunk-joined-before-the-earlier-chunks",
         GF,
-        "map(add, out, part)",
-        "map(add, part, out)",
+        "zip(*parts)",
+        "zip(*parts[::-1])",
         (
             "tests/test_kernels.py::test_coefficient_rows_are_the_elements_json[13-5]",
+            "tests/test_golden.py::test_golden_certificate[sample_120_gf3_12]",
+        ),
+    ),
+    Mutant(
+        # a chunk's text follows the one before it with no separator: the
+        # row texts of GF(5^4) and GF(3^12) lose a comma and an indent
+        "text-chunks-joined-without-the-separator",
+        GF,
+        "map(width.join, zip(*parts))",
+        'map("".join, zip(*parts))',
+        (
+            "tests/test_kernels.py::test_coefficient_rows_are_the_elements_json[5-4]",
             "tests/test_golden.py::test_golden_certificate[sample_120_gf3_12]",
         ),
     ),
@@ -425,8 +436,8 @@ MUTANTS = (
         # the move drops beta: the report sums alpha x alone
         "moved-sums-drop-beta",
         GF,
-        "packed = [a * x + b for x in packed]",
-        "packed = [a * x for x in packed]",
+        "self._pair([a * x + b for x in packed], mults, w, digits)",
+        "self._pair([a * x for x in packed], mults, w, digits)",
         (
             "tests/test_actions.py::test_invariance_report_pin",
             "tests/test_kernels.py::test_invariance_report_sums_are_those_of_the_moved_point[5-7-2]",
@@ -743,10 +754,22 @@ MUTANTS = (
         ("tests/test_actions.py::test_identities_fail_when_one_moved_sum_is_off",),
     ),
     Mutant(
+        # the precondition reads the moved sums: a point on the quadric moved
+        # off it by beta != 0, with p not dividing n, is refused
+        "report-precondition-read-from-the-moved-pair",
+        "src/quadcert/actions.py",
+        "if not (t1.is_zero() and t2.is_zero()):",
+        "if not (s1.is_zero() and p2.is_zero()):",
+        (
+            "tests/test_actions.py::test_invariance_report_pin",
+            "tests/test_actions.py::test_quadric_preserved_exactly_when_char_divides_n",
+        ),
+    ),
+    Mutant(
         "writer-point-rows-through-the-wrong-code",
         CLI,
-        "value.ctx.coefficient_rows(value.codes)",
-        "value.ctx.coefficient_rows(value.codes[::-1])",
+        "value.ctx.coefficient_texts(value.codes,",
+        "value.ctx.coefficient_texts(value.codes[::-1],",
         (
             "tests/test_quadric.py::test_written_point_shape",
             "tests/test_kernels.py::test_point_round_trips",
@@ -826,6 +849,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the bits read from the bottom: a first product by one and a last
+        # square never read, the same powers from two more products
+        "kpow-squares-past-the-top-bit",
+        GF,
+        "        mul, out = self._kmul, x if e else 1  # the packed one for e = 0\n"
+        "        for bit in bin(e)[3:]:\n"
+        "            out = mul(out, out)\n"
+        '            if bit == "1":\n'
+        "                out = mul(out, x)\n",
+        "        mul, out = self._kmul, 1\n"
+        "        while e:\n"
+        "            if e & 1:\n"
+        "                out = mul(out, x)\n"
+        "            x = mul(x, x)\n"
+        "            e >>= 1\n",
+        (
+            "tests/test_kernels.py::test_a_fermat_inverse_takes_bit_length_plus_popcount_less_two_products[5-4-15]",
+            "tests/test_kernels.py::test_a_fermat_inverse_takes_bit_length_plus_popcount_less_two_products[3-12-30]",
+        ),
+    ),
+    Mutant(
         # trial division of p runs before p is held to the size limit
         "field-checks-primality-before-the-size-limit",
         GF,
@@ -848,11 +892,11 @@ MUTANTS = (
         ("tests/test_structure.py::test_the_package_keeps_two_caches",),
     ),
     Mutant(
-        # the coefficient-vector template cached again per (k, indent)
+        # the row texts of a point or a lift cached per (value, indent)
         "vector-template-cached-again",
         CLI,
-        "\ndef _vector(",
-        "\nfrom functools import lru_cache\n\n\n@lru_cache(maxsize=None)\ndef _vector(",
+        "\ndef _rows(",
+        "\nfrom functools import lru_cache\n\n\n@lru_cache(maxsize=None)\ndef _rows(",
         ("tests/test_structure.py::test_the_package_keeps_two_caches",),
     ),
     Mutant(
@@ -894,19 +938,19 @@ MUTANTS = (
         # a field element is indented as if it sat one level deeper
         "writer-element-template-of-the-wrong-indent",
         CLI,
-        "_vector(value.ctx.k, indent) % value.coeffs",
-        '_vector(value.ctx.k, indent + "  ") % value.coeffs',
+        "_array(map(str, value.coeffs), indent)",
+        '_array(map(str, value.coeffs), indent + "  ")',
         (
             "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
             "tests/test_golden.py::test_golden_certificate[solve_15_3]",
         ),
     ),
     Mutant(
-        # one %d too many: every field element raises TypeError
+        # one coefficient too many: every field element gains a trailing 0
         "writer-element-template-of-the-wrong-length",
         CLI,
-        "_vector(value.ctx.k, indent) % value.coeffs",
-        "_vector(value.ctx.k + 1, indent) % value.coeffs",
+        "_array(map(str, value.coeffs), indent)",
+        "_array(map(str, value.coeffs + (0,)), indent)",
         (
             "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
             "tests/test_gf.py::test_written_field_and_element_shapes",
@@ -914,11 +958,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # a point's rows are indented as the point itself
+        # a point's row items are indented as the rows themselves
         "writer-point-template-of-the-wrong-indent",
         CLI,
-        '_vector(value.ctx.k, indent + "  ")',
-        "_vector(value.ctx.k, indent)",
+        'inner = indent + "    "',
+        'inner = indent + "  "',
         (
             "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
@@ -975,6 +1019,18 @@ MUTANTS = (
         (
             f"{CLI_TESTS}test_construct_and_certify_check_the_lift",
             "tests/test_golden.py::test_golden_certificate[certify_15_gf81]",
+        ),
+    ),
+    Mutant(
+        # no cap on n x samples: a request of days is drawn (the tests stub
+        # the sampler, so that they fail at its first draw)
+        "sampled-coordinates-cap-dropped",
+        CLI,
+        "if n * samples > SIZE_LIMIT:",
+        "if False:",
+        (
+            f"{CLI_TESTS}test_a_request_above_2_20_sampled_coordinates_is_refused_before_any_draw[borel-check]",
+            f"{CLI_TESTS}test_a_request_above_2_20_sampled_coordinates_is_refused_before_any_draw[certify]",
         ),
     ),
     Mutant(

@@ -128,8 +128,8 @@ def test_identities_fail_when_one_moved_sum_is_off(monkeypatch, wrong):
     exact = actions.power_sums
 
     def off(a, move=None):
-        s1, p2 = exact(a, move)
-        return (s1 + F11.one, p2) if wrong == "s1" else (s1, p2 + F11.one)
+        (s1, p2), unmoved = exact(a, move)
+        return ((s1 + F11.one, p2) if wrong == "s1" else (s1, p2 + F11.one)), unmoved
 
     monkeypatch.setattr(actions, "power_sums", off)
     rep = invariance_report(BASE, AffineMap(F11.el(2), F11.el(1)))

@@ -120,16 +120,18 @@ def test_real_documents_match_json_dumps(argv, code, monkeypatch, capsys):
 
 
 def test_each_point_and_lift_converts_its_codes_in_one_call(monkeypatch):
-    # a written point hands its n codes to one coefficient_rows call, and a
-    # lift its r run codes, never its n coordinates
+    # a written point hands its n codes to one text-mode _pack_codes call,
+    # and a lift its r run codes, never its n coordinates
     asked = []
-    rows = FieldCtx.coefficient_rows
+    pack = FieldCtx._pack_codes
 
-    def spy(ctx, codes):
-        asked.append(list(codes))
-        return rows(ctx, codes)
+    def spy(ctx, codes, width):
+        codes = list(codes)
+        if isinstance(width, str):
+            asked.append(codes)
+        return pack(ctx, codes, width)
 
-    monkeypatch.setattr(FieldCtx, "coefficient_rows", spy)
+    monkeypatch.setattr(FieldCtx, "_pack_codes", spy)
     points = [sample_quadric_point(n, field_make(3, 4), seed) for n, seed in ((15, 2), (5, 1), (15, 3))]
     canonical_json({"points": points})
     assert asked == [list(point.codes) for point in points]

@@ -301,7 +301,7 @@ def test_no_call_for_the_lift_walks_its_coordinates(tmp_path, monkeypatch):
 
         monkeypatch.setattr(FieldCtx, name, counted)
 
-    for name in ("sums", "_pack_codes", "coefficient_rows"):
+    for name in ("sums", "_pack_codes"):
         spy(name)
     init = AmbientPoint.__init__
 
@@ -668,6 +668,50 @@ def test_sample_more_coordinates_than_elements(tmp_path):
     assert code == 2
     assert doc["payload"]["error"] == "NoPointFound"
     assert "the field has 7" in doc["payload"]["message"]
+
+
+class _Drew(Exception):
+    """A stubbed sampler's signal: the request got past its checks to a draw."""
+
+
+def _no_draw(*args):
+    raise _Drew
+
+
+# n x samples = 2^20 sampled coordinates, the cap: certify 16 3 is a control
+# run, so the sampler is its first work after the gate
+AT_THE_CAP = [
+    ["borel-check", "1024", "--field", "3^7", "--samples", "1024"],
+    ["certify", "16", "3", "--field-degree", "4", "--samples", "65536"],
+]
+
+
+@pytest.mark.parametrize("argv", AT_THE_CAP, ids=["borel-check", "certify"])
+def test_a_request_of_2_20_sampled_coordinates_gets_past_the_cap(argv, monkeypatch):
+    # the sampler is stubbed, so that the test writes no 2^20 coordinates
+    monkeypatch.setattr(quadcert.cli, "sample_quadric_point", _no_draw)
+    with pytest.raises(_Drew):
+        main(argv)
+
+
+@pytest.mark.parametrize("argv", AT_THE_CAP, ids=["borel-check", "certify"])
+def test_a_request_above_2_20_sampled_coordinates_is_refused_before_any_draw(argv, monkeypatch, capsys, tmp_path):
+    # one sample more: exit 4, one stderr line and no document, no point drawn
+    monkeypatch.setattr(quadcert.cli, "sample_quadric_point", _no_draw)
+    out = tmp_path / "out.json"
+    assert main(argv[:-1] + [str(int(argv[-1]) + 1), "--json", str(out)]) == 4
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.count("\n") == 1 and f"exceed the limit of {SIZE_LIMIT} coordinates" in err
+
+
+def test_sample_of_more_coordinates_than_the_largest_field_exits_2_before_any_draw(tmp_path, monkeypatch):
+    # sample writes one point, and n > q refuses it before a draw, so no
+    # sample request holds more than 2^20 coordinates and it needs no cap
+    monkeypatch.setattr(quadcert.quadric, "SplitMix64", _no_draw)
+    code, doc = run_json(tmp_path, ["sample", str(SIZE_LIMIT + 1), "--field", "3^12"])
+    assert code == 2 and doc["payload"]["error"] == "NoPointFound"
+    assert "the field has 531441" in doc["payload"]["message"]
 
 
 def test_stdout_matches_file(tmp_path, capsys):

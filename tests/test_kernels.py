@@ -24,6 +24,7 @@ from _laneref import kernel_basis
 from _points import expanded, point
 from quadcert.actions import AffineMap, affine_act, invariance_report, random_affine
 from quadcert.compression import faithfulness_witness, rank_certificate
+from quadcert.errors import NotOnQuadricError
 from quadcert import gf
 from quadcert.gf import FieldCtx, _Kernel, field_make
 from quadcert.profile import binary_profile
@@ -118,6 +119,27 @@ def test_first_sqrt_tests_few_candidates(monkeypatch, p, k):
     a = ctx.el([2, 1])
     root = (a * a).sqrt()
     assert root in (a, -a) and len(candidates) <= 16
+
+
+@pytest.mark.parametrize("p,k,products", [(5, 4, 15), (3, 12, 30)])
+def test_a_fermat_inverse_takes_bit_length_plus_popcount_less_two_products(monkeypatch, p, k, products):
+    # e = q - 2 read from its top bit: bitlen(e) - 1 squarings and
+    # popcount(e) - 1 products, none of them by one and no square left
+    # unread (623 = 0b1001101111, 531439 = 0b10000001101111101111)
+    ctx = field_make(p, k)
+    x = ctx.element_at(ctx.size - 7)
+    expected = ref.power(ctx, x.coeffs, ctx.size - 2)
+    calls, kmul = [], ctx._kmul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return kmul(a, b)
+
+    monkeypatch.setattr(ctx, "_kmul", counted)
+    inverse = x.inverse()
+    assert len(calls) == products and 1 not in {a for a, _ in calls}
+    monkeypatch.undo()
+    assert inverse.coeffs == expected and x * inverse == ctx.one
 
 
 # --- lane vectors ------------------------------------------------------------
@@ -246,22 +268,27 @@ def test_codes_pack_and_read_back(p, k):
 
 # the widest one-digit chunks (p > 256), and two primes whose digits each
 # take a chunk of their own
-TABLE_FIELDS = KERNEL_FIELDS + [(31, 2), (17, 3)]
-WIDTHS = (9, 13, 16, 24, None)
+TABLE_FIELDS = KERNEL_FIELDS + [(31, 2), (17, 3), (11, 3)]
+WIDTHS = (9, 13, 16, 24, ", ")
 
 
 @pytest.mark.parametrize("p,k", TABLE_FIELDS)
 @given(data=st.data())
 def test_digit_tables_convert_like_the_digit_by_digit_oracle(p, k, data):
-    # every width, from a list and from an iterator, with the least and the
-    # greatest code always among the codes
+    # every width, packings and texts, from a list and from an iterator, with
+    # the least and the greatest code always among the codes; a text is the
+    # oracle's coefficient row joined by the separator, at two indents
     ctx = field_make(p, k)
     codes = [0, ctx.size - 1] + data.draw(st.lists(st.integers(0, ctx.size - 1), max_size=40))
-    for width in WIDTHS + (ctx._width,):
-        expected = ref.coefficient_rows(ctx, codes) if width is None else ref.pack_codes(ctx, codes, width)
+    for width in WIDTHS + (ctx._width, ",\n      "):
+        if isinstance(width, str):
+            expected = [width.join(map(str, row)) for row in ref.coefficient_rows(ctx, codes)]
+        else:
+            expected = ref.pack_codes(ctx, codes, width)
         assert ctx._pack_codes(codes, width) == expected
         assert ctx._pack_codes(iter(codes), width) == expected
-    assert ctx.coefficient_rows(iter(codes)) == ref.coefficient_rows(ctx, codes)
+    texts = [" ".join(map(str, row)) for row in ref.coefficient_rows(ctx, codes)]
+    assert ctx.coefficient_texts(iter(codes), " ") == texts
 
 
 @pytest.mark.parametrize(
@@ -275,8 +302,8 @@ def test_codes_split_into_chunks_of_at_most_256_values(p, k, chunks):
 
 
 def test_prime_fields_build_no_digit_table_and_none_is_oversized(monkeypatch):
-    # over GF(p) a code is its own packing, whatever p; a table holds p^d
-    # entries, at most 256 unless one digit alone takes more
+    # over GF(p) a code is its own packing, and its str its text, whatever p;
+    # a table holds p^d entries, at most 256 unless one digit alone takes more
     read, real = [], gf._digit_table
 
     def recording(p, digits, width):
@@ -288,7 +315,7 @@ def test_prime_fields_build_no_digit_table_and_none_is_oversized(monkeypatch):
         ctx = field_make(p)
         codes = [0, 1, p - 1]
         assert ctx._pack_codes(codes, 16) == codes
-        assert ctx.coefficient_rows(codes) == [(0,), (1,), (p - 1,)]
+        assert ctx.coefficient_texts(codes, ", ") == ["0", "1", str(p - 1)]
         assert ctx.sums(codes) == (ctx.el(0), ctx.el(2))
         ctx.lanes(codes)
         assert read == []  # before a larger p builds a table of p entries
@@ -305,11 +332,14 @@ def test_prime_fields_build_no_digit_table_and_none_is_oversized(monkeypatch):
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
 def test_coefficient_rows_are_the_elements_json(p, k):
+    # each code's coefficient text is its element's written vector, its
+    # items joined by the separator
     ctx = field_make(p, k)
     rng = SplitMix64(31 * p + k)
     codes = [0, ctx.size - 1] + rng.draw(ctx.size, 40)
-    assert ctx.coefficient_rows(codes) == [tuple(written(ctx.element_at(c))) for c in codes]
-    assert ctx.coefficient_rows(iter(codes)) == ctx.coefficient_rows(codes)
+    rows = [",".join(map(str, written(ctx.element_at(c)))) for c in codes]
+    assert ctx.coefficient_texts(codes, ",") == rows
+    assert ctx.coefficient_texts(iter(codes), ",") == rows
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
@@ -422,10 +452,11 @@ def test_invariance_report_sums_are_those_of_the_moved_point(n, p, k):
 def test_moved_sums_at_the_top_digits(n, p, k):
     # n top elements moved by the top map, given as n codes or as one code
     # with multiplicity n: every digit of the moved sums reaches its bound
+    # the unmoved pair comes back beside the moved one, weighted alike
     ctx = field_make(p, k)
     top = _top(ctx)
     y, times = top * top + top, ctx.el(n)
-    expected = (times * y, times * y * y)
+    expected = ((times * y, times * y * y), (times * top, times * top * top))
     assert ctx.sums([ctx.size - 1] * n, move=(top, top)) == expected
     assert ctx.sums([ctx.size - 1], [n], move=(top, top)) == expected
 
@@ -446,6 +477,25 @@ def test_invariance_report_moves_no_coordinate(monkeypatch):
     for a, g, moved in cases:
         report = invariance_report(a, g)
         assert (report.s1_after, report.p2_after) == moved
+
+
+def test_invariance_report_packs_its_codes_once(monkeypatch):
+    # the moved sums and the on-quadric precondition come from one packing
+    # of the point's codes, and a point off the quadric is still refused
+    ctx = field_make(13, 3)
+    a, g = _quadric_point(ctx, 40, 3), AffineMap(_top(ctx), _top(ctx))
+    off = AmbientPoint(ctx, a.codes[:-1] + ((a.codes[-1] + 1) % ctx.size,))
+    widths, pack = [], FieldCtx._pack_codes
+
+    def spy(self, codes, width):
+        widths.append(width)
+        return pack(self, codes, width)
+
+    monkeypatch.setattr(FieldCtx, "_pack_codes", spy)
+    report = invariance_report(a, g)
+    assert len(widths) == 1 and report.identities_hold
+    with pytest.raises(NotOnQuadricError):
+        invariance_report(off, g)
 
 
 def test_sampler_completes_from_codes_as_from_elements():
