@@ -15,7 +15,8 @@ coordinate, taken by the power-sum kernel with the move inside it
 returns the point's own sums, from the same packing, for the report's
 on-quadric precondition. `affine_act` builds a moved point by field
 arithmetic on its coordinates, for the Library and
-`compression.affine_invariance_check`.
+`compression.affine_invariance_check`. `random_affine` draws alpha, then
+beta, and decodes both with one `FieldCtx.elements_at`.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def affine_compose(g1: AffineMap, g2: AffineMap) -> AffineMap:
 
 
 def random_affine(ctx: FieldCtx, rng: SplitMix64) -> AffineMap:
-    alpha = ctx.element_at(1 + rng.below(ctx.size - 1))
-    beta = ctx.element_at(rng.below(ctx.size))
-    return AffineMap(alpha, beta)
+    """alpha drawn from the units, then beta from the field, both decoded
+    by one `FieldCtx.elements_at`."""
+    return AffineMap(*ctx.elements_at([1 + rng.below(ctx.size - 1), rng.below(ctx.size)]))
 
 
 def affine_act(g: AffineMap, a: AmbientPoint) -> AmbientPoint:

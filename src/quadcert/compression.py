@@ -53,7 +53,9 @@ rows, and a generator Jacobian they build themselves, as the certificate's
 oracle.
 
 The rows are evaluated as two lane vectors of `gf`, packed from the codes of
-x_3, ..., x_n with no coordinate decoded, and one element: lane i - 3 of
+x_3, ..., x_n with no coordinate decoded, and one element: x_1 and x_2 are
+decoded together by one `FieldCtx.elements_at`, as the witness decodes
+x_1, ..., x_4, and d's one inverse goes through the norm (`gf`). Lane i - 3 of
 D1 = (X - x_2)/d^2 and D2 = (x_1 - X)/d^2 holds row i's entry at x_1 and
 x_2, and Di = -1/d is every row's entry at x_i, which the lane operators
 apply to every lane. The two identities for all rows are then
@@ -137,7 +139,7 @@ def faithfulness_witness(a: AmbientPoint) -> bool:
         raise ValueError("the witness needs n >= 5")
     if in_discriminant(a):
         raise OnDiscriminantError("two coordinates are equal")
-    xs = list(map(a.ctx.element_at, a.codes[:4]))
+    xs = a.ctx.elements_at(a.codes[:4])
     inv13 = (xs[0] - xs[2]).inverse()
     v123 = (xs[0] - xs[1]) * inv13
     v143 = (xs[0] - xs[3]) * inv13
@@ -225,7 +227,7 @@ def rank_certificate(a: AmbientPoint) -> RankCertificate:
     if not (s1.is_zero() and s2.is_zero()):
         raise NotOnQuadricError("tangent space is defined on the quadric only")
     ctx, codes = a.ctx, a.codes
-    x1, x2 = ctx.element_at(codes[0]), ctx.element_at(codes[1])
+    x1, x2 = ctx.elements_at(codes[:2])
     xs = ctx.lanes(codes[2:])
     d1, d2, di = _generator_rows(x1, x2, xs)
     # J.1 = D1 + D2 + Di and d J.x = d (x_1 D1 + x_2 D2) - X, lane by lane

@@ -15,11 +15,12 @@ the canonical order below.
 
 The canonical order on elements compares coefficient tuples lexicographically
 (constant coefficient first). The integer index of an element under that order
-is its code, sum(a_i * p^(k-1-i)); `FieldCtx.element_at` and `element_index`
-convert both ways. The solver, the sampler and the sqrt tie-break all use this
-one order. Codes are the points' format. An element is held as its packed
-integer below; coefficient tuples appear only at `el` and `coeffs`, and
-coefficient texts only at `coefficient_texts`.
+is its code, sum(a_i * p^(k-1-i)); `FieldCtx.elements_at` decodes a list of
+codes with one `_pack_codes` call, `element_at` is its one-code case, and
+`element_index` converts back. The solver, the sampler and the sqrt
+tie-break all use this one order. Codes are the points' format. An element
+is held as its packed integer below; coefficient tuples appear only at `el`
+and `coeffs`, and coefficient texts only at `coefficient_texts`.
 
 Two values belong to one field exactly when their contexts are the same
 object: `field_make` checks (p, k) and keeps one context per accepted pair,
@@ -46,6 +47,27 @@ below p, are folded into the low k through the packed x^(k+j) mod the modulus
 (each digit stays below p + (k - 1) p^2 < 2^b), and reduced again; over GF(p)
 nothing is left to fold. The digits below 2p of x + y, x + P - y and P - x (P
 packs p into every digit) make a sum, a difference and a negation.
+
+An inverse goes through the norm (Itoh and Tsujii, Information and
+Computation 78, 1988). With r = (q - 1)/(p - 1), a^(r-1) is the product of
+the k - 1 Frobenius images a^p, ..., a^(p^(k-1)), and N(a) = a a^(r-1) = a^r
+lies in GF(p), so a^(-1) = a^(r-1) N(a)^(-1) with N(a)^(-1) an int mod p:
+k - 1 kernel products, none over GF(p). The Frobenius map is GF(p)-linear,
+so the image of a is sum a_j T_j, T_j the packed x^(jp) mod the modulus; its
+digits are at most k (p - 1)^2 < 2^b and one `_norm` reduces it, as it does
+a^(r-1) times the int N(a)^(-1) < p, whose digits are at most (p - 1)^2. The
+table of the T_j is built on a field's first inverse, as the square-root
+constants are on its first root, so the rings that the modulus search builds
+never build one.
+
+The sampler completes a tail to the quadric on packings too
+(`FieldCtx.complete_pair`): S and Q come from the power-sum kernel below,
+the discriminant -S^2 - 2Q is 3P - S^2 - 2Q (digits 3 to 3p), its root r
+comes from Tonelli-Shanks, and the two coordinates (-S +- r)/2 are
+P - S + r and 2P - S - r (digits at most 2p), each reduced before its product
+by the int (p + 1)/2, so that no digit passes (p - 1)(p + 1)/2 < p^2. Scaled
+first, a digit would reach p (p + 1), past 2^b over GF(11). Only the two
+codes are made, no element.
 
 A lane vector (`FieldCtx.lanes`, `LaneVector`) holds m elements in one
 integer, lane i at bit (2k - 1) W i, so that the 2k - 1 digits of a product
@@ -78,7 +100,7 @@ above and the high 2k - 2 the same way, and adds those back times the packed
 x^(2k - 1) mod the modulus, one more product. That width also holds the
 unmoved sums, so a move returns them too, from the same packing.
 
-Codes become packings (`FieldCtx._pack_codes`, for `element_at`, `lanes` and
+Codes become packings (`FieldCtx._pack_codes`, for `elements_at`, `lanes` and
 `sums`), or the text of their coefficients (for `coefficient_texts`, which
 the certificate writer reads), through digit tables. The base-p digits of a
 code, most significant first, are c_0, ..., c_{k-1}; they are read in chunks
@@ -226,16 +248,22 @@ class FieldElement:
         return FieldElement(self.ctx, self.ctx._kpow(base.packed, e))
 
     def inverse(self) -> "FieldElement":
-        """Fermat inversion: a^(q-2) on the kernel, the inverse of a nonzero
-        a, for every field."""
+        """The inverse of a nonzero a through its norm: a^(-1) = a^(r-1)
+        N(a)^(-1) with r = (q - 1)/(p - 1), a^(r-1) the product of the
+        Frobenius images a^p, ..., a^(p^(k-1)) and N(a) = a^r in GF(p),
+        inverted as an int; k - 1 kernel products, none over GF(p)
+        (`FieldCtx._inverse`)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.ctx.size - 2)
+        return FieldElement(self.ctx, self.ctx._inverse(self.packed))
 
     def sqrt(self) -> Optional["FieldElement"]:
         """Square root with a deterministic choice between the two roots, or
         None when the element is a nonsquare (the no-root signal)."""
-        return self.ctx._sqrt(self)
+        if self.is_zero():
+            return self.ctx.zero
+        root = self.ctx._root(self.packed)
+        return None if root is None else FieldElement(self.ctx, root)
 
     def is_zero(self) -> bool:
         return not self.packed
@@ -402,7 +430,7 @@ class FieldCtx:
         "_width", "_mask", "_shifts", "_folds", "_xtop", "_ps",  # the kernel's packing
         "_norm", "_kmul",  # the one-lane kernel's methods
         "_chunks",  # the code digits of each digit-table lookup
-        "_sqrt_consts",
+        "_sqrt_consts", "_frob",  # built on first use
     )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -432,7 +460,7 @@ class FieldCtx:
         self._folds = kernel.folds = tuple(folds)
         self._xtop = x
         self._chunks = _chunk_plan(p, k)
-        self._sqrt_consts = None
+        self._sqrt_consts = self._frob = None
 
     # --- construction helpers ---
 
@@ -451,13 +479,19 @@ class FieldCtx:
         """Position of a in the canonical order (coefficient-tuple lex)."""
         return self._code(a.packed)
 
-    def element_at(self, code: int) -> FieldElement:
-        """The element with this code, packed by `_pack_codes` (a float or a
-        str raises TypeError)."""
-        code = index(code)
-        if not 0 <= code < self.size:
+    def elements_at(self, codes) -> list[FieldElement]:
+        """The elements with these codes, in order, packed by one
+        `_pack_codes` call (a float or a str code raises TypeError, a code
+        outside [0, q) ValueError)."""
+        codes = list(map(index, codes))
+        if codes and not (0 <= min(codes) and max(codes) < self.size):
+            code = next(c for c in codes if not 0 <= c < self.size)
             raise ValueError(f"index {code} out of range for size {self.size}")
-        return FieldElement(self, self._pack_codes([code], self._width)[0])
+        return [FieldElement(self, x) for x in self._pack_codes(codes, self._width)]
+
+    def element_at(self, code: int) -> FieldElement:
+        """The element with this code, the one-code case of `elements_at`."""
+        return self.elements_at([code])[0]
 
     def elements(self) -> Iterator[FieldElement]:
         """All elements in canonical order, one `element_at` at a time."""
@@ -545,6 +579,13 @@ class FieldCtx:
         both from one packing at the moved width and weighted alike. Raises
         ValueError when mults and codes differ in length, or when alpha or
         beta belongs to another field."""
+        pairs = self._sums(codes, mults, move)
+        if move is None:
+            return FieldElement(self, pairs[0]), FieldElement(self, pairs[1])
+        return tuple((FieldElement(self, s), FieldElement(self, q)) for s, q in pairs)
+
+    def _sums(self, codes, mults=None, move=None) -> tuple:
+        """`sums` as packings, no element built."""
         codes = list(codes)
         p, k = self.p, self.k
         if mults is not None:
@@ -565,12 +606,29 @@ class FieldCtx:
         a, b = [self._widen(c.packed, w) for c in move]
         return self._pair([a * x + b for x in packed], mults, w, digits), self._pair(packed, mults, w, k)
 
-    def _pair(self, packed: list, mults, w: int, digits: int) -> tuple[FieldElement, FieldElement]:
-        """The reduced (sum, square sum) of these packings of `digits` digits
-        of w bits, each weighted by its multiplicity when mults is given."""
+    def _pair(self, packed: list, mults, w: int, digits: int) -> tuple[int, int]:
+        """The reduced (sum, square sum), as packings, of these packings of
+        `digits` digits of w bits, each weighted by its multiplicity when
+        mults is given."""
         weighted = packed if mults is None else list(map(mul, mults, packed))
         s2 = sum(map(mul, weighted, packed))
         return self._reduce(sum(weighted), w, digits), self._reduce(s2, w, 2 * digits - 1)
+
+    def complete_pair(self, codes) -> Optional[tuple[int, int]]:
+        """Given the codes of x_3, ..., x_n, the codes of the two x_1, x_2
+        that put the point on the quadric, the root with +sqrt first, or None
+        when the discriminant is a nonsquare: with S and Q the tail's sum and
+        square sum, x = (-S +- sqrt(-S^2 - 2Q))/2, all on packings (module
+        docstring), no element built."""
+        s, q = self._sums(codes)
+        norm, ps = self._norm, self._ps
+        delta = norm(3 * ps - self._kmul(s, s) - 2 * q)
+        root = self._root(delta) if delta else 0
+        if root is None:
+            return None
+        half = (self.p + 1) // 2  # 1/2 lies in the prime subfield
+        plus, minus = norm(ps - s + root), norm(2 * ps - s - root)
+        return self._code(norm(plus * half)), self._code(norm(minus * half))
 
     def _widen(self, x: int, width: int) -> int:
         """A packed element repacked at `width` bits a digit, digit by digit,
@@ -578,8 +636,8 @@ class FieldCtx:
         mask = self._mask
         return sum([(x >> s & mask) << width * i for i, s in enumerate(self._shifts)])
 
-    def _reduce(self, x: int, width: int, digits: int) -> FieldElement:
-        """The element of a polynomial with nonnegative integer coefficients,
+    def _reduce(self, x: int, width: int, digits: int) -> int:
+        """The packing of a polynomial with nonnegative integer coefficients,
         `digits` of them (k to 4k - 3) at `width` bits each (0 reads zeros):
         its low 2k - 1 taken mod p into the kernel's packing, whose product by
         the packed one folds degrees k and up through the modulus. The rest,
@@ -592,23 +650,48 @@ class FieldCtx:
             low = (low << w) | ((x >> (width * i)) & mask) % p
         if digits > top:
             high = self._reduce(x >> width * top, width, digits - top)
-            low += self._kmul(high.packed, self._xtop)
-        return FieldElement(self, self._kmul(low, 1))
+            low += self._kmul(high, self._xtop)
+        return self._kmul(low, 1)
 
-    def _sqrt(self, a: FieldElement) -> Optional[FieldElement]:
-        """One Tonelli-Shanks both decides whether a is a square and takes
-        its root; of the two roots it returns the lex-smaller coefficient
-        tuple. With q - 1 = 2^s Q, Q odd, c = z^Q for the first nonresidue z
-        in canonical order from code p^(k-1) on, round to code 1 (any
-        nonresidue serves, and the elements below p^(k-1) are often all
-        squares), r = a^((Q+1)/2) and t = a^Q, each pass keeps r^2 = a t and c
-        of order 2^m, and halves the order 2^i of t. A square has i < m on
-        every pass; a nonsquare is exactly a with t of order 2^s, which the
-        first pass (m = s) finds. A t still not 1 after m squarings has no
-        2-power order, an internal fault (a zero that got past `is_zero`), and
+    def _inverse(self, a: int) -> int:
+        """The inverse of a nonzero packing a through its norm (module
+        docstring): y runs over the Frobenius images a^p, ..., a^(p^(k-1)),
+        each the sum of a's digits times the packed x^(jp) mod the modulus,
+        and their product c is a^(r-1), r = (q - 1)/(p - 1); N = a c = a^r
+        lies in GF(p), and c N^(-1), N^(-1) an int mod p, is the inverse.
+        No product by the packed one is taken: k - 1 kernel products, none
+        over GF(p), where c = 1 and N = a. The table of the x^(jp) is built
+        on the first inverse. A norm outside GF(p) is an internal fault and
         raises ArithmeticError."""
-        if a.is_zero():
-            return self.zero
+        p, k, mul = self.p, self.k, self._kmul
+        if self._frob is None and k > 1:
+            xp = self._kpow(1 << self._width, p)  # x^p
+            table = [1]
+            for _ in range(k - 1):
+                table.append(mul(table[-1], xp))
+            self._frob = tuple(zip(self._shifts, table))
+        mask, norm, frob = self._mask, self._norm, self._frob
+        c, y = 1, a
+        for _ in range(k - 1):
+            y = norm(sum([(y >> s & mask) * t for s, t in frob]))
+            c = mul(c, y) if c != 1 else y
+        n = mul(a, c) if c != 1 else a
+        if n >= p:
+            raise ArithmeticError(f"the norm of {FieldElement(self, a)!r} is not in GF({p})")
+        return norm(c * pow(n, -1, p))
+
+    def _root(self, x: int) -> Optional[int]:
+        """One Tonelli-Shanks both decides whether the nonzero packing x is
+        a square and takes its root; of the two roots it returns the
+        lex-smaller coefficient tuple, or None for a nonsquare. With
+        q - 1 = 2^s Q, Q odd, c = z^Q for the first nonresidue z in canonical
+        order from code p^(k-1) on, round to code 1 (any nonresidue serves,
+        and the elements below p^(k-1) are often all squares), r = x^((Q+1)/2)
+        and t = x^Q, each pass keeps r^2 = x t and c of order 2^m, and halves
+        the order 2^i of t. A square has i < m on every pass; a nonsquare is
+        exactly x with t of order 2^s, which the first pass (m = s) finds. A
+        t still not 1 after m squarings has no 2-power order, an internal
+        fault (a zero that got past `is_zero`), and raises ArithmeticError."""
         mul, power = self._kmul, self._kpow
         if self._sqrt_consts is None:
             s, Q = 0, self.size - 1
@@ -624,7 +707,6 @@ class FieldCtx:
             z = next(z for z in units if power(z, half) != 1)
             self._sqrt_consts = (s, Q, power(z, Q))
         m, Q, c = self._sqrt_consts
-        x = a.packed
         w = power(x, (Q - 1) // 2)
         r = mul(x, w)
         t = mul(r, w)
@@ -632,7 +714,7 @@ class FieldCtx:
             i, t2 = 0, t
             while t2 != 1:
                 if i == m:
-                    raise ArithmeticError(f"Tonelli-Shanks on {a!r}: t has no 2-power order")
+                    raise ArithmeticError(f"Tonelli-Shanks on {FieldElement(self, x)!r}: t has no 2-power order")
                 t2 = mul(t2, t2)
                 i += 1
             if i == m:
@@ -643,7 +725,7 @@ class FieldCtx:
             t = mul(t, c)
             m = i
         # the canonical order is the order of codes
-        return FieldElement(self, min(r, self._norm(self._ps - r), key=self._code))
+        return min(r, self._norm(self._ps - r), key=self._code)
 
     tables = retired  # a benchmark tracer target, like the four in `retired`
 

@@ -8,9 +8,11 @@ and it is exactly where the quadric is singular.
 
 A point is held as the codes of its coordinates (see `gf`), and it is built
 from them, `AmbientPoint(ctx, codes)`: the sampler draws codes, pair
-completion maps tail codes to pair codes, and collision tests work per
+completion maps tail codes to pair codes on packed integers
+(`FieldCtx.complete_pair`, no element built), and collision tests work per
 distinct code, as does `cli` when it writes a point. `FieldElement`s are
-the boundary (`coords` decodes them; `actions.affine_act` moves them). A
+the boundary (`coords` decodes them all with one `FieldCtx.elements_at`;
+`actions.affine_act` moves them). A
 block lift is no point: `trace_system.BlockLift` holds its r runs, and of
 this module `power_sums` and `in_small_diagonal` read one.
 
@@ -54,7 +56,7 @@ class AmbientPoint(Record):
 
     @property
     def coords(self) -> tuple[FieldElement, ...]:
-        return tuple(map(self.ctx.element_at, self.codes))
+        return tuple(self.ctx.elements_at(self.codes))
 
 
 def power_sums(a, move=None) -> tuple[FieldElement, FieldElement]:
@@ -91,13 +93,10 @@ def complete_quadric_pair(ctx: FieldCtx, codes) -> tuple[int, int] | None:
     With S and Q the sum and square sum of the tail, x_1 and x_2 are the
     roots of t^2 + S t + (S^2 + Q)/2, whose discriminant is -S^2 - 2Q. The
     root using +sqrt goes first; sqrt's own tie-break makes this canonical.
+    The whole completion runs on packed integers in `FieldCtx.complete_pair`;
+    this name stays, as the benchmark tracer counts its calls.
     """
-    s, q = ctx.sums(codes)
-    root = (-(s * s) - q - q).sqrt()
-    if root is None:
-        return None
-    half = ctx.el((ctx.p + 1) // 2)  # 1/2 lies in the prime subfield
-    return ctx.element_index((-s + root) * half), ctx.element_index((-s - root) * half)
+    return ctx.complete_pair(codes)
 
 
 def default_max_tries(ctx: FieldCtx) -> int:

@@ -30,8 +30,6 @@ characteristic p is divisible by p, and there is one besides zero. Its
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .errors import InvalidProfileError, UsageError
 from .gf import SIZE_LIMIT, FieldCtx, FieldElement, field_make
 from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses, solution_field_degree
@@ -90,25 +88,37 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     s^2 = B^2/4 - AC = -w_1 (w_2 M^2 + A N), by one `sqrt`. By homogeneity
     the next slices are c_3 = e and, if r >= 5, c_4 = e with c_3 over all
     codes, a block with a solution (module docstring): q + 1 roots at most.
+    The weights, A, 1/A and the other coefficients lie in GF(p): they are
+    ints mod p, each lifted once by `ctx.el`, so the kernel inverts none of
+    them, and the slice c_3 = e, c_4 = 0 has s^2 = e^2 w_3 (w_3 s2_m + s2_n)
+    with the bracket an int.
     """
-    r = len(weights)
-    w1, w2, w3, w4 = map(ctx.el, weights[:4])
-    a = w2 * (w2 + w1)
+    p, r = ctx.p, len(weights)
+    w1, w2, w3, w4 = weights[:4]
+    a = w2 * (w2 + w1) % p
     zero, e = ctx.zero, ctx.element_at(1)
-    if a.is_zero():  # w_2 = -w_1: every c_2 solves the zero prefix, and c_1 = c_2
+    if not a:  # w_2 = -w_1: every c_2 solves the zero prefix, and c_1 = c_2
         return (e, e) + (zero,) * (r - 2)
-    inv_a, s2_m, s2_n = a.inverse(), -w1 * w2, -w1 * a  # s^2 = s2_m M^2 + s2_n N
-    slices = [(e, zero)]
-    if r >= 5:
-        slices = chain(slices, ((x, e) for x in ctx.elements()))
-    for c3, c4 in slices:
-        m = c3 * w3 + c4 * w4
-        n = c3 * c3 * w3 + c4 * c4 * w4
-        s = (m * m * s2_m + n * s2_n).sqrt()
+    s2_m, s2_n = -w1 * w2 % p, -w1 * a % p  # s^2 = s2_m M^2 + s2_n N
+    lift = ctx.el
+    inv_a, neg_w2, neg_inv_w1, el_w2, el_w3 = map(lift, (pow(a, -1, p), -w2, -pow(w1, -1, p), w2, w3))
+    ee = e * e
+
+    def slices():
+        """(c_3, c_4, M, s^2) of each slice, in scan order."""
+        yield e, zero, e * el_w3, ee * lift(w3 * (w3 * s2_m + s2_n))
+        if r >= 5:  # c_4 = e: M = w_3 c_3 + w_4 e and N = w_3 c_3^2 + w_4 e^2
+            el_m, el_n, m4, n4 = lift(s2_m), lift(s2_n), e * lift(w4), ee * lift(w4)
+            for x in ctx.elements():
+                m = x * el_w3 + m4
+                yield x, e, m, m * m * el_m + (x * x * el_w3 + n4) * el_n
+
+    for c3, c4, m, square in slices():
+        s = square.sqrt()
         if s is not None:
-            t = m * -w2
+            t = m * neg_w2
             c2 = min((t + s) * inv_a, (t - s) * inv_a, key=ctx.element_index)
-            c1 = (c2 * w2 + m) * -w1.inverse()
+            c1 = (c2 * el_w2 + m) * neg_inv_w1
             return (c1, c2, c3, c4) + (zero,) * (r - 4)
     return None
 

@@ -36,8 +36,8 @@ def scan_over(ctx, weights):
     for digits in islice(product(range(q), repeat=nfree), 1, None):
         lin = sum(map(mul, ws, map(packed.__getitem__, digits)))
         test = lin * lin + sum(map(mul, ws, map(w1_squares.__getitem__, digits)))
-        if ctx._reduce(test, width, 2 * k - 1).is_zero():
-            c1 = ctx._reduce(lin, width, k) * ctx.el(-pow(w1, -1, p))
+        if not ctx._reduce(test, width, 2 * k - 1):
+            c1 = ctx.el(list(ctx._unpack(ctx._reduce(lin, width, k)))) * ctx.el(-pow(w1, -1, p))
             suffix = tuple(map(ctx.element_at, reversed(digits)))
             return (c1,) + suffix + (ctx.zero,) * (r - 1 - nfree)
     return None

@@ -121,14 +121,8 @@ def test_first_sqrt_tests_few_candidates(monkeypatch, p, k):
     assert root in (a, -a) and len(candidates) <= 16
 
 
-@pytest.mark.parametrize("p,k,products", [(5, 4, 15), (3, 12, 30)])
-def test_a_fermat_inverse_takes_bit_length_plus_popcount_less_two_products(monkeypatch, p, k, products):
-    # e = q - 2 read from its top bit: bitlen(e) - 1 squarings and
-    # popcount(e) - 1 products, none of them by one and no square left
-    # unread (623 = 0b1001101111, 531439 = 0b10000001101111101111)
-    ctx = field_make(p, k)
-    x = ctx.element_at(ctx.size - 7)
-    expected = ref.power(ctx, x.coeffs, ctx.size - 2)
+def _counted_products(monkeypatch, ctx, step):
+    """The kernel products `step()` takes on ctx, and its result."""
     calls, kmul = [], ctx._kmul
 
     def counted(a, b):
@@ -136,10 +130,73 @@ def test_a_fermat_inverse_takes_bit_length_plus_popcount_less_two_products(monke
         return kmul(a, b)
 
     monkeypatch.setattr(ctx, "_kmul", counted)
-    inverse = x.inverse()
-    assert len(calls) == products and 1 not in {a for a, _ in calls}
+    out = step()
     monkeypatch.undo()
-    assert inverse.coeffs == expected and x * inverse == ctx.one
+    return calls, out
+
+
+@pytest.mark.parametrize("p,k,products", [(5, 4, 15), (3, 12, 30)])
+def test_a_power_takes_bit_length_plus_popcount_less_two_products(monkeypatch, p, k, products):
+    # e = q - 2 read from its top bit: bitlen(e) - 1 squarings and
+    # popcount(e) - 1 products, none of them by one and no square left
+    # unread (623 = 0b1001101111, 531439 = 0b10000001101111101111)
+    ctx = field_make(p, k)
+    x = ctx.element_at(ctx.size - 7)
+    calls, power = _counted_products(monkeypatch, ctx, lambda: x ** (ctx.size - 2))
+    assert len(calls) == products and 1 not in {a for a, _ in calls}
+    assert power.coeffs == ref.power(ctx, x.coeffs, ctx.size - 2)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (1048573, 1), (5, 4), (13, 5), (3, 12)])
+def test_an_inverse_takes_k_less_one_products(monkeypatch, p, k):
+    # the norm chain: k - 2 products of Frobenius images give x^(r-1) and
+    # one more the norm x^r; none over GF(p), and none by one. The first
+    # inverse of a field builds its Frobenius table, so one is taken first
+    ctx = field_make(p, k)
+    ctx.element_at(ctx.size - 1).inverse()
+    for code in (ctx.size - 2, 1, ctx.size - 1):
+        x = ctx.element_at(code)
+        calls, inverse = _counted_products(monkeypatch, ctx, x.inverse)
+        assert len(calls) == k - 1 and 1 not in {a for a, _ in calls}
+        assert inverse.coeffs == ref.power(ctx, x.coeffs, ctx.size - 2)
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (5, 2), (7, 1), (3, 12), (1021, 2), (1048573, 1)])
+def test_the_norm_inverse_is_the_fermat_power(p, k):
+    # Fermat's a^(q-2) through `_kpow` is the oracle of the inverse through
+    # the norm: every unit of the three small fields, and 200 seeded units
+    # of the large ones after the prime-subfield elements 1, 2 and p - 1
+    # (c has the code c p^(k-1)) and the top element
+    ctx = field_make(p, k)
+    codes = range(1, ctx.size)
+    if ctx.size > 1000:
+        rng = SplitMix64(p + k)
+        head = ctx.size // p  # the code of the element 1
+        codes = [head, 2 * head, (p - 1) * head, ctx.size - 1] + [1 + rng.below(ctx.size - 1) for _ in range(200)]
+    for a in ctx.elements_at(codes):
+        inverse = a.inverse()
+        assert inverse == a ** (ctx.size - 2)
+        assert a * inverse == ctx.one
+
+
+def test_no_fresh_field_builds_a_frobenius_table_before_an_inverse(monkeypatch):
+    # the table of the packed x^(jp) is built on a field's first inverse:
+    # `_smallest_irreducible` builds a ring per candidate modulus, and none
+    # of them, nor the field it returns, builds one
+    built, init = [], FieldCtx.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(FieldCtx, "__init__", recording)
+    for p, k in [(3, 12), (5, 4), (13, 5), (7, 1)]:
+        del built[:]
+        ctx = gf._context.__wrapped__(p, k)  # a fresh context, past the cache
+        assert len(built) > (k > 1) and all(ring._frob is None for ring in built)
+        x = ctx.element_at(ctx.size - 1)
+        assert x * x.inverse() == ctx.one
+        assert (ctx._frob is None) == (k == 1)
 
 
 # --- lane vectors ------------------------------------------------------------
@@ -498,20 +555,71 @@ def test_invariance_report_packs_its_codes_once(monkeypatch):
         invariance_report(off, g)
 
 
-def test_sampler_completes_from_codes_as_from_elements():
+def _digits_below_the_barrett_bound(ctx):
+    """A stand-in for ctx._norm that first checks that every digit of its
+    argument is below 2^b, b the bit length of k p^2 (`gf` docstring)."""
+    norm, w, bound = ctx._norm, ctx._width, 1 << (ctx.k * ctx.p**2).bit_length()
+
+    def checked(x):
+        assert x >> w * (2 * ctx.k - 1) == 0
+        assert all((x >> w * i) & ((1 << w) - 1) < bound for i in range(2 * ctx.k - 1))
+        return norm(x)
+
+    return checked
+
+
+def test_sampler_completes_from_codes_as_from_elements(monkeypatch):
     # the sampler hands complete_quadric_pair the drawn codes; they complete
-    # to the codes of the pair that field arithmetic on the same elements gives
-    ctx = field_make(3, 4)
-    rng = SplitMix64(5)
-    half = ctx.el(2).inverse()
-    for _ in range(20):
-        codes = tuple(rng.draw(ctx.size, 6))
-        tail = tuple(map(ctx.element_at, codes))
-        s, q = sum(tail, ctx.zero), sum((x * x for x in tail), ctx.zero)
-        root = (-(s * s) - q - q).sqrt()
-        pair = None if root is None else ((-s + root) * half, (-s - root) * half)
-        expected = pair and tuple(map(ctx.element_index, pair))
-        assert complete_quadric_pair(ctx, codes) == expected
+    # to the codes of the pair that field arithmetic on the same elements
+    # gives, 1/2 the Fermat power. Each field also completes two fixed tails
+    # with S = Q = 0, all zeros and p copies of the top element, to (0, 0):
+    # there the minus root's digits reach 2p before the scaling by 1/2, so
+    # over GF(11) scaling first would hand the reduction 2p (p + 1)/2 = 132,
+    # past the Barrett bound 2^7; every reduction of the completion is
+    # checked against that bound
+    for p, k in [(3, 4), (11, 1), (13, 1), (31, 1), (5, 4), (3, 12), (13, 5)]:
+        ctx = field_make(p, k)
+        monkeypatch.setattr(ctx, "_norm", _digits_below_the_barrett_bound(ctx))
+        rng = SplitMix64(5 * p + k)
+        half = ctx.el(2) ** (ctx.size - 2)
+        tails = [tuple(rng.draw(ctx.size, 6)) for _ in range(20)]
+        for codes in tails + [(0,) * 6, (ctx.size - 1,) * p]:
+            tail = ctx.elements_at(codes)
+            s, q = sum(tail, ctx.zero), sum((x * x for x in tail), ctx.zero)
+            root = (-(s * s) - q - q).sqrt()
+            pair = None if root is None else ((-s + root) * half, (-s - root) * half)
+            expected = pair and tuple(map(ctx.element_index, pair))
+            assert complete_quadric_pair(ctx, codes) == expected
+        assert complete_quadric_pair(ctx, (ctx.size - 1,) * p) == (0, 0)
+
+
+def _pack_calls(monkeypatch, step):
+    """The widths of the `_pack_codes` calls that `step()` makes."""
+    widths, pack = [], FieldCtx._pack_codes
+
+    def spy(self, codes, width):
+        widths.append(width)
+        return pack(self, codes, width)
+
+    monkeypatch.setattr(FieldCtx, "_pack_codes", spy)
+    step()
+    monkeypatch.undo()
+    return widths
+
+
+@pytest.mark.parametrize("p,k", [(13, 3), (31, 1), (3, 12)])
+def test_certificate_steps_decode_their_codes_in_one_packing(monkeypatch, p, k):
+    # the witness decodes x_1, ..., x_4 and a random map its alpha and beta
+    # in one call each, alpha still drawn first; a rank certificate packs
+    # three times, for the power sums, for x_1 and x_2, and for the lane
+    # vector of x_3, ..., x_n
+    ctx = field_make(p, k)
+    a = sample_quadric_point(12, ctx, 3)
+    assert _pack_calls(monkeypatch, lambda: faithfulness_witness(a)) == [ctx._width]
+    assert _pack_calls(monkeypatch, lambda: random_affine(ctx, SplitMix64(2))) == [ctx._width]
+    assert len(_pack_calls(monkeypatch, lambda: rank_certificate(a))) == 3
+    g, rng = random_affine(ctx, SplitMix64(2)), SplitMix64(2)
+    assert g == AffineMap(ctx.element_at(1 + rng.below(ctx.size - 1)), ctx.element_at(rng.below(ctx.size)))
 
 
 # --- the closed-form tangent basis -------------------------------------------------
