@@ -25,12 +25,14 @@ newline. `canonical_json` walks the document once, appends every piece of
 text to one buffer and joins it at the end. It writes a field element's
 coefficient vector as one join of the coefficients' texts, and the rows of
 a point or a lift from one `coefficient_texts` call, which joins each row's
-coefficients by the separator of their indent; the row's brackets are added
-around it. It keeps nothing between calls, and raises TypeError on any
-other value, such as a float (it may be NaN or infinite, which JSON cannot
-express), a non-string key (it would be rewritten as a string without
-notice), an int subclass or a tuple that is not a record field. Identical
-inputs therefore reproduce identical bytes.
+coefficients by the separator of their indent. A point's array is then one
+join of those texts, each row's closing and the next row's opening bracket
+in the separator; a lift brackets each run's row and repeats it. It keeps
+nothing between calls, and raises TypeError on any other value, such as a
+float (it may be NaN or infinite, which JSON cannot express), a non-string
+key (it would be rewritten as a string without notice), an int subclass or
+a tuple that is not a record field. Identical inputs therefore reproduce
+identical bytes.
 
 Exit codes: 0 success, 2 hypotheses not met, 3 a verification check
 failed, 4 usage error. Exit 2 comes from the gate's decision (`check`'s own,
@@ -133,7 +135,11 @@ def _write(value, indent: str, out: list) -> None:
     elif kind is FieldElement:
         out.append(_array(map(str, value.coeffs), indent))
     elif kind is AmbientPoint:
-        out.append(_array(_rows(value, indent), indent))
+        # one join of the coefficient texts, each row's brackets in the separator
+        row, item = indent + "  ", indent + "    "
+        head, tail = "[" + item, row + "]"
+        texts = value.ctx.coefficient_texts(value.codes, "," + item)
+        out.append("[" + row + head + (tail + "," + row + head).join(texts) + tail + indent + "]")
     elif kind is BlockLift:
         # a run is its row text count times, a separator after each but the last
         rows, sep = _rows(value, indent), "," + indent + "  "
@@ -148,8 +154,8 @@ def _write(value, indent: str, out: list) -> None:
 
 
 def _rows(value, indent: str) -> list:
-    """The row texts of a point's or a lift's codes, in code order: each
-    code's coefficient vector as an item of the array at `indent`, its
+    """The row texts of a lift's run codes, in code order: each code's
+    coefficient vector as an item of the array at `indent`, its
     coefficients joined by one `coefficient_texts` call and bracketed."""
     inner = indent + "    "
     head, tail = "[" + inner, indent + "  ]"

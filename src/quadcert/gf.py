@@ -40,8 +40,11 @@ every digit mod p at once: with r = b + bits(p) and M = ceil(2^r / p),
     x - p (((x M) >> r) & Q),
 
 Q the low W - r bits of each of the 2k - 1 digits, is exact for every digit
-d < 2^b, since d M / 2^r = d / p + d (M - 2^r / p) / 2^r and the error term is
-below 2^(b - r) < 1 / p; d M < 2^(2b + 1) never carries into the next digit.
+d < 2^r / p: d M / 2^r = d / p + d (M - 2^r / p) / 2^r, the error term is
+below d / 2^r < 1 / p, and d / p lies at least 1 / p below the next integer.
+As 2^(bits(p) - 1) < p, the bound 2^r / p lies between 2^b and 2^(b + 1),
+so M <= 2^(b + 1) and d M < M^2 <= 2^W never carries into the next digit.
+The kernel keeps every digit that it reduces below 2^b, within that bound.
 `_norm` is that one line. A product is reduced, its k - 1 high digits, now
 below p, are folded into the low k through the packed x^(k+j) mod the modulus
 (each digit stays below p + (k - 1) p^2 < 2^b), and reduced again; over GF(p)
@@ -66,8 +69,8 @@ the discriminant -S^2 - 2Q is 3P - S^2 - 2Q (digits 3 to 3p), its root r
 comes from Tonelli-Shanks, and the two coordinates (-S +- r)/2 are
 P - S + r and 2P - S - r (digits at most 2p), each reduced before its product
 by the int (p + 1)/2, so that no digit passes (p - 1)(p + 1)/2 < p^2. Scaled
-first, a digit would reach p (p + 1), past 2^b over GF(11). Only the two
-codes are made, no element.
+first, a digit would reach p (p + 1), past 2^b over GF(11) (though below
+2^r / p = 186 there). Only the two codes are made, no element.
 
 A lane vector (`FieldCtx.lanes`, `LaneVector`) holds m elements in one
 integer, lane i at bit (2k - 1) W i, so that the 2k - 1 digits of a product
@@ -104,15 +107,18 @@ Codes become packings (`FieldCtx._pack_codes`, for `elements_at`, `lanes` and
 `sums`), or the text of their coefficients (for `coefficient_texts`, which
 the certificate writer reads), through digit tables. The base-p digits of a
 code, most significant first, are c_0, ..., c_{k-1}; they are read in chunks
-of d digits, d the largest with p^d <= 256 (one when p > 256), the last chunk
-taking what is left (5, 5 and 2 digits over GF(3^12)). Entry v of the table
-for (p, s, width) packs the s digits of v at that width, the first at digit
-0, or, when width is a separator string, holds their decimal texts joined by
-it. So a chunk is one lookup over the whole list of codes at once. A packing
-shifted up to its first coefficient is added to the chunks before it, and
-the texts of a code's chunks are joined by the separator. A one-digit
-chunk is its own packing, or its `str`, and needs no table, and over GF(p) a
-code is its packing. Tables are built on first use by `functools.lru_cache`,
+of d digits, d the largest with p^d <= 1024 (one from p = 37 on), the last
+chunk taking what is left (6 and 6 digits over GF(3^12), 3, 3 and 1 over
+GF(7^7)), so a code of a field of at most 1024 elements is one lookup and
+no arithmetic. Entry v of the table for (p, s, width) packs the s digits of
+v at that width, the first at digit 0, or, when width is a separator string,
+holds their decimal texts joined by it; a packing table is built one digit
+at a time, each entry so far followed by its p extensions by the next
+digit. So a chunk is one lookup over the whole list of codes at once. A
+packing shifted up to its first coefficient is added to the chunks before
+it, and the texts of a code's chunks are joined by the separator. A
+one-digit chunk is its own packing, or its `str`, and needs no table, and
+over GF(p) a code is its packing. Tables are built on first use by `functools.lru_cache`,
 shared by every field of one characteristic; the widths of the kernel and of
 `sums` are whole bytes, and the writer's separators one per indent, so a
 process builds few per prime.
@@ -174,22 +180,26 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _digit_table(p: int, digits: int, width: int | str) -> list:
     """Entry v is the packing, with width bits a digit, of the base-p digits
-    of v, `digits` of them, most significant at digit 0; for a separator
-    string width, the decimal texts of those digits joined by it. Built on
-    first use by `functools.lru_cache` and shared by every field of
-    characteristic p."""
+    of v, `digits` of them, most significant at digit 0, built one digit at
+    a time; for a separator string width, the decimal texts of those digits
+    joined by it. Built on first use by `functools.lru_cache` and shared by
+    every field of characteristic p."""
     if isinstance(width, str):
         return list(map(width.join, product(map(str, range(p)), repeat=digits)))
-    shifts = [width * i for i in range(digits)]
-    return [sum(map(lshift, t, shifts)) for t in product(range(p), repeat=digits)]
+    table = [0]
+    for i in range(digits):  # digit i, the next less significant, at bit width * i
+        shifted = [d << width * i for d in range(p)]
+        table = [t + s for t in table for s in shifted]
+    return table
 
 
 def _chunk_plan(p: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The code digits in chunks of d, the most with p^d <= 256 table
-    entries (one when p > 256), most significant first, each as (digits,
-    p^(digits after the chunk), p^digits, first coefficient)."""
+    """The code digits in chunks of d, the most with p^d <= 1024 table
+    entries (one from p = 37 on, where p^2 > 1024), most significant first,
+    each as (digits, p^(digits after the chunk), p^digits, first
+    coefficient)."""
     d, chunks = 1, []
-    while p ** (d + 1) <= 256:
+    while p ** (d + 1) <= 1024:
         d += 1
     for start in range(0, k, d):
         digits = min(d, k - start)

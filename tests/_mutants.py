@@ -214,13 +214,13 @@ MUTANTS = (
     ),
     Mutant(
         # a chunk's text follows the one before it with no separator: the
-        # row texts of GF(5^4) and GF(3^12) lose a comma and an indent
+        # row texts of GF(3^12) and GF(13^5) lose a comma and an indent
         "text-chunks-joined-without-the-separator",
         GF,
         "map(width.join, zip(*parts))",
         'map("".join, zip(*parts))',
         (
-            "tests/test_kernels.py::test_coefficient_rows_are_the_elements_json[5-4]",
+            "tests/test_kernels.py::test_coefficient_rows_are_the_elements_json[3-12]",
             "tests/test_golden.py::test_golden_certificate[sample_120_gf3_12]",
         ),
     ),
@@ -228,11 +228,24 @@ MUTANTS = (
         # the packings drop the last digit of every chunk
         "digit-table-one-digit-short",
         GF,
-        "shifts = [width * i for i in range(digits)]",
-        "shifts = [width * i for i in range(digits - 1)]",
+        "shifted = [d << width * i for d in range(p)]",
+        "shifted = [d << width * i for d in range(p)] if i < digits - 1 else [0] * p",
         (
             "tests/test_kernels.py::test_lane_vectors_match_element_arithmetic[3-12-13]",
             "tests/test_quadric.py::test_sums_at_the_widest_packing[13-5-200]",
+        ),
+    ),
+    Mutant(
+        # the old plan of at most 256 table entries: the same packings and
+        # texts, read through more chunks and more arithmetic
+        "chunk-plan-at-most-256",
+        GF,
+        "while p ** (d + 1) <= 1024:",
+        "while p ** (d + 1) <= 256:",
+        (
+            "tests/test_kernels.py::test_a_conversion_reads_one_table_per_chunk[5-4-chunks0]",
+            "tests/test_kernels.py::test_a_conversion_reads_one_table_per_chunk[3-12-chunks3]",
+            "tests/test_kernels.py::test_codes_split_into_chunks_of_at_most_1024_values[3-12-chunks3]",
         ),
     ),
     Mutant(
@@ -768,8 +781,8 @@ MUTANTS = (
     Mutant(
         "writer-point-rows-through-the-wrong-code",
         CLI,
-        "value.ctx.coefficient_texts(value.codes,",
-        "value.ctx.coefficient_texts(value.codes[::-1],",
+        "texts = value.ctx.coefficient_texts(value.codes,",
+        "texts = value.ctx.coefficient_texts(value.codes[::-1],",
         (
             "tests/test_quadric.py::test_written_point_shape",
             "tests/test_kernels.py::test_point_round_trips",
@@ -938,8 +951,8 @@ MUTANTS = (
         # every coordinate of a point renders as its first coordinate's row
         "writer-point-rows-all-the-first",
         CLI,
-        "_array(_rows(value, indent), indent)",
-        "_array(_rows(value, indent)[:1] * len(value.codes), indent)",
+        ".join(texts) + tail",
+        ".join(texts[:1] * len(value.codes)) + tail",
         (
             "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",
@@ -996,8 +1009,8 @@ MUTANTS = (
         # a point's row items are indented as the rows themselves
         "writer-point-template-of-the-wrong-indent",
         CLI,
-        'inner = indent + "    "',
-        'inner = indent + "  "',
+        'row, item = indent + "  ", indent + "    "',
+        'row, item = indent + "  ", indent + "  "',
         (
             "tests/test_canonical.py::test_vectors_of_every_field_match_at_several_depths",
             "tests/test_golden.py::test_golden_certificate[sample_15_gf81]",

@@ -305,6 +305,18 @@ def test_barrett_norm_is_exact_on_every_digit_below_its_bound(p, k):
                 assert ctx._norm(e) == e % p
 
 
+@pytest.mark.parametrize("p,k", [(7, 1), (11, 1), (3, 12), (1021, 2)])
+def test_barrett_norm_is_exact_up_to_2_to_the_r_over_p(p, k):
+    # the largest digit below 2^r / p, r = b + bits(p), lies past 2^b; put
+    # in every digit of a product's 2k - 1, it is still taken mod p
+    ctx = field_make(p, k)
+    b, w = (k * p * p).bit_length(), ctx._width
+    d = (1 << b + p.bit_length()) // p
+    assert d >= 1 << b
+    spread = sum(1 << w * i for i in range(2 * k - 1))
+    assert ctx._norm(d * spread) == d % p * spread
+
+
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
 def test_codes_pack_and_read_back(p, k):
     # codes to coefficient columns, and a packed element, a sum of two and a
@@ -323,8 +335,9 @@ def test_codes_pack_and_read_back(p, k):
         assert ctx._code(ctx._kmul(px, p - 1)) == ctx.element_index(-x)
 
 
-# the widest one-digit chunks (p > 256), and two primes whose digits each
-# take a chunk of their own
+# GF(1021^2) of the kernel's fields has the widest one-digit chunks;
+# GF(31^2) reads one table of 961 entries, and GF(17^3) and GF(11^3) a
+# two-digit table and a one-digit chunk each
 TABLE_FIELDS = KERNEL_FIELDS + [(31, 2), (17, 3), (11, 3)]
 WIDTHS = (9, 13, 16, 24, ", ")
 
@@ -348,19 +361,75 @@ def test_digit_tables_convert_like_the_digit_by_digit_oracle(p, k, data):
     assert ctx.coefficient_texts(iter(codes), " ") == texts
 
 
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)  # every odd p with p^2 <= 1024
+
+
+def _tables():
+    """(p, digits, widths) for every table a chunk plan can read: every odd
+    p and d >= 2 with p^d <= 1024, at widths 8, 16 and 24 and at the kernel
+    width of each field whose plan has a chunk of d digits."""
+    widths = {}
+    for p in ODD_PRIMES:
+        for k in range(2, gf.SIZE_LIMIT.bit_length()):
+            if p**k <= gf.SIZE_LIMIT:
+                kernel = field_make(p, k)._width
+                for digits, _, _, _ in gf._chunk_plan(p, k):
+                    widths.setdefault((p, digits), {8, 16, 24}).add(kernel)
+    return [(p, d, sorted(widths[p, d])) for p, d in sorted(widths) if d > 1]
+
+
+def test_every_digit_table_matches_the_digit_by_digit_oracle():
+    # each table entry for entry against the oracle's conversion of every
+    # code of p^d, packings at each width and texts at two separators
+    tables = _tables()
+    assert {(p, d) for p, d, _ in tables} == {
+        (p, d) for p in ODD_PRIMES for d in range(2, 7) if p**d <= 1024
+    }
+    build = gf._digit_table.__wrapped__  # no table left in the cache
+    for p, digits, widths in tables:
+        ring, codes = ref.Ring(p, digits, None), range(p**digits)
+        for width in widths:
+            assert build(p, digits, width) == ref.pack_codes(ring, codes, width)
+        for sep in (", ", ",\n      "):
+            expected = [sep.join(map(str, row)) for row in ref.coefficient_rows(ring, codes)]
+            assert build(p, digits, sep) == expected
+
+
+@pytest.mark.parametrize("p,k,chunks", [(5, 4, [4]), (3, 6, [6]), (31, 2, [2]), (3, 12, [6, 6])])
+def test_a_conversion_reads_one_table_per_chunk(monkeypatch, p, k, chunks):
+    # a field of at most 1024 elements reads each code through one table,
+    # GF(3^12) through two, at every width and separator
+    read, real = [], gf._digit_table
+
+    def recording(p, digits, width):
+        read.append(digits)
+        return real(p, digits, width)
+
+    monkeypatch.setattr(gf, "_digit_table", recording)
+    ctx = field_make(p, k)
+    codes = [0, 1, ctx.size - 1]
+    for width in (ctx._width, 16, ", "):
+        read.clear()
+        ctx._pack_codes(codes, width)
+        assert read == chunks
+
+
 @pytest.mark.parametrize(
     "p,k,chunks",
-    [(7, 1, [1]), (3, 4, [4]), (3, 5, [5]), (3, 12, [5, 5, 2]), (5, 4, [3, 1]),
-     (13, 5, [2, 2, 1]), (17, 3, [1, 1, 1]), (1021, 2, [1, 1])],
+    [(7, 1, [1]), (3, 4, [4]), (3, 5, [5]), (3, 12, [6, 6]), (5, 4, [4]),
+     (13, 5, [2, 2, 1]), (17, 3, [2, 1]), (1021, 2, [1, 1]), (3, 6, [6]),
+     (31, 2, [2]), (5, 8, [4, 4]), (7, 6, [3, 3]), (13, 4, [2, 2]),
+     (7, 7, [3, 3, 1]), (37, 2, [1, 1])],
 )
-def test_codes_split_into_chunks_of_at_most_256_values(p, k, chunks):
-    # the most significant digits first; one digit a chunk once p^2 > 256
+def test_codes_split_into_chunks_of_at_most_1024_values(p, k, chunks):
+    # the most significant digits first; one digit a chunk once p^2 > 1024
     assert [digits for digits, _, _, _ in field_make(p, k)._chunks] == chunks
 
 
 def test_prime_fields_build_no_digit_table_and_none_is_oversized(monkeypatch):
     # over GF(p) a code is its own packing, and its str its text, whatever p;
-    # a table holds p^d entries, at most 256 unless one digit alone takes more
+    # a table holds p^d entries for d >= 2, at most 1024 (a one-digit chunk
+    # reads none)
     read, real = [], gf._digit_table
 
     def recording(p, digits, width):
@@ -384,7 +453,7 @@ def test_prime_fields_build_no_digit_table_and_none_is_oversized(monkeypatch):
         ctx.sums(codes)
     assert read
     for p, digits, width in read:
-        assert len(real(p, digits, width)) == p**digits <= max(256, p)
+        assert digits >= 2 and len(real(p, digits, width)) == p**digits <= 1024
 
 
 @pytest.mark.parametrize("p,k", KERNEL_FIELDS)
