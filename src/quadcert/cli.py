@@ -25,9 +25,10 @@ newline. `canonical_json` walks the document once, appends every piece of
 text to one buffer and joins it at the end. It writes a field element's
 coefficient vector as one join of the coefficients' texts, and the rows of
 a point or a lift from one `coefficient_texts` call, which joins each row's
-coefficients by the separator of their indent. A point's array is then one
-join of those texts, each row's closing and the next row's opening bracket
-in the separator; a lift brackets each run's row and repeats it. It keeps
+coefficients by the separator of their indent. Points and lifts share one
+branch: the array is one join of those texts, each row's closing and the
+next row's opening bracket in the separator, a lift's run text being first
+its row's text repeated count times around that separator. It keeps
 nothing between calls, and raises TypeError on any other value, such as a
 float (it may be NaN or infinite, which JSON cannot express), a non-string
 key (it would be rewritten as a string without notice), an int subclass or
@@ -133,17 +134,18 @@ def _write(value, indent: str, out: list) -> None:
     elif kind is bool:
         out.append("true" if value else "false")
     elif kind is FieldElement:
-        out.append(_array(map(str, value.coeffs), indent))
-    elif kind is AmbientPoint:
-        # one join of the coefficient texts, each row's brackets in the separator
+        item = indent + "  "
+        out.append("[" + item + ("," + item).join(map(str, value.coeffs)) + indent + "]")
+    elif kind is AmbientPoint or kind is BlockLift:
+        # one join of the coefficient texts, each row's brackets in the
+        # separator; a lift's run is its row's text count times
         row, item = indent + "  ", indent + "    "
         head, tail = "[" + item, row + "]"
+        sep = tail + "," + row + head
         texts = value.ctx.coefficient_texts(value.codes, "," + item)
-        out.append("[" + row + head + (tail + "," + row + head).join(texts) + tail + indent + "]")
-    elif kind is BlockLift:
-        # a run is its row text count times, a separator after each but the last
-        rows, sep = _rows(value, indent), "," + indent + "  "
-        out.append(_array([(row + sep) * (count - 1) + row for row, count in zip(rows, value.counts)], indent))
+        if kind is BlockLift:
+            texts = [(text + sep) * (count - 1) + text for text, count in zip(texts, value.counts)]
+        out.append("[" + row + head + sep.join(texts) + tail + indent + "]")
     elif isinstance(value, Record):
         _write(_fields(value), indent, out)
     else:
@@ -151,21 +153,6 @@ def _write(value, indent: str, out: list) -> None:
             "certificate values are int, str, bool, None, list, dict, FieldElement,"
             f" AmbientPoint, BlockLift or another Record, not {kind.__name__}"
         )
-
-
-def _rows(value, indent: str) -> list:
-    """The row texts of a lift's run codes, in code order: each code's
-    coefficient vector as an item of the array at `indent`, its
-    coefficients joined by one `coefficient_texts` call and bracketed."""
-    inner = indent + "    "
-    head, tail = "[" + inner, indent + "  ]"
-    return [head + text + tail for text in value.ctx.coefficient_texts(value.codes, "," + inner)]
-
-
-def _array(parts, indent: str) -> str:
-    """The text of a non-empty array of these item texts."""
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(parts) + indent + "]"
 
 
 def _fields(record) -> dict:
@@ -233,7 +220,11 @@ def _cmd_check(n, p, degree):
 def _block(n, p, lift):
     """Solve the block system of (n, p) and, with `lift`, lift the solution
     to its runs (`BlockLift`): (field, payload, checks, sums), `sums` the
-    entries that solve and construct add to the payload. The checks: both
+    entries that solve and construct add to the payload. A lift of more than
+    gf.SIZE_LIMIT coordinates is refused after the solve, so that the gate's
+    refusal comes first: the runs take O(r) memory, but the document writes
+    one row per coordinate, and a sampled point, whose coordinates are
+    pairwise distinct, cannot be longer than the largest field anyway. The checks: both
     weighted sums vanish, some c_i is nonzero and c_r = 0; the lift lies on
     the quadric and off the small diagonal, as the all-zero solution lifts
     to a constant. The lift's sums are `power_sums` of its r runs, each code
@@ -260,6 +251,8 @@ def _block(n, p, lift):
     ]
     sums = {"checks_values": {"linear": lin, "quadratic": quad}}
     if lift:
+        if n > SIZE_LIMIT:
+            raise UsageError(f"a lift of n={n} coordinates exceeds the limit {SIZE_LIMIT}")
         runs = payload["lift"] = lift_block_solution(sol)
         s1, s2 = power_sums(runs)
         checks += [

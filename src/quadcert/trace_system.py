@@ -13,7 +13,8 @@ coordinates lifts a solution to a length-n point whose coordinate sum and
 square sum both vanish, since each block contributes 2^(m_i) copies of c_i.
 The lift is held as its r runs (`BlockLift`), each code c_i with its count
 2^(m_i), so building, checking and writing it takes O(r) work before the
-writer's n rows.
+writer's n rows, for any n. The module sets no cap on n: the command line
+refuses to write a lift longer than the field cap (`cli._block`).
 
 The solver returns the first solution of a scan of suffixes (c_2, ..., c_{r-1})
 by increasing index, c_2 the least significant digit, solving one quadratic
@@ -30,8 +31,10 @@ characteristic p is divisible by p, and there is one besides zero. Its
 
 from __future__ import annotations
 
-from .errors import InvalidProfileError, UsageError
-from .gf import SIZE_LIMIT, FieldCtx, FieldElement, field_make
+from itertools import chain
+
+from .errors import InvalidProfileError
+from .gf import FieldCtx, FieldElement, field_make
 from .profile import R_TOO_SMALL, BinaryProfile, check_hypotheses, solution_field_degree
 from .record import Record
 
@@ -89,9 +92,9 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     the next slices are c_3 = e and, if r >= 5, c_4 = e with c_3 over all
     codes, a block with a solution (module docstring): q + 1 roots at most.
     The weights, A, 1/A and the other coefficients lie in GF(p): they are
-    ints mod p, each lifted once by `ctx.el`, so the kernel inverts none of
-    them, and the slice c_3 = e, c_4 = 0 has s^2 = e^2 w_3 (w_3 s2_m + s2_n)
-    with the bracket an int.
+    computed as ints mod p and lifted once each by `ctx.el`, so the kernel
+    inverts none of them. Each slice evaluates M, N and s^2 by these
+    formulas in field arithmetic.
     """
     p, r = ctx.p, len(weights)
     w1, w2, w3, w4 = weights[:4]
@@ -99,26 +102,21 @@ def _solve_over(ctx: FieldCtx, weights: tuple[int, ...]):
     zero, e = ctx.zero, ctx.element_at(1)
     if not a:  # w_2 = -w_1: every c_2 solves the zero prefix, and c_1 = c_2
         return (e, e) + (zero,) * (r - 2)
-    s2_m, s2_n = -w1 * w2 % p, -w1 * a % p  # s^2 = s2_m M^2 + s2_n N
-    lift = ctx.el
-    inv_a, neg_w2, neg_inv_w1, el_w2, el_w3 = map(lift, (pow(a, -1, p), -w2, -pow(w1, -1, p), w2, w3))
-    ee = e * e
-
-    def slices():
-        """(c_3, c_4, M, s^2) of each slice, in scan order."""
-        yield e, zero, e * el_w3, ee * lift(w3 * (w3 * s2_m + s2_n))
-        if r >= 5:  # c_4 = e: M = w_3 c_3 + w_4 e and N = w_3 c_3^2 + w_4 e^2
-            el_m, el_n, m4, n4 = lift(s2_m), lift(s2_n), e * lift(w4), ee * lift(w4)
-            for x in ctx.elements():
-                m = x * el_w3 + m4
-                yield x, e, m, m * m * el_m + (x * x * el_w3 + n4) * el_n
-
-    for c3, c4, m, square in slices():
-        s = square.sqrt()
+    # s^2 = s2_m M^2 + s2_n N
+    w2, w3, w4, inv_a, s2_m, s2_n, neg_inv_w1 = map(
+        ctx.el, (w2, w3, w4, pow(a, -1, p), -w1 * w2, -w1 * a, -pow(w1, -1, p))
+    )
+    slices = [(e, zero)]
+    if r >= 5:
+        slices = chain(slices, ((x, e) for x in ctx.elements()))
+    for c3, c4 in slices:
+        m = c3 * w3 + c4 * w4
+        n = c3 * c3 * w3 + c4 * c4 * w4
+        s = (m * m * s2_m + n * s2_n).sqrt()
         if s is not None:
-            t = m * neg_w2
+            t = m * -w2
             c2 = min((t + s) * inv_a, (t - s) * inv_a, key=ctx.element_index)
-            c1 = (c2 * el_w2 + m) * neg_inv_w1
+            c1 = (c2 * w2 + m) * neg_inv_w1
             return (c1, c2, c3, c4) + (zero,) * (r - 4)
     return None
 
@@ -173,16 +171,9 @@ class BlockLift(Record):
 
 def lift_block_solution(sol: BlockSolution) -> BlockLift:
     """Repeat c_i across 2^(m_i) consecutive coordinates, blocks in profile
-    order, as the runs of a `BlockLift`. The lift has coordinate sum and
-    square sum equal to the two system sums, hence zero, and it avoids the
-    constant-vector locus because some c_i differs from c_r = 0. Lifts longer
-    than gf.SIZE_LIMIT coordinates are refused: the runs take O(r) memory,
-    but a certificate writes one row per coordinate, and a point with
-    pairwise distinct coordinates, the kind certify samples, cannot be longer
-    than the largest field anyway."""
-    profile = sol.profile
-    if profile.n > SIZE_LIMIT:
-        raise UsageError(
-            f"a lift of n={profile.n} coordinates exceeds the limit {SIZE_LIMIT}"
-        )
-    return BlockLift(sol.ctx, map(sol.ctx.element_index, sol.c), profile.block_sizes())
+    order, as the runs of a `BlockLift`, in O(r) time and memory for any n.
+    The lift has coordinate sum and square sum equal to the two system sums,
+    hence zero, and it avoids the constant-vector locus because some c_i
+    differs from c_r = 0. The document's cap on a lift's length is the CLI's
+    (`cli._block`): a certificate writes one row per coordinate."""
+    return BlockLift(sol.ctx, map(sol.ctx.element_index, sol.c), sol.profile.block_sizes())

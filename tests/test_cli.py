@@ -15,6 +15,7 @@ from _docref import written
 from _points import expanded
 import quadcert.cli
 from quadcert.cli import canonical_json, main
+from quadcert.errors import UsageError
 from quadcert.gf import SIZE_LIMIT, FieldCtx, field_make
 from quadcert.profile import binary_profile, solution_field_degree
 from quadcert.quadric import AmbientPoint
@@ -473,8 +474,9 @@ USAGE_ERROR_SITES = [
             not Path("/dev/full").exists(), reason="no /dev/full on this system"
         ),
     ),
-    # a lift longer than the field cap, refused before it is allocated;
-    # 3932160 = 2^21 + 2^20 + 2^19 + 2^18
+    # a lift longer than the field cap, refused after the solve and before
+    # the lift is built (its whole line is pinned below, at
+    # LIFT_PAST_THE_CAP); 3932160 = 2^21 + 2^20 + 2^19 + 2^18
     (["construct", "3932160", "3"], "exceeds the limit"),
     (["certify", "3932160", "3"], "exceeds the limit"),
     # the gate refuses p before it looks at the profile (12 has two terms)
@@ -703,6 +705,36 @@ def test_a_request_above_2_20_sampled_coordinates_is_refused_before_any_draw(arg
     stdout, err = capsys.readouterr()
     assert stdout == "" and not out.exists()
     assert err.count("\n") == 1 and f"exceed the limit of {SIZE_LIMIT} coordinates" in err
+
+
+# 2^21 + 2^20 + 2^19 + 2^18: 3 divides it, so the gate admits it over GF(3)
+LIFT_PAST_THE_CAP = 3932160
+
+
+def test_a_lift_above_2_20_coordinates_is_refused_after_the_solve():
+    # the solve has no cap; the lift's is the document's, in cli
+    _, payload, checks, _ = quadcert.cli._block(LIFT_PAST_THE_CAP, 3, lift=False)
+    assert payload["n"] == LIFT_PAST_THE_CAP and all(passed for _, passed in checks)
+    with pytest.raises(UsageError) as refusal:
+        quadcert.cli._block(LIFT_PAST_THE_CAP, 3, lift=True)
+    assert str(refusal.value) == f"a lift of n={LIFT_PAST_THE_CAP} coordinates exceeds the limit {SIZE_LIMIT}"
+
+
+@pytest.mark.parametrize("command", ["construct", "certify"])
+def test_a_lift_above_2_20_coordinates_exits_4_with_one_line_and_no_document(command, capsys, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([command, str(LIFT_PAST_THE_CAP), "3", "--json", str(out)]) == 4
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err == f"quadcert {command}: error: a lift of n=3932160 coordinates exceeds the limit 1048576\n"
+
+
+def test_a_gate_refusal_above_the_lift_cap_still_exits_2(tmp_path):
+    # the gate decides before the lift's cap: 3 does not divide 3932161
+    code, doc = run_json(tmp_path, ["construct", str(LIFT_PAST_THE_CAP + 1), "3"])
+    assert code == 2 and doc["payload"]["error"] == "InvalidProfile"
+    assert doc["payload"]["message"] == "3 does not divide 3932161; the block weights cannot balance"
+    assert doc["checks"] == [{"name": "solvable_profile", "passed": False}]
 
 
 def test_sample_of_more_coordinates_than_the_largest_field_exits_2_before_any_draw(tmp_path, monkeypatch):

@@ -39,6 +39,11 @@ Only `gf`, `quadric` and `trace_system` reach the power-sum kernel
 `FieldCtx.sums`: every other module sums through `quadric.power_sums`, which
 the benchmark tracer times, and no other module reads a `.sums` attribute.
 
+Only `gf` (the field cap) and `cli` (the document caps: a lift's length and
+a request's sampled coordinates) use `gf.SIZE_LIMIT`. A cap that guards what
+a certificate writes lives beside the writer: the library lifts a block
+solution of any length, and samples any point its field holds.
+
 Only `cli.main` catches a refusal (`RefusalError`: `InvalidProfileError`,
 `NoPointFoundError`), and it writes every refusal document: no other except
 clause names a refusal class or one of its bases, and none is bare.
@@ -407,3 +412,33 @@ def test_no_test_module_imports_through_a_tests_package():
             names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
             found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "tests"]
     assert found == []
+
+
+def size_limit_uses(source: str) -> list[str]:
+    """`line: code` for each use of the name SIZE_LIMIT: a name, an attribute
+    (`gf.SIZE_LIMIT`) or an import of it."""
+    found = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == "SIZE_LIMIT"
+        or isinstance(node, ast.Attribute) and node.attr == "SIZE_LIMIT"
+        or isinstance(node, ast.ImportFrom) and any(alias.name == "SIZE_LIMIT" for alias in node.names)
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def test_the_cap_guard_flags_the_import_in_a_third_module():
+    source = (
+        "from .gf import SIZE_LIMIT as CAP, field_make\n"
+        "from . import gf\n"
+        "big = n > gf.SIZE_LIMIT\n"
+        "def f(n):\n    return n > SIZE_LIMIT\n"
+        "ok = size_limit + LIMIT + CAP_TEXT\n"
+    )
+    assert [v.split(":")[0] for v in size_limit_uses(source)] == ["1", "3", "5"]
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in PACKAGE.glob("*.py")))
+def test_only_gf_and_cli_use_the_size_limit(name):
+    assert bool(size_limit_uses((PACKAGE / name).read_text())) == (name in ("gf.py", "cli.py"))

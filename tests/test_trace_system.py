@@ -13,7 +13,7 @@ from quadcert.cli import _block
 from quadcert.errors import EvenCharacteristicError, InvalidProfileError, NotPrimeError, UsageError
 from quadcert.gf import SIZE_LIMIT, FieldCtx, _prime_factors, field_make
 from quadcert.profile import binary_profile, check_hypotheses, solution_field_degree
-from quadcert.quadric import in_small_diagonal, on_quadric
+from quadcert.quadric import in_small_diagonal, on_quadric, power_sums
 from quadcert.trace_system import (
     BlockLift,
     BlockSolution,
@@ -341,6 +341,14 @@ def test_lift_block_structure():
         assert all(x == c for x in lifted.coords[pos : pos + size])
         pos += size
     assert on_quadric(lifted)
+
+
+def test_the_library_lifts_past_the_cli_cap():
+    # 3932160 = 2^21 + 2^20 + 2^19 + 2^18: four runs, held in O(r) memory
+    lift = lift_block_solution(solve_block_system(binary_profile(3932160), 3))
+    assert len(lift.codes) == len(lift.counts) == 4
+    assert sum(lift.counts) == 3932160 > SIZE_LIMIT
+    assert all(s.is_zero() for s in power_sums(lift))
 
 
 def test_block_solution_refuses_a_mis_shaped_solution():
